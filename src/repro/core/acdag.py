@@ -177,58 +177,6 @@ class ACDag:
             n_failed_logs=support,
         )
 
-    @classmethod
-    def merge(cls, dags: Sequence["ACDag"]) -> "ACDag":
-        """Merge AC-DAGs built over disjoint failed-log sets (one per
-        corpus shard) into the DAG a single build over all logs yields.
-
-        An edge means "precedes in *every* failed log", so the merged
-        edge set is the intersection of the per-shard edge sets, with
-        per-edge support counters summed; nodes must survive every
-        shard (a shard that discarded a pid proves the global build
-        would too, since fewer logs can only *add* edges and therefore
-        ancestors).  The ancestors-of-F filter is re-applied at the end.
-        The merge is order-insensitive, hence deterministic however the
-        shards were scheduled.
-        """
-        if not dags:
-            raise GraphInvariantError("cannot merge zero AC-DAGs")
-        first = dags[0]
-        if any(d.failure != first.failure for d in dags):
-            raise GraphInvariantError(
-                "cannot merge AC-DAGs with different failure predicates"
-            )
-        if len(dags) == 1:
-            return first.copy()
-        nodes = set(first.graph.nodes)
-        for other in dags[1:]:
-            nodes &= set(other.graph.nodes)
-        graph = nx.DiGraph()
-        graph.add_nodes_from(sorted(nodes))
-        for a, b in first.graph.edges:
-            if (
-                a in nodes
-                and b in nodes
-                and all(d.graph.has_edge(a, b) for d in dags[1:])
-            ):
-                graph.add_edge(
-                    a, b, support=sum(d.graph[a][b]["support"] for d in dags)
-                )
-        discarded: dict[str, str] = {}
-        for d in dags:
-            discarded.update(d.discarded)
-        for pid in set(first.graph.nodes) - nodes:
-            discarded.setdefault(pid, "not observed in every failed log")
-        merged = cls(
-            graph=graph,
-            failure=first.failure,
-            defs=dict(first.defs),
-            discarded=discarded,
-            n_failed_logs=sum(d.n_failed_logs for d in dags),
-        )
-        merged._prune_non_ancestors()
-        return merged
-
     # -- incremental maintenance (corpus ingestion) -------------------------
     #
     # The edge relation is "P1 precedes P2 in every failed log", so a new

@@ -26,7 +26,7 @@ maintained per insertion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .evalkernel import BitsetCounter
 from .predicates import Observation
@@ -236,6 +236,10 @@ class IncrementalDebugger:
     def all_pids(self) -> list[str]:
         return sorted(self.counts)
 
+    def observed_in_failed(self, pid: str) -> int:
+        """How many failed logs observe ``pid``."""
+        return self.counts.get(pid, (0, 0))[0]
+
     def stats(self) -> dict[str, PredicateStats]:
         """Per-predicate statistics, built straight from the counters."""
         return {
@@ -256,6 +260,30 @@ class IncrementalDebugger:
             for pid, (in_failed, in_success) in self.counts.items()
             if in_success == 0 and in_failed == self.n_failed and self.n_failed
         )
+
+
+def failure_and_fd(
+    debugger: "StatisticalDebugger | IncrementalDebugger",
+    failure_pids: Sequence[str],
+) -> tuple[Optional[str], list[str]]:
+    """The failure predicate F and the fully-discriminative set the
+    AC-DAG is built over, straight from SD counters.
+
+    F is the first of the suite's (sorted) ``failure_pids`` that some
+    failed log observes — ``None`` when none is; the FD set excludes
+    every failure predicate.
+    """
+    failure = next(
+        (pid for pid in failure_pids if debugger.observed_in_failed(pid)),
+        None,
+    )
+    excluded = set(failure_pids)
+    fully = [
+        pid
+        for pid in debugger.fully_discriminative_pids()
+        if pid not in excluded
+    ]
+    return failure, fully
 
 
 def split_logs(

@@ -29,7 +29,14 @@ Invariants
   served stale;
 * the shard holding a pair is a pure function of the trace fingerprint
   (the store's ``shard_id``), so concurrent per-shard evaluation never
-  touches shared state.
+  touches shared state;
+* a shard whose every (pid, trace) pair is already decided is answered
+  from popcounts alone: its columnar table is not opened and no
+  per-trace log is assembled;
+* reads never write: every mutator sets the matrix's ``dirty`` flag,
+  and :meth:`ShardedEvalMatrix.save` skips clean shards (and the index
+  when no shard changed), so a warm analysis leaves the corpus
+  untouched.
 
 Persistence format
 ------------------
@@ -45,17 +52,15 @@ matrix into per-shard files preserving every memoized pair.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
-from ..core.acdag import ACDag
 from ..core.extraction import PredicateSuite
-from ..core.precedence import PrecedencePolicy
 from ..core.predicates import Observation
 from ..core.statistical import IncrementalDebugger, PredicateLog
+from .store import _read_json, _write_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exec.engine import ExecutionEngine
@@ -119,6 +124,9 @@ class EvalMatrix:
         self._digest_cache: Optional[tuple] = None
         #: cached failed-column mask, invalidated on column allocation
         self._failed_mask: Optional[int] = None
+        #: set by every mutation since the last load or save; a clean
+        #: matrix is never rewritten
+        self.dirty = False
         if self.path is not None and self.path.exists():
             self.load(self.path)
 
@@ -155,6 +163,7 @@ class EvalMatrix:
             self.labels.append(bool(failed))
             self._column[fingerprint] = idx
             self._failed_mask = None
+            self.dirty = True
         return idx
 
     @property
@@ -219,6 +228,7 @@ class EvalMatrix:
             )
             self.pair_evaluations += len(undecided)
             self.kernel_calls += 1
+            self.dirty = True
             for pid in undecided:
                 self.evaluated[pid] = self.evaluated.get(pid, 0) | mask
                 obs = fresh.get(pid)
@@ -303,6 +313,8 @@ class EvalMatrix:
                 any_undecided |= undecided
                 self.pair_evaluations += undecided.bit_count()
         self.kernel_calls += any_undecided.bit_count()
+        if any_undecided:
+            self.dirty = True
         columnar_pids = kernel.columnar_pids
         sweep_pids = frozenset(
             pid
@@ -402,7 +414,31 @@ class EvalMatrix:
             failure_signature=signature,
         )
 
+    def answer_from_memo(
+        self, suite: PredicateSuite, fingerprints: Sequence[str]
+    ) -> bool:
+        """Whether every (suite pid, trace) pair over these (distinct)
+        fingerprints is decided under the suite's current definition
+        digests.  If so, count them as memo hits — exactly the hits
+        :meth:`log_for` per trace would count — and return ``True``;
+        otherwise change nothing and return ``False``."""
+        mask = 0
+        for fp in fingerprints:
+            col = self._column.get(fp)
+            if col is None:
+                return False
+            mask |= 1 << col
+        suite_digests = self._digests_for(suite)
+        for pid in suite.defs:
+            if self.digests.get(pid) != suite_digests[pid]:
+                return False
+            if mask & ~self.evaluated.get(pid, 0):
+                return False
+        self.pair_hits += len(fingerprints) * len(suite.defs)
+        return True
+
     def _drop_row(self, pid: str) -> None:
+        self.dirty = True
         self.evaluated.pop(pid, None)
         self.observed.pop(pid, None)
         self.digests.pop(pid, None)
@@ -423,8 +459,10 @@ class EvalMatrix:
         drifted and is now shadowed by its re-evaluated successor), and
         every column whose fingerprint is not in ``keep_fingerprints``
         (a trace evicted from the manifest).  Returns
-        ``(dropped_rows, dropped_columns)``.
+        ``(dropped_rows, dropped_columns)``.  Always marks the matrix
+        dirty: compaction is an explicit rewrite.
         """
+        self.dirty = True
         dead_rows = [
             pid
             for pid in sorted(set(self.evaluated) | set(self.digests))
@@ -525,8 +563,6 @@ class EvalMatrix:
         path = Path(path) if path is not None else self.path
         if path is None:
             raise ValueError("EvalMatrix has no path to save to")
-        from .store import _write_json
-
         payload = {
             "version": MATRIX_VERSION,
             "traces": self.traces,
@@ -547,10 +583,11 @@ class EvalMatrix:
             },
         }
         _write_json(path, payload, indent=None)
+        self.dirty = False
         return path
 
     def load(self, path: str | os.PathLike) -> None:
-        payload = json.loads(Path(path).read_text())
+        payload = _read_json(Path(path))
         version = payload.get("version")
         if version != MATRIX_VERSION:
             raise ValueError(
@@ -570,6 +607,7 @@ class EvalMatrix:
         self.observations = {
             fp: dict(row) for fp, row in payload["observations"].items()
         }
+        self.dirty = False
 
 
 @dataclass
@@ -581,8 +619,7 @@ class ShardEvaluation:
     post-evaluation memo state back to the parent.  ``logs`` are only
     populated on request (the matrix already holds everything a log
     contains, so shipping them across a process boundary would double
-    the payload); ``dag`` is this shard's partial AC-DAG when the caller
-    asked for per-shard DAG construction.
+    the payload).
     """
 
     shard_id: str
@@ -592,9 +629,6 @@ class ShardEvaluation:
     logs: list[tuple[str, PredicateLog]] = field(default_factory=list)
     #: per-shard SD counters, merged deterministically by the pipeline
     counters: IncrementalDebugger = field(default_factory=IncrementalDebugger)
-    #: partial AC-DAG over this shard's failed logs (None when the shard
-    #: has no failed logs or DAG construction was not requested)
-    dag: Optional["ACDag"] = None
 
 
 @dataclass(frozen=True)
@@ -618,7 +652,7 @@ class ShardedEvalMatrix:
     ``store.shard_id(fingerprint)`` — so every memo lookup touches
     exactly one shard file, and shards can be evaluated in parallel
     without sharing state.  Shard matrices load lazily; ``save`` writes
-    each loaded shard next to its traces plus a top-level index
+    each dirty shard next to its traces plus a top-level index
     (``DIR/evalmatrix.json``, format version 2) naming every shard that
     holds a bitset file.
     """
@@ -656,7 +690,7 @@ class ShardedEvalMatrix:
         index_path = self.store.matrix_index_path
         sids: set[str] = set()
         if index_path.exists():
-            payload = json.loads(index_path.read_text())
+            payload = _read_json(index_path)
             if payload.get("version") == MATRIX_INDEX_VERSION:
                 sids.update(
                     sid
@@ -686,8 +720,6 @@ class ShardedEvalMatrix:
         traces: Sequence,
         engine: Optional["ExecutionEngine"] = None,
         return_logs: bool = True,
-        build_dags: bool = False,
-        policy: Optional[PrecedencePolicy] = None,
         columnar: Optional[bool] = None,
     ) -> list[ShardEvaluation]:
         """Evaluate the suite over many traces, one task per shard.
@@ -701,14 +733,13 @@ class ShardedEvalMatrix:
         per-trace evaluation is independent — the outcome is
         bit-identical for any job count.
 
-        ``build_dags`` makes each task also build its shard's partial
-        AC-DAG (over the shard's failed logs, candidates = the shard's
-        *local* fully-discriminative set); ``ACDag.merge`` over those
-        partials equals one global build, because the global FD set is
-        exactly the intersection of the shard-local ones.  With
+        Each task returns its shard's SD ``counters``; with
         ``return_logs=False`` the (bulky) per-trace logs stay in the
         worker — the matrix carries the same information, and
-        :meth:`reconstruct_log` rebuilds any log from it for free.
+        :meth:`reconstruct_log` rebuilds any log from it for free.  A
+        shard whose every pair is already decided is answered from
+        popcounts alone (:meth:`EvalMatrix.answer_from_memo`): no trace
+        load, no columnar table, no per-trace log.
 
         ``columnar`` selects the per-shard evaluation strategy: sweep
         the shard's columnar trace table (:meth:`EvalMatrix.
@@ -726,8 +757,7 @@ class ShardedEvalMatrix:
                 )
             groups.setdefault(self.store.shard_id(fp), []).append(trace)
         return self._evaluate_groups(
-            suite, groups, engine, False, return_logs, build_dags, policy,
-            columnar,
+            suite, groups, engine, False, return_logs, columnar
         )
 
     def evaluate_fingerprints(
@@ -736,8 +766,6 @@ class ShardedEvalMatrix:
         fingerprints: Sequence[str],
         engine: Optional["ExecutionEngine"] = None,
         return_logs: bool = True,
-        build_dags: bool = False,
-        policy: Optional[PrecedencePolicy] = None,
         columnar: Optional[bool] = None,
     ) -> list[ShardEvaluation]:
         """Like :meth:`evaluate_shards`, but each shard task *loads its
@@ -750,8 +778,7 @@ class ShardedEvalMatrix:
         for fp in fingerprints:
             groups.setdefault(self.store.shard_id(fp), []).append(fp)
         return self._evaluate_groups(
-            suite, groups, engine, True, return_logs, build_dags, policy,
-            columnar,
+            suite, groups, engine, True, return_logs, columnar
         )
 
     def _evaluate_groups(
@@ -761,8 +788,6 @@ class ShardedEvalMatrix:
         engine: Optional["ExecutionEngine"],
         load: bool,
         return_logs: bool,
-        build_dags: bool,
-        policy: Optional[PrecedencePolicy],
         columnar: Optional[bool] = None,
     ) -> list[ShardEvaluation]:
         sids = sorted(groups)
@@ -770,87 +795,51 @@ class ShardedEvalMatrix:
             self.shard(sid)  # load before dispatch (workers only read files)
         shards = self._shards
         store = self.store
-        failure_pids = suite.failure_pids() if build_dags else []
         use_columnar = columnar_enabled() if columnar is None else bool(columnar)
 
-        def evaluate_shard(sid: str) -> ShardEvaluation:
-            evaluation = ShardEvaluation(shard_id=sid, matrix=shards[sid])
-            failed_logs: list[PredicateLog] = []
-            fingerprints: list[str] = []
-            # Columnar strategy: one whole-shard sweep per undecided
-            # pid over the shard's trace table (built lazily, keyed by
-            # shard content digest).  A shard whose payloads the format
-            # cannot represent yields no table and takes the per-trace
-            # path below — same results either way.
-            table = store.columnar_table(sid) if use_columnar else None
-            if table is not None:
-                entries: list[tuple] = []
-                for item in groups[sid]:
-                    if load:
-                        entry = store.entries[item]
-                        entries.append(
-                            (item, entry.failed, entry.seed, entry.signature)
-                        )
-                    else:
-                        entries.append(
-                            (
-                                item.fingerprint,
-                                item.failed,
-                                item.seed,
-                                item.failure.signature
-                                if item.failure is not None
-                                else None,
-                            )
-                        )
-                logs = evaluation.matrix.log_for_table(
-                    suite, table, entries, load_trace=store.load
-                )
-                for (fp, _, _, _), log in zip(entries, logs):
-                    fingerprints.append(fp)
-                    if return_logs:
-                        evaluation.logs.append((fp, log))
-                    if log.failed:
-                        failed_logs.append(log)
-            else:
-                for item in groups[sid]:
-                    trace = store.load(item) if load else item
-                    log = evaluation.matrix.log_for(suite, trace)
-                    fingerprints.append(trace.fingerprint)
-                    if return_logs:
-                        evaluation.logs.append((trace.fingerprint, log))
-                    if log.failed:
-                        failed_logs.append(log)
-            # SD counters by popcount over the group's freshly-decided
-            # columns — the same counting kernel every layer shares —
-            # instead of a per-log observation walk.
-            evaluation.counters = evaluation.matrix.sd_counters(
-                suite, fingerprints
+        def entry_of(item) -> tuple[str, bool, int, Optional[str]]:
+            if load:
+                entry = store.entries[item]
+                return item, entry.failed, entry.seed, entry.signature
+            signature = (
+                item.failure.signature if item.failure is not None else None
             )
-            if build_dags and failed_logs:
-                # The shard's failure pid and FD set match the global
-                # ones wherever they overlap: a failure predicate is
-                # observed in either all or none of the (same-signature)
-                # failed logs, and the global FD set is the intersection
-                # of the shard-local ones — which is what lets
-                # ACDag.merge reduce these partials exactly.
-                counts = evaluation.counters.counts
-                failure = next(
-                    (p for p in failure_pids if counts.get(p, [0, 0])[0]),
-                    None,
+            return item.fingerprint, item.failed, item.seed, signature
+
+        def evaluate_shard(sid: str) -> ShardEvaluation:
+            matrix = shards[sid]
+            evaluation = ShardEvaluation(shard_id=sid, matrix=matrix)
+            entries = [entry_of(item) for item in groups[sid]]
+            fingerprints = [entry[0] for entry in entries]
+            if matrix.answer_from_memo(suite, fingerprints):
+                # Every pair decided: the bitsets answer everything.
+                logs = (
+                    [matrix.reconstruct_log(suite, *entry) for entry in entries]
+                    if return_logs
+                    else []
                 )
-                if failure is not None:
-                    local_fd = [
-                        pid
-                        for pid in evaluation.counters.fully_discriminative_pids()
-                        if pid not in set(failure_pids)
-                    ]
-                    evaluation.dag = ACDag.build(
-                        defs=dict(suite.defs),
-                        failed_logs=failed_logs,
-                        failure=failure,
-                        policy=policy,
-                        candidate_pids=local_fd,
+            else:
+                # Columnar strategy: one whole-shard sweep per undecided
+                # pid over the shard's trace table (built lazily, keyed
+                # by shard content digest).  A shard whose payloads the
+                # format cannot represent yields no table and takes the
+                # per-trace path — same results either way.
+                table = store.columnar_table(sid) if use_columnar else None
+                if table is not None:
+                    logs = matrix.log_for_table(
+                        suite, table, entries, load_trace=store.load
                     )
+                else:
+                    logs = [
+                        matrix.log_for(suite, store.load(item) if load else item)
+                        for item in groups[sid]
+                    ]
+            if return_logs:
+                evaluation.logs = list(zip(fingerprints, logs))
+            # SD counters by popcount over the group's decided columns —
+            # the same counting kernel every layer shares — instead of a
+            # per-log observation walk.
+            evaluation.counters = matrix.sd_counters(suite, fingerprints)
             return evaluation
 
         parallel = (
@@ -963,14 +952,20 @@ class ShardedEvalMatrix:
     # -- persistence -----------------------------------------------------
 
     def save(self) -> None:
-        """Write every loaded, non-empty shard matrix plus the top-level
+        """Write every dirty, non-empty shard matrix plus the top-level
         index (the union of previously-indexed and just-saved shards).
-        A loaded shard whose every column was reclaimed loses its file
-        and its index entry — evicted traces must not resurrect."""
-        from .store import _write_json
-
+        A dirty shard whose every column was reclaimed loses its file
+        and its index entry — evicted traces must not resurrect.  With
+        no dirty shard nothing is written at all."""
+        dirty = {
+            sid: matrix
+            for sid, matrix in self._shards.items()
+            if matrix.dirty
+        }
+        if not dirty:
+            return
         saved = set(self.persisted_shard_ids())
-        for sid, matrix in sorted(self._shards.items()):
+        for sid, matrix in sorted(dirty.items()):
             if matrix.traces:
                 matrix.save()
                 saved.add(sid)
@@ -1078,11 +1073,9 @@ def migrate_matrix_v1(
     """Split a v1 single-file matrix into per-shard files plus the v2
     index at ``path``.  Skips silently if ``path`` already holds a v2
     index (a resumed migration)."""
-    payload = json.loads(path.read_text())
+    payload = _read_json(path)
     if payload.get("version") == MATRIX_INDEX_VERSION:
         return
-    from .store import _write_json
-
     matrix = EvalMatrix()
     matrix.load(path)
     shards = split_matrix(matrix, shard_id)

@@ -20,17 +20,24 @@ Shard-parallel analyze
 ``bootstrap`` accepts an :class:`~repro.exec.engine.ExecutionEngine`:
 predicate evaluation fans out one task per corpus shard across the
 engine's backend (thread or forked process workers), each task working
-its own shard of the :class:`~repro.corpus.matrix.ShardedEvalMatrix`.
-The reduction is deterministic whatever the schedule:
+its own shard of the :class:`~repro.corpus.matrix.ShardedEvalMatrix`
+and returning only its popcount **SD counters**.  The parent then takes
+one path, whatever the schedule — counters → global FD set → one
+``ACDag.build``:
 
-* per-shard **SD counters** (:class:`IncrementalDebugger`) merge by
-  plain summation, in sorted shard order;
-* **logs** reassemble into the canonical corpus order (successes then
-  failures, fingerprint-sorted) — identical to a serial walk;
-* per-shard **AC-DAGs** (each built over its shard's failed logs) merge
-  by edge intersection with summed support counters
-  (:meth:`~repro.core.acdag.ACDag.merge`) — the same patches a serial
-  ingest of those logs would have applied.
+* per-shard counters (:class:`IncrementalDebugger`) merge by plain
+  summation, in sorted shard order;
+* the failure predicate and the global fully-discriminative set derive
+  from the merged counters (:func:`~repro.core.statistical.failure_and_fd`);
+* the failed logs are rebuilt from the matrix bitsets
+  (:meth:`~repro.corpus.matrix.ShardedEvalMatrix.reconstruct_log`) in
+  the canonical corpus order (successes then failures,
+  fingerprint-sorted), and one AC-DAG is built over them — the AC-DAG
+  needs nothing but the global FD set and those logs' anchor times.
+
+A warm bootstrap (every pair already decided) therefore opens no
+columnar table, loads no trace, and — through the matrix's dirty
+flags — ``save`` afterwards writes nothing.
 
 Invariants
 ----------
@@ -50,9 +57,10 @@ Invariants
   patching sound.  Re-discovering predicates over a grown corpus is a
   new bootstrap.
 
-Persistence: ``save`` writes the store manifests and the per-shard
-matrix files (plus its index); nothing else is persisted — the DAG and
-counters rebuild from the matrix for free on the next bootstrap.
+Persistence: ``save`` writes the dirty store manifests and the dirty
+per-shard matrix files (plus its index); nothing else is persisted —
+the DAG and counters rebuild from the matrix for free on the next
+bootstrap.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from ..core.statistical import (
     IncrementalDebugger,
     PredicateLog,
     StatisticalDebugger,
+    failure_and_fd,
 )
 from ..sim.program import Program
 from .matrix import CompactionStats, ShardedEvalMatrix
@@ -196,8 +205,9 @@ class IncrementalPipeline:
 
         All evaluation goes through the sharded matrix, so a warm
         restart performs zero fresh evaluations; with an ``engine``,
-        evaluation and DAG construction fan out one task per shard and
-        merge deterministically (identical state for any job count).
+        evaluation fans out one task per shard, and the merged counters
+        feed one global AC-DAG build (identical state for any job
+        count).
         """
         from ..api.events import CorpusLoaded, LogsEvaluated, SuiteFrozen
 
@@ -265,13 +275,11 @@ class IncrementalPipeline:
                     corpus.successes + corpus.failures,
                     engine=engine,
                     return_logs=False,
-                    build_dags=True,
-                    policy=self.policy,
                 )
         else:
             # Pre-frozen suite: nothing global needs the trace bodies,
             # so shard tasks load their own traces — deserialization
-            # parallelizes along with evaluation and DAG construction.
+            # parallelizes along with evaluation.
             # Same canonical order as a labeled_corpus walk: successes
             # then on-signature failures, each fingerprint-sorted.
             ordered = sorted(self.store.entries.items())
@@ -291,8 +299,6 @@ class IncrementalPipeline:
                     fingerprints,
                     engine=engine,
                     return_logs=False,
-                    build_dags=True,
-                    policy=self.policy,
                 )
         # Logs stay in the workers; the canonical-order list (successes
         # then failures, fingerprint-sorted — independent of how shards
@@ -311,26 +317,30 @@ class IncrementalPipeline:
             self.debugger = IncrementalDebugger()
             for evaluation in evaluations:  # sorted shard order
                 self.debugger.merge(evaluation.counters)
-            failure_pids = [
-                pid
-                for pid in self.suite.failure_pids()
-                if self.debugger.counts.get(pid, (0, 0))[0]
-            ]
-            if not failure_pids:
+            self.failure_pid, self.fully = failure_and_fd(
+                self.debugger, self.suite.failure_pids()
+            )
+            if self.failure_pid is None:
                 raise CorpusError("no failure predicate was extracted")
-            self.failure_pid = failure_pids[0]
-            self.fully = self._derive_fully()
-            dags = [ev.dag for ev in evaluations if ev.dag is not None]
-            if not dags:
-                raise CorpusError("corpus has no failed traces to analyze")
-            # Each shard built its partial DAG over its own failed logs;
-            # the merge (edge intersection, summed supports, re-applied
-            # ancestors-of-F filter) equals one build over all failed logs —
-            # after restricting to the *global* FD set, because a shard
-            # holding only successes contributes no partial DAG yet can
-            # still break another shard's local candidates' precision.
-            self.dag = ACDag.merge(dags)
-            self.dag.restrict_to(set(self.fully) | {self.failure_pid})
+            entries = self.store.entries
+            failed_logs = [
+                self.matrix.reconstruct_log(
+                    self.suite,
+                    fp,
+                    failed=True,
+                    seed=entries[fp].seed,
+                    signature=entries[fp].signature,
+                )
+                for fp in fingerprints
+                if entries[fp].failed
+            ]
+            self.dag = ACDag.build(
+                defs=dict(self.suite.defs),
+                failed_logs=failed_logs,
+                failure=self.failure_pid,
+                policy=self.policy,
+                candidate_pids=self.fully,
+            )
         self._bootstrapped = True
         from ..api.events import DagBuilt
 
@@ -342,12 +352,7 @@ class IncrementalPipeline:
         )
 
     def _derive_fully(self) -> list[str]:
-        failure_pids = set(self.suite.failure_pids())
-        return [
-            pid
-            for pid in self.debugger.fully_discriminative_pids()
-            if pid not in failure_pids
-        ]
+        return failure_and_fd(self.debugger, self.suite.failure_pids())[1]
 
     # -- ingestion -------------------------------------------------------
 
@@ -546,12 +551,7 @@ class IncrementalPipeline:
         if not self.bootstrapped:
             raise CorpusError("bootstrap() the pipeline before rebuilding")
         batch = StatisticalDebugger(logs=list(self.logs))
-        failure_pids = set(self.suite.failure_pids())
-        fully = [
-            pid
-            for pid in batch.fully_discriminative_pids()
-            if pid not in failure_pids
-        ]
+        _, fully = failure_and_fd(batch, self.suite.failure_pids())
         return ACDag.build(
             defs=dict(self.suite.defs),
             failed_logs=[log for log in self.logs if log.failed],

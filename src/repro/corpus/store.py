@@ -48,7 +48,8 @@ Invariants
 * the top-level manifest's shard list equals the set of non-empty
   shards, so ``open`` never scans the filesystem;
 * ``save`` rewrites only shards dirtied since the last save (plus the
-  top-level manifest), each atomically (temp file + rename).
+  top-level manifest, when any shard was), each atomically (temp file
+  + rename) — so a read-only session never writes.
 
 Migration
 ---------
@@ -152,6 +153,15 @@ def _write_json(path: Path, payload: dict, indent: Optional[int] = 2) -> None:
     tmp.replace(path)
 
 
+def _read_json(path: Path):
+    """Parse one corpus JSON file; a truncated or corrupt file is a
+    :class:`CorpusError` naming it, never a bare decoder traceback."""
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path} is unreadable: {exc}") from exc
+
+
 class TraceStore:
     """A persistent, deduplicating, sharded corpus of execution traces."""
 
@@ -166,6 +176,10 @@ class TraceStore:
         self._program = program
         self.shard_width = shard_width
         self.entries: dict[str, TraceEntry] = dict(entries or {})
+        #: sid -> {fp: entry}: the per-shard view of ``entries``, kept in
+        #: step by every mutator so shard queries cost O(shard)
+        self._by_shard: dict[str, dict[str, TraceEntry]] = {}
+        self._index_shards()
         #: shard ids whose manifest must be rewritten on the next save
         self._dirty: set[str] = set()
         #: per-shard columnar-table cache: sid -> (content digest,
@@ -205,10 +219,7 @@ class TraceStore:
         path = root / MANIFEST_NAME
         if not path.exists():
             raise CorpusError(f"{root} is not a corpus (no {MANIFEST_NAME})")
-        try:
-            manifest = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path} is unreadable: {exc}") from exc
+        manifest = _read_json(path)
         version = manifest.get("version")
         if version == 1:
             manifest = _migrate_v1(root, manifest)
@@ -227,7 +238,7 @@ class TraceStore:
                     f"top-level manifest lists shard {sid!r} but "
                     f"{shard_manifest} is gone"
                 )
-            raw = json.loads(shard_manifest.read_text())
+            raw = _read_json(shard_manifest)
             for fp, row in raw.get("traces", {}).items():
                 entries[fp] = TraceEntry.from_dict(fp, row)
         return cls(
@@ -239,12 +250,13 @@ class TraceStore:
 
     def save(self) -> None:
         """Write dirty shard manifests plus the top-level index, each
-        atomically (temp file + rename)."""
-        by_shard: dict[str, dict[str, TraceEntry]] = {}
-        for fp, entry in self.entries.items():
-            by_shard.setdefault(self.shard_id(fp), {})[fp] = entry
+        atomically (temp file + rename).  A store with no dirty shard
+        writes nothing (the top-level index only changes with a shard);
+        a fresh ``init`` writes just the index."""
+        if not self._dirty and (self.root / MANIFEST_NAME).exists():
+            return
         for sid in sorted(self._dirty):
-            rows = by_shard.get(sid, {})
+            rows = self._by_shard.get(sid, {})
             _write_json(
                 self.shard_dir(sid) / MANIFEST_NAME,
                 {"traces": {fp: e.to_dict() for fp, e in sorted(rows.items())}},
@@ -255,7 +267,7 @@ class TraceStore:
                 "version": STORE_VERSION,
                 "program": self._program,
                 "shard_width": self.shard_width,
-                "shards": sorted(by_shard),
+                "shards": self.shard_ids,
             },
         )
         self._dirty.clear()
@@ -292,7 +304,21 @@ class TraceStore:
     @property
     def shard_ids(self) -> list[str]:
         """Sorted ids of the non-empty shards."""
-        return sorted({self.shard_id(fp) for fp in self.entries})
+        return sorted(self._by_shard)
+
+    def _index_shards(self) -> None:
+        """Rebuild the per-shard view from ``entries`` (on open, and
+        after a reshard changes the width)."""
+        self._by_shard = {}
+        for fp, entry in self.entries.items():
+            self._by_shard.setdefault(self.shard_id(fp), {})[fp] = entry
+
+    def _set_entry(self, entry: TraceEntry) -> None:
+        fp = entry.fingerprint
+        sid = self.shard_id(fp)
+        self.entries[fp] = entry
+        self._by_shard.setdefault(sid, {})[fp] = entry
+        self._dirty.add(sid)
 
     def shard_dir(self, shard_id: str) -> Path:
         return self.root / SHARDS_DIR / shard_id
@@ -310,7 +336,7 @@ class TraceStore:
     def shard_content_digest(self, shard_id: str) -> str:
         """Stable digest of the shard's sorted fingerprints — the
         invalidation key for its derived columnar table."""
-        return stable_digest(sorted(self.shard_entries(shard_id)))
+        return stable_digest(sorted(self._by_shard.get(shard_id, {})))
 
     def columnar_table(self, shard_id: str, build: bool = True):
         """The shard's columnar trace table, or ``None``.
@@ -481,24 +507,26 @@ class TraceStore:
         if existing is not None:
             if schedule_signature is not None and existing.schedule is None:
                 # Enrich a duplicate with the provenance it lacked.
-                self.entries[fp] = dataclasses.replace(
-                    existing, schedule=schedule_signature
+                self._set_entry(
+                    dataclasses.replace(existing, schedule=schedule_signature)
                 )
-                self._dirty.add(self.shard_id(fp))
             return fp, False
         path = self.trace_path(fp)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, sort_keys=True))
-        self.entries[fp] = TraceEntry(
-            fingerprint=fp,
-            label="fail" if trace.failed else "pass",
-            seed=trace.seed,
-            signature=(
-                trace.failure.signature if trace.failure is not None else None
-            ),
-            schedule=schedule_signature,
+        self._set_entry(
+            TraceEntry(
+                fingerprint=fp,
+                label="fail" if trace.failed else "pass",
+                seed=trace.seed,
+                signature=(
+                    trace.failure.signature
+                    if trace.failure is not None
+                    else None
+                ),
+                schedule=schedule_signature,
+            )
         )
-        self._dirty.add(self.shard_id(fp))
         return fp, True
 
     def evict(self, fingerprint: str) -> bool:
@@ -512,7 +540,12 @@ class TraceStore:
         if entry is None:
             return False
         self.trace_path(fingerprint).unlink(missing_ok=True)
-        self._dirty.add(self.shard_id(fingerprint))
+        sid = self.shard_id(fingerprint)
+        rows = self._by_shard[sid]
+        del rows[fingerprint]
+        if not rows:
+            del self._by_shard[sid]
+        self._dirty.add(sid)
         return True
 
     # -- retrieval -------------------------------------------------------
@@ -636,6 +669,7 @@ class TraceStore:
 
         # 4. Commit: the top-level manifest now names the new layout.
         self.shard_width = width
+        self._index_shards()
         self._dirty.clear()
         _write_json(
             self.root / MANIFEST_NAME,
@@ -691,11 +725,7 @@ class TraceStore:
 
     def shard_entries(self, shard_id: str) -> dict[str, TraceEntry]:
         """Manifest rows belonging to one shard."""
-        return {
-            fp: e
-            for fp, e in self.entries.items()
-            if self.shard_id(fp) == shard_id
-        }
+        return dict(self._by_shard.get(shard_id, {}))
 
     def signature_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}

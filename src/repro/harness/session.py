@@ -23,7 +23,11 @@ from ..core.extraction import Extractor, PredicateSuite
 from ..core.intervention import SimulationRunner
 from ..core.precedence import PrecedencePolicy, default_policy
 from ..core.report import Explanation, explain, report_to_dict
-from ..core.statistical import PredicateLog, StatisticalDebugger
+from ..core.statistical import (
+    PredicateLog,
+    StatisticalDebugger,
+    failure_and_fd,
+)
 from ..core.variants import Approach, discover
 from ..sim.program import Program
 from ..sim.scheduler import DEFAULT_MAX_STEPS, Simulator
@@ -231,22 +235,11 @@ class AIDSession:
                 )
             )
             self._debugger = StatisticalDebugger(logs=self._logs)
-            # One pass over the already-maintained per-pid counters —
-            # not a rescan of every log per candidate failure pid.
-            failure_pids = [
-                pid
-                for pid in self._suite.failure_pids()
-                if self._debugger.observed_in_failed(pid)
-            ]
-            if not failure_pids:
+            self._failure_pid, self._fully = failure_and_fd(
+                self._debugger, self._suite.failure_pids()
+            )
+            if self._failure_pid is None:
                 raise RuntimeError("no failure predicate was extracted")
-            self._failure_pid = failure_pids[0]
-            self._fully = [
-                pid
-                for pid in self._debugger.fully_discriminative_pids()
-                if pid != self._failure_pid
-                and pid not in set(self._suite.failure_pids())
-            ]
         return self._debugger
 
     def _evaluate_logs(self, traces) -> list[PredicateLog]:

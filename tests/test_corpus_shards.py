@@ -1,5 +1,5 @@
 """The sharded corpus layout: v1/v2→v3 migration, shard-parallel analyze
-determinism, AC-DAG partial merging, and compaction."""
+determinism, SD-counter merging, and compaction."""
 
 from __future__ import annotations
 
@@ -10,9 +10,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core.acdag import ACDag, GraphInvariantError
 from repro.core.extraction import PredicateSuite
-from repro.core.predicates import ExecutedPredicate, FailurePredicate, Observation
+from repro.core.predicates import Observation
 from repro.core.statistical import IncrementalDebugger, PredicateLog
 from repro.corpus import (
     CorpusError,
@@ -24,7 +23,6 @@ from repro.corpus import (
 )
 from repro.exec import ExecutionEngine, make_backend
 from repro.harness.runner import collect
-from repro.sim.tracing import MethodKey
 
 
 @pytest.fixture(scope="module")
@@ -266,85 +264,6 @@ class TestShardParallelDeterminism:
 
 def _obs(t: int) -> Observation:
     return Observation(start=t, end=t)
-
-
-class TestACDagMerge:
-    """Handcrafted partial DAGs: the merge is the intersection."""
-
-    F = "FAILURE[f]"
-
-    def _defs(self):
-        defs = {
-            pid: ExecutedPredicate(key=MethodKey(pid, "t", 0))
-            for pid in ("A", "B", "C")
-        }
-        fail = FailurePredicate(signature="f")
-        defs = {d.pid: d for d in defs.values()}
-        defs[fail.pid] = fail
-        return defs
-
-    def _pid(self, name: str) -> str:
-        return self.F if name == "F" else f"exec[t:{name}#0]"
-
-    def _log(self, times: dict[str, int]) -> PredicateLog:
-        return PredicateLog(
-            observations={self._pid(n): _obs(t) for n, t in times.items()},
-            failed=True,
-        )
-
-    def test_merge_equals_global_build(self):
-        logs_a = [self._log({"A": 1, "B": 2, "C": 3, "F": 4})] * 2
-        # B drifts after C in the second slice: the B->C edge must die
-        # in the merged DAG even though slice A supports it.
-        logs_b = [self._log({"A": 1, "B": 5, "C": 3, "F": 6})]
-        build = lambda logs: ACDag.build(
-            defs=self._defs(), failed_logs=logs, failure=self.F
-        )
-        merged = ACDag.merge([build(logs_a), build(logs_b)])
-        rebuilt = build(logs_a + logs_b)
-        assert merged.structure() == rebuilt.structure()
-        assert merged.n_failed_logs == 3
-        for _, _, support in merged.graph.edges(data="support"):
-            assert support == 3
-
-    def test_merge_is_order_insensitive(self):
-        logs_a = [self._log({"A": 1, "B": 2, "C": 3, "F": 4})]
-        logs_b = [self._log({"A": 3, "B": 2, "C": 4, "F": 5})]
-        build = lambda logs: ACDag.build(
-            defs=self._defs(), failed_logs=logs, failure=self.F
-        )
-        ab = ACDag.merge([build(logs_a), build(logs_b)])
-        ba = ACDag.merge([build(logs_b), build(logs_a)])
-        assert ab.structure() == ba.structure()
-
-    def test_merge_rejects_mismatched_failures(self):
-        logs = [self._log({"A": 1, "F": 2})]
-        dag = ACDag.build(defs=self._defs(), failed_logs=logs, failure=self.F)
-        other_defs = dict(self._defs())
-        other_fail = FailurePredicate(signature="g")
-        other_defs[other_fail.pid] = other_fail
-        other = ACDag.build(
-            defs=other_defs,
-            failed_logs=[
-                PredicateLog(
-                    observations={
-                        self._pid("A"): _obs(1),
-                        other_fail.pid: _obs(2),
-                    },
-                    failed=True,
-                )
-            ],
-            failure=other_fail.pid,
-        )
-        with pytest.raises(GraphInvariantError, match="different failure"):
-            ACDag.merge([dag, other])
-
-    def test_merge_of_one_copies(self):
-        logs = [self._log({"A": 1, "B": 2, "F": 3})]
-        dag = ACDag.build(defs=self._defs(), failed_logs=logs, failure=self.F)
-        merged = ACDag.merge([dag])
-        assert merged is not dag
-        assert merged.structure() == dag.structure()
 
 
 class TestIncrementalDebuggerMerge:

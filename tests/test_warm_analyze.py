@@ -1,0 +1,250 @@
+"""Warm analysis answered from the matrix: one global AC-DAG build, no
+table opens for decided shards, no file writes on reads, and corrupt
+corpus files reported as structured errors."""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.cli import main
+from repro.corpus import EvalMatrix, IncrementalPipeline, TraceStore
+from repro.exec import ExecutionEngine, make_backend
+from repro.harness.runner import collect
+from repro.harness.session import AIDSession, SessionConfig
+
+N_PER_LABEL = 12
+
+
+@pytest.fixture(scope="module")
+def corpus(racy_program):
+    return collect(racy_program, n_success=N_PER_LABEL, n_fail=N_PER_LABEL)
+
+
+@pytest.fixture(scope="module")
+def live_dag(racy_program):
+    """The live session's AC-DAG over the very traces ``corpus`` holds."""
+    session = AIDSession(
+        racy_program,
+        SessionConfig(n_success=N_PER_LABEL, n_fail=N_PER_LABEL),
+    )
+    return session.build_dag()
+
+
+def _build_store(root, racy_program, corpus, shard_width=2) -> TraceStore:
+    store = TraceStore.init(
+        root, program=racy_program.name, shard_width=shard_width
+    )
+    for trace in corpus.successes + corpus.failures:
+        store.ingest(trace)
+    store.save()
+    return store
+
+
+def _analyzed(
+    root, racy_program, corpus, shard_width=2
+) -> IncrementalPipeline:
+    """A corpus analyzed once (cold) and saved."""
+    pipeline = IncrementalPipeline(
+        _build_store(root, racy_program, corpus, shard_width),
+        program=racy_program,
+    )
+    pipeline.bootstrap()
+    pipeline.save()
+    return pipeline
+
+
+def _new_traces(racy_program, corpus, n: int):
+    """Up to ``n`` traces of each label the corpus does not hold yet."""
+    held = {t.seed for t in corpus.successes + corpus.failures}
+    extra = collect(racy_program, n_success=n, n_fail=n, start_seed=500)
+    return [
+        t for t in extra.successes + extra.failures if t.seed not in held
+    ]
+
+
+def _snapshot(root) -> dict:
+    return {
+        str(p): (p.stat().st_size, p.stat().st_mtime_ns)
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+class TestOneGlobalBuild:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_bootstrap_equals_rebuild_and_live_session(
+        self, tmp_path, racy_program, corpus, live_dag, backend
+    ):
+        structures = []
+        for jobs in (1, 8):
+            engine = ExecutionEngine(backend=make_backend(backend, jobs))
+            try:
+                pipeline = IncrementalPipeline(
+                    _build_store(
+                        tmp_path / f"{backend}{jobs}", racy_program, corpus
+                    ),
+                    program=racy_program,
+                )
+                pipeline.bootstrap(engine=engine)
+            finally:
+                engine.close()
+            assert pipeline.dag.structure() == pipeline.rebuild().structure()
+            assert pipeline.dag.n_failed_logs == len(
+                [log for log in pipeline.logs if log.failed]
+            )
+            structures.append(pipeline.dag.structure())
+        assert structures[0] == structures[1] == live_dag.structure()
+
+    def test_warm_bootstrap_equals_cold(self, tmp_path, racy_program, corpus):
+        cold = _analyzed(tmp_path / "c", racy_program, corpus)
+        warm = IncrementalPipeline(
+            TraceStore.open(tmp_path / "c"), program=racy_program
+        )
+        warm.bootstrap()
+        assert warm.matrix.pair_evaluations == 0
+        assert warm.matrix.pair_hits == cold.matrix.pair_evaluations
+        assert (warm.failure_pid, warm.fully) == (cold.failure_pid, cold.fully)
+        assert warm.dag.structure() == cold.dag.structure()
+        assert warm.debugger.counts == cold.debugger.counts
+
+
+class TestReadsNeverWrite:
+    def test_warm_cli_analyze_leaves_the_corpus_untouched(
+        self, tmp_path, capsys
+    ):
+        root = tmp_path / "c"
+        assert main(["corpus", "init", str(root), "--workload", "network"]) == 0
+        assert main(["corpus", "ingest", str(root), "--runs", "4"]) == 0
+        assert main(["corpus", "analyze", str(root)]) == 0
+        capsys.readouterr()
+        before = _snapshot(root)
+        assert main(["corpus", "analyze", str(root)]) == 0
+        assert "evaluation: 0 fresh" in capsys.readouterr().out
+        assert _snapshot(root) == before
+
+    def test_ingest_after_warm_bootstrap_is_persisted(
+        self, tmp_path, racy_program, corpus
+    ):
+        # One bucket: the new traces land in an already-persisted shard
+        # matrix, so only the column/evaluation mutators can dirty it.
+        root = tmp_path / "c"
+        _analyzed(root, racy_program, corpus, shard_width=0)
+        warm = IncrementalPipeline(TraceStore.open(root), program=racy_program)
+        warm.bootstrap()
+        assert warm.matrix.pair_evaluations == 0
+        for trace in _new_traces(racy_program, corpus, 2):
+            warm.ingest(trace)
+        assert warm.matrix.pair_evaluations > 0
+        warm.save()
+
+        again = IncrementalPipeline(
+            TraceStore.open(root), program=racy_program, suite=warm.suite
+        )
+        again.bootstrap()
+        assert again.matrix.pair_evaluations == 0
+        assert again.dag.structure() == warm.dag.structure()
+
+    def test_matrix_dirty_flag(self, tmp_path, racy_program, corpus):
+        pipeline = _analyzed(tmp_path / "c", racy_program, corpus)
+        store = pipeline.store
+        sid = store.shard_ids[0]
+        matrix = EvalMatrix(store.shard_matrix_path(sid))
+        assert not matrix.dirty
+        fps = sorted(store.shard_entries(sid))
+        assert matrix.answer_from_memo(pipeline.suite, fps)
+        entry = store.entries[fps[0]]
+        matrix.reconstruct_log(
+            pipeline.suite, fps[0], entry.failed, entry.seed, entry.signature
+        )
+        matrix.log_for(pipeline.suite, store.load(fps[0]))
+        assert not matrix.dirty  # memo answers are reads
+        matrix.column("f" * 64, failed=False)
+        assert matrix.dirty
+        matrix.save()
+        assert not matrix.dirty
+
+
+class TestDecidedShardsSkipTables:
+    def test_only_the_new_traces_shard_opens_its_table(
+        self, tmp_path, racy_program, corpus, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_COLUMNAR", "1")
+        root = tmp_path / "c"
+        reference = _analyzed(root, racy_program, corpus)
+        store = TraceStore.open(root)
+        fp, added = store.ingest(_new_traces(racy_program, corpus, 1)[0])
+        assert added
+        store.save()
+
+        opened = []
+        columnar_table = TraceStore.columnar_table
+
+        def spy(self, shard_id, build=True):
+            opened.append(shard_id)
+            return columnar_table(self, shard_id, build)
+
+        monkeypatch.setattr(TraceStore, "columnar_table", spy)
+        pipeline = IncrementalPipeline(
+            store, program=racy_program, suite=reference.suite
+        )
+        pipeline.bootstrap()
+        assert opened == [store.shard_id(fp)]
+        assert pipeline.matrix.pair_evaluations == len(reference.suite)
+        assert pipeline.matrix.pair_hits == (len(store) - 1) * len(
+            reference.suite
+        )
+
+
+class TestShardIndex:
+    def test_index_tracks_every_mutator(self, tmp_path, racy_program, corpus):
+        def check(store):
+            scanned = {}
+            for fp, entry in store.entries.items():
+                scanned.setdefault(store.shard_id(fp), {})[fp] = entry
+            assert store.shard_ids == sorted(scanned)
+            for sid, rows in scanned.items():
+                assert store.shard_entries(sid) == rows
+
+        root = tmp_path / "c"
+        store = _build_store(root, racy_program, corpus)
+        check(store)
+        emptied = store.shard_ids[0]
+        for fp in list(store.shard_entries(emptied)):
+            assert store.evict(fp)
+        assert emptied not in store.shard_ids
+        check(store)
+        store.save()
+        check(TraceStore.open(root))
+        store.reshard(1)
+        check(store)
+        check(TraceStore.open(root))
+
+
+class TestCorruptCorpusFiles:
+    @pytest.mark.parametrize(
+        "relpath, command",
+        [
+            ("shards/{sid}/manifest.json", "analyze"),
+            ("shards/{sid}/manifest.json", "stats"),
+            ("shards/{sid}/evalmatrix.json", "analyze"),
+            ("shards/{sid}/evalmatrix.json", "stats"),
+            ("evalmatrix.json", "stats"),
+        ],
+    )
+    def test_truncated_file_is_a_corpus_error(
+        self, tmp_path, capsys, relpath, command
+    ):
+        root = tmp_path / "c"
+        assert main(["corpus", "init", str(root), "--workload", "network"]) == 0
+        assert main(["corpus", "ingest", str(root), "--runs", "3"]) == 0
+        assert main(["corpus", "analyze", str(root)]) == 0
+        capsys.readouterr()
+        sid = TraceStore.open(root).shard_ids[0]
+        path = root / relpath.format(sid=sid)
+        path.write_text(path.read_text()[:10])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["corpus", command, str(root)])
+        message = str(excinfo.value.code)
+        assert message.startswith("repro: corpus: ")
+        assert str(path) in message
+        assert "unreadable" in message

@@ -71,7 +71,6 @@ from .api.spec import (
 )
 from .core.variants import Approach
 from .corpus import CorpusError, IncrementalPipeline, TraceStore
-from .corpus.store import STORE_VERSION
 from .harness.experiments import (
     example3_report,
     figure6_report,
@@ -608,13 +607,6 @@ def _cmd_corpus_shard_stats(args: argparse.Namespace) -> int:
         size = sum(
             p.stat().st_size for p in shard_dir.rglob("*") if p.is_file()
         )
-        table = store.columnar_table(sid, build=False)
-        if table is not None:
-            columnar = f"{table.n_calls} calls"
-        elif store.columnar_path(sid).exists():
-            columnar = "stale"
-        else:
-            columnar = "-"
         rows.append(
             [
                 sid,
@@ -622,7 +614,6 @@ def _cmd_corpus_shard_stats(args: argparse.Namespace) -> int:
                 f"{len(entries) - n_fail}/{n_fail}",
                 str(shard_matrix.n_pairs),
                 f"{size:,}",
-                columnar,
             ]
         )
     print(
@@ -631,39 +622,9 @@ def _cmd_corpus_shard_stats(args: argparse.Namespace) -> int:
     )
     print(
         render_table(
-            ["shard", "traces", "pass/fail", "memo pairs", "bytes",
-             "columnar"],
-            rows,
+            ["shard", "traces", "pass/fail", "memo pairs", "bytes"], rows
         )
     )
-    return 0
-
-
-def _cmd_corpus_migrate_columnar(args: argparse.Namespace) -> int:
-    store = TraceStore.open(args.dir)  # v1/v2 manifests migrate here
-    rows = []
-    fresh = 0
-    for sid in store.shard_ids:
-        table = store.columnar_table(sid)
-        if table is None:
-            rows.append([sid, "-", "-", "unsupported payloads"])
-            continue
-        fresh += 1
-        size = store.columnar_path(sid).stat().st_size
-        rows.append([sid, str(table.n_traces), str(table.n_calls), f"{size:,}"])
-    print(
-        f"corpus {args.dir}: store version {STORE_VERSION}, columnar "
-        f"tables fresh for {fresh}/{len(store.shard_ids)} shards"
-    )
-    if rows:
-        print(render_table(["shard", "traces", "calls", "bytes"], rows))
-    suite = store.load_suite(program=store.program)
-    if suite is not None:
-        covered = suite.columnar_pids()
-        print(
-            f"suite coverage: {len(covered)}/{len(suite)} predicates "
-            f"sweep columnar (the rest use the per-trace path)"
-        )
     return 0
 
 
@@ -797,7 +758,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         "analyze": _cmd_corpus_analyze,
         "compact": _cmd_corpus_compact,
         "reshard": _cmd_corpus_reshard,
-        "migrate-columnar": _cmd_corpus_migrate_columnar,
     }
     try:
         return handlers[args.corpus_command](args)
@@ -1020,18 +980,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     cshards = csub.add_parser(
         "shard-stats",
-        help="per-shard breakdown: traces, labels, memoized pairs, bytes, "
-        "columnar-table freshness",
+        help="per-shard breakdown: traces, labels, memoized pairs, bytes",
     )
     cshards.add_argument("dir")
-
-    cmigrate = csub.add_parser(
-        "migrate-columnar",
-        help="migrate the store to v3 and build every shard's columnar "
-        "trace table eagerly (idempotent; analyze otherwise builds them "
-        "lazily)",
-    )
-    cmigrate.add_argument("dir")
 
     canalyze = csub.add_parser(
         "analyze",
@@ -1058,7 +1009,8 @@ def build_parser() -> argparse.ArgumentParser:
     ccompact = csub.add_parser(
         "compact",
         help="reclaim eval-matrix rows shadowed by predicate drift and "
-        "columns of evicted traces",
+        "columns of evicted traces; delete legacy per-shard columnar.bin "
+        "files",
     )
     ccompact.add_argument("dir")
 

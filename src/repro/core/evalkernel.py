@@ -84,9 +84,7 @@ class SuiteKernel:
         self.pids: tuple[str, ...] = tuple(defs)
         self._indexed: list[tuple[PredicateKind, list[tuple[str, object]]]] = []
         self._general: list[tuple[str, object]] = []
-        self._columnar: list[tuple[str, object]] = []
         groups: dict[PredicateKind, list[tuple[str, object]]] = {}
-        col_groups: dict[PredicateKind, list[tuple[str, object]]] = {}
         for pid, pred in defs.items():
             if pred.supports_indexed:
                 groups.setdefault(pred.kind, []).append(
@@ -94,21 +92,10 @@ class SuiteKernel:
                 )
             else:
                 self._general.append((pid, pred.evaluate))
-            if pred.supports_columnar:
-                col_groups.setdefault(pred.kind, []).append(
-                    (pid, pred.evaluate_columnar)
-                )
         # Deterministic group order: the catalogue enum's order.
         for kind in PredicateKind:
             if kind in groups:
                 self._indexed.append((kind, groups[kind]))
-            if kind in col_groups:
-                self._columnar.extend(col_groups[kind])
-        #: pids the shard-columnar sweep can serve (the rest go through
-        #: the per-trace object paths).
-        self.columnar_pids: frozenset[str] = frozenset(
-            pid for pid, _ in self._columnar
-        )
 
     def observations(
         self, trace, only: Optional[frozenset | set] = None
@@ -142,26 +129,6 @@ class SuiteKernel:
         # restore the definition order the per-predicate loop had.
         return {pid: found[pid] for pid in self.pids if pid in found}
 
-    def sweep(
-        self, table, only: Optional[frozenset | set] = None
-    ) -> dict[str, dict[int, Observation]]:
-        """Evaluate the columnar-capable suite subset over a whole shard.
-
-        One pass per predicate over the shard's
-        :class:`~repro.corpus.columnar.ShardTable` column runs; returns
-        ``{pid: {trace_row: Observation}}`` for every swept pid (pids in
-        ``only`` that are not columnar-capable are simply absent — the
-        caller routes them through :meth:`observations`).  For each
-        table row the result equals the per-trace evaluation, asserted
-        property-style in tests/test_columnar.py.
-        """
-        results: dict[str, dict[int, Observation]] = {}
-        for pid, evaluate_columnar in self._columnar:
-            if only is not None and pid not in only:
-                continue
-            results[pid] = evaluate_columnar(table)
-        return results
-
 
 # ---------------------------------------------------------------------------
 # The popcount counting kernel
@@ -179,7 +146,7 @@ def popcount_split(bits: int, failed_mask: int) -> tuple[int, int]:
 
 
 class BitsetCounter:
-    """Columnar observation bitsets over a growing set of executions.
+    """Per-predicate observation bitsets over a growing set of executions.
 
     One column per execution, one arbitrary-precision-int row per
     observed pid, plus a failed-column mask: precision/recall counting

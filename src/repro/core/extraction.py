@@ -588,15 +588,6 @@ class PredicateSuite:
             pid for pid, p in self.defs.items() if isinstance(p, FailurePredicate)
         )
 
-    def columnar_pids(self) -> list[str]:
-        """Pids whose definitions support the columnar batch protocol
-        (:meth:`~repro.core.predicates.PredicateDef.evaluate_columnar`)
-        — the ones whole-shard sweeps can serve; the rest take the
-        per-trace object path.  Sorted for stable reporting."""
-        return sorted(
-            pid for pid, p in self.defs.items() if p.supports_columnar
-        )
-
     def to_dict(self) -> dict:
         """The frozen suite as a JSON-able payload (order-preserving).
 

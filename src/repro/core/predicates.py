@@ -90,15 +90,6 @@ class PredicateDef:
     #: evaluated through :meth:`evaluate`.
     supports_indexed: bool = False
 
-    #: Columnar batch protocol (see :mod:`repro.corpus.columnar`): a
-    #: predicate that can be computed from a shard's structure-of-arrays
-    #: trace table sets this and implements :meth:`evaluate_columnar`,
-    #: letting the kernel sweep a whole shard's column runs in one pass
-    #: instead of evaluating trace by trace.  Predicates that need the
-    #: object model (e.g. access lists with overlap windows) leave it
-    #: ``False`` and fall back to the per-trace paths.
-    supports_columnar: bool = False
-
     def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
         raise NotImplementedError
 
@@ -107,17 +98,6 @@ class PredicateDef:
         None``).  Only meaningful when :attr:`supports_indexed`; for
         those classes ``evaluate(trace)`` is exactly
         ``evaluate_indexed(trace.lookup)``."""
-        raise NotImplementedError
-
-    def evaluate_columnar(self, table) -> dict:
-        """Evaluate against one shard's columnar trace table in one pass.
-
-        Returns ``{trace_row: Observation}`` covering exactly the table
-        rows where the predicate holds — for every row ``r`` the entry
-        equals ``evaluate(table.decode(r))``, and absent rows are the
-        Nones (asserted property-style in tests/test_columnar.py).
-        Only meaningful when :attr:`supports_columnar`.
-        """
         raise NotImplementedError
 
     def interventions(self) -> tuple[Intervention, ...]:
@@ -297,7 +277,6 @@ class MethodFailsPredicate(PredicateDef):
     fallback: object = None
 
     supports_indexed = True
-    supports_columnar = True
 
     @property
     def pid(self) -> str:
@@ -323,24 +302,6 @@ class MethodFailsPredicate(PredicateDef):
             start_lamport=m.end_lamport, end_lamport=m.end_lamport,
         )
 
-    def evaluate_columnar(self, table) -> dict:
-        exc_idx = table.string_index(self.exc_kind)
-        if exc_idx is None:
-            return {}
-        run = table.key_run(self.key)
-        if run is None:
-            return {}
-        excs = run.column("c_exc")
-        ends = run.column("c_end")
-        elams = run.column("c_elam")
-        return {
-            row: Observation(
-                ends[i], ends[i], start_lamport=elams[i], end_lamport=elams[i]
-            )
-            for i, row in enumerate(run.traces)
-            if excs[i] == exc_idx
-        }
-
     def interventions(self) -> tuple[Intervention, ...]:
         return (
             CatchException(
@@ -361,7 +322,6 @@ class TooSlowPredicate(PredicateDef):
     correct_return: object = None
 
     supports_indexed = True
-    supports_columnar = True
 
     @property
     def pid(self) -> str:
@@ -396,24 +356,6 @@ class TooSlowPredicate(PredicateDef):
             start_lamport=m.start_lamport, end_lamport=m.end_lamport,
         )
 
-    def evaluate_columnar(self, table) -> dict:
-        run = table.key_run(self.key)
-        if run is None:
-            return {}
-        starts = run.column("c_start")
-        ends = run.column("c_end")
-        slams = run.column("c_slam")
-        elams = run.column("c_elam")
-        threshold = self.threshold
-        return {
-            row: Observation(
-                starts[i] + threshold, ends[i],
-                start_lamport=slams[i], end_lamport=elams[i],
-            )
-            for i, row in enumerate(run.traces)
-            if ends[i] - starts[i] > threshold
-        }
-
     def interventions(self) -> tuple[Intervention, ...]:
         # "Prematurely return from M the correct value that M returns in
         # all successful executions" (Figure 2).
@@ -437,7 +379,6 @@ class TooFastPredicate(PredicateDef):
     threshold: int  # min duration over successful executions
 
     supports_indexed = True
-    supports_columnar = True
 
     @property
     def pid(self) -> str:
@@ -466,23 +407,6 @@ class TooFastPredicate(PredicateDef):
             start_lamport=m.start_lamport, end_lamport=m.end_lamport,
         )
 
-    def evaluate_columnar(self, table) -> dict:
-        run = table.key_run(self.key)
-        if run is None:
-            return {}
-        starts = run.column("c_start")
-        ends = run.column("c_end")
-        slams = run.column("c_slam")
-        elams = run.column("c_elam")
-        threshold = self.threshold
-        return {
-            row: Observation(
-                starts[i], ends[i], start_lamport=slams[i], end_lamport=elams[i]
-            )
-            for i, row in enumerate(run.traces)
-            if ends[i] - starts[i] < threshold
-        }
-
     def interventions(self) -> tuple[Intervention, ...]:
         # "Insert delay before M's return statement" (Figure 2).
         return (
@@ -500,7 +424,6 @@ class WrongReturnPredicate(PredicateDef):
     correct_value: object
 
     supports_indexed = True
-    supports_columnar = True
 
     @property
     def pid(self) -> str:
@@ -531,27 +454,6 @@ class WrongReturnPredicate(PredicateDef):
             start_lamport=m.end_lamport, end_lamport=m.end_lamport,
         )
 
-    def evaluate_columnar(self, table) -> dict:
-        run = table.key_run(self.key)
-        if run is None:
-            return {}
-        # Return values are interned by canonical JSON; comparing the
-        # decoded pool once replicates ``==`` against every execution.
-        correct = {
-            i for i, v in enumerate(table.decoded_values) if v == self.correct_value
-        }
-        rets = run.column("c_ret")
-        excs = run.column("c_exc")
-        ends = run.column("c_end")
-        elams = run.column("c_elam")
-        return {
-            row: Observation(
-                ends[i], ends[i], start_lamport=elams[i], end_lamport=elams[i]
-            )
-            for i, row in enumerate(run.traces)
-            if excs[i] < 0 and rets[i] not in correct
-        }
-
     def interventions(self) -> tuple[Intervention, ...]:
         return (
             ForceReturn(
@@ -577,7 +479,6 @@ class OrderViolationPredicate(PredicateDef):
     second: MethodKey
 
     supports_indexed = True
-    supports_columnar = True
 
     @property
     def pid(self) -> str:
@@ -609,32 +510,6 @@ class OrderViolationPredicate(PredicateDef):
             end_lamport=min(mf.end_lamport, ms.end_lamport),
         )
 
-    def evaluate_columnar(self, table) -> dict:
-        run_first = table.key_run(self.first)
-        run_second = table.key_run(self.second)
-        if run_first is None or run_second is None:
-            return {}
-        f_ends = run_first.column("c_end")
-        f_elams = run_first.column("c_elam")
-        first_by_trace = {
-            row: (f_ends[i], f_elams[i]) for i, row in enumerate(run_first.traces)
-        }
-        s_starts = run_second.column("c_start")
-        s_ends = run_second.column("c_end")
-        s_slams = run_second.column("c_slam")
-        s_elams = run_second.column("c_elam")
-        out = {}
-        for i, row in enumerate(run_second.traces):
-            first = first_by_trace.get(row)
-            if first is None or s_starts[i] >= first[0]:
-                continue
-            out[row] = Observation(
-                s_starts[i], min(first[0], s_ends[i]),
-                start_lamport=s_slams[i],
-                end_lamport=min(first[1], s_elams[i]),
-            )
-        return out
-
     def interventions(self) -> tuple[Intervention, ...]:
         return (
             ForceOrder(
@@ -659,7 +534,6 @@ class ExecutedPredicate(PredicateDef):
     skip_value: object = None
 
     supports_indexed = True
-    supports_columnar = True
 
     @property
     def pid(self) -> str:
@@ -685,23 +559,6 @@ class ExecutedPredicate(PredicateDef):
             start_lamport=m.start_lamport, end_lamport=m.end_lamport,
         )
 
-    def evaluate_columnar(self, table) -> dict:
-        run = table.key_run(self.key)
-        if run is None:
-            return {}
-        starts = run.column("c_start")
-        ends = run.column("c_end")
-        slams = run.column("c_slam")
-        elams = run.column("c_elam")
-        skips = run.column("c_skip")
-        return {
-            row: Observation(
-                starts[i], ends[i], start_lamport=slams[i], end_lamport=elams[i]
-            )
-            for i, row in enumerate(run.traces)
-            if not skips[i]
-        }
-
     def interventions(self) -> tuple[Intervention, ...]:
         return (
             ForceReturn(
@@ -725,10 +582,6 @@ class CompoundAndPredicate(PredicateDef):
     """
 
     parts: tuple[PredicateDef, ...]
-
-    @property
-    def supports_columnar(self) -> bool:  # type: ignore[override]
-        return bool(self.parts) and all(p.supports_columnar for p in self.parts)
 
     @property
     def pid(self) -> str:
@@ -756,25 +609,6 @@ class CompoundAndPredicate(PredicateDef):
             end_lamport=None,
         )
 
-    def evaluate_columnar(self, table) -> dict:
-        parts = [p.evaluate_columnar(table) for p in self.parts]
-        rows = set(parts[0])
-        for sweep in parts[1:]:
-            rows &= set(sweep)
-        out = {}
-        for row in rows:
-            obs = [sweep[row] for sweep in parts]
-            lamports = [o.start_lamport for o in obs]
-            out[row] = Observation(
-                max(o.start for o in obs),
-                max(o.end for o in obs),
-                start_lamport=(
-                    max(lamports) if all(x is not None for x in lamports) else None
-                ),
-                end_lamport=None,
-            )
-        return out
-
     def interventions(self) -> tuple[Intervention, ...]:
         result: list[Intervention] = []
         for p in self.parts:
@@ -790,8 +624,6 @@ class FailurePredicate(PredicateDef):
     """The failure-indicating predicate F (one per failure signature)."""
 
     signature: str
-
-    supports_columnar = True
 
     @property
     def pid(self) -> str:
@@ -810,14 +642,6 @@ class FailurePredicate(PredicateDef):
             return None
         t = trace.failure.time
         return Observation(t, t)
-
-    def evaluate_columnar(self, table) -> dict:
-        times = table.col("t_ftime")
-        return {
-            row: Observation(times[row], times[row])
-            for row, signature in enumerate(table.signatures)
-            if signature == self.signature
-        }
 
     def interventions(self) -> tuple[Intervention, ...]:
         raise LookupError("the failure predicate F cannot be intervened on")

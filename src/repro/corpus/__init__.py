@@ -10,11 +10,8 @@ into a durable service:
 * :mod:`~repro.corpus.matrix` — the :class:`EvalMatrix` (one bitset
   file per shard) behind a :class:`ShardedEvalMatrix`, a predicates ×
   traces memo guaranteeing each pair is evaluated at most once
-  corpus-wide, with shard-parallel evaluation and compaction;
-* :mod:`~repro.corpus.columnar` — per-shard structure-of-arrays
-  :class:`ShardTable` files (v3 side cars, mmap-backed, interned
-  pools) that let columnar-capable predicates sweep a whole shard in
-  one pass instead of walking trace objects;
+  corpus-wide, with shard-parallel evaluation (only traces with an
+  undecided pair are loaded) and compaction;
 * :mod:`~repro.corpus.pipeline` — the :class:`IncrementalPipeline`
   maintaining SD counts, the fully-discriminative set, and the AC-DAG
   under log insertions, with a shard-parallel ``bootstrap`` fanning out
@@ -24,24 +21,17 @@ into a durable service:
 * :mod:`~repro.corpus.session` — :class:`CorpusSession`, an AID session
   that debugs from stored logs instead of re-running the workload.
 
-CLI: ``repro corpus init|ingest|stats|shard-stats|analyze|compact`` and
+CLI: ``repro corpus init|ingest|stats|shard-stats|analyze|compact|reshard`` and
 ``repro debug <workload> --corpus DIR``; ``analyze --jobs N`` runs one
 evaluation task per shard.  See ``docs/corpus.md`` for the workflow and
 the on-disk format spec.
 """
 
-from .columnar import (
-    ColumnarError,
-    ColumnarUnsupported,
-    ShardTable,
-    build_shard_table,
-)
 from .matrix import (
     CompactionStats,
     EvalMatrix,
     ShardedEvalMatrix,
     ShardEvaluation,
-    columnar_enabled,
     merge_matrices,
     split_matrix,
 )
@@ -50,8 +40,6 @@ from .session import CorpusSession
 from .store import CorpusError, TraceEntry, TraceStore
 
 __all__ = [
-    "ColumnarError",
-    "ColumnarUnsupported",
     "CompactionStats",
     "CorpusError",
     "CorpusSession",
@@ -60,12 +48,9 @@ __all__ = [
     "BatchIngestResult",
     "IngestResult",
     "ShardEvaluation",
-    "ShardTable",
     "ShardedEvalMatrix",
     "TraceEntry",
     "TraceStore",
-    "build_shard_table",
-    "columnar_enabled",
     "merge_matrices",
     "split_matrix",
 ]

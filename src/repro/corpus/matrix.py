@@ -31,8 +31,9 @@ Invariants
   (the store's ``shard_id``), so concurrent per-shard evaluation never
   touches shared state;
 * a shard whose every (pid, trace) pair is already decided is answered
-  from popcounts alone: its columnar table is not opened and no
-  per-trace log is assembled;
+  from popcounts alone: no trace is loaded and no per-trace log is
+  assembled; in any other shard only the traces with an undecided pair
+  are loaded;
 * reads never write: every mutator sets the matrix's ``dirty`` flag,
   and :meth:`ShardedEvalMatrix.save` skips clean shards (and the index
   when no shard changed), so a warm analysis leaves the corpus
@@ -68,20 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 MATRIX_VERSION = 1
 MATRIX_INDEX_VERSION = 2
-
-
-def columnar_enabled() -> bool:
-    """Default for the batch paths' ``columnar`` switch.
-
-    On unless ``REPRO_COLUMNAR`` is set to an explicit off value — the
-    escape hatch (and the differential-parity tests' reference path).
-    """
-    return os.environ.get("REPRO_COLUMNAR", "1").lower() not in (
-        "0",
-        "false",
-        "no",
-        "off",
-    )
 
 
 def _obs_to_list(obs: Observation) -> list:
@@ -255,135 +242,46 @@ class EvalMatrix:
             ),
         )
 
-    def log_for_table(
+    # perfbench/tracer.py hook target only; goes with the next benchmark change
+    def log_for_table(self, *args, **kwargs) -> None:
+        raise NotImplementedError
+
+    def logs_for_group(
         self,
         suite: PredicateSuite,
-        table,
         entries: Sequence[tuple[str, bool, int, Optional[str]]],
         load_trace: Callable[[str], object],
     ) -> list[PredicateLog]:
-        """Batch :meth:`log_for` over one shard's columnar trace table.
+        """:meth:`log_for` over one shard's trace group, loading only
+        the traces that still have an undecided pair.
 
-        ``entries`` is the shard's trace group in iteration order —
-        ``(fingerprint, failed, seed, failure_signature)`` tuples with
-        distinct fingerprints — and ``table`` the shard's
-        :class:`~repro.corpus.columnar.ShardTable`.  Every
-        columnar-capable undecided pid is swept over the whole table in
-        one kernel pass; pids without columnar support (and traces
-        missing from the table) fall back to the per-trace object path,
-        loading the trace lazily via ``load_trace``.  Bitsets,
-        observation side table, counters (``pair_hits`` /
-        ``pair_evaluations`` / ``kernel_calls``), and the returned logs
-        are identical to calling :meth:`log_for` per entry — asserted
-        property-style in tests/test_columnar.py.
+        ``entries`` are ``(fingerprint, failed, seed, failure_signature)``
+        tuples with distinct fingerprints; ``load_trace(fp)`` returns
+        the trace.  Fully decided traces are rebuilt from the bitsets
+        (:meth:`reconstruct_log`) and counted as memo hits.  Bitsets,
+        counters and logs equal calling :meth:`log_for` on every entry
+        in order.
         """
-        kernel = suite.kernel()
         suite_digests = self._digests_for(suite)
         for pid in suite.defs:
-            digest = suite_digests[pid]
-            if self.digests.get(pid) != digest:
+            if self.digests.get(pid) != suite_digests[pid]:
+                # A drifted row is undecided for every trace; dropping it
+                # up front is what the first per-trace call would do.
                 self._drop_row(pid)
-                self.digests[pid] = digest
-        cols: list[int] = []
+                self.digests[pid] = suite_digests[pid]
         group_mask = 0
         for fp, failed, _, _ in entries:
-            col = self.column(fp, failed)
-            cols.append(col)
-            group_mask |= 1 << col
-        rows = [table.row_of(fp) for fp, _, _, _ in entries]
-        table_mask = 0
-        row_to_col: dict[int, int] = {}
-        fp_by_col: dict[int, str] = {}
-        for (fp, _, _, _), col, row in zip(entries, cols, rows):
-            fp_by_col[col] = fp
-            if row is not None:
-                table_mask |= 1 << col
-                row_to_col[row] = col
-        # Counter parity with the per-trace loop: one hit per already-
-        # decided (pid, trace) pair, one fresh evaluation per undecided
-        # pair, one kernel call per trace with any undecided pid.
-        undecided_by_pid: dict[str, int] = {}
-        any_undecided = 0
+            group_mask |= 1 << self.column(fp, failed)
+        undecided = 0
         for pid in suite.defs:
-            decided = self.evaluated.get(pid, 0)
-            undecided = group_mask & ~decided
-            self.pair_hits += (group_mask & decided).bit_count()
-            if undecided:
-                undecided_by_pid[pid] = undecided
-                any_undecided |= undecided
-                self.pair_evaluations += undecided.bit_count()
-        self.kernel_calls += any_undecided.bit_count()
-        if any_undecided:
-            self.dirty = True
-        columnar_pids = kernel.columnar_pids
-        sweep_pids = frozenset(
-            pid
-            for pid, bits in undecided_by_pid.items()
-            if pid in columnar_pids and bits & table_mask
-        )
-        sweeps = kernel.sweep(table, only=sweep_pids) if sweep_pids else {}
-        # Apply the sweeps: whole-bitset ORs per pid, observations from
-        # the sweep's row dict (off-group table rows are skipped).
-        fallback: dict[int, list[str]] = {}
-        for pid, bits in undecided_by_pid.items():
-            if pid in columnar_pids:
-                in_table = bits & table_mask
-                if in_table:
-                    self.evaluated[pid] = self.evaluated.get(pid, 0) | in_table
-                    observed_bits = 0
-                    for row, obs in sweeps[pid].items():
-                        col = row_to_col.get(row)
-                        if col is None or not (in_table >> col) & 1:
-                            continue
-                        observed_bits |= 1 << col
-                        self.observations.setdefault(fp_by_col[col], {})[
-                            pid
-                        ] = _obs_to_list(obs)
-                    if observed_bits:
-                        self.observed[pid] = (
-                            self.observed.get(pid, 0) | observed_bits
-                        )
-                rest = bits & ~table_mask
-            else:
-                rest = bits
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                fallback.setdefault(low.bit_length() - 1, []).append(pid)
-        # Object-path fallback, one kernel call per affected trace.
-        if fallback:
-            col_to_index = {col: j for j, col in enumerate(cols)}
-            for col in sorted(fallback, key=lambda c: col_to_index[c]):
-                pids = fallback[col]
-                fp = fp_by_col[col]
-                trace = load_trace(fp)
-                fresh = kernel.observations(trace, only=frozenset(pids))
-                mask = 1 << col
-                for pid in pids:
-                    self.evaluated[pid] = self.evaluated.get(pid, 0) | mask
-                    obs = fresh.get(pid)
-                    if obs is not None:
-                        self.observed[pid] = self.observed.get(pid, 0) | mask
-                        self.observations.setdefault(fp, {})[pid] = _obs_to_list(
-                            obs
-                        )
-        # Assemble logs (suite definition order, like log_for's output).
+            undecided |= group_mask & ~self.evaluated.get(pid, 0)
         logs: list[PredicateLog] = []
-        for (fp, failed, seed, signature), col in zip(entries, cols):
-            mask = 1 << col
-            row_obs = self.observations.get(fp, {})
-            logs.append(
-                PredicateLog(
-                    observations={
-                        pid: _obs_from_list(row_obs[pid])
-                        for pid in suite.defs
-                        if self.observed.get(pid, 0) & mask
-                    },
-                    failed=failed,
-                    seed=seed,
-                    failure_signature=signature,
-                )
-            )
+        for entry in entries:
+            if undecided >> self._column[entry[0]] & 1:
+                logs.append(self.log_for(suite, load_trace(entry[0])))
+            else:
+                self.pair_hits += len(suite.defs)
+                logs.append(self.reconstruct_log(suite, *entry))
         return logs
 
     def reconstruct_log(
@@ -720,7 +618,6 @@ class ShardedEvalMatrix:
         traces: Sequence,
         engine: Optional["ExecutionEngine"] = None,
         return_logs: bool = True,
-        columnar: Optional[bool] = None,
     ) -> list[ShardEvaluation]:
         """Evaluate the suite over many traces, one task per shard.
 
@@ -739,13 +636,8 @@ class ShardedEvalMatrix:
         :meth:`reconstruct_log` rebuilds any log from it for free.  A
         shard whose every pair is already decided is answered from
         popcounts alone (:meth:`EvalMatrix.answer_from_memo`): no trace
-        load, no columnar table, no per-trace log.
-
-        ``columnar`` selects the per-shard evaluation strategy: sweep
-        the shard's columnar trace table (:meth:`EvalMatrix.
-        log_for_table`) versus the per-trace object path.  The default
-        (``None`` → :func:`columnar_enabled`) is on; both strategies
-        produce byte-identical matrices, counters, and logs.
+        load, no per-trace log.  In any other shard only the traces with
+        an undecided pair are evaluated (:meth:`EvalMatrix.logs_for_group`).
         """
         groups: dict[str, list] = {}
         for trace in traces:
@@ -756,9 +648,7 @@ class ShardedEvalMatrix:
                     "memoized by content address"
                 )
             groups.setdefault(self.store.shard_id(fp), []).append(trace)
-        return self._evaluate_groups(
-            suite, groups, engine, False, return_logs, columnar
-        )
+        return self._evaluate_groups(suite, groups, engine, False, return_logs)
 
     def evaluate_fingerprints(
         self,
@@ -766,20 +656,17 @@ class ShardedEvalMatrix:
         fingerprints: Sequence[str],
         engine: Optional["ExecutionEngine"] = None,
         return_logs: bool = True,
-        columnar: Optional[bool] = None,
     ) -> list[ShardEvaluation]:
         """Like :meth:`evaluate_shards`, but each shard task *loads its
         own traces* from the store — so trace deserialization
         parallelizes along with evaluation.  This is the path a
         pre-frozen suite takes (no global discovery pass needs the
-        traces in the parent).  On the columnar path the store's shard
-        table substitutes for the loads entirely."""
+        traces in the parent).  Only traces with an undecided pair are
+        loaded."""
         groups: dict[str, list[str]] = {}
         for fp in fingerprints:
             groups.setdefault(self.store.shard_id(fp), []).append(fp)
-        return self._evaluate_groups(
-            suite, groups, engine, True, return_logs, columnar
-        )
+        return self._evaluate_groups(suite, groups, engine, True, return_logs)
 
     def _evaluate_groups(
         self,
@@ -788,14 +675,12 @@ class ShardedEvalMatrix:
         engine: Optional["ExecutionEngine"],
         load: bool,
         return_logs: bool,
-        columnar: Optional[bool] = None,
     ) -> list[ShardEvaluation]:
         sids = sorted(groups)
         for sid in sids:
             self.shard(sid)  # load before dispatch (workers only read files)
         shards = self._shards
         store = self.store
-        use_columnar = columnar_enabled() if columnar is None else bool(columnar)
 
         def entry_of(item) -> tuple[str, bool, int, Optional[str]]:
             if load:
@@ -819,21 +704,12 @@ class ShardedEvalMatrix:
                     else []
                 )
             else:
-                # Columnar strategy: one whole-shard sweep per undecided
-                # pid over the shard's trace table (built lazily, keyed
-                # by shard content digest).  A shard whose payloads the
-                # format cannot represent yields no table and takes the
-                # per-trace path — same results either way.
-                table = store.columnar_table(sid) if use_columnar else None
-                if table is not None:
-                    logs = matrix.log_for_table(
-                        suite, table, entries, load_trace=store.load
-                    )
-                else:
-                    logs = [
-                        matrix.log_for(suite, store.load(item) if load else item)
-                        for item in groups[sid]
-                    ]
+                load_trace = (
+                    store.load
+                    if load
+                    else dict(zip(fingerprints, groups[sid])).__getitem__
+                )
+                logs = matrix.logs_for_group(suite, entries, load_trace)
             if return_logs:
                 evaluation.logs = list(zip(fingerprints, logs))
             # SD counters by popcount over the group's decided columns —

@@ -35,9 +35,10 @@ one path, whatever the schedule — counters → global FD set → one
   fingerprint-sorted), and one AC-DAG is built over them — the AC-DAG
   needs nothing but the global FD set and those logs' anchor times.
 
-A warm bootstrap (every pair already decided) therefore opens no
-columnar table, loads no trace, and — through the matrix's dirty
-flags — ``save`` afterwards writes nothing.
+A warm bootstrap (every pair already decided) therefore loads no
+trace and — through the matrix's dirty flags — ``save`` afterwards
+writes nothing.  With a pre-frozen suite, shard tasks load only the
+traces that still have an undecided pair.
 
 Invariants
 ----------
@@ -564,14 +565,17 @@ class IncrementalPipeline:
 
     def compact(self) -> CompactionStats:
         """Reclaim matrix rows shadowed by predicate drift and columns of
-        evicted traces (the bootstrapped suite defines what is live)."""
+        evicted traces (the bootstrapped suite defines what is live),
+        and delete the store's legacy per-shard sidecar files."""
         if not self.bootstrapped:
             raise CorpusError("bootstrap() the pipeline before compacting")
         keep_digests = {
             pid: pred.definition_digest()
             for pid, pred in self.suite.defs.items()
         }
-        return self.matrix.compact(keep_digests)
+        stats = self.matrix.compact(keep_digests)
+        self.store.drop_legacy_files()
+        return stats
 
     # -- persistence -----------------------------------------------------
 

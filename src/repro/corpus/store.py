@@ -10,8 +10,8 @@ ingesting the same execution twice stores it once, and manifests record
 labels, seeds, and failure signatures so analyses can plan without
 touching trace bodies.
 
-Persistence format (v3, sharded + columnar)
--------------------------------------------
+Persistence format (v3, sharded)
+--------------------------------
 Traces are bucketed by a hex prefix of their fingerprint (the *shard
 id*), so no directory and no JSON file ever has to hold the whole
 corpus, and shards are the unit of parallel analysis::
@@ -27,14 +27,11 @@ corpus, and shards are the unit of parallel analysis::
         traces/<fp>.json            one serialized trace each
         evalmatrix.json             this shard's predicate-evaluation
                                     memo (v1 single-matrix format)
-        columnar.bin                structure-of-arrays trace table
-                                    (repro.corpus.columnar; derived
-                                    cache, built lazily on analyze)
 
-The columnar table is keyed by the shard's content digest (the stable
-digest of its sorted fingerprints): ingest or eviction changes the
-digest and the next :meth:`TraceStore.columnar_table` call rebuilds the
-file.  Deleting ``columnar.bin`` is always safe.
+Older v3 stores may also hold a per-shard ``columnar.bin`` (a derived
+trace table earlier builds wrote on analyze) or its ``columnar.bin.tmp``.
+Nothing reads them; ``repro corpus compact`` deletes them
+(:meth:`TraceStore.drop_legacy_files`).
 
 ``shard_width`` is the number of hex characters of the fingerprint used
 as the shard id (default 2 → up to 256 shards); width 0 disables
@@ -62,10 +59,8 @@ first post-migration analysis performs zero re-evaluations.  The
 migration is idempotent: a crash mid-way leaves a state a later ``open``
 finishes from.
 
-Version-2 corpora differ from v3 only by the columnar side files, which
-are derived caches — so the v2→v3 migration is just the manifest version
-bump (the commit point); tables appear lazily on first analyze, or
-eagerly via ``repro corpus migrate-columnar``.
+Version-2 corpora have the v3 layout byte for byte, so the v2→v3
+migration is just the manifest version bump (the commit point).
 """
 
 from __future__ import annotations
@@ -100,6 +95,9 @@ STATS_SCHEMA_VERSION = 1
 DEFAULT_SHARD_WIDTH = 2
 #: shard id used when sharding is disabled (width 0)
 SINGLE_SHARD_ID = "all"
+#: per-shard sidecars older v3 builds wrote (a derived trace table and
+#: its temp file): ignored on read, deleted by ``compact``
+LEGACY_SHARD_FILES = ("columnar.bin", "columnar.bin.tmp")
 
 
 class CorpusError(RuntimeError):
@@ -182,14 +180,6 @@ class TraceStore:
         self._index_shards()
         #: shard ids whose manifest must be rewritten on the next save
         self._dirty: set[str] = set()
-        #: per-shard columnar-table cache: sid -> (content digest,
-        #: ShardTable or None).  mmap-backed, so dropped on pickle.
-        self._tables: dict[str, tuple] = {}
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_tables"] = {}
-        return state
 
     # -- lifecycle -------------------------------------------------------
 
@@ -327,67 +317,9 @@ class TraceStore:
         """Where this shard's eval-matrix bitset file lives."""
         return self.shard_dir(shard_id) / MATRIX_NAME
 
-    def columnar_path(self, shard_id: str) -> Path:
-        """Where this shard's columnar trace table lives."""
-        from .columnar import COLUMNAR_NAME
-
-        return self.shard_dir(shard_id) / COLUMNAR_NAME
-
-    def shard_content_digest(self, shard_id: str) -> str:
-        """Stable digest of the shard's sorted fingerprints — the
-        invalidation key for its derived columnar table."""
-        return stable_digest(sorted(self._by_shard.get(shard_id, {})))
-
-    def columnar_table(self, shard_id: str, build: bool = True):
-        """The shard's columnar trace table, or ``None``.
-
-        Opens (and caches) a fresh on-disk table; a missing or stale
-        table is rebuilt from the stored payloads when ``build`` is
-        true.  Returns ``None`` when the shard's payloads cannot be
-        represented in the columnar format (the caller falls back to
-        the per-trace object path) or when ``build`` is false and no
-        fresh table exists.  The cache is keyed by the shard content
-        digest, so ingest/eviction invalidates it automatically.
-        """
-        from .columnar import (
-            ColumnarError,
-            ColumnarUnsupported,
-            ShardTable,
-            build_shard_table,
-        )
-
-        digest = self.shard_content_digest(shard_id)
-        cached = self._tables.get(shard_id)
-        if cached is not None and cached[0] == digest:
-            return cached[1]
-        path = self.columnar_path(shard_id)
-        table = None
-        if path.exists():
-            try:
-                candidate = ShardTable.open(path)
-            except (ColumnarError, OSError):
-                candidate = None
-            if candidate is not None:
-                if candidate.shard_digest == digest:
-                    table = candidate
-                else:
-                    candidate.close()
-        if table is None and build:
-            try:
-                rows = [
-                    (fp, json.loads(self.trace_path(fp).read_text()))
-                    for fp in sorted(self.shard_entries(shard_id))
-                ]
-                build_shard_table(path, rows, shard_digest=digest)
-                table = ShardTable.open(path)
-            except (ColumnarUnsupported, OSError, json.JSONDecodeError):
-                # Unrepresentable or unreadable payloads: remember the
-                # verdict for this digest and leave evaluation to the
-                # object path (which surfaces real corpus errors).
-                table = None
-        if table is not None or build:
-            self._tables[shard_id] = (digest, table)
-        return table
+    # perfbench/tracer.py hook target only; goes with the next benchmark change
+    def columnar_table(self, shard_id: str) -> None:
+        return None
 
     @property
     def matrix_index_path(self) -> Path:
@@ -707,6 +639,12 @@ class TraceStore:
             if path.is_dir() and not self.is_valid_shard_id(path.name):
                 shutil.rmtree(path, ignore_errors=True)
 
+    def drop_legacy_files(self) -> None:
+        """Delete every legacy per-shard sidecar (:data:`LEGACY_SHARD_FILES`)."""
+        for name in LEGACY_SHARD_FILES:
+            for path in (self.root / SHARDS_DIR).glob(f"*/{name}"):
+                path.unlink()
+
     # -- bookkeeping -----------------------------------------------------
 
     @property
@@ -797,14 +735,11 @@ class TraceStore:
 
 
 def _migrate_v2(root: Path, manifest: dict) -> dict:
-    """Migrate a v2 (sharded) corpus to v3 (sharded + columnar).
+    """Migrate a v2 (sharded) corpus to v3.
 
-    v3 keeps the v2 layout byte-for-byte and adds per-shard
-    ``columnar.bin`` side files — but those are *derived caches*, built
-    lazily on the first analyze (or eagerly by ``repro corpus
-    migrate-columnar``) and keyed by shard content digest.  Migration
-    is therefore just the manifest version bump; the atomic manifest
-    write is the commit point and re-running is a no-op.
+    v3 keeps the v2 layout byte-for-byte, so migration is just the
+    manifest version bump; the atomic manifest write is the commit
+    point and re-running is a no-op.
     """
     migrated = dict(manifest)
     migrated["version"] = STORE_VERSION

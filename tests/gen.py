@@ -1,4 +1,4 @@
-"""Seeded random-trace generator for the columnar parity harness.
+"""Seeded random-trace generator for the corpus parity harness.
 
 Every function here is a pure function of the :class:`random.Random`
 instance passed in, so a test that seeds the generator reproduces the
@@ -6,7 +6,8 @@ same corpus on every run and on every machine.  The generator aims for
 breadth, not realism: unicode method and thread names, empty traces,
 nested/NaN return values, duplicate method keys, self-referential
 parents, and every failure shape the trace schema can express — the
-corners a columnar encoder is most likely to get wrong.
+corners a serializer or an indexed evaluator is most likely to get
+wrong.
 """
 
 from __future__ import annotations

@@ -1,23 +1,31 @@
-"""The columnar shard format, proven by differential testing.
+"""Corpus evaluation parity, proven by differential testing.
 
-Three layers of parity, each against the object path as the oracle:
+The file keeps the name of the columnar trace format it once
+cross-checked, so its test ids stay stable; every check now targets the
+one corpus evaluation path (the indexed per-trace kernel behind the
+eval matrix).  Four layers of parity:
 
-* **round-trip** — ``ShardTable.decode(row)`` re-serializes to the
-  same canonical JSON as ``store.load(fp)`` for every trace of every
-  seeded random corpus (the generator in :mod:`tests.gen` aims for the
-  schema's corners: unicode, NaN, empty traces, duplicate keys);
-* **observation parity** — ``SuiteKernel.sweep`` agrees with
-  ``PredicateDef.evaluate`` for every columnar predicate kind, on
+* **store round-trip** — ``ingest_payload`` then ``load`` re-serializes
+  to the same canonical JSON for every trace of every seeded random
+  corpus (the generator in :mod:`tests.gen` aims for the schema's
+  corners: unicode, NaN, empty traces, duplicate keys);
+* **observation parity** — the indexed :class:`SuiteKernel` pass
+  agrees with ``PredicateDef.evaluate`` for every predicate kind, on
   predicates drawn from the generated traces *and* on keys that miss;
-* **pipeline parity** — ``evaluate_fingerprints(columnar=...)``
-  produces identical logs, counters, and (for the workloads) a
-  byte-identical ``SessionReport.to_dict()`` at 1 and 8 jobs.
+* **pipeline parity** — sharded evaluation over partly decided shards
+  (loading only the traces with an undecided pair) matches
+  ``log_for`` per trace, and every workload's report is byte-identical
+  serial vs 8 thread jobs;
+* **golden report** — a committed fixture, byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -31,31 +39,42 @@ from repro.core.predicates import (
     FailurePredicate,
     MethodFailsPredicate,
     OrderViolationPredicate,
+    PredicateKind,
     TooFastPredicate,
     TooSlowPredicate,
     WrongReturnPredicate,
 )
-from repro.corpus.store import TraceStore
+from repro.corpus.store import LEGACY_SHARD_FILES, TraceStore
 from repro.exec import ExecutionEngine, make_backend
 from repro.harness.session import SessionConfig
-from repro.sim.serialize import canonical_json, trace_from_dict, trace_to_dict
+from repro.sim.serialize import (
+    canonical_json,
+    stable_digest,
+    trace_from_dict,
+    trace_to_dict,
+)
 from repro.sim.tracing import MethodKey
 from repro.workloads.common import REGISTRY
 
 SEEDS = range(24)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _ingest(root, payloads) -> TraceStore:
-    store = TraceStore.init(root, program=payloads[0]["program"])
+def _ingest(root, payloads, shard_width=2) -> TraceStore:
+    store = TraceStore.init(
+        root, program=payloads[0]["program"], shard_width=shard_width
+    )
     for payload in payloads:
         store.ingest_payload(payload)
     store.save()
     return store
 
 
-def _suite_for(payloads) -> PredicateSuite:
+def _suite_for(payloads, slow_step: int = 20) -> PredicateSuite:
     """A suite touching every predicate kind, built from what the
-    corpus actually contains plus keys/values that miss entirely."""
+    corpus actually contains plus keys/values that miss entirely.
+    ``slow_step`` moves the ``slow`` thresholds without changing their
+    pids (a definition drift)."""
     traces = [trace_from_dict(p) for p in payloads]
     keys = sorted(
         {m.key for t in traces for m in t.method_executions()}, key=str
@@ -74,7 +93,7 @@ def _suite_for(payloads) -> PredicateSuite:
     defs: dict[str, object] = {}
     for i, key in enumerate(keys[:6]):
         defs[f"exec{i}"] = ExecutedPredicate(key)
-        defs[f"slow{i}"] = TooSlowPredicate(key, threshold=i * 20)
+        defs[f"slow{i}"] = TooSlowPredicate(key, threshold=i * slow_step)
         defs[f"fast{i}"] = TooFastPredicate(key, threshold=5 + i * 30)
     for i, (key, exc) in enumerate(
         itertools.product(keys[:3], excs[:2])
@@ -103,7 +122,6 @@ def _suite_for(payloads) -> PredicateSuite:
                 ExecutedPredicate(keys[1]),
             )
         )
-        # a non-columnar member, so the compound itself must fall back
         defs["race0"] = DataRacePredicate(keys[0], keys[1], OBJECTS[0])
         defs["and-race"] = CompoundAndPredicate(
             (ExecutedPredicate(keys[0]), defs["race0"])
@@ -111,23 +129,46 @@ def _suite_for(payloads) -> PredicateSuite:
     return PredicateSuite(defs=defs)
 
 
+def _matrix_state(matrix) -> tuple:
+    """Everything a shard matrix persists, plus its counters."""
+    return (
+        matrix.traces,
+        matrix.labels,
+        matrix.evaluated,
+        matrix.observed,
+        matrix.digests,
+        matrix.observations,
+        (matrix.pair_evaluations, matrix.pair_hits, matrix.kernel_calls),
+    )
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_decode_equals_stored_trace(self, tmp_path, seed):
-        store = _ingest(tmp_path / "c", make_corpus(seed))
-        rows = 0
-        for sid in store.shard_ids:
-            table = store.columnar_table(sid)
-            assert table is not None, f"shard {sid} has no table"
-            for fp in table.fingerprints:
-                decoded = table.decode(table.row_of(fp))
-                original = store.load(fp)
-                assert canonical_json(
-                    trace_to_dict(decoded)
-                ) == canonical_json(trace_to_dict(original))
-                assert decoded.fingerprint == fp
-                rows += 1
-        assert rows == len(store.entries)
+        """The body is stored as given, and ``load`` decodes it exactly
+        as decoding the payload directly would; the decoded form is a
+        fixpoint (re-ingesting it stores the same trace again)."""
+        payloads = make_corpus(seed)
+        store = _ingest(tmp_path / "c", payloads)
+        assert len(store) == len(payloads)
+        decoded = []
+        for payload in payloads:
+            fp = stable_digest(payload)
+            stored = json.loads(store.trace_path(fp).read_text())
+            assert canonical_json(stored) == canonical_json(payload)
+            loaded = store.load(fp)
+            assert loaded.fingerprint == fp
+            expected = canonical_json(trace_to_dict(trace_from_dict(payload)))
+            assert canonical_json(trace_to_dict(loaded)) == expected
+            decoded.append(trace_to_dict(loaded))
+        again = _ingest(tmp_path / "again", decoded)
+        for payload in decoded:
+            loaded = again.load(stable_digest(payload))
+            assert canonical_json(trace_to_dict(loaded)) == canonical_json(
+                payload
+            )
+        reopened = TraceStore.open(tmp_path / "c")
+        assert reopened.entries == store.entries
 
     def test_empty_trace_roundtrips(self, tmp_path):
         rng = random.Random(0)
@@ -135,122 +176,137 @@ class TestRoundTrip:
         for p in payloads:
             p["calls"] = []
         store = _ingest(tmp_path / "c", payloads)
-        for sid in store.shard_ids:
-            table = store.columnar_table(sid)
-            assert table is not None and table.n_calls == 0
-            for fp in table.fingerprints:
-                decoded = table.decode(table.row_of(fp))
-                assert canonical_json(
-                    trace_to_dict(decoded)
-                ) == canonical_json(trace_to_dict(store.load(fp)))
-
-    def test_table_bytes_are_deterministic(self, tmp_path):
-        payloads = make_corpus(3)
-        blobs = []
-        for name in ("a", "b"):
-            store = _ingest(tmp_path / name, payloads)
-            for sid in store.shard_ids:
-                assert store.columnar_table(sid) is not None
-            blobs.append(
-                b"".join(
-                    store.columnar_path(sid).read_bytes()
-                    for sid in store.shard_ids
-                )
+        for payload in payloads:
+            loaded = store.load(stable_digest(payload))
+            assert loaded.method_executions() == []
+            assert canonical_json(trace_to_dict(loaded)) == canonical_json(
+                payload
             )
-        assert blobs[0] == blobs[1]
 
 
 class TestObservationParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sweep_matches_evaluate_for_every_kind(self, tmp_path, seed):
+        """The kernel's one indexed pass over the suite equals calling
+        ``evaluate`` per predicate, entry for entry and in suite order,
+        on the full suite and on a subset."""
         payloads = make_corpus(seed)
         store = _ingest(tmp_path / "c", payloads)
         suite = _suite_for(payloads)
+        kinds = {p.kind for p in suite.defs.values()}
+        if len(suite.defs) > 4:  # corpora with at least two keys
+            assert kinds == set(PredicateKind)
         kernel = SuiteKernel(suite.defs)
-        columnar = {
-            pid for pid, p in suite.defs.items() if p.supports_columnar
-        }
-        assert columnar, "generator produced no columnar predicates"
+        subset = frozenset(list(suite.defs)[::3])
         pairs = 0
-        for sid in store.shard_ids:
-            table = store.columnar_table(sid)
-            sweeps = kernel.sweep(table)
-            assert set(sweeps) == columnar
-            for fp in table.fingerprints:
-                row = table.row_of(fp)
-                trace = store.load(fp)
-                for pid in columnar:
-                    expected = suite.defs[pid].evaluate(trace)
-                    assert sweeps[pid].get(row) == expected, (
-                        f"seed {seed} pid {pid} fp {fp}"
-                    )
-                    pairs += 1
-        assert pairs == len(columnar) * len(store.entries)
-
-    def test_compound_with_noncolumnar_member_falls_back(self):
-        payloads = make_corpus(1)
-        suite = _suite_for(payloads)
-        assert not suite.defs["race0"].supports_columnar
-        assert not suite.defs["and-race"].supports_columnar
-        assert suite.defs["and0"].supports_columnar
-        assert "race0" not in suite.columnar_pids()
-        assert "and0" in suite.columnar_pids()
+        for fp in sorted(store.entries):
+            trace = store.load(fp)
+            expected = {}
+            for pid, pred in suite.defs.items():
+                obs = pred.evaluate(trace)
+                if obs is not None:
+                    expected[pid] = obs
+                pairs += 1
+            got = kernel.observations(trace)
+            assert list(got.items()) == list(expected.items()), (
+                f"seed {seed} fp {fp}"
+            )
+            assert kernel.observations(trace, only=subset) == {
+                pid: obs for pid, obs in expected.items() if pid in subset
+            }
+            assert "exec-miss" not in got
+        assert pairs == len(suite.defs) * len(store.entries)
 
 
 class TestPipelineParity:
     @pytest.mark.parametrize("seed", (0, 7, 13))
-    def test_matrix_logs_and_counters_match(self, tmp_path, seed):
+    def test_matrix_logs_and_counters_match(
+        self, tmp_path, seed, monkeypatch
+    ):
+        """Sharded evaluation over partly decided shards equals
+        ``log_for`` per trace, and loads only the traces that had an
+        undecided pair.  Some traces were evaluated under the current
+        suite, some under an older one whose ``slow`` rows have since
+        drifted, and some never (16 shards, several holding more than
+        one trace)."""
         payloads = make_corpus(seed)
+        before = _suite_for(payloads, slow_step=25)
         suite = _suite_for(payloads)
-        results = {}
-        for label, columnar in (("obj", False), ("col", True)):
-            store = _ingest(tmp_path / label, payloads)
-            fps = sorted(store.entries)
-            matrix = store.eval_matrix()
-            evaluations = matrix.evaluate_fingerprints(
-                suite, fps, return_logs=True, columnar=columnar
-            )
-            results[label] = (
-                [
-                    [
-                        (fp, log.failed, dict(log.observations))
-                        for fp, log in ev.logs
-                    ]
-                    for ev in evaluations
-                ],
-                [
-                    (
-                        ev.matrix.pair_evaluations,
-                        ev.matrix.pair_hits,
-                        ev.matrix.kernel_calls,
-                    )
-                    for ev in evaluations
-                ],
-                [ev.counters.counts for ev in evaluations],
-            )
-        assert results["obj"] == results["col"]
-
-    def test_warm_columnar_reuses_the_memo(self, tmp_path):
-        payloads = make_corpus(2)
-        suite = _suite_for(payloads)
-        store = _ingest(tmp_path / "c", payloads)
+        seed_root = tmp_path / "seed"
+        store = _ingest(seed_root, payloads, shard_width=1)
         fps = sorted(store.entries)
         matrix = store.eval_matrix()
-        matrix.evaluate_fingerprints(suite, fps, columnar=True)
+        matrix.evaluate_fingerprints(suite, fps[1::3])
+        matrix.evaluate_fingerprints(before, fps[::4])
         matrix.save()
-        reopened = TraceStore.open(tmp_path / "c")
-        warm = reopened.eval_matrix()
-        evaluations = warm.evaluate_fingerprints(suite, fps, columnar=True)
-        assert sum(ev.matrix.pair_evaluations for ev in evaluations) == 0
-        assert sum(ev.matrix.pair_hits for ev in evaluations) == len(
-            fps
-        ) * len(suite.defs)
+
+        shutil.copytree(seed_root, tmp_path / "ref")
+        ref_store = TraceStore.open(tmp_path / "ref")
+        ref = ref_store.eval_matrix()
+        ref_logs = {fp: ref.log_for(suite, ref_store.load(fp)) for fp in fps}
+
+        probe = ref_store.eval_matrix()  # the persisted, pre-evaluation memo
+        undecided = {
+            fp
+            for fp in fps
+            if not probe.shard_for(fp).answer_from_memo(suite, [fp])
+        }
+        loaded = []
+        load = TraceStore.load
+
+        def spy(self, fingerprint):
+            loaded.append(fingerprint)
+            return load(self, fingerprint)
+
+        monkeypatch.setattr(TraceStore, "load", spy)
+        sharded = TraceStore.open(seed_root).eval_matrix()
+        evaluations = sharded.evaluate_fingerprints(suite, fps)
+        monkeypatch.undo()
+
+        assert sorted(loaded) == sorted(undecided)
+        assert 0 < len(undecided) < len(fps)
+        logs = dict(
+            (fp, log) for ev in evaluations for fp, log in ev.logs
+        )
+        assert logs == ref_logs
+        for ev in evaluations:
+            assert _matrix_state(ev.matrix) == _matrix_state(
+                ref.shard(ev.shard_id)
+            )
+            assert ev.counters.counts == (
+                ref.shard(ev.shard_id)
+                .sd_counters(suite, [fp for fp, _ in ev.logs])
+                .counts
+            )
+
+    def test_warm_columnar_reuses_the_memo(self, tmp_path, capsys):
+        """An analyzed store still carrying legacy ``columnar.bin``
+        sidecars (junk here) behaves as if they were absent: a warm
+        analyze is all memo hits, the report bytes match a copy without
+        them, and ``compact`` deletes them."""
+        from repro.cli import main
+
+        seed_root = tmp_path / "seed"
+        assert main(["corpus", "init", str(seed_root), "--workload", "network"]) == 0
+        assert main(["corpus", "ingest", str(seed_root), "--runs", "3"]) == 0
+        assert main(["corpus", "analyze", str(seed_root)]) == 0
+        legacy = tmp_path / "legacy"
+        shutil.copytree(seed_root, legacy)
+        for shard in (legacy / "shards").iterdir():
+            for name in LEGACY_SHARD_FILES:
+                (shard / name).write_bytes(b"junk")
+        capsys.readouterr()
+        assert main(["corpus", "analyze", str(legacy)]) == 0
+        assert "evaluation: 0 fresh" in capsys.readouterr().out
+        network = REGISTRY.build("network")
+        assert _corpus_report(
+            tmp_path / "plain", seed_root, network
+        ) == _corpus_report(legacy, workload=network)
+        assert main(["corpus", "compact", str(legacy)]) == 0
+        assert not list(legacy.rglob("columnar.bin*"))
 
     @pytest.mark.parametrize("name", REGISTRY.names())
-    def test_workload_report_is_byte_identical(
-        self, tmp_path, name, monkeypatch
-    ):
-        from repro.corpus.session import CorpusSession
+    def test_workload_report_is_byte_identical(self, tmp_path, name):
         from repro.harness.runner import collect
 
         workload = REGISTRY.build(name)
@@ -260,32 +316,38 @@ class TestPipelineParity:
         for trace in corpus.successes + corpus.failures:
             store.ingest_payload(trace_to_dict(trace))
         store.save()
-
-        reports = {}
-        for label, env, jobs in (
-            ("obj1", "0", 0),
-            ("col1", "1", 0),
-            ("col8", "1", 8),
-        ):
-            import shutil
-
-            root = tmp_path / label
-            shutil.copytree(seed_root, root)
-            monkeypatch.setenv("REPRO_COLUMNAR", env)
-            engine = (
-                ExecutionEngine(backend=make_backend("thread", jobs=jobs))
-                if jobs
-                else None
+        reports = {
+            jobs: _corpus_report(
+                tmp_path / f"j{jobs}", seed_root, workload, jobs=jobs
             )
-            config = SessionConfig(rng_seed=7, repeats=3, engine=engine)
-            session = CorpusSession(
-                workload.program, TraceStore.open(root), config=config
-            )
-            reports[label] = canonical_json(session.run().to_dict())
-            if engine is not None:
-                engine.close()
-        assert reports["obj1"] == reports["col1"]
-        assert reports["col1"] == reports["col8"]
+            for jobs in (0, 8)
+        }
+        assert reports[0] == reports[8]
+
+
+def _corpus_report(
+    root, seed_root=None, workload=None, jobs=0, backend="thread"
+):
+    """Canonical JSON of a seeded :class:`CorpusSession` report over the
+    store at ``root`` (copied from ``seed_root`` first, when given)."""
+    from repro.corpus.session import CorpusSession
+
+    if seed_root is not None:
+        shutil.copytree(seed_root, root)
+    engine = (
+        ExecutionEngine(backend=make_backend(backend, jobs=jobs))
+        if jobs
+        else None
+    )
+    try:
+        config = SessionConfig(rng_seed=7, repeats=3, engine=engine)
+        session = CorpusSession(
+            workload.program, TraceStore.open(root), config=config
+        )
+        return canonical_json(session.run().to_dict())
+    finally:
+        if engine is not None:
+            engine.close()
 
 
 class TestGoldenReport:
@@ -294,29 +356,40 @@ class TestGoldenReport:
     ``tests/fixtures/golden_corpus`` is a tiny npgsql trace store and
     ``golden_report.json`` the canonical-JSON ``SessionReport.to_dict()``
     a seeded session produces from it.  Any change to serialization,
-    predicate semantics, evaluation order, or the columnar encoder that
-    alters a single byte of the report fails here first.  Regenerate
-    deliberately (see docs/corpus.md) when the change is intended.
+    predicate semantics, or evaluation order that alters a single byte
+    of the report fails here first.  Regenerate deliberately (see
+    docs/corpus.md) when the change is intended.
     """
 
-    FIXTURES = __import__("pathlib").Path(__file__).parent / "fixtures"
-
-    @pytest.mark.parametrize("columnar_env", ("0", "1"))
-    def test_report_matches_committed_bytes(
-        self, tmp_path, monkeypatch, columnar_env
-    ):
-        import shutil
-
+    @pytest.mark.parametrize("prior_runs", (0, 1))
+    def test_report_matches_committed_bytes(self, tmp_path, prior_runs):
+        """Cold (``prior_runs=0``) and warm, answered from the eval
+        matrix an earlier, saved session left behind (``prior_runs=1``)."""
         from repro.corpus.session import CorpusSession
 
-        monkeypatch.setenv("REPRO_COLUMNAR", columnar_env)
         root = tmp_path / "c"
-        shutil.copytree(self.FIXTURES / "golden_corpus", root)
+        shutil.copytree(FIXTURES / "golden_corpus", root)
         workload = REGISTRY.build("npgsql")
-        config = SessionConfig(rng_seed=7, repeats=3)
-        session = CorpusSession(
-            workload.program, TraceStore.open(root), config=config
-        )
-        produced = canonical_json(session.run().to_dict())
-        golden = (self.FIXTURES / "golden_report.json").read_text()
+        for _ in range(prior_runs):
+            session = CorpusSession(
+                workload.program,
+                TraceStore.open(root),
+                config=SessionConfig(rng_seed=7, repeats=3),
+            )
+            session.run()
+            session.save()
+            assert session.matrix.pair_evaluations > 0
+        produced = _corpus_report(root, workload=workload)
+        golden = (FIXTURES / "golden_report.json").read_text()
         assert produced == golden
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_report_is_job_count_independent(self, tmp_path, backend):
+        produced = _corpus_report(
+            tmp_path / "c",
+            FIXTURES / "golden_corpus",
+            REGISTRY.build("npgsql"),
+            jobs=8,
+            backend=backend,
+        )
+        assert produced == (FIXTURES / "golden_report.json").read_text()

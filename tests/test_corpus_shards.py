@@ -408,7 +408,8 @@ class TestShardStatsCLI:
         assert main(["corpus", "shard-stats", corpus_dir]) == 0
         out = capsys.readouterr().out
         assert "shards (width 2)" in out
-        assert "memo pairs" in out
+        header = out.splitlines()[1].split()
+        assert header == ["shard", "traces", "pass/fail", "memo", "pairs", "bytes"]
         store = TraceStore.open(corpus_dir)
         for sid in store.shard_ids:
             assert sid in out

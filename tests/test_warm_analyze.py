@@ -1,5 +1,5 @@
 """Warm analysis answered from the matrix: one global AC-DAG build, no
-table opens for decided shards, no file writes on reads, and corrupt
+trace loads for decided pairs, no file writes on reads, and corrupt
 corpus files reported as structured errors."""
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from repro.corpus import EvalMatrix, IncrementalPipeline, TraceStore
 from repro.exec import ExecutionEngine, make_backend
 from repro.harness.runner import collect
 from repro.harness.session import AIDSession, SessionConfig
+from repro.sim.serialize import trace_fingerprint
 
 N_PER_LABEL = 12
 
@@ -164,32 +165,40 @@ class TestReadsNeverWrite:
         assert not matrix.dirty
 
 
-class TestDecidedShardsSkipTables:
-    def test_only_the_new_traces_shard_opens_its_table(
+class TestOnlyUndecidedTracesLoad:
+    def test_bootstrap_loads_only_the_new_trace(
         self, tmp_path, racy_program, corpus, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_COLUMNAR", "1")
         root = tmp_path / "c"
-        reference = _analyzed(root, racy_program, corpus)
+        reference = _analyzed(root, racy_program, corpus, shard_width=1)
         store = TraceStore.open(root)
-        fp, added = store.ingest(_new_traces(racy_program, corpus, 1)[0])
+        # A new trace that shares its shard with decided traces, so the
+        # skip is exercised inside a shard as well as across shards.
+        new = next(
+            t
+            for t in _new_traces(racy_program, corpus, 4)
+            if store.shard_entries(store.shard_id(trace_fingerprint(t)))
+        )
+        fp, added = store.ingest(new)
         assert added
         store.save()
+        assert len(store.shard_ids) > 1
 
-        opened = []
-        columnar_table = TraceStore.columnar_table
+        loaded = []
+        load = TraceStore.load
 
-        def spy(self, shard_id, build=True):
-            opened.append(shard_id)
-            return columnar_table(self, shard_id, build)
+        def spy(self, fingerprint):
+            loaded.append(fingerprint)
+            return load(self, fingerprint)
 
-        monkeypatch.setattr(TraceStore, "columnar_table", spy)
+        monkeypatch.setattr(TraceStore, "load", spy)
         pipeline = IncrementalPipeline(
             store, program=racy_program, suite=reference.suite
         )
         pipeline.bootstrap()
-        assert opened == [store.shard_id(fp)]
+        assert loaded == [fp]
         assert pipeline.matrix.pair_evaluations == len(reference.suite)
+        assert pipeline.matrix.kernel_calls == 1
         assert pipeline.matrix.pair_hits == (len(store) - 1) * len(
             reference.suite
         )

@@ -47,7 +47,7 @@ def test_micro_suite_discovery(benchmark):
 def test_micro_acdag_build(benchmark):
     session = shared_session("healthtelemetry")
     session.analyze()
-    failed_logs = [log for log in session._logs if log.failed]
+    failed_logs = session._suite.evaluate_all(session.collect().failures)
     benchmark.group = "micro"
     dag = benchmark(
         lambda: ACDag.build(
@@ -63,6 +63,8 @@ def test_micro_acdag_build(benchmark):
 def test_micro_statistics(benchmark):
     session = shared_session("healthtelemetry")
     session.analyze()
+    corpus = session.collect()
+    logs = session._suite.evaluate_all(corpus.successes + corpus.failures)
     benchmark.group = "micro"
-    stats = benchmark(lambda: StatisticalDebugger(logs=session._logs).stats())
+    stats = benchmark(lambda: StatisticalDebugger().extend(logs).stats())
     assert stats

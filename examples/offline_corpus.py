@@ -21,7 +21,6 @@ import tempfile
 from pathlib import Path
 
 from repro import load_workload
-from repro.core import StatisticalDebugger
 from repro.core.report import render_sd_ranking
 from repro.corpus import IncrementalPipeline, TraceStore
 from repro.harness import collect
@@ -49,8 +48,11 @@ pipeline.bootstrap()
 pipeline.save()
 
 print()
-sd = StatisticalDebugger(logs=list(pipeline.logs))
-print(render_sd_ranking(sd.ranked(), pipeline.suite.defs, limit=8))
+print(
+    render_sd_ranking(
+        pipeline.debugger.ranked(), pipeline.suite.defs, limit=8
+    )
+)
 
 discarded = sum(
     1 for reason in pipeline.dag.discarded.values() if "no temporal" in reason

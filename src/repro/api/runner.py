@@ -11,9 +11,10 @@ spec, it:
 2. dispatches by mode — **live** (collect + debug via
    :class:`~repro.harness.session.AIDSession`), **corpus** (debug from
    a stored :class:`~repro.corpus.store.TraceStore` via
-   :class:`~repro.corpus.session.CorpusSession`), or **incremental**
-   (analyze-only :class:`~repro.corpus.pipeline.IncrementalPipeline`
-   bootstrap over the store);
+   :class:`~repro.corpus.session.CorpusSession`, which analyzes through
+   the same pipeline bootstrap), or **incremental** (analyze-only
+   :class:`~repro.corpus.pipeline.IncrementalPipeline` bootstrap over
+   the store);
 3. returns a :class:`~repro.harness.session.SessionReport` whose
    :meth:`~repro.harness.session.SessionReport.to_dict` is the
    versioned report schema.
@@ -147,11 +148,6 @@ def _run_incremental(spec: RunSpec, engine, bus: EventBus) -> "SessionReport":
     )
     pipeline.bootstrap(engine=engine)
     pipeline.save()
-    n_fail = sum(
-        1
-        for entry in store.entries.values()
-        if entry.failed and entry.signature == pipeline.signature
-    )
     return SessionReport(
         program=program,
         corpus=None,
@@ -163,8 +159,8 @@ def _run_incremental(spec: RunSpec, engine, bus: EventBus) -> "SessionReport":
         explanation=None,
         approach=None,
         signature=pipeline.signature,
-        n_success=store.n_pass,
-        n_fail=n_fail,
+        n_success=pipeline.debugger.n_success,
+        n_fail=pipeline.debugger.n_failed,
         program_name=store.program,
     )
 

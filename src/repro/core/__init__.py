@@ -20,7 +20,6 @@ from .acdag import ACDag, Branch, GraphInvariantError
 from .branch import BranchPruneResult, branch_prune
 from .discovery import DiscoveryResult, causal_path_discovery, linear_discovery
 from .evalkernel import (
-    BitsetCounter,
     CorpusSummary,
     SuiteKernel,
     popcount_split,
@@ -84,7 +83,6 @@ from .variants import Approach, all_approaches, discover
 __all__ = [
     "ACDag",
     "Approach",
-    "BitsetCounter",
     "Branch",
     "BranchPruneResult",
     "CompoundAndPredicate",

@@ -32,7 +32,7 @@ import networkx as nx
 
 from .precedence import PrecedencePolicy, default_policy
 from .predicates import PredicateDef
-from .statistical import PredicateLog
+from .statistical import PredicateLog, StatisticalDebugger, failure_and_fd
 
 
 class GraphInvariantError(RuntimeError):
@@ -184,7 +184,7 @@ class ACDag:
     # either also holds in log n+1 — its support counter advances to n+1
     # — or it dies).  Node-wise, the candidate set is the
     # fully-discriminative set, which likewise only shrinks under
-    # insertions (see IncrementalDebugger).  Both facts together make the
+    # insertions (see StatisticalDebugger).  Both facts together make the
     # AC-DAG maintainable without a rebuild; tests assert the patched
     # graph equals `ACDag.build` over the whole log history.
 
@@ -367,3 +367,31 @@ class ACDag:
     def describe(self, pid: str) -> str:
         pred = self.defs.get(pid)
         return pred.description if pred is not None else pid
+
+
+def learn_dag(
+    suite,
+    debugger: StatisticalDebugger,
+    failed_logs: Iterable[PredicateLog],
+    policy: Optional[PrecedencePolicy] = None,
+) -> tuple[Optional[str], list[str], Optional[ACDag]]:
+    """AID's learning step after evaluation: SD counters → the failure
+    predicate F and the fully-discriminative set → one AC-DAG build.
+
+    ``suite`` is the frozen :class:`~repro.core.extraction.PredicateSuite`
+    (its ``defs`` and ``failure_pids()``).  ``failed_logs`` is consumed
+    only when F exists, so callers may pass a lazy generator.  Returns
+    ``(F, FD pids, dag)`` — ``(None, FD pids, None)`` when no failed log
+    observes a failure predicate.
+    """
+    failure, fully = failure_and_fd(debugger, suite.failure_pids())
+    if failure is None:
+        return None, fully, None
+    dag = ACDag.build(
+        defs=dict(suite.defs),
+        failed_logs=list(failed_logs),
+        failure=failure,
+        policy=policy,
+        candidate_pids=fully,
+    )
+    return failure, fully, dag

@@ -17,12 +17,11 @@ every layer:
   per-predicate trace walks.  Output is byte-identical to calling
   ``pred.evaluate(trace)`` per predicate (asserted property-style in
   the tests).
-* :class:`BitsetCounter` — the popcount counting kernel shared by
-  :class:`~repro.core.statistical.StatisticalDebugger`, the corpus
-  :class:`~repro.corpus.matrix.EvalMatrix`, and the shard-parallel
-  pipeline: per-pid observation bitsets over execution columns plus a
+* :func:`popcount_split` — the corpus
+  :class:`~repro.corpus.matrix.EvalMatrix`'s counting primitive:
+  per-pid observation bitsets over execution columns plus a
   failed-column mask turn precision/recall counting into two
-  ``int.bit_count`` calls (:func:`popcount_split`).
+  ``int.bit_count`` calls.
 * :class:`CorpusSummary` — the **propose** half of two-phase extractor
   discovery: one pass over each trace collects every per-trace fact the
   default extractor catalogue needs (exception sites, duration/return
@@ -50,7 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from ..sim.tracing import MethodExecution, MethodKey
 from .predicates import Observation, PredicateDef, PredicateKind, racy_window
@@ -138,52 +137,11 @@ class SuiteKernel:
 def popcount_split(bits: int, failed_mask: int) -> tuple[int, int]:
     """``(in_failed, in_success)`` for one observation bitset.
 
-    The one counting primitive behind every SD statistic in the repo:
-    a row's failed-column popcount and its complement.
+    The eval matrix's counting primitive: a row's failed-column
+    popcount and its complement.
     """
     in_failed = (bits & failed_mask).bit_count()
     return in_failed, bits.bit_count() - in_failed
-
-
-class BitsetCounter:
-    """Per-predicate observation bitsets over a growing set of executions.
-
-    One column per execution, one arbitrary-precision-int row per
-    observed pid, plus a failed-column mask: precision/recall counting
-    is :func:`popcount_split` per pid instead of a rescan of every log.
-    """
-
-    __slots__ = ("n_columns", "failed_mask", "observed")
-
-    def __init__(self) -> None:
-        self.n_columns = 0
-        self.failed_mask = 0
-        #: pid -> bitset over columns (bit set = predicate observed)
-        self.observed: dict[str, int] = {}
-
-    def add_column(self, pids: Iterable[str], failed: bool) -> int:
-        """Append one execution's observed-pid set; returns its column."""
-        column = self.n_columns
-        self.n_columns = column + 1
-        bit = 1 << column
-        if failed:
-            self.failed_mask |= bit
-        observed = self.observed
-        for pid in pids:
-            observed[pid] = observed.get(pid, 0) | bit
-        return column
-
-    @property
-    def n_failed(self) -> int:
-        return self.failed_mask.bit_count()
-
-    @property
-    def n_success(self) -> int:
-        return self.n_columns - self.failed_mask.bit_count()
-
-    def counts(self, pid: str) -> tuple[int, int]:
-        """(true_in_failed, true_in_success) by popcount."""
-        return popcount_split(self.observed.get(pid, 0), self.failed_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,11 @@ AID consumes only *fully-discriminative* predicates — precision and
 recall both 100% — because counterfactual causality is meaningless for a
 predicate that sometimes co-occurs with success (Sections 2-3).
 
-Counting is bitset-backed: both debuggers answer ``stats()`` from the
-shared popcount kernel (:mod:`repro.core.evalkernel`) instead of
-rescanning their logs — the batch :class:`StatisticalDebugger` keeps a
-lazily-synced :class:`~repro.core.evalkernel.BitsetCounter` over its log
-list, the :class:`IncrementalDebugger` keeps plain integer counters
-maintained per insertion.
+One counter class serves every caller: :class:`StatisticalDebugger`
+keeps per-pid ``[in_failed, in_success]`` integers.  Live sessions and
+incremental ingests update them per inserted log, corpus shard tasks
+fill them from the eval matrix's popcounts, and ``stats()`` never
+rescans a log.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .evalkernel import BitsetCounter
 from .predicates import Observation
 
 
@@ -79,111 +77,14 @@ class PredicateStats:
 
 @dataclass
 class StatisticalDebugger:
-    """Computes SD statistics over a corpus of predicate logs.
+    """SD statistics as plain integer counters, maintained per log.
 
-    Logs are the source of truth (``logs`` stays a plain list the AC-DAG
-    and tests read directly); counting is answered from a lazily-synced
-    :class:`~repro.core.evalkernel.BitsetCounter` — each log is folded
-    into per-pid observation bitsets exactly once, and every ``stats()``
-    call after that is pure popcounts.  The log list is treated as
-    append-only; replacing it (or shrinking it) resets the counter.
-    """
-
-    logs: list[PredicateLog] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._counter = BitsetCounter()
-        self._synced_logs = self.logs
-        self._synced_count = 0
-
-    def add(self, log: PredicateLog) -> None:
-        self.logs.append(log)
-
-    def extend(self, logs: Iterable[PredicateLog]) -> None:
-        self.logs.extend(logs)
-
-    def _counts(self) -> BitsetCounter:
-        """The popcount counter, folded forward to the current logs."""
-        if self._synced_logs is not self.logs or self._synced_count > len(
-            self.logs
-        ):
-            self._counter = BitsetCounter()
-            self._synced_logs = self.logs
-            self._synced_count = 0
-        counter = self._counter
-        while self._synced_count < len(self.logs):
-            log = self.logs[self._synced_count]
-            counter.add_column(log.observations, log.failed)
-            self._synced_count += 1
-        return counter
-
-    @property
-    def n_failed(self) -> int:
-        return self._counts().n_failed
-
-    @property
-    def n_success(self) -> int:
-        return self._counts().n_success
-
-    def all_pids(self) -> list[str]:
-        return sorted(self._counts().observed)
-
-    def observed_in_failed(self, pid: str) -> int:
-        """How many failed logs observe ``pid`` (one popcount)."""
-        return self._counts().counts(pid)[0]
-
-    def stats(self) -> dict[str, PredicateStats]:
-        """Per-predicate precision/recall statistics, by popcount."""
-        counter = self._counts()
-        n_failed, n_success = counter.n_failed, counter.n_success
-        result: dict[str, PredicateStats] = {}
-        for pid in sorted(counter.observed):
-            in_failed, in_success = counter.counts(pid)
-            result[pid] = PredicateStats(
-                pid=pid,
-                true_in_failed=in_failed,
-                true_in_success=in_success,
-                n_failed=n_failed,
-                n_success=n_success,
-            )
-        return result
-
-    def discriminative(self, min_precision: float = 1.0, min_recall: float = 1.0):
-        """Predicates meeting the precision/recall thresholds, ranked.
-
-        With default thresholds this returns the *fully-discriminative*
-        set that feeds the AC-DAG.
-        """
-        selected = [
-            s
-            for s in self.stats().values()
-            if s.precision >= min_precision and s.recall >= min_recall
-        ]
-        return sorted(selected, key=lambda s: (-s.f1, s.pid))
-
-    def fully_discriminative_pids(self) -> list[str]:
-        return [s.pid for s in self.discriminative(1.0, 1.0)]
-
-    def ranked(self) -> list[PredicateStats]:
-        """All predicates ranked by F1 (classic SD output, for contrast).
-
-        This is what a traditional statistical debugger hands the
-        developer: a long list with no causal structure.  AID's
-        improvement over this list is the whole point of the paper.
-        """
-        return sorted(self.stats().values(), key=lambda s: (-s.f1, s.pid))
-
-
-@dataclass
-class IncrementalDebugger:
-    """SD statistics maintained under log insertions, no rescans.
-
-    The corpus pipeline's view-maintenance core (in the spirit of
-    Berkholz et al.'s FO+MOD incremental evaluation): instead of
-    recomputing precision/recall over the whole corpus per
-    :meth:`StatisticalDebugger.stats`, keep running counters and update
-    them in O(|observations|) per inserted log.  Outputs are asserted
-    equal to the batch debugger in the test suite.
+    A batch SD run is this view filled from empty (in the spirit of
+    Berkholz et al.'s FO+MOD incremental evaluation): every inserted log
+    updates the counters in O(|observations|), and ``stats()`` reads
+    them without a rescan.  Live sessions call :meth:`extend` with
+    their logs; the corpus pipeline calls :meth:`merge` on per-shard
+    counters and then :meth:`add` per ingested log.
 
     Key monotonicity fact the AC-DAG maintenance relies on: the
     fully-discriminative set only *shrinks* under insertions.  A pid with
@@ -199,9 +100,11 @@ class IncrementalDebugger:
     def add(self, log: PredicateLog) -> None:
         self.add_observed(log.observations, failed=log.failed)
 
-    def extend(self, logs: Iterable[PredicateLog]) -> None:
+    def extend(self, logs: Iterable[PredicateLog]) -> "StatisticalDebugger":
+        """Insert every log; returns ``self`` for chaining."""
         for log in logs:
             self.add(log)
+        return self
 
     def add_observed(self, pids: Iterable[str], failed: bool) -> None:
         """Insert one execution given just its observed-pid set."""
@@ -213,7 +116,7 @@ class IncrementalDebugger:
         for pid in pids:
             self.counts.setdefault(pid, [0, 0])[idx] += 1
 
-    def merge(self, other: "IncrementalDebugger") -> "IncrementalDebugger":
+    def merge(self, other: "StatisticalDebugger") -> "StatisticalDebugger":
         """Fold another debugger's counters into this one.
 
         Counters are plain sums, so merging per-shard debuggers (each
@@ -229,10 +132,6 @@ class IncrementalDebugger:
             counters[1] += in_success
         return self
 
-    @property
-    def n_logs(self) -> int:
-        return self.n_failed + self.n_success
-
     def all_pids(self) -> list[str]:
         return sorted(self.counts)
 
@@ -241,7 +140,7 @@ class IncrementalDebugger:
         return self.counts.get(pid, (0, 0))[0]
 
     def stats(self) -> dict[str, PredicateStats]:
-        """Per-predicate statistics, built straight from the counters."""
+        """Per-predicate precision/recall statistics, in pid order."""
         return {
             pid: PredicateStats(
                 pid=pid,
@@ -250,20 +149,43 @@ class IncrementalDebugger:
                 n_failed=self.n_failed,
                 n_success=self.n_success,
             )
-            for pid, (in_failed, in_success) in self.counts.items()
+            for pid, (in_failed, in_success) in sorted(self.counts.items())
         }
 
+    def discriminative(self, min_precision: float = 1.0, min_recall: float = 1.0):
+        """Predicates meeting the precision/recall thresholds, ranked.
+
+        With default thresholds this returns the *fully-discriminative*
+        set that feeds the AC-DAG.
+        """
+        selected = [
+            s
+            for s in self.stats().values()
+            if s.precision >= min_precision and s.recall >= min_recall
+        ]
+        return sorted(selected, key=lambda s: (-s.f1, s.pid))
+
     def fully_discriminative_pids(self) -> list[str]:
-        """Precision = recall = 1 straight off the counters."""
+        """Precision = recall = 1 straight off the counters, pid-sorted."""
+        n_failed = self.n_failed
         return sorted(
             pid
             for pid, (in_failed, in_success) in self.counts.items()
-            if in_success == 0 and in_failed == self.n_failed and self.n_failed
+            if in_success == 0 and in_failed == n_failed and n_failed
         )
+
+    def ranked(self) -> list[PredicateStats]:
+        """All predicates ranked by F1 (classic SD output, for contrast).
+
+        This is what a traditional statistical debugger hands the
+        developer: a long list with no causal structure.  AID's
+        improvement over this list is the whole point of the paper.
+        """
+        return sorted(self.stats().values(), key=lambda s: (-s.f1, s.pid))
 
 
 def failure_and_fd(
-    debugger: "StatisticalDebugger | IncrementalDebugger",
+    debugger: StatisticalDebugger,
     failure_pids: Sequence[str],
 ) -> tuple[Optional[str], list[str]]:
     """The failure predicate F and the fully-discriminative set the

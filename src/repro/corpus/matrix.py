@@ -60,8 +60,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequenc
 
 from ..core.extraction import PredicateSuite
 from ..core.predicates import Observation
-from ..core.statistical import IncrementalDebugger, PredicateLog
-from .store import _read_json, _write_json
+from ..core.statistical import PredicateLog, StatisticalDebugger
+from .store import CorpusError, _read_json, _write_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exec.engine import ExecutionEngine
@@ -142,7 +142,8 @@ class EvalMatrix:
     # -- columns ---------------------------------------------------------
 
     def column(self, fingerprint: str, failed: bool) -> int:
-        """Index of the trace's column, allocating it if new."""
+        """Index of the trace's column, allocating it if new.  An
+        existing column must carry the same label."""
         idx = self._column.get(fingerprint)
         if idx is None:
             idx = len(self.traces)
@@ -151,7 +152,21 @@ class EvalMatrix:
             self._column[fingerprint] = idx
             self._failed_mask = None
             self.dirty = True
+        else:
+            self._check_label(idx, failed)
         return idx
+
+    def _check_label(self, idx: int, failed: bool) -> None:
+        """A column whose label disagrees with the trace's (the
+        manifest's) would silently skew every SD count: refuse it."""
+        if self.labels[idx] != bool(failed):
+            where = self.path if self.path is not None else "eval matrix"
+            raise CorpusError(
+                f"{where}: trace {self.traces[idx]} is labeled "
+                f"{'failed' if self.labels[idx] else 'passed'} in the "
+                f"matrix but {'failed' if failed else 'passed'} in the "
+                "manifest"
+            )
 
     @property
     def failed_mask(self) -> int:
@@ -246,21 +261,19 @@ class EvalMatrix:
     def log_for_table(self, *args, **kwargs) -> None:
         raise NotImplementedError
 
-    def logs_for_group(
+    def evaluate_group(
         self,
         suite: PredicateSuite,
-        entries: Sequence[tuple[str, bool, int, Optional[str]]],
+        entries: Sequence[tuple[str, bool]],
         load_trace: Callable[[str], object],
-    ) -> list[PredicateLog]:
-        """:meth:`log_for` over one shard's trace group, loading only
-        the traces that still have an undecided pair.
+    ) -> None:
+        """Decide every (suite pid, trace) pair of one shard's trace
+        group, loading only the traces that still have an undecided pair.
 
-        ``entries`` are ``(fingerprint, failed, seed, failure_signature)``
-        tuples with distinct fingerprints; ``load_trace(fp)`` returns
-        the trace.  Fully decided traces are rebuilt from the bitsets
-        (:meth:`reconstruct_log`) and counted as memo hits.  Bitsets,
-        counters and logs equal calling :meth:`log_for` on every entry
-        in order.
+        ``entries`` are ``(fingerprint, failed)`` pairs with distinct
+        fingerprints; ``load_trace(fp)`` returns the trace.  Fully
+        decided traces count as memo hits.  Bitsets and counters equal
+        calling :meth:`log_for` on every entry in order.
         """
         suite_digests = self._digests_for(suite)
         for pid in suite.defs:
@@ -270,19 +283,16 @@ class EvalMatrix:
                 self._drop_row(pid)
                 self.digests[pid] = suite_digests[pid]
         group_mask = 0
-        for fp, failed, _, _ in entries:
+        for fp, failed in entries:
             group_mask |= 1 << self.column(fp, failed)
         undecided = 0
         for pid in suite.defs:
             undecided |= group_mask & ~self.evaluated.get(pid, 0)
-        logs: list[PredicateLog] = []
-        for entry in entries:
-            if undecided >> self._column[entry[0]] & 1:
-                logs.append(self.log_for(suite, load_trace(entry[0])))
+        for fp, _ in entries:
+            if undecided >> self._column[fp] & 1:
+                self.log_for(suite, load_trace(fp))
             else:
                 self.pair_hits += len(suite.defs)
-                logs.append(self.reconstruct_log(suite, *entry))
-        return logs
 
     def reconstruct_log(
         self,
@@ -313,18 +323,21 @@ class EvalMatrix:
         )
 
     def answer_from_memo(
-        self, suite: PredicateSuite, fingerprints: Sequence[str]
+        self, suite: PredicateSuite, entries: Sequence[tuple[str, bool]]
     ) -> bool:
-        """Whether every (suite pid, trace) pair over these (distinct)
-        fingerprints is decided under the suite's current definition
-        digests.  If so, count them as memo hits — exactly the hits
-        :meth:`log_for` per trace would count — and return ``True``;
-        otherwise change nothing and return ``False``."""
+        """Whether every (suite pid, trace) pair over these
+        ``(fingerprint, failed)`` entries (distinct fingerprints) is
+        decided under the suite's current definition digests.  If so,
+        count them as memo hits — exactly the hits :meth:`log_for` per
+        trace would count — and return ``True``; otherwise change
+        nothing and return ``False``.  A column whose label disagrees
+        with ``failed`` raises :class:`CorpusError`."""
         mask = 0
-        for fp in fingerprints:
+        for fp, failed in entries:
             col = self._column.get(fp)
             if col is None:
                 return False
+            self._check_label(col, failed)
             mask |= 1 << col
         suite_digests = self._digests_for(suite)
         for pid in suite.defs:
@@ -332,7 +345,7 @@ class EvalMatrix:
                 return False
             if mask & ~self.evaluated.get(pid, 0):
                 return False
-        self.pair_hits += len(fingerprints) * len(suite.defs)
+        self.pair_hits += len(entries) * len(suite.defs)
         return True
 
     def _drop_row(self, pid: str) -> None:
@@ -415,9 +428,9 @@ class EvalMatrix:
 
     def sd_counters(
         self, suite: PredicateSuite, fingerprints: Sequence[str]
-    ) -> IncrementalDebugger:
+    ) -> StatisticalDebugger:
         """SD counters over a (distinct-fingerprint) column subset, by
-        popcount — what an :class:`IncrementalDebugger` fed those
+        popcount — what a :class:`StatisticalDebugger` fed those
         traces' logs one by one would hold, derived straight from the
         bitsets.  Every fingerprint must already be fully decided for
         ``suite`` (i.e. have gone through :meth:`log_for`)."""
@@ -435,7 +448,7 @@ class EvalMatrix:
             if bits:
                 in_failed, in_success = popcount_split(bits, fmask)
                 counts[pid] = [in_failed, in_success]
-        return IncrementalDebugger(
+        return StatisticalDebugger(
             n_failed=n_failed,
             n_success=len(fingerprints) - n_failed,
             counts=counts,
@@ -485,26 +498,52 @@ class EvalMatrix:
         return path
 
     def load(self, path: str | os.PathLike) -> None:
+        """Read a persisted matrix; a malformed file (wrong version,
+        missing key, non-hex bitset, labels not aligned with traces) is
+        a :class:`CorpusError` naming it."""
         payload = _read_json(Path(path))
-        version = payload.get("version")
+        version = payload.get("version") if isinstance(payload, dict) else None
         if version != MATRIX_VERSION:
-            raise ValueError(
+            raise CorpusError(
                 f"unsupported eval-matrix version {version!r} in {path}"
             )
-        self.traces = list(payload["traces"])
-        self.labels = [bool(v) for v in payload["labels"]]
-        self._column = {fp: i for i, fp in enumerate(self.traces)}
+        try:
+            traces = list(payload["traces"])
+            labels = [bool(v) for v in payload["labels"]]
+            evaluated = {
+                pid: int(bits, 16)
+                for pid, bits in payload["evaluated"].items()
+            }
+            observed = {
+                pid: int(bits, 16)
+                for pid, bits in payload["observed"].items()
+            }
+            digests = dict(payload["digests"])
+            observations = {
+                fp: dict(row) for fp, row in payload["observations"].items()
+            }
+        except KeyError as exc:
+            raise CorpusError(f"{path} lacks the {exc} key") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise CorpusError(f"{path} is malformed: {exc}") from exc
+        if len(labels) != len(traces):
+            raise CorpusError(
+                f"{path} has {len(labels)} labels for {len(traces)} traces"
+            )
+        # int(..., 16) rejects non-hex text but accepts a sign, and a
+        # negative bitset has infinitely many bits set
+        if min(evaluated.values(), default=0) < 0 or min(
+            observed.values(), default=0
+        ) < 0:
+            raise CorpusError(f"{path} holds a negative bitset")
+        self.traces = traces
+        self.labels = labels
+        self._column = {fp: i for i, fp in enumerate(traces)}
         self._failed_mask = None
-        self.evaluated = {
-            pid: int(bits, 16) for pid, bits in payload["evaluated"].items()
-        }
-        self.observed = {
-            pid: int(bits, 16) for pid, bits in payload["observed"].items()
-        }
-        self.digests = dict(payload["digests"])
-        self.observations = {
-            fp: dict(row) for fp, row in payload["observations"].items()
-        }
+        self.evaluated = evaluated
+        self.observed = observed
+        self.digests = digests
+        self.observations = observations
         self.dirty = False
 
 
@@ -514,19 +553,15 @@ class ShardEvaluation:
 
     Produced by :meth:`ShardedEvalMatrix.evaluate_shards` — possibly in
     a worker process, in which case the ``matrix`` carries the shard's
-    post-evaluation memo state back to the parent.  ``logs`` are only
-    populated on request (the matrix already holds everything a log
-    contains, so shipping them across a process boundary would double
-    the payload).
+    post-evaluation memo state back to the parent.  No per-trace logs
+    travel back: the matrix already holds everything a log contains
+    (:meth:`EvalMatrix.reconstruct_log` rebuilds any of them).
     """
 
     shard_id: str
     matrix: EvalMatrix
-    #: (fingerprint, log) pairs, in the order the traces were given
-    #: (empty unless ``return_logs`` was set)
-    logs: list[tuple[str, PredicateLog]] = field(default_factory=list)
     #: per-shard SD counters, merged deterministically by the pipeline
-    counters: IncrementalDebugger = field(default_factory=IncrementalDebugger)
+    counters: StatisticalDebugger = field(default_factory=StatisticalDebugger)
 
 
 @dataclass(frozen=True)
@@ -617,7 +652,6 @@ class ShardedEvalMatrix:
         suite: PredicateSuite,
         traces: Sequence,
         engine: Optional["ExecutionEngine"] = None,
-        return_logs: bool = True,
     ) -> list[ShardEvaluation]:
         """Evaluate the suite over many traces, one task per shard.
 
@@ -630,14 +664,13 @@ class ShardedEvalMatrix:
         per-trace evaluation is independent — the outcome is
         bit-identical for any job count.
 
-        Each task returns its shard's SD ``counters``; with
-        ``return_logs=False`` the (bulky) per-trace logs stay in the
-        worker — the matrix carries the same information, and
-        :meth:`reconstruct_log` rebuilds any log from it for free.  A
-        shard whose every pair is already decided is answered from
+        Each task returns only its shard's SD ``counters``; no per-trace
+        log leaves the worker — the matrix carries the same information,
+        and :meth:`reconstruct_log` rebuilds any log from it for free.
+        A shard whose every pair is already decided is answered from
         popcounts alone (:meth:`EvalMatrix.answer_from_memo`): no trace
         load, no per-trace log.  In any other shard only the traces with
-        an undecided pair are evaluated (:meth:`EvalMatrix.logs_for_group`).
+        an undecided pair are evaluated (:meth:`EvalMatrix.evaluate_group`).
         """
         groups: dict[str, list] = {}
         for trace in traces:
@@ -648,14 +681,13 @@ class ShardedEvalMatrix:
                     "memoized by content address"
                 )
             groups.setdefault(self.store.shard_id(fp), []).append(trace)
-        return self._evaluate_groups(suite, groups, engine, False, return_logs)
+        return self._evaluate_groups(suite, groups, engine, False)
 
     def evaluate_fingerprints(
         self,
         suite: PredicateSuite,
         fingerprints: Sequence[str],
         engine: Optional["ExecutionEngine"] = None,
-        return_logs: bool = True,
     ) -> list[ShardEvaluation]:
         """Like :meth:`evaluate_shards`, but each shard task *loads its
         own traces* from the store — so trace deserialization
@@ -666,7 +698,7 @@ class ShardedEvalMatrix:
         groups: dict[str, list[str]] = {}
         for fp in fingerprints:
             groups.setdefault(self.store.shard_id(fp), []).append(fp)
-        return self._evaluate_groups(suite, groups, engine, True, return_logs)
+        return self._evaluate_groups(suite, groups, engine, True)
 
     def _evaluate_groups(
         self,
@@ -674,7 +706,6 @@ class ShardedEvalMatrix:
         groups: dict[str, list],
         engine: Optional["ExecutionEngine"],
         load: bool,
-        return_logs: bool,
     ) -> list[ShardEvaluation]:
         sids = sorted(groups)
         for sid in sids:
@@ -682,41 +713,31 @@ class ShardedEvalMatrix:
         shards = self._shards
         store = self.store
 
-        def entry_of(item) -> tuple[str, bool, int, Optional[str]]:
+        def entry_of(item) -> tuple[str, bool]:
             if load:
-                entry = store.entries[item]
-                return item, entry.failed, entry.seed, entry.signature
-            signature = (
-                item.failure.signature if item.failure is not None else None
-            )
-            return item.fingerprint, item.failed, item.seed, signature
+                return item, store.entries[item].failed
+            return item.fingerprint, item.failed
 
         def evaluate_shard(sid: str) -> ShardEvaluation:
             matrix = shards[sid]
-            evaluation = ShardEvaluation(shard_id=sid, matrix=matrix)
             entries = [entry_of(item) for item in groups[sid]]
             fingerprints = [entry[0] for entry in entries]
-            if matrix.answer_from_memo(suite, fingerprints):
-                # Every pair decided: the bitsets answer everything.
-                logs = (
-                    [matrix.reconstruct_log(suite, *entry) for entry in entries]
-                    if return_logs
-                    else []
-                )
-            else:
+            # A shard whose every pair is decided is answered by the
+            # bitsets alone.
+            if not matrix.answer_from_memo(suite, entries):
                 load_trace = (
                     store.load
                     if load
                     else dict(zip(fingerprints, groups[sid])).__getitem__
                 )
-                logs = matrix.logs_for_group(suite, entries, load_trace)
-            if return_logs:
-                evaluation.logs = list(zip(fingerprints, logs))
-            # SD counters by popcount over the group's decided columns —
-            # the same counting kernel every layer shares — instead of a
-            # per-log observation walk.
-            evaluation.counters = matrix.sd_counters(suite, fingerprints)
-            return evaluation
+                matrix.evaluate_group(suite, entries, load_trace)
+            # SD counters by popcount over the group's decided columns
+            # instead of a per-log observation walk.
+            return ShardEvaluation(
+                shard_id=sid,
+                matrix=matrix,
+                counters=matrix.sd_counters(suite, fingerprints),
+            )
 
         parallel = (
             engine is not None
@@ -747,33 +768,6 @@ class ShardedEvalMatrix:
         return self.shard_for(fingerprint).reconstruct_log(
             suite, fingerprint, failed, seed, signature
         )
-
-    def logs_for(
-        self,
-        suite: PredicateSuite,
-        traces: Sequence,
-        engine: Optional["ExecutionEngine"] = None,
-    ) -> list[PredicateLog]:
-        """Like :meth:`evaluate_shards` but flattened back to the input
-        trace order — the drop-in replacement for serial evaluation.
-
-        Logs are rebuilt from the bitsets rather than shipped back from
-        the workers (the matrix already crosses the process boundary;
-        the logs would double the payload)."""
-        traces = list(traces)
-        self.evaluate_shards(suite, traces, engine=engine, return_logs=False)
-        return [
-            self.reconstruct_log(
-                suite,
-                t.fingerprint,
-                failed=t.failed,
-                seed=t.seed,
-                signature=(
-                    t.failure.signature if t.failure is not None else None
-                ),
-            )
-            for t in traces
-        ]
 
     # -- aggregate analytics ---------------------------------------------
 

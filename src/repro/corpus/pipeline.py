@@ -25,15 +25,15 @@ and returning only its popcount **SD counters**.  The parent then takes
 one path, whatever the schedule — counters → global FD set → one
 ``ACDag.build``:
 
-* per-shard counters (:class:`IncrementalDebugger`) merge by plain
-  summation, in sorted shard order;
-* the failure predicate and the global fully-discriminative set derive
-  from the merged counters (:func:`~repro.core.statistical.failure_and_fd`);
-* the failed logs are rebuilt from the matrix bitsets
-  (:meth:`~repro.corpus.matrix.ShardedEvalMatrix.reconstruct_log`) in
-  the canonical corpus order (successes then failures,
-  fingerprint-sorted), and one AC-DAG is built over them — the AC-DAG
-  needs nothing but the global FD set and those logs' anchor times.
+* per-shard counters (:class:`~repro.core.statistical.StatisticalDebugger`)
+  merge by plain summation, in sorted shard order;
+* :func:`~repro.core.acdag.learn_dag` derives the failure predicate and
+  the global fully-discriminative set from the merged counters and
+  builds one AC-DAG over the failed logs, rebuilt from the matrix
+  bitsets (:meth:`~repro.corpus.matrix.ShardedEvalMatrix.reconstruct_log`)
+  in the canonical corpus order (successes then failures,
+  fingerprint-sorted) — the AC-DAG needs nothing but the global FD set
+  and those logs' anchor times.
 
 A warm bootstrap (every pair already decided) therefore loads no
 trace and — through the matrix's dirty flags — ``save`` afterwards
@@ -58,6 +58,9 @@ Invariants
   patching sound.  Re-discovering predicates over a grown corpus is a
   new bootstrap.
 
+The pipeline keeps no per-log list: :attr:`IncrementalPipeline.logs`
+is a view rebuilt from the store manifest and the matrix on access.
+
 Persistence: ``save`` writes the dirty store manifests and the dirty
 per-shard matrix files (plus its index); nothing else is persisted —
 the DAG and counters rebuild from the matrix for free on the next
@@ -70,11 +73,10 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence, TYPE_CHECKING
 
-from ..core.acdag import ACDag
+from ..core.acdag import ACDag, learn_dag
 from ..core.extraction import Extractor, PredicateSuite
 from ..core.precedence import PrecedencePolicy, default_policy
 from ..core.statistical import (
-    IncrementalDebugger,
     PredicateLog,
     StatisticalDebugger,
     failure_and_fd,
@@ -154,12 +156,10 @@ class IncrementalPipeline:
         self.suite: Optional[PredicateSuite] = suite
         self.failure_pid: Optional[str] = None
         self.signature: Optional[str] = None
-        self.debugger = IncrementalDebugger()
+        self.debugger = StatisticalDebugger()
         self.fully: list[str] = []
         self.dag: Optional[ACDag] = None
         self._bootstrapped = False
-        self._logs: Optional[list[PredicateLog]] = []
-        self._log_fps: list[str] = []
 
     @property
     def bootstrapped(self) -> bool:
@@ -177,26 +177,37 @@ class IncrementalPipeline:
 
     @property
     def logs(self) -> list[PredicateLog]:
-        """The analysis logs, in canonical corpus order.
+        """The analysis logs in canonical corpus order, rebuilt from the
+        store manifest and the matrix bitsets on every access (the
+        matrix already holds every observation)."""
+        if not self.bootstrapped:
+            return []
+        successes, failures = self.analyzed()
+        return [self._log(fp) for fp in successes + failures]
 
-        Shard tasks do not ship logs back to the parent (the matrix
-        already holds every observation); the list materializes from
-        the bitsets on first access and is then owned by the pipeline
-        (``ingest`` appends to it).
-        """
-        if self._logs is None:
-            entries = self.store.entries
-            self._logs = [
-                self.matrix.reconstruct_log(
-                    self.suite,
-                    fp,
-                    failed=entries[fp].failed,
-                    seed=entries[fp].seed,
-                    signature=entries[fp].signature,
-                )
-                for fp in self._log_fps
-            ]
-        return self._logs
+    def analyzed(self) -> tuple[list[str], list[str]]:
+        """The analyzed traces in canonical corpus order (a
+        ``labeled_corpus`` walk restricted to the signature): successes,
+        then on-signature failures, each fingerprint-sorted."""
+        ordered = sorted(self.store.entries.items())
+        successes = [fp for fp, e in ordered if not e.failed]
+        failures = [
+            fp
+            for fp, e in ordered
+            if e.failed and e.signature == self.signature
+        ]
+        return successes, failures
+
+    def _log(self, fingerprint: str) -> PredicateLog:
+        """One analyzed trace's log, rebuilt from the matrix."""
+        entry = self.store.entries[fingerprint]
+        return self.matrix.reconstruct_log(
+            self.suite,
+            fingerprint,
+            failed=entry.failed,
+            seed=entry.seed,
+            signature=entry.signature,
+        )
 
     # -- bootstrap -------------------------------------------------------
 
@@ -210,7 +221,13 @@ class IncrementalPipeline:
         feed one global AC-DAG build (identical state for any job
         count).
         """
-        from ..api.events import CorpusLoaded, LogsEvaluated, SuiteFrozen
+        from ..api.events import (
+            CollectionFinished,
+            CorpusLoaded,
+            DagBuilt,
+            LogsEvaluated,
+            SuiteFrozen,
+        )
 
         if not any(e.failed for e in self.store.entries.values()):
             raise CorpusError("corpus has no failed traces to analyze")
@@ -224,6 +241,15 @@ class IncrementalPipeline:
             )
         )
         self.signature = self.store.dominant_failure_signature()
+        successes, failures = self.analyzed()
+        fingerprints = successes + failures
+        self._emit(
+            CollectionFinished(
+                n_success=len(successes),
+                n_fail=len(failures),
+                signature=self.signature,
+            )
+        )
         self.suite = self._injected_suite
         suite_source = "injected" if self.suite is not None else "discovered"
         if self.suite is None and self.extractors is None:
@@ -264,9 +290,6 @@ class IncrementalPipeline:
                     signature=self.signature,
                     program=self.program.name if self.program else None,
                 )
-            fingerprints = [
-                t.fingerprint for t in corpus.successes + corpus.failures
-            ]
             self._emit(
                 SuiteFrozen(n_predicates=len(self.suite), source=suite_source)
             )
@@ -275,37 +298,18 @@ class IncrementalPipeline:
                     self.suite,
                     corpus.successes + corpus.failures,
                     engine=engine,
-                    return_logs=False,
                 )
         else:
             # Pre-frozen suite: nothing global needs the trace bodies,
             # so shard tasks load their own traces — deserialization
             # parallelizes along with evaluation.
-            # Same canonical order as a labeled_corpus walk: successes
-            # then on-signature failures, each fingerprint-sorted.
-            ordered = sorted(self.store.entries.items())
-            fingerprints = [
-                fp for fp, e in ordered if not e.failed
-            ] + [
-                fp
-                for fp, e in ordered
-                if e.failed and e.signature == self.signature
-            ]
             self._emit(
                 SuiteFrozen(n_predicates=len(self.suite), source=suite_source)
             )
             with self._span("evaluate"):
                 evaluations = self.matrix.evaluate_fingerprints(
-                    self.suite,
-                    fingerprints,
-                    engine=engine,
-                    return_logs=False,
+                    self.suite, fingerprints, engine=engine
                 )
-        # Logs stay in the workers; the canonical-order list (successes
-        # then failures, fingerprint-sorted — independent of how shards
-        # were scheduled) materializes lazily from the matrix bitsets.
-        self._log_fps = fingerprints
-        self._logs = None
         self._emit(
             LogsEvaluated(
                 n_logs=len(fingerprints),
@@ -315,36 +319,18 @@ class IncrementalPipeline:
             )
         )
         with self._span("dag-build"):
-            self.debugger = IncrementalDebugger()
+            self.debugger = StatisticalDebugger()
             for evaluation in evaluations:  # sorted shard order
                 self.debugger.merge(evaluation.counters)
-            self.failure_pid, self.fully = failure_and_fd(
-                self.debugger, self.suite.failure_pids()
-            )
-            if self.failure_pid is None:
-                raise CorpusError("no failure predicate was extracted")
-            entries = self.store.entries
-            failed_logs = [
-                self.matrix.reconstruct_log(
-                    self.suite,
-                    fp,
-                    failed=True,
-                    seed=entries[fp].seed,
-                    signature=entries[fp].signature,
-                )
-                for fp in fingerprints
-                if entries[fp].failed
-            ]
-            self.dag = ACDag.build(
-                defs=dict(self.suite.defs),
-                failed_logs=failed_logs,
-                failure=self.failure_pid,
+            self.failure_pid, self.fully, self.dag = learn_dag(
+                self.suite,
+                self.debugger,
+                (self._log(fp) for fp in failures),
                 policy=self.policy,
-                candidate_pids=self.fully,
             )
+        if self.dag is None:
+            raise CorpusError("no failure predicate was extracted")
         self._bootstrapped = True
-        from ..api.events import DagBuilt
-
         self._emit(
             DagBuilt(
                 n_nodes=self.dag.graph.number_of_nodes(),
@@ -396,7 +382,6 @@ class IncrementalPipeline:
             # memoizes under (identical to the store's by construction)
             trace = self.store.load(fp)
         log = self.matrix.log_for(self.suite, trace)
-        self.logs.append(log)
         self.debugger.add(log)
         new_fully = self._derive_fully()
         removed = set(self.fully) - set(new_fully)
@@ -506,7 +491,6 @@ class IncrementalPipeline:
         batch_logs: list[PredicateLog] = []
         for slot, fp, trace, failed in analyzable:
             log = self.matrix.log_for(self.suite, trace)
-            self.logs.append(log)
             self.debugger.add(log)
             batch_logs.append(log)
         # ...one FD-set derivation...
@@ -551,15 +535,14 @@ class IncrementalPipeline:
         suite — the ground truth the incremental patching must equal."""
         if not self.bootstrapped:
             raise CorpusError("bootstrap() the pipeline before rebuilding")
-        batch = StatisticalDebugger(logs=list(self.logs))
-        _, fully = failure_and_fd(batch, self.suite.failure_pids())
-        return ACDag.build(
-            defs=dict(self.suite.defs),
-            failed_logs=[log for log in self.logs if log.failed],
-            failure=self.failure_pid,
+        logs = self.logs
+        _, _, dag = learn_dag(
+            self.suite,
+            StatisticalDebugger().extend(logs),
+            (log for log in logs if log.failed),
             policy=self.policy,
-            candidate_pids=fully,
         )
+        return dag
 
     # -- compaction ------------------------------------------------------
 

@@ -4,26 +4,29 @@ Role
 ----
 :class:`CorpusSession` is an :class:`~repro.harness.session.AIDSession`
 whose learning phase reads from a :class:`~repro.corpus.store.TraceStore`
-instead of re-running the workload: stored traces stand in for the
-collection sweep, and predicate evaluation routes through the persistent
-:class:`~repro.corpus.matrix.ShardedEvalMatrix`.  The intervention phase
-is unchanged — interventions are re-executions and need the live
-program.
+instead of re-running the workload: ``analyze`` bootstraps an
+:class:`~repro.corpus.pipeline.IncrementalPipeline` over the store — the
+same single analysis step ``repro corpus analyze`` takes — and adopts
+its suite, failure predicate, fully-discriminative set, SD counters and
+AC-DAG.  The intervention phase is unchanged — interventions are
+re-executions and need the live program.
 
 Invariants
 ----------
+* a corpus session never sweeps the simulator for traces: the
+  intervention seeds come from the store manifest (on-signature
+  failures, fingerprint-sorted);
 * a warm corpus re-evaluates **zero** already-seen (predicate, trace)
-  pairs — every decided pair is answered from the per-shard bitsets;
+  pairs and reuses the persisted suite freeze, so it loads no trace;
 * when the session's :class:`~repro.harness.session.SessionConfig`
   carries an execution engine with more than one job, evaluation fans
   out one task per corpus shard across that engine's backend, with
-  results identical to the serial walk (see
-  :meth:`ShardedEvalMatrix.evaluate_shards`);
+  results identical to the serial walk;
 * intervention outcomes are memoized under a corpus-content key, so two
   sessions over the same stored traces share outcomes no matter how
   the corpus was assembled.
 
-Persistence: ``save`` writes the store manifests and the per-shard
+Persistence: ``save`` writes the dirty store manifests and per-shard
 matrix files (plus the top-level matrix index).
 """
 
@@ -31,10 +34,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.statistical import PredicateLog
+from ..core.statistical import StatisticalDebugger
+from ..harness.runner import LabeledCorpus
 from ..harness.session import AIDSession, SessionConfig
 from ..sim.program import Program
 from .matrix import ShardedEvalMatrix
+from .pipeline import IncrementalPipeline
 from .store import CorpusError, TraceStore
 
 
@@ -56,19 +61,13 @@ class CorpusSession(AIDSession):
         super().__init__(program, config=config)
         self.store = store
         self.matrix = matrix if matrix is not None else store.eval_matrix()
+        self._pipeline: Optional[IncrementalPipeline] = None
 
-    def collect(self):
-        """Stage 1 from the store: no executions, just loads."""
+    def collect(self) -> LabeledCorpus:
+        """The stored traces, restricted to the dominant failure
+        signature — loaded on request only; the analysis never needs
+        them all in memory."""
         if self._corpus is None:
-            from ..api.events import CollectionFinished, CorpusLoaded
-
-            self._emit(
-                CorpusLoaded(
-                    n_traces=len(self.store),
-                    n_pass=self.store.n_pass,
-                    n_fail=self.store.n_fail,
-                )
-            )
             corpus = self.store.labeled_corpus()
             if not corpus.failures:
                 raise CorpusError("corpus has no failed traces to debug from")
@@ -76,32 +75,39 @@ class CorpusSession(AIDSession):
                 raise CorpusError(
                     "corpus has no successful traces to debug from"
                 )
-            signature = corpus.dominant_failure_signature()
-            self._signature = signature
-            self._corpus = corpus.restrict_failures(signature)
-            self._emit(
-                CollectionFinished(
-                    n_success=len(self._corpus.successes),
-                    n_fail=len(self._corpus.failures),
-                    signature=signature,
-                )
+            self._corpus = corpus.restrict_failures(
+                corpus.dominant_failure_signature()
             )
         return self._corpus
 
-    def _evaluate_logs(self, traces) -> list[PredicateLog]:
-        """Evaluate through the sharded memo, shard-parallel when the
-        session's engine has workers to offer."""
-        return self.matrix.logs_for(
-            self._suite, traces, engine=self.config.engine
-        )
+    def analyze(self) -> StatisticalDebugger:
+        """Stages 2-4 from the store: one pipeline bootstrap (persisted
+        suite and matrix reused, shard-parallel on the session's
+        engine)."""
+        if self._debugger is None:
+            cfg = self.config
+            pipeline = IncrementalPipeline(
+                self.store,
+                program=self.program,
+                matrix=self.matrix,
+                extractors=cfg.extractors,
+                policy=cfg.policy,
+                bus=cfg.bus,
+            )
+            pipeline.bootstrap(engine=cfg.engine)
+            self._pipeline = pipeline
+            self._signature = pipeline.signature
+            self._suite = pipeline.suite
+            self._failure_pid = pipeline.failure_pid
+            self._fully = pipeline.fully
+            self._dag = pipeline.dag
+            self._debugger = pipeline.debugger
+        return self._debugger
 
-    def _evaluation_counters(self):
-        """Matrix counters: fresh ``evaluate`` calls vs memo answers."""
-        return self.matrix.pair_evaluations, self.matrix.pair_hits
-
-    def _kernel_calls(self):
-        """Kernel batches the matrix dispatched for the fresh pairs."""
-        return self.matrix.kernel_calls
+    def _failing_seeds(self) -> list[int]:
+        """The analyzed failures' seeds, straight from the manifest."""
+        _, failures = self._pipeline.analyzed()
+        return [self.store.entries[fp].seed for fp in failures]
 
     def _workload_key(self) -> str:
         """Outcome-cache namespace for corpus-backed runs.

@@ -17,17 +17,13 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from ..core.acdag import ACDag
+from ..core.acdag import ACDag, learn_dag
 from ..core.discovery import DiscoveryResult
 from ..core.extraction import Extractor, PredicateSuite
 from ..core.intervention import SimulationRunner
-from ..core.precedence import PrecedencePolicy, default_policy
+from ..core.precedence import PrecedencePolicy
 from ..core.report import Explanation, explain, report_to_dict
-from ..core.statistical import (
-    PredicateLog,
-    StatisticalDebugger,
-    failure_and_fd,
-)
+from ..core.statistical import PredicateLog, StatisticalDebugger
 from ..core.variants import Approach, discover
 from ..sim.program import Program
 from ..sim.scheduler import DEFAULT_MAX_STEPS, Simulator
@@ -74,9 +70,10 @@ class SessionReport:
 
     Full sessions (live or corpus-backed) populate every field;
     analyze-only runs (``repro corpus analyze`` through the API's
-    incremental mode) leave ``corpus``, ``discovery``, ``explanation``,
-    and ``approach`` as ``None`` and carry their log counts in
-    ``n_success``/``n_fail`` instead.  :meth:`to_dict` renders either
+    incremental mode) leave ``discovery``, ``explanation``, and
+    ``approach`` as ``None``.  ``corpus`` holds trace bodies only for
+    live sessions; every report carries its analyzed-log counts in
+    ``n_success``/``n_fail``.  :meth:`to_dict` renders either
     shape as the versioned JSON schema
     (:data:`repro.core.report.REPORT_SCHEMA_VERSION`).
     """
@@ -84,8 +81,7 @@ class SessionReport:
     program: Optional[Program] = None
     corpus: Optional[LabeledCorpus] = None
     suite: PredicateSuite = field(default_factory=PredicateSuite)
-    #: batch or incremental debugger — anything with ``stats()``
-    debugger: object = None
+    debugger: Optional[StatisticalDebugger] = None
     fully_discriminative: list[str] = field(default_factory=list)
     dag: Optional[ACDag] = None
     discovery: Optional[DiscoveryResult] = None
@@ -93,8 +89,7 @@ class SessionReport:
     approach: Optional[Approach] = None
     #: the failure signature the analysis was restricted to
     signature: Optional[str] = None
-    #: analyzed-log counts when ``corpus`` bodies were never
-    #: materialized (incremental analyze); ``None`` otherwise
+    #: analyzed-log counts (successes, on-signature failures)
     n_success: Optional[int] = None
     n_fail: Optional[int] = None
     #: program name fallback when no live :class:`Program` is attached
@@ -140,7 +135,7 @@ class AIDSession:
         self.config = config or SessionConfig()
         self._corpus: Optional[LabeledCorpus] = None
         self._suite: Optional[PredicateSuite] = None
-        self._logs: Optional[list[PredicateLog]] = None
+        self._failed_logs: Optional[list[PredicateLog]] = None
         self._dag: Optional[ACDag] = None
         self._failure_pid: Optional[str] = None
         self._debugger: Optional[StatisticalDebugger] = None
@@ -222,72 +217,40 @@ class AIDSession:
                 )
             self._emit(SuiteFrozen(n_predicates=len(self._suite)))
             with self._span("evaluate"):
-                self._logs = self._evaluate_logs(
+                logs = self._suite.evaluate_all(
                     corpus.successes + corpus.failures
                 )
-            fresh, memoized = self._evaluation_counters()
-            self._emit(
-                LogsEvaluated(
-                    n_logs=len(self._logs),
-                    fresh=fresh,
-                    memoized=memoized,
-                    kernel_calls=self._kernel_calls(),
-                )
-            )
-            self._debugger = StatisticalDebugger(logs=self._logs)
-            self._failure_pid, self._fully = failure_and_fd(
-                self._debugger, self._suite.failure_pids()
-            )
-            if self._failure_pid is None:
-                raise RuntimeError("no failure predicate was extracted")
+            self._emit(LogsEvaluated(n_logs=len(logs)))
+            self._failed_logs = [log for log in logs if log.failed]
+            self._debugger = StatisticalDebugger().extend(logs)
         return self._debugger
-
-    def _evaluate_logs(self, traces) -> list[PredicateLog]:
-        """Evaluate the frozen suite over the corpus traces.
-
-        Subclass hook: :class:`repro.corpus.session.CorpusSession` routes
-        this through the persistent eval matrix so warm corpora pay zero
-        re-evaluations.
-        """
-        return self._suite.evaluate_all(traces)
-
-    def _evaluation_counters(self) -> tuple[Optional[int], Optional[int]]:
-        """(fresh, memoized) evaluation counts for the ``logs-evaluated``
-        event — ``(None, None)`` when evaluation is not memoized (live
-        sessions); overridden by :class:`~repro.corpus.session.CorpusSession`."""
-        return None, None
-
-    def _kernel_calls(self) -> Optional[int]:
-        """Single-pass kernel batches behind the fresh evaluations —
-        ``None`` when evaluation is not memoized (live sessions);
-        overridden by :class:`~repro.corpus.session.CorpusSession`."""
-        return None
 
     @property
     def failure_pid(self) -> str:
-        self.analyze()
+        self.build_dag()
         return self._failure_pid
 
     @property
     def fully_discriminative(self) -> list[str]:
-        self.analyze()
+        self.build_dag()
         return list(self._fully)
 
     def build_dag(self) -> ACDag:
-        """Stage 4: temporal precedence → AC-DAG."""
+        """Stage 4: failure predicate + FD set → temporal precedence →
+        AC-DAG."""
+        self.analyze()
         if self._dag is None:
             from ..api.events import DagBuilt
 
-            self.analyze()
-            failed_logs = [log for log in self._logs if log.failed]
             with self._span("dag-build"):
-                self._dag = ACDag.build(
-                    defs=dict(self._suite.defs),
-                    failed_logs=failed_logs,
-                    failure=self._failure_pid,
-                    policy=self.config.policy or default_policy(),
-                    candidate_pids=self._fully,
+                self._failure_pid, self._fully, self._dag = learn_dag(
+                    self._suite,
+                    self._debugger,
+                    self._failed_logs,
+                    policy=self.config.policy,
                 )
+            if self._dag is None:
+                raise RuntimeError("no failure predicate was extracted")
             self._emit(
                 DagBuilt(
                     n_nodes=self._dag.graph.number_of_nodes(),
@@ -298,9 +261,8 @@ class AIDSession:
 
     def make_runner(self) -> SimulationRunner:
         """The fault-injecting intervention runner for this program."""
-        self.analyze()
-        corpus = self.collect()
-        seeds = corpus.failing_seeds[: self.config.repeats]
+        self.build_dag()
+        seeds = self._failing_seeds()[: self.config.repeats]
         extra = self.config.repeats - len(seeds)
         if extra > 0:
             base = max(seeds, default=0) + 1_000_000
@@ -319,6 +281,11 @@ class AIDSession:
             engine=self.config.engine,
             workload=self._workload_key(),
         )
+
+    def _failing_seeds(self) -> list[int]:
+        """Seeds of the analyzed failures, replayed first by every
+        intervention round."""
+        return self.collect().failing_seeds
 
     def _workload_key(self) -> str:
         """Cache namespace: everything that shapes this session's suite
@@ -369,6 +336,8 @@ class AIDSession:
             explanation=explanation,
             approach=Approach(approach),
             signature=self._signature,
+            n_success=self._debugger.n_success,
+            n_fail=self._debugger.n_failed,
         )
 
 

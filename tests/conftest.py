@@ -39,6 +39,30 @@ def wait_until(
         time.sleep(interval)
 
 
+def rescan_stats(logs) -> dict[str, tuple[int, int, int, int]]:
+    """The SD reference: a full log rescan, ``pid -> (true_in_failed,
+    true_in_success, n_failed, n_success)``."""
+    n_failed = sum(1 for log in logs if log.failed)
+    n_success = len(logs) - n_failed
+    counts: dict[str, list[int]] = {}
+    for log in logs:
+        idx = 0 if log.failed else 1
+        for pid in log.observations:
+            counts.setdefault(pid, [0, 0])[idx] += 1
+    return {
+        pid: (in_failed, in_success, n_failed, n_success)
+        for pid, (in_failed, in_success) in counts.items()
+    }
+
+
+def stats_tuples(debugger) -> dict[str, tuple[int, int, int, int]]:
+    """A debugger's ``stats()`` in :func:`rescan_stats`'s shape."""
+    return {
+        pid: (s.true_in_failed, s.true_in_success, s.n_failed, s.n_success)
+        for pid, s in debugger.stats().items()
+    }
+
+
 def racy_counter_program(window: int = 10, jitter: int = 40) -> Program:
     """A minimal sandwich-race program used across sim/core tests.
 

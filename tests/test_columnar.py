@@ -249,7 +249,9 @@ class TestPipelineParity:
         undecided = {
             fp
             for fp in fps
-            if not probe.shard_for(fp).answer_from_memo(suite, [fp])
+            if not probe.shard_for(fp).answer_from_memo(
+                suite, [(fp, ref_store.entries[fp].failed)]
+            )
         }
         loaded = []
         load = TraceStore.load
@@ -265,18 +267,20 @@ class TestPipelineParity:
 
         assert sorted(loaded) == sorted(undecided)
         assert 0 < len(undecided) < len(fps)
-        logs = dict(
-            (fp, log) for ev in evaluations for fp, log in ev.logs
-        )
+        logs = {
+            fp: sharded.reconstruct_log(
+                suite, fp, entry.failed, entry.seed, entry.signature
+            )
+            for fp, entry in store.entries.items()
+        }
         assert logs == ref_logs
         for ev in evaluations:
             assert _matrix_state(ev.matrix) == _matrix_state(
                 ref.shard(ev.shard_id)
             )
-            assert ev.counters.counts == (
-                ref.shard(ev.shard_id)
-                .sd_counters(suite, [fp for fp, _ in ev.logs])
-                .counts
+            shard_fps = [fp for fp in fps if store.shard_id(fp) == ev.shard_id]
+            assert ev.counters == ref.shard(ev.shard_id).sd_counters(
+                suite, shard_fps
             )
 
     def test_warm_columnar_reuses_the_memo(self, tmp_path, capsys):

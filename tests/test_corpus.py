@@ -11,11 +11,7 @@ import pytest
 from repro.cli import main
 from repro.core.acdag import ACDag
 from repro.core.predicates import ExecutedPredicate, FailurePredicate, Observation
-from repro.core.statistical import (
-    IncrementalDebugger,
-    PredicateLog,
-    StatisticalDebugger,
-)
+from repro.core.statistical import PredicateLog, StatisticalDebugger
 from repro.corpus import (
     CorpusError,
     CorpusSession,
@@ -33,6 +29,8 @@ from repro.sim.serialize import (
     trace_to_json,
 )
 from repro.sim.tracing import MethodKey
+
+from conftest import rescan_stats, stats_tuples
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +187,7 @@ class TestEvalMatrix:
         suite = self._suite(racy_program, store)
         matrix = EvalMatrix()
         logs = [matrix.log_for(suite, t) for t in store.traces()]
-        batch = StatisticalDebugger(logs=logs).stats()
+        batch = StatisticalDebugger().extend(logs).stats()
         for pid, stats in batch.items():
             in_failed, in_success = matrix.counts(pid)
             assert (in_failed, in_success) == (
@@ -199,6 +197,8 @@ class TestEvalMatrix:
 
 
 class TestIncrementalDebugger:
+    """One log at a time, the SD counters equal a full rescan."""
+
     def test_matches_batch_debugger(self, racy_program, store):
         from repro.core.extraction import PredicateSuite
 
@@ -207,22 +207,20 @@ class TestIncrementalDebugger:
             loaded.successes, loaded.failures, program=racy_program
         )
         logs = suite.evaluate_all(loaded.successes + loaded.failures)
-        batch = StatisticalDebugger(logs=logs)
-        inc = IncrementalDebugger()
-        inc.extend(logs)
-        assert inc.n_failed == batch.n_failed
-        assert inc.n_success == batch.n_success
-        assert inc.all_pids() == batch.all_pids()
-        batch_stats = batch.stats()
-        for pid, stats in inc.stats().items():
-            assert stats == batch_stats[pid]
-        assert (
-            inc.fully_discriminative_pids()
-            == batch.fully_discriminative_pids()
+        inc = StatisticalDebugger()
+        for log in logs:
+            inc.add(log)
+        reference = rescan_stats(logs)
+        assert stats_tuples(inc) == reference
+        assert inc.all_pids() == sorted(reference)
+        assert inc.fully_discriminative_pids() == sorted(
+            pid
+            for pid, (in_failed, in_success, n_failed, _) in reference.items()
+            if in_success == 0 and in_failed == n_failed
         )
 
     def test_empty(self):
-        inc = IncrementalDebugger()
+        inc = StatisticalDebugger()
         assert inc.fully_discriminative_pids() == []
         assert inc.stats() == {}
 
@@ -333,10 +331,8 @@ class TestIncrementalPipeline:
             assert result.added
             rebuilt = pipeline.rebuild()
             assert pipeline.dag.structure() == rebuilt.structure()
-            batch = StatisticalDebugger(logs=list(pipeline.logs))
-            assert set(pipeline.debugger.fully_discriminative_pids()) == set(
-                batch.fully_discriminative_pids()
-            )
+            logs = pipeline.logs
+            assert stats_tuples(pipeline.debugger) == rescan_stats(logs)
         assert pipeline.dag.n_failed_logs == 20
 
     def test_duplicate_ingest_is_a_no_op(self, racy_program, store, corpus):

@@ -12,7 +12,7 @@ import pytest
 from repro.cli import main
 from repro.core.extraction import PredicateSuite
 from repro.core.predicates import Observation
-from repro.core.statistical import IncrementalDebugger, PredicateLog
+from repro.core.statistical import PredicateLog, StatisticalDebugger
 from repro.corpus import (
     CorpusError,
     EvalMatrix,
@@ -23,6 +23,8 @@ from repro.corpus import (
 )
 from repro.exec import ExecutionEngine, make_backend
 from repro.harness.runner import collect
+
+from conftest import rescan_stats, stats_tuples
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +269,8 @@ def _obs(t: int) -> Observation:
 
 
 class TestIncrementalDebuggerMerge:
+    """Per-shard SD counters merge into the whole corpus's counters."""
+
     def test_merge_equals_extend(self):
         logs_a = [
             PredicateLog(observations={"p": _obs(1)}, failed=True),
@@ -275,15 +279,12 @@ class TestIncrementalDebuggerMerge:
         logs_b = [
             PredicateLog(observations={"p": _obs(2), "q": _obs(3)}, failed=True),
         ]
-        whole = IncrementalDebugger()
-        whole.extend(logs_a + logs_b)
-        left, right = IncrementalDebugger(), IncrementalDebugger()
-        left.extend(logs_a)
-        right.extend(logs_b)
-        merged = IncrementalDebugger().merge(left).merge(right)
-        assert merged.counts == whole.counts
-        assert merged.n_failed == whole.n_failed
-        assert merged.n_success == whole.n_success
+        whole = StatisticalDebugger().extend(logs_a + logs_b)
+        left = StatisticalDebugger().extend(logs_a)
+        right = StatisticalDebugger().extend(logs_b)
+        merged = StatisticalDebugger().merge(left).merge(right)
+        assert merged == whole
+        assert stats_tuples(merged) == rescan_stats(logs_a + logs_b)
 
 
 class TestCompaction:

@@ -4,7 +4,7 @@ Property-style assertions that the fast paths equal the reference
 walks, byte for byte: indexed ``lookup`` ≡ linear scan, kernel
 ``evaluate_all`` ≡ per-predicate evaluation (same observations, same
 order), propose/calibrate discovery ≡ serial single-phase discovery
-(all registered workloads, 1 vs 8 jobs), popcount SD ≡ log rescans,
+(all registered workloads, 1 vs 8 jobs), SD counters ≡ log rescans,
 and whole-session ``SessionReport.to_dict()`` byte-identity across
 engine job counts.
 """
@@ -16,7 +16,6 @@ import json
 import pytest
 
 from repro.core.evalkernel import (
-    BitsetCounter,
     CorpusSummary,
     DistinctCap,
     ordered_cross_thread_pairs,
@@ -28,11 +27,7 @@ from repro.core.extraction import (
     PredicateSuite,
     default_extractors,
 )
-from repro.core.statistical import (
-    IncrementalDebugger,
-    PredicateLog,
-    StatisticalDebugger,
-)
+from repro.core.statistical import PredicateLog, StatisticalDebugger
 from repro.exec import ExecutionEngine, make_backend
 from repro.harness.runner import collect
 from repro.harness.session import AIDSession, SessionConfig
@@ -40,7 +35,7 @@ from repro.sim.serialize import trace_fingerprint, trace_from_dict, trace_to_dic
 from repro.sim.tracing import ExecutionTrace, MethodKey
 from repro.workloads.common import REGISTRY
 
-from conftest import racy_counter_program
+from conftest import racy_counter_program, rescan_stats, stats_tuples
 
 
 @pytest.fixture(scope="module")
@@ -268,23 +263,8 @@ class TestTwoPhaseDiscovery:
 
 
 # ---------------------------------------------------------------------------
-# Popcount SD ≡ log rescans
+# SD counters ≡ log rescans
 # ---------------------------------------------------------------------------
-
-
-def _rescan_stats(logs):
-    """The pre-kernel StatisticalDebugger.stats(): a full log rescan."""
-    n_failed = sum(1 for log in logs if log.failed)
-    n_success = len(logs) - n_failed
-    counts: dict[str, list[int]] = {}
-    for log in logs:
-        idx = 0 if log.failed else 1
-        for pid in log.observations:
-            counts.setdefault(pid, [0, 0])[idx] += 1
-    return {
-        pid: (in_failed, in_success, n_failed, n_success)
-        for pid, (in_failed, in_success) in counts.items()
-    }
 
 
 class TestPopcountCounting:
@@ -292,45 +272,42 @@ class TestPopcountCounting:
         assert popcount_split(0b1011, 0b0011) == (2, 1)
         assert popcount_split(0, 0b1111) == (0, 0)
 
-    def test_bitset_counter_matches_manual_counts(self):
-        counter = BitsetCounter()
-        counter.add_column(["a", "b"], failed=True)
-        counter.add_column(["b"], failed=False)
-        counter.add_column(["a"], failed=True)
-        assert (counter.n_failed, counter.n_success) == (2, 1)
-        assert counter.counts("a") == (2, 0)
-        assert counter.counts("b") == (1, 1)
-        assert counter.counts("missing") == (0, 0)
+    def test_debugger_matches_manual_counts(self):
+        debugger = StatisticalDebugger()
+        debugger.add_observed(["a", "b"], failed=True)
+        debugger.add_observed(["b"], failed=False)
+        debugger.add_observed(["a"], failed=True)
+        assert (debugger.n_failed, debugger.n_success) == (2, 1)
+        assert debugger.counts == {"a": [2, 0], "b": [1, 1]}
+        assert debugger.observed_in_failed("a") == 2
+        assert debugger.observed_in_failed("missing") == 0
+        assert debugger.fully_discriminative_pids() == ["a"]
 
     def test_debugger_stats_equal_rescan_reference(self, suite, corpus):
         logs = suite.evaluate_all(corpus.successes + corpus.failures)
-        debugger = StatisticalDebugger(logs=list(logs))
-        reference = _rescan_stats(logs)
-        stats = debugger.stats()
-        assert set(stats) == set(reference)
-        assert list(stats) == sorted(reference)  # sorted-pid order kept
-        for pid, s in stats.items():
-            assert (
-                s.true_in_failed,
-                s.true_in_success,
-                s.n_failed,
-                s.n_success,
-            ) == reference[pid]
+        debugger = StatisticalDebugger().extend(logs)
+        reference = rescan_stats(logs)
+        assert list(debugger.stats()) == sorted(reference)  # pid order
+        assert stats_tuples(debugger) == reference
 
-    def test_debugger_syncs_appends_and_list_swaps(self):
+    def test_debugger_add_extend_and_merge_agree(self):
         from repro.core.predicates import Observation
 
         a = PredicateLog(observations={"p": Observation(0, 1)}, failed=True)
         b = PredicateLog(observations={}, failed=False)
         debugger = StatisticalDebugger()
         assert debugger.stats() == {}
+        assert debugger.fully_discriminative_pids() == []
         debugger.add(a)
         assert debugger.observed_in_failed("p") == 1
-        debugger.logs.append(b)  # external append, then re-read
+        assert debugger.fully_discriminative_pids() == ["p"]
+        debugger.add(b)
         assert (debugger.n_failed, debugger.n_success) == (1, 1)
-        debugger.logs = [b]  # wholesale replacement resets the counter
-        assert (debugger.n_failed, debugger.n_success) == (0, 1)
-        assert debugger.observed_in_failed("p") == 0
+        assert stats_tuples(debugger) == rescan_stats([a, b])
+        merged = StatisticalDebugger().extend([b]).merge(
+            StatisticalDebugger().extend([a])
+        )
+        assert stats_tuples(merged) == stats_tuples(debugger)
 
     def test_matrix_sd_counters_equal_incremental_adds(self, suite, corpus):
         from repro.corpus.matrix import EvalMatrix
@@ -342,13 +319,11 @@ class TestPopcountCounting:
             )
             for t in corpus.successes[:8] + corpus.failures[:8]
         ]
-        reference = IncrementalDebugger()
+        reference = StatisticalDebugger()
         for trace in imported:
             reference.add(matrix.log_for(suite, trace))
         derived = matrix.sd_counters(suite, [t.fingerprint for t in imported])
-        assert derived.n_failed == reference.n_failed
-        assert derived.n_success == reference.n_success
-        assert derived.counts == reference.counts
+        assert derived == reference
 
     def test_distinct_cap_merge_is_order_independent(self):
         streams = (["x"], ["x", "x"], ["x", "y"], [], [None])
@@ -413,7 +388,7 @@ class TestSessionByteIdentity:
 
     def test_failure_pid_selection_matches_log_rescan(self, thread8):
         report = self._report(None)
-        session_logs = [log for log in report.debugger.logs if log.failed]
+        session_logs = report.suite.evaluate_all(report.corpus.failures)
         expected = [
             pid
             for pid in report.suite.failure_pids()

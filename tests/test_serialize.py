@@ -147,7 +147,7 @@ class TestOfflineAnalysis:
             successes, failures, program=racy_program
         )
         logs = [suite.evaluate(t) for t in successes + failures]
-        sd = StatisticalDebugger(logs=logs)
+        sd = StatisticalDebugger().extend(logs)
         fully = [
             pid for pid in sd.fully_discriminative_pids()
             if not pid.startswith("FAILURE[")

@@ -30,7 +30,7 @@ class TestStats:
             + [_log(["P"], False)]
             + [_log([], False)] * 2
         )
-        sd = StatisticalDebugger(logs=logs)
+        sd = StatisticalDebugger().extend(logs)
         stats = sd.stats()["P"]
         assert stats.precision == 3 / 4
         assert stats.recall == 3 / 4
@@ -38,7 +38,7 @@ class TestStats:
 
     def test_fully_discriminative_requires_both_perfect(self):
         logs = [_log(["A", "B"], True), _log(["A"], True), _log(["B"], False)]
-        sd = StatisticalDebugger(logs=logs)
+        sd = StatisticalDebugger().extend(logs)
         stats = sd.stats()
         assert stats["A"].fully_discriminative
         assert not stats["B"].fully_discriminative  # precision < 1
@@ -46,7 +46,7 @@ class TestStats:
 
     def test_invariant_predicate_excluded(self):
         logs = [_log(["INV"], True)] * 5 + [_log(["INV"], False)] * 5
-        sd = StatisticalDebugger(logs=logs)
+        sd = StatisticalDebugger().extend(logs)
         assert sd.fully_discriminative_pids() == []
         assert sd.stats()["INV"].precision == 0.5
 
@@ -57,7 +57,7 @@ class TestStats:
             _log(["meh"], False),
             _log([], False),
         ]
-        ranked = StatisticalDebugger(logs=logs).ranked()
+        ranked = StatisticalDebugger().extend(logs).ranked()
         assert [s.pid for s in ranked] == ["good", "meh"]
 
     def test_zero_counts_do_not_crash(self):
@@ -85,7 +85,7 @@ class TestStats:
 def test_property_precision_recall_bounds(corpus):
     """Precision/recall/F1 always land in [0, 1]; counts are consistent."""
     logs = [_log(sorted(pids), failed) for pids, failed in corpus]
-    sd = StatisticalDebugger(logs=logs)
+    sd = StatisticalDebugger().extend(logs)
     n_failed = sum(1 for __, failed in corpus if failed)
     assert sd.n_failed == n_failed
     assert sd.n_success == len(corpus) - n_failed
@@ -106,7 +106,7 @@ def test_property_precision_recall_bounds(corpus):
 def test_property_fully_discriminative_iff_label_equivalent(corpus):
     """P is fully discriminative iff 'P observed' ⇔ 'run failed'."""
     logs = [_log(sorted(pids), failed) for pids, failed in corpus]
-    sd = StatisticalDebugger(logs=logs)
+    sd = StatisticalDebugger().extend(logs)
     has_failure = any(failed for __, failed in corpus)
     fully = set(sd.fully_discriminative_pids())
     for pid in sd.all_pids():

@@ -4,6 +4,9 @@ corpus files reported as structured errors."""
 
 from __future__ import annotations
 
+import json
+import shutil
+
 import pytest
 
 from repro.cli import main
@@ -151,8 +154,11 @@ class TestReadsNeverWrite:
         sid = store.shard_ids[0]
         matrix = EvalMatrix(store.shard_matrix_path(sid))
         assert not matrix.dirty
-        fps = sorted(store.shard_entries(sid))
-        assert matrix.answer_from_memo(pipeline.suite, fps)
+        entries = sorted(store.shard_entries(sid).items())
+        fps = [fp for fp, _ in entries]
+        assert matrix.answer_from_memo(
+            pipeline.suite, [(fp, e.failed) for fp, e in entries]
+        )
         entry = store.entries[fps[0]]
         matrix.reconstruct_log(
             pipeline.suite, fps[0], entry.failed, entry.seed, entry.signature
@@ -229,6 +235,42 @@ class TestShardIndex:
         check(TraceStore.open(root))
 
 
+def _flip_a_failed_label(payload: dict) -> None:
+    payload["labels"][payload["labels"].index(1)] = 0
+
+
+def _drop_observed(payload: dict) -> None:
+    del payload["observed"]
+
+
+def _future_version(payload: dict) -> None:
+    payload["version"] = 9
+
+
+def _non_hex_bitset(payload: dict) -> None:
+    pid = next(iter(payload["evaluated"]))
+    payload["evaluated"][pid] = "zz"
+
+
+def _negative_bitset(payload: dict) -> None:
+    pid = next(iter(payload["observed"]))
+    payload["observed"][pid] = "-1"
+
+
+def _short_labels(payload: dict) -> None:
+    payload["labels"].pop()
+
+
+@pytest.fixture(scope="module")
+def analyzed_network_corpus(tmp_path_factory):
+    """A 10-trace network corpus, analyzed once (suite and matrix saved)."""
+    root = tmp_path_factory.mktemp("network") / "c"
+    assert main(["corpus", "init", str(root), "--workload", "network"]) == 0
+    assert main(["corpus", "ingest", str(root), "--runs", "5"]) == 0
+    assert main(["corpus", "analyze", str(root)]) == 0
+    return root
+
+
 class TestCorruptCorpusFiles:
     @pytest.mark.parametrize(
         "relpath, command",
@@ -257,3 +299,39 @@ class TestCorruptCorpusFiles:
         assert message.startswith("repro: corpus: ")
         assert str(path) in message
         assert "unreadable" in message
+
+    # A corrupt shard matrix must stop ``corpus analyze`` with an error
+    # naming the file — never answer from it.
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _flip_a_failed_label,
+            _drop_observed,
+            _future_version,
+            _non_hex_bitset,
+            _negative_bitset,
+            _short_labels,
+        ],
+    )
+    def test_corrupt_shard_matrix_is_a_corpus_error(
+        self, tmp_path, capsys, analyzed_network_corpus, corrupt
+    ):
+        root = tmp_path / "c"
+        shutil.copytree(analyzed_network_corpus, root)
+        store = TraceStore.open(root)
+        # a shard holding a failed trace, so every corruption applies
+        sid = next(
+            store.shard_id(fp)
+            for fp, entry in sorted(store.entries.items())
+            if entry.failed
+        )
+        path = store.shard_matrix_path(sid)
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["corpus", "analyze", str(root)])
+        message = str(excinfo.value.code)
+        assert message.startswith("repro: corpus: ")
+        assert str(path) in message

@@ -20,6 +20,12 @@ every ``late`` call wait until some ``early`` call has completed.
 Usage:
     PYTHONPATH=src python scripts/golden_sim.py --check   # exit 1 on drift
     PYTHONPATH=src python scripts/golden_sim.py --write   # regenerate
+    PYTHONPATH=src python scripts/golden_sim.py --time 5  # steps/s, best of 5
+
+``--time`` runs the same executions without hashing them and prints one
+JSON line: steps, best steps/s and ``cpu_count``.  The script needs
+nothing newer than the simulator API, so a copy of it times an older
+checkout the same way.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -114,6 +122,25 @@ def compute(workloads=CASE_STUDY_ORDER, seeds=SEEDS) -> dict:
     }
 
 
+def throughput(repeats: int, workloads=CASE_STUDY_ORDER, seeds=SEEDS) -> dict:
+    """Simulator steps/s over the fixture's executions, best of
+    ``repeats`` passes (program construction is outside the timing)."""
+    cells = []
+    for name in workloads:
+        program = REGISTRY.build(name).program
+        cells += [(program, ivs) for ivs in intervention_sets(program).values()]
+    best = 0.0
+    for _ in range(repeats):
+        steps = 0
+        start = time.perf_counter()
+        for program, interventions in cells:
+            simulator = Simulator(program)
+            for seed in seeds:
+                steps += simulator.run(seed, interventions).steps
+        best = max(best, steps / (time.perf_counter() - start))
+    return {"steps": steps, "steps_per_s": round(best), "cpu_count": os.cpu_count()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -121,7 +148,14 @@ def main(argv: list[str] | None = None) -> int:
                       help="regenerate the committed fixture")
     mode.add_argument("--check", action="store_true",
                       help="exit 1 if the simulator drifted from it")
+    mode.add_argument("--time", type=int, metavar="REPEATS",
+                      help="print simulator steps/s, best of REPEATS")
     args = parser.parse_args(argv)
+    if args.time is not None:
+        if args.time < 1:
+            parser.error("--time needs at least one repeat")
+        print(json.dumps(throughput(args.time)))
+        return 0
     document = compute()
     if args.write:
         FIXTURE.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")

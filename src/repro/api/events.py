@@ -88,12 +88,17 @@ class CollectionStarted(Event):
 
 @dataclass(frozen=True)
 class CollectionFinished(Event):
-    """Labeled traces are in hand, restricted to one failure signature."""
+    """Labeled traces are in hand, restricted to one failure signature.
+
+    ``executions`` and ``sim_steps`` count the simulator work of a live
+    seed sweep (0 when a stored corpus stands in for it)."""
 
     kind: ClassVar[str] = "collection-finished"
     n_success: int
     n_fail: int
     signature: Optional[str]
+    executions: int = 0
+    sim_steps: int = 0
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Callable, Iterator, Optional
 from ..sim.program import Program
 from ..sim.schedule import SchedulerStrategy
 from ..sim.scheduler import DEFAULT_MAX_STEPS, Simulator
-from ..sim.tracing import ExecutionTrace
+from ..sim.tracing import ExecutionResult, ExecutionTrace
 
 
 class CollectionError(RuntimeError):
@@ -27,6 +27,10 @@ class LabeledCorpus:
 
     successes: list[ExecutionTrace] = field(default_factory=list)
     failures: list[ExecutionTrace] = field(default_factory=list)
+    #: executions the collecting sweep ran, kept or not, and the
+    #: simulator steps they took
+    executions: int = 0
+    sim_steps: int = 0
 
     @property
     def failing_seeds(self) -> list[int]:
@@ -59,6 +63,8 @@ class LabeledCorpus:
             failures=[
                 t for t in self.failures if t.failure.signature == signature
             ],
+            executions=self.executions,
+            sim_steps=self.sim_steps,
         )
 
 
@@ -69,8 +75,8 @@ def sweep(
     strategy_factory: Optional[
         Callable[[int], SchedulerStrategy]
     ] = None,
-) -> Iterator[ExecutionTrace]:
-    """Endless stream of traces from consecutive seeds.
+) -> Iterator[ExecutionResult]:
+    """Endless stream of executions from consecutive seeds.
 
     ``strategy_factory`` (seed → strategy) selects the scheduling
     strategy per execution; ``None`` keeps the historical seeded-uniform
@@ -81,7 +87,7 @@ def sweep(
     )
     seed = start_seed
     while True:
-        yield simulator.run(seed).trace
+        yield simulator.run(seed)
         seed += 1
 
 
@@ -104,13 +110,16 @@ def collect(
     """
     corpus = LabeledCorpus()
     attempts = 0
-    for trace in sweep(
+    for result in sweep(
         program,
         start_seed=start_seed,
         max_steps=max_steps,
         strategy_factory=strategy_factory,
     ):
         attempts += 1
+        corpus.executions = attempts
+        corpus.sim_steps += result.steps
+        trace = result.trace
         if trace.failed and len(corpus.failures) < n_fail:
             corpus.failures.append(trace)
         elif not trace.failed and len(corpus.successes) < n_success:

@@ -197,6 +197,8 @@ class AIDSession:
                     n_success=len(self._corpus.successes),
                     n_fail=len(self._corpus.failures),
                     signature=signature,
+                    executions=corpus.executions,
+                    sim_steps=corpus.sim_steps,
                 )
             )
         return self._corpus

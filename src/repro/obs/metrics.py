@@ -141,6 +141,9 @@ class MetricsObserver:
         if kind == "collection-finished":
             registry.gauge("collection.n_success", event.n_success)
             registry.gauge("collection.n_fail", event.n_fail)
+            if event.executions:
+                registry.gauge("collection.executions", event.executions)
+                registry.gauge("collection.sim_steps", event.sim_steps)
         elif kind == "corpus-loaded":
             registry.gauge("corpus.traces", event.n_traces)
             registry.gauge("corpus.pass", event.n_pass)

@@ -204,6 +204,20 @@ def render_span_tree(summary: RunSummary) -> str:
     return "\n".join(lines)
 
 
+def _collection_throughput(summary: RunSummary) -> Optional[str]:
+    """Simulator steps/s over the ``collection`` span, when the run log
+    holds both (live runs with a metrics snapshot)."""
+    gauges = (summary.metrics or {}).get("gauges") or {}
+    steps = gauges.get("collection.sim_steps")
+    span = next((p for p in summary.phases if p.name == "collection"), None)
+    if steps is None or span is None or span.duration <= 0:
+        return None
+    return (
+        f"{steps} steps in {gauges.get('collection.executions')} executions, "
+        f"{steps / span.duration:,.0f} steps/s over the collection span"
+    )
+
+
 def render_summary(summary: RunSummary, metrics: bool = True) -> str:
     """The ``repro obs summary`` text block."""
     lines = [
@@ -224,6 +238,9 @@ def render_summary(summary: RunSummary, metrics: bool = True) -> str:
     if details:
         lines.append(f"spec     : {' '.join(details)}")
     lines.append(f"duration : {summary.total:.3f}s (first to last event)")
+    sim = _collection_throughput(summary)
+    if sim:
+        lines.append(f"sim      : {sim}")
     if summary.phases:
         lines.append("phases   :")
         for phase in summary.phases:

@@ -23,7 +23,7 @@ binary-rewriting fault injector applied before execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .tracing import MethodKey
@@ -166,24 +166,41 @@ class ForceOrder(Intervention):
         return f"force {self.first} to complete before {self.then} starts"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MethodEntryPlan:
     """What the runtime must do when a matching method starts."""
 
     delays: int = 0
-    locks: list[str] = field(default_factory=list)
-    wait_for: list[MethodSelector] = field(default_factory=list)
+    locks: tuple[str, ...] = ()
+    wait_for: tuple[MethodSelector, ...] = ()
     force_return: Optional[ForceReturn] = None  # only if skip_body
 
 
-@dataclass
+@dataclass(frozen=True)
 class MethodExitPlan:
     """What the runtime must do when a matching method finishes."""
 
     delays: int = 0
-    locks: list[str] = field(default_factory=list)
+    locks: tuple[str, ...] = ()
     force_return: Optional[ForceReturn] = None
     catch: Optional[CatchException] = None
+
+
+#: The plans of every call no intervention names (immutable, so one
+#: instance serves every such call).
+NO_ENTRY_PLAN = MethodEntryPlan()
+NO_EXIT_PLAN = MethodExitPlan()
+
+
+def _selectors(item: Intervention) -> tuple[MethodSelector, ...]:
+    """The selectors whose calls ``item`` changes."""
+    if isinstance(item, SerializeMethods):
+        return item.selectors
+    if isinstance(item, ForceOrder):
+        return (item.then,)
+    if isinstance(item, (DelayBefore, DelayReturn, ForceReturn, CatchException)):
+        return (item.selector,)
+    return ()
 
 
 class InterventionSet:
@@ -191,6 +208,10 @@ class InterventionSet:
 
     def __init__(self, interventions: tuple[Intervention, ...] = ()) -> None:
         self.interventions = tuple(interventions)
+        # Calls of any other method get the shared empty plans.
+        self._methods = frozenset(
+            s.method for item in self.interventions for s in _selectors(item)
+        )
 
     def __bool__(self) -> bool:
         return bool(self.interventions)
@@ -205,48 +226,65 @@ class InterventionSet:
         return [i.describe() for i in self.interventions]
 
     def entry_plan(self, method: str, thread: str, occurrence: int) -> MethodEntryPlan:
-        plan = MethodEntryPlan()
+        if method not in self._methods:
+            return NO_ENTRY_PLAN
+        delays = 0
+        locks: list[str] = []
+        wait_for: list[MethodSelector] = []
+        force_return = None
         for item in self.interventions:
             if isinstance(item, DelayBefore) and item.selector.matches(
                 method, thread, occurrence
             ):
-                plan.delays += item.ticks
+                delays += item.ticks
             elif isinstance(item, SerializeMethods):
                 if any(s.matches(method, thread, occurrence) for s in item.selectors):
-                    plan.locks.append(item.lock_name)
+                    locks.append(item.lock_name)
             elif isinstance(item, ForceOrder) and item.then.matches(
                 method, thread, occurrence
             ):
-                plan.wait_for.append(item.first)
+                wait_for.append(item.first)
             elif (
                 isinstance(item, ForceReturn)
                 and item.skip_body
                 and item.selector.matches(method, thread, occurrence)
             ):
-                plan.force_return = item
+                force_return = item
         # Deterministic lock order prevents deadlocks among injected locks.
-        plan.locks = sorted(set(plan.locks))
-        return plan
+        return MethodEntryPlan(
+            delays=delays,
+            locks=tuple(sorted(set(locks))),
+            wait_for=tuple(wait_for),
+            force_return=force_return,
+        )
 
     def exit_plan(self, method: str, thread: str, occurrence: int) -> MethodExitPlan:
-        plan = MethodExitPlan()
+        if method not in self._methods:
+            return NO_EXIT_PLAN
+        delays = 0
+        locks: list[str] = []
+        force_return = catch = None
         for item in self.interventions:
             if isinstance(item, DelayReturn) and item.selector.matches(
                 method, thread, occurrence
             ):
-                plan.delays += item.ticks
+                delays += item.ticks
             elif isinstance(item, SerializeMethods):
                 if any(s.matches(method, thread, occurrence) for s in item.selectors):
-                    plan.locks.append(item.lock_name)
+                    locks.append(item.lock_name)
             elif (
                 isinstance(item, ForceReturn)
                 and not item.skip_body
                 and item.selector.matches(method, thread, occurrence)
             ):
-                plan.force_return = item
+                force_return = item
             elif isinstance(item, CatchException) and item.selector.matches(
                 method, thread, occurrence
             ):
-                plan.catch = item
-        plan.locks = sorted(set(plan.locks), reverse=True)
-        return plan
+                catch = item
+        return MethodExitPlan(
+            delays=delays,
+            locks=tuple(sorted(set(locks), reverse=True)),
+            force_return=force_return,
+            catch=catch,
+        )

@@ -43,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Generator, Mapping, Optional, TYPE_CHECKING
 
 from .errors import SimulatedError, UnknownMethodError
@@ -61,9 +62,8 @@ MethodFn = Callable[..., Generator]
 
 @dataclass(frozen=True)
 class Action:
-    """Base class for primitive actions; ``duration`` is in virtual ticks."""
-
-    duration: int = field(default=1, init=False)
+    """Base class for primitive actions.  Each costs one virtual tick,
+    except :class:`SleepAction`, which costs its ``ticks``."""
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,11 @@ class ReleaseAction(Action):
 class SleepAction(Action):
     ticks: int
 
-    @property
-    def cost(self) -> int:
-        return self.ticks
+
+#: Sleeps are most of what threads yield (``work`` and the tick of call
+#: overhead); actions are immutable values, so one instance per
+#: duration serves every yield of it.
+sleep_action = lru_cache(maxsize=1024)(SleepAction)
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,6 @@ class WaitCompletedAction(Action):
     """Block until a method invocation matching ``selector`` completes."""
 
     selector: MethodSelector
-
-
-def action_cost(action: Action) -> int:
-    """Virtual-time cost of executing one action."""
-    if isinstance(action, SleepAction):
-        return action.ticks
-    return 1
 
 
 def action_footprint(action: Optional[Action], thread: str) -> frozenset:
@@ -227,16 +222,22 @@ class SimContext:
         self.runtime = runtime
         self.thread = thread
         self.program = runtime.program
-        self._rng = random.Random(_stable_seed(runtime.seed, thread))
+        self._rng: Optional[random.Random] = None
 
     # -- local (non-yielding) helpers -----------------------------------
 
+    def _thread_rng(self) -> random.Random:
+        # Seeded on first use: most threads never draw.
+        if self._rng is None:
+            self._rng = random.Random(_stable_seed(self.runtime.seed, self.thread))
+        return self._rng
+
     def rand(self) -> float:
         """Thread-local deterministic RNG (stable across interleavings)."""
-        return self._rng.random()
+        return self._thread_rng().random()
 
     def randint(self, lo: int, hi: int) -> int:
-        return self._rng.randint(lo, hi)
+        return self._thread_rng().randint(lo, hi)
 
     def now(self) -> int:
         """Current virtual time (no cost)."""
@@ -276,12 +277,12 @@ class SimContext:
 
     def sleep(self, ticks: int):
         if ticks > 0:
-            yield SleepAction(ticks)
+            yield sleep_action(ticks)
 
     def work(self, ticks: int = 1):
         """Local computation: advances time, touches nothing shared."""
         if ticks > 0:
-            yield SleepAction(ticks)
+            yield sleep_action(ticks)
 
     def acquire(self, lock: str):
         yield AcquireAction(lock)
@@ -329,14 +330,14 @@ class SimContext:
         for lock in entry.locks:
             yield AcquireAction(lock)
         if entry.delays:
-            yield SleepAction(entry.delays)
+            yield sleep_action(entry.delays)
 
         call_id = runtime.begin_method(self.thread, name)
         body_skipped = entry.force_return is not None
         try:
             # One tick of call overhead: guarantees every window has
             # positive width so cross-thread overlap is well defined.
-            yield SleepAction(1)
+            yield sleep_action(1)
             if body_skipped:
                 ret: Any = entry.force_return.value
             else:
@@ -350,7 +351,7 @@ class SimContext:
                     yield ReleaseAction(lock)
                 raise
         if exit_.delays:
-            yield SleepAction(exit_.delays)
+            yield sleep_action(exit_.delays)
         if exit_.force_return is not None:
             ret = exit_.force_return.value
         runtime.end_method(self.thread, call_id, ret, None, body_skipped)

@@ -29,7 +29,7 @@ from .program import (
     WaitCompletedAction,
     WriteAction,
 )
-from .tracing import Access, AccessType, ExecutionTrace, MethodKey
+from .tracing import Access, AccessType, ExecutionTrace, MethodExecution
 
 
 @dataclass
@@ -62,8 +62,13 @@ class Runtime:
         self.locks_held: dict[str, list[str]] = {}  # thread -> lock names
         self.lamport: dict[str, LamportClock] = {}
         self.registry = LamportRegistry()
-        self.completed: list[MethodKey] = []
+        #: completed calls by method name (what ``ForceOrder`` waits on)
+        self.completed: dict[str, list[MethodExecution]] = {}
         self.finished_threads: set[str] = set()
+        #: raised when a wait may have cleared (a lock freed, a thread
+        #: finished, a call completed); the scheduler re-checks its
+        #: blocked threads only then
+        self.wake = False
         self._stacks: dict[str, list[tuple[int, str]]] = {}  # thread -> frames
 
     # -- thread lifecycle ------------------------------------------------
@@ -77,6 +82,7 @@ class Runtime:
 
     def thread_finished(self, thread: str) -> None:
         self.finished_threads.add(thread)
+        self.wake = True
         self.registry.stamp(f"thread-done:{thread}", self.lamport[thread])
 
     def abort_thread_calls(self, thread: str, exception: str) -> None:
@@ -132,11 +138,18 @@ class Runtime:
         frames = self._stacks[thread]
         if frames and frames[-1][0] == call_id:
             frames.pop()
-        self.completed.append(record.key)
-        self.registry.stamp(f"done:{record.key}", self.lamport[thread])
+        method = record.method
+        self.completed.setdefault(method, []).append(record)
+        self.wake = True
+        self.registry.stamp(
+            f"done:{thread}:{method}#{record.occurrence}", self.lamport[thread]
+        )
 
     def is_completed(self, selector: MethodSelector) -> bool:
-        return any(selector.matches_key(key) for key in self.completed)
+        return any(
+            selector.matches(m.method, m.thread, m.occurrence)
+            for m in self.completed.get(selector.method, ())
+        )
 
     # -- primitive actions -------------------------------------------------
 
@@ -149,6 +162,11 @@ class Runtime:
         action's effects are stamped at the current clock value, and the
         scheduler keeps the thread busy for the action's remaining cost.
         """
+        # Most frequent first: ``work`` and call overhead are sleeps.
+        if isinstance(action, SleepAction):
+            self.lamport[thread].tick()
+            return None, None
+
         if isinstance(action, AcquireAction):
             owner = self.lock_owner.get(action.lock)
             if owner is not None and owner != thread:
@@ -195,11 +213,8 @@ class Runtime:
                 )
             self.lock_owner[action.lock] = None
             self.locks_held[thread].remove(action.lock)
+            self.wake = True
             self.registry.stamp(f"lock:{action.lock}", self.lamport[thread])
-            return None, None
-
-        if isinstance(action, SleepAction):
-            self.lamport[thread].tick()
             return None, None
 
         if isinstance(action, SpawnAction):
@@ -234,3 +249,4 @@ class Runtime:
         for lock in list(self.locks_held.get(thread, [])):
             self.lock_owner[lock] = None
             self.locks_held[thread].remove(lock)
+            self.wake = True

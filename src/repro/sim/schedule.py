@@ -43,7 +43,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Optional, Protocol, Sequence, runtime_checkable
+from typing import NamedTuple, Optional, Protocol, Sequence, runtime_checkable
 
 from .serialize import stable_digest
 
@@ -157,14 +157,13 @@ class ScheduleError(ValueError):
     """A schedule document or strategy decision is unusable."""
 
 
-@dataclass(frozen=True)
-class SchedulePoint:
+class SchedulePoint(NamedTuple):
     """One scheduling decision: who may run now.
 
     ``candidates`` is the ready set in canonical order (by thread spawn
     order), ``index`` is the 0-based position of this decision in the
     execution, and ``time`` is the virtual instant the chosen action
-    will execute at.
+    will execute at.  A named tuple: the simulator builds one per step.
     """
 
     index: int

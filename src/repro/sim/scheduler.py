@@ -10,6 +10,14 @@ threads that are ready *now* runs next (the default strategy picks
 uniformly at random from a seeded RNG); when none are ready, virtual
 time jumps to the next ready instant.
 
+A step costs what it changes, not what exists: blocked threads are
+re-checked only after the runtime raises its wake flag (a lock freed, a
+thread finished, a call completed — nothing else can clear a wait), the
+candidates come out of the spawn-ordered thread table already in
+canonical order, and each step records the action it ran; the
+per-decision footprints exploration needs are derived from those
+actions on read (:attr:`ExecutionResult.footprints`).
+
 The tie-breaking among simultaneously-ready threads is the *only*
 source of nondeterminism in the simulator, and every decision is
 recorded on the result as a replayable
@@ -43,13 +51,7 @@ from typing import Callable, Optional
 
 from .errors import SimulatedError
 from .faults import Intervention, InterventionSet
-from .program import (
-    Program,
-    SimContext,
-    SpawnAction,
-    action_cost,
-    action_footprint,
-)
+from .program import Action, Program, SimContext, SleepAction, SpawnAction
 from .runtime import Blocked, Runtime
 from .schedule import (
     RandomStrategy,
@@ -79,11 +81,7 @@ class _Thread:
     pending_send: object = None
     pending_action: object = None  # action to retry after unblocking
     blocked_on: Optional[Blocked] = None
-    order: int = 0
     ready_at: int = 0  # busy until this virtual time (discrete-event)
-
-    def runnable(self) -> bool:
-        return self.status is ThreadStatus.RUNNABLE
 
 
 @dataclass
@@ -131,34 +129,47 @@ class Simulator:
             )
         trace = ExecutionTrace(self.program.name, seed)
         runtime = Runtime(self.program, interventions, seed, trace)
+        clock = runtime.clock
         decisions: list[str] = []
-        footprints: list[frozenset] = []
+        actions: list[Optional[Action]] = []
 
+        # Insertion order is spawn order, so filtering ``threads`` yields
+        # the canonical candidate order without sorting.
         threads: dict[str, _Thread] = {}
-        spawn_order = 0
 
         def start_thread(name: str, method: str, args: tuple, parent: Optional[str]):
-            nonlocal spawn_order
             if name in threads:
                 raise ValueError(f"duplicate thread name {name!r}")
             runtime.register_thread(name, spawned_by=parent)
             ctx = SimContext(runtime, name)
-            gen = ctx.call(method, *args)
-            spawn_order += 1
             threads[name] = _Thread(
                 name=name,
-                gen=gen,
+                gen=ctx.call(method, *args),
                 ctx=ctx,
-                order=spawn_order,
-                ready_at=runtime.clock.now,
+                ready_at=clock.now,
             )
 
         start_thread("main", self.program.main, (), parent=None)
 
+        RUNNABLE = ThreadStatus.RUNNABLE
         steps = 0
         while True:
-            self._unblock(threads, runtime)
-            runnable = [t for t in threads.values() if t.runnable()]
+            # Only a freed lock, a finished thread or a completed call
+            # can clear a wait, and each of those raises the flag.
+            if runtime.wake:
+                runtime.wake = False
+                self._unblock(threads, runtime)
+            # Discrete-event step: one serialization tick, then run the
+            # strategy's pick among threads whose busy period elapsed.
+            execute_at = clock.now + 1
+            eligible = [
+                t
+                for t in threads.values()
+                if t.status is RUNNABLE and t.ready_at <= execute_at
+            ]
+            runnable = eligible or [
+                t for t in threads.values() if t.status is RUNNABLE
+            ]
             if not runnable:
                 blocked = [
                     t for t in threads.values() if t.status is ThreadStatus.BLOCKED
@@ -170,7 +181,7 @@ class Simulator:
                             exception=None,
                             method=runtime.current_method(blocked[0].name),
                             thread=blocked[0].name,
-                            time=runtime.clock.now,
+                            time=clock.now,
                         )
                     )
                 break  # all done, or deadlocked
@@ -181,47 +192,35 @@ class Simulator:
                         exception=None,
                         method=None,
                         thread=None,
-                        time=runtime.clock.now,
+                        time=clock.now,
                     )
                 )
                 break
             steps += 1
 
-            # Discrete-event step: one serialization tick, then run the
-            # strategy's pick among threads whose busy period elapsed.
-            execute_at = runtime.clock.now + 1
-            eligible = [t for t in runnable if t.ready_at <= execute_at]
             if not eligible:
-                next_ready = min(t.ready_at for t in runnable)
-                runtime.clock.advance(next_ready - runtime.clock.now - 1)
-                execute_at = runtime.clock.now + 1
+                # Nobody is ready yet: jump to the earliest ready instant.
+                execute_at = min(t.ready_at for t in runnable)
+                clock.advance(execute_at - clock.now - 1)
                 eligible = [t for t in runnable if t.ready_at <= execute_at]
-            runtime.clock.advance(1)
-            candidates = sorted(eligible, key=lambda t: t.order)
+            clock.advance(1)
             point = SchedulePoint(
-                index=len(decisions),
-                time=execute_at,
-                candidates=tuple(t.name for t in candidates),
+                len(decisions), execute_at, tuple([t.name for t in eligible])
             )
             chosen = strategy.choose(point)
-            thread = next(
-                (t for t in candidates if t.name == chosen), None
-            )
-            if thread is None:
+            if chosen not in point.candidates:
                 raise ScheduleError(
                     f"strategy chose {chosen!r}, not in the ready set "
                     f"{point.candidates} at decision {point.index}"
                 )
             decisions.append(chosen)
-            footprints.append(
-                self._step(thread, threads, runtime, trace, start_thread)
-            )
+            actions.append(self._step(threads[chosen], runtime, trace, start_thread))
 
         for t in threads.values():
             if t.status not in (ThreadStatus.DONE, ThreadStatus.CRASHED):
                 t.gen.close()
                 runtime.abort_thread_calls(t.name, "Unfinished")
-        trace.end_time = runtime.clock.now
+        trace.end_time = clock.now
         return ExecutionResult(
             trace=trace,
             steps=steps,
@@ -230,15 +229,14 @@ class Simulator:
                 seed=seed,
                 decisions=tuple(decisions),
             ),
-            footprints=tuple(footprints),
+            actions=tuple(actions),
         )
 
     # -- internals -------------------------------------------------------
 
-    def _step(self, thread, threads, runtime, trace, start_thread) -> frozenset:
-        """Advance one thread by one primitive action; returns the
-        decision's resource footprint (see
-        :func:`~repro.sim.program.action_footprint`)."""
+    def _step(self, thread, runtime, trace, start_thread) -> Optional[Action]:
+        """Advance one thread by one primitive action; returns the action
+        (``None`` when the thread finished or crashed instead)."""
         try:
             if thread.pending_action is not None:
                 action = thread.pending_action
@@ -250,10 +248,10 @@ class Simulator:
             thread.status = ThreadStatus.DONE
             runtime.release_all(thread.name)
             runtime.thread_finished(thread.name)
-            return action_footprint(None, thread.name)
+            return None
         except SimulatedError as exc:
             self._crash(thread, exc, runtime, trace)
-            return action_footprint(None, thread.name)
+            return None
 
         if isinstance(action, SpawnAction):
             start_thread(action.thread, action.method, action.args, thread.name)
@@ -267,8 +265,10 @@ class Simulator:
             thread.pending_send = result
             # The thread stays busy for the action's cost; its next
             # action executes no earlier than ready_at.
-            thread.ready_at = runtime.clock.now + action_cost(action)
-        return action_footprint(action, thread.name)
+            thread.ready_at = runtime.clock.now + (
+                action.ticks if isinstance(action, SleepAction) else 1
+            )
+        return action
 
     def _crash(self, thread, exc: SimulatedError, runtime, trace) -> None:
         thread.status = ThreadStatus.CRASHED

@@ -58,7 +58,8 @@ class MethodExecution:
     invocations of ``method`` by the same thread, in program order.  The
     paper maps repeated executions of the same statement to separate
     predicates by relative order of appearance (Section 4); occurrence
-    numbers are the simulator's realization of that.
+    numbers are the simulator's realization of that.  ``key`` is the
+    invocation's :class:`MethodKey`.
     """
 
     call_id: int
@@ -84,9 +85,12 @@ class MethodExecution:
     def failed(self) -> bool:
         return self.exception is not None
 
-    @property
-    def key(self) -> "MethodKey":
-        return MethodKey(self.method, self.thread, self.occurrence)
+    def __post_init__(self) -> None:
+        # ``key`` is built once per record and kept out of the fields,
+        # so ``asdict``, equality and hashing see the same fields.
+        object.__setattr__(
+            self, "key", MethodKey(self.method, self.thread, self.occurrence)
+        )
 
     def overlaps(self, other: "MethodExecution") -> bool:
         """Whether the two method windows overlap in virtual time."""
@@ -290,10 +294,10 @@ class ExecutionResult:
     trace: ExecutionTrace
     steps: int
     schedule: Optional[object] = None
-    #: per-decision resource footprints, parallel to
-    #: ``schedule.decisions`` — the independence information
-    #: :meth:`~repro.sim.schedule.Schedule.canonical_signature` consumes
-    footprints: tuple = ()
+    #: the action each decision executed, parallel to
+    #: ``schedule.decisions`` (``None`` where the chosen thread finished
+    #: or crashed instead)
+    actions: tuple = ()
 
     @property
     def failed(self) -> bool:
@@ -302,3 +306,16 @@ class ExecutionResult:
     @property
     def failure(self) -> Optional[FailureInfo]:
         return self.trace.failure
+
+    @property
+    def footprints(self) -> tuple:
+        """Per-decision resource footprints, parallel to
+        ``schedule.decisions`` — the independence information
+        :meth:`~repro.sim.schedule.Schedule.canonical_signature`
+        consumes.  Derived from ``actions`` on each read, so the
+        simulator's step loop never builds them."""
+        from .program import action_footprint  # program imports tracing
+
+        if self.schedule is None:
+            return ()
+        return tuple(map(action_footprint, self.actions, self.schedule.decisions))

@@ -50,6 +50,8 @@ from repro.obs import (
     summarize,
 )
 from repro.obs.runlog import RUN_LOG_SCHEMA_VERSION
+from repro.sim import Simulator
+from repro.workloads.common import REGISTRY
 
 
 def small_spec(**overrides) -> RunSpec:
@@ -318,6 +320,22 @@ class TestRunLog:
         obs, _, _ = logged_run
         replay = read_run_log(obs.log_path)
         assert replay.metrics == obs.final_snapshot()
+
+    def test_collection_steps_land_in_the_log(self, logged_run):
+        obs, _, _ = logged_run
+        replay = read_run_log(obs.log_path)
+        finished = replay.events.first("collection-finished")
+        simulator = Simulator(REGISTRY.build("network").program)
+        # the sweep runs consecutive seeds from 0 until both quotas fill
+        assert finished.executions >= 30
+        assert finished.sim_steps == sum(
+            simulator.run(seed).steps for seed in range(finished.executions)
+        )
+        gauges = replay.metrics["gauges"]
+        assert gauges["collection.executions"] == finished.executions
+        assert gauges["collection.sim_steps"] == finished.sim_steps
+        text = render_summary(summarize(replay))
+        assert "steps/s over the collection span" in text
 
     def test_future_schema_is_rejected(self, tmp_path):
         path = tmp_path / "future.jsonl"

@@ -175,7 +175,7 @@ class TestSelectors:
         )
         entry = ivs.entry_plan("M", "main", 0)
         exit_ = ivs.exit_plan("M", "main", 0)
-        assert entry.delays == 3 and entry.locks == ["Lk"]
-        assert exit_.delays == 4 and exit_.locks == ["Lk"]
+        assert entry.delays == 3 and entry.locks == ("Lk",)
+        assert exit_.delays == 4 and exit_.locks == ("Lk",)
         assert exit_.catch is not None
         assert not ivs.entry_plan("Other", "main", 0).locks

@@ -52,12 +52,9 @@ class Recorder:
         return self.inner.choose(point)
 
 
-def _run(program: Program, seed: int, interventions=(), max_steps=None):
+def _run(program: Program, seed: int, interventions=()):
     recorder = Recorder(seed)
-    sim = Simulator(program) if max_steps is None else Simulator(
-        program, max_steps=max_steps
-    )
-    result = sim.run(seed, interventions, strategy=recorder)
+    result = Simulator(program).run(seed, interventions, strategy=recorder)
     return result, recorder.points
 
 
@@ -65,8 +62,8 @@ def assert_wakes_at(points, decisions, thread: str, event_time: int) -> bool:
     """If ``thread`` was blocked when ``event_time`` passed, it is offered
     again exactly at the first scheduling point after it.
 
-    The programs below only run cost-1 actions, so a thread missing
-    from the candidates is blocked or finished, never merely busy.
+    The threads checked below run only cost-1 actions, so while one is
+    missing from the candidates it is blocked or finished, never busy.
     Returns False when this seed has nothing to check: ``thread`` was
     still being offered up to the event, or had already finished.
     """
@@ -248,6 +245,17 @@ def _spin_program() -> Program:
                    shared={"x": 0})
 
 
+#: seeds 0-5 of the inversion program: t1 and t2 hold one lock each,
+#: and main, blocked on its first join, is the first blocked thread in
+#: spawn order
+DEADLOCKS = [
+    FailureInfo(mode="deadlock", exception=None, method="Main",
+                thread="main", time=time)
+    for time in (15, 17, 16, 16, 16, 16)
+]
+HANG_TIME = 101
+
+
 class TestFailureInfo:
     def test_deadlock(self):
         failures = [
@@ -263,12 +271,3 @@ class TestFailureInfo:
             mode="hang", exception=None, method=None, thread=None, time=HANG_TIME
         )
 
-
-#: the reports for seeds 0-5: main, blocked on
-#: its first join, is the first blocked thread in spawn order
-DEADLOCKS = [
-    FailureInfo(mode="deadlock", exception=None, method="Main",
-                thread="main", time=time)
-    for time in (15, 17, 16, 16, 16, 16)
-]
-HANG_TIME = 101

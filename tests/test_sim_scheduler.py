@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, asdict, fields
+
 import pytest
 
 from repro.sim import (
     DEFAULT_MAX_STEPS,
+    DelayBefore,
+    InterventionSet,
+    MethodKey,
+    MethodSelector,
     Program,
+    SchedulePoint,
     Simulator,
     run_program,
 )
+from repro.sim.faults import NO_ENTRY_PLAN, NO_EXIT_PLAN
+from repro.sim.program import action_footprint
+from repro.sim.runtime import Runtime
+from repro.sim.tracing import ExecutionTrace
+from repro.workloads.common import REGISTRY
 
 
 def _linear_program(body):
@@ -238,3 +250,83 @@ class TestThreadLifecycle:
 
     def test_default_step_budget_is_generous(self):
         assert DEFAULT_MAX_STEPS >= 10_000
+
+
+class TestStepRecords:
+    """The step loop records actions; footprints are derived on read."""
+
+    @pytest.mark.parametrize("workload", ["npgsql", "kafka", "cosmosdb"])
+    def test_footprints_derive_from_recorded_actions(self, workload):
+        program = REGISTRY.build(workload).program
+        for seed in range(10):
+            result = Simulator(program).run(seed)
+            decisions = result.schedule.decisions
+            assert len(result.actions) == len(decisions) == result.steps
+            assert result.footprints == tuple(
+                action_footprint(action, thread)
+                for action, thread in zip(result.actions, decisions)
+            )
+
+    def test_finishing_and_crashing_steps_record_no_action(self):
+        def main(ctx):
+            yield from ctx.spawn("w", "Worker")
+            yield from ctx.join("w")
+
+        def worker(ctx):
+            yield from ctx.work(2)
+            ctx.throw("Boom")
+
+        program = Program(
+            name="ends", methods={"Main": main, "Worker": worker}, main="Main"
+        )
+        result = run_program(program, 0)
+        ends = [
+            thread
+            for action, thread in zip(result.actions, result.schedule.decisions)
+            if action is None
+        ]
+        assert sorted(ends) == ["main", "w"]  # one finish, one crash
+
+    def test_schedule_point_is_a_keyword_constructible_tuple(self):
+        point = SchedulePoint(index=3, time=7, candidates=("a", "b"))
+        assert (point.index, point.time, point.candidates) == (3, 7, ("a", "b"))
+        assert point == SchedulePoint(3, 7, ("a", "b"))
+        with pytest.raises(AttributeError):
+            point.index = 4
+
+    def test_unnamed_methods_share_the_empty_plans(self):
+        ivs = InterventionSet((DelayBefore(MethodSelector("M"), ticks=2),))
+        for plans in (InterventionSet(), ivs):
+            assert plans.entry_plan("Other", "main", 0) is NO_ENTRY_PLAN
+            assert plans.exit_plan("Other", "main", 0) is NO_EXIT_PLAN
+        assert ivs.entry_plan("M", "main", 0).delays == 2
+        with pytest.raises(FrozenInstanceError):
+            NO_ENTRY_PLAN.delays = 1
+
+    def test_method_key_is_built_once_and_is_not_a_field(self):
+        trace = run_program(
+            REGISTRY.build("network").program, 0
+        ).trace
+        m = trace.method_executions()[0]
+        assert m.key is m.key
+        assert m.key == MethodKey(m.method, m.thread, m.occurrence)
+        assert "key" not in {f.name for f in fields(m)}
+        assert "key" not in asdict(m)
+
+
+class TestCompletedIndex:
+    def test_is_completed_checks_only_that_methods_calls(self):
+        program = _linear_program(lambda ctx: iter(()))
+        runtime = Runtime(program, InterventionSet(), 0, ExecutionTrace("p", 0))
+        runtime.register_thread("main", spawned_by=None)
+        for method in ("A", "A", "A", "B"):
+            call_id = runtime.begin_method("main", method)
+            runtime.wake = False
+            runtime.end_method("main", call_id, None, None)
+            assert runtime.wake  # a completed call may clear a ForceOrder wait
+        assert [m.occurrence for m in runtime.completed["A"]] == [0, 1, 2]
+        assert runtime.is_completed(MethodSelector("A", occurrence=2))
+        assert not runtime.is_completed(MethodSelector("A", occurrence=3))
+        assert runtime.is_completed(MethodSelector("B", thread="main"))
+        assert not runtime.is_completed(MethodSelector("B", thread="other"))
+        assert not runtime.is_completed(MethodSelector("C"))

@@ -109,15 +109,13 @@ def collect(
     is far from the intended ~10-50% band.
     """
     corpus = LabeledCorpus()
-    attempts = 0
     for result in sweep(
         program,
         start_seed=start_seed,
         max_steps=max_steps,
         strategy_factory=strategy_factory,
     ):
-        attempts += 1
-        corpus.executions = attempts
+        corpus.executions += 1
         corpus.sim_steps += result.steps
         trace = result.trace
         if trace.failed and len(corpus.failures) < n_fail:
@@ -126,9 +124,9 @@ def collect(
             corpus.successes.append(trace)
         if len(corpus.failures) >= n_fail and len(corpus.successes) >= n_success:
             return corpus
-        if attempts >= max_attempts:
+        if corpus.executions >= max_attempts:
             raise CollectionError(
-                f"{program.name}: after {attempts} executions got "
+                f"{program.name}: after {corpus.executions} executions got "
                 f"{len(corpus.successes)} successes and "
                 f"{len(corpus.failures)} failures "
                 f"(wanted {n_success}/{n_fail})"

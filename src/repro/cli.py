@@ -511,7 +511,10 @@ def _cmd_corpus_ingest(args: argparse.Namespace) -> int:
                 raise SystemExit(
                     f"repro: corpus: {path} is not a trace file: {exc}"
                 )
-            fp, was_added = store.ingest_payload(payload)
+            try:
+                fp, was_added = store.ingest_payload(payload)
+            except CorpusError as exc:
+                raise CorpusError(f"{path}: {exc}") from exc
             tag = "added" if was_added else "duplicate"
             print(f"  {fp}  {tag}  {path}")
             added += was_added

@@ -258,14 +258,18 @@ def race_candidates(trace) -> set[tuple[MethodKey, MethodKey, str]]:
     :func:`~repro.core.predicates.racy_window` fires.
     """
     candidates: set[tuple[MethodKey, MethodKey, str]] = set()
+    # Start-sorted sweep: once a later call starts at or after ``ma``
+    # ends, no call after it can overlap ``ma`` either.
     execs = trace.method_executions()
+    objs = [{a.obj for a in m.accesses} for m in execs]
     for i, ma in enumerate(execs):
-        a_objs = {a.obj for a in ma.accesses}
-        for mb in execs[i + 1:]:
+        for j in range(i + 1, len(execs)):
+            mb = execs[j]
+            if mb.start_time >= ma.end_time:
+                break
             if ma.thread == mb.thread or not ma.overlaps(mb):
                 continue
-            shared = a_objs & {a.obj for a in mb.accesses}
-            for obj in shared:
+            for obj in objs[i] & objs[j]:
                 if racy_window(ma, mb, obj) is not None:
                     pair = tuple(sorted([ma.key, mb.key]))
                     candidates.add((pair[0], pair[1], obj))

@@ -134,6 +134,10 @@ class PredicateDef:
             return cached
 
         def value_of(value: object) -> object:
+            if isinstance(value, MethodKey):
+                # A tuple, but digested by repr as when it was a
+                # dataclass: stored matrices key on these digests.
+                return repr(value)
             if isinstance(value, PredicateDef):
                 return value.definition_digest()  # compound parts, recursively
             if isinstance(value, (tuple, list)):
@@ -260,8 +264,7 @@ def racy_window(
             if intrusion.locks_held & (first.locks_held | last.locks_held):
                 continue
             candidate = Observation(
-                first.time, intrusion.time,
-                start_lamport=first.lamport, end_lamport=intrusion.lamport,
+                first.time, intrusion.time, first.lamport, intrusion.lamport
             )
             if best is None or candidate.start < best.start:
                 best = candidate
@@ -298,8 +301,7 @@ class MethodFailsPredicate(PredicateDef):
         if m is None or m.exception != self.exc_kind:
             return None
         return Observation(
-            m.end_time, m.end_time,
-            start_lamport=m.end_lamport, end_lamport=m.end_lamport,
+            m.end_time, m.end_time, m.end_lamport, m.end_lamport
         )
 
     def interventions(self) -> tuple[Intervention, ...]:
@@ -353,7 +355,7 @@ class TooSlowPredicate(PredicateDef):
         # point precedes the order violations it provokes.
         return Observation(
             m.start_time + self.threshold, m.end_time,
-            start_lamport=m.start_lamport, end_lamport=m.end_lamport,
+            m.start_lamport, m.end_lamport,
         )
 
     def interventions(self) -> tuple[Intervention, ...]:
@@ -403,8 +405,7 @@ class TooFastPredicate(PredicateDef):
         if m is None or m.duration >= self.threshold:
             return None
         return Observation(
-            m.start_time, m.end_time,
-            start_lamport=m.start_lamport, end_lamport=m.end_lamport,
+            m.start_time, m.end_time, m.start_lamport, m.end_lamport
         )
 
     def interventions(self) -> tuple[Intervention, ...]:
@@ -450,8 +451,7 @@ class WrongReturnPredicate(PredicateDef):
         if m.return_value == self.correct_value:
             return None
         return Observation(
-            m.end_time, m.end_time,
-            start_lamport=m.end_lamport, end_lamport=m.end_lamport,
+            m.end_time, m.end_time, m.end_lamport, m.end_lamport
         )
 
     def interventions(self) -> tuple[Intervention, ...]:
@@ -506,8 +506,7 @@ class OrderViolationPredicate(PredicateDef):
             return None
         return Observation(
             ms.start_time, min(mf.end_time, ms.end_time),
-            start_lamport=ms.start_lamport,
-            end_lamport=min(mf.end_lamport, ms.end_lamport),
+            ms.start_lamport, min(mf.end_lamport, ms.end_lamport),
         )
 
     def interventions(self) -> tuple[Intervention, ...]:
@@ -555,8 +554,7 @@ class ExecutedPredicate(PredicateDef):
         if m is None or m.body_skipped:
             return None
         return Observation(
-            m.start_time, m.end_time,
-            start_lamport=m.start_lamport, end_lamport=m.end_lamport,
+            m.start_time, m.end_time, m.start_lamport, m.end_lamport
         )
 
     def interventions(self) -> tuple[Intervention, ...]:

@@ -666,7 +666,9 @@ class ShardedEvalMatrix:
 
         Each task returns only its shard's SD ``counters``; no per-trace
         log leaves the worker — the matrix carries the same information,
-        and :meth:`reconstruct_log` rebuilds any log from it for free.
+        and :meth:`reconstruct_log` rebuilds any log from it without a
+        trace load (it still walks the suite and decodes the stored
+        observations, so it is not free).
         A shard whose every pair is already decided is answered from
         popcounts alone (:meth:`EvalMatrix.answer_from_memo`): no trace
         load, no per-trace log.  In any other shard only the traces with

@@ -62,9 +62,12 @@ The pipeline keeps no per-log list: :attr:`IncrementalPipeline.logs`
 is a view rebuilt from the store manifest and the matrix on access.
 
 Persistence: ``save`` writes the dirty store manifests and the dirty
-per-shard matrix files (plus its index); nothing else is persisted —
-the DAG and counters rebuild from the matrix for free on the next
-bootstrap.
+per-shard matrix files (plus its index); nothing else is persisted.
+The next bootstrap rebuilds the counters and the DAG from the matrix
+without loading or evaluating a trace, but not for free: on a
+1000-trace kafka corpus a warm analyze spends ~0.10 s in
+``ACDag.build`` and most of the rest rebuilding the failed logs from
+the bitsets and parsing the shard matrix files.
 """
 
 from __future__ import annotations

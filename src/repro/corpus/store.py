@@ -75,6 +75,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 from ..harness.runner import LabeledCorpus
 from ..sim.serialize import (
     ImportedTrace,
+    TraceFormatError,
     stable_digest,
     trace_from_dict,
     trace_to_dict,
@@ -426,7 +427,10 @@ class TraceStore:
         """Add one already-serialized trace payload; returns ``(fp, added)``."""
         # Validate eagerly — a malformed payload must fail on ingest, not
         # years later mid-analysis.  Also checks the schema version.
-        trace = trace_from_dict(payload)
+        try:
+            trace = trace_from_dict(payload)
+        except TraceFormatError as exc:
+            raise CorpusError(f"cannot ingest: {exc}") from exc
         if self._program is None:
             self._program = trace.program_name
         elif trace.program_name != self._program:
@@ -489,9 +493,10 @@ class TraceStore:
         path = self.trace_path(fingerprint)
         if not path.exists():
             raise CorpusError(f"manifest lists {fingerprint} but {path} is gone")
-        return trace_from_dict(
-            json.loads(path.read_text()), fingerprint=fingerprint
-        )
+        try:
+            return trace_from_dict(_read_json(path), fingerprint=fingerprint)
+        except TraceFormatError as exc:
+            raise CorpusError(f"{path}: {exc}") from exc
 
     def traces(self, label: Optional[str] = None) -> Iterator[ImportedTrace]:
         """All stored traces (optionally one label), fingerprint order."""

@@ -45,6 +45,7 @@ from .schedule import (
 from .scheduler import DEFAULT_MAX_STEPS, Simulator, run_program
 from .serialize import (
     ImportedTrace,
+    TraceFormatError,
     trace_from_dict,
     trace_from_json,
     trace_to_dict,
@@ -95,6 +96,7 @@ __all__ = [
     "Simulator",
     "SimulatedError",
     "SimulationFault",
+    "TraceFormatError",
     "UnknownMethodError",
     "VirtualClock",
     "run_program",

@@ -233,14 +233,8 @@ class Runtime:
         call_id, method = frames[-1]
         self.trace.record_access(
             Access(
-                obj=var,
-                access_type=access_type,
-                thread=thread,
-                method=method,
-                call_id=call_id,
-                time=self.clock.now,
-                lamport=lamport,
-                locks_held=frozenset(self.locks_held[thread]),
+                var, access_type, thread, method, call_id,
+                self.clock.now, lamport, frozenset(self.locks_held[thread]),
             )
         )
 

@@ -22,6 +22,9 @@ from .tracing import (
     FailureInfo,
     MethodExecution,
     MethodKey,
+    TraceReader,
+    _TraceIndex,
+    method_execution,
 )
 
 SCHEMA_VERSION = 1
@@ -112,7 +115,7 @@ def trace_fingerprint(trace: ExecutionTrace) -> str:
     return stable_digest(trace_to_dict(trace))
 
 
-class ImportedTrace:
+class ImportedTrace(TraceReader):
     """A deserialized trace, API-compatible with :class:`ExecutionTrace`
     for everything the core pipeline reads."""
 
@@ -131,96 +134,116 @@ class ImportedTrace:
         self.failure = failure
         #: Content address when loaded from a corpus store (else ``None``).
         self.fingerprint = fingerprint
-        self._calls = sorted(calls, key=lambda m: (m.start_time, m.call_id))
-        self._by_key = {m.key: m for m in self._calls}
-        self._by_method: dict[str, list[MethodExecution]] = {}
-        for m in self._calls:
-            self._by_method.setdefault(m.method, []).append(m)
+        self._index = _TraceIndex(calls)
 
-    @property
-    def failed(self) -> bool:
-        return self.failure is not None
 
-    def method_executions(self) -> list[MethodExecution]:
-        return list(self._calls)
+class TraceFormatError(ValueError):
+    """A payload that does not follow the :func:`trace_to_dict` schema:
+    a wrong schema version, a missing key or a wrong-typed field."""
 
-    def executions_of(self, method: str):
-        return iter(self._by_method.get(method, ()))
 
-    def executions_by_key(self):
-        """Calls keyed by :class:`MethodKey` — the imported counterpart
-        of :meth:`ExecutionTrace.executions_by_key` (read-only)."""
-        return self._by_key
-
-    def lookup(self, key: MethodKey) -> Optional[MethodExecution]:
-        return self._by_key.get(key)
-
-    def accesses(self):
-        for m in self._calls:
-            yield from m.accesses
-
-    def objects_accessed(self) -> set[str]:
-        return {a.obj for a in self.accesses()}
+_ACCESS_TYPES = {t.value: t for t in AccessType}
 
 
 def trace_from_dict(
     payload: dict, fingerprint: Optional[str] = None
 ) -> ImportedTrace:
-    """Rebuild a trace from :func:`trace_to_dict` output."""
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported trace schema {payload.get('schema')!r} "
-            f"(expected {SCHEMA_VERSION})"
+    """Rebuild a trace from :func:`trace_to_dict` output.
+
+    A malformed payload raises :class:`TraceFormatError` instead of a
+    bare ``KeyError``/``TypeError``, and a field of the wrong type is
+    refused rather than decoded into a record that answers wrongly.
+    """
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != SCHEMA_VERSION:
+        raise TraceFormatError(
+            f"unsupported trace schema {schema!r} (expected {SCHEMA_VERSION})"
         )
-    failure = None
-    if payload["failure"] is not None:
+    try:
+        failure = None
         f = payload["failure"]
-        failure = FailureInfo(
-            mode=f["mode"],
-            exception=f["exception"],
-            method=f["method"],
-            thread=f["thread"],
-            time=f["time"],
-        )
-    calls = []
-    for c in payload["calls"]:
-        accesses = tuple(
-            Access(
-                obj=a["obj"],
-                access_type=AccessType(a["type"]),
-                thread=c["thread"],
-                method=c["method"],
-                call_id=c["call_id"],
-                time=a["time"],
-                lamport=a["lamport"],
-                locks_held=frozenset(a["locks"]),
+        if f is not None:
+            failure = FailureInfo(
+                mode=f["mode"],
+                exception=f["exception"],
+                method=f["method"],
+                thread=f["thread"],
+                time=f["time"],
             )
-            for a in c["accesses"]
-        )
-        calls.append(
-            MethodExecution(
-                call_id=c["call_id"],
-                method=c["method"],
-                thread=c["thread"],
-                occurrence=c["occurrence"],
-                start_time=c["start_time"],
-                end_time=c["end_time"],
-                start_lamport=c["start_lamport"],
-                end_lamport=c["end_lamport"],
-                parent_call_id=c["parent_call_id"],
-                return_value=c["return_value"],
-                exception=c["exception"],
-                accesses=accesses,
-                body_skipped=c["body_skipped"],
+            if not (
+                type(failure.mode) is str
+                and type(failure.time) is int
+                and all(
+                    v is None or type(v) is str
+                    for v in (failure.exception, failure.method, failure.thread)
+                )
+            ):
+                raise TypeError("the failure record has a wrong-typed field")
+        calls = []
+        for c in payload["calls"]:
+            call_id = c["call_id"]
+            method = c["method"]
+            thread = c["thread"]
+            accesses = tuple(
+                Access(
+                    a["obj"], _ACCESS_TYPES.get(a["type"]),
+                    thread, method, call_id,
+                    a["time"], a["lamport"], _lockset(a["locks"]),
+                )
+                for a in c["accesses"]
             )
+            record = method_execution(
+                call_id, method, thread, c["occurrence"],
+                c["start_time"], c["end_time"],
+                c["start_lamport"], c["end_lamport"],
+                c["parent_call_id"], c["return_value"], c["exception"],
+                accesses, c["body_skipped"],
+            )
+            if not _well_typed(record):
+                raise TypeError(f"call #{len(calls)} has a wrong-typed field")
+            calls.append(record)
+        program = payload["program"]
+        seed = payload["seed"]
+        end_time = payload["end_time"]
+        if not (
+            type(program) is str and type(seed) is int and type(end_time) is int
+        ):
+            raise TypeError("program, seed or end_time has the wrong type")
+    except KeyError as exc:
+        raise TraceFormatError(f"trace lacks the {exc} key") from exc
+    except (AttributeError, TypeError) as exc:
+        raise TraceFormatError(f"malformed trace: {exc}") from exc
+    return ImportedTrace(program, seed, end_time, failure, calls, fingerprint)
+
+
+def _lockset(locks: list) -> frozenset:
+    if type(locks) is not list:
+        raise TypeError(f"locks must be a list, not {type(locks).__name__}")
+    return frozenset(locks)
+
+
+def _well_typed(m: MethodExecution) -> bool:
+    """Whether a decoded record's fields have the types the simulator
+    writes (``type(...) is int`` also refuses JSON booleans)."""
+    return (
+        type(m.call_id) is int
+        and type(m.occurrence) is int
+        and type(m.start_time) is int
+        and type(m.end_time) is int
+        and type(m.start_lamport) is int
+        and type(m.end_lamport) is int
+        and type(m.method) is str
+        and type(m.thread) is str
+        and (m.parent_call_id is None or type(m.parent_call_id) is int)
+        and (m.exception is None or type(m.exception) is str)
+        and type(m.body_skipped) is bool
+        and all(
+            type(a.obj) is str
+            and a.access_type is not None
+            and type(a.time) is int
+            and type(a.lamport) is int
+            for a in m.accesses
         )
-    return ImportedTrace(
-        program_name=payload["program"],
-        seed=payload["seed"],
-        end_time=payload["end_time"],
-        failure=failure,
-        calls=calls,
-        fingerprint=fingerprint,
     )
 
 

@@ -8,7 +8,11 @@ This module defines exactly that schema for the simulator.
 
 A trace is append-only during execution and post-processed once into
 :class:`MethodExecution` records (the "method execution signature list"
-of Figure 9b) by :meth:`ExecutionTrace.method_executions`.
+of Figure 9b) by :meth:`ExecutionTrace.method_executions`.  The records
+(:class:`Access`, :class:`MethodExecution`, :class:`MethodKey`) are
+``NamedTuple`` classes: the simulator builds one per traced call and the
+decoder one per stored call, and a tuple is the cheapest immutable
+record to build and to hash.
 
 Reading is index-backed: the first read after a write builds one cached
 index (start-time order, by-key map, by-method map) that every
@@ -24,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 
 class AccessType(str, Enum):
@@ -32,8 +36,7 @@ class AccessType(str, Enum):
     WRITE = "W"
 
 
-@dataclass(frozen=True)
-class Access:
+class Access(NamedTuple):
     """One read or write of a shared object."""
 
     obj: str
@@ -50,8 +53,18 @@ class Access:
         return self.access_type is AccessType.WRITE
 
 
-@dataclass(frozen=True)
-class MethodExecution:
+class MethodKey(NamedTuple):
+    """Stable cross-execution identity of a method invocation."""
+
+    method: str
+    thread: str
+    occurrence: int
+
+    def __str__(self) -> str:
+        return f"{self.thread}:{self.method}#{self.occurrence}"
+
+
+class MethodExecution(NamedTuple):
     """One completed (or crashed) invocation of a simulated method.
 
     ``occurrence`` is the 0-based index of this invocation among all
@@ -59,7 +72,9 @@ class MethodExecution:
     paper maps repeated executions of the same statement to separate
     predicates by relative order of appearance (Section 4); occurrence
     numbers are the simulator's realization of that.  ``key`` is the
-    invocation's :class:`MethodKey`.
+    invocation's :class:`MethodKey`, a trailing field derived from
+    ``(method, thread, occurrence)``: build records with
+    :func:`method_execution`, which fills it in once.
     """
 
     call_id: int
@@ -73,9 +88,10 @@ class MethodExecution:
     parent_call_id: Optional[int]
     return_value: object
     exception: Optional[str]
-    accesses: tuple[Access, ...] = ()
+    accesses: tuple[Access, ...]
     #: True when a skip-body intervention replaced the method's body.
-    body_skipped: bool = False
+    body_skipped: bool
+    key: MethodKey
 
     @property
     def duration(self) -> int:
@@ -85,28 +101,45 @@ class MethodExecution:
     def failed(self) -> bool:
         return self.exception is not None
 
-    def __post_init__(self) -> None:
-        # ``key`` is built once per record and kept out of the fields,
-        # so ``asdict``, equality and hashing see the same fields.
-        object.__setattr__(
-            self, "key", MethodKey(self.method, self.thread, self.occurrence)
-        )
-
     def overlaps(self, other: "MethodExecution") -> bool:
         """Whether the two method windows overlap in virtual time."""
         return self.start_time < other.end_time and other.start_time < self.end_time
 
 
-@dataclass(frozen=True, order=True)
-class MethodKey:
-    """Stable cross-execution identity of a method invocation."""
+_tuple_new = tuple.__new__
 
-    method: str
-    thread: str
-    occurrence: int
 
-    def __str__(self) -> str:
-        return f"{self.thread}:{self.method}#{self.occurrence}"
+def method_execution(
+    call_id: int,
+    method: str,
+    thread: str,
+    occurrence: int,
+    start_time: int,
+    end_time: int,
+    start_lamport: int,
+    end_lamport: int,
+    parent_call_id: Optional[int],
+    return_value: object,
+    exception: Optional[str],
+    accesses: tuple[Access, ...],
+    body_skipped: bool,
+) -> MethodExecution:
+    """A :class:`MethodExecution` with its ``key`` filled in.
+
+    The one constructor the simulator and the trace decoder share.  It
+    skips the generated ``__new__``: records are built once per traced
+    call, on the hot path of both.
+    """
+    key = _tuple_new(MethodKey, (method, thread, occurrence))
+    return _tuple_new(
+        MethodExecution,
+        (
+            call_id, method, thread, occurrence,
+            start_time, end_time, start_lamport, end_lamport,
+            parent_call_id, return_value, exception, accesses, body_skipped,
+            key,
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -137,8 +170,9 @@ class FailureInfo:
 class _TraceIndex:
     """Derived read structures over a trace's completed calls.
 
-    Built lazily on first read, thrown away on the next write (a
-    completed call), so readers never observe a stale view.
+    A live trace builds it lazily on first read and throws it away on
+    the next write (a completed call), so readers never observe a stale
+    view.
     """
 
     __slots__ = ("ordered", "by_key", "by_method")
@@ -152,93 +186,16 @@ class _TraceIndex:
             self.by_method.setdefault(m.method, []).append(m)
 
 
-class ExecutionTrace:
-    """Raw event log of one simulated execution."""
+class TraceReader:
+    """The read API every trace offers, answered from one
+    :class:`_TraceIndex`: the simulator's :class:`ExecutionTrace`
+    builds it lazily from its completed calls, and a decoded trace
+    (:class:`repro.sim.serialize.ImportedTrace`) builds it once up front.
+    """
 
-    def __init__(self, program_name: str, seed: int) -> None:
-        self.program_name = program_name
-        self.seed = seed
-        self._call_ids = itertools.count()
-        self._open_calls: dict[int, dict] = {}
-        self._occurrences: dict[tuple[str, str], int] = {}
-        self._completed: list[MethodExecution] = []
-        self._accesses_by_call: dict[int, list[Access]] = {}
-        self._index: Optional[_TraceIndex] = None
-        self.failure: Optional[FailureInfo] = None
-        self.end_time: int = 0
-
-    # -- recording -----------------------------------------------------
-
-    def begin_call(
-        self,
-        method: str,
-        thread: str,
-        time: int,
-        lamport: int,
-        parent_call_id: Optional[int],
-    ) -> int:
-        call_id = next(self._call_ids)
-        occurrence = self._occurrences.get((thread, method), 0)
-        self._occurrences[(thread, method)] = occurrence + 1
-        self._open_calls[call_id] = {
-            "method": method,
-            "thread": thread,
-            "occurrence": occurrence,
-            "start_time": time,
-            "start_lamport": lamport,
-            "parent": parent_call_id,
-        }
-        self._accesses_by_call[call_id] = []
-        return call_id
-
-    def peek_occurrence(self, thread: str, method: str) -> int:
-        """The occurrence index the *next* call of ``method`` will get."""
-        return self._occurrences.get((thread, method), 0)
-
-    def end_call(
-        self,
-        call_id: int,
-        time: int,
-        lamport: int,
-        return_value: object,
-        exception: Optional[str],
-        body_skipped: bool = False,
-    ) -> MethodExecution:
-        info = self._open_calls.pop(call_id)
-        record = MethodExecution(
-            call_id=call_id,
-            method=info["method"],
-            thread=info["thread"],
-            occurrence=info["occurrence"],
-            start_time=info["start_time"],
-            end_time=time,
-            start_lamport=info["start_lamport"],
-            end_lamport=lamport,
-            parent_call_id=info["parent"],
-            return_value=return_value,
-            exception=exception,
-            accesses=tuple(self._accesses_by_call.pop(call_id)),
-            body_skipped=body_skipped,
-        )
-        self._completed.append(record)
-        self._index = None  # write-invalidate the read index
-        return record
-
-    def record_access(self, access: Access) -> None:
-        if access.call_id in self._accesses_by_call:
-            self._accesses_by_call[access.call_id].append(access)
-
-    def abort_open_calls(self, time: int, lamport: int, exception: str) -> None:
-        """Close any still-open frames when a thread dies abruptly."""
-        for call_id in sorted(self._open_calls, reverse=True):
-            self.end_call(call_id, time, lamport, None, exception)
-
-    def record_failure(self, failure: FailureInfo) -> None:
-        # Keep the earliest failure; a crash may cascade.
-        if self.failure is None:
-            self.failure = failure
-
-    # -- reading -------------------------------------------------------
+    failure: Optional[FailureInfo]
+    _index: Optional[_TraceIndex]
+    _completed: list[MethodExecution]
 
     @property
     def failed(self) -> bool:
@@ -273,6 +230,81 @@ class ExecutionTrace:
 
     def objects_accessed(self) -> set[str]:
         return {a.obj for a in self.accesses()}
+
+
+class ExecutionTrace(TraceReader):
+    """Raw event log of one simulated execution."""
+
+    def __init__(self, program_name: str, seed: int) -> None:
+        self.program_name = program_name
+        self.seed = seed
+        self._call_ids = itertools.count()
+        #: call id -> (method, thread, occurrence, start time, start
+        #: Lamport stamp, parent call id, accesses so far)
+        self._open_calls: dict[int, tuple] = {}
+        self._occurrences: dict[tuple[str, str], int] = {}
+        self._completed: list[MethodExecution] = []
+        self._index: Optional[_TraceIndex] = None
+        self.failure: Optional[FailureInfo] = None
+        self.end_time: int = 0
+
+    # -- recording -----------------------------------------------------
+
+    def begin_call(
+        self,
+        method: str,
+        thread: str,
+        time: int,
+        lamport: int,
+        parent_call_id: Optional[int],
+    ) -> int:
+        call_id = next(self._call_ids)
+        occurrence = self._occurrences.get((thread, method), 0)
+        self._occurrences[(thread, method)] = occurrence + 1
+        self._open_calls[call_id] = (
+            method, thread, occurrence, time, lamport, parent_call_id, []
+        )
+        return call_id
+
+    def peek_occurrence(self, thread: str, method: str) -> int:
+        """The occurrence index the *next* call of ``method`` will get."""
+        return self._occurrences.get((thread, method), 0)
+
+    def end_call(
+        self,
+        call_id: int,
+        time: int,
+        lamport: int,
+        return_value: object,
+        exception: Optional[str],
+        body_skipped: bool = False,
+    ) -> MethodExecution:
+        method, thread, occurrence, start, start_lamport, parent, accesses = (
+            self._open_calls.pop(call_id)
+        )
+        record = method_execution(
+            call_id, method, thread, occurrence,
+            start, time, start_lamport, lamport,
+            parent, return_value, exception, tuple(accesses), body_skipped,
+        )
+        self._completed.append(record)
+        self._index = None  # write-invalidate the read index
+        return record
+
+    def record_access(self, access: Access) -> None:
+        frame = self._open_calls.get(access.call_id)
+        if frame is not None:
+            frame[6].append(access)
+
+    def abort_open_calls(self, time: int, lamport: int, exception: str) -> None:
+        """Close any still-open frames when a thread dies abruptly."""
+        for call_id in sorted(self._open_calls, reverse=True):
+            self.end_call(call_id, time, lamport, None, exception)
+
+    def record_failure(self, failure: FailureInfo) -> None:
+        # Keep the earliest failure; a crash may cascade.
+        if self.failure is None:
+            self.failure = failure
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         status = f"FAILED({self.failure.signature})" if self.failed else "ok"

@@ -4,6 +4,7 @@ corpus sessions, and the ``repro corpus`` CLI."""
 from __future__ import annotations
 
 import json
+import random
 import re
 
 import pytest
@@ -23,14 +24,17 @@ from repro.exec.cache import RunRequest
 from repro.harness.runner import collect
 from repro.harness.session import AIDSession, SessionConfig
 from repro.sim.serialize import (
+    TraceFormatError,
     stable_digest,
     trace_fingerprint,
+    trace_from_dict,
     trace_from_json,
     trace_to_json,
 )
 from repro.sim.tracing import MethodKey
 
 from conftest import rescan_stats, stats_tuples
+from gen import make_payload
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +125,87 @@ class TestTraceStore:
         payload["program"] = "some-other-program"
         with pytest.raises(CorpusError, match="some-other-program"):
             store.ingest_payload(payload)
+
+
+
+def _gen_payload() -> dict:
+    """A ``tests/gen.py`` trace with a failure and a call that has
+    an access, so every corruption below has a field to hit."""
+    rng = random.Random(7)
+    while True:
+        payload = make_payload(rng, seed=1, failed=True)
+        if any(c["accesses"] for c in payload["calls"]):
+            return payload
+
+
+def _first_access(payload: dict) -> dict:
+    return next(c for c in payload["calls"] if c["accesses"])["accesses"][0]
+
+
+#: One corruption per case: a missing key or a wrong-typed field at
+#: every level of the schema (trace, failure, call, access).
+CORRUPTIONS = {
+    "no-calls": lambda p: p.pop("calls"),
+    "calls-not-a-list": lambda p: p.update(calls=5),
+    "no-end-time": lambda p: p["calls"][0].pop("end_time"),
+    "string-start-time": lambda p: p["calls"][0].update(start_time="5"),
+    "bool-occurrence": lambda p: p["calls"][0].update(occurrence=True),
+    "list-method": lambda p: p["calls"][0].update(method=["m"]),
+    "null-accesses": lambda p: p["calls"][0].update(accesses=None),
+    "call-is-a-list": lambda p: p["calls"].append([1, 2]),
+    "string-locks": lambda p: _first_access(p).update(locks="L0"),
+    "unknown-access-type": lambda p: _first_access(p).update(type="X"),
+    "float-access-time": lambda p: _first_access(p).update(time=1.5),
+    "failure-without-mode": lambda p: p["failure"].pop("mode"),
+    "int-failure-thread": lambda p: p["failure"].update(thread=3),
+    "string-seed": lambda p: p.update(seed="1"),
+}
+
+
+class TestMalformedTraces:
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_decode_raises_a_format_error(self, case):
+        payload = _gen_payload()
+        CORRUPTIONS[case](payload)
+        with pytest.raises(TraceFormatError):
+            trace_from_dict(payload)
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_load_names_the_file(self, tmp_path, case):
+        store = TraceStore.init(tmp_path / "c", program="gen")
+        fp, _ = store.ingest_payload(_gen_payload())
+        path = store.trace_path(fp)
+        payload = json.loads(path.read_text())
+        CORRUPTIONS[case](payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorpusError, match=re.escape(str(path))):
+            store.load(fp)
+
+    def test_invalid_json_names_the_file(self, tmp_path):
+        store = TraceStore.init(tmp_path / "c", program="gen")
+        fp, _ = store.ingest_payload(_gen_payload())
+        path = store.trace_path(fp)
+        path.write_text(path.read_text()[:-7])
+        with pytest.raises(CorpusError, match=re.escape(str(path))):
+            store.load(fp)
+
+    def test_ingest_refuses_a_malformed_payload(self, tmp_path):
+        store = TraceStore.init(tmp_path / "c", program="gen")
+        payload = _gen_payload()
+        CORRUPTIONS["string-start-time"](payload)
+        with pytest.raises(CorpusError, match="cannot ingest"):
+            store.ingest_payload(payload)
+        assert len(store) == 0
+
+    def test_cli_ingest_names_the_file(self, tmp_path):
+        corpus_dir = str(tmp_path / "c")
+        assert main(["corpus", "init", corpus_dir]) == 0
+        bad = tmp_path / "bad.json"
+        payload = _gen_payload()
+        CORRUPTIONS["no-end-time"](payload)
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit, match=re.escape(f"{bad}: cannot ingest")):
+            main(["corpus", "ingest", corpus_dir, str(bad)])
 
 
 class TestEvalMatrix:

@@ -20,6 +20,7 @@ from repro.core.evalkernel import (
     DistinctCap,
     ordered_cross_thread_pairs,
     popcount_split,
+    race_candidates,
     summarize_corpus,
 )
 from repro.core.extraction import (
@@ -27,15 +28,18 @@ from repro.core.extraction import (
     PredicateSuite,
     default_extractors,
 )
+from repro.core.predicates import racy_window
 from repro.core.statistical import PredicateLog, StatisticalDebugger
 from repro.exec import ExecutionEngine, make_backend
 from repro.harness.runner import collect
 from repro.harness.session import AIDSession, SessionConfig
+from repro.sim import run_program
 from repro.sim.serialize import trace_fingerprint, trace_from_dict, trace_to_dict
 from repro.sim.tracing import ExecutionTrace, MethodKey
 from repro.workloads.common import REGISTRY
 
 from conftest import racy_counter_program, rescan_stats, stats_tuples
+from gen import make_corpus
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +264,40 @@ class TestTwoPhaseDiscovery:
                 ordered_cross_thread_pairs(trace.method_executions())
                 == reference
             )
+
+    def test_race_sweep_equals_all_pairs_walk(self):
+        case_studies = [
+            run_program(REGISTRY.build(name).program, seed).trace
+            for name in sorted(REGISTRY.names())
+            for seed in range(15)
+        ]
+        # tests/gen.py traces: zero-width windows, start times that tie
+        hostile = [trace_from_dict(p) for s in range(100) for p in make_corpus(s)]
+        for traces in (case_studies, hostile):
+            found = 0
+            for trace in traces:
+                reference = _all_pairs_race_candidates(trace)
+                assert race_candidates(trace) == reference
+                found += len(reference)
+            assert found  # the comparison is not vacuous
+
+
+def _all_pairs_race_candidates(trace) -> set:
+    """Every cross-thread pair of calls, overlapping or not: the walk
+    :func:`race_candidates` replaced with a start-sorted sweep."""
+    candidates = set()
+    execs = trace.method_executions()
+    for i, ma in enumerate(execs):
+        for mb in execs[i + 1:]:
+            if ma.thread == mb.thread or not ma.overlaps(mb):
+                continue
+            shared = {a.obj for a in ma.accesses} & {a.obj for a in mb.accesses}
+            for obj in shared:
+                if racy_window(ma, mb, obj) is not None:
+                    pair = tuple(sorted([ma.key, mb.key]))
+                    candidates.add((pair[0], pair[1], obj))
+    return candidates
+
 
 
 # ---------------------------------------------------------------------------

@@ -294,3 +294,29 @@ class TestCompoundAndFailure:
         assert other.evaluate(trace) is None
         with pytest.raises(LookupError):
             pred.interventions()
+
+
+class TestDefinitionDigestPins:
+    """Stored eval matrices key on ``definition_digest``; a ``MethodKey``
+    field is digested by its ``repr``, not walked as a tuple, so these
+    committed digests must never move."""
+
+    A = MethodKey("Commit", "worker-1", 0)
+    B = MethodKey("Poll", "worker-0", 2)
+
+    def test_race_digest(self):
+        race = DataRacePredicate(self.A, self.B, "offsets")
+        assert race.definition_digest() == "cc36e8488a03a988"
+
+    def test_order_digest(self):
+        order = OrderViolationPredicate(first=self.A, second=self.B)
+        assert order.definition_digest() == "1b7f2b7ed2402246"
+
+    def test_compound_digest(self):
+        both = CompoundAndPredicate(
+            parts=(
+                DataRacePredicate(self.A, self.B, "offsets"),
+                OrderViolationPredicate(first=self.A, second=self.B),
+            )
+        )
+        assert both.definition_digest() == "bf68bf9b547513ab"

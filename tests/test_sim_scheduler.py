@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, asdict, fields
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -20,6 +20,7 @@ from repro.sim import (
 from repro.sim.faults import NO_ENTRY_PLAN, NO_EXIT_PLAN
 from repro.sim.program import action_footprint
 from repro.sim.runtime import Runtime
+from repro.sim.serialize import trace_fingerprint, trace_from_dict, trace_to_dict
 from repro.sim.tracing import ExecutionTrace
 from repro.workloads.common import REGISTRY
 
@@ -303,15 +304,38 @@ class TestStepRecords:
         with pytest.raises(FrozenInstanceError):
             NO_ENTRY_PLAN.delays = 1
 
-    def test_method_key_is_built_once_and_is_not_a_field(self):
-        trace = run_program(
-            REGISTRY.build("network").program, 0
-        ).trace
-        m = trace.method_executions()[0]
-        assert m.key is m.key
-        assert m.key == MethodKey(m.method, m.thread, m.occurrence)
-        assert "key" not in {f.name for f in fields(m)}
-        assert "key" not in asdict(m)
+    @pytest.mark.parametrize("workload", ["network", "npgsql", "kafka"])
+    def test_method_key_matches_the_record_fields(self, workload):
+        program = REGISTRY.build(workload).program
+        for seed in range(5):
+            trace = run_program(program, seed).trace
+            decoded = trace_from_dict(trace_to_dict(trace))
+            for live in (trace, decoded):
+                for m in live.method_executions():
+                    assert m.key is m.key  # built once, with the record
+                    assert m.key == MethodKey(m.method, m.thread, m.occurrence)
+                    assert type(m.key) is MethodKey
+
+    def test_method_key_text_and_hash_are_unchanged(self):
+        key = MethodKey("Poll", "worker-0", 2)
+        assert str(key) == "worker-0:Poll#2"
+        assert repr(key) == (
+            "MethodKey(method='Poll', thread='worker-0', occurrence=2)"
+        )
+        assert hash(key) == hash(("Poll", "worker-0", 2))
+        assert sorted([MethodKey("b", "t", 0), MethodKey("a", "u", 1)]) == [
+            MethodKey("a", "u", 1),
+            MethodKey("b", "t", 0),
+        ]
+
+    def test_serialized_calls_carry_no_key_and_fingerprint_is_pinned(self):
+        trace = run_program(REGISTRY.build("network").program, 0).trace
+        payload = trace_to_dict(trace)
+        assert all("key" not in call for call in payload["calls"])
+        # Pinned from the dataclass records: the store is
+        # content-addressed, so this digest must never move.
+        assert trace_fingerprint(trace) == "1252781959360a87"
+        assert trace_fingerprint(trace_from_dict(payload)) == "1252781959360a87"
 
 
 class TestCompletedIndex:

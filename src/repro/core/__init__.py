@@ -61,6 +61,7 @@ from .predicates import (
     DataRacePredicate,
     ExecutedPredicate,
     FailurePredicate,
+    KeyedPredicate,
     MethodFailsPredicate,
     Observation,
     OrderViolationPredicate,
@@ -106,6 +107,7 @@ __all__ = [
     "GroupItem",
     "InterventionBudget",
     "InterventionRunner",
+    "KeyedPredicate",
     "KindAnchorPolicy",
     "LamportAnchorPolicy",
     "MethodExecutedExtractor",

@@ -8,15 +8,15 @@ discriminative power.  This module is that loop, made single-pass at
 every layer:
 
 * :class:`SuiteKernel` — key-grouped batch evaluation of a frozen
-  suite over one trace.  Predicates are grouped by
-  :class:`~repro.core.predicates.PredicateKind` at kernel-build time
-  (once per frozen suite); per trace the kernel resolves the trace's
+  suite over one trace.  The predicates' required method keys are
+  collected at kernel-build time (once per frozen suite); per trace the
+  kernel resolves each through the trace's
   :meth:`~repro.sim.tracing.ExecutionTrace.executions_by_key` index
-  once and drives every key-based predicate through its
-  ``evaluate_indexed`` hook — no linear scans, no re-sorting, no
-  per-predicate trace walks.  Output is byte-identical to calling
-  ``pred.evaluate(trace)`` per predicate (asserted property-style in
-  the tests).
+  once, skips every predicate whose key the trace lacks, and hands the
+  record to the rest through their ``evaluate_record`` hook — no linear
+  scans, no re-sorting, no per-predicate trace walks.  Output is
+  byte-identical to calling ``pred.evaluate(trace)`` per predicate
+  (asserted property-style in the tests).
 * :func:`popcount_split` — the corpus
   :class:`~repro.corpus.matrix.EvalMatrix`'s counting primitive:
   per-pid observation bitsets over execution columns plus a
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from ..sim.tracing import MethodExecution, MethodKey
-from .predicates import Observation, PredicateDef, PredicateKind, racy_window
+from .predicates import KeyedPredicate, Observation, PredicateDef, racy_window
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exec.engine import ExecutionEngine
@@ -71,30 +71,30 @@ class SuiteKernel:
     """Batch evaluator for one frozen predicate-definition table.
 
     Built once per suite (see
-    :meth:`~repro.core.extraction.PredicateSuite.kernel`): predicates
-    supporting the indexed protocol are grouped by kind into flat
-    ``(pid, evaluate_indexed)`` lists; the rest (failure predicates,
-    compounds, third-party classes) keep their whole-trace ``evaluate``.
-    Per trace, one key-index resolution serves every group.
+    :meth:`~repro.core.extraction.PredicateSuite.kernel`):
+    each :class:`~repro.core.predicates.KeyedPredicate` is driven
+    through ``evaluate_record``; the rest (failure predicates,
+    compounds, third-party classes) keep their whole-trace
+    ``evaluate``.  Per trace, the kernel resolves each distinct
+    ``required_key`` once, and a predicate whose required key the trace
+    lacks costs no call at all.
     """
 
     def __init__(self, defs: Mapping[str, PredicateDef]) -> None:
         #: the suite's pid order — kernel output preserves it exactly
         self.pids: tuple[str, ...] = tuple(defs)
-        self._indexed: list[tuple[PredicateKind, list[tuple[str, object]]]] = []
-        self._general: list[tuple[str, object]] = []
-        groups: dict[PredicateKind, list[tuple[str, object]]] = {}
+        slots: dict[MethodKey, int] = {}
+        #: ``(pid, slot, evaluate)`` in suite order: ``slot`` indexes the
+        #: predicate's required key in :attr:`_keys`, or is ``-1`` for a
+        #: whole-trace ``evaluate``
+        self._plan: list[tuple[str, int, object]] = []
         for pid, pred in defs.items():
-            if pred.supports_indexed:
-                groups.setdefault(pred.kind, []).append(
-                    (pid, pred.evaluate_indexed)
-                )
+            if isinstance(pred, KeyedPredicate):
+                slot = slots.setdefault(pred.required_key, len(slots))
+                self._plan.append((pid, slot, pred.evaluate_record))
             else:
-                self._general.append((pid, pred.evaluate))
-        # Deterministic group order: the catalogue enum's order.
-        for kind in PredicateKind:
-            if kind in groups:
-                self._indexed.append((kind, groups[kind]))
+                self._plan.append((pid, -1, pred.evaluate))
+        self._keys: tuple[MethodKey, ...] = tuple(slots)
 
     def observations(
         self, trace, only: Optional[frozenset | set] = None
@@ -108,25 +108,21 @@ class SuiteKernel:
         """
         by_key = getattr(trace, "executions_by_key", None)
         find = by_key().get if by_key is not None else trace.lookup
+        resolved = list(map(find, self._keys))
         found: dict[str, Observation] = {}
-        for _, group in self._indexed:
-            for pid, evaluate_indexed in group:
-                if only is not None and pid not in only:
-                    continue
-                obs = evaluate_indexed(find)
-                if obs is not None:
-                    found[pid] = obs
-        for pid, evaluate in self._general:
+        for pid, slot, evaluate in self._plan:
             if only is not None and pid not in only:
                 continue
-            obs = evaluate(trace)
+            if slot < 0:
+                obs = evaluate(trace)
+            else:
+                m = resolved[slot]
+                if m is None:
+                    continue
+                obs = evaluate(m, find)
             if obs is not None:
                 found[pid] = obs
-        if not found:
-            return found
-        # Kind-grouped evaluation filled ``found`` out of suite order;
-        # restore the definition order the per-predicate loop had.
-        return {pid: found[pid] for pid in self.pids if pid in found}
+        return found
 
 
 # ---------------------------------------------------------------------------

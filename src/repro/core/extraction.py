@@ -647,17 +647,22 @@ class PredicateSuite:
         byte-identical to the per-predicate ``pred.evaluate(trace)``
         loop it replaced (same observations, same order).
         """
+        return self._log(self.kernel(), trace, seed)
+
+    def evaluate_all(self, traces: Sequence[ExecutionTrace]) -> list[PredicateLog]:
+        kernel = self.kernel()
+        return [self._log(kernel, t, t.seed) for t in traces]
+
+    @staticmethod
+    def _log(kernel: "SuiteKernel", trace: ExecutionTrace, seed: int) -> PredicateLog:
         return PredicateLog(
-            observations=self.kernel().observations(trace),
+            observations=kernel.observations(trace),
             failed=trace.failed,
             seed=seed,
             failure_signature=(
                 trace.failure.signature if trace.failure is not None else None
             ),
         )
-
-    def evaluate_all(self, traces: Sequence[ExecutionTrace]) -> list[PredicateLog]:
-        return [self.evaluate(t, seed=t.seed) for t in traces]
 
     def restrict(self, pids: Iterable[str]) -> "PredicateSuite":
         keep = set(pids)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..sim.faults import (
     CatchException,
@@ -49,24 +49,60 @@ class PredicateKind(str, Enum):
     FAILURE = "failure"
 
 
-@dataclass(frozen=True)
-class Observation:
+_tuple_new = tuple.__new__
+
+
+class _ObservationFields(NamedTuple):
+    start: int
+    end: int
+    start_lamport: Optional[int] = None
+    end_lamport: Optional[int] = None
+
+
+class Observation(_ObservationFields):
     """The virtual-time window in which a predicate held on one trace.
 
     ``start_lamport``/``end_lamport`` optionally carry the Lamport
     timestamps of the anchoring events, for the logical-clock precedence
     policy the paper suggests for environments where physical clocks are
     too coarse or skewed (Section 4).
+
+    A ``NamedTuple`` (built once per held predicate per trace, the
+    evaluation hot path) whose constructor still rejects an inverted
+    window.  ``repr`` and hash are those of the frozen dataclass it
+    replaced.
     """
 
-    start: int
-    end: int
-    start_lamport: Optional[int] = None
-    end_lamport: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"observation ends before it starts: {self}")
+    def __new__(
+        cls,
+        start: int,
+        end: int,
+        start_lamport: Optional[int] = None,
+        end_lamport: Optional[int] = None,
+    ) -> "Observation":
+        if end < start:
+            raise ValueError(
+                f"observation ends before it starts: start={start}, end={end}"
+            )
+        return _tuple_new(cls, (start, end, start_lamport, end_lamport))
+
+
+def _span(m: MethodExecution) -> Observation:
+    """``m``'s whole window.  Like :func:`_end_point` it skips
+    ``Observation``'s check (a record never ends before it starts):
+    these are the evaluation kernel's most frequent observations."""
+    return _tuple_new(
+        Observation, (m.start_time, m.end_time, m.start_lamport, m.end_lamport)
+    )
+
+
+def _end_point(m: MethodExecution) -> Observation:
+    """The instant ``m`` returned or threw."""
+    return _tuple_new(
+        Observation, (m.end_time, m.end_time, m.end_lamport, m.end_lamport)
+    )
 
 
 class PredicateDef:
@@ -81,23 +117,7 @@ class PredicateDef:
     kind: PredicateKind
     description: str
 
-    #: Batch-evaluation protocol (see :mod:`repro.core.evalkernel`):
-    #: a predicate that depends only on resolved :class:`MethodKey`
-    #: lookups sets this and implements :meth:`evaluate_indexed`; the
-    #: kernel then evaluates it against a trace's key index without
-    #: handing over the whole trace.  Predicates that read other trace
-    #: state (failure metadata, nested parts) leave it ``False`` and are
-    #: evaluated through :meth:`evaluate`.
-    supports_indexed: bool = False
-
     def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
-        raise NotImplementedError
-
-    def evaluate_indexed(self, find) -> Optional[Observation]:
-        """Evaluate against a key resolver (``find(key) -> execution or
-        None``).  Only meaningful when :attr:`supports_indexed`; for
-        those classes ``evaluate(trace)`` is exactly
-        ``evaluate_indexed(trace.lookup)``."""
         raise NotImplementedError
 
     def interventions(self) -> tuple[Intervention, ...]:
@@ -167,8 +187,36 @@ class PredicateDef:
         return isinstance(other, PredicateDef) and other.pid == self.pid
 
 
+class KeyedPredicate(PredicateDef):
+    """A predicate on the records of one or two method keys.
+
+    Subclasses name the key they cannot hold without in
+    :attr:`required_key` (``key`` unless overridden) and implement
+    :meth:`evaluate_record`.  The evaluation kernel
+    (:mod:`repro.core.evalkernel`) resolves each required key once per
+    trace, skips the predicate when the trace lacks it, and otherwise
+    calls :meth:`evaluate_record` directly.  Predicates that read other
+    trace state (failure metadata, nested parts) derive from
+    :class:`PredicateDef` and are evaluated through :meth:`evaluate`.
+    """
+
+    @property
+    def required_key(self) -> MethodKey:
+        return self.key
+
+    def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
+        m = trace.lookup(self.required_key)
+        return None if m is None else self.evaluate_record(m, trace.lookup)
+
+    def evaluate_record(self, m: MethodExecution, find) -> Optional[Observation]:
+        """Evaluate given ``m``, the record of :attr:`required_key`;
+        ``find(key) -> execution or None`` resolves any other key the
+        predicate reads."""
+        raise NotImplementedError
+
+
 @dataclass(frozen=True, eq=False)
-class DataRacePredicate(PredicateDef):
+class DataRacePredicate(KeyedPredicate):
     """Two method invocations access ``obj`` concurrently, one writing,
     with disjoint locksets (lockset-style race definition)."""
 
@@ -176,13 +224,15 @@ class DataRacePredicate(PredicateDef):
     b: MethodKey
     obj: str
 
-    supports_indexed = True
-
     def __post_init__(self) -> None:
         if self.b < self.a:  # canonical order for a stable pid
             first, second = self.b, self.a
             object.__setattr__(self, "a", first)
             object.__setattr__(self, "b", second)
+
+    @property
+    def required_key(self) -> MethodKey:
+        return self.a
 
     @property
     def pid(self) -> str:
@@ -199,15 +249,11 @@ class DataRacePredicate(PredicateDef):
             f"concurrently without a common lock, at least one writing"
         )
 
-    def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
-        return self.evaluate_indexed(trace.lookup)
-
-    def evaluate_indexed(self, find) -> Optional[Observation]:
-        ma, mb = find(self.a), find(self.b)
-        if ma is None or mb is None or not ma.overlaps(mb):
+    def evaluate_record(self, m: MethodExecution, find) -> Optional[Observation]:
+        mb = find(self.b)
+        if mb is None or not m.overlaps(mb):
             return None
-        window = racy_window(ma, mb, self.obj)
-        return window
+        return racy_window(m, mb, self.obj)
 
     def interventions(self) -> tuple[Intervention, ...]:
         lock = f"__aid_lock__{self.obj}"
@@ -264,7 +310,8 @@ def racy_window(
             if intrusion.locks_held & (first.locks_held | last.locks_held):
                 continue
             candidate = Observation(
-                first.time, intrusion.time, first.lamport, intrusion.lamport
+                first.time, intrusion.time,
+                start_lamport=first.lamport, end_lamport=intrusion.lamport,
             )
             if best is None or candidate.start < best.start:
                 best = candidate
@@ -272,14 +319,12 @@ def racy_window(
 
 
 @dataclass(frozen=True, eq=False)
-class MethodFailsPredicate(PredicateDef):
+class MethodFailsPredicate(KeyedPredicate):
     """Method invocation raises a (simulated) exception of ``exc_kind``."""
 
     key: MethodKey
     exc_kind: str
     fallback: object = None
-
-    supports_indexed = True
 
     @property
     def pid(self) -> str:
@@ -293,16 +338,10 @@ class MethodFailsPredicate(PredicateDef):
     def description(self) -> str:
         return f"method {self.key} fails with {self.exc_kind}"
 
-    def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
-        return self.evaluate_indexed(trace.lookup)
-
-    def evaluate_indexed(self, find) -> Optional[Observation]:
-        m = find(self.key)
-        if m is None or m.exception != self.exc_kind:
+    def evaluate_record(self, m: MethodExecution, find) -> Optional[Observation]:
+        if m.exception != self.exc_kind:
             return None
-        return Observation(
-            m.end_time, m.end_time, m.end_lamport, m.end_lamport
-        )
+        return _end_point(m)
 
     def interventions(self) -> tuple[Intervention, ...]:
         return (
@@ -316,14 +355,12 @@ class MethodFailsPredicate(PredicateDef):
 
 
 @dataclass(frozen=True, eq=False)
-class TooSlowPredicate(PredicateDef):
+class TooSlowPredicate(KeyedPredicate):
     """Invocation's duration exceeds the max seen in successful runs."""
 
     key: MethodKey
     threshold: int  # max duration over successful executions
     correct_return: object = None
-
-    supports_indexed = True
 
     @property
     def pid(self) -> str:
@@ -340,12 +377,8 @@ class TooSlowPredicate(PredicateDef):
             f"(duration > {self.threshold} ticks seen in successful runs)"
         )
 
-    def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
-        return self.evaluate_indexed(trace.lookup)
-
-    def evaluate_indexed(self, find) -> Optional[Observation]:
-        m = find(self.key)
-        if m is None or m.duration <= self.threshold:
+    def evaluate_record(self, m: MethodExecution, find) -> Optional[Observation]:
+        if m.duration <= self.threshold:
             return None
         # The slowness *begins* the instant the invocation exceeds its
         # successful-duration envelope — not when the method finally
@@ -355,7 +388,7 @@ class TooSlowPredicate(PredicateDef):
         # point precedes the order violations it provokes.
         return Observation(
             m.start_time + self.threshold, m.end_time,
-            m.start_lamport, m.end_lamport,
+            start_lamport=m.start_lamport, end_lamport=m.end_lamport,
         )
 
     def interventions(self) -> tuple[Intervention, ...]:
@@ -374,13 +407,11 @@ class TooSlowPredicate(PredicateDef):
 
 
 @dataclass(frozen=True, eq=False)
-class TooFastPredicate(PredicateDef):
+class TooFastPredicate(KeyedPredicate):
     """Invocation's duration is below the min seen in successful runs."""
 
     key: MethodKey
     threshold: int  # min duration over successful executions
-
-    supports_indexed = True
 
     @property
     def pid(self) -> str:
@@ -397,16 +428,10 @@ class TooFastPredicate(PredicateDef):
             f"(duration < {self.threshold} ticks seen in successful runs)"
         )
 
-    def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
-        return self.evaluate_indexed(trace.lookup)
-
-    def evaluate_indexed(self, find) -> Optional[Observation]:
-        m = find(self.key)
-        if m is None or m.duration >= self.threshold:
+    def evaluate_record(self, m: MethodExecution, find) -> Optional[Observation]:
+        if m.duration >= self.threshold:
             return None
-        return Observation(
-            m.start_time, m.end_time, m.start_lamport, m.end_lamport
-        )
+        return _span(m)
 
     def interventions(self) -> tuple[Intervention, ...]:
         # "Insert delay before M's return statement" (Figure 2).
@@ -418,13 +443,11 @@ class TooFastPredicate(PredicateDef):
 
 
 @dataclass(frozen=True, eq=False)
-class WrongReturnPredicate(PredicateDef):
+class WrongReturnPredicate(KeyedPredicate):
     """Invocation returns a value different from the successful one."""
 
     key: MethodKey
     correct_value: object
-
-    supports_indexed = True
 
     @property
     def pid(self) -> str:
@@ -441,18 +464,12 @@ class WrongReturnPredicate(PredicateDef):
             f"(successful executions return {self.correct_value!r})"
         )
 
-    def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
-        return self.evaluate_indexed(trace.lookup)
-
-    def evaluate_indexed(self, find) -> Optional[Observation]:
-        m = find(self.key)
-        if m is None or m.exception is not None:
+    def evaluate_record(self, m: MethodExecution, find) -> Optional[Observation]:
+        if m.exception is not None:
             return None
         if m.return_value == self.correct_value:
             return None
-        return Observation(
-            m.end_time, m.end_time, m.end_lamport, m.end_lamport
-        )
+        return _end_point(m)
 
     def interventions(self) -> tuple[Intervention, ...]:
         return (
@@ -468,7 +485,7 @@ class WrongReturnPredicate(PredicateDef):
 
 
 @dataclass(frozen=True, eq=False)
-class OrderViolationPredicate(PredicateDef):
+class OrderViolationPredicate(KeyedPredicate):
     """``second`` starts before ``first`` completes.
 
     In all successful executions ``first`` finishes before ``second``
@@ -478,7 +495,9 @@ class OrderViolationPredicate(PredicateDef):
     first: MethodKey
     second: MethodKey
 
-    supports_indexed = True
+    @property
+    def required_key(self) -> MethodKey:
+        return self.first
 
     @property
     def pid(self) -> str:
@@ -495,18 +514,14 @@ class OrderViolationPredicate(PredicateDef):
             f"has completed (successful runs always order them)"
         )
 
-    def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
-        return self.evaluate_indexed(trace.lookup)
-
-    def evaluate_indexed(self, find) -> Optional[Observation]:
-        mf, ms = find(self.first), find(self.second)
-        if mf is None or ms is None:
-            return None
-        if ms.start_time >= mf.end_time:
+    def evaluate_record(self, m: MethodExecution, find) -> Optional[Observation]:
+        ms = find(self.second)
+        if ms is None or ms.start_time >= m.end_time:
             return None
         return Observation(
-            ms.start_time, min(mf.end_time, ms.end_time),
-            ms.start_lamport, min(mf.end_lamport, ms.end_lamport),
+            ms.start_time, min(m.end_time, ms.end_time),
+            start_lamport=ms.start_lamport,
+            end_lamport=min(m.end_lamport, ms.end_lamport),
         )
 
     def interventions(self) -> tuple[Intervention, ...]:
@@ -519,7 +534,7 @@ class OrderViolationPredicate(PredicateDef):
 
 
 @dataclass(frozen=True, eq=False)
-class ExecutedPredicate(PredicateDef):
+class ExecutedPredicate(KeyedPredicate):
     """The invocation ran (its body actually executed).
 
     The paper's branch-taken predicates ("the program takes the false
@@ -531,8 +546,6 @@ class ExecutedPredicate(PredicateDef):
 
     key: MethodKey
     skip_value: object = None
-
-    supports_indexed = True
 
     @property
     def pid(self) -> str:
@@ -546,16 +559,10 @@ class ExecutedPredicate(PredicateDef):
     def description(self) -> str:
         return f"method {self.key} executes (it never runs in successful executions)"
 
-    def evaluate(self, trace: ExecutionTrace) -> Optional[Observation]:
-        return self.evaluate_indexed(trace.lookup)
-
-    def evaluate_indexed(self, find) -> Optional[Observation]:
-        m = find(self.key)
-        if m is None or m.body_skipped:
+    def evaluate_record(self, m: MethodExecution, find) -> Optional[Observation]:
+        if m.body_skipped:
             return None
-        return Observation(
-            m.start_time, m.end_time, m.start_lamport, m.end_lamport
-        )
+        return _span(m)
 
     def interventions(self) -> tuple[Intervention, ...]:
         return (

@@ -21,9 +21,7 @@ from .tracing import (
     ExecutionTrace,
     FailureInfo,
     MethodExecution,
-    MethodKey,
     TraceReader,
-    _TraceIndex,
     method_execution,
 )
 
@@ -134,7 +132,8 @@ class ImportedTrace(TraceReader):
         self.failure = failure
         #: Content address when loaded from a corpus store (else ``None``).
         self.fingerprint = fingerprint
-        self._index = _TraceIndex(calls)
+        self._completed = calls
+        self._index = None
 
 
 class TraceFormatError(ValueError):

@@ -188,9 +188,10 @@ class _TraceIndex:
 
 class TraceReader:
     """The read API every trace offers, answered from one
-    :class:`_TraceIndex`: the simulator's :class:`ExecutionTrace`
-    builds it lazily from its completed calls, and a decoded trace
-    (:class:`repro.sim.serialize.ImportedTrace`) builds it once up front.
+    :class:`_TraceIndex` built lazily from ``_completed`` on the first
+    read: the simulator's :class:`ExecutionTrace` drops it on its next
+    write, a decoded trace
+    (:class:`repro.sim.serialize.ImportedTrace`) keeps it.
     """
 
     failure: Optional[FailureInfo]

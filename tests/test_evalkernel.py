@@ -28,7 +28,13 @@ from repro.core.extraction import (
     PredicateSuite,
     default_extractors,
 )
-from repro.core.predicates import racy_window
+from repro.core.predicates import (
+    DataRacePredicate,
+    ExecutedPredicate,
+    FailurePredicate,
+    OrderViolationPredicate,
+    racy_window,
+)
 from repro.core.statistical import PredicateLog, StatisticalDebugger
 from repro.exec import ExecutionEngine, make_backend
 from repro.harness.runner import collect
@@ -147,6 +153,32 @@ class TestKernelEvaluation:
         some = frozenset(list(full)[::2])
         sub = suite.kernel().observations(trace, only=some)
         assert sub == {pid: obs for pid, obs in full.items() if pid in some}
+
+    def test_missing_keys_are_skipped_without_changing_results(self, corpus):
+        trace = corpus.failures[0]
+        present = trace.method_executions()
+        m, other = present[0].key, present[-1].key
+        absent = MethodKey("NoSuchMethod", "nobody", 0)
+        defs = [
+            ExecutedPredicate(key=m),
+            ExecutedPredicate(key=absent),
+            # required key present, the second key absent (and reversed)
+            OrderViolationPredicate(first=m, second=absent),
+            OrderViolationPredicate(first=absent, second=m),
+            OrderViolationPredicate(first=other, second=m),
+            DataRacePredicate(a=m, b=absent, obj="x"),
+            FailurePredicate(signature=trace.failure.signature),
+        ]
+        suite = PredicateSuite(defs={p.pid: p for p in defs})
+        expected = {
+            pid: obs
+            for pid, pred in suite.defs.items()
+            if (obs := pred.evaluate(trace)) is not None
+        }
+        assert suite.kernel().observations(trace) == expected
+        assert list(suite.kernel().observations(trace)) == list(expected)
+        assert ExecutedPredicate(key=m).pid in expected
+        assert ExecutedPredicate(key=absent).pid not in expected
 
     def test_kernel_rebuilds_when_defs_change(self, suite):
         kernel = suite.kernel()

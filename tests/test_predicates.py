@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.predicates import (
@@ -69,6 +71,23 @@ class TestObservation:
         with pytest.raises(ValueError):
             Observation(10, 5)
 
+    def test_tuple_record_keeps_the_dataclass_surface(self):
+        # Stored reports and caches never pickle observations, but logs
+        # are compared, hashed and printed: keep what the frozen
+        # dataclass offered.
+        obs = Observation(10, 25, start_lamport=3, end_lamport=9)
+        assert (obs.start, obs.end, obs.start_lamport, obs.end_lamport) == (
+            10, 25, 3, 9,
+        )
+        assert repr(obs) == (
+            "Observation(start=10, end=25, start_lamport=3, end_lamport=9)"
+        )
+        assert hash(obs) == hash((10, 25, 3, 9))
+        assert Observation(4, 4) == Observation(4, 4, None, None)
+        assert pickle.loads(pickle.dumps(obs)) == obs
+        with pytest.raises(AttributeError):
+            obs.start = 0  # type: ignore[misc]
+
     def test_identity_is_pid_based(self):
         key = MethodKey("M", "main", 0)
         a = MethodFailsPredicate(key=key, exc_kind="E")
@@ -86,6 +105,12 @@ class TestMethodFails(object):
         obs = pred.evaluate(trace)
         assert obs is not None
         assert obs.start == obs.end
+        m = trace.lookup(key)
+        assert m.start_lamport != m.end_lamport
+        assert obs == Observation(
+            m.end_time, m.end_time,
+            start_lamport=m.end_lamport, end_lamport=m.end_lamport,
+        )
 
     def test_kind_mismatch_not_observed(self, sample_program):
         trace = _trace(sample_program)
@@ -168,7 +193,13 @@ class TestExecuted:
     def test_observed_unless_skipped(self, sample_program):
         key = MethodKey("Slowish", "main", 0)
         pred = ExecutedPredicate(key=key, skip_value="done")
-        assert pred.evaluate(_trace(sample_program)) is not None
+        trace = _trace(sample_program)
+        m = trace.lookup(key)
+        assert m.start_lamport != m.end_lamport
+        assert pred.evaluate(trace) == Observation(
+            m.start_time, m.end_time,
+            start_lamport=m.start_lamport, end_lamport=m.end_lamport,
+        )
         (iv,) = pred.interventions()
         assert isinstance(iv, ForceReturn) and iv.skip_body
         repaired = _trace(sample_program, interventions=(iv,))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.digraph import Digraph
 from repro.core.theory import (
     count_cpd_solutions,
     cpd_lower_bound,
@@ -53,11 +54,7 @@ def test_fig6_tables_print(benchmark):
 
 def test_example3(benchmark):
     """Paper Example 3: GT searches 64 candidates, CPD only 15."""
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    nx.add_path(graph, ["A1", "B1", "C1"])
-    nx.add_path(graph, ["A2", "B2", "C2"])
+    graph = Digraph([("A1", "B1"), ("B1", "C1"), ("A2", "B2"), ("B2", "C2")])
     benchmark.group = "figure6"
     cpd = benchmark(lambda: count_cpd_solutions(graph))
     assert cpd == 15

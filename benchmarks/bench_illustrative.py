@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
-
 from repro.core.acdag import ACDag
+from repro.core.digraph import Digraph
 from repro.core.discovery import causal_path_discovery, linear_discovery
 from repro.core.intervention import RunOutcome
 
@@ -54,7 +53,7 @@ def _figure4():
         ("P7", "P9"), ("P9", "P10"),
         ("P11", F), ("P6", F), ("P10", F),
     ]
-    graph = nx.transitive_closure_dag(nx.DiGraph(edges))
+    graph = Digraph(edges).transitive_closure()
     dag = ACDag(graph=graph, failure=F)
     causal = ["P1", "P2", "P11"]
     parents = {

@@ -9,8 +9,6 @@ Run:  python examples/theory_bounds.py
 
 import random
 
-import networkx as nx
-
 from repro.core import discover
 from repro.core.theory import (
     aid_upper_bound_branch,

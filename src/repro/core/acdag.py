@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-import networkx as nx
-
+from .digraph import Digraph
 from .precedence import PrecedencePolicy, default_policy
 from .predicates import PredicateDef
 from .statistical import PredicateLog, StatisticalDebugger, failure_and_fd
@@ -65,7 +64,7 @@ class ACDag:
 
     def __init__(
         self,
-        graph: nx.DiGraph,
+        graph: Digraph,
         failure: str,
         defs: Optional[dict[str, PredicateDef]] = None,
         discarded: Optional[dict[str, str]] = None,
@@ -73,15 +72,17 @@ class ACDag:
     ) -> None:
         if failure not in graph:
             raise GraphInvariantError(f"failure predicate {failure!r} not in graph")
-        if not nx.is_directed_acyclic_graph(graph):
-            raise GraphInvariantError("AC-DAG contains a cycle")
+        try:
+            graph.topological_order()
+        except ValueError:
+            raise GraphInvariantError("AC-DAG contains a cycle") from None
         self.graph = graph
         self.failure = failure
         self.defs = defs or {}
         #: pid -> reason, for predicates dropped during construction
         self.discarded = discarded or {}
-        #: how many failed logs support this DAG; every edge's ``support``
-        #: attribute equals this (edge = precedes in *every* failed log)
+        #: how many failed logs support this DAG (an edge precedes in
+        #: *every* one of them)
         self.n_failed_logs = n_failed_logs
 
     # -- construction ------------------------------------------------------
@@ -139,17 +140,17 @@ class ACDag:
                 f"failure predicate {failure!r} unobserved in some failed log"
             )
 
-        support = len(failed_logs)
-        graph = nx.DiGraph()
-        graph.add_nodes_from(anchors)
+        graph = Digraph()
+        for pid in anchors:
+            graph.add_node(pid)
         nodes = sorted(set(anchors) - {failure})
         for i, p1 in enumerate(nodes):
             for p2 in nodes[i + 1 :]:
                 s1, s2 = anchors[p1], anchors[p2]
                 if all(a < b for a, b in zip(s1, s2)):
-                    graph.add_edge(p1, p2, support=support)
+                    graph.add_edge(p1, p2)
                 elif all(b < a for a, b in zip(s1, s2)):
-                    graph.add_edge(p2, p1, support=support)
+                    graph.add_edge(p2, p1)
         # F is the terminal event of a failed execution: predicates that
         # never anchor after it precede it (ties allowed — the crash is
         # recorded at the instant its method dies).  Predicates anchored
@@ -158,35 +159,29 @@ class ACDag:
         for pid in nodes:
             series = anchors[pid]
             if all(a <= f for a, f in zip(series, f_series)):
-                graph.add_edge(pid, failure, support=support)
+                graph.add_edge(pid, failure)
             elif all(f < a for a, f in zip(series, f_series)):
-                graph.add_edge(failure, pid, support=support)
+                graph.add_edge(failure, pid)
 
-        # Keep only predicates that may cause F: its ancestors.
-        keep = nx.ancestors(graph, failure) | {failure}
-        for pid in list(graph.nodes):
-            if pid not in keep:
-                discarded[pid] = "no temporal path to the failure predicate"
-                graph.remove_node(pid)
-
-        return cls(
+        dag = cls(
             graph=graph,
             failure=failure,
             defs=dict(defs),
             discarded=discarded,
-            n_failed_logs=support,
+            n_failed_logs=len(failed_logs),
         )
+        dag._prune_non_ancestors()  # only predicates that may cause F
+        return dag
 
     # -- incremental maintenance (corpus ingestion) -------------------------
     #
     # The edge relation is "P1 precedes P2 in every failed log", so a new
     # failed log can only *remove* edges (an edge that held in all n logs
-    # either also holds in log n+1 — its support counter advances to n+1
-    # — or it dies).  Node-wise, the candidate set is the
-    # fully-discriminative set, which likewise only shrinks under
-    # insertions (see StatisticalDebugger).  Both facts together make the
-    # AC-DAG maintainable without a rebuild; tests assert the patched
-    # graph equals `ACDag.build` over the whole log history.
+    # either also holds in log n+1 or it dies).  Node-wise, the candidate
+    # set is the fully-discriminative set, which likewise only shrinks
+    # under insertions (see StatisticalDebugger).  Both facts together
+    # make the AC-DAG maintainable without a rebuild; tests assert the
+    # patched graph equals `ACDag.build` over the whole log history.
 
     def update_failed_log(
         self, log: PredicateLog, policy: Optional[PrecedencePolicy] = None
@@ -194,9 +189,8 @@ class ACDag:
         """Patch the DAG under one newly-ingested failed log.
 
         Drops nodes the log does not observe (their recall just fell
-        below 1), drops edges whose precedence the log contradicts,
-        advances surviving edges' support counters, and re-applies the
-        ancestors-of-F filter.  Returns every pid removed.
+        below 1), drops edges whose precedence the log contradicts, and
+        re-applies the ancestors-of-F filter.  Returns every pid removed.
         """
         policy = policy or default_policy()
         removed: set[str] = set()
@@ -211,10 +205,10 @@ class ACDag:
                     )
                 removed.add(pid)
                 self.discarded[pid] = "not observed in every failed log"
-                self.graph.remove_node(pid)
             else:
                 anchors[pid] = policy.anchor(self.defs[pid], obs)
-        for a, b, data in list(self.graph.edges(data=True)):
+        self.graph.remove_nodes_from(removed)
+        for a, b in self.graph.edges:
             # Ties with F are allowed (the crash is recorded at the
             # instant its method dies); all other precedence is strict.
             holds = (
@@ -222,9 +216,7 @@ class ACDag:
                 if b == self.failure
                 else anchors[a] < anchors[b]
             )
-            if holds:
-                data["support"] = data.get("support", self.n_failed_logs) + 1
-            else:
+            if not holds:
                 self.graph.remove_edge(a, b)
         self.n_failed_logs += 1
         removed |= self._prune_non_ancestors()
@@ -236,20 +228,21 @@ class ACDag:
         *successful* log breaks some predicates' precision.  Returns
         every pid removed."""
         keep = set(pids) | {self.failure}
-        removed = set(self.graph.nodes) - keep
+        removed = self.graph.nodes - keep
         for pid in removed:
             self.discarded[pid] = "no longer fully discriminative"
         self.graph.remove_nodes_from(removed)
         return removed | self._prune_non_ancestors()
 
     def _prune_non_ancestors(self) -> set[str]:
-        """Re-apply the build-time rule: only ancestors of F may stay."""
-        keep = nx.ancestors(self.graph, self.failure) | {self.failure}
-        doomed = set(self.graph.nodes) - keep
+        """Only predicates that may cause F stay: its ancestors, which are
+        its predecessors because the relation is transitively closed."""
+        keep = self.graph.predecessors(self.failure)
+        doomed = [p for p in self.graph if p != self.failure and p not in keep]
         for pid in doomed:
             self.discarded[pid] = "no temporal path to the failure predicate"
         self.graph.remove_nodes_from(doomed)
-        return doomed
+        return set(doomed)
 
     def structure(self) -> tuple[frozenset, frozenset]:
         """(nodes, edges) — the comparable shape, for equality asserts."""
@@ -260,7 +253,7 @@ class ACDag:
     @property
     def predicates(self) -> set[str]:
         """All candidate predicates (excluding F)."""
-        return set(self.graph.nodes) - {self.failure}
+        return self.graph.nodes - {self.failure}
 
     def __len__(self) -> int:
         return len(self.graph)
@@ -293,9 +286,7 @@ class ACDag:
         Ties (incomparable nodes) break lexicographically; intervention
         algorithms may re-break them randomly per the paper.
         """
-        pool = set(among) if among is not None else set(self.graph.nodes)
-        sub = self.graph.subgraph(pool)
-        return list(nx.lexicographical_topological_sort(sub))
+        return self.graph.topological_order(among)
 
     def topological_levels(
         self, among: Optional[Iterable[str]] = None
@@ -348,9 +339,9 @@ class ACDag:
 
     # -- presentation --------------------------------------------------------
 
-    def transitive_reduction(self) -> nx.DiGraph:
+    def transitive_reduction(self) -> Digraph:
         """Minimal edge set implying the same reachability (for display)."""
-        return nx.transitive_reduction(self.graph)
+        return self.graph.transitive_reduction()
 
     def to_dot(self) -> str:
         """A Graphviz rendering of the transitive reduction."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-import networkx as nx
+from .digraph import Digraph
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +61,14 @@ def symmetric_search_space(junctions: int, branches: int, chain_length: int) -> 
     return (branches * (2**chain_length - 1) + 1) ** junctions
 
 
-def count_cpd_solutions(graph: nx.DiGraph) -> int:
+def count_cpd_solutions(graph: Digraph) -> int:
     """Brute-force count of valid CPD solutions (chains incl. empty set).
 
     Exponential; for property-testing Lemma 1 on small DAGs only.
     """
     if len(graph) > 20:
         raise ValueError("brute-force solution count limited to 20 nodes")
-    closure = nx.transitive_closure_dag(graph)
+    closure = graph.transitive_closure()
     nodes = list(graph.nodes)
     count = 1  # the empty solution
     for size in range(1, len(nodes) + 1):
@@ -78,7 +78,7 @@ def count_cpd_solutions(graph: nx.DiGraph) -> int:
     return count
 
 
-def _is_chain(closure: nx.DiGraph, subset: Iterable) -> bool:
+def _is_chain(closure: Digraph, subset: Iterable) -> bool:
     subset = list(subset)
     for a, b in combinations(subset, 2):
         if not (closure.has_edge(a, b) or closure.has_edge(b, a)):
@@ -211,7 +211,7 @@ def figure6_table(
     return [cpd, gt]
 
 
-def symmetric_acdag(junctions: int, branches: int, chain_length: int) -> nx.DiGraph:
+def symmetric_acdag(junctions: int, branches: int, chain_length: int) -> Digraph:
     """Build the symmetric AC-DAG of Figure 5(c) as a concrete graph.
 
     Nodes are strings ``"J{j}B{b}N{k}"`` plus junction connectors; the
@@ -219,13 +219,15 @@ def symmetric_acdag(junctions: int, branches: int, chain_length: int) -> nx.DiGr
     suitable for search-space brute-forcing and for feeding the
     synthetic oracle.
     """
-    graph = nx.DiGraph()
+    graph = Digraph()
     previous_sinks: list[str] = []
     for j in range(junctions):
         heads, tails = [], []
         for b in range(branches):
             chain = [f"J{j}B{b}N{k}" for k in range(chain_length)]
-            nx.add_path(graph, chain) if len(chain) > 1 else graph.add_node(chain[0])
+            graph.add_node(chain[0])
+            for u, v in zip(chain, chain[1:]):
+                graph.add_edge(u, v)
             heads.append(chain[0])
             tails.append(chain[-1])
         for sink in previous_sinks:

@@ -391,8 +391,8 @@ class IncrementalPipeline:
         self.fully = new_fully
         if failed:
             # Recall casualties are exactly the pids the new log does not
-            # observe; update_failed_log drops them while advancing the
-            # per-edge support counters.
+            # observe; update_failed_log drops them along with the edges
+            # the new log contradicts.
             removed |= self.dag.update_failed_log(log, policy=self.policy)
         elif removed:
             # A success can only break precision; edges are untouched.

@@ -19,8 +19,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import networkx as nx
-
+from ..core.digraph import Digraph
 from ..core.theory import (
     count_cpd_solutions,
     figure6_table,
@@ -289,9 +288,7 @@ def figure6_report(
 
 def example3_report() -> str:
     """Example 3: two parallel 3-chains — GT 64 candidates vs CPD 15."""
-    graph = nx.DiGraph()
-    nx.add_path(graph, ["A1", "B1", "C1"])
-    nx.add_path(graph, ["A2", "B2", "C2"])
+    graph = Digraph([("A1", "B1"), ("B1", "C1"), ("A2", "B2"), ("B2", "C2")])
     cpd = count_cpd_solutions(graph)
     gt = gt_search_space(6)
     closed_form = symmetric_search_space(1, 2, 3)

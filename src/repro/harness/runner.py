@@ -37,10 +37,6 @@ class LabeledCorpus:
         return [t.seed for t in self.failures]
 
     @property
-    def succeeding_seeds(self) -> list[int]:
-        return [t.seed for t in self.successes]
-
-    @property
     def failure_rate(self) -> float:
         total = len(self.successes) + len(self.failures)
         return len(self.failures) / total if total else 0.0

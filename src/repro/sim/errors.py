@@ -35,15 +35,6 @@ class LockProtocolError(SimHarnessError):
     """A thread released a lock it does not hold, or re-acquired one."""
 
 
-class SchedulerExhaustedError(SimHarnessError):
-    """The scheduler ran out of step budget with threads still runnable.
-
-    This is surfaced as a *hang* failure on the execution result rather
-    than raised, unless the budget is exceeded in a way that suggests a
-    harness bug (see :mod:`repro.sim.scheduler`).
-    """
-
-
 class SimulatedError(Exception):
     """An exception raised inside the simulated program.
 

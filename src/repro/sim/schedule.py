@@ -264,14 +264,6 @@ class Schedule:
             prev = chosen
         return frozenset(edges)
 
-    def truncate(self, length: int) -> "Schedule":
-        """The first ``length`` decisions (mutation prefixes)."""
-        return Schedule(
-            program=self.program,
-            seed=self.seed,
-            decisions=self.decisions[:length],
-        )
-
     # -- (de)serialization ------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -297,11 +297,6 @@ class ExecutionTrace(TraceReader):
         if frame is not None:
             frame[6].append(access)
 
-    def abort_open_calls(self, time: int, lamport: int, exception: str) -> None:
-        """Close any still-open frames when a thread dies abruptly."""
-        for call_id in sorted(self._open_calls, reverse=True):
-            self.end_call(call_id, time, lamport, None, exception)
-
     def record_failure(self, failure: FailureInfo) -> None:
         # Keep the earliest failure; a crash may cascade.
         if self.failure is None:

@@ -115,18 +115,6 @@ def add_diag_worker(
     return worker
 
 
-def readonly_names(
-    methods: MutableMapping[str, MethodFn], *extra: str
-) -> frozenset[str]:
-    """All probe/worker methods plus ``extra`` as the read-only set."""
-    auto = {
-        name
-        for name in methods
-        if name.lower().startswith(("probe", "diag", "check", "get", "lookup"))
-    }
-    return frozenset(auto | set(extra))
-
-
 #: The case-study registry — the *same object* as
 #: :data:`repro.api.registry.workloads`, so bundled and third-party
 #: workloads share one namespace (and one ``RegistryError`` behaviour).

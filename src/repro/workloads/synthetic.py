@@ -33,9 +33,8 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import networkx as nx
-
 from ..core.acdag import ACDag
+from ..core.digraph import Digraph
 from ..core.intervention import RunOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -197,8 +196,9 @@ def generate_app(seed: int, spec: Optional[SyntheticSpec] = None) -> SyntheticAp
     n = len(all_pids)
 
     # Transitively-closed AC-DAG: same-run order + all cross-phase pairs.
-    graph = nx.DiGraph()
-    graph.add_nodes_from(all_pids + [FAILURE_PID])
+    graph = Digraph()
+    for pid in all_pids + [FAILURE_PID]:
+        graph.add_node(pid)
     for phase_runs in runs:
         for run in phase_runs:
             for i, a in enumerate(run):

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -66,3 +71,20 @@ class TestCommands:
         assert main(["trace", "network", "--seed", "3", "--out", str(out_file)]) == 0
         payload = json.loads(out_file.read_text())
         assert payload["seed"] == 3
+
+
+def test_cli_import_loads_no_networkx():
+    """The CLI has no third-party runtime dependency: importing it in a
+    fresh interpreter must not pull networkx in."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.cli; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert "repro.cli" in result.stdout
+    assert "networkx" not in result.stdout

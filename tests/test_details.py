@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
 import pytest
 
 from repro.core.acdag import ACDag
+from repro.core.digraph import Digraph
 from repro.core.branch import branch_prune
 from repro.core.giwp import GIWP
 from repro.core.intervention import CountingRunner, RunOutcome
@@ -83,7 +83,7 @@ class TestProbeAllFirst:
 
 class TestBranchDecompositionDetails:
     def _dag(self, edges, failure="F"):
-        graph = nx.transitive_closure_dag(nx.DiGraph(edges))
+        graph = Digraph(edges).transitive_closure()
         return ACDag(graph=graph, failure=failure)
 
     def test_all_singleton_junction_walked_past(self):

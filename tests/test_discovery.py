@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
 import pytest
 
 from repro.core.acdag import ACDag
 from repro.core.branch import branch_prune
+from repro.core.digraph import Digraph
 from repro.core.discovery import causal_path_discovery, linear_discovery
 from repro.core.intervention import CountingRunner, RunOutcome
 from repro.core.variants import Approach, all_approaches, discover
@@ -69,7 +69,7 @@ def _figure4_like() -> tuple[ACDag, PathOracle]:
         ("P6", FAILURE_PID),
         ("P10", FAILURE_PID),
     ]
-    graph = nx.transitive_closure_dag(nx.DiGraph(edges))
+    graph = Digraph(edges).transitive_closure()
     dag = ACDag(graph=graph, failure=FAILURE_PID)
     causal = ["P1", "P2", "P11"]
     parents = {
@@ -98,9 +98,9 @@ class TestBranchPrune:
         ) & {"P9", "P10"}
 
     def test_chain_needs_no_interventions(self):
-        graph = nx.transitive_closure_dag(
-            nx.DiGraph([("A", "B"), ("B", "C"), ("C", FAILURE_PID)])
-        )
+        graph = Digraph(
+            [("A", "B"), ("B", "C"), ("C", FAILURE_PID)]
+        ).transitive_closure()
         dag = ACDag(graph=graph, failure=FAILURE_PID)
         oracle = PathOracle(dag, ["A", "B", "C"], {})
         runner = CountingRunner(oracle)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
 import pytest
 
+from repro.core.digraph import Digraph
 from repro.core.giwp import GIWP, topological_item_order
 from repro.core.intervention import CountingRunner, RunOutcome
 from repro.core.pruning import (
@@ -55,8 +55,8 @@ def _items(pids):
     return [GroupItem.single(p) for p in pids]
 
 
-def _reaches_from_graph(graph: nx.DiGraph):
-    closure = nx.transitive_closure_dag(graph)
+def _reaches_from_graph(graph: Digraph):
+    closure = graph.transitive_closure()
 
     def reaches(a: GroupItem, b: GroupItem) -> bool:
         return closure.has_edge(a.pid, b.pid)
@@ -81,7 +81,7 @@ class TestPruningRules:
         assert not counterfactual_violation(item, [consistent])
 
     def test_ancestors_of_intervened_never_pruned(self):
-        graph = nx.DiGraph([("UP", "C"), ("C", "DOWN")])
+        graph = Digraph([("UP", "C"), ("C", "DOWN")])
         reaches = _reaches_from_graph(graph)
         up, c, down = (GroupItem.single(p) for p in ("UP", "C", "DOWN"))
         # Intervening on C stopped the failure; UP still occurred.
@@ -123,7 +123,7 @@ class TestGIWPChain:
         oracle = ChainOracle(causal=causal, parents=noise)
         # Observational pruning is only sound WITH the AC-DAG's
         # reachability (the ancestor exemption); supply the chain graph.
-        graph = nx.DiGraph(zip(causal, causal[1:]))
+        graph = Digraph(zip(causal, causal[1:]))
         result, __ = self._solve(oracle, causal + sorted(noise), graph=graph)
         assert sorted(result.causal_pids) == causal
 
@@ -160,7 +160,7 @@ class TestGIWPChain:
         causal = ["C0", "C1", "C2"]
         parents = {f"n{i}": "C1" for i in range(6)}
         oracle = ChainOracle(causal=causal, parents=parents)
-        graph = nx.DiGraph(
+        graph = Digraph(
             [("C0", "C1"), ("C1", "C2")] + [("C1", n) for n in parents]
         )
         __, with_pruning = self._solve(oracle, causal + sorted(parents), graph)

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.digraph import Digraph
 from repro.core.theory import (
     BoundRow,
     aid_upper_bound_branch,
@@ -28,32 +28,37 @@ from repro.core.theory import (
 )
 
 
+def _path_graph(n: int) -> Digraph:
+    """The directed path 0 → 1 → … → n-1."""
+    graph = Digraph(zip(range(n - 1), range(1, n)))
+    graph.add_node(0)
+    return graph
+
+
 class TestSearchSpaces:
     def test_example3_numbers(self):
         """Paper Example 3: GT 64 candidates, CPD 15."""
         assert gt_search_space(6) == 64
         assert symmetric_search_space(1, 2, 3) == 15
-        graph = nx.DiGraph()
-        nx.add_path(graph, ["A1", "B1", "C1"])
-        nx.add_path(graph, ["A2", "B2", "C2"])
+        graph = Digraph([("A1", "B1"), ("B1", "C1"), ("A2", "B2"), ("B2", "C2")])
         assert count_cpd_solutions(graph) == 15
 
     def test_chain_equals_gt(self):
         for n in range(1, 6):
-            graph = nx.path_graph(n, create_using=nx.DiGraph)
+            graph = _path_graph(n)
             assert count_cpd_solutions(graph) == chain_search_space(n)
             assert chain_search_space(n) == gt_search_space(n)
 
     def test_lemma1_horizontal(self):
         # Two parallel 2-chains: 1 + (4-1) + (4-1) = 7.
         assert horizontal_expansion(4, 4) == 7
-        graph = nx.DiGraph([("a1", "a2"), ("b1", "b2")])
+        graph = Digraph([("a1", "a2"), ("b1", "b2")])
         assert count_cpd_solutions(graph) == 7
 
     def test_lemma1_vertical(self):
         # Two sequential 2-chains joined: a 4-chain, 2^4.
         assert vertical_expansion(4, 4) == 16
-        graph = nx.path_graph(4, create_using=nx.DiGraph)
+        graph = _path_graph(4)
         assert count_cpd_solutions(graph) == 16
 
     def test_symmetric_closed_form_vs_brute_force(self):
@@ -65,7 +70,7 @@ class TestSearchSpaces:
 
     def test_brute_force_size_guard(self):
         with pytest.raises(ValueError):
-            count_cpd_solutions(nx.path_graph(25, create_using=nx.DiGraph))
+            count_cpd_solutions(_path_graph(25))
 
 
 @settings(max_examples=30, deadline=None)
@@ -144,10 +149,12 @@ class TestSymmetricDag:
     def test_structure(self):
         graph = symmetric_acdag(2, 3, 4)
         assert len(graph) == 2 * 3 * 4
-        assert nx.is_directed_acyclic_graph(graph)
-        heads = [n for n in graph if graph.in_degree(n) == 0]
+        assert len(graph.topological_order()) == len(graph)  # raises on a cycle
+        heads = [n for n in graph if not graph.predecessors(n)]
         assert len(heads) == 3  # first junction's branch heads
 
     def test_single_chain_degenerate(self):
         graph = symmetric_acdag(1, 1, 5)
-        assert nx.is_path(graph, list(nx.topological_sort(graph)))
+        order = graph.topological_order()
+        assert len(order) == len(graph) == 5
+        assert all(graph.has_edge(a, b) for a, b in zip(order, order[1:]))

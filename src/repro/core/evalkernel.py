@@ -22,25 +22,21 @@ every layer:
   per-pid observation bitsets over execution columns plus a
   failed-column mask turn precision/recall counting into two
   ``int.bit_count`` calls.
-* :class:`CorpusSummary` — the **propose** half of two-phase extractor
-  discovery: one pass over each trace collects every per-trace fact the
-  default extractor catalogue needs (exception sites, duration/return
+* :func:`summarize_corpus` — the **propose** half of two-phase
+  extractor discovery: one pass over the corpus folds each trace into a
+  :class:`CorpusSummary`, collecting every per-trace fact the default
+  extractor catalogue needs (exception sites, duration/return
   aggregates, key presence, success-order pairs via a sort-based sweep,
-  race candidates, failure signatures).  Summaries form a commutative
-  monoid under :meth:`CorpusSummary.merge`, so the propose phase fans
-  out over trace chunks through :class:`~repro.exec.engine.ExecutionEngine`
-  (:func:`summarize_corpus`) and reduces to the same summary for any
-  job count.  The serial **calibrate** phase (envelope/order-baseline
-  intersection) lives with the extractors in
+  race candidates, failure signatures).  The **calibrate** half
+  (envelope/order-baseline intersection) lives with the extractors in
   :mod:`repro.core.extraction`.
 
 Invariants
 ----------
 * kernel evaluation equals per-predicate evaluation — same
   :class:`Observation` objects, same observation order;
-* ``summarize_corpus(engine=N jobs)`` equals the serial fold — every
-  summary field is order-independent under merge (unions,
-  intersections, min/max, sums, distinct-caps);
+* calibrating from the summary equals each extractor's single-phase
+  :meth:`~repro.core.extraction.Extractor.discover` over the raw traces;
 * nothing here persists; the kernel and summaries are derived state,
   rebuilt from traces on demand.
 """
@@ -49,13 +45,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from ..sim.tracing import MethodExecution, MethodKey
 from .predicates import KeyedPredicate, Observation, PredicateDef, racy_window
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.engine import ExecutionEngine
 
 #: Exception kinds that mark harness artifacts, not program behaviour
 #: (re-exported by :mod:`repro.core.extraction` for its extractors).
@@ -152,8 +145,7 @@ class DistinctCap:
     Tracks a stream of values by equality: after absorbing any number of
     them it knows whether none, exactly one, or more than one distinct
     value appeared (``value`` is meaningful only in the exactly-one
-    case).  Merging two caps is order-independent for that question,
-    which is what makes per-chunk summaries reducible.
+    case).
     """
 
     seen: bool = False
@@ -165,15 +157,6 @@ class DistinctCap:
             self.seen = True
             self.value = value
         elif not self.multi and value != self.value:
-            self.multi = True
-
-    def merge(self, other: "DistinctCap") -> None:
-        if not other.seen:
-            return
-        if not self.seen:
-            self.seen, self.multi, self.value = True, other.multi, other.value
-            return
-        if other.multi or other.value != self.value:
             self.multi = True
 
     @property
@@ -209,18 +192,6 @@ class KeyStats:
             if duration > self.max_duration:
                 self.max_duration = duration
         self.n_completed += 1
-
-    def merge(self, other: "KeyStats") -> None:
-        self.n_present += other.n_present
-        if other.n_completed:
-            if self.n_completed == 0:
-                self.min_duration = other.min_duration
-                self.max_duration = other.max_duration
-            else:
-                self.min_duration = min(self.min_duration, other.min_duration)
-                self.max_duration = max(self.max_duration, other.max_duration)
-            self.n_completed += other.n_completed
-        self.returns.merge(other.returns)
 
 
 def ordered_cross_thread_pairs(
@@ -275,12 +246,12 @@ def race_candidates(trace) -> set[tuple[MethodKey, MethodKey, str]]:
 @dataclass
 class CorpusSummary:
     """Everything the default extractor catalogue needs to calibrate,
-    collected in one pass per trace and mergeable across chunks.
+    collected in one pass per trace.
 
     The ``need_*`` flags scope the propose pass to what the present
     extractor stack will actually calibrate from — a failure-signature
     stack must not pay for the O(calls²) race walk or the ordered-pairs
-    sweep.  Summaries merged together must share the same flags.
+    sweep.
     """
 
     #: collect the per-execution aggregates (exception sites, duration/
@@ -361,96 +332,27 @@ class CorpusSummary:
         if self.need_races:
             self.races |= race_candidates(trace)
 
-    # -- the monoid -------------------------------------------------------
-
-    def merge(self, other: "CorpusSummary") -> "CorpusSummary":
-        """Fold another summary in; chunk merges commute (same result
-        for any chunking), ``fail_windows`` keeps chunk order."""
-        self.n_traces += other.n_traces
-        self.n_failures += other.n_failures
-        self.failing |= other.failing
-        for mine, theirs in (
-            (self.succ_stats, other.succ_stats),
-            (self.fail_stats, other.fail_stats),
-        ):
-            for key, stats in theirs.items():
-                ours = mine.get(key)
-                if ours is None:
-                    mine[key] = stats
-                else:
-                    ours.merge(stats)
-        for key, count in other.presence.items():
-            self.presence[key] = self.presence.get(key, 0) + count
-        if other.ordered is not None:
-            self.ordered = (
-                set(other.ordered)
-                if self.ordered is None
-                else self.ordered & other.ordered
-            )
-        for key, end in other.latest_end.items():
-            if end > self.latest_end.get(key, 0):
-                self.latest_end[key] = end
-        for key, start in other.earliest_start.items():
-            mine_start = self.earliest_start.get(key)
-            if mine_start is None or start < mine_start:
-                self.earliest_start[key] = start
-        self.races |= other.races
-        self.signatures |= other.signatures
-        self.fail_windows.extend(other.fail_windows)
-        return self
-
 
 def summarize_corpus(
     successes: Sequence,
     failures: Sequence,
-    engine: Optional["ExecutionEngine"] = None,
-    chunks_per_job: int = 4,
     need_stats: bool = True,
     need_order: bool = True,
     need_races: bool = True,
 ) -> CorpusSummary:
-    """The propose phase over a labeled corpus, optionally fanned out.
-
-    With an engine whose backend has more than one job, traces are
-    folded in contiguous chunks across the backend (each worker
-    summarizes its chunk; the parent merges in chunk order).  The merged
-    summary is identical for any job count — chunk merges commute.
-    The ``need_*`` flags scope the pass to what the caller's extractor
-    stack calibrates from (see :class:`CorpusSummary`).
+    """The propose phase over a labeled corpus: successes, then failures,
+    folded into one summary.  The ``need_*`` flags scope the pass to what
+    the caller's extractor stack calibrates from (see
+    :class:`CorpusSummary`).
     """
-    items = [(t, False) for t in successes] + [(t, True) for t in failures]
-
-    def new_summary() -> CorpusSummary:
-        return CorpusSummary(
-            need_stats=need_stats,
-            need_order=need_order,
-            need_races=need_races,
-        )
-
-    jobs = engine.backend.jobs if engine is not None else 1
-    if jobs <= 1 or len(items) < 2:
-        summary = new_summary()
-        for trace, failed in items:
-            summary.absorb_trace(trace, failed)
-        return summary
-
-    n_chunks = min(len(items), jobs * chunks_per_job)
-    step = -(-len(items) // n_chunks)  # ceil division
-    bounds = [
-        (lo, min(lo + step, len(items))) for lo in range(0, len(items), step)
-    ]
-
-    def summarize_chunk(bound: tuple[int, int]) -> CorpusSummary:
-        summary = new_summary()
-        for trace, failed in items[bound[0]:bound[1]]:
-            summary.absorb_trace(trace, failed)
-        return summary
-
-    parts = engine.dispatch(summarize_chunk, bounds)
-    merged = parts[0]
-    for part in parts[1:]:
-        merged.merge(part)
-    return merged
+    summary = CorpusSummary(
+        need_stats=need_stats, need_order=need_order, need_races=need_races
+    )
+    for trace in successes:
+        summary.absorb_trace(trace, False)
+    for trace in failures:
+        summary.absorb_trace(trace, True)
+    return summary
 
 
 def _hashable(value: object) -> bool:

@@ -12,11 +12,10 @@ Extractors only *propose* predicates; discriminative filtering is the
 job of :mod:`repro.core.statistical`.
 
 Discovery is two-phase for the default catalogue (see
-:mod:`repro.core.evalkernel`): a per-trace **propose** pass folds each
-trace into a :class:`~repro.core.evalkernel.CorpusSummary` (fanned over
-an :class:`~repro.exec.engine.ExecutionEngine` when one is given), and a
-serial **calibrate** pass — each extractor's :meth:`Extractor.calibrate`
-— turns the merged summary into the same predicate list its
+:mod:`repro.core.evalkernel`): one **propose** pass folds each trace
+into a :class:`~repro.core.evalkernel.CorpusSummary`, and a
+**calibrate** pass — each extractor's :meth:`Extractor.calibrate` —
+turns the summary into the same predicate list its
 :meth:`Extractor.discover` would produce from the raw traces.
 """
 
@@ -51,11 +50,7 @@ from .predicates import (
 from .statistical import PredicateLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.engine import ExecutionEngine
     from .evalkernel import SuiteKernel
-
-# Exception kinds that mark harness artifacts, not program behaviour.
-_IGNORED_EXCEPTIONS = IGNORED_EXCEPTIONS
 
 
 class Extractor:
@@ -69,8 +64,8 @@ class Extractor:
         raise NotImplementedError
 
     def calibrate(self, summary: CorpusSummary) -> list[PredicateDef]:
-        """Two-phase discovery's serial half: the predicates
-        :meth:`discover` would return, derived from a merged
+        """Two-phase discovery's calibrate half: the predicates
+        :meth:`discover` would return, derived from a
         :class:`~repro.core.evalkernel.CorpusSummary` instead of the raw
         traces.  Only classes in :data:`TWO_PHASE_EXTRACTORS` implement
         it; everything else falls back to :meth:`discover`."""
@@ -94,7 +89,7 @@ class MethodFailsExtractor(Extractor):
         seen: set[tuple[MethodKey, str]] = set()
         for trace in list(successes) + list(failures):
             for m in trace.method_executions():
-                if m.exception and m.exception not in _IGNORED_EXCEPTIONS:
+                if m.exception and m.exception not in IGNORED_EXCEPTIONS:
                     seen.add((m.key, m.exception))
         return self._from_sites(seen)
 
@@ -448,8 +443,8 @@ class FailureExtractor(Extractor):
         return [FailurePredicate(signature=s) for s in sorted(summary.signatures)]
 
 
-#: Extractor classes whose discovery splits into the parallelizable
-#: propose phase + serial calibrate phase.  Exact-type membership:
+#: Extractor classes whose discovery splits into the shared propose
+#: pass + a per-extractor calibrate.  Exact-type membership:
 #: a subclass with an overridden ``discover`` must not be silently
 #: rerouted through the parent's calibrate.
 TWO_PHASE_EXTRACTORS: frozenset[type] = frozenset(
@@ -506,8 +501,6 @@ class PredicateSuite:
         extractors: Optional[Iterable[Extractor]] = None,
         program: Optional[Program] = None,
         safe_only: bool = True,
-        engine: Optional["ExecutionEngine"] = None,
-        two_phase: Optional[bool] = None,
     ) -> "PredicateSuite":
         """Run all extractors over a labeled corpus and build the suite.
 
@@ -516,29 +509,22 @@ class PredicateSuite:
         failure predicates, which are never intervened on.
 
         Extractors in :data:`TWO_PHASE_EXTRACTORS` run two-phase: one
-        propose pass summarizes every trace (fanned across ``engine``'s
-        backend when it has workers to offer — the summary is identical
-        for any job count), then each extractor calibrates serially from
-        the merged summary.  Other extractors keep their whole-corpus
-        :meth:`Extractor.discover`.  ``two_phase=False`` forces the
-        legacy single-phase walk everywhere (the reference the tests and
-        benchmarks compare against); the suite is byte-identical either
-        way.
+        propose pass summarizes every trace, then each extractor
+        calibrates from the summary.  Other extractors keep their
+        whole-corpus :meth:`Extractor.discover`.  Either way an
+        extractor proposes what its :meth:`Extractor.discover` would.
         """
         extractors = (
             list(extractors) if extractors is not None else default_extractors()
         )
-        if two_phase is None:
-            two_phase = any(type(e) in TWO_PHASE_EXTRACTORS for e in extractors)
         summary: Optional[CorpusSummary] = None
-        if two_phase and any(type(e) in TWO_PHASE_EXTRACTORS for e in extractors):
+        if any(type(e) in TWO_PHASE_EXTRACTORS for e in extractors):
             needs: set[str] = set()
             for extractor in extractors:
                 needs |= _SUMMARY_NEEDS.get(type(extractor), frozenset())
             summary = summarize_corpus(
                 successes,
                 failures,
-                engine=engine,
                 need_stats="stats" in needs,
                 need_order="order" in needs,
                 need_races="races" in needs,

@@ -322,32 +322,6 @@ class EvalMatrix:
             failure_signature=signature,
         )
 
-    def answer_from_memo(
-        self, suite: PredicateSuite, entries: Sequence[tuple[str, bool]]
-    ) -> bool:
-        """Whether every (suite pid, trace) pair over these
-        ``(fingerprint, failed)`` entries (distinct fingerprints) is
-        decided under the suite's current definition digests.  If so,
-        count them as memo hits — exactly the hits :meth:`log_for` per
-        trace would count — and return ``True``; otherwise change
-        nothing and return ``False``.  A column whose label disagrees
-        with ``failed`` raises :class:`CorpusError`."""
-        mask = 0
-        for fp, failed in entries:
-            col = self._column.get(fp)
-            if col is None:
-                return False
-            self._check_label(col, failed)
-            mask |= 1 << col
-        suite_digests = self._digests_for(suite)
-        for pid in suite.defs:
-            if self.digests.get(pid) != suite_digests[pid]:
-                return False
-            if mask & ~self.evaluated.get(pid, 0):
-                return False
-        self.pair_hits += len(entries) * len(suite.defs)
-        return True
-
     def _drop_row(self, pid: str) -> None:
         self.dirty = True
         self.evaluated.pop(pid, None)
@@ -669,10 +643,10 @@ class ShardedEvalMatrix:
         and :meth:`reconstruct_log` rebuilds any log from it without a
         trace load (it still walks the suite and decodes the stored
         observations, so it is not free).
-        A shard whose every pair is already decided is answered from
-        popcounts alone (:meth:`EvalMatrix.answer_from_memo`): no trace
-        load, no per-trace log.  In any other shard only the traces with
-        an undecided pair are evaluated (:meth:`EvalMatrix.evaluate_group`).
+        Within a shard only the traces with an undecided pair are loaded
+        and evaluated (:meth:`EvalMatrix.evaluate_group`), so a shard
+        whose every pair is already decided loads no trace and builds
+        no per-trace log.
         """
         groups: dict[str, list] = {}
         for trace in traces:
@@ -724,15 +698,12 @@ class ShardedEvalMatrix:
             matrix = shards[sid]
             entries = [entry_of(item) for item in groups[sid]]
             fingerprints = [entry[0] for entry in entries]
-            # A shard whose every pair is decided is answered by the
-            # bitsets alone.
-            if not matrix.answer_from_memo(suite, entries):
-                load_trace = (
-                    store.load
-                    if load
-                    else dict(zip(fingerprints, groups[sid])).__getitem__
-                )
-                matrix.evaluate_group(suite, entries, load_trace)
+            load_trace = (
+                store.load
+                if load
+                else dict(zip(fingerprints, groups[sid])).__getitem__
+            )
+            matrix.evaluate_group(suite, entries, load_trace)
             # SD counters by popcount over the group's decided columns
             # instead of a per-log observation walk.
             return ShardEvaluation(

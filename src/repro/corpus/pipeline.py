@@ -45,10 +45,8 @@ Invariants
 * the predicate suite is frozen at bootstrap — extractors calibrate once
   over the then-current corpus, globally (never per shard: thresholds
   such as duration envelopes depend on the whole corpus, and the frozen
-  suite must not depend on the shard layout).  Only the *propose* half
-  of discovery (per-trace summarization, see
-  :mod:`repro.core.evalkernel`) fans out across the engine, and its
-  merged summary is identical for any job count;
+  suite must not depend on the shard layout).  Discovery is serial;
+  only evaluation fans out across the engine;
 * the analysis state after ``bootstrap(engine=N-jobs)`` is bit-identical
   to ``bootstrap()`` serial — tests assert report equality for 1 vs 8
   jobs;
@@ -73,7 +71,7 @@ the bitsets and parsing the shard matrix files.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from ..core.acdag import ACDag, learn_dag
@@ -269,10 +267,7 @@ class IncrementalPipeline:
         if self.suite is None:
             # Discovery calibration is global by construction (duration
             # envelopes and order baselines span the whole corpus), so
-            # the parent loads every trace — but the propose phase
-            # (per-trace summarization) fans out across the engine's
-            # backend, and the serial calibrate over the merged summary
-            # freezes a byte-identical suite for any job count.
+            # the parent loads every trace and discovers serially.
             corpus = self.store.labeled_corpus().restrict_failures(
                 self.signature
             )
@@ -282,7 +277,6 @@ class IncrementalPipeline:
                     corpus.failures,
                     extractors=self.extractors,
                     program=self.program,
-                    engine=engine,
                 )
             if self.extractors is None:
                 # Memoize the freeze for the next analyze over this
@@ -358,60 +352,12 @@ class IncrementalPipeline:
         excludes them from a batch session.  ``schedule_signature``
         stamps interleaving provenance into the manifest row (see
         :meth:`~repro.corpus.store.TraceStore.ingest`).
+
+        A one-trace :meth:`ingest_batch`; the result carries every pid
+        the trace removed from the views.
         """
-        if not self.bootstrapped:
-            raise CorpusError("bootstrap() the pipeline before ingesting")
-        with self._span("ingest"):
-            return self._ingest(trace, schedule_signature)
-
-    def _ingest(
-        self, trace, schedule_signature: Optional[str] = None
-    ) -> IngestResult:
-        fp, added = self.store.ingest(
-            trace, schedule_signature=schedule_signature
-        )
-        failed = trace.failed
-        if not added:
-            return IngestResult(fingerprint=fp, added=False, failed=failed)
-        signature = (
-            trace.failure.signature if trace.failure is not None else None
-        )
-        if failed and signature != self.signature:
-            return IngestResult(
-                fingerprint=fp, added=True, failed=True, skipped=True
-            )
-        if getattr(trace, "fingerprint", None) is None:
-            # live ExecutionTrace: attach the content address the matrix
-            # memoizes under (identical to the store's by construction)
-            trace = self.store.load(fp)
-        log = self.matrix.log_for(self.suite, trace)
-        self.debugger.add(log)
-        new_fully = self._derive_fully()
-        removed = set(self.fully) - set(new_fully)
-        self.fully = new_fully
-        if failed:
-            # Recall casualties are exactly the pids the new log does not
-            # observe; update_failed_log drops them along with the edges
-            # the new log contradicts.
-            removed |= self.dag.update_failed_log(log, policy=self.policy)
-        elif removed:
-            # A success can only break precision; edges are untouched.
-            removed |= self.dag.restrict_to(
-                set(new_fully) | {self.failure_pid}
-            )
-        result = IngestResult(
-            fingerprint=fp,
-            added=True,
-            failed=failed,
-            removed_pids=frozenset(removed),
-        )
-        if self.bus is not None:
-            from ..api.events import DagPatched
-
-            self._emit(
-                DagPatched(fingerprint=fp, removed_pids=result.removed_pids)
-            )
-        return result
+        batch = self.ingest_batch([trace], [schedule_signature])
+        return replace(batch.results[0], removed_pids=batch.removed_pids)
 
     # -- batched ingestion -----------------------------------------------
 

@@ -215,7 +215,6 @@ class AIDSession:
                     corpus.failures,
                     extractors=self.config.extractors,
                     program=self.program,
-                    engine=self.config.engine,
                 )
             self._emit(SuiteFrozen(n_predicates=len(self._suite)))
             with self._span("evaluate"):

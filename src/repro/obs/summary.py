@@ -4,8 +4,7 @@ Everything here works from a :class:`~repro.obs.runlog.RunLogReplay` —
 no live bus, no session objects — which is the point: a run that
 finished (or crashed) on another machine is fully explainable from its
 ``runs/<run_id>.jsonl`` alone.  ``repro obs summary`` renders one run,
-``repro obs compare`` sets two side by side (the tool the BENCH_eval
-parallel-discovery regression needed: *which phase* ate the
+``repro obs compare`` sets two side by side (*which phase* ate the
 wall-clock), and ``repro obs spans`` renders the span tree.
 
 :func:`summary_dict` / :func:`compare_dict` are the machine-readable

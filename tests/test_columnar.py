@@ -246,13 +246,16 @@ class TestPipelineParity:
         ref_logs = {fp: ref.log_for(suite, ref_store.load(fp)) for fp in fps}
 
         probe = ref_store.eval_matrix()  # the persisted, pre-evaluation memo
-        undecided = {
-            fp
-            for fp in fps
-            if not probe.shard_for(fp).answer_from_memo(
-                suite, [(fp, ref_store.entries[fp].failed)]
+        undecided = set()
+
+        def record(fingerprint):
+            undecided.add(fingerprint)
+            return ref_store.load(fingerprint)
+
+        for fp in fps:
+            probe.shard_for(fp).evaluate_group(
+                suite, [(fp, ref_store.entries[fp].failed)], record
             )
-        }
         loaded = []
         load = TraceStore.load
 

@@ -251,11 +251,21 @@ class TestShardParallelDeterminism:
             warm.bootstrap(engine=engine)
         finally:
             engine.close()
-        assert warm.fully == reference.fully
-        assert warm.dag.structure() == reference.dag.structure()
-        for a, b in zip(warm.logs, reference.logs):
-            assert dict(a.observations) == dict(b.observations)
-            assert (a.failed, a.seed) == (b.failed, b.seed)
+        # one bucket, serial: the shard layout changes nothing either
+        one_bucket = IncrementalPipeline(
+            _build_store(tmp_path / "one", racy_program, corpus, shard_width=0),
+            program=racy_program,
+            suite=reference.suite,
+        )
+        one_bucket.bootstrap()
+        assert warm.matrix.pair_evaluations > 0
+        assert one_bucket.matrix.pair_evaluations == warm.matrix.pair_evaluations
+        for pipeline in (warm, one_bucket):
+            assert pipeline.fully == reference.fully
+            assert pipeline.dag.structure() == reference.dag.structure()
+            for a, b in zip(pipeline.logs, reference.logs):
+                assert dict(a.observations) == dict(b.observations)
+                assert (a.failed, a.seed) == (b.failed, b.seed)
 
     def test_merged_dag_equals_rebuild(self, tmp_path, racy_program, corpus):
         store = _build_store(tmp_path / "c", racy_program, corpus)

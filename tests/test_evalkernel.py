@@ -3,21 +3,21 @@
 Property-style assertions that the fast paths equal the reference
 walks, byte for byte: indexed ``lookup`` ≡ linear scan, kernel
 ``evaluate_all`` ≡ per-predicate evaluation (same observations, same
-order), propose/calibrate discovery ≡ serial single-phase discovery
-(all registered workloads, 1 vs 8 jobs), SD counters ≡ log rescans,
+order), propose/calibrate discovery ≡ each extractor's single-phase
+``discover`` (all registered workloads), SD counters ≡ log rescans,
 and whole-session ``SessionReport.to_dict()`` byte-identity across
-engine job counts.
+engine job counts.  A count gate pins why the kernel is fast: one
+index per trace and fewer key resolutions than per-predicate rescans.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.core.evalkernel import (
-    CorpusSummary,
-    DistinctCap,
     ordered_cross_thread_pairs,
     popcount_split,
     race_candidates,
@@ -32,6 +32,7 @@ from repro.core.predicates import (
     DataRacePredicate,
     ExecutedPredicate,
     FailurePredicate,
+    KeyedPredicate,
     OrderViolationPredicate,
     racy_window,
 )
@@ -39,7 +40,7 @@ from repro.core.statistical import PredicateLog, StatisticalDebugger
 from repro.exec import ExecutionEngine, make_backend
 from repro.harness.runner import collect
 from repro.harness.session import AIDSession, SessionConfig
-from repro.sim import run_program
+from repro.sim import run_program, tracing
 from repro.sim.serialize import trace_fingerprint, trace_from_dict, trace_to_dict
 from repro.sim.tracing import ExecutionTrace, MethodKey
 from repro.workloads.common import REGISTRY
@@ -198,6 +199,82 @@ class TestKernelEvaluation:
 
 
 # ---------------------------------------------------------------------------
+# The count gate: index + kernel beat per-predicate rescans
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def kafka_suite():
+    """The kafka suite (72 keyed predicates over 56 distinct required
+    keys) and its 100+100 traces from seed 0."""
+    program = REGISTRY.build("kafka").program
+    corpus = collect(program, n_success=100, n_fail=100)
+    traces = corpus.successes + corpus.failures
+    return PredicateSuite.discover(
+        corpus.successes, corpus.failures, program=program
+    ), traces
+
+
+class TestCountGate:
+    """Why the kernel is fast, asserted by count rather than wall time:
+    each trace builds its read index once, and the kernel resolves each
+    distinct required key once per trace, so it makes strictly fewer
+    key resolutions than the per-predicate ``pred.evaluate(trace)``
+    loop.  Cheaper trace records move neither count."""
+
+    def test_index_and_kernel_beat_per_predicate_rescans(
+        self, kafka_suite, monkeypatch
+    ):
+        suite, live = kafka_suite
+        counts = Counter()
+
+        class CountingKeys(dict):
+            def get(self, key, default=None):
+                counts["resolutions"] += 1
+                return dict.get(self, key, default)
+
+        class CountingIndex(tracing._TraceIndex):
+            def __init__(self, completed):
+                super().__init__(completed)
+                counts["builds"] += 1
+                self.by_key = CountingKeys(self.by_key)
+
+        monkeypatch.setattr(tracing, "_TraceIndex", CountingIndex)
+        # decoded copies: no read index until the first read
+        traces = [trace_from_dict(trace_to_dict(t)) for t in live]
+        kernel = suite.kernel()
+        n_keyed = sum(isinstance(p, KeyedPredicate) for p in suite.defs.values())
+        assert len(kernel._keys) < n_keyed
+
+        # (a) evaluate_all builds one index per trace, and none on reuse
+        logs = suite.evaluate_all(traces)
+        assert counts["builds"] == len(traces)
+        kernel_resolutions = counts["resolutions"]
+        suite.evaluate_all(traces)
+        assert counts["builds"] == len(traces)
+
+        # (b) the kernel resolves every distinct key up front, once...
+        for trace in traces:
+            before = counts["resolutions"]
+            kernel.observations(trace, only=frozenset())
+            assert counts["resolutions"] - before == len(kernel._keys)
+
+        # ...and in total strictly less often than per-predicate rescans
+        # that find the same observations.
+        before = counts["resolutions"]
+        for trace, log in zip(traces, logs):
+            reference = {
+                pid: obs
+                for pid, pred in suite.defs.items()
+                if (obs := pred.evaluate(trace)) is not None
+            }
+            assert dict(log.observations) == reference
+        per_predicate = counts["resolutions"] - before
+        assert kernel_resolutions < per_predicate
+        assert counts["builds"] == len(traces)
+
+
+# ---------------------------------------------------------------------------
 # Two-phase discovery ≡ serial discovery
 # ---------------------------------------------------------------------------
 
@@ -209,56 +286,25 @@ class TestTwoPhaseDiscovery:
         )
 
     @pytest.mark.parametrize("name", sorted(REGISTRY.names()))
-    def test_propose_calibrate_equals_serial(self, name, thread8):
+    def test_propose_calibrate_equals_serial(self, name):
         workload = REGISTRY.build(name)
         corpus = collect(workload.program, n_success=16, n_fail=16)
         corpus = corpus.restrict_failures(corpus.dominant_failure_signature())
-        serial = PredicateSuite.discover(
-            corpus.successes,
-            corpus.failures,
-            program=workload.program,
-            two_phase=False,
+        serial = _single_phase_suite(
+            corpus.successes, corpus.failures, program=workload.program
         )
         staged = PredicateSuite.discover(
             corpus.successes, corpus.failures, program=workload.program
         )
-        fanned = PredicateSuite.discover(
-            corpus.successes,
-            corpus.failures,
-            program=workload.program,
-            engine=thread8,
-        )
         reference = json.dumps(serial.to_dict(), sort_keys=True)
         assert json.dumps(staged.to_dict(), sort_keys=True) == reference
-        assert json.dumps(fanned.to_dict(), sort_keys=True) == reference
-        assert serial.fingerprint == staged.fingerprint == fanned.fingerprint
-
-    def test_summaries_merge_identically_across_chunkings(
-        self, corpus, thread8
-    ):
-        serial = summarize_corpus(corpus.successes, corpus.failures)
-        fanned = summarize_corpus(
-            corpus.successes, corpus.failures, engine=thread8
-        )
-        assert serial.n_traces == fanned.n_traces
-        assert serial.n_failures == fanned.n_failures
-        assert serial.failing == fanned.failing
-        assert serial.ordered == fanned.ordered
-        assert serial.races == fanned.races
-        assert serial.signatures == fanned.signatures
-        assert serial.presence == fanned.presence
-        assert serial.latest_end == fanned.latest_end
-        assert serial.earliest_start == fanned.earliest_start
-        assert serial.fail_windows == fanned.fail_windows
+        assert serial.fingerprint == staged.fingerprint
 
     def test_restricted_stack_scopes_the_summary(self, corpus):
         from repro.core.extraction import FailureExtractor
 
-        serial = PredicateSuite.discover(
-            corpus.successes,
-            corpus.failures,
-            extractors=[FailureExtractor()],
-            two_phase=False,
+        serial = _single_phase_suite(
+            corpus.successes, corpus.failures, extractors=[FailureExtractor()]
         )
         staged = PredicateSuite.discover(
             corpus.successes, corpus.failures, extractors=[FailureExtractor()]
@@ -312,6 +358,25 @@ class TestTwoPhaseDiscovery:
                 assert race_candidates(trace) == reference
                 found += len(reference)
             assert found  # the comparison is not vacuous
+
+
+def _single_phase_suite(
+    successes, failures, extractors=None, program=None
+) -> PredicateSuite:
+    """The suite :meth:`PredicateSuite.discover` must equal, built by
+    calling each extractor's single-phase ``discover`` on the raw
+    traces."""
+    defs = {}
+    for extractor in extractors or default_extractors():
+        for pred in extractor.discover(successes, failures):
+            defs.setdefault(pred.pid, pred)
+    if program is not None:
+        defs = {
+            pid: p
+            for pid, p in defs.items()
+            if isinstance(p, FailurePredicate) or p.is_safe(program)
+        }
+    return PredicateSuite(defs=defs)
 
 
 def _all_pairs_race_candidates(trace) -> set:
@@ -394,42 +459,6 @@ class TestPopcountCounting:
             reference.add(matrix.log_for(suite, trace))
         derived = matrix.sd_counters(suite, [t.fingerprint for t in imported])
         assert derived == reference
-
-    def test_distinct_cap_merge_is_order_independent(self):
-        streams = (["x"], ["x", "x"], ["x", "y"], [], [None])
-        for left in streams:
-            for right in streams:
-                one = DistinctCap()
-                for v in left + right:
-                    one.add(v)
-                a, b = DistinctCap(), DistinctCap()
-                for v in left:
-                    a.add(v)
-                for v in right:
-                    b.add(v)
-                a.merge(b)
-                assert (a.seen, a.multi) == (one.seen, one.multi)
-                if a.seen and not a.multi:
-                    assert a.value == one.value
-
-    def test_corpus_summary_merge_equals_single_fold(self, corpus):
-        whole = CorpusSummary()
-        for t in corpus.successes:
-            whole.absorb_trace(t, failed=False)
-        for t in corpus.failures:
-            whole.absorb_trace(t, failed=True)
-        parts = [CorpusSummary(), CorpusSummary(), CorpusSummary()]
-        items = [(t, False) for t in corpus.successes] + [
-            (t, True) for t in corpus.failures
-        ]
-        for i, (t, failed) in enumerate(items):
-            parts[i % 3].absorb_trace(t, failed)
-        merged = parts[0].merge(parts[1]).merge(parts[2])
-        assert merged.n_traces == whole.n_traces
-        assert merged.failing == whole.failing
-        assert merged.ordered == whole.ordered
-        assert merged.presence == whole.presence
-        assert merged.races == whole.races
 
 
 # ---------------------------------------------------------------------------

@@ -156,9 +156,15 @@ class TestReadsNeverWrite:
         assert not matrix.dirty
         entries = sorted(store.shard_entries(sid).items())
         fps = [fp for fp, _ in entries]
-        assert matrix.answer_from_memo(
-            pipeline.suite, [(fp, e.failed) for fp, e in entries]
+
+        def refuse(fingerprint):
+            raise AssertionError(f"decided trace {fingerprint} was loaded")
+
+        matrix.evaluate_group(
+            pipeline.suite, [(fp, e.failed) for fp, e in entries], refuse
         )
+        assert matrix.pair_hits == len(entries) * len(pipeline.suite)
+        assert not matrix.dirty
         entry = store.entries[fps[0]]
         matrix.reconstruct_log(
             pipeline.suite, fps[0], entry.failed, entry.seed, entry.signature

@@ -125,6 +125,7 @@ class TestWorkloadSpecifics:
         }
         assert max(lengths, key=lengths.get) == "healthtelemetry"
         assert lengths["healthtelemetry"] == 10
+        assert len(_case(results, "healthtelemetry")["session"].build_dag()) > 90
 
     def test_registry_names(self):
         assert REGISTRY.names() == [

@@ -73,7 +73,7 @@ def run(
         obs.watch_engine(engine)
     try:
         if mode == "incremental":
-            report = _run_incremental(spec, engine, bus)
+            report = _run_incremental(spec, bus)
         else:
             from . import registry as registries
 
@@ -126,9 +126,10 @@ def run(
     return report
 
 
-def _run_incremental(spec: RunSpec, engine, bus: EventBus) -> "SessionReport":
+def _run_incremental(spec: RunSpec, bus: EventBus) -> "SessionReport":
     """Analyze-only: bootstrap the incremental pipeline over the store
-    (shard-parallel when the engine has workers) and report its views."""
+    and report its views.  No intervention runs, so the engine is
+    idle."""
     from ..corpus import IncrementalPipeline, TraceStore
     from ..harness.session import SessionReport
     from . import registry as registries
@@ -146,7 +147,7 @@ def _run_incremental(spec: RunSpec, engine, bus: EventBus) -> "SessionReport":
         policy=spec.analysis.build_policy(),
         bus=bus,
     )
-    pipeline.bootstrap(engine=engine)
+    pipeline.bootstrap()
     pipeline.save()
     return SessionReport(
         program=program,

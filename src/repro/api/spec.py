@@ -187,8 +187,9 @@ class EngineSpec:
     """Where intervened re-executions run, and what outcomes persist.
 
     The single home of the engine-flag plumbing every intervention-heavy
-    CLI subcommand shares (``debug``, ``figure7``, ``figure8``,
-    ``corpus analyze``, ``run``).
+    CLI subcommand shares (``debug``, ``figure7``, ``figure8``, ``run``).
+    An incremental-mode corpus run executes no intervention, so this
+    section does nothing there.
     """
 
     jobs: Optional[int] = None
@@ -279,7 +280,8 @@ class CorpusSpec:
     dir: Optional[str] = None
     #: "session" — full debugging session reading traces from the store;
     #: "incremental" — analyze-only: bootstrap the incremental pipeline
-    #: (suite → SD → AC-DAG) without running interventions.
+    #: (suite → SD → AC-DAG) without running interventions, so the
+    #: spec's ``engine`` section does nothing.
     mode: str = "session"
 
     def problems(self) -> list[str]:

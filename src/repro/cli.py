@@ -17,12 +17,11 @@ Commands
 ``corpus init|ingest|stats|shard-stats|analyze|compact|reshard``
     Manage a persistent trace-corpus store: content-addressed ingestion
     (dedup by trace fingerprint), corpus and per-shard statistics, the
-    offline analysis phase with memoized predicate evaluation
-    (``analyze --jobs N`` runs one evaluation task per shard; a warm
-    corpus also reuses its persisted predicate suite and skips extractor
-    rediscovery), compaction of shadowed matrix rows, and in-place
-    resharding (``reshard DIR --width W``) preserving every memoized
-    pair.  ``debug --corpus DIR`` then debugs from the stored logs
+    offline analysis phase with memoized predicate evaluation (one
+    serial pass over the shards; a warm corpus also reuses its persisted
+    predicate suite and skips extractor rediscovery), compaction of
+    shadowed matrix rows, and in-place resharding
+    (``reshard DIR --width W``) preserving every memoized pair.  ``debug --corpus DIR`` then debugs from the stored logs
     instead of re-running the collection sweep.  ``stats --json``
     emits a versioned machine-readable payload.
 ``obs summary|compare|spans|index|tail``
@@ -669,10 +668,7 @@ def _print_analysis_report(
 
 
 def _cmd_corpus_analyze(args: argparse.Namespace) -> int:
-    spec = RunSpec(
-        corpus=CorpusSpec(dir=args.dir, mode="incremental"),
-        engine=EngineSpec(jobs=args.jobs, backend=args.backend),
-    )
+    spec = RunSpec(corpus=CorpusSpec(dir=args.dir, mode="incremental"))
     log = EventLog()
     obs = obs_from_args(args)
     report = _run_spec(spec, log, obs=obs)
@@ -990,23 +986,12 @@ def build_parser() -> argparse.ArgumentParser:
     canalyze = csub.add_parser(
         "analyze",
         help="offline phase over the stored logs: predicates -> SD -> "
-        "AC-DAG, with evaluation memoized in the corpus (one task per "
-        "shard with --jobs) and the frozen suite persisted for warm "
-        "restarts",
+        "AC-DAG, with evaluation memoized in the corpus and the frozen "
+        "suite persisted for warm restarts",
     )
     canalyze.add_argument("dir")
     canalyze.add_argument("--dot", action="store_true",
                           help="also print the AC-DAG in Graphviz format")
-    canalyze.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="evaluate corpus shards in parallel on N workers (the "
-        "merged result is identical for any job count)",
-    )
-    canalyze.add_argument(
-        "--backend", default=None, choices=registries.backends.names(),
-        help="where shard evaluation runs (default serial; --jobs N>1 "
-        "implies thread)",
-    )
     add_obs_flags(canalyze)
 
     ccompact = csub.add_parser(

@@ -621,11 +621,6 @@ class PredicateSuite:
             self._kernel = cached
         return cached
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_kernel", None)  # derived; rebuild after unpickling
-        return state
-
     def evaluate(self, trace: ExecutionTrace, seed: int = 0) -> PredicateLog:
         """Evaluate every predicate on one trace → a predicate log.
 

@@ -121,8 +121,8 @@ class StatisticalDebugger:
 
         Counters are plain sums, so merging per-shard debuggers (each
         built over a disjoint slice of the corpus) equals one debugger
-        built over the whole corpus — the reduction step of the
-        shard-parallel analyze.  Returns ``self`` for chaining.
+        built over the whole corpus — how corpus evaluation sums its
+        shards' counters.  Returns ``self`` for chaining.
         """
         self.n_failed += other.n_failed
         self.n_success += other.n_success

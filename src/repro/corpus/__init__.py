@@ -10,28 +10,25 @@ into a durable service:
 * :mod:`~repro.corpus.matrix` — the :class:`EvalMatrix` (one bitset
   file per shard) behind a :class:`ShardedEvalMatrix`, a predicates ×
   traces memo guaranteeing each pair is evaluated at most once
-  corpus-wide, with shard-parallel evaluation (only traces with an
-  undecided pair are loaded) and compaction;
+  corpus-wide, evaluated shard by shard (only traces with an undecided
+  pair are loaded), with compaction;
 * :mod:`~repro.corpus.pipeline` — the :class:`IncrementalPipeline`
   maintaining SD counts, the fully-discriminative set, and the AC-DAG
-  under log insertions, with a shard-parallel ``bootstrap`` fanning out
-  through :mod:`repro.exec` (and a
-  :meth:`~IncrementalPipeline.rebuild` fallback the merged state is
+  under log insertions, built by one serial ``bootstrap`` pass (and a
+  :meth:`~IncrementalPipeline.rebuild` fallback the maintained state is
   asserted equal to);
 * :mod:`~repro.corpus.session` — :class:`CorpusSession`, an AID session
   that debugs from stored logs instead of re-running the workload.
 
 CLI: ``repro corpus init|ingest|stats|shard-stats|analyze|compact|reshard`` and
-``repro debug <workload> --corpus DIR``; ``analyze --jobs N`` runs one
-evaluation task per shard.  See ``docs/corpus.md`` for the workflow and
-the on-disk format spec.
+``repro debug <workload> --corpus DIR``.  See ``docs/corpus.md`` for the
+workflow and the on-disk format spec.
 """
 
 from .matrix import (
     CompactionStats,
     EvalMatrix,
     ShardedEvalMatrix,
-    ShardEvaluation,
     merge_matrices,
     split_matrix,
 )
@@ -47,7 +44,6 @@ __all__ = [
     "IncrementalPipeline",
     "BatchIngestResult",
     "IngestResult",
-    "ShardEvaluation",
     "ShardedEvalMatrix",
     "TraceEntry",
     "TraceStore",

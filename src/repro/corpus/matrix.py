@@ -28,8 +28,8 @@ Invariants
   whose definition drifted is dropped and re-evaluated rather than
   served stale;
 * the shard holding a pair is a pure function of the trace fingerprint
-  (the store's ``shard_id``), so concurrent per-shard evaluation never
-  touches shared state;
+  (the store's ``shard_id``), so shards are disjoint and their SD
+  counters sum to the whole corpus's;
 * a shard whose every (pid, trace) pair is already decided is answered
   from popcounts alone: no trace is loaded and no per-trace log is
   assembled; in any other shard only the traces with an undecided pair
@@ -54,7 +54,7 @@ matrix into per-shard files preserving every memoized pair.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
@@ -64,7 +64,6 @@ from ..core.statistical import PredicateLog, StatisticalDebugger
 from .store import CorpusError, _read_json, _write_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.engine import ExecutionEngine
     from .store import TraceStore
 
 MATRIX_VERSION = 1
@@ -116,14 +115,6 @@ class EvalMatrix:
         self.dirty = False
         if self.path is not None and self.path.exists():
             self.load(self.path)
-
-    def __getstate__(self) -> dict:
-        # Worker processes hand matrices back by pickle; the digest
-        # cache references the (unpicklable-sized) suite and is cheap to
-        # rebuild, so it stays behind.
-        state = self.__dict__.copy()
-        state["_digest_cache"] = None
-        return state
 
     def _digests_for(self, suite: PredicateSuite) -> dict[str, str]:
         """Per-suite digest table, computed once (the suite is frozen)."""
@@ -476,7 +467,7 @@ class EvalMatrix:
         missing key, non-hex bitset, labels not aligned with traces) is
         a :class:`CorpusError` naming it."""
         payload = _read_json(Path(path))
-        version = payload.get("version") if isinstance(payload, dict) else None
+        version = payload.get("version")
         if version != MATRIX_VERSION:
             raise CorpusError(
                 f"unsupported eval-matrix version {version!r} in {path}"
@@ -521,23 +512,6 @@ class EvalMatrix:
         self.dirty = False
 
 
-@dataclass
-class ShardEvaluation:
-    """One shard's share of an analysis, in mergeable form.
-
-    Produced by :meth:`ShardedEvalMatrix.evaluate_shards` — possibly in
-    a worker process, in which case the ``matrix`` carries the shard's
-    post-evaluation memo state back to the parent.  No per-trace logs
-    travel back: the matrix already holds everything a log contains
-    (:meth:`EvalMatrix.reconstruct_log` rebuilds any of them).
-    """
-
-    shard_id: str
-    matrix: EvalMatrix
-    #: per-shard SD counters, merged deterministically by the pipeline
-    counters: StatisticalDebugger = field(default_factory=StatisticalDebugger)
-
-
 @dataclass(frozen=True)
 class CompactionStats:
     """What ``compact`` reclaimed, summed over shards."""
@@ -557,8 +531,7 @@ class ShardedEvalMatrix:
 
     Routing is by trace fingerprint — the shard holding a pair is
     ``store.shard_id(fingerprint)`` — so every memo lookup touches
-    exactly one shard file, and shards can be evaluated in parallel
-    without sharing state.  Shard matrices load lazily; ``save`` writes
+    exactly one shard file.  Shard matrices load lazily; ``save`` writes
     each dirty shard next to its traces plus a top-level index
     (``DIR/evalmatrix.json``, format version 2) naming every shard that
     holds a bitset file.
@@ -599,10 +572,16 @@ class ShardedEvalMatrix:
         if index_path.exists():
             payload = _read_json(index_path)
             if payload.get("version") == MATRIX_INDEX_VERSION:
+                listed = payload.get("shards", [])
+                if not isinstance(listed, list) or not all(
+                    isinstance(sid, str) for sid in listed
+                ):
+                    raise CorpusError(
+                        f"{index_path} is malformed: shards must be a "
+                        "list of shard ids"
+                    )
                 sids.update(
-                    sid
-                    for sid in payload.get("shards", [])
-                    if self.store.is_valid_shard_id(sid)
+                    sid for sid in listed if self.store.is_valid_shard_id(sid)
                 )
         for sid in self.store.shard_ids:
             if self.store.shard_matrix_path(sid).exists():
@@ -622,24 +601,15 @@ class ShardedEvalMatrix:
         return self.shard_for(fp).log_for(suite, trace)
 
     def evaluate_shards(
-        self,
-        suite: PredicateSuite,
-        traces: Sequence,
-        engine: Optional["ExecutionEngine"] = None,
-    ) -> list[ShardEvaluation]:
-        """Evaluate the suite over many traces, one task per shard.
+        self, suite: PredicateSuite, traces: Sequence
+    ) -> StatisticalDebugger:
+        """Evaluate the suite over many traces, shard by shard, and
+        return their SD counters.
 
-        With an :class:`~repro.exec.engine.ExecutionEngine` whose backend
-        has more than one job, shards fan out across the backend (thread
-        or forked process workers); each worker mutates only its own
-        shard matrix, and the returned matrices replace the parent's
-        copies, so process isolation is transparent.  Results come back
-        in sorted shard order regardless of completion order, and every
-        per-trace evaluation is independent — the outcome is
-        bit-identical for any job count.
-
-        Each task returns only its shard's SD ``counters``; no per-trace
-        log leaves the worker — the matrix carries the same information,
+        Shards are walked in sorted order and each shard's popcount
+        counters are summed into one
+        :class:`~repro.core.statistical.StatisticalDebugger`.  No
+        per-trace log is built: the matrix carries the same information,
         and :meth:`reconstruct_log` rebuilds any log from it without a
         trace load (it still walks the suite and decodes the stored
         observations, so it is not free).
@@ -648,7 +618,8 @@ class ShardedEvalMatrix:
         whose every pair is already decided loads no trace and builds
         no per-trace log.
         """
-        groups: dict[str, list] = {}
+        by_fp: dict = {}
+        entries = []
         for trace in traces:
             fp = getattr(trace, "fingerprint", None)
             if fp is None:
@@ -656,75 +627,40 @@ class ShardedEvalMatrix:
                     "trace has no fingerprint; corpus evaluation is "
                     "memoized by content address"
                 )
-            groups.setdefault(self.store.shard_id(fp), []).append(trace)
-        return self._evaluate_groups(suite, groups, engine, False)
+            by_fp[fp] = trace
+            entries.append((fp, trace.failed))
+        return self._evaluate(suite, entries, by_fp.__getitem__)
 
     def evaluate_fingerprints(
-        self,
-        suite: PredicateSuite,
-        fingerprints: Sequence[str],
-        engine: Optional["ExecutionEngine"] = None,
-    ) -> list[ShardEvaluation]:
-        """Like :meth:`evaluate_shards`, but each shard task *loads its
-        own traces* from the store — so trace deserialization
-        parallelizes along with evaluation.  This is the path a
-        pre-frozen suite takes (no global discovery pass needs the
-        traces in the parent).  Only traces with an undecided pair are
+        self, suite: PredicateSuite, fingerprints: Sequence[str]
+    ) -> StatisticalDebugger:
+        """Like :meth:`evaluate_shards`, but traces are named by
+        fingerprint and *loaded from the store* as needed.  This is the
+        path a pre-frozen suite takes (no global discovery pass needs
+        the trace bodies).  Only traces with an undecided pair are
         loaded."""
-        groups: dict[str, list[str]] = {}
-        for fp in fingerprints:
-            groups.setdefault(self.store.shard_id(fp), []).append(fp)
-        return self._evaluate_groups(suite, groups, engine, True)
+        stored = self.store.entries
+        entries = [(fp, stored[fp].failed) for fp in fingerprints]
+        return self._evaluate(suite, entries, self.store.load)
 
-    def _evaluate_groups(
+    def _evaluate(
         self,
         suite: PredicateSuite,
-        groups: dict[str, list],
-        engine: Optional["ExecutionEngine"],
-        load: bool,
-    ) -> list[ShardEvaluation]:
-        sids = sorted(groups)
-        for sid in sids:
-            self.shard(sid)  # load before dispatch (workers only read files)
-        shards = self._shards
-        store = self.store
-
-        def entry_of(item) -> tuple[str, bool]:
-            if load:
-                return item, store.entries[item].failed
-            return item.fingerprint, item.failed
-
-        def evaluate_shard(sid: str) -> ShardEvaluation:
-            matrix = shards[sid]
-            entries = [entry_of(item) for item in groups[sid]]
-            fingerprints = [entry[0] for entry in entries]
-            load_trace = (
-                store.load
-                if load
-                else dict(zip(fingerprints, groups[sid])).__getitem__
-            )
-            matrix.evaluate_group(suite, entries, load_trace)
+        entries: Sequence[tuple[str, bool]],
+        load_trace: Callable[[str], object],
+    ) -> StatisticalDebugger:
+        groups: dict[str, list[tuple[str, bool]]] = {}
+        for entry in entries:
+            groups.setdefault(self.store.shard_id(entry[0]), []).append(entry)
+        counters = StatisticalDebugger()
+        for sid in sorted(groups):
+            group = groups[sid]
+            matrix = self.shard(sid)
+            matrix.evaluate_group(suite, group, load_trace)
             # SD counters by popcount over the group's decided columns
             # instead of a per-log observation walk.
-            return ShardEvaluation(
-                shard_id=sid,
-                matrix=matrix,
-                counters=matrix.sd_counters(suite, fingerprints),
-            )
-
-        parallel = (
-            engine is not None
-            and engine.backend.jobs > 1
-            and len(sids) > 1
-        )
-        if parallel:
-            results = engine.dispatch(evaluate_shard, sids)
-        else:
-            results = [evaluate_shard(sid) for sid in sids]
-        for evaluation in results:
-            # A process backend hands back a mutated copy; adopt it.
-            self._shards[evaluation.shard_id] = evaluation.matrix
-        return sorted(results, key=lambda ev: ev.shard_id)
+            counters.merge(matrix.sd_counters(suite, [fp for fp, _ in group]))
+        return counters
 
     def reconstruct_log(
         self,

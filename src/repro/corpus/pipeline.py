@@ -1,4 +1,4 @@
-"""Incremental, shard-parallel analysis over a trace corpus.
+"""Incremental analysis over a sharded trace corpus.
 
 Role
 ----
@@ -10,23 +10,21 @@ logs, and log insertion patches them instead of recomputing.
 Lifecycle::
 
     pipeline = IncrementalPipeline(store, program=workload.program)
-    pipeline.bootstrap(engine=...)  # freeze suite; evaluate shard-parallel
+    pipeline.bootstrap()            # freeze suite; evaluate shard by shard
     pipeline.ingest(new_trace)      # store + patch counts, FD set, AC-DAG
     pipeline.rebuild()              # the from-scratch fallback (tests assert
                                     # it equals the patched state)
 
-Shard-parallel analyze
-----------------------
-``bootstrap`` accepts an :class:`~repro.exec.engine.ExecutionEngine`:
-predicate evaluation fans out one task per corpus shard across the
-engine's backend (thread or forked process workers), each task working
-its own shard of the :class:`~repro.corpus.matrix.ShardedEvalMatrix`
-and returning only its popcount **SD counters**.  The parent then takes
-one path, whatever the schedule — counters → global FD set → one
-``ACDag.build``:
+One analysis pass
+-----------------
+``bootstrap`` evaluates the suite in one serial loop over the corpus
+shards, in sorted shard order: each shard of the
+:class:`~repro.corpus.matrix.ShardedEvalMatrix` evaluates its undecided
+pairs and contributes only its popcount **SD counters**.  Then one path
+follows — counters → global FD set → one ``ACDag.build``:
 
 * per-shard counters (:class:`~repro.core.statistical.StatisticalDebugger`)
-  merge by plain summation, in sorted shard order;
+  sum into the corpus-wide counters, in sorted shard order;
 * :func:`~repro.core.acdag.learn_dag` derives the failure predicate and
   the global fully-discriminative set from the merged counters and
   builds one AC-DAG over the failed logs, rebuilt from the matrix
@@ -37,19 +35,17 @@ one path, whatever the schedule — counters → global FD set → one
 
 A warm bootstrap (every pair already decided) therefore loads no
 trace and — through the matrix's dirty flags — ``save`` afterwards
-writes nothing.  With a pre-frozen suite, shard tasks load only the
-traces that still have an undecided pair.
+writes nothing.  With a pre-frozen suite, only the traces that still
+have an undecided pair are loaded.
 
 Invariants
 ----------
 * the predicate suite is frozen at bootstrap — extractors calibrate once
   over the then-current corpus, globally (never per shard: thresholds
   such as duration envelopes depend on the whole corpus, and the frozen
-  suite must not depend on the shard layout).  Discovery is serial;
-  only evaluation fans out across the engine;
-* the analysis state after ``bootstrap(engine=N-jobs)`` is bit-identical
-  to ``bootstrap()`` serial — tests assert report equality for 1 vs 8
-  jobs;
+  suite must not depend on the shard layout);
+* the analysis state does not depend on the shard width — tests assert
+  equal DAGs for a one-bucket and a sharded store;
 * ingested logs are evaluated against the frozen suite (each pair at
   most once corpus-wide, via the eval matrix) and can only *shrink* the
   fully-discriminative set and the DAG, which is what makes pure
@@ -88,7 +84,6 @@ from .store import CorpusError, TraceStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.events import Event, EventBus
-    from ..exec.engine import ExecutionEngine
 
 
 @dataclass
@@ -212,15 +207,13 @@ class IncrementalPipeline:
 
     # -- bootstrap -------------------------------------------------------
 
-    def bootstrap(self, engine: Optional["ExecutionEngine"] = None) -> None:
+    def bootstrap(self) -> None:
         """Freeze the predicate suite over the current corpus and build
         every maintained view.
 
         All evaluation goes through the sharded matrix, so a warm
-        restart performs zero fresh evaluations; with an ``engine``,
-        evaluation fans out one task per shard, and the merged counters
-        feed one global AC-DAG build (identical state for any job
-        count).
+        restart performs zero fresh evaluations; the summed per-shard
+        counters feed one global AC-DAG build.
         """
         from ..api.events import (
             CollectionFinished,
@@ -291,21 +284,18 @@ class IncrementalPipeline:
                 SuiteFrozen(n_predicates=len(self.suite), source=suite_source)
             )
             with self._span("evaluate"):
-                evaluations = self.matrix.evaluate_shards(
-                    self.suite,
-                    corpus.successes + corpus.failures,
-                    engine=engine,
+                counters = self.matrix.evaluate_shards(
+                    self.suite, corpus.successes + corpus.failures
                 )
         else:
             # Pre-frozen suite: nothing global needs the trace bodies,
-            # so shard tasks load their own traces — deserialization
-            # parallelizes along with evaluation.
+            # so each shard loads only its traces with an undecided pair.
             self._emit(
                 SuiteFrozen(n_predicates=len(self.suite), source=suite_source)
             )
             with self._span("evaluate"):
-                evaluations = self.matrix.evaluate_fingerprints(
-                    self.suite, fingerprints, engine=engine
+                counters = self.matrix.evaluate_fingerprints(
+                    self.suite, fingerprints
                 )
         self._emit(
             LogsEvaluated(
@@ -315,10 +305,8 @@ class IncrementalPipeline:
                 kernel_calls=self.matrix.kernel_calls,
             )
         )
+        self.debugger = counters
         with self._span("dag-build"):
-            self.debugger = StatisticalDebugger()
-            for evaluation in evaluations:  # sorted shard order
-                self.debugger.merge(evaluation.counters)
             self.failure_pid, self.fully, self.dag = learn_dag(
                 self.suite,
                 self.debugger,

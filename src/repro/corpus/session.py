@@ -18,10 +18,8 @@ Invariants
   failures, fingerprint-sorted);
 * a warm corpus re-evaluates **zero** already-seen (predicate, trace)
   pairs and reuses the persisted suite freeze, so it loads no trace;
-* when the session's :class:`~repro.harness.session.SessionConfig`
-  carries an execution engine with more than one job, evaluation fans
-  out one task per corpus shard across that engine's backend, with
-  results identical to the serial walk;
+* the session's execution engine runs interventions only; corpus
+  evaluation is one serial pass over the shards;
 * intervention outcomes are memoized under a corpus-content key, so two
   sessions over the same stored traces share outcomes no matter how
   the corpus was assembled.
@@ -82,8 +80,7 @@ class CorpusSession(AIDSession):
 
     def analyze(self) -> StatisticalDebugger:
         """Stages 2-4 from the store: one pipeline bootstrap (persisted
-        suite and matrix reused, shard-parallel on the session's
-        engine)."""
+        suite and matrix reused)."""
         if self._debugger is None:
             cfg = self.config
             pipeline = IncrementalPipeline(
@@ -94,7 +91,7 @@ class CorpusSession(AIDSession):
                 policy=cfg.policy,
                 bus=cfg.bus,
             )
-            pipeline.bootstrap(engine=cfg.engine)
+            pipeline.bootstrap()
             self._pipeline = pipeline
             self._signature = pipeline.signature
             self._suite = pipeline.suite

@@ -14,7 +14,8 @@ Persistence format (v3, sharded)
 --------------------------------
 Traces are bucketed by a hex prefix of their fingerprint (the *shard
 id*), so no directory and no JSON file ever has to hold the whole
-corpus, and shards are the unit of parallel analysis::
+corpus, and shards are the unit of analysis and of evaluation memo
+files::
 
     DIR/
       manifest.json                 top-level index: version, program,
@@ -152,13 +153,20 @@ def _write_json(path: Path, payload: dict, indent: Optional[int] = 2) -> None:
     tmp.replace(path)
 
 
-def _read_json(path: Path):
-    """Parse one corpus JSON file; a truncated or corrupt file is a
-    :class:`CorpusError` naming it, never a bare decoder traceback."""
+def _read_json(path: Path) -> dict:
+    """Parse one corpus JSON file, which must hold an object; a
+    truncated or corrupt file is a :class:`CorpusError` naming it, never
+    a bare decoder traceback."""
     try:
-        return json.loads(path.read_text())
+        payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path} is unreadable: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CorpusError(
+            f"{path} is malformed: expected a JSON object, got "
+            f"{type(payload).__name__}"
+        )
+    return payload
 
 
 class TraceStore:
@@ -378,16 +386,17 @@ class TraceStore:
 
     def load_suite(self, program: Optional[str] = None):
         """The persisted suite, or ``None`` when it cannot stand in for
-        rediscovery: missing file, unknown version, a corpus whose
-        content changed since the suite froze (extractor thresholds are
-        calibrated on the whole corpus), or a different attached
-        program (the Section 3.3 safety filter depends on it)."""
+        rediscovery: a missing, unreadable or non-object file, an
+        unknown version, a corpus whose content changed since the suite
+        froze (extractor thresholds are calibrated on the whole corpus),
+        or a different attached program (the Section 3.3 safety filter
+        depends on it)."""
         path = self.suite_path
         if not path.exists():
             return None
         try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError:
+            payload = _read_json(path)
+        except CorpusError:
             return None
         if payload.get("version") != SUITE_FILE_VERSION:
             return None

@@ -19,11 +19,9 @@ keeps :class:`~repro.exec.stats.ExecStats` accounting; the default
 (serial backend, in-memory cache) is bit-identical to historical
 in-line execution.
 
-The engine is deliberately generic — an order-preserving parallel map
-plus a memo — so other subsystems reuse it for non-intervention work:
-:mod:`repro.corpus` dispatches one *analysis task per corpus shard*
-through :meth:`~repro.exec.engine.ExecutionEngine.dispatch` for
-``repro corpus analyze --jobs N``.
+The engine runs intervened executions only: corpus analysis
+(:mod:`repro.corpus`) evaluates its shards in one serial pass and takes
+no engine.
 
 Invariant: every backend satisfies ``map(fn, items)[i] == fn(items[i])``,
 so results never depend on the backend or job count — only the

@@ -8,7 +8,7 @@ provably identical across serial, threaded, and multi-process execution.
 Backends never see pids, seeds, or outcomes; they only run callables.
 Determinism therefore reduces to one property — the module's single
 invariant, which all three implementations share and every consumer
-(intervention waves, corpus shard fan-out) relies on:
+(intervention rounds and exploration waves) relies on:
 ``map(fn, items)[i] == fn(items[i])``.  Backends hold no durable
 state; nothing here persists.
 

@@ -34,9 +34,8 @@ Invariants
   never returned);
 * only the parent mutates the cache — workers read a (possibly
   fork-snapshotted) view and hand outcomes back;
-* :meth:`ExecutionEngine.dispatch` is the generic timed fan-out other
-  subsystems reuse (the corpus layer ships one analysis task per shard
-  through it); it inherits the same order-preservation guarantee.
+* :meth:`ExecutionEngine.dispatch` is the one timed backend map under
+  every batch; it inherits the same order-preservation guarantee.
 
 Persistence: none here — the engine's only durable state is the
 outcome cache (see :mod:`repro.exec.cache`), written on ``flush``.

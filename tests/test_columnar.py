@@ -44,6 +44,7 @@ from repro.core.predicates import (
     TooSlowPredicate,
     WrongReturnPredicate,
 )
+from repro.core.statistical import StatisticalDebugger
 from repro.corpus.store import LEGACY_SHARD_FILES, TraceStore
 from repro.exec import ExecutionEngine, make_backend
 from repro.harness.session import SessionConfig
@@ -265,7 +266,7 @@ class TestPipelineParity:
 
         monkeypatch.setattr(TraceStore, "load", spy)
         sharded = TraceStore.open(seed_root).eval_matrix()
-        evaluations = sharded.evaluate_fingerprints(suite, fps)
+        counters = sharded.evaluate_fingerprints(suite, fps)
         monkeypatch.undo()
 
         assert sorted(loaded) == sorted(undecided)
@@ -277,14 +278,14 @@ class TestPipelineParity:
             for fp, entry in store.entries.items()
         }
         assert logs == ref_logs
-        for ev in evaluations:
-            assert _matrix_state(ev.matrix) == _matrix_state(
-                ref.shard(ev.shard_id)
+        expected = StatisticalDebugger()
+        for sid in sorted({store.shard_id(fp) for fp in fps}):
+            assert _matrix_state(sharded.shard(sid)) == _matrix_state(
+                ref.shard(sid)
             )
-            shard_fps = [fp for fp in fps if store.shard_id(fp) == ev.shard_id]
-            assert ev.counters == ref.shard(ev.shard_id).sd_counters(
-                suite, shard_fps
-            )
+            shard_fps = [fp for fp in fps if store.shard_id(fp) == sid]
+            expected.merge(ref.shard(sid).sd_counters(suite, shard_fps))
+        assert counters == expected
 
     def test_warm_columnar_reuses_the_memo(self, tmp_path, capsys):
         """An analyzed store still carrying legacy ``columnar.bin``

@@ -1,5 +1,5 @@
-"""The sharded corpus layout: v1/v2→v3 migration, shard-parallel analyze
-determinism, SD-counter merging, and compaction."""
+"""The sharded corpus layout: v1/v2→v3 migration, analysis independent
+of the shard layout, SD-counter merging, and compaction."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from repro.corpus import (
     merge_matrices,
     split_matrix,
 )
-from repro.exec import ExecutionEngine, make_backend
 from repro.harness.runner import collect
 
 from conftest import rescan_stats, stats_tuples
@@ -192,48 +191,6 @@ class TestMigration:
 
 
 class TestShardParallelDeterminism:
-    def test_cli_jobs_1_equals_jobs_8(self, tmp_path, capsys):
-        # Two identical corpora so both runs are cold; the printed
-        # report (including evaluation counts) must match byte for byte.
-        outs = []
-        for name, jobs in (("a", None), ("b", "8")):
-            corpus_dir = str(tmp_path / name)
-            assert main(["corpus", "init", corpus_dir, "--workload", "network"]) == 0
-            assert main(["corpus", "ingest", corpus_dir, "--runs", "6"]) == 0
-            capsys.readouterr()
-            argv = ["corpus", "analyze", corpus_dir]
-            if jobs:
-                argv += ["--jobs", jobs]
-            assert main(argv) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
-
-    def test_engine_bootstrap_matches_serial(
-        self, tmp_path, racy_program, corpus
-    ):
-        serial_store = _build_store(tmp_path / "s", racy_program, corpus)
-        serial = IncrementalPipeline(serial_store, program=racy_program)
-        serial.bootstrap()
-
-        engine = ExecutionEngine(backend=make_backend("thread", 8))
-        try:
-            parallel = IncrementalPipeline(
-                _build_store(tmp_path / "p", racy_program, corpus),
-                program=racy_program,
-            )
-            parallel.bootstrap(engine=engine)
-        finally:
-            engine.close()
-
-        assert parallel.fully == serial.fully
-        assert parallel.failure_pid == serial.failure_pid
-        assert parallel.dag.structure() == serial.dag.structure()
-        assert parallel.debugger.counts == serial.debugger.counts
-        assert parallel.dag.n_failed_logs == serial.dag.n_failed_logs
-        for a, b in zip(parallel.logs, serial.logs):
-            assert dict(a.observations) == dict(b.observations)
-            assert (a.failed, a.seed) == (b.failed, b.seed)
-
     def test_prefrozen_suite_skips_discovery_and_matches(
         self, tmp_path, racy_program, corpus
     ):
@@ -241,17 +198,13 @@ class TestShardParallelDeterminism:
         reference = IncrementalPipeline(store, program=racy_program)
         reference.bootstrap()
 
-        engine = ExecutionEngine(backend=make_backend("thread", 4))
-        try:
-            warm = IncrementalPipeline(
-                _build_store(tmp_path / "w", racy_program, corpus),
-                program=racy_program,
-                suite=reference.suite,
-            )
-            warm.bootstrap(engine=engine)
-        finally:
-            engine.close()
-        # one bucket, serial: the shard layout changes nothing either
+        warm = IncrementalPipeline(
+            _build_store(tmp_path / "w", racy_program, corpus),
+            program=racy_program,
+            suite=reference.suite,
+        )
+        warm.bootstrap()
+        # one bucket: the shard layout changes nothing
         one_bucket = IncrementalPipeline(
             _build_store(tmp_path / "one", racy_program, corpus, shard_width=0),
             program=racy_program,

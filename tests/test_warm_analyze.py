@@ -10,7 +10,12 @@ import shutil
 import pytest
 
 from repro.cli import main
-from repro.corpus import EvalMatrix, IncrementalPipeline, TraceStore
+from repro.corpus import (
+    CorpusSession,
+    EvalMatrix,
+    IncrementalPipeline,
+    TraceStore,
+)
 from repro.exec import ExecutionEngine, make_backend
 from repro.harness.runner import collect
 from repro.harness.session import AIDSession, SessionConfig
@@ -75,28 +80,36 @@ def _snapshot(root) -> dict:
 
 
 class TestOneGlobalBuild:
+    # The bootstrap is one serial pass; a session carrying a parallel
+    # engine (which runs interventions only) analyzes to the same DAG.
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_bootstrap_equals_rebuild_and_live_session(
         self, tmp_path, racy_program, corpus, live_dag, backend
     ):
         structures = []
-        for jobs in (1, 8):
-            engine = ExecutionEngine(backend=make_backend(backend, jobs))
-            try:
-                pipeline = IncrementalPipeline(
-                    _build_store(
-                        tmp_path / f"{backend}{jobs}", racy_program, corpus
-                    ),
-                    program=racy_program,
-                )
-                pipeline.bootstrap(engine=engine)
-            finally:
-                engine.close()
+        for width in (2, 0):
+            root = tmp_path / f"w{width}"
+            pipeline = IncrementalPipeline(
+                _build_store(root, racy_program, corpus, width),
+                program=racy_program,
+            )
+            pipeline.bootstrap()
             assert pipeline.dag.structure() == pipeline.rebuild().structure()
             assert pipeline.dag.n_failed_logs == len(
                 [log for log in pipeline.logs if log.failed]
             )
             structures.append(pipeline.dag.structure())
+            engine = ExecutionEngine(backend=make_backend(backend, 2))
+            try:
+                session = CorpusSession(
+                    racy_program,
+                    TraceStore.open(root),
+                    SessionConfig(engine=engine),
+                )
+                session.analyze()
+            finally:
+                engine.close()
+            assert session.build_dag().structure() == structures[-1]
         assert structures[0] == structures[1] == live_dag.structure()
 
     def test_warm_bootstrap_equals_cold(self, tmp_path, racy_program, corpus):
@@ -341,3 +354,71 @@ class TestCorruptCorpusFiles:
         message = str(excinfo.value.code)
         assert message.startswith("repro: corpus: ")
         assert str(path) in message
+
+    # JSON that parses but is not an object (or an index whose shard
+    # list is not a list of ids) is a structured error naming the file.
+    @pytest.mark.parametrize(
+        "relpath, text, command",
+        [
+            ("manifest.json", "[]", "analyze"),
+            ("manifest.json", "[]", "stats"),
+            ("shards/{sid}/manifest.json", "[]", "analyze"),
+            ("shards/{sid}/manifest.json", "[]", "stats"),
+            ("evalmatrix.json", "[]", "stats"),
+            ("evalmatrix.json", "[]", "shard-stats"),
+            ("evalmatrix.json", "[]", "compact"),
+            ("evalmatrix.json", '{"version": 2, "shards": 5}', "stats"),
+            ("evalmatrix.json", '{"version": 2, "shards": [5]}', "stats"),
+        ],
+        ids=[
+            "manifest-analyze",
+            "manifest-stats",
+            "shard-manifest-analyze",
+            "shard-manifest-stats",
+            "index-stats",
+            "index-shard-stats",
+            "index-compact",
+            "index-shards-not-a-list",
+            "index-shard-id-not-a-string",
+        ],
+    )
+    def test_non_object_file_is_a_corpus_error(
+        self, tmp_path, capsys, analyzed_network_corpus, relpath, text,
+        command,
+    ):
+        root = tmp_path / "c"
+        shutil.copytree(analyzed_network_corpus, root)
+        sid = TraceStore.open(root).shard_ids[0]
+        path = root / relpath.format(sid=sid)
+        path.write_text(text)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["corpus", command, str(root)])
+        message = str(excinfo.value.code)
+        assert message.startswith("repro: corpus: ")
+        assert str(path) in message
+        assert "malformed" in message
+
+    def test_non_object_suite_is_rediscovered(
+        self, tmp_path, capsys, analyzed_network_corpus
+    ):
+        root = tmp_path / "c"
+        shutil.copytree(analyzed_network_corpus, root)
+        capsys.readouterr()
+        assert main(["corpus", "analyze", str(root)]) == 0
+        warm = capsys.readouterr().out
+        suite_path = root / "suite.json"
+        suite_path.write_text("[]")
+        assert main(["corpus", "analyze", str(root)]) == 0
+        rediscovered = capsys.readouterr().out
+        assert "reused from the persisted freeze" in warm
+        assert "reused from the persisted freeze" not in rediscovered
+
+        def report(out: str) -> list[str]:
+            return [
+                line for line in out.splitlines()
+                if not line.startswith(("suite", "evaluation"))
+            ]
+
+        assert report(rediscovered) == report(warm)
+        assert isinstance(json.loads(suite_path.read_text()), dict)

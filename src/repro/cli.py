@@ -416,6 +416,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         result = ExplorationDriver(
             workload.program, config=config, store=store, bus=bus
         ).run()
+    except CorpusError as exc:
+        raise SystemExit(f"repro: --corpus: {exc}") from exc
     except (registries.RegistryError, ScheduleError, ValueError) as exc:
         raise SystemExit(f"repro: explore: {exc}") from exc
     finally:

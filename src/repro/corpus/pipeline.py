@@ -79,6 +79,7 @@ from ..core.statistical import (
     failure_and_fd,
 )
 from ..sim.program import Program
+from ..sim.serialize import trace_to_dict
 from .matrix import CompactionStats, ShardedEvalMatrix
 from .store import CorpusError, TraceStore
 
@@ -397,8 +398,10 @@ class IncrementalPipeline:
         for slot, (trace, sched_sig) in enumerate(
             zip(traces, schedule_signatures)
         ):
-            fp, added = self.store.ingest(
-                trace, schedule_signature=sched_sig
+            # The store decodes every payload to validate it; evaluate
+            # that decoded trace rather than read the file back.
+            fp, added, decoded = self.store._ingest_payload(
+                trace_to_dict(trace), sched_sig
             )
             failed = trace.failed
             if not added:
@@ -416,9 +419,7 @@ class IncrementalPipeline:
                     fingerprint=fp, added=True, failed=True, skipped=True
                 )
                 continue
-            if getattr(trace, "fingerprint", None) is None:
-                trace = self.store.load(fp)
-            analyzable.append((slot, fp, trace, failed))
+            analyzable.append((slot, fp, decoded, failed))
         if not analyzable:
             return BatchIngestResult(
                 results=results  # type: ignore[arg-type]

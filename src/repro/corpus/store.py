@@ -434,6 +434,14 @@ class TraceStore:
         self, payload: dict, schedule_signature: Optional[str] = None
     ) -> tuple[str, bool]:
         """Add one already-serialized trace payload; returns ``(fp, added)``."""
+        fp, added, _ = self._ingest_payload(payload, schedule_signature)
+        return fp, added
+
+    def _ingest_payload(
+        self, payload: dict, schedule_signature: Optional[str]
+    ) -> tuple[str, bool, ImportedTrace]:
+        """:meth:`ingest_payload`, also returning the payload as decoded
+        for validation, fingerprint set: what :meth:`load` reads back."""
         # Validate eagerly — a malformed payload must fail on ingest, not
         # years later mid-analysis.  Also checks the schema version.
         try:
@@ -448,6 +456,7 @@ class TraceStore:
                 f"corpus holds {self._program!r}"
             )
         fp = stable_digest(payload)
+        trace.fingerprint = fp
         existing = self.entries.get(fp)
         if existing is not None:
             if schedule_signature is not None and existing.schedule is None:
@@ -455,7 +464,7 @@ class TraceStore:
                 self._set_entry(
                     dataclasses.replace(existing, schedule=schedule_signature)
                 )
-            return fp, False
+            return fp, False, trace
         path = self.trace_path(fp)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, sort_keys=True))
@@ -472,7 +481,7 @@ class TraceStore:
                 schedule=schedule_signature,
             )
         )
-        return fp, True
+        return fp, True, trace
 
     def evict(self, fingerprint: str) -> bool:
         """Drop one trace from the manifest and delete its body.

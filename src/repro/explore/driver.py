@@ -71,11 +71,16 @@ Invariants
 * corpus ingestion is batched per wave
   (:meth:`~repro.corpus.pipeline.IncrementalPipeline.ingest_batch`) —
   one counter update, one FD derivation, one DAG restriction per wave,
-  byte-identical to per-trace ingestion.
+  byte-identical to per-trace ingestion;
+* bookkeeping is paid once per execution: each schedule is hashed once
+  (its signature rides next to it in the frontier) and
+  :func:`relevant_flips` runs once per admitted execution, on key and
+  write sets built once for it (asserted by count gates in tests).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -213,10 +218,15 @@ def relevant_flips(
 
     A candidate that never ran again is kept unconditionally — its
     behavior past ``b`` is entirely unobserved.
-    """
-    from ..sim.schedule import footprints_conflict
 
-    flips: list[tuple[int, str]] = []
+    The conflict test is
+    :func:`~repro.sim.schedule.footprints_conflict` on per-decision
+    key and write sets built once per call: two footprints conflict
+    exactly when one's writes meet the other's keys.  Slot ``j`` comes
+    from per-thread position lists by bisection, and every branch
+    waiting on the same slot shares one downward scan for the latest
+    decision ``j`` cannot commute past.
+    """
     if len(footprints) != len(decisions):
         # No independence information (e.g. a replayed schedule from
         # disk): every flip is potentially relevant.
@@ -226,24 +236,45 @@ def relevant_flips(
             for c in candidates
             if c != decisions[b]
         )
-    n = len(decisions)
+    if not branches:
+        return ()
+    keys = [frozenset(key for key, _ in fp) for fp in footprints]
+    writes = [frozenset(key for key, w in fp if w) for fp in footprints]
+    barrier = [("*", True) in fp for fp in footprints]
+    positions: dict[str, list[int]] = {}
+    for k, thread in enumerate(decisions):
+        positions.setdefault(thread, []).append(k)
+    # slot j -> (lowest k scanned, latest k in [that, j) that j does
+    # not commute past, or -1)
+    scans: dict[int, tuple[int, int]] = {}
+    flips: list[tuple[int, str]] = []
     for b, candidates in branches:
         chosen = decisions[b]
         for c in candidates:
             if c == chosen:
                 continue
-            j = next(
-                (k for k in range(b + 1, n) if decisions[k] == c), None
-            )
-            if j is None:
+            slots = positions.get(c, ())
+            at = bisect_right(slots, b)
+            if at == len(slots):
                 flips.append((b, c))
                 continue
-            if any(
-                footprints_conflict(footprints[j], footprints[k])
-                or ("*", True) in footprints[j]
-                or ("*", True) in footprints[k]
-                for k in range(b, j)
-            ):
+            j = slots[at]
+            if barrier[j]:
+                flips.append((b, c))
+                continue
+            lo, hit = scans.get(j, (j, -1))
+            if hit < 0 and b < lo:
+                keys_j, writes_j = keys[j], writes[j]
+                for k in range(lo - 1, b - 1, -1):
+                    if (
+                        barrier[k]
+                        or not writes_j.isdisjoint(keys[k])
+                        or not keys_j.isdisjoint(writes[k])
+                    ):
+                        hit = k
+                        break
+                scans[j] = (b, hit)
+            if hit >= b:
                 flips.append((b, c))
     return tuple(flips)
 
@@ -358,6 +389,18 @@ class ExplorationDriver:
             raise ValueError(
                 f"wave size must be >= 1, got {self.config.wave}"
             )
+        if self.config.budget < 0:
+            raise ValueError(
+                f"budget must be >= 0, got {self.config.budget}"
+            )
+        if store is not None and store.program not in (None, program.name):
+            from ..corpus.store import CorpusError
+
+            # Fail before the first wave, not at its first ingestion.
+            raise CorpusError(
+                f"this corpus holds {store.program!r}, not "
+                f"{program.name!r}"
+            )
         self.store = store
         self.bus = bus
         self.simulator = Simulator(
@@ -376,9 +419,10 @@ class ExplorationDriver:
         self._failure_fingerprints: set[str] = set()
         #: handoff edges covered so far
         self.coverage: set[tuple[str, str]] = set()
-        #: coverage-increasing schedules, mutation fodder — the deque
+        #: coverage-increasing schedules, mutation fodder, each next to
+        #: its signature (hashed once, in :meth:`_observe`) — the deque
         #: cap makes eviction O(1) where a list's pop(0) was O(n)
-        self.frontier: deque[Schedule] = deque(
+        self.frontier: deque[tuple[Schedule, str]] = deque(
             maxlen=self.config.frontier_cap
         )
         #: exact signature -> dependence-relevant flips of an admitted
@@ -518,7 +562,9 @@ class ExplorationDriver:
                 )
             return WavePlan(index=i, seed=seed, mutated=False)
         if self.frontier and self._rng.random() < rate:
-            parent = self.frontier[self._rng.randrange(len(self.frontier))]
+            parent, _ = self.frontier[
+                self._rng.randrange(len(self.frontier))
+            ]
             if len(parent) > 0:
                 cut = self._rng.randrange(1, len(parent) + 1)
                 return WavePlan(
@@ -533,10 +579,11 @@ class ExplorationDriver:
 
     def _untried_flips(self) -> list[tuple[Schedule, str, int, str]]:
         """Every (parent, signature, branch, choice) flip not yet
-        attempted, in frontier order — the directed-mutation pool."""
+        attempted, in frontier order — the directed-mutation pool.
+        Rebuilt on every plan, but from the signatures the frontier
+        keeps: no schedule is re-hashed here."""
         pool: list[tuple[Schedule, str, int, str]] = []
-        for parent in self.frontier:
-            sig = parent.signature()
+        for parent, sig in self.frontier:
             for b, c in self._flips.get(sig, ()):
                 if (sig, b, c) not in self._flips_tried:
                     pool.append((parent, sig, b, c))
@@ -652,7 +699,7 @@ class ExplorationDriver:
         else:
             admit = bool(new_edges)
         if admit:
-            self.frontier.append(schedule)
+            self.frontier.append((schedule, signature))
             if cfg.partial_order and signature not in self._flips:
                 self._flips[signature] = relevant_flips(
                     schedule.decisions,

@@ -244,12 +244,14 @@ class TestDriver:
     def test_frontier_dedups_by_coverage(self, npgsql):
         driver = ExplorationDriver(npgsql, ExploreConfig(budget=80))
         driver.run()
-        sigs = [s.signature() for s in driver.frontier]
+        sigs = [sig for _, sig in driver.frontier]
         assert len(sigs) == len(set(sigs))
         # every frontier member earned its place with a novel edge, and
-        # the union of frontier transitions is within global coverage
-        for schedule in driver.frontier:
+        # the union of frontier transitions is within global coverage;
+        # the signature kept next to it is the schedule's own
+        for schedule, sig in driver.frontier:
             assert schedule.transitions() <= driver.coverage
+            assert sig == schedule.signature()
 
     def test_distinct_failing_signatures_deduped(self, npgsql):
         result = explore(npgsql, ExploreConfig(budget=80))
@@ -505,6 +507,35 @@ class TestCli:
 
         with pytest.raises(SystemExit, match="explore"):
             main(["explore", str(tmp_path / "nope.toml")])
+
+    def test_explore_into_other_programs_corpus_fails_cleanly(
+        self, capsys, tmp_path
+    ):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.cli import main
+
+        corpus = str(tmp_path / "c")
+        assert main(
+            ["explore", "kafka", "--corpus", corpus, "--budget", "20"]
+        ) == 0
+        capsys.readouterr()
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "explore", "network",
+             "--corpus", corpus, "--budget", "20"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        output = proc.stdout + proc.stderr
+        assert proc.returncode != 0
+        assert "repro: --corpus:" in output
+        assert "Traceback" not in output
+        assert "explored" not in proc.stdout
 
     def test_debug_strategy_flag_parses(self):
         from repro.cli import build_parser

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from repro.api.events import EventBus, EventLog
-from repro.corpus import IncrementalPipeline, TraceStore
+from repro.corpus import CorpusError, IncrementalPipeline, TraceStore
 from repro.explore import ExplorationDriver, ExploreConfig, explore
 from repro.explore.driver import relevant_flips
 from repro.explore.strategies import SwapTail
@@ -200,6 +200,26 @@ class TestWaveDeterminism:
     def test_wave_size_must_be_positive(self, npgsql):
         with pytest.raises(ValueError, match="wave"):
             ExplorationDriver(npgsql, ExploreConfig(wave=0))
+
+    def test_budget_must_not_be_negative(self, npgsql):
+        with pytest.raises(ValueError, match=r"budget must be >= 0, got -3"):
+            ExplorationDriver(npgsql, ExploreConfig(budget=-3))
+
+    def test_other_programs_corpus_is_refused_before_running(
+        self, npgsql, tmp_path
+    ):
+        kafka = REGISTRY.build("kafka").program
+        store = TraceStore.init(tmp_path / "c", program=kafka.name)
+        log = EventLog()
+        with pytest.raises(CorpusError, match="kafka"):
+            ExplorationDriver(
+                npgsql,
+                ExploreConfig(budget=20),
+                store=store,
+                bus=EventBus([log]),
+            )
+        assert not log.events
+        assert len(store) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,8 @@ class Observation(_ObservationFields):
 
 def _span(m: MethodExecution) -> Observation:
     """``m``'s whole window.  Like :func:`_end_point` it skips
-    ``Observation``'s check (a record never ends before it starts):
+    ``Observation``'s check (a record never ends before it starts: the
+    simulator cannot stamp one, and the trace decoder refuses one):
     these are the evaluation kernel's most frequent observations."""
     return _tuple_new(
         Observation, (m.start_time, m.end_time, m.start_lamport, m.end_lamport)

@@ -23,14 +23,17 @@ from dataclasses import dataclass, field
 
 
 class VirtualClock:
-    """Global monotonically-increasing tick counter."""
+    """Global monotonically-increasing tick counter.
+
+    ``now`` is a plain attribute: the scheduler sets it once per step
+    and the runtime bumps it for call bookkeeping, both on the hot
+    path.  :meth:`advance` is the checked way to move it.
+    """
+
+    __slots__ = ("now",)
 
     def __init__(self) -> None:
-        self._now = 0
-
-    @property
-    def now(self) -> int:
-        return self._now
+        self.now = 0
 
     def advance(self, ticks: int) -> int:
         """Advance the clock and return the *new* time.
@@ -41,8 +44,8 @@ class VirtualClock:
         """
         if ticks < 0:
             raise ValueError(f"cannot advance clock by {ticks} ticks")
-        self._now += ticks
-        return self._now
+        self.now += ticks
+        return self.now
 
 
 @dataclass

@@ -208,8 +208,9 @@ class InterventionSet:
 
     def __init__(self, interventions: tuple[Intervention, ...] = ()) -> None:
         self.interventions = tuple(interventions)
-        # Calls of any other method get the shared empty plans.
-        self._methods = frozenset(
+        #: the methods some intervention names; calls of any other
+        #: method get the shared empty plans
+        self.methods = frozenset(
             s.method for item in self.interventions for s in _selectors(item)
         )
 
@@ -226,7 +227,7 @@ class InterventionSet:
         return [i.describe() for i in self.interventions]
 
     def entry_plan(self, method: str, thread: str, occurrence: int) -> MethodEntryPlan:
-        if method not in self._methods:
+        if method not in self.methods:
             return NO_ENTRY_PLAN
         delays = 0
         locks: list[str] = []
@@ -259,7 +260,7 @@ class InterventionSet:
         )
 
     def exit_plan(self, method: str, thread: str, occurrence: int) -> MethodExitPlan:
-        if method not in self._methods:
+        if method not in self.methods:
             return NO_EXIT_PLAN
         delays = 0
         locks: list[str] = []

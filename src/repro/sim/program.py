@@ -47,7 +47,7 @@ from functools import lru_cache
 from typing import Any, Callable, Generator, Mapping, Optional, TYPE_CHECKING
 
 from .errors import SimulatedError, UnknownMethodError
-from .faults import MethodSelector
+from .faults import NO_ENTRY_PLAN, NO_EXIT_PLAN, MethodSelector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .runtime import Runtime
@@ -96,6 +96,9 @@ class SleepAction(Action):
 #: overhead); actions are immutable values, so one instance per
 #: duration serves every yield of it.
 sleep_action = lru_cache(maxsize=1024)(SleepAction)
+
+#: The tick of overhead every traced call pays.
+_CALL_OVERHEAD = sleep_action(1)
 
 
 @dataclass(frozen=True)
@@ -222,6 +225,8 @@ class SimContext:
         self.runtime = runtime
         self.thread = thread
         self.program = runtime.program
+        self._methods = runtime.program.methods
+        self._intervened = runtime.interventions.methods
         self._rng: Optional[random.Random] = None
 
     # -- local (non-yielding) helpers -----------------------------------
@@ -317,27 +322,36 @@ class SimContext:
 
         This is the heart of fault injection: entry and exit plans from
         the active :class:`~repro.sim.faults.InterventionSet` are applied
-        around the body.
+        around the body.  A method no intervention names gets the shared
+        empty plans without asking for them.
         """
-        fn = self.program.method(name)
+        try:
+            fn = self._methods[name]
+        except KeyError:
+            raise UnknownMethodError(name) from None
         runtime = self.runtime
-        occurrence = runtime.trace.peek_occurrence(self.thread, name)
-        entry = runtime.interventions.entry_plan(name, self.thread, occurrence)
-        exit_ = runtime.interventions.exit_plan(name, self.thread, occurrence)
+        thread = self.thread
+        if name in self._intervened:
+            interventions = runtime.interventions
+            occurrence = runtime.trace.peek_occurrence(thread, name)
+            entry = interventions.entry_plan(name, thread, occurrence)
+            exit_ = interventions.exit_plan(name, thread, occurrence)
+            for selector in entry.wait_for:
+                yield WaitCompletedAction(selector=selector)
+            for lock in entry.locks:
+                yield AcquireAction(lock)
+            if entry.delays:
+                yield sleep_action(entry.delays)
+        else:
+            entry, exit_ = NO_ENTRY_PLAN, NO_EXIT_PLAN
+        locks = entry.locks
 
-        for selector in entry.wait_for:
-            yield WaitCompletedAction(selector=selector)
-        for lock in entry.locks:
-            yield AcquireAction(lock)
-        if entry.delays:
-            yield sleep_action(entry.delays)
-
-        call_id = runtime.begin_method(self.thread, name)
+        call_id = runtime.begin_method(thread, name)
         body_skipped = entry.force_return is not None
         try:
             # One tick of call overhead: guarantees every window has
             # positive width so cross-thread overlap is well defined.
-            yield sleep_action(1)
+            yield _CALL_OVERHEAD
             if body_skipped:
                 ret: Any = entry.force_return.value
             else:
@@ -346,15 +360,17 @@ class SimContext:
             if exit_.catch is not None:
                 ret = exit_.catch.fallback
             else:
-                runtime.end_method(self.thread, call_id, None, exc.kind)
-                for lock in reversed(entry.locks):
-                    yield ReleaseAction(lock)
+                runtime.end_method(thread, call_id, None, exc.kind)
+                if locks:
+                    for lock in reversed(locks):
+                        yield ReleaseAction(lock)
                 raise
         if exit_.delays:
             yield sleep_action(exit_.delays)
         if exit_.force_return is not None:
             ret = exit_.force_return.value
-        runtime.end_method(self.thread, call_id, ret, None, body_skipped)
-        for lock in reversed(entry.locks):
-            yield ReleaseAction(lock)
+        runtime.end_method(thread, call_id, ret, None, body_skipped)
+        if locks:
+            for lock in reversed(locks):
+                yield ReleaseAction(lock)
         return ret

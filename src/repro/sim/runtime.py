@@ -6,7 +6,9 @@ clock, Lamport bookkeeping, the execution trace, and the registry of
 completed method invocations (used by order-forcing interventions).
 
 The scheduler (:mod:`repro.sim.scheduler`) drives threads; each primitive
-action a thread yields is executed here via :meth:`Runtime.perform`.
+action a thread yields, except a sleep (which touches nothing shared and
+is handled in the scheduler's step), is executed here via
+:meth:`Runtime.perform`.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from .program import (
     Program,
     ReadAction,
     ReleaseAction,
-    SleepAction,
     SpawnAction,
     WaitCompletedAction,
     WriteAction,
 )
 from .tracing import Access, AccessType, ExecutionTrace, MethodExecution
+
+#: The lockset of every access made with no lock held.
+_NO_LOCKS: frozenset = frozenset()
 
 
 @dataclass
@@ -113,13 +117,16 @@ class Runtime:
         # in a synchronous chain (return → next call, or an exception
         # unwinding through frames) get strictly increasing timestamps,
         # which temporal precedence depends on.
-        self.clock.advance(1)
-        lamport = self.lamport[thread].tick()
-        parent = self._stacks[thread][-1][0] if self._stacks[thread] else None
+        clock = self.clock
+        clock.now += 1
+        lamport = self.lamport[thread]
+        lamport.time += 1
+        frames = self._stacks[thread]
         call_id = self.trace.begin_call(
-            method, thread, self.clock.now, lamport, parent
+            method, thread, clock.now, lamport.time,
+            frames[-1][0] if frames else None,
         )
-        self._stacks[thread].append((call_id, method))
+        frames.append((call_id, method))
         return call_id
 
     def end_method(
@@ -130,20 +137,22 @@ class Runtime:
         exception: Optional[str],
         body_skipped: bool = False,
     ) -> None:
-        self.clock.advance(1)  # return bookkeeping (see begin_method)
-        lamport = self.lamport[thread].tick()
+        clock = self.clock
+        clock.now += 1  # return bookkeeping (see begin_method)
+        lamport = self.lamport[thread]
+        lamport.time += 1
         record = self.trace.end_call(
-            call_id, self.clock.now, lamport, return_value, exception, body_skipped
+            call_id, clock.now, lamport.time, return_value, exception,
+            body_skipped,
         )
+        # A second tick with no channel to stamp: the pinned Lamport
+        # stamps of every trace count it.
+        lamport.time += 1
         frames = self._stacks[thread]
         if frames and frames[-1][0] == call_id:
             frames.pop()
-        method = record.method
-        self.completed.setdefault(method, []).append(record)
+        self.completed.setdefault(record.method, []).append(record)
         self.wake = True
-        self.registry.stamp(
-            f"done:{thread}:{method}#{record.occurrence}", self.lamport[thread]
-        )
 
     def is_completed(self, selector: MethodSelector) -> bool:
         return any(
@@ -154,20 +163,18 @@ class Runtime:
     # -- primitive actions -------------------------------------------------
 
     def perform(self, thread: str, action: Action) -> tuple[Any, Optional[Blocked]]:
-        """Execute one primitive action for ``thread``.
+        """Execute one non-sleep primitive action for ``thread``.
 
         Returns ``(result, blocked)``.  If ``blocked`` is not None the
         action did *not* run; the scheduler must retry it once the wait
         condition clears.  Virtual time is owned by the scheduler: the
         action's effects are stamped at the current clock value, and the
-        scheduler keeps the thread busy for the action's remaining cost.
+        scheduler keeps the thread busy for one tick.  A
+        :class:`SleepAction` never reaches here: the scheduler's step
+        handles it (a Lamport tick, then the thread sleeps).
         """
-        # Most frequent first: ``work`` and call overhead are sleeps.
-        if isinstance(action, SleepAction):
-            self.lamport[thread].tick()
-            return None, None
-
-        if isinstance(action, AcquireAction):
+        kind = type(action)
+        if kind is AcquireAction:
             owner = self.lock_owner.get(action.lock)
             if owner is not None and owner != thread:
                 return None, Blocked(reason="lock", lock=action.lock)
@@ -180,7 +187,7 @@ class Runtime:
             self.registry.observe(f"lock:{action.lock}", self.lamport[thread])
             return None, None
 
-        if isinstance(action, JoinAction):
+        if kind is JoinAction:
             if action.thread not in self.finished_threads:
                 return None, Blocked(reason="join", thread=action.thread)
             self.registry.observe(
@@ -188,25 +195,25 @@ class Runtime:
             )
             return None, None
 
-        if isinstance(action, WaitCompletedAction):
+        if kind is WaitCompletedAction:
             if not self.is_completed(action.selector):
                 return None, Blocked(reason="event", selector=action.selector)
             self.lamport[thread].tick()
             return None, None
 
-        if isinstance(action, ReadAction):
+        if kind is ReadAction:
             value = self.shared.get(action.var)
             lamport = self.registry.observe(f"var:{action.var}", self.lamport[thread])
             self._record_access(thread, action.var, AccessType.READ, lamport)
             return value, None
 
-        if isinstance(action, WriteAction):
+        if kind is WriteAction:
             self.shared[action.var] = action.value
             lamport = self.registry.stamp(f"var:{action.var}", self.lamport[thread])
             self._record_access(thread, action.var, AccessType.WRITE, lamport)
             return None, None
 
-        if isinstance(action, ReleaseAction):
+        if kind is ReleaseAction:
             if self.lock_owner.get(action.lock) != thread:
                 raise LockProtocolError(
                     f"{thread} released lock {action.lock!r} it does not hold"
@@ -217,7 +224,7 @@ class Runtime:
             self.registry.stamp(f"lock:{action.lock}", self.lamport[thread])
             return None, None
 
-        if isinstance(action, SpawnAction):
+        if kind is SpawnAction:
             # The scheduler creates the thread; we only stamp causality.
             self.registry.stamp(f"thread:{action.thread}", self.lamport[thread])
             return None, None
@@ -231,10 +238,11 @@ class Runtime:
         if not frames:
             return
         call_id, method = frames[-1]
+        held = self.locks_held[thread]
         self.trace.record_access(
             Access(
                 var, access_type, thread, method, call_id,
-                self.clock.now, lamport, frozenset(self.locks_held[thread]),
+                self.clock.now, lamport, frozenset(held) if held else _NO_LOCKS,
             )
         )
 

@@ -183,9 +183,12 @@ class SchedulerStrategy(Protocol):
 class RandomStrategy:
     """The status-quo picker: seeded uniform choice among the ready set.
 
-    Draws exactly one ``Random.choice`` per decision — including
-    singleton ready sets — which is precisely what the historical
-    in-line scheduler RNG did, so the default path stays byte-identical.
+    Draws exactly what one ``Random.choice`` per decision draws —
+    including singleton ready sets — which is precisely what the
+    historical in-line scheduler RNG did, so the default path stays
+    byte-identical.  The draw is ``Random._randbelow`` spelled out over
+    ``getrandbits`` (``k`` from ``n.bit_length()``, reject ``r >= n``):
+    the simulator asks for one per step.
     """
 
     seed: int
@@ -195,7 +198,16 @@ class RandomStrategy:
         self.rng = Random(self.seed)
 
     def choose(self, point: SchedulePoint) -> str:
-        return self.rng.choice(point.candidates)
+        candidates = point.candidates
+        n = len(candidates)
+        if not n:
+            raise IndexError("cannot choose from an empty ready set")
+        k = n.bit_length()
+        getrandbits = self.rng.getrandbits
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return candidates[r]
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,22 @@ threads that are ready *now* runs next (the default strategy picks
 uniformly at random from a seeded RNG); when none are ready, virtual
 time jumps to the next ready instant.
 
-A step costs what it changes, not what exists: blocked threads are
-re-checked only after the runtime raises its wake flag (a lock freed, a
-thread finished, a call completed — nothing else can clear a wait), the
-candidates come out of the spawn-ordered thread table already in
-canonical order, and each step records the action it ran; the
-per-decision footprints exploration needs are derived from those
-actions on read (:attr:`ExecutionResult.footprints`).
+A step costs what it changes, not what exists.  The whole step lives in
+:meth:`Simulator.run`'s loop:
+
+* waiting threads are re-checked only after the runtime raises its wake
+  flag (a lock freed, a thread finished, a call completed — nothing
+  else can clear a wait), and only the threads that are waiting;
+* one pass over the spawn-ordered thread table yields the candidates,
+  already in canonical order, and the earliest ready instant in case
+  none is ready; the clock is then set to the step's instant once;
+* the chosen thread's generator runs to its next action.  A sleep —
+  three quarters of all actions — is handled right there: one Lamport
+  tick, and the thread stays busy for its ticks.  Every other action
+  goes to :meth:`Runtime.perform` and keeps the thread busy one tick;
+* the step records the decision and the action it ran; the
+  per-decision footprints exploration needs are derived from those
+  actions on read (:attr:`ExecutionResult.footprints`).
 
 The tie-breaking among simultaneously-ready threads is the *only*
 source of nondeterminism in the simulator, and every decision is
@@ -45,10 +54,11 @@ Failure modes recorded on the trace:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
+from .clock import LamportClock
 from .errors import SimulatedError
 from .faults import Intervention, InterventionSet
 from .program import Action, Program, SimContext, SleepAction, SpawnAction
@@ -72,16 +82,26 @@ class ThreadStatus(Enum):
     CRASHED = "crashed"
 
 
-@dataclass
 class _Thread:
-    name: str
-    gen: object  # generator of Actions
-    ctx: SimContext
-    status: ThreadStatus = ThreadStatus.RUNNABLE
-    pending_send: object = None
-    pending_action: object = None  # action to retry after unblocking
-    blocked_on: Optional[Blocked] = None
-    ready_at: int = 0  # busy until this virtual time (discrete-event)
+    """One simulated thread's scheduling state."""
+
+    __slots__ = (
+        "name", "gen", "lamport", "status", "pending_send",
+        "pending_action", "blocked_on", "ready_at",
+    )
+
+    def __init__(self, name: str, gen, lamport: LamportClock, ready_at: int):
+        self.name = name
+        self.gen = gen  # generator of Actions
+        self.lamport = lamport
+        self.status = ThreadStatus.RUNNABLE
+        self.pending_send = None
+        self.pending_action = None  # action to retry after unblocking
+        self.blocked_on: Optional[Blocked] = None
+        self.ready_at = ready_at  # busy until this virtual time
+
+
+_tuple_new = tuple.__new__
 
 
 @dataclass
@@ -106,7 +126,6 @@ class Simulator:
     program: Program
     max_steps: int = DEFAULT_MAX_STEPS
     strategy_factory: Optional[Callable[[int], SchedulerStrategy]] = None
-    _spawn_counter: int = field(default=0, init=False, repr=False)
 
     def run(
         self,
@@ -133,47 +152,55 @@ class Simulator:
         decisions: list[str] = []
         actions: list[Optional[Action]] = []
 
-        # Insertion order is spawn order, so filtering ``threads`` yields
-        # the canonical candidate order without sorting.
+        # Insertion order is spawn order, so filtering ``table`` yields
+        # the canonical candidate order without sorting; ``threads``
+        # maps a chosen name back to its thread.
         threads: dict[str, _Thread] = {}
+        table: list[_Thread] = []
+        # Threads waiting on a lock, a join or a call, in blocking order.
+        waiting: list[_Thread] = []
 
         def start_thread(name: str, method: str, args: tuple, parent: Optional[str]):
             if name in threads:
                 raise ValueError(f"duplicate thread name {name!r}")
             runtime.register_thread(name, spawned_by=parent)
-            ctx = SimContext(runtime, name)
-            threads[name] = _Thread(
-                name=name,
-                gen=ctx.call(method, *args),
-                ctx=ctx,
-                ready_at=clock.now,
-            )
+            gen = SimContext(runtime, name).call(method, *args)
+            t = _Thread(name, gen, runtime.lamport[name], clock.now)
+            threads[name] = t
+            table.append(t)
 
         start_thread("main", self.program.main, (), parent=None)
 
         RUNNABLE = ThreadStatus.RUNNABLE
+        choose = strategy.choose
+        perform = runtime.perform
+        record_decision = decisions.append
+        record_action = actions.append
+        max_steps = self.max_steps
         steps = 0
         while True:
             # Only a freed lock, a finished thread or a completed call
             # can clear a wait, and each of those raises the flag.
             if runtime.wake:
                 runtime.wake = False
-                self._unblock(threads, runtime)
+                if waiting:
+                    waiting = self._unblock(waiting, runtime)
             # Discrete-event step: one serialization tick, then run the
-            # strategy's pick among threads whose busy period elapsed.
+            # strategy's pick among threads whose busy period elapsed;
+            # when nobody is ready yet, jump to the earliest ready
+            # instant instead.
             execute_at = clock.now + 1
-            eligible = [
-                t
-                for t in threads.values()
-                if t.status is RUNNABLE and t.ready_at <= execute_at
-            ]
-            runnable = eligible or [
-                t for t in threads.values() if t.status is RUNNABLE
-            ]
-            if not runnable:
-                blocked = [
-                    t for t in threads.values() if t.status is ThreadStatus.BLOCKED
-                ]
+            eligible = []
+            soonest = None
+            for t in table:
+                if t.status is RUNNABLE:
+                    ready_at = t.ready_at
+                    if ready_at <= execute_at:
+                        eligible.append(t.name)
+                    elif soonest is None or ready_at < soonest:
+                        soonest = ready_at
+            if not eligible and soonest is None:
+                blocked = [t for t in table if t.status is ThreadStatus.BLOCKED]
                 if blocked:
                     trace.record_failure(
                         FailureInfo(
@@ -185,7 +212,7 @@ class Simulator:
                         )
                     )
                 break  # all done, or deadlocked
-            if steps >= self.max_steps:
+            if steps >= max_steps:
                 trace.record_failure(
                     FailureInfo(
                         mode="hang",
@@ -196,27 +223,67 @@ class Simulator:
                     )
                 )
                 break
-            steps += 1
-
             if not eligible:
-                # Nobody is ready yet: jump to the earliest ready instant.
-                execute_at = min(t.ready_at for t in runnable)
-                clock.advance(execute_at - clock.now - 1)
-                eligible = [t for t in runnable if t.ready_at <= execute_at]
-            clock.advance(1)
-            point = SchedulePoint(
-                len(decisions), execute_at, tuple([t.name for t in eligible])
+                execute_at = soonest
+                eligible = [
+                    t.name
+                    for t in table
+                    if t.status is RUNNABLE and t.ready_at == soonest
+                ]
+            clock.now = execute_at
+            candidates = tuple(eligible)
+            chosen = choose(
+                _tuple_new(SchedulePoint, (steps, execute_at, candidates))
             )
-            chosen = strategy.choose(point)
-            if chosen not in point.candidates:
+            if chosen not in candidates:
                 raise ScheduleError(
                     f"strategy chose {chosen!r}, not in the ready set "
-                    f"{point.candidates} at decision {point.index}"
+                    f"{candidates} at decision {steps}"
                 )
-            decisions.append(chosen)
-            actions.append(self._step(threads[chosen], runtime, trace, start_thread))
+            steps += 1
+            record_decision(chosen)
 
-        for t in threads.values():
+            # Advance the chosen thread by one primitive action.
+            thread = threads[chosen]
+            try:
+                action = thread.pending_action
+                if action is not None:
+                    thread.pending_action = None
+                else:
+                    action = thread.gen.send(thread.pending_send)
+                    thread.pending_send = None
+            except StopIteration:
+                thread.status = ThreadStatus.DONE
+                runtime.release_all(chosen)
+                runtime.thread_finished(chosen)
+                record_action(None)
+                continue
+            except SimulatedError as exc:
+                self._crash(thread, exc, runtime, trace)
+                record_action(None)
+                continue
+            record_action(action)
+
+            # A sleep touches nothing shared: one Lamport tick, then the
+            # thread stays busy for its ticks.  Every other action costs
+            # one tick and runs in the runtime.
+            if type(action) is SleepAction:
+                thread.lamport.time += 1
+                thread.ready_at = clock.now + action.ticks
+                continue
+            if type(action) is SpawnAction:
+                start_thread(action.thread, action.method, action.args, chosen)
+            result, blocked_on = perform(chosen, action)
+            if blocked_on is not None:
+                thread.status = ThreadStatus.BLOCKED
+                thread.blocked_on = blocked_on
+                thread.pending_action = action
+                waiting.append(thread)
+            else:
+                thread.pending_send = result
+                thread.ready_at = clock.now + 1
+
+        for t in table:
             if t.status not in (ThreadStatus.DONE, ThreadStatus.CRASHED):
                 t.gen.close()
                 runtime.abort_thread_calls(t.name, "Unfinished")
@@ -233,42 +300,6 @@ class Simulator:
         )
 
     # -- internals -------------------------------------------------------
-
-    def _step(self, thread, runtime, trace, start_thread) -> Optional[Action]:
-        """Advance one thread by one primitive action; returns the action
-        (``None`` when the thread finished or crashed instead)."""
-        try:
-            if thread.pending_action is not None:
-                action = thread.pending_action
-                thread.pending_action = None
-            else:
-                action = thread.gen.send(thread.pending_send)
-                thread.pending_send = None
-        except StopIteration:
-            thread.status = ThreadStatus.DONE
-            runtime.release_all(thread.name)
-            runtime.thread_finished(thread.name)
-            return None
-        except SimulatedError as exc:
-            self._crash(thread, exc, runtime, trace)
-            return None
-
-        if isinstance(action, SpawnAction):
-            start_thread(action.thread, action.method, action.args, thread.name)
-
-        result, blocked = runtime.perform(thread.name, action)
-        if blocked is not None:
-            thread.status = ThreadStatus.BLOCKED
-            thread.blocked_on = blocked
-            thread.pending_action = action
-        else:
-            thread.pending_send = result
-            # The thread stays busy for the action's cost; its next
-            # action executes no earlier than ready_at.
-            thread.ready_at = runtime.clock.now + (
-                action.ticks if isinstance(action, SleepAction) else 1
-            )
-        return action
 
     def _crash(self, thread, exc: SimulatedError, runtime, trace) -> None:
         thread.status = ThreadStatus.CRASHED
@@ -297,23 +328,24 @@ class Simulator:
             )
         )
 
-    def _unblock(self, threads: dict, runtime: Runtime) -> None:
-        """Move blocked threads whose wait condition cleared to runnable."""
-        for t in threads.values():
-            if t.status is not ThreadStatus.BLOCKED or t.blocked_on is None:
-                continue
+    def _unblock(self, waiting: list, runtime: Runtime) -> list:
+        """Make the waiting threads whose wait condition cleared
+        runnable; returns the threads still waiting."""
+        still = []
+        for t in waiting:
             b = t.blocked_on
-            clear = False
             if b.reason == "lock":
-                owner = runtime.lock_owner.get(b.lock)
-                clear = owner is None
+                clear = runtime.lock_owner.get(b.lock) is None
             elif b.reason == "join":
                 clear = b.thread in runtime.finished_threads
-            elif b.reason == "event":
+            else:  # "event"
                 clear = runtime.is_completed(b.selector)
             if clear:
                 t.status = ThreadStatus.RUNNABLE
                 t.blocked_on = None
+            else:
+                still.append(t)
+        return still
 
 
 def run_program(

@@ -151,7 +151,10 @@ def trace_from_dict(
 
     A malformed payload raises :class:`TraceFormatError` instead of a
     bare ``KeyError``/``TypeError``, and a field of the wrong type is
-    refused rather than decoded into a record that answers wrongly.
+    refused rather than decoded into a record that answers wrongly.  So
+    are impossible times, which no execution records: a negative time,
+    a call that ends before it starts or after the trace ends, and a
+    failure after the trace ends.  A zero-width call is allowed.
     """
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != SCHEMA_VERSION:
@@ -212,7 +215,36 @@ def trace_from_dict(
         raise TraceFormatError(f"trace lacks the {exc} key") from exc
     except (AttributeError, TypeError) as exc:
         raise TraceFormatError(f"malformed trace: {exc}") from exc
+    problem = _impossible_time(end_time, failure, calls)
+    if problem is not None:
+        raise TraceFormatError(f"impossible time: {problem}")
     return ImportedTrace(program, seed, end_time, failure, calls, fingerprint)
+
+
+def _impossible_time(
+    end_time: int, failure: Optional[FailureInfo], calls: list[MethodExecution]
+) -> Optional[str]:
+    """What makes a well-typed trace's times impossible, or ``None``.
+
+    The simulator stamps every time from one clock that starts at 0 and
+    stops at ``end_time``; a call's window is ``[start, end]`` with
+    ``start <= end`` (the evaluation kernel builds observation windows
+    from it without re-checking).
+    """
+    if end_time < 0:
+        return f"the trace ends at {end_time}"
+    if failure is not None and not 0 <= failure.time <= end_time:
+        return f"the failure is at {failure.time}, outside [0, {end_time}]"
+    for i, m in enumerate(calls):
+        if not 0 <= m.start_time <= m.end_time <= end_time:
+            return (
+                f"call #{i} spans [{m.start_time}, {m.end_time}], "
+                f"not inside [0, {end_time}] in order"
+            )
+        for a in m.accesses:
+            if a.time < 0:
+                return f"call #{i} has an access at {a.time}"
+    return None
 
 
 def _lockset(locks: list) -> frozenset:

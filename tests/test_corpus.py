@@ -181,6 +181,16 @@ class TestMalformedTraces:
         with pytest.raises(CorpusError, match=re.escape(str(path))):
             store.load(fp)
 
+    def test_impossible_time_names_the_file(self, tmp_path):
+        store = TraceStore.init(tmp_path / "c", program="gen")
+        fp, _ = store.ingest_payload(_gen_payload())
+        path = store.trace_path(fp)
+        payload = json.loads(path.read_text())
+        payload["end_time"] = -5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorpusError, match=re.escape(str(path))):
+            store.load(fp)
+
     def test_invalid_json_names_the_file(self, tmp_path):
         store = TraceStore.init(tmp_path / "c", program="gen")
         fp, _ = store.ingest_payload(_gen_payload())

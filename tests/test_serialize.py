@@ -11,6 +11,7 @@ from repro.harness.runner import collect
 from repro.sim import run_program
 from repro.sim.serialize import (
     ImportedTrace,
+    TraceFormatError,
     trace_fingerprint,
     trace_from_dict,
     trace_from_json,
@@ -75,6 +76,53 @@ class TestRoundTrip:
         trace = run_program(racy_program, 0).trace
         text = trace_to_json(trace)
         assert text  # serializable end to end
+
+
+def _first_call_with_access(payload: dict) -> dict:
+    return next(c for c in payload["calls"] if c["accesses"])
+
+
+#: Times no execution can record, one per bound the decoder enforces.
+IMPOSSIBLE_TIMES = {
+    "negative-trace-end": lambda p: p.update(end_time=-5),
+    "negative-call-start": lambda p: p["calls"][0].update(start_time=-1),
+    "negative-access-time": lambda p: _first_call_with_access(p)[
+        "accesses"
+    ][0].update(time=-1),
+    "negative-failure-time": lambda p: p["failure"].update(time=-1),
+    "call-ends-before-it-starts": lambda p: p["calls"][0].update(
+        end_time=p["calls"][0]["start_time"] - 1
+    ),
+    "call-ends-after-the-trace": lambda p: p["calls"][0].update(
+        end_time=p["end_time"] + 1
+    ),
+    "failure-after-the-trace": lambda p: p["failure"].update(
+        time=p["end_time"] + 1
+    ),
+}
+
+
+class TestImpossibleTimes:
+    @pytest.mark.parametrize("case", sorted(IMPOSSIBLE_TIMES))
+    def test_decode_refuses(self, corpus, case):
+        payload = trace_to_dict(corpus.failures[0])
+        trace_from_dict(payload)  # the untouched payload decodes
+        IMPOSSIBLE_TIMES[case](payload)
+        with pytest.raises(TraceFormatError, match="impossible time"):
+            trace_from_dict(payload)
+
+    def test_bounds_are_inclusive(self, corpus):
+        # A zero-width call, a call ending with the trace and a failure
+        # at the trace's last tick are all possible.
+        payload = trace_to_dict(corpus.failures[0])
+        first, last = payload["calls"][0], payload["calls"][-1]
+        first["end_time"] = first["start_time"]
+        for access in first["accesses"]:
+            access["time"] = first["start_time"]
+        last["end_time"] = payload["end_time"]
+        payload["failure"]["time"] = payload["end_time"]
+        restored = trace_from_dict(payload)
+        assert restored.method_executions()[0].duration == 0
 
 
 class TestRoundTripProperty:

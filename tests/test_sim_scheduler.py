@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -13,6 +14,7 @@ from repro.sim import (
     MethodKey,
     MethodSelector,
     Program,
+    RandomStrategy,
     SchedulePoint,
     Simulator,
     run_program,
@@ -336,6 +338,47 @@ class TestStepRecords:
         # content-addressed, so this digest must never move.
         assert trace_fingerprint(trace) == "1252781959360a87"
         assert trace_fingerprint(trace_from_dict(payload)) == "1252781959360a87"
+
+
+class TestRandomStrategy:
+    """The inlined draw picks what ``Random.choice`` picks."""
+
+    def test_choose_equals_random_choice(self):
+        names = tuple(f"t{i}" for i in range(9))
+        for seed in range(200):
+            strategy, reference = RandomStrategy(seed), random.Random(seed)
+            sizes = random.Random(-1 - seed)
+            for index in range(120):
+                # Sizes 1-9: singletons and powers of two included, the
+                # cases where ``k`` from ``n - 1`` would draw differently.
+                candidates = names[: sizes.randint(1, 9)]
+                point = SchedulePoint(index, index, candidates)
+                assert strategy.choose(point) == reference.choice(candidates)
+            assert strategy.rng.getstate() == reference.getstate()
+
+    def test_empty_ready_set_is_refused(self):
+        with pytest.raises(IndexError):
+            RandomStrategy(0).choose(SchedulePoint(0, 0, ()))
+
+
+class TestInterventionLookups:
+    def test_only_named_methods_ask_for_plans(self, monkeypatch):
+        asked = []
+        original = InterventionSet.entry_plan
+
+        def entry_plan(self, method, thread, occurrence):
+            asked.append(method)
+            return original(self, method, thread, occurrence)
+
+        monkeypatch.setattr(InterventionSet, "entry_plan", entry_plan)
+        program = REGISTRY.build("network").program
+        calls = run_program(program, 0).trace.method_executions()
+        named = calls[-1].method
+        trace = run_program(
+            program, 0, (DelayBefore(MethodSelector(named), ticks=3),)
+        ).trace
+        expected = [m.method for m in trace.method_executions() if m.method == named]
+        assert asked == expected and len(expected) < len(calls)
 
 
 class TestCompletedIndex:

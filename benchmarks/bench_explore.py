@@ -1,6 +1,6 @@
-"""Schedule-exploration strategies, wave parallelism, and pruning, measured.
+"""Schedule-exploration strategies and pruning, measured.
 
-Three claims of the exploration tentpoles, quantified on every
+Two claims of the exploration tentpoles, quantified on every
 registered workload:
 
 1. **Systematic strategies beat random** (the original exploration
@@ -8,19 +8,12 @@ registered workload:
    *more distinct failing interleavings* than naive random scheduling
    at the same execution budget.  Enforced: some systematic variant
    strictly beats random on at least ``MIN_WINS`` workloads.
-2. **Waves parallelize without changing results**: the same budget is
-   re-run through the wave dispatcher at ``--jobs`` 1/2/4 (thread
-   backend), recording wall-clock executions/sec per (strategy, jobs)
-   cell.  Enforced: the result payload is byte-identical across job
-   counts — parallelism is a pure throughput knob.
-3. **Partial-order pruning cuts redundancy**: at equal budget, runs
+2. **Partial-order pruning cuts redundancy**: at equal budget, runs
    with Mazurkiewicz-class pruning on vs off are compared by
    *redundant executions per distinct canonical interleaving*
    (``pruned_equivalent / distinct_canonical``).  Enforced (the perf
-   acceptance gate): either ≥2x executions/sec at ``--jobs 4`` (only
-   expected on multi-core hosts — ``cpu_count`` is recorded so the
-   number reads honestly) or a ≥20% aggregate redundancy reduction
-   from pruning.
+   acceptance gate): a ≥20% aggregate redundancy reduction from
+   pruning.
 
 Every discovered failure is replay-verified (byte-identical trace
 digest) before it is counted; a run with an unverified replay fails
@@ -34,10 +27,6 @@ and uploaded by CI)::
       "workloads": {"npgsql": {"random": {...}, "pct_d5": {...}, ...}},
       "wins": {"npgsql": "pct_d10", ...},
       "superiority_count": ...,
-      "parallel": {"cells": [{"strategy": ..., "jobs": ...,
-                              "executions_per_sec": ...}, ...],
-                   "payload_identical_across_jobs": true,
-                   "speedup_jobs4": ...},
       "pruning": {"cells": [...], "aggregate": {...}},
       "budget": ..., "cpu_count": ...,
     }
@@ -63,9 +52,6 @@ MIN_WINS = 2
 #: acceptance floor: aggregate reduction in redundant executions per
 #: distinct canonical interleaving from partial-order pruning
 MIN_PRUNING_REDUCTION = 0.20
-#: acceptance floor for the multi-core alternative: wave throughput at
-#: --jobs 4 over --jobs 1
-MIN_SPEEDUP_JOBS4 = 2.0
 
 # One random baseline, three systematic contenders.  The variants are
 # fixed here — per-workload parameter tuning would make "beats random"
@@ -77,10 +63,6 @@ VARIANTS = (
     ("pct_d10", "pct", {"depth": 10}),
     ("delay_k2", "delay", {"delays": 2}),
 )
-
-#: (strategy label, jobs) grid for the wave-throughput table
-PARALLEL_STRATEGIES = ("random", "pct_d3")
-PARALLEL_JOBS = (1, 2, 4)
 
 #: strategies compared for the pruning on/off redundancy table
 PRUNING_STRATEGIES = ("random", "pct_d3")
@@ -114,62 +96,6 @@ def bench_cell(program, strategy: str, params: dict) -> dict:
         "n_failed": result.n_failed,
         "failures_replay_verified": True,
         "seconds": elapsed,
-    }
-
-
-def bench_parallel(programs) -> dict:
-    """Wave throughput per (strategy, jobs), plus the identity check."""
-    cells = []
-    identical = True
-    for label in PARALLEL_STRATEGIES:
-        strategy, params = _variant(label)
-        for jobs in PARALLEL_JOBS:
-            started = time.perf_counter()
-            payloads = []
-            executions = 0
-            for program in programs:
-                result = explore(
-                    program,
-                    ExploreConfig(
-                        budget=BUDGET,
-                        strategy=strategy,
-                        strategy_params=params,
-                        jobs=jobs,
-                        backend="thread" if jobs > 1 else None,
-                    ),
-                )
-                executions += result.executions
-                payloads.append(
-                    json.dumps(result.to_dict(), sort_keys=True)
-                )
-            elapsed = time.perf_counter() - started
-            cells.append(
-                {
-                    "strategy": label,
-                    "jobs": jobs,
-                    "executions": executions,
-                    "seconds": elapsed,
-                    "executions_per_sec": executions / elapsed,
-                    "payloads": payloads,  # stripped before writing
-                }
-            )
-    # payloads must be byte-identical across job counts per strategy
-    for label in PARALLEL_STRATEGIES:
-        rows = [c for c in cells if c["strategy"] == label]
-        identical &= all(r["payloads"] == rows[0]["payloads"] for r in rows)
-    for cell in cells:
-        del cell["payloads"]
-    by_jobs = {
-        (c["strategy"], c["jobs"]): c["executions_per_sec"] for c in cells
-    }
-    speedups = [
-        by_jobs[(label, 4)] / by_jobs[(label, 1)]
-        for label in PARALLEL_STRATEGIES
-    ]
-    return {
-        "cells": cells,
-        "payload_identical_across_jobs": identical,
-        "speedup_jobs4": max(speedups),
     }
 
 
@@ -249,7 +175,6 @@ def main() -> int:
         if best > baseline:
             wins[name] = best_label
 
-    parallel = bench_parallel(programs)
     pruning = bench_pruning(programs)
 
     payload = {
@@ -262,7 +187,6 @@ def main() -> int:
             {"label": label, "strategy": strategy, "params": params}
             for label, strategy, params in VARIANTS
         ],
-        "parallel": parallel,
         "pruning": pruning,
         "cpu_count": os.cpu_count(),
     }
@@ -285,17 +209,6 @@ def main() -> int:
         f"{len(workloads)} workloads at budget {BUDGET} "
         f"(floor {MIN_WINS}, cpu_count {os.cpu_count()})"
     )
-    print(f"\n{'strategy':10s}{'jobs':>6s}{'exec/s':>10s}")
-    for cell in parallel["cells"]:
-        print(
-            f"{cell['strategy']:10s}{cell['jobs']:>6d}"
-            f"{cell['executions_per_sec']:>10.1f}"
-        )
-    print(
-        f"payload identical across jobs: "
-        f"{parallel['payload_identical_across_jobs']}, "
-        f"speedup at jobs=4: {parallel['speedup_jobs4']:.2f}x"
-    )
     agg = pruning["aggregate"]
     print(
         f"\npartial-order pruning: redundancy per distinct class "
@@ -308,19 +221,10 @@ def main() -> int:
         f"expected pct or delay to strictly beat random on at least "
         f"{MIN_WINS} workloads, got {len(wins)}: {wins}"
     )
-    assert parallel["payload_identical_across_jobs"], (
-        "wave dispatch changed the result payload across job counts"
-    )
-    # The perf acceptance gate: parallel speedup where the host has the
-    # cores for it, otherwise the pruning redundancy reduction.
-    speedup_ok = parallel["speedup_jobs4"] >= MIN_SPEEDUP_JOBS4
-    pruning_ok = agg["reduction"] >= MIN_PRUNING_REDUCTION
-    assert speedup_ok or pruning_ok, (
-        f"neither acceptance branch met: speedup at jobs=4 "
-        f"{parallel['speedup_jobs4']:.2f}x (floor {MIN_SPEEDUP_JOBS4}x, "
-        f"cpu_count {os.cpu_count()}) and pruning reduction "
-        f"{agg['reduction'] * 100:.1f}% "
-        f"(floor {MIN_PRUNING_REDUCTION * 100:.0f}%)"
+    # The perf acceptance gate: the pruning redundancy reduction.
+    assert agg["reduction"] >= MIN_PRUNING_REDUCTION, (
+        f"pruning reduction {agg['reduction'] * 100:.1f}% is below the "
+        f"floor {MIN_PRUNING_REDUCTION * 100:.0f}%"
     )
     return 0
 

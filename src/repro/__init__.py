@@ -15,9 +15,9 @@ including every substrate the paper depends on:
 * ``repro.workloads`` — the six case-study bugs of Section 7.1 as model
   programs with known ground truth, and the Section 7.2 synthetic
   application generator;
-* ``repro.exec`` — the intervention-execution engine: pluggable
-  serial/thread/process backends, outcome memoization with JSON
-  persistence, and execution statistics;
+* ``repro.exec`` — the intervention-execution engine: serial
+  in-process runs, outcome memoization with JSON persistence, and
+  execution statistics;
 * ``repro.corpus`` — the persistent trace-corpus store:
   content-addressed dedup, a bitset-backed predicate-evaluation memo,
   and incremental SD + AC-DAG maintenance under log ingestion;
@@ -39,15 +39,7 @@ Quickstart::
     report = repro.debug(repro.load_workload("npgsql").program)
 """
 
-from .exec import (
-    ExecStats,
-    ExecutionEngine,
-    OutcomeCache,
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-    make_backend,
-)
+from .exec import ExecStats, ExecutionEngine, OutcomeCache
 from .core import (
     ACDag,
     Approach,
@@ -128,9 +120,6 @@ __all__ = [
     "GIWP",
     "OutcomeCache",
     "PredicateSuite",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "ThreadPoolBackend",
     "Program",
     "REGISTRY",
     "SessionConfig",
@@ -149,7 +138,6 @@ __all__ = [
     "figure8",
     "generate_app",
     "load_workload",
-    "make_backend",
     "run_program",
     "__version__",
 ]

@@ -19,7 +19,7 @@ The pieces:
 * :mod:`repro.api.spec` — the :class:`RunSpec` dataclass tree with
   dict/JSON/TOML round-trip and actionable validation;
 * :mod:`repro.api.registry` — string-keyed plugin registries for
-  workloads, backends, extractors, and precedence policies;
+  workloads, extractors, precedence policies, and scheduler strategies;
 * :mod:`repro.api.events` — the :class:`Observer`/:class:`EventBus`
   protocol every phase emits progress through;
 * :mod:`repro.api.runner` — :func:`run`, dispatching a spec to the

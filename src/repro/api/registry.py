@@ -3,10 +3,10 @@
 Role
 ----
 Every name a :class:`~repro.api.spec.RunSpec` can mention — a workload,
-an execution backend, a predicate extractor, a precedence policy —
+a predicate extractor, a precedence policy, a scheduler strategy —
 resolves through a :class:`Registry` here.  The CLI builds its
 ``choices`` lists from the same registries, so a third-party package
-that registers a workload or a backend at import time shows up in
+that registers a workload or an extractor at import time shows up in
 ``repro debug``/``repro run`` with no core changes::
 
     from repro.api.registry import workloads
@@ -107,9 +107,6 @@ class Registry(Generic[T]):
 #: bundled case studies register themselves into it at import time.
 workloads: Registry[Callable] = Registry("workload")
 
-#: name → factory(jobs) returning a :class:`repro.exec.backends.Backend`.
-backends: Registry[Callable] = Registry("backend")
-
 #: name → zero-arg factory returning a :class:`repro.core.Extractor`.
 extractors: Registry[Callable] = Registry("extractor")
 
@@ -123,7 +120,7 @@ strategies: Registry[Callable] = Registry("scheduler strategy")
 
 
 def _register_builtins() -> None:
-    """Populate the backend/extractor/policy registries.
+    """Populate the strategy/extractor/policy registries.
 
     Imported lazily so this module stays import-cycle-free (workloads
     self-register on ``repro.workloads`` import instead)."""
@@ -143,12 +140,8 @@ def _register_builtins() -> None:
         LamportAnchorPolicy,
         StartTimePolicy,
     )
-    from ..exec.backends import BACKENDS
     from ..explore.strategies import DelayStrategy, PCTStrategy
     from ..sim.schedule import RandomStrategy
-
-    for name in BACKENDS:
-        backends.register(name, _backend_factory(name))
 
     for name, cls in (
         ("random", RandomStrategy),
@@ -177,16 +170,6 @@ def _register_builtins() -> None:
         ("lamport", LamportAnchorPolicy),
     ):
         policies.register(name, cls)
-
-
-def _backend_factory(name: str) -> Callable:
-    def factory(jobs: Optional[int] = None):
-        from ..exec.backends import make_backend
-
-        return make_backend(name, jobs)
-
-    factory.__name__ = f"make_{name}_backend"
-    return factory
 
 
 def _replay_strategy(seed: int = 0, schedule=None, **params):

@@ -21,9 +21,9 @@ spec, it:
 
 Invariants
 ----------
-* results are a pure function of the spec: observers, job counts, and
-  backends never change the report (asserted byte-identical to the
-  legacy entry points in tests);
+* results are a pure function of the spec: observers and a warm
+  outcome cache never change the report (asserted byte-identical to
+  the legacy entry points in tests);
 * corpus-backed runs persist what they learned (store manifests, eval
   matrix) before returning;
 * the engine is always flushed and closed, success or failure.

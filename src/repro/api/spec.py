@@ -14,10 +14,10 @@ Sections
 --------
 * :class:`WorkloadSpec` — which registered workload to debug;
 * :class:`CollectionSpec` — the labeled-trace sweep quotas;
-* :class:`EngineSpec` — execution backend, job count, outcome cache
-  (also the single home of the CLI's ``--jobs/--backend/--cache``
-  plumbing: :meth:`EngineSpec.add_flags` / :meth:`EngineSpec.from_args`
-  / :meth:`EngineSpec.build`);
+* :class:`EngineSpec` — the outcome cache of intervened executions
+  (also the single home of the CLI's ``--cache`` plumbing:
+  :meth:`EngineSpec.add_flags` / :meth:`EngineSpec.from_args` /
+  :meth:`EngineSpec.build`);
 * :class:`CorpusSpec` — debug from a stored corpus, or run the
   incremental analyze-only pipeline over it;
 * :class:`AnalysisSpec` — approach, intervention repeats, RNG seed,
@@ -184,7 +184,7 @@ class CollectionSpec:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Where intervened re-executions run, and what outcomes persist.
+    """What outcomes of intervened re-executions persist.
 
     The single home of the engine-flag plumbing every intervention-heavy
     CLI subcommand shares (``debug``, ``figure7``, ``figure8``, ``run``).
@@ -192,29 +192,13 @@ class EngineSpec:
     section does nothing there.
     """
 
-    jobs: Optional[int] = None
-    backend: Optional[str] = None
     cache: Optional[str] = None
 
     # -- CLI plumbing (one code path for every subcommand) ---------------
 
     @classmethod
     def add_flags(cls, parser: "argparse.ArgumentParser") -> None:
-        """Register ``--jobs/--backend/--cache`` on a subparser."""
-        parser.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            metavar="N",
-            help="parallel intervened executions (default 1; >1 implies "
-            "--backend thread unless given)",
-        )
-        parser.add_argument(
-            "--backend",
-            default=None,
-            choices=registries.backends.names(),
-            help="execution backend for intervened runs (default serial)",
-        )
+        """Register ``--cache`` on a subparser."""
         parser.add_argument(
             "--cache",
             default=None,
@@ -224,30 +208,11 @@ class EngineSpec:
 
     @classmethod
     def from_args(cls, args: "argparse.Namespace") -> "EngineSpec":
-        return cls(
-            jobs=getattr(args, "jobs", None),
-            backend=getattr(args, "backend", None),
-            cache=getattr(args, "cache", None),
-        )
-
-    def problems(self) -> list[str]:
-        problems = []
-        if self.jobs is not None and (
-            not isinstance(self.jobs, int) or self.jobs < 1
-        ):
-            problems.append(
-                f"engine.jobs: expected a positive integer, got {self.jobs!r}"
-            )
-        if self.backend is not None and self.backend not in registries.backends:
-            problems.append(
-                f"engine.backend: unknown backend {self.backend!r} "
-                f"(registered: {', '.join(registries.backends.names())})"
-            )
-        return problems
+        return cls(cache=getattr(args, "cache", None))
 
     def build(self, bus: Optional["EventBus"] = None) -> "ExecutionEngine":
-        """Construct the engine: backend from the registry, cache loaded
-        (its parent directory checked *before* any work is spent)."""
+        """Construct the engine, its cache loaded (the cache's parent
+        directory checked *before* any work is spent)."""
         from ..exec.cache import OutcomeCache
         from ..exec.engine import ExecutionEngine
 
@@ -261,16 +226,7 @@ class EngineSpec:
             cache = OutcomeCache(path=self.cache)
         except ValueError as exc:
             raise SpecError("engine.cache", str(exc)) from exc
-        if self.backend is None:
-            # make_backend owns the defaulting rule (serial unless
-            # jobs > 1 implies thread); only explicit names go through
-            # the registry, where third-party backends live.
-            from ..exec.backends import make_backend
-
-            backend = make_backend(None, self.jobs)
-        else:
-            backend = registries.backends.build(self.backend, self.jobs)
-        return ExecutionEngine(backend=backend, cache=cache, bus=bus)
+        return ExecutionEngine(cache=cache, bus=bus)
 
 
 @dataclass(frozen=True)
@@ -396,7 +352,7 @@ class RunSpec:
             )
         else:
             problems.extend(self.workload.problems())
-        for section in (self.collection, self.engine, self.corpus, self.analysis):
+        for section in (self.collection, self.corpus, self.analysis):
             problems.extend(section.problems())
         return problems
 

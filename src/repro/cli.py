@@ -42,7 +42,7 @@ Every subcommand that runs the pipeline builds a
 :class:`~repro.api.spec.RunSpec` internally and dispatches through
 :func:`repro.api.run`; the intervention-heavy commands (``debug``,
 ``figure7``, ``figure8``, ``run``) share one engine-flag code path
-(``--jobs/--backend/--cache``, see
+(``--cache``, see
 :meth:`~repro.api.spec.EngineSpec.add_flags`) and the pipeline
 commands share one observability-flag code path
 (``--log-dir/--progress/--metrics/--profile``, see
@@ -407,8 +407,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         start_seed=start_seed or 0,
         schedule_dir=args.schedule_dir,
         wave=args.wave,
-        jobs=args.jobs,
-        backend=args.backend,
         partial_order=not args.no_partial_order,
         **({"max_steps": max_steps} if max_steps is not None else {}),
     )
@@ -907,20 +905,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--wave", type=int, default=16, metavar="N",
-        help="executions planned per dispatch wave (default 16); a "
-        "search knob, fixed independently of --jobs so results never "
-        "depend on the parallelism",
-    )
-    explore.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker count for wave execution (default 1); a pure "
-        "throughput knob — the payload is byte-identical for any value",
-    )
-    explore.add_argument(
-        "--backend", default=None,
-        choices=("serial", "thread", "process"),
-        help="execution backend (default: serial when --jobs 1, "
-        "threads otherwise); never affects the payload",
+        help="executions planned per wave before any of them runs "
+        "(default 16); a search knob that shapes the result",
     )
     explore.add_argument(
         "--no-partial-order", action="store_true",

@@ -163,9 +163,8 @@ def linear_discovery(
     """Naive baseline: intervene on one predicate at a time (N rounds).
 
     The paper's Section 2 strawman ("the number of required
-    interventions is linear in the number of predicates").  The probes
-    never depend on each other, so all N rounds are dispatched as one
-    batch — the engine's backend decides how many run concurrently.
+    interventions is linear in the number of predicates"): one round
+    per predicate, in shuffled order.
     """
     rng = rng or random.Random(0)
     counting = CountingRunner(runner)
@@ -173,8 +172,8 @@ def linear_discovery(
     spurious: list[str] = []
     pool = sorted(dag.predicates)
     rng.shuffle(pool)
-    batch = counting.run_group_batch([frozenset({pid}) for pid in pool])
-    for pid, outcomes in zip(pool, batch):
+    for pid in pool:
+        outcomes = counting.run_group(frozenset({pid}))
         if any(o.failed for o in outcomes):
             spurious.append(pid)
         else:

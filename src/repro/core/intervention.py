@@ -79,19 +79,6 @@ class CountingRunner:
         self.budget.record(pids, outcomes)
         return outcomes
 
-    def run_group_batch(
-        self, groups: Sequence[frozenset[str]]
-    ) -> list[Sequence[RunOutcome]]:
-        """Independent rounds in one dispatch, each recorded in order."""
-        groups = list(groups)
-        inner_batch = getattr(self.inner, "run_group_batch", None)
-        if inner_batch is None:
-            return [self.run_group(pids) for pids in groups]
-        results = inner_batch(groups)
-        for pids, outcomes in zip(groups, results):
-            self.budget.record(pids, outcomes)
-        return results
-
     @property
     def engine(self) -> Optional["ExecutionEngine"]:
         return getattr(self.inner, "engine", None)
@@ -122,8 +109,8 @@ class SimulationRunner:
         algorithms make (paper footnote 1).
     engine:
         Execution engine the runs are routed through.  The default
-        (serial backend, in-memory cache) reproduces the historical
-        in-line loop bit-identically while memoizing repeated groups.
+        (in-memory cache) runs each group in-line while memoizing
+        repeated groups.
     workload:
         Cache-key namespace for this runner's executions.  Must change
         whenever the predicate suite or simulator would produce
@@ -193,26 +180,11 @@ class SimulationRunner:
         return [RunRequest(self.workload, seed, pids) for seed in self.seeds]
 
     def run_group(self, pids: frozenset[str]) -> list[RunOutcome]:
-        return list(
-            self.engine.run_group(
-                self._requests(pids),
-                self.execute_request,
-                early_stop=self.early_stop,
-            )
+        return self.engine.run_group(
+            self._requests(pids),
+            self.execute_request,
+            early_stop=self.early_stop,
         )
-
-    def run_group_batch(
-        self, groups: Sequence[frozenset[str]]
-    ) -> list[list[RunOutcome]]:
-        """Independent rounds dispatched as one batch (LINEAR, probes)."""
-        return [
-            list(outcomes)
-            for outcomes in self.engine.run_independent_groups(
-                [self._requests(pids) for pids in groups],
-                self.execute_request,
-                early_stop=self.early_stop,
-            )
-        ]
 
 
 @dataclass

@@ -25,7 +25,10 @@ Persistence format: one JSON file —
 ``{"version": 1, "entries": [{"workload", "seed", "pids": [...],
 "outcome": {"observed": [...], "failed", "seed"}}, ...]}`` — entries
 sorted by key for reproducible diffs; unknown versions are rejected,
-and loading merges into (never clobbers) the in-memory table.
+every field's type is checked exactly (nothing is coerced), and
+loading merges into (never clobbers) the in-memory table.  ``save``
+writes a sibling file and renames it over the target, so a failed
+write leaves the previous cache loadable.
 """
 
 from __future__ import annotations
@@ -150,8 +153,19 @@ class OutcomeCache:
                 }
             )
         payload = {"version": CACHE_FORMAT_VERSION, "entries": entries}
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
+        # Write a sibling and rename it over the target, so a write that
+        # fails partway leaves the previous cache intact.
+        tmp = f"{path}.tmp"
+        try:
+            with open(tmp, "w") as handle:
+                json.dump(payload, handle)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
         return path
 
     def load(self, path: str) -> int:
@@ -171,22 +185,68 @@ class OutcomeCache:
                 f"unsupported cache format version {version!r} in {path}"
             )
         entries = payload.get("entries", [])
+        if not isinstance(entries, list):
+            raise ValueError(
+                f"{path}: malformed cache: 'entries' must be a list, got "
+                f"{type(entries).__name__}"
+            )
+        decoded: dict[CacheKey, RunOutcome] = {}
         for index, entry in enumerate(entries):
             try:
-                key = (
-                    str(entry["workload"]),
-                    int(entry["seed"]),
-                    frozenset(entry["pids"]),
-                )
-                raw = entry["outcome"]
-                outcome = RunOutcome(
-                    observed=frozenset(raw["observed"]),
-                    failed=bool(raw["failed"]),
-                    seed=int(raw["seed"]),
-                )
-            except (KeyError, TypeError, AttributeError) as exc:
+                key, outcome = _decode_entry(entry)
+            except KeyError as exc:
                 raise ValueError(
-                    f"{path}: malformed cache entry #{index}: {exc!r}"
+                    f"{path}: malformed cache entry #{index}: "
+                    f"missing key {exc}"
                 ) from exc
-            self._data[key] = outcome
+            except TypeError as exc:
+                raise ValueError(
+                    f"{path}: malformed cache entry #{index}: {exc}"
+                ) from exc
+            decoded[key] = outcome
+        self._data.update(decoded)
         return len(entries)
+
+
+def _decode_entry(entry: object) -> tuple[CacheKey, RunOutcome]:
+    """One persisted entry, type-checked exactly: nothing is coerced,
+    so ``"false"`` is never a failure and ``"P1"`` never a pid set."""
+    if not isinstance(entry, dict):
+        raise TypeError(f"expected an object, got {type(entry).__name__}")
+    raw = entry["outcome"]
+    if not isinstance(raw, dict):
+        raise TypeError(
+            f"'outcome' must be an object, got {type(raw).__name__}"
+        )
+    key = (
+        _typed(entry, "workload", str),
+        _typed(entry, "seed", int),
+        _pid_set(entry, "pids"),
+    )
+    outcome = RunOutcome(
+        observed=_pid_set(raw, "observed"),
+        failed=_typed(raw, "failed", bool),
+        seed=_typed(raw, "seed", int),
+    )
+    return key, outcome
+
+
+def _typed(raw: dict, name: str, kind: type):
+    # exact type: bool is an int subclass, and a seed of True is wrong
+    value = raw[name]
+    if type(value) is not kind:
+        raise TypeError(
+            f"{name!r} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _pid_set(raw: dict, name: str) -> frozenset[str]:
+    value = raw[name]
+    if not isinstance(value, list) or not all(
+        isinstance(pid, str) for pid in value
+    ):
+        raise TypeError(
+            f"{name!r} must be a list of strings, got {value!r}"
+        )
+    return frozenset(value)

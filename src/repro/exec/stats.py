@@ -3,15 +3,11 @@
 One :class:`ExecStats` instance accumulates over an engine's lifetime —
 a single ``debug`` command, a whole ``figure7`` sweep — so its report
 answers: how many simulator runs actually executed, how many were
-answered from cache, and how much wall time the backend dispatches
-took versus their serial-equivalent cost (the summed per-run
-durations).
+answered from cache, and how long the executed runs took.
 
 Invariants: counters only increase; ``total_runs = executed + cached``
-counts what the algorithms *asked for* (speculative early-stop
-overshoot is executed-and-cached but never requested); ``speedup`` is
-serial-equivalent time over wall time, ≈1.0 on the serial backend.
-Nothing here persists — stats die with the engine.
+counts exactly what the algorithms asked for.  Nothing here persists —
+stats die with the engine.
 """
 
 from __future__ import annotations
@@ -23,18 +19,15 @@ from dataclasses import dataclass, field
 class ExecStats:
     """Counters for one execution engine."""
 
-    #: Wall-clock seconds spent inside backend dispatches.
-    wall_time: float = 0.0
-    #: Summed per-run durations — what a serial backend would have paid.
+    #: Summed per-run durations of the executed runs.
     run_time: float = 0.0
-    #: Executions actually performed (cache misses, incl. speculative
-    #: runs a parallel wave started past an early-stop point).
+    #: Executions actually performed (cache misses).
     executed: int = 0
     #: Executions answered from the outcome cache.
     cached: int = 0
     #: Intervention groups routed through the engine.
     groups: int = 0
-    #: Backend dispatches (waves / independent-group batches).
+    #: Dispatches of ``run_fn``: one per executed run.
     batches: int = 0
     #: Algorithm rounds by phase (e.g. ``giwp``, ``branch``).
     rounds: dict[str, int] = field(default_factory=dict)
@@ -51,13 +44,6 @@ class ExecStats:
     def hit_rate(self) -> float:
         return self.cached / self.total_runs if self.total_runs else 0.0
 
-    @property
-    def speedup(self) -> float:
-        """Serial-equivalent time over actual wall time (≈1.0 serial)."""
-        if self.wall_time <= 0.0:
-            return 1.0
-        return self.run_time / self.wall_time
-
     def metrics(self) -> dict[str, float]:
         """The counters as a flat gauge map, in the shape a
         :class:`repro.obs.MetricsRegistry` provider returns."""
@@ -66,10 +52,8 @@ class ExecStats:
             "exec.cached": self.cached,
             "exec.groups": self.groups,
             "exec.batches": self.batches,
-            "exec.wall_time": round(self.wall_time, 6),
             "exec.run_time": round(self.run_time, 6),
             "exec.hit_rate": round(self.hit_rate, 6),
-            "exec.speedup": round(self.speedup, 6),
         }
         for phase, count in self.rounds.items():
             gauges[f"exec.rounds.{phase}"] = count
@@ -82,11 +66,8 @@ class ExecStats:
             f"  runs      : {self.total_runs} requested = "
             f"{self.executed} executed + {self.cached} cached "
             f"({self.hit_rate:.0%} hit rate)",
-            f"  groups    : {self.groups} intervention groups, "
-            f"{self.batches} backend dispatches",
-            f"  wall time : {self.wall_time:.3f}s "
-            f"(serial-equivalent {self.run_time:.3f}s, "
-            f"speedup {self.speedup:.2f}x)",
+            f"  groups    : {self.groups} intervention groups",
+            f"  run time  : {self.run_time:.3f}s",
         ]
         if self.rounds:
             phases = ", ".join(

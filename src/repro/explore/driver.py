@@ -1,4 +1,4 @@
-"""Coverage-guided, wave-parallel schedule-space exploration.
+"""Coverage-guided, wave-planned schedule-space exploration.
 
 Role
 ----
@@ -18,23 +18,20 @@ Every novel failing interleaving becomes two durable artifacts:
 
 Waves
 -----
-Executions dispatch in *waves* of ``config.wave`` plans through an
-:class:`~repro.exec.engine.ExecutionEngine`, so ``--jobs N`` fans the
-simulator across threads or forked processes.  Determinism survives
-parallelism because the protocol is plan-ahead/observe-in-order:
+Executions run in *waves* of ``config.wave`` plans, in-process.  The
+protocol is plan-ahead/observe-in-order:
 
 * every random draw (mutate-or-fresh, parent pick, prefix cut) happens
-  in the parent *while planning the wave*, before anything runs;
-* a plan is a picklable spec — a registered strategy name rebuilt from
-  ``(name, params, seed)`` in the worker, or a recorded
-  :class:`~repro.sim.schedule.Schedule` plus prefix cut and tail seed;
-* the backend's ``map`` is order-preserving, and observations are
-  applied strictly in submission order.
+  *while planning the wave*, before any of its plans runs;
+* a plan is a plain record — a seed for the registered strategy, or a
+  recorded :class:`~repro.sim.schedule.Schedule` plus prefix cut and
+  tail seed;
+* each plan runs and is observed in submission order.
 
-The wave size is a fixed config value, *independent of the job count*,
-so planning boundaries (and therefore mutation parents) are identical
-whatever the parallelism — the result payload is byte-identical across
-``--jobs 1`` / ``--jobs 8`` and across backends (asserted in tests).
+The wave size is a *search* knob: it sets the planning boundaries (and
+therefore which observations a plan's mutation parents can come from),
+so it shapes the result payload (pinned by
+``tests/fixtures/golden_explore.json``).
 
 Partial-order pruning
 ---------------------
@@ -59,10 +56,9 @@ canonical signature keeps discriminating.
 
 Invariants
 ----------
-* a driver run is a pure function of ``(config, program)`` *minus* the
-  ``jobs``/``backend`` knobs: all randomness flows from
-  ``Random(config.start_seed)`` and the per-execution seeds
-  ``start_seed + i`` (asserted in tests);
+* a driver run is a pure function of ``(config, program)``: all
+  randomness flows from ``Random(config.start_seed)`` and the
+  per-execution seeds ``start_seed + i`` (asserted in tests);
 * observers never affect results — events mirror state changes that
   already happened (the :mod:`repro.api.events` contract);
 * every reported failure's schedule replays to the recorded trace
@@ -104,9 +100,8 @@ EXPLORE_SCHEMA_VERSION = 2
 class ExploreConfig:
     """Knobs for one exploration run.
 
-    ``jobs`` and ``backend`` are *throughput* knobs: they change
-    wall-clock time only, never the result payload.  ``wave`` and
-    ``partial_order`` are *search* knobs and do shape the result.
+    ``wave`` and ``partial_order`` are *search* knobs: like the
+    budget and seed, they shape the result.
     """
 
     #: total executions to spend
@@ -133,14 +128,8 @@ class ExploreConfig:
     #: directory to save one ``<signature>.json`` schedule per novel
     #: failure (``None`` = keep schedules in memory only)
     schedule_dir: Optional[str] = None
-    #: executions planned per dispatch wave — fixed and independent of
-    #: ``jobs``, so planning boundaries (and results) never depend on
-    #: the parallelism
+    #: executions planned per wave before any of them runs
     wave: int = 16
-    #: worker count for the execution backend (1 = serial)
-    jobs: int = 1
-    #: backend name (``None``: serial when ``jobs <= 1``, else threads)
-    backend: Optional[str] = None
     #: dedupe frontier admission, mutation energy, and pass-ingestion
     #: by Mazurkiewicz equivalence class instead of exact interleaving
     partial_order: bool = True
@@ -148,9 +137,9 @@ class ExploreConfig:
 
 @dataclass(frozen=True)
 class WavePlan:
-    """One planned execution: everything a worker needs, picklable.
+    """One planned execution.
 
-    Fresh runs rebuild their strategy from the driver's registered
+    Fresh runs build their strategy from the driver's registered
     ``(strategy, params)`` and this plan's seed; mutations carry the
     recorded parent :class:`~repro.sim.schedule.Schedule`, the prefix
     cut, and the tail seed.  All RNG draws happened at planning time.
@@ -162,7 +151,7 @@ class WavePlan:
     parent: Optional[Schedule] = None
     prefix: Optional[int] = None
     tail_seed: Optional[int] = None
-    #: directed mutation: the candidate the worker must schedule at
+    #: directed mutation: the candidate the run must schedule at
     #: decision ``prefix`` instead of the parent's recorded choice
     #: (None = plain prefix-cut mutation with a random tail)
     force: Optional[str] = None
@@ -170,13 +159,13 @@ class WavePlan:
 
 @dataclass
 class WaveObservation:
-    """What one worker saw: the picklable result of executing a plan."""
+    """What one execution of a plan showed."""
 
     index: int
     seed: int
     mutated: bool
     diverged: bool
-    trace: object  # ExecutionTrace (plain data, picklable)
+    trace: object  # ExecutionTrace
     schedule: Schedule
     footprints: tuple
     #: decision indices where more than one thread was ready — the
@@ -305,11 +294,7 @@ class FoundFailure:
 
 @dataclass
 class ExplorationResult:
-    """Everything one exploration run learned.
-
-    Deliberately excludes ``jobs``/``backend``: the payload must be
-    byte-identical whatever the parallelism.
-    """
+    """Everything one exploration run learned."""
 
     program: str
     strategy: str
@@ -365,7 +350,7 @@ class ExplorationResult:
 
 
 class ExplorationDriver:
-    """The wave-parallel exploration loop (see the module docstring).
+    """The wave-planned exploration loop (see the module docstring).
 
     ``store`` is optional: without one, exploration still finds and
     verifies failures, it just keeps no durable corpus.  With one, every
@@ -440,7 +425,7 @@ class ExplorationDriver:
         #: current wave's batched ingestion
         self._wave_candidates: list[tuple[object, str, str]] = []
         self._pending_pass = 0
-        self._factory = None  # set in run(); workers rebuild from it
+        self._factory = None  # the fresh-run strategy factory, set in run()
         #: mutation-energy accounting (partial-order pruning): how many
         #: mutations ran, and how many landed in a novel class
         self._mutations = 0
@@ -455,7 +440,6 @@ class ExplorationDriver:
     def run(self) -> ExplorationResult:
         from ..api.events import ExplorationFinished, ExplorationStarted
         from ..api.registry import strategy_factory
-        from ..exec.engine import ExecutionEngine
 
         cfg = self.config
         self._factory = strategy_factory(cfg.strategy, cfg.strategy_params)
@@ -473,26 +457,19 @@ class ExplorationDriver:
                 budget=cfg.budget,
             )
         )
-        engine = ExecutionEngine.from_options(
-            jobs=cfg.jobs, backend=cfg.backend
-        )
-        try:
-            done = 0
-            while done < cfg.budget:
-                count = min(cfg.wave, cfg.budget - done)
-                plans = [self._plan(done + k) for k in range(count)]
-                observations = engine.execute(plans, self._run_plan)
-                for observation in observations:
-                    self._observe(observation, result)
-                    if (
-                        cfg.stats_every
-                        and result.executions % cfg.stats_every == 0
-                    ):
-                        self._emit_stats(result)
-                self._ingest_wave(result)
-                done += count
-        finally:
-            engine.close()
+        done = 0
+        while done < cfg.budget:
+            count = min(cfg.wave, cfg.budget - done)
+            plans = [self._plan(done + k) for k in range(count)]
+            for plan in plans:
+                self._observe(self._run_plan(plan), result)
+                if (
+                    cfg.stats_every
+                    and result.executions % cfg.stats_every == 0
+                ):
+                    self._emit_stats(result)
+            self._ingest_wave(result)
+            done += count
         result.coverage_edges = len(self.coverage)
         result.frontier_size = len(self.frontier)
         result.distinct_signatures = len(self.seen)
@@ -514,15 +491,14 @@ class ExplorationDriver:
         )
         return result
 
-    # -- planning (parent only, all RNG here) ----------------------------
+    # -- planning (all RNG here) -----------------------------------------
 
     def _plan(self, i: int) -> WavePlan:
         """Mutate a frontier schedule, or run the base strategy fresh.
 
         Consumes the driver RNG exactly like the historical serial
         ``_next_strategy`` did (``randrange(len)`` indexing draws the
-        same underlying bits as ``choice``), so plans — and therefore
-        results — are independent of how the wave later executes.
+        same underlying bits as ``choice``).
         """
         cfg = self.config
         seed = cfg.start_seed + i
@@ -532,8 +508,7 @@ class ExplorationDriver:
             # scale the rate by the fraction of past mutations that
             # reached a *novel* equivalence class, so saturated-class
             # budget flows back into fresh strategy seeds.  Uses only
-            # observations from completed waves — deterministic for
-            # any job count.
+            # observations from completed waves.
             novel_frac = self._mutations_novel / self._mutations
             rate *= max(0.1, novel_frac)
         if cfg.partial_order:
@@ -589,12 +564,11 @@ class ExplorationDriver:
                     pool.append((parent, sig, b, c))
         return pool
 
-    # -- execution (workers; must not read mutable driver state) ---------
+    # -- execution --------------------------------------------------------
 
     def _run_plan(self, plan: WavePlan) -> WaveObservation:
-        """Execute one plan.  Runs in a worker under thread/process
-        backends: reads only the plan and state frozen before the first
-        wave (program, simulator, strategy factory)."""
+        """Execute one plan.  Reads only the plan and state fixed
+        before the first wave (program, simulator, strategy factory)."""
         from .strategies import SwapTail
 
         if plan.parent is not None:
@@ -639,7 +613,7 @@ class ExplorationDriver:
             branches=tuple(recorder.branches),
         )
 
-    # -- observation (parent, submission order) --------------------------
+    # -- observation (submission order) ----------------------------------
 
     def _observe(self, observation: WaveObservation, result) -> None:
         from ..api.events import (

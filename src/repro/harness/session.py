@@ -48,10 +48,9 @@ class SessionConfig:
     rng_seed: int = 0
     extractors: Optional[Sequence[Extractor]] = None
     policy: Optional[PrecedencePolicy] = None
-    #: Intervention-execution engine (backend + outcome cache + stats),
-    #: shareable across sessions so sweeps pool their memoization.
-    #: ``None`` gives each runner a private serial engine — bit-identical
-    #: to historical in-line execution.
+    #: Intervention-execution engine (outcome cache + stats), shareable
+    #: across sessions so sweeps pool their memoization.  ``None`` gives
+    #: each runner a private engine.
     engine: Optional["ExecutionEngine"] = None
     #: Observer seam (see :mod:`repro.api.events`): the session emits
     #: phase events onto this bus.  Observers never affect results.

@@ -147,7 +147,7 @@ class ObsContext:
 
     def watch_engine(self, engine) -> None:
         """Poll the engine's :class:`~repro.exec.stats.ExecStats` at
-        snapshot time (gauges like ``exec.wall_time``)."""
+        snapshot time (gauges like ``exec.run_time``)."""
         self.registry.register_provider(engine.stats.metrics)
 
     def final_snapshot(self) -> dict:

@@ -31,7 +31,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from ..core.acdag import ACDag
 from ..core.digraph import Digraph
@@ -127,23 +127,9 @@ class OracleRunner:
         return RunRequest(self.workload, 0, pids)
 
     def run_group(self, pids: frozenset[str]) -> list[RunOutcome]:
-        return list(
-            self.engine.run_group(
-                [self._request(pids)], self.execute_request, early_stop=False
-            )
+        return self.engine.run_group(
+            [self._request(pids)], self.execute_request, early_stop=False
         )
-
-    def run_group_batch(
-        self, groups: Sequence[frozenset[str]]
-    ) -> list[list[RunOutcome]]:
-        return [
-            list(outcomes)
-            for outcomes in self.engine.run_independent_groups(
-                [[self._request(pids)] for pids in groups],
-                self.execute_request,
-                early_stop=False,
-            )
-        ]
 
     def _model_outcome(self, pids: frozenset[str]) -> RunOutcome:
         occurred: set[str] = set()

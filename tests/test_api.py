@@ -26,7 +26,6 @@ from repro.api.events import DagBuilt, SuiteFrozen
 from repro.api.registry import (
     Registry,
     RegistryError,
-    backends,
     extractors,
     policies,
     workloads,
@@ -73,7 +72,7 @@ class TestSpecRoundTrip:
         spec = RunSpec(
             workload=WorkloadSpec("kafka"),
             collection=CollectionSpec(n_success=10, n_fail=12, start_seed=3),
-            engine=EngineSpec(jobs=4, backend="thread"),
+            engine=EngineSpec(cache="/tmp/outcomes.json"),
             corpus=CorpusSpec(dir="/tmp/c", mode="incremental"),
             analysis=AnalysisSpec(
                 approach="TAGT",
@@ -88,7 +87,7 @@ class TestSpecRoundTrip:
         assert RunSpec.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
 
     def test_json_round_trip(self):
-        spec = small_spec(engine=EngineSpec(jobs=2))
+        spec = small_spec(engine=EngineSpec(cache="/tmp/outcomes.json"))
         assert RunSpec.from_json(spec.to_json()) == spec
 
     def test_toml_round_trip(self):
@@ -160,11 +159,6 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="workload: required"):
             RunSpec().validate()
 
-    def test_unknown_backend(self):
-        spec = small_spec(engine=EngineSpec(backend="gpu"))
-        with pytest.raises(SpecError, match=r"unknown backend 'gpu'.*serial"):
-            spec.validate()
-
     def test_unknown_extractor(self):
         spec = small_spec(analysis=AnalysisSpec(extractors=("races",)))
         with pytest.raises(SpecError, match=r"unknown extractor 'races'.*data-race"):
@@ -215,14 +209,8 @@ class TestRegistries:
         assert REGISTRY is workloads
 
     def test_builtin_names(self):
-        assert "serial" in backends and "process" in backends
         assert "data-race" in extractors and "failure" in extractors
         assert "kind-anchor" in policies and "lamport" in policies
-
-    def test_backend_factories_build_backends(self):
-        backend = backends.build("thread", 3)
-        assert backend.name == "thread" and backend.jobs == 3
-        backend.close()
 
     def test_duplicate_registration_refused(self):
         registry = Registry("thing")
@@ -440,26 +428,20 @@ class TestRunCLI:
 
 
 class TestEngineSpecPlumbing:
-    """The deduplicated --jobs/--backend/--cache path."""
+    """The deduplicated --cache path."""
 
     def test_from_args_round_trip(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["debug", "network", "--jobs", "3", "--backend", "thread",
-             "--cache", "/tmp/c.json"]
+            ["debug", "network", "--cache", "/tmp/c.json"]
         )
         spec = EngineSpec.from_args(args)
-        assert spec == EngineSpec(jobs=3, backend="thread", cache="/tmp/c.json")
+        assert spec == EngineSpec(cache="/tmp/c.json")
 
     def test_build_defaults_serial(self):
         engine = EngineSpec().build()
-        assert engine.backend.name == "serial"
-        engine.close()
-
-    def test_build_jobs_imply_thread(self):
-        engine = EngineSpec(jobs=2).build()
-        assert engine.backend.name == "thread" and engine.backend.jobs == 2
+        assert engine.cache.path is None and len(engine.cache) == 0
         engine.close()
 
     def test_build_missing_cache_dir(self, tmp_path):
@@ -473,14 +455,27 @@ class TestEngineSpecPlumbing:
         with pytest.raises(SystemExit, match="--cache.*not an outcome-cache"):
             main(["figure8", "--apps", "2", "--cache", str(bad)])
 
-    def test_all_engine_commands_share_the_flags(self):
+    def test_all_engine_commands_share_the_flags(self, capsys):
+        """``--cache`` is the whole engine-flag set: the removed
+        ``--jobs``/``--backend`` are argparse errors everywhere."""
         from repro.cli import build_parser
 
         parser = build_parser()
-        for argv in (
-            ["debug", "network", "--jobs", "2"],
-            ["figure7", "--jobs", "2"],
-            ["figure8", "--jobs", "2"],
+        commands = (["debug", "network"], ["figure7"], ["figure8"])
+        for argv in commands:
+            args = parser.parse_args([*argv, "--cache", "c.json"])
+            assert EngineSpec.from_args(args) == EngineSpec(cache="c.json")
+        for argv in (*commands, ["explore", "network"]):
+            for flag in (["--jobs", "2"], ["--backend", "process"]):
+                with pytest.raises(SystemExit) as excinfo:
+                    parser.parse_args([*argv, *flag])
+                assert excinfo.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_spec_engine_jobs_is_an_unknown_key(self):
+        with pytest.raises(
+            SpecError, match=r"engine: unknown key 'jobs' \(valid: cache\)"
         ):
-            args = parser.parse_args(argv)
-            assert EngineSpec.from_args(args).jobs == 2
+            RunSpec.from_toml(
+                '[workload]\nname = "network"\n[engine]\njobs = 4\n'
+            )

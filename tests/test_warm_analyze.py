@@ -16,7 +16,7 @@ from repro.corpus import (
     IncrementalPipeline,
     TraceStore,
 )
-from repro.exec import ExecutionEngine, make_backend
+from repro.exec import ExecutionEngine
 from repro.harness.runner import collect
 from repro.harness.session import AIDSession, SessionConfig
 from repro.sim.serialize import trace_fingerprint
@@ -80,11 +80,10 @@ def _snapshot(root) -> dict:
 
 
 class TestOneGlobalBuild:
-    # The bootstrap is one serial pass; a session carrying a parallel
+    # The bootstrap is one serial pass; a session carrying its own
     # engine (which runs interventions only) analyzes to the same DAG.
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_bootstrap_equals_rebuild_and_live_session(
-        self, tmp_path, racy_program, corpus, live_dag, backend
+        self, tmp_path, racy_program, corpus, live_dag
     ):
         structures = []
         for width in (2, 0):
@@ -99,7 +98,7 @@ class TestOneGlobalBuild:
                 [log for log in pipeline.logs if log.failed]
             )
             structures.append(pipeline.dag.structure())
-            engine = ExecutionEngine(backend=make_backend(backend, 2))
+            engine = ExecutionEngine()
             try:
                 session = CorpusSession(
                     racy_program,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
 import time
 from typing import Callable
 
@@ -37,6 +39,75 @@ def wait_until(
                 f"timed out after {timeout}s waiting for {message}"
             )
         time.sleep(interval)
+
+
+def run_side_by_side(
+    kind: str, jobs: list[Callable[[], object]], timeout: float = 300.0
+) -> list:
+    """Start every zero-argument callable in ``jobs`` at once, each in
+    its own thread (``kind="thread"``) or forked child process
+    (``kind="process"``), and return their results in ``jobs`` order.
+
+    A forked child inherits its callable through the fork, so closures
+    over unpicklable programs work; only the result crosses back, over
+    a pipe.  A job that raises, or that has not answered by the
+    deadline, fails the calling test.
+    """
+    results: list = [None] * len(jobs)
+    errors: list[str] = []
+    deadline = time.monotonic() + timeout
+    if kind == "thread":
+
+        def invoke(i: int) -> None:
+            try:
+                results[i] = jobs[i]()
+            except BaseException as exc:  # reported by the caller
+                errors.append(f"job {i}: {exc!r}")
+
+        threads = [
+            threading.Thread(target=invoke, args=(i,), daemon=True)
+            for i in range(len(jobs))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+            if thread.is_alive():
+                raise AssertionError(f"a job ran past {timeout}s")
+    elif kind == "process":
+        context = multiprocessing.get_context("fork")
+
+        def child(job: Callable[[], object], conn) -> None:
+            try:
+                conn.send(("ok", job()))
+            except BaseException as exc:  # reported by the caller
+                conn.send(("error", repr(exc)))
+            finally:
+                conn.close()
+
+        running = []
+        for job in jobs:
+            parent_end, child_end = context.Pipe(duplex=False)
+            process = context.Process(target=child, args=(job, child_end))
+            process.start()
+            child_end.close()
+            running.append((process, parent_end))
+        for i, (process, conn) in enumerate(running):
+            if not conn.poll(max(0.0, deadline - time.monotonic())):
+                for other, _ in running:
+                    other.kill()
+                raise AssertionError(f"job {i} ran past {timeout}s")
+            status, value = conn.recv()
+            conn.close()
+            process.join()
+            if status == "ok":
+                results[i] = value
+            else:
+                errors.append(f"job {i}: {value}")
+    else:
+        raise ValueError(f"unknown worker kind {kind!r}")
+    assert not errors, errors
+    return results
 
 
 def rescan_stats(logs) -> dict[str, tuple[int, int, int, int]]:

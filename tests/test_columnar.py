@@ -21,6 +21,7 @@ eval matrix).  Four layers of parity:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_side_by_side
 from gen import OBJECTS, RETURN_VALUES, make_corpus, make_payload
 from repro.core.evalkernel import SuiteKernel
 from repro.core.extraction import PredicateSuite
@@ -386,3 +388,25 @@ class TestGoldenReport:
             engine=ExecutionEngine(),
         )
         assert produced == (FIXTURES / "golden_report.json").read_text()
+
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_report_is_job_count_independent(self, tmp_path, kind):
+        """Two sessions run side by side, as threads sharing one program
+        or as forked processes, each over its own copy of the fixture:
+        both produce the committed bytes, so no state one session leaves
+        in a shared object or module reaches the other's report."""
+        workload = REGISTRY.build("npgsql")
+        reports = run_side_by_side(
+            kind,
+            [
+                functools.partial(
+                    _corpus_report,
+                    tmp_path / f"j{job}",
+                    FIXTURES / "golden_corpus",
+                    workload,
+                )
+                for job in range(2)
+            ],
+        )
+        golden = (FIXTURES / "golden_report.json").read_text()
+        assert reports == [golden, golden]

@@ -4,11 +4,13 @@ corpus files reported as structured errors."""
 
 from __future__ import annotations
 
+import functools
 import json
 import shutil
 
 import pytest
 
+from conftest import run_side_by_side
 from repro.cli import main
 from repro.corpus import (
     CorpusSession,
@@ -71,6 +73,20 @@ def _new_traces(racy_program, corpus, n: int):
     ]
 
 
+def _session_structure(racy_program, root):
+    """The AC-DAG shape a session with its own engine analyzes the
+    corpus at ``root`` to."""
+    engine = ExecutionEngine()
+    try:
+        session = CorpusSession(
+            racy_program, TraceStore.open(root), SessionConfig(engine=engine)
+        )
+        session.analyze()
+    finally:
+        engine.close()
+    return session.build_dag().structure()
+
+
 def _snapshot(root) -> dict:
     return {
         str(p): (p.stat().st_size, p.stat().st_mtime_ns)
@@ -80,10 +96,12 @@ def _snapshot(root) -> dict:
 
 
 class TestOneGlobalBuild:
-    # The bootstrap is one serial pass; a session carrying its own
-    # engine (which runs interventions only) analyzes to the same DAG.
+    # The bootstrap is one serial pass; sessions carrying their own
+    # engine (which runs interventions only) analyze to the same DAG,
+    # also when they run side by side in threads or forked processes.
+    @pytest.mark.parametrize("kind", ["thread", "process"])
     def test_bootstrap_equals_rebuild_and_live_session(
-        self, tmp_path, racy_program, corpus, live_dag
+        self, tmp_path, racy_program, corpus, live_dag, kind
     ):
         structures = []
         for width in (2, 0):
@@ -98,17 +116,16 @@ class TestOneGlobalBuild:
                 [log for log in pipeline.logs if log.failed]
             )
             structures.append(pipeline.dag.structure())
-            engine = ExecutionEngine()
-            try:
-                session = CorpusSession(
-                    racy_program,
-                    TraceStore.open(root),
-                    SessionConfig(engine=engine),
+        sessions = run_side_by_side(
+            kind,
+            [
+                functools.partial(
+                    _session_structure, racy_program, tmp_path / f"w{width}"
                 )
-                session.analyze()
-            finally:
-                engine.close()
-            assert session.build_dag().structure() == structures[-1]
+                for width in (2, 0)
+            ],
+        )
+        assert sessions == structures
         assert structures[0] == structures[1] == live_dag.structure()
 
     def test_warm_bootstrap_equals_cold(self, tmp_path, racy_program, corpus):

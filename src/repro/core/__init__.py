@@ -19,12 +19,7 @@ the Section 6 bounds.
 from .acdag import ACDag, Branch, GraphInvariantError
 from .branch import BranchPruneResult, branch_prune
 from .discovery import DiscoveryResult, causal_path_discovery, linear_discovery
-from .evalkernel import (
-    CorpusSummary,
-    SuiteKernel,
-    popcount_split,
-    summarize_corpus,
-)
+from .evalkernel import SuiteKernel, popcount_split
 from .extraction import (
     CompoundConjunctionExtractor,
     DataRaceExtractor,
@@ -35,7 +30,6 @@ from .extraction import (
     MethodFailsExtractor,
     OrderViolationExtractor,
     PredicateSuite,
-    TWO_PHASE_EXTRACTORS,
     WrongReturnExtractor,
     default_extractors,
 )
@@ -88,7 +82,6 @@ __all__ = [
     "BranchPruneResult",
     "CompoundAndPredicate",
     "CompoundConjunctionExtractor",
-    "CorpusSummary",
     "CountingRunner",
     "DataRaceExtractor",
     "DataRacePredicate",
@@ -129,7 +122,6 @@ __all__ = [
     "StartTimePolicy",
     "StatisticalDebugger",
     "SuiteKernel",
-    "TWO_PHASE_EXTRACTORS",
     "TooFastPredicate",
     "TooSlowPredicate",
     "WrongReturnPredicate",
@@ -146,6 +138,5 @@ __all__ = [
     "popcount_split",
     "render_sd_ranking",
     "split_logs",
-    "summarize_corpus",
     "topological_item_order",
 ]

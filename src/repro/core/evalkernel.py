@@ -22,38 +22,28 @@ every layer:
   per-pid observation bitsets over execution columns plus a
   failed-column mask turn precision/recall counting into two
   ``int.bit_count`` calls.
-* :func:`summarize_corpus` — the **propose** half of two-phase
-  extractor discovery: one pass over the corpus folds each trace into a
-  :class:`CorpusSummary`, collecting every per-trace fact the default
-  extractor catalogue needs (exception sites, duration/return
-  aggregates, key presence, success-order pairs via a sort-based sweep,
-  race candidates, failure signatures).  The **calibrate** half
-  (envelope/order-baseline intersection) lives with the extractors in
-  :mod:`repro.core.extraction`.
+* :func:`ordered_cross_thread_pairs` and :func:`race_candidates` —
+  the per-trace sweeps behind
+  :class:`~repro.core.extraction.OrderViolationExtractor` and
+  :class:`~repro.core.extraction.DataRaceExtractor` discovery, each
+  output-sensitive where the all-pairs walk it replaced was quadratic.
 
 Invariants
 ----------
 * kernel evaluation equals per-predicate evaluation — same
   :class:`Observation` objects, same observation order;
-* calibrating from the summary equals each extractor's single-phase
-  :meth:`~repro.core.extraction.Extractor.discover` over the raw traces;
-* nothing here persists; the kernel and summaries are derived state,
-  rebuilt from traces on demand.
+* each sweep returns the same set as the all-pairs walk it replaced;
+* nothing here persists; the kernel is derived state, rebuilt from
+  traces on demand.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from ..sim.tracing import MethodExecution, MethodKey
 from .predicates import KeyedPredicate, Observation, PredicateDef, racy_window
-
-#: Exception kinds that mark harness artifacts, not program behaviour
-#: (re-exported by :mod:`repro.core.extraction` for its extractors).
-IGNORED_EXCEPTIONS = frozenset({"Unfinished"})
-
 
 # ---------------------------------------------------------------------------
 # Key-grouped batch evaluation
@@ -134,64 +124,8 @@ def popcount_split(bits: int, failed_mask: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Two-phase discovery: the propose half
+# Discovery's per-trace sweeps
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class DistinctCap:
-    """"How many distinct values?" capped at two — all any extractor asks.
-
-    Tracks a stream of values by equality: after absorbing any number of
-    them it knows whether none, exactly one, or more than one distinct
-    value appeared (``value`` is meaningful only in the exactly-one
-    case).
-    """
-
-    seen: bool = False
-    multi: bool = False
-    value: object = None
-
-    def add(self, value: object) -> None:
-        if not self.seen:
-            self.seen = True
-            self.value = value
-        elif not self.multi and value != self.value:
-            self.multi = True
-
-    @property
-    def single(self) -> Optional[object]:
-        """The unique value, or ``None`` when none or several."""
-        return self.value if self.seen and not self.multi else None
-
-
-@dataclass
-class KeyStats:
-    """Per-:class:`MethodKey` aggregates over one side of the corpus.
-
-    ``n_completed``/durations/returns cover *completed* executions
-    (``exception is None``) — the only ones the duration and return
-    extractors reason about.  ``returns`` ingests hashable values only
-    on the success side (mirroring the extractors' ``_hashable`` filter)
-    and every completed value on the failure side (distinctness there is
-    by equality, which is all the mismatch test needs).
-    """
-
-    n_present: int = 0
-    n_completed: int = 0
-    min_duration: int = 0
-    max_duration: int = 0
-    returns: DistinctCap = field(default_factory=DistinctCap)
-
-    def add_completed(self, duration: int) -> None:
-        if self.n_completed == 0:
-            self.min_duration = self.max_duration = duration
-        else:
-            if duration < self.min_duration:
-                self.min_duration = duration
-            if duration > self.max_duration:
-                self.max_duration = duration
-        self.n_completed += 1
 
 
 def ordered_cross_thread_pairs(
@@ -241,123 +175,3 @@ def race_candidates(trace) -> set[tuple[MethodKey, MethodKey, str]]:
                     pair = tuple(sorted([ma.key, mb.key]))
                     candidates.add((pair[0], pair[1], obj))
     return candidates
-
-
-@dataclass
-class CorpusSummary:
-    """Everything the default extractor catalogue needs to calibrate,
-    collected in one pass per trace.
-
-    The ``need_*`` flags scope the propose pass to what the present
-    extractor stack will actually calibrate from — a failure-signature
-    stack must not pay for the O(calls²) race walk or the ordered-pairs
-    sweep.
-    """
-
-    #: collect the per-execution aggregates (exception sites, duration/
-    #: return stats, presence, windows) — any key-based extractor
-    need_stats: bool = True
-    #: run the per-success ordered-pairs sweep — OrderViolationExtractor
-    need_order: bool = True
-    #: run the per-trace race-candidate walk — DataRaceExtractor
-    need_races: bool = True
-    n_traces: int = 0
-    n_failures: int = 0
-    #: (key, exception kind) sites seen anywhere, harness kinds excluded
-    failing: set[tuple[MethodKey, str]] = field(default_factory=set)
-    #: per-key aggregates over successful / failed traces
-    succ_stats: dict[MethodKey, KeyStats] = field(default_factory=dict)
-    fail_stats: dict[MethodKey, KeyStats] = field(default_factory=dict)
-    #: key -> number of traces (either label) containing it
-    presence: dict[MethodKey, int] = field(default_factory=dict)
-    #: strictly-ordered cross-thread pairs in *every* success
-    #: (``None`` until the first success is absorbed)
-    ordered: Optional[set[tuple[MethodKey, MethodKey]]] = None
-    #: per-key latest end / earliest start over successful traces
-    latest_end: dict[MethodKey, int] = field(default_factory=dict)
-    earliest_start: dict[MethodKey, int] = field(default_factory=dict)
-    races: set[tuple[MethodKey, MethodKey, str]] = field(default_factory=set)
-    signatures: set[str] = field(default_factory=set)
-    #: per failed trace: key -> (start_time, end_time)
-    fail_windows: list[dict[MethodKey, tuple[int, int]]] = field(
-        default_factory=list
-    )
-
-    # -- the propose phase ------------------------------------------------
-
-    def absorb_trace(self, trace, failed: bool) -> None:
-        """Fold one labeled trace into the summary (single pass)."""
-        self.n_traces += 1
-        window: dict[MethodKey, tuple[int, int]] = {}
-        if self.need_stats:
-            execs = trace.method_executions()
-            side = self.fail_stats if failed else self.succ_stats
-            for m in execs:
-                key = m.key
-                exc = m.exception
-                if exc and exc not in IGNORED_EXCEPTIONS:
-                    self.failing.add((key, exc))
-                stats = side.get(key)
-                if stats is None:
-                    stats = side[key] = KeyStats()
-                stats.n_present += 1
-                if exc is None:
-                    stats.add_completed(m.duration)
-                    value = m.return_value
-                    if failed:
-                        stats.returns.add(value)
-                    elif _hashable(value):
-                        stats.returns.add(value)
-                self.presence[key] = self.presence.get(key, 0) + 1
-                if failed:
-                    window[key] = (m.start_time, m.end_time)
-                else:
-                    end = self.latest_end.get(key, 0)
-                    if m.end_time > end:
-                        self.latest_end[key] = m.end_time
-                    start = self.earliest_start.get(key)
-                    if start is None or m.start_time < start:
-                        self.earliest_start[key] = m.start_time
-        if failed:
-            self.n_failures += 1
-            if trace.failure is not None:
-                self.signatures.add(trace.failure.signature)
-            if self.need_stats:
-                self.fail_windows.append(window)
-        elif self.need_order:
-            pairs = ordered_cross_thread_pairs(trace.method_executions())
-            self.ordered = (
-                pairs if self.ordered is None else self.ordered & pairs
-            )
-        if self.need_races:
-            self.races |= race_candidates(trace)
-
-
-def summarize_corpus(
-    successes: Sequence,
-    failures: Sequence,
-    need_stats: bool = True,
-    need_order: bool = True,
-    need_races: bool = True,
-) -> CorpusSummary:
-    """The propose phase over a labeled corpus: successes, then failures,
-    folded into one summary.  The ``need_*`` flags scope the pass to what
-    the caller's extractor stack calibrates from (see
-    :class:`CorpusSummary`).
-    """
-    summary = CorpusSummary(
-        need_stats=need_stats, need_order=need_order, need_races=need_races
-    )
-    for trace in successes:
-        summary.absorb_trace(trace, False)
-    for trace in failures:
-        summary.absorb_trace(trace, True)
-    return summary
-
-
-def _hashable(value: object) -> bool:
-    try:
-        hash(value)
-    except TypeError:
-        return False
-    return True

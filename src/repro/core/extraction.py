@@ -9,14 +9,9 @@ evaluate *any* trace — including traces produced later under
 intervention, which is how intervention outcomes are interpreted.
 
 Extractors only *propose* predicates; discriminative filtering is the
-job of :mod:`repro.core.statistical`.
-
-Discovery is two-phase for the default catalogue (see
-:mod:`repro.core.evalkernel`): one **propose** pass folds each trace
-into a :class:`~repro.core.evalkernel.CorpusSummary`, and a
-**calibrate** pass — each extractor's :meth:`Extractor.calibrate` —
-turns the summary into the same predicate list its
-:meth:`Extractor.discover` would produce from the raw traces.
+job of :mod:`repro.core.statistical`.  Discovery is one path: every
+extractor, default or third-party, proposes through its own
+:meth:`Extractor.discover` over the raw traces.
 """
 
 from __future__ import annotations
@@ -27,14 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ..sim.program import Program
 from ..sim.tracing import ExecutionTrace, MethodExecution, MethodKey
-from .evalkernel import (
-    IGNORED_EXCEPTIONS,
-    CorpusSummary,
-    _hashable,
-    ordered_cross_thread_pairs,
-    race_candidates,
-    summarize_corpus,
-)
+from .evalkernel import ordered_cross_thread_pairs, race_candidates
 from .predicates import (
     DataRacePredicate,
     ExecutedPredicate,
@@ -52,6 +40,9 @@ from .statistical import PredicateLog
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .evalkernel import SuiteKernel
 
+#: Exception kinds that mark harness artifacts, not program behaviour.
+IGNORED_EXCEPTIONS = frozenset({"Unfinished"})
+
 
 class Extractor:
     """Base class: proposes predicate definitions from labeled traces."""
@@ -63,13 +54,13 @@ class Extractor:
     ) -> list[PredicateDef]:
         raise NotImplementedError
 
-    def calibrate(self, summary: CorpusSummary) -> list[PredicateDef]:
-        """Two-phase discovery's calibrate half: the predicates
-        :meth:`discover` would return, derived from a
-        :class:`~repro.core.evalkernel.CorpusSummary` instead of the raw
-        traces.  Only classes in :data:`TWO_PHASE_EXTRACTORS` implement
-        it; everything else falls back to :meth:`discover`."""
-        raise NotImplementedError
+
+def _hashable(value: object) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 def _executions_by_key(
@@ -91,16 +82,9 @@ class MethodFailsExtractor(Extractor):
             for m in trace.method_executions():
                 if m.exception and m.exception not in IGNORED_EXCEPTIONS:
                     seen.add((m.key, m.exception))
-        return self._from_sites(seen)
-
-    def calibrate(self, summary):
-        return self._from_sites(summary.failing)
-
-    @staticmethod
-    def _from_sites(sites):
         return [
             MethodFailsPredicate(key=key, exc_kind=exc)
-            for key, exc in sorted(sites, key=lambda t: (t[0], t[1]))
+            for key, exc in sorted(seen, key=lambda t: (t[0], t[1]))
         ]
 
 
@@ -150,25 +134,6 @@ class DurationExtractor(Extractor):
                 preds.append(TooFastPredicate(key=key, threshold=lo))
         return preds
 
-    def calibrate(self, summary):
-        preds: list[PredicateDef] = []
-        succ, fail = summary.succ_stats, summary.fail_stats
-        for key in sorted(set(succ) & set(fail)):
-            ok = succ[key]
-            if not ok.n_completed:
-                continue
-            lo = max(1, ok.min_duration - self._slack(ok.min_duration))
-            hi = ok.max_duration + self._slack(ok.max_duration)
-            correct = ok.returns.single
-            completed = fail[key]
-            if completed.n_completed and completed.max_duration > hi:
-                preds.append(
-                    TooSlowPredicate(key=key, threshold=hi, correct_return=correct)
-                )
-            if completed.n_completed and completed.min_duration < lo:
-                preds.append(TooFastPredicate(key=key, threshold=lo))
-        return preds
-
 
 class WrongReturnExtractor(Extractor):
     """Return-value mismatch against a constant successful value."""
@@ -193,24 +158,6 @@ class WrongReturnExtractor(Extractor):
                 preds.append(WrongReturnPredicate(key=key, correct_value=correct))
         return preds
 
-    def calibrate(self, summary):
-        preds: list[PredicateDef] = []
-        succ, fail = summary.succ_stats, summary.fail_stats
-        for key in sorted(set(succ) & set(fail)):
-            ok = succ[key].returns
-            if not ok.seen or ok.multi:
-                continue  # no unique "correct value" to compare/repair with
-            correct = ok.value
-            observed = fail[key].returns
-            # ≥2 distinct completed values cannot both equal ``correct``;
-            # a single one mismatches iff it differs.
-            mismatch = observed.multi or (
-                observed.seen and observed.value != correct
-            )
-            if mismatch:
-                preds.append(WrongReturnPredicate(key=key, correct_value=correct))
-        return preds
-
 
 class DataRaceExtractor(Extractor):
     """Lockset-based race candidates from any trace where they fire."""
@@ -219,13 +166,6 @@ class DataRaceExtractor(Extractor):
         candidates: set[tuple[MethodKey, MethodKey, str]] = set()
         for trace in list(failures) + list(successes):
             candidates |= race_candidates(trace)
-        return self._from_candidates(candidates)
-
-    def calibrate(self, summary):
-        return self._from_candidates(summary.races)
-
-    @staticmethod
-    def _from_candidates(candidates):
         return [
             DataRacePredicate(a=a, b=b, obj=obj)
             for a, b, obj in sorted(candidates, key=lambda t: (t[2], t[0], t[1]))
@@ -245,46 +185,28 @@ class OrderViolationExtractor(Extractor):
         if not successes:
             return []
         ordered: Optional[set[tuple[MethodKey, MethodKey]]] = None
+        # per-key latest end / earliest start over successful traces
+        latest_end: dict[MethodKey, int] = {}
+        earliest_start: dict[MethodKey, int] = {}
         for trace in successes:
+            execs = trace.method_executions()
             # Sort-based sweep: output-sensitive, identical pair set to
             # the all-pairs comparison walk it replaced.
-            pairs = ordered_cross_thread_pairs(trace.method_executions())
+            pairs = ordered_cross_thread_pairs(execs)
             ordered = pairs if ordered is None else (ordered & pairs)
+            for m in execs:
+                key = m.key
+                if m.end_time > latest_end.get(key, 0):
+                    latest_end[key] = m.end_time
+                if m.start_time < earliest_start.get(key, float("inf")):
+                    earliest_start[key] = m.start_time
         violated: list[tuple[MethodKey, MethodKey]] = []
-        for first, second in sorted(ordered or ()):
+        for first, second in sorted(ordered):
             for trace in failures:
                 mf, ms = trace.lookup(first), trace.lookup(second)
                 if mf and ms and ms.start_time < mf.end_time:
                     violated.append((first, second))
                     break
-        latest_end: dict[MethodKey, float] = {}
-        for trace in successes:
-            for m in trace.method_executions():
-                latest_end[m.key] = max(latest_end.get(m.key, 0), m.end_time)
-        earliest_start: dict[MethodKey, float] = {}
-        for trace in successes:
-            for m in trace.method_executions():
-                earliest_start[m.key] = min(
-                    earliest_start.get(m.key, float("inf")), m.start_time
-                )
-        return self._canonicalize(violated, latest_end, earliest_start)
-
-    def calibrate(self, summary):
-        if summary.ordered is None:
-            return []
-        violated: list[tuple[MethodKey, MethodKey]] = []
-        for first, second in sorted(summary.ordered):
-            for windows in summary.fail_windows:
-                mf, ms = windows.get(first), windows.get(second)
-                if mf is not None and ms is not None and ms[0] < mf[1]:
-                    violated.append((first, second))
-                    break
-        return self._canonicalize(
-            violated, summary.latest_end, summary.earliest_start
-        )
-
-    @staticmethod
-    def _canonicalize(violated, latest_end, earliest_start):
         # Canonicalize: when several invocations on one side are all
         # ordered before the same `second` and all flip together (e.g.
         # every consumer-thread method precedes the premature Dispose),
@@ -324,27 +246,18 @@ class MethodExecutedExtractor(Extractor):
     """
 
     def discover(self, successes, failures):
-        all_traces = list(successes) + list(failures)
         seen_in: dict[MethodKey, int] = defaultdict(int)
         in_failed: set[MethodKey] = set()
-        for trace in all_traces:
-            for key in {m.key for m in trace.method_executions()}:
-                seen_in[key] += 1
-        for trace in failures:
-            in_failed.update(m.key for m in trace.method_executions())
-        candidates = [
-            key
-            for key in in_failed
-            if seen_in[key] < len(all_traces)
-        ]
-        return [ExecutedPredicate(key=key) for key in sorted(candidates)]
-
-    def calibrate(self, summary):
-        candidates = [
-            key
-            for key in summary.fail_stats
-            if summary.presence[key] < summary.n_traces
-        ]
+        for failed, traces in ((False, successes), (True, failures)):
+            for trace in traces:
+                # a trace's index keys are its key set (unique per trace)
+                keys = trace.executions_by_key().keys()
+                for key in keys:
+                    seen_in[key] += 1
+                if failed:
+                    in_failed |= keys
+        n_traces = len(successes) + len(failures)
+        candidates = [key for key in in_failed if seen_in[key] < n_traces]
         return [ExecutedPredicate(key=key) for key in sorted(candidates)]
 
 
@@ -381,12 +294,9 @@ class CompoundConjunctionExtractor(Extractor):
             self.inner
             if self.inner is not None
             else [
-                DataRaceExtractor(),
-                MethodFailsExtractor(),
-                DurationExtractor(),
-                WrongReturnExtractor(),
-                OrderViolationExtractor(),
-                MethodExecutedExtractor(),
+                e
+                for e in default_extractors()
+                if not isinstance(e, FailureExtractor)
             ]
         )
         base: dict[str, PredicateDef] = {}
@@ -439,40 +349,6 @@ class FailureExtractor(Extractor):
         )
         return [FailurePredicate(signature=s) for s in signatures]
 
-    def calibrate(self, summary):
-        return [FailurePredicate(signature=s) for s in sorted(summary.signatures)]
-
-
-#: Extractor classes whose discovery splits into the shared propose
-#: pass + a per-extractor calibrate.  Exact-type membership:
-#: a subclass with an overridden ``discover`` must not be silently
-#: rerouted through the parent's calibrate.
-TWO_PHASE_EXTRACTORS: frozenset[type] = frozenset(
-    {
-        DataRaceExtractor,
-        MethodFailsExtractor,
-        DurationExtractor,
-        WrongReturnExtractor,
-        OrderViolationExtractor,
-        MethodExecutedExtractor,
-        FailureExtractor,
-    }
-)
-
-#: Which :class:`~repro.core.evalkernel.CorpusSummary` sections each
-#: two-phase extractor calibrates from — the propose pass only collects
-#: what the present stack will read (a failure-signature stack must not
-#: pay for the race walk or the ordered-pairs sweep).
-_SUMMARY_NEEDS: dict[type, frozenset[str]] = {
-    DataRaceExtractor: frozenset({"races"}),
-    MethodFailsExtractor: frozenset({"stats"}),
-    DurationExtractor: frozenset({"stats"}),
-    WrongReturnExtractor: frozenset({"stats"}),
-    OrderViolationExtractor: frozenset({"stats", "order"}),
-    MethodExecutedExtractor: frozenset({"stats"}),
-    FailureExtractor: frozenset(),
-}
-
 
 def default_extractors() -> list[Extractor]:
     """The paper's Figure 2 catalogue, in a deterministic order."""
@@ -507,35 +383,12 @@ class PredicateSuite:
         When ``program`` is given and ``safe_only`` is set, predicates
         whose interventions are unsafe (Section 3.3) are dropped — except
         failure predicates, which are never intervened on.
-
-        Extractors in :data:`TWO_PHASE_EXTRACTORS` run two-phase: one
-        propose pass summarizes every trace, then each extractor
-        calibrates from the summary.  Other extractors keep their
-        whole-corpus :meth:`Extractor.discover`.  Either way an
-        extractor proposes what its :meth:`Extractor.discover` would.
         """
-        extractors = (
-            list(extractors) if extractors is not None else default_extractors()
-        )
-        summary: Optional[CorpusSummary] = None
-        if any(type(e) in TWO_PHASE_EXTRACTORS for e in extractors):
-            needs: set[str] = set()
-            for extractor in extractors:
-                needs |= _SUMMARY_NEEDS.get(type(extractor), frozenset())
-            summary = summarize_corpus(
-                successes,
-                failures,
-                need_stats="stats" in needs,
-                need_order="order" in needs,
-                need_races="races" in needs,
-            )
+        if extractors is None:
+            extractors = default_extractors()
         defs: dict[str, PredicateDef] = {}
         for extractor in extractors:
-            if summary is not None and type(extractor) in TWO_PHASE_EXTRACTORS:
-                proposed = extractor.calibrate(summary)
-            else:
-                proposed = extractor.discover(successes, failures)
-            for pred in proposed:
+            for pred in extractor.discover(successes, failures):
                 defs.setdefault(pred.pid, pred)
         if program is not None and safe_only:
             defs = {

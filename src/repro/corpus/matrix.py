@@ -74,12 +74,6 @@ def _obs_to_list(obs: Observation) -> list:
     return [obs.start, obs.end, obs.start_lamport, obs.end_lamport]
 
 
-def _obs_from_list(raw: list) -> Observation:
-    return Observation(
-        start=raw[0], end=raw[1], start_lamport=raw[2], end_lamport=raw[3]
-    )
-
-
 class EvalMatrix:
     """Memoized boolean matrix of predicate evaluations over a corpus."""
 
@@ -115,6 +109,34 @@ class EvalMatrix:
         self.dirty = False
         if self.path is not None and self.path.exists():
             self.load(self.path)
+
+    def _stored_window(
+        self, row: Optional[dict], fingerprint: str, pid: str
+    ) -> Observation:
+        """The window stored for an observed (pid, trace) pair.
+
+        It must be ``[start, end, start_lamport, end_lamport]`` with
+        integer ``start <= end`` and each Lamport stamp an integer or
+        null (failure predicates carry none).  A missing or malformed
+        window is a :class:`CorpusError` naming the matrix file, never a
+        wrong anchor or a traceback."""
+        raw = row.get(pid) if row is not None else None
+        if type(raw) is list and len(raw) == 4:
+            start, end, start_lamport, end_lamport = raw
+            if (
+                type(start) is int
+                and type(end) is int
+                and start <= end
+                and (start_lamport is None or type(start_lamport) is int)
+                and (end_lamport is None or type(end_lamport) is int)
+            ):
+                return Observation(start, end, start_lamport, end_lamport)
+        where = self.path if self.path is not None else "eval matrix"
+        raise CorpusError(
+            f"{where}: observation window of {pid} on trace {fingerprint} "
+            f"is {raw!r}, not [start, end, start_lamport, end_lamport] "
+            "with integer start <= end"
+        )
 
     def _digests_for(self, suite: PredicateSuite) -> dict[str, str]:
         """Per-suite digest table, computed once (the suite is frozen)."""
@@ -205,7 +227,7 @@ class EvalMatrix:
             if self.evaluated.get(pid, 0) & mask:
                 self.pair_hits += 1
                 if self.observed.get(pid, 0) & mask:
-                    observations[pid] = _obs_from_list(row_obs[pid])
+                    observations[pid] = self._stored_window(row_obs, fp, pid)
             else:
                 undecided.append(pid)
         if undecided:
@@ -300,9 +322,9 @@ class EvalMatrix:
         if col is None:
             raise ValueError(f"trace {fingerprint!r} has no matrix column")
         mask = 1 << col
-        row = self.observations.get(fingerprint, {})
+        row = self.observations.get(fingerprint)
         observations = {
-            pid: _obs_from_list(row[pid])
+            pid: self._stored_window(row, fingerprint, pid)
             for pid in suite.defs
             if self.observed.get(pid, 0) & mask
         }

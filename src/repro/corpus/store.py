@@ -136,13 +136,32 @@ class TraceEntry:
 
     @classmethod
     def from_dict(cls, fingerprint: str, raw: dict) -> "TraceEntry":
-        return cls(
-            fingerprint=fingerprint,
-            label=raw["label"],
-            seed=raw["seed"],
-            signature=raw.get("signature"),
-            schedule=raw.get("schedule"),
-        )
+        """Rebuild a manifest row, checking every field's type: a row
+        that would read back as the wrong label or seed is a
+        :class:`ValueError` naming the fingerprint."""
+        if not isinstance(raw, dict):
+            raise ValueError(
+                f"row {fingerprint} is a {type(raw).__name__}, not an object"
+            )
+        label, seed = raw.get("label"), raw.get("seed")
+        signature, schedule = raw.get("signature"), raw.get("schedule")
+        if label not in ("pass", "fail"):
+            problem = f"label {label!r} is not 'pass' or 'fail'"
+        elif not isinstance(seed, int) or isinstance(seed, bool):
+            problem = f"seed {seed!r} is not an integer"
+        elif not isinstance(signature, (str, type(None))):
+            problem = f"signature {signature!r} is not a string or null"
+        elif not isinstance(schedule, (str, type(None))):
+            problem = f"schedule {schedule!r} is not a string or null"
+        else:
+            return cls(
+                fingerprint=fingerprint,
+                label=label,
+                seed=seed,
+                signature=signature,
+                schedule=schedule,
+            )
+        raise ValueError(f"row {fingerprint}: {problem}")
 
 
 def _write_json(path: Path, payload: dict, indent: Optional[int] = 2) -> None:
@@ -239,7 +258,12 @@ class TraceStore:
                 )
             raw = _read_json(shard_manifest)
             for fp, row in raw.get("traces", {}).items():
-                entries[fp] = TraceEntry.from_dict(fp, row)
+                try:
+                    entries[fp] = TraceEntry.from_dict(fp, row)
+                except ValueError as exc:
+                    raise CorpusError(
+                        f"{shard_manifest} is malformed: {exc}"
+                    ) from exc
         return cls(
             root,
             program=manifest.get("program"),

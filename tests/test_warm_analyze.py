@@ -296,6 +296,28 @@ def _short_labels(payload: dict) -> None:
     payload["labels"].pop()
 
 
+def _failed_trace_windows(payload: dict) -> dict:
+    """The stored observation windows of the shard's first failed trace."""
+    fp = payload["traces"][payload["labels"].index(1)]
+    return payload["observations"][fp]
+
+
+def _window_not_a_list(payload: dict) -> None:
+    windows = _failed_trace_windows(payload)
+    windows[next(iter(windows))] = 5
+
+
+def _window_ends_before_start(payload: dict) -> None:
+    windows = _failed_trace_windows(payload)
+    window = windows[next(iter(windows))]
+    window[0] = window[1] + 1
+
+
+def _window_missing(payload: dict) -> None:
+    windows = _failed_trace_windows(payload)
+    del windows[next(iter(windows))]
+
+
 @pytest.fixture(scope="module")
 def analyzed_network_corpus(tmp_path_factory):
     """A 10-trace network corpus, analyzed once (suite and matrix saved)."""
@@ -346,6 +368,9 @@ class TestCorruptCorpusFiles:
             _non_hex_bitset,
             _negative_bitset,
             _short_labels,
+            _window_not_a_list,
+            _window_ends_before_start,
+            _window_missing,
         ],
     )
     def test_corrupt_shard_matrix_is_a_corpus_error(
@@ -414,6 +439,57 @@ class TestCorruptCorpusFiles:
         assert message.startswith("repro: corpus: ")
         assert str(path) in message
         assert "malformed" in message
+
+    # A manifest row of the wrong shape or type would read back as the
+    # wrong label or seed: it is a structured error naming the shard
+    # manifest and the row's fingerprint.
+    @pytest.mark.parametrize(
+        "field, value, command",
+        [
+            (None, "pass", "stats"),
+            ("label", "FAIL", "stats"),
+            ("seed", "7", "debug"),
+            ("seed", True, "analyze"),
+            ("signature", 5, "stats"),
+            ("schedule", ["s"], "stats"),
+        ],
+        ids=[
+            "row-not-an-object",
+            "label-not-pass-or-fail",
+            "seed-a-string",
+            "seed-a-bool",
+            "signature-not-a-string",
+            "schedule-not-a-string",
+        ],
+    )
+    def test_malformed_manifest_row_is_a_corpus_error(
+        self, tmp_path, capsys, analyzed_network_corpus, field, value,
+        command,
+    ):
+        root = tmp_path / "c"
+        shutil.copytree(analyzed_network_corpus, root)
+        store = TraceStore.open(root)
+        fp = next(fp for fp, e in sorted(store.entries.items()) if e.failed)
+        path = root / "shards" / store.shard_id(fp) / "manifest.json"
+        payload = json.loads(path.read_text())
+        if field is None:
+            payload["traces"][fp] = value
+        else:
+            payload["traces"][fp][field] = value
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        argv = (
+            ["debug", "network", "--corpus", str(root)]
+            if command == "debug"
+            else ["corpus", command, str(root)]
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value.code)
+        flag = "--corpus" if command == "debug" else "corpus"
+        assert message.startswith(f"repro: {flag}: ")
+        assert str(path) in message
+        assert fp in message
 
     def test_non_object_suite_is_rediscovered(
         self, tmp_path, capsys, analyzed_network_corpus

@@ -15,9 +15,9 @@ registered workload:
    acceptance gate): a ≥20% aggregate redundancy reduction from
    pruning.
 
-Every discovered failure is replay-verified (byte-identical trace
-digest) before it is counted; a run with an unverified replay fails
-the bench.  Everything is seeded, so the tables and assertions are
+Every discovered failure is replay-verified (the replay reproduces
+the trace record for record) before it is counted; a run with a
+diverged replay fails the bench.  Everything is seeded, so the tables and assertions are
 deterministic for a given budget.
 
 The result lands in ``BENCH_explore.json`` (committed at the repo root

@@ -406,7 +406,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         strategy_params=params,
         start_seed=start_seed or 0,
         schedule_dir=args.schedule_dir,
-        wave=args.wave,
         partial_order=not args.no_partial_order,
         **({"max_steps": max_steps} if max_steps is not None else {}),
     )
@@ -446,13 +445,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         )
     for failure in result.failures:
         verified = (
-            "replay ok"
-            if failure.replay_verified
-            else (
-                "REPLAY DIVERGED"
-                if failure.replay_verified is False
-                else "unverified"
-            )
+            "replay ok" if failure.replay_verified else "REPLAY DIVERGED"
         )
         where = f"  -> {failure.path}" if failure.path else ""
         print(
@@ -902,11 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help="first execution seed (default 0, or the spec's "
         "collection.start_seed)",
-    )
-    explore.add_argument(
-        "--wave", type=int, default=16, metavar="N",
-        help="executions planned per wave before any of them runs "
-        "(default 16); a search knob that shapes the result",
     )
     explore.add_argument(
         "--no-partial-order", action="store_true",

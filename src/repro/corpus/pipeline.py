@@ -400,21 +400,15 @@ class IncrementalPipeline:
         ):
             # The store decodes every payload to validate it; evaluate
             # that decoded trace rather than read the file back.
-            fp, added, decoded = self.store._ingest_payload(
-                trace_to_dict(trace), sched_sig
-            )
-            failed = trace.failed
+            decoded, added = self.store.add(trace_to_dict(trace), sched_sig)
+            fp = decoded.fingerprint
+            failed = decoded.failed
             if not added:
                 results[slot] = IngestResult(
                     fingerprint=fp, added=False, failed=failed
                 )
                 continue
-            signature = (
-                trace.failure.signature
-                if trace.failure is not None
-                else None
-            )
-            if failed and signature != self.signature:
+            if failed and decoded.failure.signature != self.signature:
                 results[slot] = IngestResult(
                     fingerprint=fp, added=True, failed=True, skipped=True
                 )

@@ -4,11 +4,11 @@ Role
 ----
 The paper's offline phase (Appendix A) assumes a corpus of labeled
 execution logs collected once and re-analyzed many times.  This module
-is that corpus made durable: each trace is serialized via
-:mod:`repro.sim.serialize` and stored under its content fingerprint, so
-ingesting the same execution twice stores it once, and manifests record
-labels, seeds, and failure signatures so analyses can plan without
-touching trace bodies.
+is that corpus made durable: each trace is stored as its canonical
+bytes (:func:`repro.sim.serialize.encode_trace`) under their digest,
+its content fingerprint, so ingesting the same execution twice stores
+it once, and manifests record labels, seeds, and failure signatures so
+analyses can plan without touching trace bodies.
 
 Persistence format (v3, sharded)
 --------------------------------
@@ -25,7 +25,8 @@ files::
                                     shards holding bitset files)
       shards/<sid>/
         manifest.json               label/seed/signature per fingerprint
-        traces/<fp>.json            one serialized trace each
+        traces/<fp>.json            one trace each: the canonical bytes
+                                    whose digest is <fp>
         evalmatrix.json             this shard's predicate-evaluation
                                     memo (v1 single-matrix format)
 
@@ -43,6 +44,9 @@ Invariants
 ----------
 * a fingerprint appears in at most one shard, and always in the shard
   its prefix names;
+* every body this store writes is exactly the bytes its fingerprint
+  hashes, and ``load`` checks that (bodies older builds wrote with
+  sorted keys and spaces pass when their canonical re-encoding does);
 * the top-level manifest's shard list equals the set of non-empty
   shards, so ``open`` never scans the filesystem;
 * ``save`` rewrites only shards dirtied since the last save (plus the
@@ -77,6 +81,8 @@ from ..harness.runner import LabeledCorpus
 from ..sim.serialize import (
     ImportedTrace,
     TraceFormatError,
+    bytes_digest,
+    encode_trace,
     stable_digest,
     trace_from_dict,
     trace_to_dict,
@@ -172,13 +178,13 @@ def _write_json(path: Path, payload: dict, indent: Optional[int] = 2) -> None:
     tmp.replace(path)
 
 
-def _read_json(path: Path) -> dict:
-    """Parse one corpus JSON file, which must hold an object; a
-    truncated or corrupt file is a :class:`CorpusError` naming it, never
-    a bare decoder traceback."""
+def _read_json(path: Path, raw: Optional[bytes] = None) -> dict:
+    """Parse one corpus JSON file (or its ``raw`` bytes, already read),
+    which must hold an object; a truncated or corrupt file is a
+    :class:`CorpusError` naming it, never a bare decoder traceback."""
     try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(path.read_bytes() if raw is None else raw)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorpusError(f"{path} is unreadable: {exc}") from exc
     if not isinstance(payload, dict):
         raise CorpusError(
@@ -442,32 +448,31 @@ class TraceStore:
     ) -> tuple[str, bool]:
         """Add one trace (live or imported); returns ``(fp, added)``.
 
-        Dedup is content-addressed: the fingerprint is the stable digest
-        of the serialized trace, so re-ingesting an identical execution
+        Dedup is content-addressed: the fingerprint is the digest of the
+        trace's canonical bytes, so re-ingesting an identical execution
         is a no-op.  ``schedule_signature`` stamps the interleaving
         identity (:meth:`repro.sim.schedule.Schedule.signature`) into
         the manifest row when the producer recorded one.  Call
         :meth:`save` after a batch to persist the manifests.
         """
-        payload = trace_to_dict(trace)
-        return self.ingest_payload(
-            payload, schedule_signature=schedule_signature
-        )
+        decoded, added = self.add(trace_to_dict(trace), schedule_signature)
+        return decoded.fingerprint, added
 
     def ingest_payload(
         self, payload: dict, schedule_signature: Optional[str] = None
     ) -> tuple[str, bool]:
         """Add one already-serialized trace payload; returns ``(fp, added)``."""
-        fp, added, _ = self._ingest_payload(payload, schedule_signature)
-        return fp, added
+        decoded, added = self.add(payload, schedule_signature)
+        return decoded.fingerprint, added
 
-    def _ingest_payload(
-        self, payload: dict, schedule_signature: Optional[str]
-    ) -> tuple[str, bool, ImportedTrace]:
-        """:meth:`ingest_payload`, also returning the payload as decoded
-        for validation, fingerprint set: what :meth:`load` reads back."""
-        # Validate eagerly — a malformed payload must fail on ingest, not
-        # years later mid-analysis.  Also checks the schema version.
+    def add(
+        self, payload: dict, schedule_signature: Optional[str] = None
+    ) -> tuple[ImportedTrace, bool]:
+        """The one ingest path: decode (and so validate) ``payload``,
+        then store the decoded trace's canonical bytes under their
+        fingerprint.  Payloads that decode alike (say, one with an extra
+        key) are one entry.  Returns the decoded trace, fingerprint set
+        (what :meth:`load` reads back), and whether it was new."""
         try:
             trace = trace_from_dict(payload)
         except TraceFormatError as exc:
@@ -479,7 +484,7 @@ class TraceStore:
                 f"trace is from program {trace.program_name!r}, but this "
                 f"corpus holds {self._program!r}"
             )
-        fp = stable_digest(payload)
+        body, fp = encode_trace(trace)
         trace.fingerprint = fp
         existing = self.entries.get(fp)
         if existing is not None:
@@ -488,10 +493,10 @@ class TraceStore:
                 self._set_entry(
                     dataclasses.replace(existing, schedule=schedule_signature)
                 )
-            return fp, False, trace
+            return trace, False
         path = self.trace_path(fp)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, sort_keys=True))
+        path.write_bytes(body)
         self._set_entry(
             TraceEntry(
                 fingerprint=fp,
@@ -505,7 +510,7 @@ class TraceStore:
                 schedule=schedule_signature,
             )
         )
-        return fp, True, trace
+        return trace, True
 
     def evict(self, fingerprint: str) -> bool:
         """Drop one trace from the manifest and delete its body.
@@ -535,10 +540,20 @@ class TraceStore:
         path = self.trace_path(fingerprint)
         if not path.exists():
             raise CorpusError(f"manifest lists {fingerprint} but {path} is gone")
+        body = path.read_bytes()
+        payload = _read_json(path, body)
         try:
-            return trace_from_dict(_read_json(path), fingerprint=fingerprint)
+            trace = trace_from_dict(payload, fingerprint=fingerprint)
         except TraceFormatError as exc:
             raise CorpusError(f"{path}: {exc}") from exc
+        # A body older builds wrote (sorted keys, spaces) hashes to its
+        # name only once canonically re-encoded.
+        if (
+            bytes_digest(body) != fingerprint
+            and stable_digest(payload) != fingerprint
+        ):
+            raise CorpusError(f"{path} does not hash to its fingerprint")
+        return trace
 
     def traces(self, label: Optional[str] = None) -> Iterator[ImportedTrace]:
         """All stored traces (optionally one label), fingerprint order."""

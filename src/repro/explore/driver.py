@@ -18,7 +18,7 @@ Every novel failing interleaving becomes two durable artifacts:
 
 Waves
 -----
-Executions run in *waves* of ``config.wave`` plans, in-process.  The
+Executions run in *waves* of :data:`WAVE` plans, in-process.  The
 protocol is plan-ahead/observe-in-order:
 
 * every random draw (mutate-or-fresh, parent pick, prefix cut) happens
@@ -28,10 +28,10 @@ protocol is plan-ahead/observe-in-order:
   tail seed;
 * each plan runs and is observed in submission order.
 
-The wave size is a *search* knob: it sets the planning boundaries (and
-therefore which observations a plan's mutation parents can come from),
-so it shapes the result payload (pinned by
-``tests/fixtures/golden_explore.json``).
+The wave size sets the planning boundaries (and therefore which
+observations a plan's mutation parents can come from), so it shapes the
+result payload (pinned by ``tests/fixtures/golden_explore.json``); it is
+fixed, like the other search constants below.
 
 Partial-order pruning
 ---------------------
@@ -61,9 +61,9 @@ Invariants
   per-execution seeds ``start_seed + i`` (asserted in tests);
 * observers never affect results — events mirror state changes that
   already happened (the :mod:`repro.api.events` contract);
-* every reported failure's schedule replays to the recorded trace
-  fingerprint when ``verify_replays`` is on (asserted per failure and
-  surfaced per-failure in the result payload);
+* every reported failure's schedule is replayed once and checked to
+  reproduce the recorded trace, record for record (surfaced per
+  failure in the result payload); the check encodes nothing;
 * corpus ingestion is batched per wave
   (:meth:`~repro.corpus.pipeline.IncrementalPipeline.ingest_batch`) —
   one counter update, one FD derivation, one DAG restriction per wave,
@@ -85,7 +85,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..sim.schedule import RandomStrategy, ReplayStrategy, Schedule
 from ..sim.scheduler import DEFAULT_MAX_STEPS, Simulator
-from ..sim.serialize import stable_digest, trace_to_dict
+from ..sim.serialize import trace_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.events import EventBus
@@ -95,13 +95,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: version of the ``repro explore --json`` payload
 EXPLORE_SCHEMA_VERSION = 2
 
+WAVE = 16  #: executions planned per wave before any of them runs
+MUTATION_RATE = 0.5  #: chance a plan mutates a frontier schedule
+FRONTIER_CAP = 64  #: coverage-increasing schedules kept (FIFO)
+MAX_PASS_INGEST = 25  #: passing traces ingested: enough to bootstrap
+
 
 @dataclass(frozen=True)
 class ExploreConfig:
     """Knobs for one exploration run.
 
-    ``wave`` and ``partial_order`` are *search* knobs: like the
-    budget and seed, they shape the result.
+    ``partial_order`` is a *search* knob: like the budget and seed, it
+    shapes the result.
     """
 
     #: total executions to spend
@@ -111,25 +116,11 @@ class ExploreConfig:
     strategy_params: dict = field(default_factory=dict)
     start_seed: int = 0
     max_steps: int = DEFAULT_MAX_STEPS
-    #: probability a run mutates a frontier schedule instead of running
-    #: the strategy fresh (0 disables mutation entirely)
-    mutation_rate: float = 0.5
-    #: most coverage-increasing schedules kept for mutation (FIFO)
-    frontier_cap: int = 64
-    #: passing traces ingested into the corpus (novel-coverage ones
-    #: first) — enough for the pipeline to bootstrap, without flooding
-    #: the store with near-duplicate successes
-    max_pass_ingest: int = 25
     #: emit a frontier-stats event every N executions (0 disables)
     stats_every: int = 50
-    #: re-run every novel failure from its recorded schedule and check
-    #: the trace fingerprint matches
-    verify_replays: bool = True
     #: directory to save one ``<signature>.json`` schedule per novel
     #: failure (``None`` = keep schedules in memory only)
     schedule_dir: Optional[str] = None
-    #: executions planned per wave before any of them runs
-    wave: int = 16
     #: dedupe frontier admission, mutation energy, and pass-ingestion
     #: by Mazurkiewicz equivalence class instead of exact interleaving
     partial_order: bool = True
@@ -277,7 +268,7 @@ class FoundFailure:
     failure_signature: str
     seed: int
     fingerprint: str  # trace content fingerprint
-    replay_verified: Optional[bool] = None  # None = not verified
+    replay_verified: bool  # the replay reproduced the trace
     path: Optional[str] = None  # saved schedule file, if any
 
     def to_dict(self) -> dict:
@@ -299,7 +290,6 @@ class ExplorationResult:
     program: str
     strategy: str
     budget: int
-    wave: int = 0
     partial_order: bool = True
     executions: int = 0
     n_failed: int = 0
@@ -317,11 +307,8 @@ class ExplorationResult:
 
     @property
     def all_replays_verified(self) -> bool:
-        """Whether every verified failure replayed byte-identically
-        (vacuously true when verification was off)."""
-        return all(
-            f.replay_verified is not False for f in self.failures
-        )
+        """Whether every failure's replay reproduced its trace."""
+        return all(f.replay_verified for f in self.failures)
 
     def to_dict(self) -> dict:
         return {
@@ -329,7 +316,7 @@ class ExplorationResult:
             "program": self.program,
             "strategy": self.strategy,
             "budget": self.budget,
-            "wave": self.wave,
+            "wave": WAVE,
             "partial_order": self.partial_order,
             "executions": self.executions,
             "n_failed": self.n_failed,
@@ -370,10 +357,6 @@ class ExplorationDriver:
     ) -> None:
         self.program = program
         self.config = config or ExploreConfig()
-        if self.config.wave < 1:
-            raise ValueError(
-                f"wave size must be >= 1, got {self.config.wave}"
-            )
         if self.config.budget < 0:
             raise ValueError(
                 f"budget must be >= 0, got {self.config.budget}"
@@ -408,7 +391,7 @@ class ExplorationDriver:
         #: its signature (hashed once, in :meth:`_observe`) — the deque
         #: cap makes eviction O(1) where a list's pop(0) was O(n)
         self.frontier: deque[tuple[Schedule, str]] = deque(
-            maxlen=self.config.frontier_cap
+            maxlen=FRONTIER_CAP
         )
         #: exact signature -> dependence-relevant flips of an admitted
         #: schedule (see :func:`relevant_flips`); what directed
@@ -447,7 +430,6 @@ class ExplorationDriver:
             program=self.program.name,
             strategy=cfg.strategy,
             budget=cfg.budget,
-            wave=cfg.wave,
             partial_order=cfg.partial_order,
         )
         self._emit(
@@ -459,7 +441,7 @@ class ExplorationDriver:
         )
         done = 0
         while done < cfg.budget:
-            count = min(cfg.wave, cfg.budget - done)
+            count = min(WAVE, cfg.budget - done)
             plans = [self._plan(done + k) for k in range(count)]
             for plan in plans:
                 self._observe(self._run_plan(plan), result)
@@ -502,7 +484,7 @@ class ExplorationDriver:
         """
         cfg = self.config
         seed = cfg.start_seed + i
-        rate = cfg.mutation_rate
+        rate = MUTATION_RATE
         if cfg.partial_order and self._mutations:
             # Withhold energy from mutation when it stops paying:
             # scale the rate by the fraction of past mutations that
@@ -697,7 +679,7 @@ class ExplorationDriver:
             and novel_for_ingest
             and self.store is not None
             and result.ingested_pass + self._pending_pass
-            < cfg.max_pass_ingest
+            < MAX_PASS_INGEST
         ):
             self._wave_candidates.append(
                 (observation.trace, signature, "pass")
@@ -707,28 +689,26 @@ class ExplorationDriver:
     def _record_failure(self, observation, schedule, signature, result):
         from ..api.events import FailureFound
 
-        cfg = self.config
-        fingerprint = stable_digest(trace_to_dict(observation.trace))
+        trace = observation.trace
+        fingerprint = trace_fingerprint(trace)
         if fingerprint in self._failure_fingerprints:
             return  # same observable trace as a recorded failure
         self._failure_fingerprints.add(fingerprint)
-        verified: Optional[bool] = None
-        if cfg.verify_replays:
-            replay = self.simulator.run(
-                schedule.seed, strategy=ReplayStrategy(schedule=schedule)
-            )
-            verified = (
-                stable_digest(trace_to_dict(replay.trace)) == fingerprint
-            )
+        replay = self.simulator.run(
+            schedule.seed, strategy=ReplayStrategy(schedule=schedule)
+        ).trace
+        # Equal records encode to equal bytes, so this is the digest
+        # comparison without encoding the replay.
+        verified = _records(replay) == _records(trace)
         path = None
-        if cfg.schedule_dir is not None:
-            directory = Path(cfg.schedule_dir)
+        if self.config.schedule_dir is not None:
+            directory = Path(self.config.schedule_dir)
             directory.mkdir(parents=True, exist_ok=True)
             path = str(schedule.save(directory / f"{signature}.json"))
         found = FoundFailure(
             schedule=schedule,
             signature=signature,
-            failure_signature=observation.trace.failure.signature,
+            failure_signature=trace.failure.signature,
             seed=schedule.seed,
             fingerprint=fingerprint,
             replay_verified=verified,
@@ -736,15 +716,13 @@ class ExplorationDriver:
         )
         result.failures.append(found)
         if self.store is not None:
-            self._wave_candidates.append(
-                (observation.trace, signature, "fail")
-            )
+            self._wave_candidates.append((trace, signature, "fail"))
         self._emit(
             FailureFound(
                 signature=signature,
                 failure_signature=found.failure_signature,
                 seed=found.seed,
-                replay_verified=bool(verified),
+                replay_verified=verified,
             )
         )
 
@@ -828,6 +806,17 @@ class ExplorationDriver:
                 failures_found=len(result.failures),
             )
         )
+
+
+def _records(trace) -> tuple:
+    """Everything a trace's encoding is made of."""
+    return (
+        trace.program_name,
+        trace.seed,
+        trace.end_time,
+        trace.failure,
+        trace.method_executions(),
+    )
 
 
 def explore(

@@ -97,20 +97,28 @@ def canonical_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def bytes_digest(data: bytes) -> str:
+    """Stable hex fingerprint of raw bytes."""
+    return hashlib.sha256(data).hexdigest()[:DIGEST_CHARS]
+
+
 def stable_digest(payload: object) -> str:
     """Stable hex fingerprint of JSON-compatible data."""
-    digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
-    return digest.hexdigest()[:DIGEST_CHARS]
+    return bytes_digest(canonical_json(payload).encode("utf-8"))
+
+
+def encode_trace(trace: ExecutionTrace) -> tuple[bytes, str]:
+    """The one trace encoding: a trace's canonical bytes and their
+    digest, its content fingerprint — what the corpus store writes and
+    names the file by.  Executions with identical observable behaviour
+    collide by design: that is the dedup the store wants."""
+    body = canonical_json(trace_to_dict(trace)).encode("utf-8")
+    return body, bytes_digest(body)
 
 
 def trace_fingerprint(trace: ExecutionTrace) -> str:
-    """Content address of a trace: digest of its serialized form.
-
-    Two executions with identical observable behaviour (same calls,
-    timings, accesses, failure) collide by design — that is the dedup
-    the corpus store wants.
-    """
-    return stable_digest(trace_to_dict(trace))
+    """Content address of a trace (see :func:`encode_trace`)."""
+    return encode_trace(trace)[1]
 
 
 class ImportedTrace(TraceReader):

@@ -22,8 +22,8 @@ eval matrix).  Four layers of parity:
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
-import json
 import random
 import shutil
 from pathlib import Path
@@ -148,25 +148,31 @@ def _matrix_state(matrix) -> tuple:
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_decode_equals_stored_trace(self, tmp_path, seed):
-        """The body is stored as given, and ``load`` decodes it exactly
-        as decoding the payload directly would; the decoded form is a
-        fixpoint (re-ingesting it stores the same trace again)."""
+        """The body is the canonical encoding of the trace the payload
+        decodes to, named by the digest of exactly those bytes, and
+        ``load`` decodes it exactly as decoding the payload directly
+        would; the decoded form is a fixpoint (re-ingesting it stores
+        the same bytes under the same name again)."""
         payloads = make_corpus(seed)
         store = _ingest(tmp_path / "c", payloads)
         assert len(store) == len(payloads)
         decoded = []
         for payload in payloads:
-            fp = stable_digest(payload)
-            stored = json.loads(store.trace_path(fp).read_text())
-            assert canonical_json(stored) == canonical_json(payload)
+            expected = canonical_json(trace_to_dict(trace_from_dict(payload)))
+            body = expected.encode("utf-8")
+            fp = hashlib.sha256(body).hexdigest()[:16]
+            assert store.trace_path(fp).read_bytes() == body
             loaded = store.load(fp)
             assert loaded.fingerprint == fp
-            expected = canonical_json(trace_to_dict(trace_from_dict(payload)))
             assert canonical_json(trace_to_dict(loaded)) == expected
             decoded.append(trace_to_dict(loaded))
         again = _ingest(tmp_path / "again", decoded)
         for payload in decoded:
-            loaded = again.load(stable_digest(payload))
+            fp = stable_digest(payload)
+            assert again.trace_path(fp).read_bytes() == canonical_json(
+                payload
+            ).encode("utf-8")
+            loaded = again.load(fp)
             assert canonical_json(trace_to_dict(loaded)) == canonical_json(
                 payload
             )

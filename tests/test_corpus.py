@@ -3,9 +3,11 @@ corpus sessions, and the ``repro corpus`` CLI."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.harness.runner import collect
 from repro.harness.session import AIDSession, SessionConfig
 from repro.sim.serialize import (
     TraceFormatError,
+    canonical_json,
     stable_digest,
     trace_fingerprint,
     trace_from_dict,
@@ -35,6 +38,8 @@ from repro.sim.tracing import MethodKey
 
 from conftest import rescan_stats, stats_tuples
 from gen import make_payload
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +91,23 @@ class TestTraceStore:
         payload = json.loads(trace_to_json(corpus.failures[0]))
         fp, added = store.ingest_payload(payload)
         assert not added
+
+    def test_golden_body_with_an_extra_key_dedups(self, tmp_path):
+        """An ignored extra key does not make a second copy: the store
+        fingerprints the trace as decoded, so SD counts each execution
+        once."""
+        body = FIXTURES / "golden_corpus/shards/21/traces/21a529aca5e4ae11.json"
+        payload = json.loads(body.read_text())
+        store = TraceStore.init(tmp_path / "c")
+        assert store.ingest_payload(payload) == ("21a529aca5e4ae11", True)
+        noted = {**payload, "note": "re-sent"}
+        assert store.ingest_payload(noted) == ("21a529aca5e4ae11", False)
+        assert list(store.entries) == ["21a529aca5e4ae11"]
+
+    def test_every_body_is_the_bytes_its_name_hashes(self, store):
+        for fp in store.entries:
+            body = store.trace_path(fp).read_bytes()
+            assert hashlib.sha256(body).hexdigest()[:16] == fp
 
     def test_labels_and_signatures(self, store, corpus):
         assert store.n_pass == 15
@@ -216,6 +238,54 @@ class TestMalformedTraces:
         bad.write_text(json.dumps(payload))
         with pytest.raises(SystemExit, match=re.escape(f"{bad}: cannot ingest")):
             main(["corpus", "ingest", corpus_dir, str(bad)])
+
+
+def _move_a_start_time(payload: dict) -> None:
+    """Move one call's ``start_time`` to another value inside its
+    window: the trace stays well-typed and possible."""
+    call = next(c for c in payload["calls"] if c["start_time"] < c["end_time"])
+    call["start_time"] += 1
+
+
+class TestCheckedReads:
+    """``load`` hashes the bytes it reads against the fingerprint."""
+
+    def test_an_altered_body_is_refused(self, store):
+        fp = next(iter(store.entries))
+        path = store.trace_path(fp)
+        payload = json.loads(path.read_bytes())
+        _move_a_start_time(payload)
+        path.write_bytes(canonical_json(payload).encode("utf-8"))
+        with pytest.raises(
+            CorpusError,
+            match=re.escape(f"{path} does not hash to its fingerprint"),
+        ):
+            store.load(fp)
+
+    def test_a_legacy_body_loads_and_is_checked(self, store):
+        """Bodies older builds wrote (sorted keys, with spaces) load when
+        their canonical re-encoding hashes to the name, and only then."""
+        fp = next(iter(store.entries))
+        path = store.trace_path(fp)
+        payload = json.loads(path.read_bytes())
+        path.write_text(json.dumps(payload, sort_keys=True))
+        assert store.load(fp).fingerprint == fp
+        _move_a_start_time(payload)
+        path.write_text(json.dumps(payload, sort_keys=True))
+        with pytest.raises(CorpusError, match="does not hash"):
+            store.load(fp)
+
+    def test_cold_analyze_reports_an_altered_body(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "c"
+        assert main(["corpus", "init", str(corpus_dir), "--workload", "network"]) == 0
+        assert main(["corpus", "ingest", str(corpus_dir), "--runs", "3"]) == 0
+        capsys.readouterr()
+        path = sorted(corpus_dir.glob("shards/*/traces/*.json"))[0]
+        payload = json.loads(path.read_bytes())
+        _move_a_start_time(payload)
+        path.write_bytes(canonical_json(payload).encode("utf-8"))
+        with pytest.raises(SystemExit, match="repro: corpus: .*does not hash"):
+            main(["corpus", "analyze", str(corpus_dir)])
 
 
 class TestEvalMatrix:

@@ -1,9 +1,11 @@
 """What exploration pays per execution: the golden exploration fixture,
 the flip filter against its reference implementation, and count gates
-on schedule hashing and on trace read-back during ingestion."""
+on schedule hashing, on trace encoding and on trace read-back during
+ingestion."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -11,8 +13,10 @@ from random import Random
 
 import pytest
 
+import repro.corpus.store as store_module
 import repro.explore.driver as driver_module
 import repro.sim.schedule as schedule_module
+import repro.sim.serialize as serialize_module
 from repro.corpus import IncrementalPipeline, TraceStore
 from repro.explore import ExplorationDriver, ExploreConfig
 from repro.explore.driver import relevant_flips
@@ -171,6 +175,67 @@ def test_schedule_hashing_is_bounded_per_execution(monkeypatch, tmp_path):
     assert result.executions == 200
     assert result.ingested_fail >= 1
     assert calls <= 2 * result.executions
+
+
+def test_each_trace_is_encoded_once(monkeypatch, tmp_path):
+    """At most one encoding per trace handed to the store plus one per
+    failure fingerprint, none for replay verification, and every body
+    left in the corpus is the bytes its name hashes.
+
+    The driver fingerprints each novel failing schedule's trace once:
+    that is the failure's fingerprint, or finds it the same trace as a
+    failure already recorded."""
+    encoded = []
+    replays = []
+    offered = []
+    add = TraceStore.add
+    encode = serialize_module.encode_trace
+    run = driver_module.Simulator.run
+    record_failure = ExplorationDriver._record_failure
+
+    def counting(trace):
+        encoded.append(trace)
+        return encode(trace)
+
+    def counting_add(self, payload, *args, **kwargs):
+        decoded, added = add(self, payload, *args, **kwargs)
+        offered.append(added)
+        return decoded, added
+
+    def recording_run(self, *args, **kwargs):
+        execution = run(self, *args, **kwargs)
+        replays.append(execution.trace)
+        return execution
+
+    def replaying(self, *args, **kwargs):
+        # every simulator run inside _record_failure is its replay check
+        monkeypatch.setattr(driver_module.Simulator, "run", recording_run)
+        try:
+            return record_failure(self, *args, **kwargs)
+        finally:
+            monkeypatch.setattr(driver_module.Simulator, "run", run)
+
+    monkeypatch.setattr(serialize_module, "encode_trace", counting)
+    monkeypatch.setattr(store_module, "encode_trace", counting)
+    monkeypatch.setattr(ExplorationDriver, "_record_failure", replaying)
+    monkeypatch.setattr(TraceStore, "add", counting_add)
+    program = REGISTRY.build("kafka").program
+    root = tmp_path / "c"
+    store = TraceStore.init(root, program=program.name)
+    result = ExplorationDriver(
+        program, ExploreConfig(budget=200), store=store
+    ).run()
+    assert result.failures and result.all_replays_verified
+    assert len(replays) == len(result.failures)
+    assert not any(t is r for t in encoded for r in replays)
+    assert sum(offered) == len(store)
+    assert len(encoded) <= (
+        len(offered) + result.distinct_failing_signatures
+    )
+    bodies = sorted(root.glob("shards/*/traces/*.json"))
+    assert len(bodies) == len(store)
+    for body in bodies:
+        assert hashlib.sha256(body.read_bytes()).hexdigest()[:16] == body.stem
 
 
 def test_ingest_batch_never_reads_back_live_traces(monkeypatch, tmp_path):

@@ -5,12 +5,14 @@ ingestion.  The payload's byte-identity is pinned by
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api.events import EventBus, EventLog
 from repro.corpus import CorpusError, IncrementalPipeline, TraceStore
 from repro.explore import ExplorationDriver, ExploreConfig, explore
-from repro.explore.driver import relevant_flips
+from repro.explore.driver import WAVE, relevant_flips
 from repro.explore.strategies import SwapTail
 from repro.harness.runner import collect
 from repro.sim import RandomStrategy, ReplayStrategy, Schedule, Simulator
@@ -173,9 +175,28 @@ class TestWaveDeterminism:
         assert "jobs" not in payload
         assert "backend" not in payload
 
-    def test_wave_size_must_be_positive(self, npgsql):
-        with pytest.raises(ValueError, match="wave"):
-            ExplorationDriver(npgsql, ExploreConfig(wave=0))
+    def test_search_constants_are_not_options(self, npgsql, capsys):
+        """The wave size, mutation rate, frontier cap, pass-ingest cap
+        and replay verification are fixed: no config field and no CLI
+        flag sets them, and the payload still reports the wave."""
+        from repro.cli import build_parser
+
+        assert [f.name for f in dataclasses.fields(ExploreConfig)] == [
+            "budget",
+            "strategy",
+            "strategy_params",
+            "start_seed",
+            "max_steps",
+            "stats_every",
+            "schedule_dir",
+            "partial_order",
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["explore", "npgsql", "--wave", "16"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        payload = explore(npgsql, ExploreConfig(budget=16)).to_dict()
+        assert payload["wave"] == WAVE == 16
 
     def test_budget_must_not_be_negative(self, npgsql):
         with pytest.raises(ValueError, match=r"budget must be >= 0, got -3"):

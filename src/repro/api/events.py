@@ -34,8 +34,9 @@ descriptions of state changes.  Observers that define ``on_enveloped``
 receive the :class:`Envelope`; plain ``on_event`` observers receive the
 bare event, exactly as before.  :meth:`EventBus.span` times a phase and
 emits a :class:`SpanClosed` event on exit; spans nest (the bus keeps
-the stack), and externally-timed child spans (per-intervention-round
-timings, which chain open→open) go through :meth:`EventBus.emit_span`.
+the stack), including the per-round ``round:<phase>#<n>`` spans the
+execution engine opens around each intervention round (phases
+``branch``, ``giwp`` and ``linear``).
 
 Persistence: none *here* — events are ephemeral on the bus; durable
 telemetry is the job of :class:`repro.obs.JsonlRunLog`, which writes
@@ -152,7 +153,7 @@ class InterventionRound(Event):
     """One adaptive group-intervention round was dispatched."""
 
     kind: ClassVar[str] = "intervention-round"
-    phase: str  # "branch" | "giwp" | ...
+    phase: str  # "branch" | "giwp" | "linear"
     index: int  # 1-based, per phase
 
 
@@ -417,27 +418,6 @@ class EventBus:
         """A context manager timing one phase; emits :class:`SpanClosed`
         on exit.  Spans nest — the bus tracks the open-span stack."""
         return Span(self, name)
-
-    def emit_span(
-        self, name: str, duration: float, started: Optional[float] = None
-    ) -> None:
-        """Emit a :class:`SpanClosed` for an externally-timed child span
-        (``started`` is a ``time.perf_counter()`` reading); it nests
-        under whatever span is currently open, without joining the
-        stack — the shape intervention rounds need, since round *N*
-        only ends when round *N+1* begins."""
-        if started is None:
-            started = time.perf_counter() - duration
-        stack = self._span_stack
-        self.emit(
-            SpanClosed(
-                name=name,
-                duration=duration,
-                depth=len(stack),
-                parent=stack[-1] if stack else None,
-                started=started - self._t0,
-            )
-        )
 
     def __len__(self) -> int:
         return len(self._observers)

@@ -757,6 +757,21 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         raise SystemExit(f"repro: corpus: {exc}") from exc
 
 
+def _at_least(minimum: int):
+    """An argparse ``type``: an int no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" wording
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -822,17 +837,18 @@ def build_parser() -> argparse.ArgumentParser:
     EngineSpec.add_flags(fig7)
 
     fig8 = sub.add_parser("figure8", help="regenerate the synthetic sweep")
-    fig8.add_argument("--apps", type=int, default=100)
+    fig8.add_argument("--apps", type=_at_least(1), default=100)
     fig8.add_argument("--seed", type=int, default=7)
     EngineSpec.add_flags(fig8)
 
     fig6 = sub.add_parser("figure6", help="regenerate the theory table")
-    fig6.add_argument("--junctions", type=int, default=3)
-    fig6.add_argument("--branches", type=int, default=4)
-    fig6.add_argument("--chain", type=int, default=3)
-    fig6.add_argument("--causal", type=int, default=4)
-    fig6.add_argument("--s1", type=int, default=2)
-    fig6.add_argument("--s2", type=int, default=2)
+    fig6.add_argument("--junctions", type=_at_least(1), default=3)
+    fig6.add_argument("--branches", type=_at_least(1), default=4)
+    fig6.add_argument("--chain", type=_at_least(1), default=3)
+    fig6.add_argument("--causal", type=_at_least(0), default=4,
+                      help="causal predicates D, at most J*B*n")
+    fig6.add_argument("--s1", type=_at_least(0), default=2)
+    fig6.add_argument("--s2", type=_at_least(0), default=2)
 
     sub.add_parser("example3", help="the Example 3 search-space table")
 
@@ -1054,7 +1070,15 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "figure6":
+        total = args.junctions * args.branches * args.chain
+        if args.causal > total:
+            parser.error(
+                f"argument --causal: must be <= J*B*n = {total}, "
+                f"got {args.causal}"
+            )
     return _COMMANDS[args.command](args)
 
 

@@ -18,15 +18,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .acdag import ACDag
 from .giwp import GIWP, GIWPResult, topological_item_order
 from .intervention import InterventionRunner
 from .pruning import GroupItem
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.engine import ExecutionEngine
 
 
 @dataclass
@@ -47,14 +44,12 @@ def branch_prune(
     runner: InterventionRunner,
     rng: Optional[random.Random] = None,
     observational_pruning: bool = True,
-    engine: Optional["ExecutionEngine"] = None,
 ) -> BranchPruneResult:
     """Reduce ``dag`` to an approximate causal chain (Algorithm 2).
 
     The DAG is mutated: spurious branches and unreachable predicates are
     removed.  The runner is consulted only at junctions; every junction
-    probe executes through ``engine`` (defaulting to the runner's own)
-    and its rounds are tallied under the ``branch`` phase.
+    probe is a round of the ``branch`` phase.
     """
     rng = rng or random.Random(0)
     result = BranchPruneResult()
@@ -103,7 +98,6 @@ def branch_prune(
             # For two branches plain halving already costs two rounds,
             # so the opener only pays off from three branches up.
             probe_all_first=len(items) >= 3,
-            engine=engine,
             phase="branch",
         )
         outcome = giwp.run(items)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .acdag import ACDag
 from .branch import BranchPruneResult, branch_prune
@@ -25,11 +25,9 @@ from .intervention import (
     CountingRunner,
     InterventionBudget,
     InterventionRunner,
+    run_round,
 )
 from .pruning import GroupItem
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.engine import ExecutionEngine
 
 
 @dataclass
@@ -79,7 +77,6 @@ def causal_path_discovery(
     observational_pruning: bool = True,
     ordering: str = "topological",
     rng: Optional[random.Random] = None,
-    engine: Optional["ExecutionEngine"] = None,
 ) -> DiscoveryResult:
     """Run Algorithm 3 and return the discovered causal path.
 
@@ -97,17 +94,12 @@ def causal_path_discovery(
     ordering:
         ``"topological"`` (AID and ablations) or ``"random"``
         (traditional adaptive group testing, which ignores the DAG).
-    engine:
-        Execution engine to account rounds on; defaults to the runner's
-        own (all execution already flows through it via the runner).
     """
     if ordering not in ("topological", "random"):
         raise ValueError(f"unknown ordering {ordering!r}")
     rng = rng or random.Random(0)
     work = dag.copy()
     counting = CountingRunner(runner)
-    if engine is None:
-        engine = counting.engine
 
     branch_result: Optional[BranchPruneResult] = None
     if branch_pruning:
@@ -116,7 +108,6 @@ def causal_path_discovery(
             counting,
             rng=rng,
             observational_pruning=observational_pruning,
-            engine=engine,
         )
 
     candidates = sorted(work.predicates)
@@ -135,7 +126,6 @@ def causal_path_discovery(
         counting,
         reaches=reaches,
         observational_pruning=observational_pruning,
-        engine=engine,
     ).run(items)
 
     causal = [i.pid for i in chain.causal]
@@ -164,7 +154,8 @@ def linear_discovery(
 
     The paper's Section 2 strawman ("the number of required
     interventions is linear in the number of predicates"): one round
-    per predicate, in shuffled order.
+    per predicate, in shuffled order, each a round of the ``linear``
+    phase.
     """
     rng = rng or random.Random(0)
     counting = CountingRunner(runner)
@@ -173,7 +164,7 @@ def linear_discovery(
     pool = sorted(dag.predicates)
     rng.shuffle(pool)
     for pid in pool:
-        outcomes = counting.run_group(frozenset({pid}))
+        outcomes = run_round(counting, frozenset({pid}), "linear")
         if any(o.failed for o in outcomes):
             spurious.append(pid)
         else:

@@ -28,12 +28,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Sequence
 
-from .intervention import InterventionRunner, RunOutcome
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.engine import ExecutionEngine
+from .intervention import InterventionRunner, RunOutcome, run_round
 from .pruning import (
     GroupItem,
     ReachesFn,
@@ -104,17 +101,14 @@ class GIWP:
     runner:
         Intervention runner; every :meth:`InterventionRunner.run_group`
         call is one intervention round (count via
-        :class:`~repro.core.intervention.CountingRunner`).
+        :class:`~repro.core.intervention.CountingRunner`), run inside the
+        round of the runner's own engine, if it has one.
     reaches:
         ``reaches(a, b)`` — whether item a reaches item b in the AC-DAG
         (always False between branch items).
     observational_pruning:
         Definition 2 pruning of non-intervened items (lines 15-17).
         Disabled for the AID-P / AID-P-B ablations and TAGT.
-    engine:
-        Optional execution engine (usually the runner's own); rounds are
-        marked on its stats so :class:`~repro.exec.stats.ExecStats` can
-        report algorithm-level round counts next to execution counts.
     phase:
         Stats label for this GIWP instance's rounds (``giwp`` for the
         chain phase, ``branch`` during branch pruning).
@@ -126,8 +120,6 @@ class GIWP:
         reaches: ReachesFn,
         observational_pruning: bool = True,
         probe_all_first: bool = False,
-        on_round: Optional[Callable[[RoundRecord], None]] = None,
-        engine: Optional["ExecutionEngine"] = None,
         phase: str = "giwp",
     ) -> None:
         self.runner = runner
@@ -138,17 +130,12 @@ class GIWP:
         #: the price of one round.  Used at junctions, where the single-
         #: causal-path assumption makes all-noise pools the common case.
         self.probe_all_first = probe_all_first
-        self.on_round = on_round
-        self.engine = engine if engine is not None else getattr(
-            runner, "engine", None
-        )
         self.phase = phase
 
-    def _finish_round(self, record: RoundRecord) -> None:
-        if self.engine is not None:
-            self.engine.note_round(self.phase)
-        if self.on_round is not None:
-            self.on_round(record)
+    def _run_round(self, items: Sequence[GroupItem]) -> Sequence[RunOutcome]:
+        """Intervene on every predicate of ``items`` in one round."""
+        pids = frozenset().union(*(i.predicates for i in items))
+        return run_round(self.runner, pids, self.phase)
 
     def run(self, items: Sequence[GroupItem]) -> GIWPResult:
         """Resolve every item as causal or spurious."""
@@ -156,15 +143,12 @@ class GIWP:
         remaining: dict[str, GroupItem] = {i.pid: i for i in items}
         order = {item.pid: idx for idx, item in enumerate(items)}
         if self.probe_all_first and len(items) > 1:
-            outcomes = self.runner.run_group(
-                frozenset().union(*(i.predicates for i in items))
-            )
+            outcomes = self._run_round(items)
             record = RoundRecord(
                 intervened=tuple(i.pid for i in items),
                 stopped=failure_stopped(outcomes),
             )
             result.rounds.append(record)
-            self._finish_round(record)
             if not record.stopped:
                 for item in list(items):
                     self._mark_spurious(item, remaining, result)
@@ -186,9 +170,7 @@ class GIWP:
             if not pool:
                 return
             half = pool[: (len(pool) + 1) // 2]
-            outcomes = self.runner.run_group(
-                frozenset().union(*(i.predicates for i in half))
-            )
+            outcomes = self._run_round(half)
             record = RoundRecord(
                 intervened=tuple(i.pid for i in half),
                 stopped=failure_stopped(outcomes),
@@ -208,7 +190,6 @@ class GIWP:
                 half, outcomes, remaining, order, result
             )
             result.rounds.append(record)
-            self._finish_round(record)
             if record.stopped and len(half) > 1:
                 # The half hides at least one cause: recurse (line 10).
                 self._solve(list(half), remaining, order, result)

@@ -67,6 +67,19 @@ class InterventionBudget:
         self.history.append((pids, any(o.failed for o in outcomes)))
 
 
+def run_round(
+    runner: InterventionRunner, pids: frozenset[str], phase: str
+) -> Sequence[RunOutcome]:
+    """One intervention round: ``runner.run_group(pids)``, inside
+    :meth:`~repro.exec.engine.ExecutionEngine.round` of the runner's own
+    engine when it has one (which counts and times it)."""
+    engine = getattr(runner, "engine", None)
+    if engine is None:
+        return runner.run_group(pids)
+    with engine.round(phase):
+        return runner.run_group(pids)
+
+
 @dataclass
 class CountingRunner:
     """Wraps a runner, recording every round on a shared budget."""
@@ -102,11 +115,10 @@ class SimulationRunner:
     seeds:
         Seeds to execute per round.  Pass the seeds that failed during
         the learning phase first: replaying known-bad interleavings is
-        what makes a persisting failure show up quickly.
-    early_stop:
-        Stop the round at the first failing execution — a single
-        counter-example suffices for every pruning decision the
-        algorithms make (paper footnote 1).
+        what makes a persisting failure show up quickly.  A round stops
+        at the first failing execution — a single counter-example
+        suffices for every pruning decision the algorithms make (paper
+        footnote 1).
     engine:
         Execution engine the runs are routed through.  The default
         (in-memory cache) runs each group in-line while memoizing
@@ -124,7 +136,6 @@ class SimulationRunner:
         suite: PredicateSuite,
         failure_pid: str,
         seeds: Sequence[int],
-        early_stop: bool = True,
         engine: Optional["ExecutionEngine"] = None,
         workload: Optional[str] = None,
     ) -> None:
@@ -134,7 +145,6 @@ class SimulationRunner:
         self.suite = suite
         self.failure_pid = failure_pid
         self.seeds = list(seeds)
-        self.early_stop = early_stop
         if engine is None:
             from ..exec.engine import ExecutionEngine
 
@@ -180,11 +190,7 @@ class SimulationRunner:
         return [RunRequest(self.workload, seed, pids) for seed in self.seeds]
 
     def run_group(self, pids: frozenset[str]) -> list[RunOutcome]:
-        return self.engine.run_group(
-            self._requests(pids),
-            self.execute_request,
-            early_stop=self.early_stop,
-        )
+        return self.engine.run_group(self._requests(pids), self.execute_request)
 
 
 @dataclass

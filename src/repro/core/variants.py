@@ -19,14 +19,11 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .acdag import ACDag
 from .discovery import DiscoveryResult, causal_path_discovery, linear_discovery
 from .intervention import InterventionRunner
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.engine import ExecutionEngine
 
 
 class Approach(str, Enum):
@@ -51,13 +48,12 @@ def discover(
     dag: ACDag,
     runner: InterventionRunner,
     rng: Optional[random.Random] = None,
-    engine: Optional["ExecutionEngine"] = None,
 ) -> DiscoveryResult:
     """Run one approach end to end and return its discovery result.
 
-    All intervened executions route through ``engine`` (or the runner's
-    own engine when not given); the approach only decides *which* groups
-    are requested, never *how* they run.
+    All intervened executions route through the runner (and its engine);
+    the approach only decides *which* groups are requested, never *how*
+    they run.
     """
     approach = Approach(approach)
     if approach is Approach.LINEAR:
@@ -70,7 +66,6 @@ def discover(
         observational_pruning=obs_pruning,
         ordering=ordering,
         rng=rng,
-        engine=engine,
     )
 
 

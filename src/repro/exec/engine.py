@@ -8,11 +8,17 @@ translate pid groups into :class:`~repro.exec.cache.RunRequest` lists
 and a ``run_fn`` that performs one execution; the engine decides what
 actually runs.
 
-:meth:`ExecutionEngine.run_group` is one intervention round: it walks
-the group's requests in order, answers each from the cache or runs and
-stores it, and (with early stop) returns at the first failing outcome.
-Every run happens in-process, so the returned list is exactly the
-serial walk.
+:meth:`ExecutionEngine.run_group` executes one intervention group: it
+walks the group's requests in order, answers each from the cache or
+runs and stores it, and (with early stop) returns at the first failing
+outcome.  Every run happens in-process, so the returned list is exactly
+the serial walk.
+
+:meth:`ExecutionEngine.round` is where the algorithms account their
+rounds: GIWP and the LINEAR baseline wrap each ``run_group`` call in
+``with engine.round(phase):``, which counts the round in the stats and,
+with a bus attached, emits ``intervention-round`` at dispatch and times
+the round's executions in a nested ``round:<phase>#<n>`` span.
 
 Persistence: none here — the engine's only durable state is the
 outcome cache (see :mod:`repro.exec.cache`), written on ``flush``.
@@ -21,7 +27,8 @@ outcome cache (see :mod:`repro.exec.cache`), written on ``flush``.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Sequence, TYPE_CHECKING
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, Sequence, TYPE_CHECKING
 
 from .cache import OutcomeCache, RunRequest
 from .stats import ExecStats
@@ -41,16 +48,13 @@ class ExecutionEngine:
     def __init__(
         self,
         cache: Optional[OutcomeCache] = None,
-        stats: Optional[ExecStats] = None,
         bus: Optional["EventBus"] = None,
     ) -> None:
         self.cache = cache if cache is not None else OutcomeCache()
-        self.stats = stats or ExecStats()
-        #: optional observer seam: round boundaries are emitted as
+        self.stats = ExecStats()
+        #: optional observer seam: rounds are emitted as
         #: ``intervention-round`` events (see :mod:`repro.api.events`)
         self.bus = bus
-        #: the open per-round span: (phase, index, perf_counter at open)
-        self._open_round: Optional[tuple[str, int, float]] = None
 
     # -- the API runners use --------------------------------------------
 
@@ -85,37 +89,23 @@ class ExecutionEngine:
                 break
         return results
 
-    def note_round(self, phase: str) -> None:
-        """Algorithms mark round boundaries for the stats report (and
-        any subscribed observers — the live progress seam).  With a bus
-        attached, each round also becomes a timed ``round:<phase>#<n>``
-        span: a round only ends when the next begins (or the engine
-        finishes), so spans chain open→open via :meth:`end_rounds`
-        rather than nesting as context managers."""
+    @contextmanager
+    def round(self, phase: str) -> Iterator[None]:
+        """One algorithm round: counted in the stats under ``phase``;
+        with a bus attached, announced as an ``intervention-round``
+        event when dispatched and timed by a ``round:<phase>#<n>`` span
+        that nests under whatever span is open."""
         self.stats.note_round(phase)
-        if self.bus is not None:
-            from ..api.events import InterventionRound
+        bus = self.bus
+        if bus is None:
+            yield
+            return
+        from ..api.events import InterventionRound
 
-            self.end_rounds()
-            self.bus.emit(
-                InterventionRound(phase=phase, index=self.stats.rounds[phase])
-            )
-            self._open_round = (
-                phase, self.stats.rounds[phase], time.perf_counter()
-            )
-
-    def end_rounds(self) -> None:
-        """Close the open per-round span, if any — called between
-        rounds, by the session when discovery returns, and defensively
-        by :meth:`finish`."""
-        if self._open_round is not None and self.bus is not None:
-            phase, index, started = self._open_round
-            self._open_round = None
-            self.bus.emit_span(
-                f"round:{phase}#{index}",
-                time.perf_counter() - started,
-                started=started,
-            )
+        index = self.stats.rounds[phase]
+        bus.emit(InterventionRound(phase=phase, index=index))
+        with bus.span(f"round:{phase}#{index}"):
+            yield
 
     # -- lifecycle -------------------------------------------------------
 
@@ -134,7 +124,6 @@ class ExecutionEngine:
         """Flush, close, and return the human-readable summary — the
         one teardown path every CLI subcommand and :func:`repro.api.run`
         share.  Also emits an ``engine-finished`` event."""
-        self.end_rounds()
         saved = self.flush()
         self.close()
         lines = [self.stats.report()]

@@ -317,13 +317,7 @@ class AIDSession:
         runner = self.make_runner()
         rng = random.Random(self.config.rng_seed)
         with self._span("interventions"):
-            discovery = discover(
-                approach, dag, runner, rng=rng, engine=self.config.engine
-            )
-            # Rounds chain open->open (see ExecutionEngine.note_round);
-            # close the last one inside the interventions span.
-            if self.config.engine is not None:
-                self.config.engine.end_rounds()
+            discovery = discover(approach, dag, runner, rng=rng)
         explanation = explain(discovery, self._suite.defs)
         return SessionReport(
             program=self.program,

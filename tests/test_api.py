@@ -32,6 +32,7 @@ from repro.api.registry import (
 )
 from repro.cli import main
 from repro.corpus import CorpusSession, TraceStore
+from repro.exec.engine import ExecutionEngine
 from repro.harness.session import AIDSession, SessionConfig
 from repro.sim.scheduler import DEFAULT_MAX_STEPS
 
@@ -257,6 +258,24 @@ class TestObserverEvents:
     def test_round_events_match_report(self, live_run):
         _, report, log = live_run
         assert len(log.of_kind("intervention-round")) == report.n_rounds
+
+    def test_linear_rounds_are_counted_and_announced(self, monkeypatch):
+        engines = []
+        close = ExecutionEngine.close
+
+        def capture(engine):
+            engines.append(engine)
+            close(engine)
+
+        monkeypatch.setattr(ExecutionEngine, "close", capture)
+        log = EventLog()
+        spec = small_spec(analysis=AnalysisSpec(approach="LINEAR"))
+        report = run(spec, bus=EventBus([log]))
+        rounds = report.n_rounds
+        assert rounds > 0
+        assert len(log.of_kind("intervention-round")) == rounds
+        (engine,) = engines
+        assert engine.stats.rounds == {"linear": rounds}
 
     def test_collection_event_payload(self, live_run):
         _, report, log = live_run

@@ -60,6 +60,37 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "exact recovery everywhere: True" in out
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["figure8", "--apps", "0"], "--apps"),
+            (["figure6", "--junctions", "0"], "--junctions"),
+            (["figure6", "--branches", "0"], "--branches"),
+            (["figure6", "--chain", "0"], "--chain"),
+            (["figure6", "--causal", "100"], "--causal"),
+            (["figure6", "--causal", "-1"], "--causal"),
+            (["figure6", "--s1", "-1"], "--s1"),
+            (["figure6", "--s2", "-1"], "--s2"),
+        ],
+        ids=[
+            "apps-0", "junctions-0", "branches-0", "chain-0",
+            "causal-100", "causal-neg", "s1-neg", "s2-neg",
+        ],
+    )
+    def test_out_of_range_size_is_an_argparse_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("causal", ["0", "24"])
+    def test_figure6_causal_bounds_are_inclusive(self, capsys, causal):
+        # J*B*n = 2*4*3 = 24 with the default branches and chain.
+        assert main(["figure6", "--junctions", "2", "--causal", causal]) == 0
+        out = capsys.readouterr().out
+        assert "CPD" in out and "inf" not in out
+
     def test_trace_to_stdout(self, capsys):
         assert main(["trace", "network", "--seed", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -20,6 +20,7 @@ from repro.core.pruning import (
     failure_stopped,
     observational_prunes,
 )
+from repro.exec.engine import ExecutionEngine
 
 
 class ChainOracle:
@@ -185,14 +186,13 @@ class TestGIWPChain:
             assert record.intervened
 
     def test_callback_invoked_per_round(self):
+        # Every round runs inside the round of the runner's own engine.
         oracle = ChainOracle(causal=["C"], parents={"n": None})
-        seen = []
+        oracle.engine = ExecutionEngine()
         runner = CountingRunner(oracle)
-        giwp = GIWP(
-            runner, reaches=lambda a, b: False, on_round=seen.append
-        )
-        giwp.run(_items(["C", "n"]))
-        assert len(seen) == runner.budget.rounds
+        GIWP(runner, reaches=lambda a, b: False).run(_items(["C", "n"]))
+        assert runner.budget.rounds > 0
+        assert oracle.engine.stats.rounds == {"giwp": runner.budget.rounds}
 
 
 class TestTopologicalItemOrder:

@@ -21,6 +21,8 @@ Covers the observability invariants:
 from __future__ import annotations
 
 import json
+import random
+import time
 import warnings
 
 import pytest
@@ -36,6 +38,9 @@ from repro.api.events import (
 from repro.api.spec import CollectionSpec, WorkloadSpec
 from repro.cli import main
 from repro.core.report import validate_report_dict
+from repro.core.variants import discover
+from repro.exec.engine import ExecutionEngine
+from repro.harness.experiments import spec_for_maxt
 from repro.obs import (
     JsonlRunLog,
     MetricsObserver,
@@ -52,6 +57,7 @@ from repro.obs import (
 from repro.obs.runlog import RUN_LOG_SCHEMA_VERSION
 from repro.sim import Simulator
 from repro.workloads.common import REGISTRY
+from repro.workloads.synthetic import generate_app
 
 
 def small_spec(**overrides) -> RunSpec:
@@ -176,6 +182,22 @@ class TestPoisonedObserver:
 # ---------------------------------------------------------------------------
 
 
+class _TimedRunner:
+    """Records ``perf_counter`` at entry to and exit from every
+    ``run_group`` call of the runner it wraps."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.engine = inner.engine
+        self.calls: list[tuple[float, float]] = []
+
+    def run_group(self, pids):
+        entered = time.perf_counter()
+        outcomes = self.inner.run_group(pids)
+        self.calls.append((entered, time.perf_counter()))
+        return outcomes
+
+
 class TestSpans:
     def test_spans_nest_with_depth_and_parent(self):
         log = EventLog()
@@ -192,12 +214,33 @@ class TestSpans:
     def test_emit_span_nests_under_the_open_span(self):
         log = EventLog()
         bus = EventBus([log])
+        engine = ExecutionEngine(bus=bus)
         with bus.span("phase"):
-            bus.emit_span("round:x#1", 0.5)
-        round_span = log.first("span-closed")
+            with engine.round("x"):
+                pass
+        round_span, phase_span = log.of_kind("span-closed")
         assert round_span.name == "round:x#1"
         assert round_span.depth == 1 and round_span.parent == "phase"
-        assert round_span.duration == 0.5
+        assert phase_span.duration >= round_span.duration >= 0.0
+        assert engine.stats.rounds == {"x": 1}
+
+    def test_round_spans_contain_their_run_group_calls(self):
+        log = EventLog()
+        bus = EventBus([log])
+        app = generate_app(5, spec_for_maxt(8))
+        runner = _TimedRunner(app.runner(engine=ExecutionEngine(bus=bus)))
+        with bus.span("interventions"):
+            result = discover("AID", app.dag, runner, rng=random.Random(5))
+        spans = [
+            e for e in log.of_kind("span-closed")
+            if e.name.startswith("round:")
+        ]
+        assert len(spans) == len(runner.calls) == result.n_rounds > 1
+        t0 = bus._t0
+        for span, (entered, left) in zip(spans, runner.calls):
+            assert span.parent == "interventions"
+            assert span.started <= entered - t0
+            assert left - t0 <= span.started + span.duration + 1e-9
 
     def test_session_phases_and_round_spans(self, logged_run):
         _, _, log_dir = logged_run

@@ -17,6 +17,17 @@ Guarantees established at build time:
   discriminative ⇒ recall 100%), realizing the counterfactual-causality
   exclusion rule of Section 4.
 
+One kernel builds and maintains the edges.  Nodes are bit positions;
+each node carries the bitset of nodes anchored strictly later than it
+in every log seen so far, and two masks hold the nodes anchored at or
+before F and strictly after F.  One failed log narrows that state in a
+single descending sweep over its anchors (:func:`_narrow`: a tie group
+shares one "later" accumulator, one AND per node).  ``build`` folds the
+sweep over the failed logs from all-ones masks; ``update_failed_log``
+runs it once from masks read off the current edges and deletes the
+edges whose bits were cleared.  No pair of predicates is compared
+directly.
+
 The class also provides the structural queries the intervention
 algorithms need: topological levels, minimal elements ("lowest
 topological level"), branch decomposition at junctions (Algorithm 2
@@ -26,7 +37,7 @@ line 10), and destructive node removal as pruning proceeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .digraph import Digraph
 from .precedence import PrecedencePolicy, default_policy
@@ -57,6 +68,56 @@ class Branch:
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+def _narrow(
+    later: list[int],
+    to_f: int,
+    from_f: int,
+    anchors: Sequence[float],
+    f_anchor: float,
+) -> tuple[int, int]:
+    """Narrow the edge bitsets by one failed log; the AC-DAG's kernel.
+
+    Node ``i`` is bit ``1 << i``; ``anchors[i]`` is its anchor in the
+    log and ``f_anchor`` is F's.  ``later[i]`` holds the nodes anchored
+    strictly after ``i`` in every log folded so far (the edges
+    ``i → j``); ``to_f`` the nodes anchored at or before F (edges to F)
+    and ``from_f`` those anchored strictly after F (edges from F).
+
+    One descending sweep gives each node the set of nodes anchored
+    strictly later in this log (a tie group shares one accumulator, so
+    tied predicates get no edge) and ANDs it into ``later`` in place.
+    F is the terminal event of a failed execution: a node anchored at
+    F's instant still precedes it (the crash is recorded at the instant
+    its method dies), while one anchored strictly after F (post-crash
+    cleanup) cannot cause it.  Returns the narrowed ``(to_f, from_f)``.
+    """
+    order = sorted(range(len(anchors)), key=anchors.__getitem__, reverse=True)
+    acc = group = 0  # acc: anchored strictly later than the current group
+    after_f = -1  # unknown until the sweep reaches F's anchor
+    previous = None
+    for i in order:
+        a = anchors[i]
+        if a != previous:
+            acc |= group
+            group = 0
+            previous = a
+            if after_f < 0 and a <= f_anchor:
+                after_f = acc
+        later[i] &= acc
+        group |= 1 << i
+    if after_f < 0:
+        after_f = acc | group  # every node is anchored after F
+    return to_f & ~after_f, from_f & after_f
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class ACDag:
@@ -120,48 +181,41 @@ class ACDag:
         pids.add(failure)
         discarded: dict[str, str] = {}
 
-        # Anchor timestamps per (log, pid).  A fully-discriminative
+        # Anchor timestamps per (pid, log).  A fully-discriminative
         # predicate must be observed in every failed log; drop violators
         # defensively (can happen when callers pass a lax candidate set).
-        anchors: dict[str, list[float]] = {}
+        columns: dict[str, list[float]] = {}
         for pid in sorted(pids):
-            series: list[float] = []
-            for log in failed_logs:
-                obs = log.time_of(pid)
-                if obs is None:
-                    break
-                series.append(policy.anchor(defs[pid], obs))
-            if len(series) == len(failed_logs):
-                anchors[pid] = series
-            else:
+            observed = [log.observations.get(pid) for log in failed_logs]
+            if None in observed:
                 discarded[pid] = "not observed in every failed log"
-        if failure not in anchors:
+                continue
+            columns[pid] = policy.anchors(defs[pid], observed)
+        if failure not in columns:
             raise GraphInvariantError(
                 f"failure predicate {failure!r} unobserved in some failed log"
             )
 
+        # Fold the narrowing step over the logs, from "every node is
+        # later than every node, on both sides of F".
+        nodes = [pid for pid in columns if pid != failure]
+        full = (1 << len(nodes)) - 1
+        later = [full] * len(nodes)
+        to_f = from_f = full
+        rows = zip(*(columns[pid] for pid in nodes))
+        for row, f_anchor in zip(rows, columns[failure]):
+            to_f, from_f = _narrow(later, to_f, from_f, row, f_anchor)
+
         graph = Digraph()
-        for pid in anchors:
+        for pid in columns:
             graph.add_node(pid)
-        nodes = sorted(set(anchors) - {failure})
-        for i, p1 in enumerate(nodes):
-            for p2 in nodes[i + 1 :]:
-                s1, s2 = anchors[p1], anchors[p2]
-                if all(a < b for a, b in zip(s1, s2)):
-                    graph.add_edge(p1, p2)
-                elif all(b < a for a, b in zip(s1, s2)):
-                    graph.add_edge(p2, p1)
-        # F is the terminal event of a failed execution: predicates that
-        # never anchor after it precede it (ties allowed — the crash is
-        # recorded at the instant its method dies).  Predicates anchored
-        # strictly after F (post-crash cleanup) cannot cause it.
-        f_series = anchors[failure]
-        for pid in nodes:
-            series = anchors[pid]
-            if all(a <= f for a, f in zip(series, f_series)):
-                graph.add_edge(pid, failure)
-            elif all(f < a for a, f in zip(series, f_series)):
-                graph.add_edge(failure, pid)
+        for pid, mask in zip(nodes, later):
+            for j in _bits(mask):
+                graph.add_edge(pid, nodes[j])
+        for j in _bits(to_f):
+            graph.add_edge(nodes[j], failure)
+        for j in _bits(from_f):
+            graph.add_edge(failure, nodes[j])
 
         dag = cls(
             graph=graph,
@@ -180,8 +234,9 @@ class ACDag:
     # either also holds in log n+1 or it dies).  Node-wise, the candidate
     # set is the fully-discriminative set, which likewise only shrinks
     # under insertions (see StatisticalDebugger).  Both facts together
-    # make the AC-DAG maintainable without a rebuild; tests assert the
-    # patched graph equals `ACDag.build` over the whole log history.
+    # make the AC-DAG maintainable without a rebuild: one narrowing step,
+    # started from the current edges.  Tests assert the patched graph
+    # equals `ACDag.build` over the whole log history.
 
     def update_failed_log(
         self, log: PredicateLog, policy: Optional[PrecedencePolicy] = None
@@ -207,17 +262,35 @@ class ACDag:
                 self.discarded[pid] = "not observed in every failed log"
             else:
                 anchors[pid] = policy.anchor(self.defs[pid], obs)
-        self.graph.remove_nodes_from(removed)
-        for a, b in self.graph.edges:
-            # Ties with F are allowed (the crash is recorded at the
-            # instant its method dies); all other precedence is strict.
-            holds = (
-                anchors[a] <= anchors[b]
-                if b == self.failure
-                else anchors[a] < anchors[b]
-            )
-            if not holds:
-                self.graph.remove_edge(a, b)
+        graph = self.graph
+        graph.remove_nodes_from(removed)
+
+        failure = self.failure
+        nodes = [pid for pid in graph.nodes if pid != failure]
+        bit = {pid: 1 << i for i, pid in enumerate(nodes)}
+        bit[failure] = 0
+
+        def mask(pids) -> int:
+            return sum(map(bit.__getitem__, pids))
+
+        old = [mask(graph.successors(pid)) for pid in nodes]
+        old_to_f = mask(graph.predecessors(failure))
+        old_from_f = mask(graph.successors(failure))
+        later = list(old)
+        to_f, from_f = _narrow(
+            later,
+            old_to_f,
+            old_from_f,
+            [anchors[pid] for pid in nodes],
+            anchors[failure],
+        )
+        for pid, before, after in zip(nodes, old, later):
+            for j in _bits(before & ~after):
+                graph.remove_edge(pid, nodes[j])
+        for j in _bits(old_to_f & ~to_f):
+            graph.remove_edge(nodes[j], failure)
+        for j in _bits(old_from_f & ~from_f):
+            graph.remove_edge(failure, nodes[j])
         self.n_failed_logs += 1
         removed |= self._prune_non_ancestors()
         return removed

@@ -23,7 +23,7 @@ create cycles — false edges are pruned later by interventions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .predicates import Observation, PredicateDef, PredicateKind
 
@@ -56,6 +56,14 @@ class PrecedencePolicy:
     def anchor(self, pred: PredicateDef, obs: Observation) -> float:
         raise NotImplementedError
 
+    def anchors(
+        self, pred: PredicateDef, observations: Iterable[Observation]
+    ) -> list[float]:
+        """:meth:`anchor` of one predicate over many observations (one
+        AC-DAG column, a log each)."""
+        anchor = self.anchor
+        return [anchor(pred, obs) for obs in observations]
+
     def precedes(
         self,
         p1: PredicateDef,
@@ -77,14 +85,28 @@ class KindAnchorPolicy(PrecedencePolicy):
 
     overrides: Mapping[PredicateKind, str] = field(default_factory=dict)
 
-    def anchor(self, pred: PredicateDef, obs: Observation) -> float:
+    def _mode(self, pred: PredicateDef) -> str:
         mode = self.overrides.get(pred.kind)
         if mode is None:
             mode = "end" if pred.kind in _END_ANCHORED else "start"
+        return mode
+
+    def anchor(self, pred: PredicateDef, obs: Observation) -> float:
+        mode = self._mode(pred)
         if mode == "end":
             return float(obs.end)
         if mode == "start":
             return float(obs.start)
+        raise ValueError(f"unknown anchor mode {mode!r}")
+
+    def anchors(
+        self, pred: PredicateDef, observations: Iterable[Observation]
+    ) -> list[float]:
+        mode = self._mode(pred)
+        if mode == "end":
+            return [float(obs.end) for obs in observations]
+        if mode == "start":
+            return [float(obs.start) for obs in observations]
         raise ValueError(f"unknown anchor mode {mode!r}")
 
 
@@ -101,10 +123,10 @@ class LamportAnchorPolicy(KindAnchorPolicy):
     interventions prune.
     """
 
+    anchors = PrecedencePolicy.anchors  # one observation at a time
+
     def anchor(self, pred: PredicateDef, obs: Observation) -> float:
-        mode = self.overrides.get(pred.kind)
-        if mode is None:
-            mode = "end" if pred.kind in _END_ANCHORED else "start"
+        mode = self._mode(pred)
         if mode == "end":
             if obs.end_lamport is not None:
                 return float(obs.end_lamport)

@@ -146,13 +146,12 @@ class PredicateDef:
         sharded evaluation asks every shard's matrix for the same table
         — without the cache the digest walk dominates thin shards.
         """
-        import dataclasses
-
-        from ..sim.serialize import stable_digest
-
         cached = getattr(self, "_definition_digest", None)
         if cached is not None:
             return cached
+        import dataclasses
+
+        from ..sim.serialize import stable_digest
 
         def value_of(value: object) -> object:
             if isinstance(value, MethodKey):

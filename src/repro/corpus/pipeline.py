@@ -59,9 +59,11 @@ Persistence: ``save`` writes the dirty store manifests and the dirty
 per-shard matrix files (plus its index); nothing else is persisted.
 The next bootstrap rebuilds the counters and the DAG from the matrix
 without loading or evaluating a trace, but not for free: on a
-1000-trace kafka corpus a warm analyze spends ~0.10 s in
-``ACDag.build`` and most of the rest rebuilding the failed logs from
-the bitsets and parsing the shard matrix files.
+1000-trace kafka corpus (500 failed logs) a warm analyze spends
+~0.04 s in ``ACDag.build``, one bitset narrowing step per failed log,
+and most of the rest rebuilding the failed logs from the bitsets
+(validating each stored observation window) and parsing the shard
+matrix files.
 """
 
 from __future__ import annotations

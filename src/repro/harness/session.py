@@ -267,6 +267,13 @@ class AIDSession:
         if extra > 0:
             base = max(seeds, default=0) + 1_000_000
             seeds = seeds + [base + i for i in range(extra)]
+        engine = self.config.engine
+        if engine is None:
+            # A private engine still carries the session's bus, so its
+            # rounds reach the session's observers.
+            from ..exec.engine import ExecutionEngine
+
+            engine = ExecutionEngine(bus=self.config.bus)
         return SimulationRunner(
             # The simulator carries the strategy factory so intervention
             # re-executions schedule exactly like collection did.
@@ -278,7 +285,7 @@ class AIDSession:
             suite=self._suite,
             failure_pid=self._failure_pid,
             seeds=seeds,
-            engine=self.config.engine,
+            engine=engine,
             workload=self._workload_key(),
         )
 

@@ -2,18 +2,33 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.acdag import ACDag, GraphInvariantError
 from repro.core.digraph import Digraph
+from repro.core.extraction import PredicateSuite
+from repro.core.precedence import (
+    EndTimePolicy,
+    KindAnchorPolicy,
+    LamportAnchorPolicy,
+    StartTimePolicy,
+    default_policy,
+)
 from repro.core.predicates import (
     ExecutedPredicate,
     FailurePredicate,
     Observation,
 )
 from repro.core.statistical import PredicateLog
+from repro.sim.serialize import trace_from_dict
 from repro.sim.tracing import MethodKey
+from repro.workloads.common import REGISTRY
+
+from conftest import case_study_session
+from gen import make_corpus
 
 F = "FAILURE[f]"
 
@@ -179,3 +194,213 @@ def test_property_built_dag_is_acyclic_and_transitive(log_times):
                 assert graph.has_edge(a, c), "transitive closure broken"
     for node in dag.predicates:
         assert dag.reaches(node, F)
+
+
+# ---------------------------------------------------------------------------
+# the bitset kernel ≡ the pairwise construction it replaced
+# ---------------------------------------------------------------------------
+
+
+def _pairwise_build(defs, failed_logs, failure, policy=None, candidate_pids=None):
+    """The oracle: ``ACDag.build`` as pairwise ``all(...)`` loops over
+    every pair of candidates and every failed log."""
+    policy = policy or default_policy()
+    pids = set(candidate_pids) if candidate_pids is not None else set(defs)
+    pids.add(failure)
+    discarded = {}
+    anchors = {}
+    for pid in sorted(pids):
+        series = []
+        for log in failed_logs:
+            obs = log.time_of(pid)
+            if obs is None:
+                break
+            series.append(policy.anchor(defs[pid], obs))
+        if len(series) == len(failed_logs):
+            anchors[pid] = series
+        else:
+            discarded[pid] = "not observed in every failed log"
+    if failure not in anchors:
+        raise GraphInvariantError("failure predicate unobserved")
+    graph = Digraph()
+    for pid in anchors:
+        graph.add_node(pid)
+    nodes = sorted(set(anchors) - {failure})
+    for i, p1 in enumerate(nodes):
+        for p2 in nodes[i + 1 :]:
+            s1, s2 = anchors[p1], anchors[p2]
+            if all(a < b for a, b in zip(s1, s2)):
+                graph.add_edge(p1, p2)
+            elif all(b < a for a, b in zip(s1, s2)):
+                graph.add_edge(p2, p1)
+    f_series = anchors[failure]
+    for pid in nodes:
+        series = anchors[pid]
+        if all(a <= f for a, f in zip(series, f_series)):
+            graph.add_edge(pid, failure)
+        elif all(f < a for a, f in zip(series, f_series)):
+            graph.add_edge(failure, pid)
+    dag = ACDag(
+        graph=graph,
+        failure=failure,
+        defs=dict(defs),
+        discarded=discarded,
+        n_failed_logs=len(failed_logs),
+    )
+    dag._prune_non_ancestors()
+    return dag
+
+
+def _pairwise_update(dag, log, policy=None):
+    """The oracle: ``update_failed_log`` as one anchor comparison per
+    edge."""
+    policy = policy or default_policy()
+    removed = set()
+    anchors = {}
+    for pid in sorted(dag.graph.nodes):
+        obs = log.time_of(pid)
+        if obs is None:
+            removed.add(pid)
+            dag.discarded[pid] = "not observed in every failed log"
+        else:
+            anchors[pid] = policy.anchor(dag.defs[pid], obs)
+    dag.graph.remove_nodes_from(removed)
+    for a, b in dag.graph.edges:
+        holds = (
+            anchors[a] <= anchors[b]
+            if b == dag.failure
+            else anchors[a] < anchors[b]
+        )
+        if not holds:
+            dag.graph.remove_edge(a, b)
+    dag.n_failed_logs += 1
+    return removed | dag._prune_non_ancestors()
+
+
+def _assert_same_build(defs, logs, failure, **kwargs):
+    """``ACDag.build`` equals the oracle, ``discarded`` order included;
+    returns the built DAG."""
+    dag = ACDag.build(defs, logs, failure, **kwargs)
+    oracle = _pairwise_build(defs, logs, failure, **kwargs)
+    assert dag.structure() == oracle.structure()
+    assert list(dag.discarded.items()) == list(oracle.discarded.items())
+    assert list(dag.graph.nodes) == list(oracle.graph.nodes)
+    assert dag.n_failed_logs == oracle.n_failed_logs
+    return dag
+
+
+def _assert_fold_equals_build(defs, logs, failure, **kwargs):
+    """Build on log 1, patch with logs 2..n (checking each patch
+    against the per-edge oracle), and land on ``build`` over all n."""
+    policy = kwargs.get("policy")
+    dag = ACDag.build(defs, logs[:1], failure, **kwargs)
+    for log in logs[1:]:
+        oracle = dag.copy()
+        removed = dag.update_failed_log(log, policy=policy)
+        assert removed == _pairwise_update(oracle, log, policy=policy)
+        assert dag.structure() == oracle.structure()
+        assert dag.discarded == oracle.discarded
+    full = ACDag.build(defs, logs, failure, **kwargs)
+    assert dag.structure() == full.structure()
+    assert set(dag.discarded) == set(full.discarded)
+    assert dag.n_failed_logs == full.n_failed_logs == len(logs)
+
+
+POLICIES = [
+    KindAnchorPolicy(),
+    LamportAnchorPolicy(),
+    StartTimePolicy(),
+    EndTimePolicy(),
+]
+
+
+class TestKernelMatchesPairwise:
+    @pytest.mark.parametrize("name", sorted(REGISTRY.names()))
+    def test_case_studies(self, name):
+        session = case_study_session(name)
+        defs = dict(session._suite.defs)
+        logs = session._failed_logs
+        failure = session.failure_pid
+        edges = 0
+        for policy in POLICIES:
+            for candidates in (session.fully_discriminative, None):
+                dag = _assert_same_build(
+                    defs, logs, failure, policy=policy, candidate_pids=candidates
+                )
+                edges += dag.graph.number_of_edges()
+            _assert_fold_equals_build(
+                defs,
+                logs,
+                failure,
+                policy=policy,
+                candidate_pids=session.fully_discriminative,
+            )
+        assert edges  # the comparison is not vacuous
+
+    def test_gen_corpora(self):
+        """``tests/gen.py`` corpora: every discovered predicate is a
+        candidate, so most are discarded, and windows tie often."""
+        compared = edges = 0
+        for seed in range(40):
+            traces = [trace_from_dict(p) for p in make_corpus(seed, 6, 10)]
+            successes = [t for t in traces if not t.failed]
+            failures = [t for t in traces if t.failed]
+            suite = PredicateSuite.discover(successes, failures)
+            logs = suite.evaluate_all(failures)
+            seen = Counter(
+                pid for log in logs for pid in log.observations
+                if pid in suite.failure_pids()
+            )
+            if not seen:
+                continue
+            failure = max(sorted(seen), key=seen.__getitem__)
+            failed = [log for log in logs if log.observed(failure)]
+            for policy in POLICIES:
+                dag = _assert_same_build(
+                    suite.defs, failed, failure, policy=policy
+                )
+                edges += dag.graph.number_of_edges()
+                _assert_fold_equals_build(
+                    suite.defs, failed, failure, policy=policy
+                )
+            compared += 1
+        assert compared >= 20 and edges
+
+
+def _table_logs(pids, rows):
+    """Failed logs from rows of ``(F time, [time or None per pid])``."""
+    logs = []
+    for f_time, times in rows:
+        observed = {
+            pid: t for pid, t in zip(pids, times) if t is not None
+        }
+        logs.append(_log(observed, f_time))
+    return logs
+
+
+#: small anchor ranges force ties, with each other and with F
+_anchor_tables = st.integers(0, 7).flatmap(
+    lambda width: st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.lists(
+                st.one_of(st.integers(0, 4), st.none()),
+                min_size=width,
+                max_size=width,
+            ),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_anchor_tables)
+def test_property_kernel_equals_pairwise_on_tied_anchor_tables(rows):
+    pids = [f"P{i}" for i in range(len(rows[0][1]))]
+    defs = _defs(pids)
+    logs = _table_logs(pids, rows)
+    _assert_same_build(defs, logs, F)
+    _assert_fold_equals_build(defs, logs, F)
+

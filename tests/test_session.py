@@ -134,3 +134,25 @@ class TestSimulationRunnerBehaviour:
                 failure_pid=racy_session.failure_pid,
                 seeds=[],
             )
+
+
+class TestSessionBus:
+    def test_private_engine_announces_every_round_on_the_session_bus(self):
+        """A session given a bus but no engine still reports each
+        intervention round on that bus: one event and one span each."""
+        from repro.api.events import EventBus, EventLog
+        from repro.workloads.common import REGISTRY
+
+        log = EventLog()
+        bus = EventBus([log])
+        program = REGISTRY.build("network").program
+        config = SessionConfig(bus=bus, n_success=20, n_fail=20)
+        report = AIDSession(program, config).run()
+        rounds = log.of_kind("intervention-round")
+        spans = [
+            e for e in log.of_kind("span-closed")
+            if e.name.startswith("round:")
+        ]
+        assert report.n_rounds > 0
+        assert len(rounds) == len(spans) == report.n_rounds
+        assert all(span.parent == "interventions" for span in spans)

@@ -190,7 +190,8 @@ class ACDag:
             if None in observed:
                 discarded[pid] = "not observed in every failed log"
                 continue
-            columns[pid] = policy.anchors(defs[pid], observed)
+            pred = defs[pid]
+            columns[pid] = [policy.anchor(pred, obs) for obs in observed]
         if failure not in columns:
             raise GraphInvariantError(
                 f"failure predicate {failure!r} unobserved in some failed log"

@@ -120,9 +120,8 @@ class SimulationRunner:
         suffices for every pruning decision the algorithms make (paper
         footnote 1).
     engine:
-        Execution engine the runs are routed through.  The default
-        (in-memory cache) runs each group in-line while memoizing
-        repeated groups.
+        Execution engine the runs are routed through (its cache
+        memoizes repeated groups, its bus hears each round).
     workload:
         Cache-key namespace for this runner's executions.  Must change
         whenever the predicate suite or simulator would produce
@@ -136,7 +135,7 @@ class SimulationRunner:
         suite: PredicateSuite,
         failure_pid: str,
         seeds: Sequence[int],
-        engine: Optional["ExecutionEngine"] = None,
+        engine: "ExecutionEngine",
         workload: Optional[str] = None,
     ) -> None:
         if not seeds:
@@ -145,10 +144,6 @@ class SimulationRunner:
         self.suite = suite
         self.failure_pid = failure_pid
         self.seeds = list(seeds)
-        if engine is None:
-            from ..exec.engine import ExecutionEngine
-
-            engine = ExecutionEngine()
         self.engine = engine
         self.workload = workload or (
             f"{simulator.program.name}@{simulator.max_steps}"

@@ -23,7 +23,7 @@ create cycles — false edges are pruned later by interventions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .predicates import Observation, PredicateDef, PredicateKind
 
@@ -55,14 +55,6 @@ class PrecedencePolicy:
 
     def anchor(self, pred: PredicateDef, obs: Observation) -> float:
         raise NotImplementedError
-
-    def anchors(
-        self, pred: PredicateDef, observations: Iterable[Observation]
-    ) -> list[float]:
-        """:meth:`anchor` of one predicate over many observations (one
-        AC-DAG column, a log each)."""
-        anchor = self.anchor
-        return [anchor(pred, obs) for obs in observations]
 
     def precedes(
         self,
@@ -99,16 +91,6 @@ class KindAnchorPolicy(PrecedencePolicy):
             return float(obs.start)
         raise ValueError(f"unknown anchor mode {mode!r}")
 
-    def anchors(
-        self, pred: PredicateDef, observations: Iterable[Observation]
-    ) -> list[float]:
-        mode = self._mode(pred)
-        if mode == "end":
-            return [float(obs.end) for obs in observations]
-        if mode == "start":
-            return [float(obs.start) for obs in observations]
-        raise ValueError(f"unknown anchor mode {mode!r}")
-
 
 @dataclass
 class LamportAnchorPolicy(KindAnchorPolicy):
@@ -122,8 +104,6 @@ class LamportAnchorPolicy(KindAnchorPolicy):
     like any scalar anchor it may add non-causal edges, which the
     interventions prune.
     """
-
-    anchors = PrecedencePolicy.anchors  # one observation at a time
 
     def anchor(self, pred: PredicateDef, obs: Observation) -> float:
         mode = self._mode(pred)

@@ -60,7 +60,7 @@ per-shard matrix files (plus its index); nothing else is persisted.
 The next bootstrap rebuilds the counters and the DAG from the matrix
 without loading or evaluating a trace, but not for free: on a
 1000-trace kafka corpus (500 failed logs) a warm analyze spends
-~0.04 s in ``ACDag.build``, one bitset narrowing step per failed log,
+~0.08 s in ``ACDag.build``, one bitset narrowing step per failed log,
 and most of the rest rebuilding the failed logs from the bitsets
 (validating each stored observation window) and parsing the shard
 matrix files.

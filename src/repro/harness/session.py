@@ -50,7 +50,7 @@ class SessionConfig:
     policy: Optional[PrecedencePolicy] = None
     #: Intervention-execution engine (outcome cache + stats), shareable
     #: across sessions so sweeps pool their memoization.  ``None`` gives
-    #: each runner a private engine.
+    #: each runner a private engine on the session's bus.
     engine: Optional["ExecutionEngine"] = None
     #: Observer seam (see :mod:`repro.api.events`): the session emits
     #: phase events onto this bus.  Observers never affect results.

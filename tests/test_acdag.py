@@ -306,11 +306,20 @@ def _assert_fold_equals_build(defs, logs, failure, **kwargs):
     assert dag.n_failed_logs == full.n_failed_logs == len(logs)
 
 
+class _SpanPolicy(KindAnchorPolicy):
+    """A subclass that overrides only ``anchor``: build and update must
+    both see its anchors, not the kind-anchored ones."""
+
+    def anchor(self, pred, obs):
+        return float(obs.start + obs.end)
+
+
 POLICIES = [
     KindAnchorPolicy(),
     LamportAnchorPolicy(),
     StartTimePolicy(),
     EndTimePolicy(),
+    _SpanPolicy(),
 ]
 
 

@@ -125,6 +125,7 @@ class TestSimulationRunnerBehaviour:
 
     def test_needs_seeds(self, racy_session):
         from repro.core.intervention import SimulationRunner
+        from repro.exec.engine import ExecutionEngine
         from repro.sim import Simulator
 
         with pytest.raises(ValueError):
@@ -133,6 +134,7 @@ class TestSimulationRunnerBehaviour:
                 suite=racy_session._suite,
                 failure_pid=racy_session.failure_pid,
                 seeds=[],
+                engine=ExecutionEngine(),
             )
 
 

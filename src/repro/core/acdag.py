@@ -248,17 +248,17 @@ class ACDag:
         below 1), drops edges whose precedence the log contradicts, and
         re-applies the ancestors-of-F filter.  Returns every pid removed.
         """
+        if log.time_of(self.failure) is None:
+            raise GraphInvariantError(
+                f"failure predicate {self.failure!r} unobserved in "
+                "an ingested failed log (wrong failure signature?)"
+            )
         policy = policy or default_policy()
         removed: set[str] = set()
         anchors: dict[str, float] = {}
         for pid in sorted(self.graph.nodes):
             obs = log.time_of(pid)
             if obs is None:
-                if pid == self.failure:
-                    raise GraphInvariantError(
-                        f"failure predicate {self.failure!r} unobserved in "
-                        "an ingested failed log (wrong failure signature?)"
-                    )
                 removed.add(pid)
                 self.discarded[pid] = "not observed in every failed log"
             else:

@@ -197,13 +197,12 @@ class EvalMatrix:
     def log_for(self, suite: PredicateSuite, trace) -> PredicateLog:
         """Evaluate the suite on one trace, through the memo.
 
-        The trace must carry a ``fingerprint`` (corpus-loaded traces do;
-        for live traces compute one via
-        :func:`repro.sim.serialize.trace_fingerprint` first).  Pairs
-        already decided are answered from the bitsets; only new pairs
-        call ``PredicateDef.evaluate``.
+        The trace must carry the ``fingerprint`` that
+        :meth:`~repro.corpus.store.TraceStore.ingest` (or ``load``)
+        stamps on it.  Pairs already decided are answered from the
+        bitsets; only new pairs call ``PredicateDef.evaluate``.
         """
-        fp = getattr(trace, "fingerprint", None)
+        fp = trace.fingerprint
         if fp is None:
             raise ValueError(
                 "trace has no fingerprint; corpus evaluation is memoized "
@@ -613,8 +612,9 @@ class ShardedEvalMatrix:
     # -- the memoized evaluation loop ------------------------------------
 
     def log_for(self, suite: PredicateSuite, trace) -> PredicateLog:
-        """Evaluate the suite on one trace, through its shard's memo."""
-        fp = getattr(trace, "fingerprint", None)
+        """Evaluate the suite on one trace, through its shard's memo;
+        the trace carries the ``fingerprint`` that ``ingest`` stamps."""
+        fp = trace.fingerprint
         if fp is None:
             raise ValueError(
                 "trace has no fingerprint; corpus evaluation is memoized "
@@ -643,7 +643,7 @@ class ShardedEvalMatrix:
         by_fp: dict = {}
         entries = []
         for trace in traces:
-            fp = getattr(trace, "fingerprint", None)
+            fp = trace.fingerprint
             if fp is None:
                 raise ValueError(
                     "trace has no fingerprint; corpus evaluation is "

@@ -81,7 +81,6 @@ from ..core.statistical import (
     failure_and_fd,
 )
 from ..sim.program import Program
-from ..sim.serialize import trace_to_dict
 from .matrix import CompactionStats, ShardedEvalMatrix
 from .store import CorpusError, TraceStore
 
@@ -366,8 +365,9 @@ class IncrementalPipeline:
         first, the fully-discriminative set is re-derived once, each
         failed log patches the AC-DAG in submission order, and one final
         restriction drops whatever left the FD set.  With ``save=True``
-        the store manifests and matrix shards are written once at the
-        end — one fsync per wave instead of per trace.
+        the dirty store manifests and matrix shards are written once, at
+        the end of the wave, not per trace; nothing is fsynced (see the
+        corpus-on-disk item in ROADMAP.md).
 
         The final pipeline state is byte-identical to calling
         :meth:`ingest` per trace in the same order (asserted in tests);
@@ -400,22 +400,21 @@ class IncrementalPipeline:
         for slot, (trace, sched_sig) in enumerate(
             zip(traces, schedule_signatures)
         ):
-            # The store decodes every payload to validate it; evaluate
-            # that decoded trace rather than read the file back.
-            decoded, added = self.store.add(trace_to_dict(trace), sched_sig)
-            fp = decoded.fingerprint
-            failed = decoded.failed
+            # Evaluate the trace handed in; the store stamps its
+            # fingerprint, so nothing reads the file back.
+            fp, added = self.store.ingest(trace, sched_sig)
+            failed = trace.failed
             if not added:
                 results[slot] = IngestResult(
                     fingerprint=fp, added=False, failed=failed
                 )
                 continue
-            if failed and decoded.failure.signature != self.signature:
+            if failed and trace.failure.signature != self.signature:
                 results[slot] = IngestResult(
                     fingerprint=fp, added=True, failed=True, skipped=True
                 )
                 continue
-            analyzable.append((slot, fp, decoded, failed))
+            analyzable.append((slot, fp, trace, failed))
         if not analyzable:
             return BatchIngestResult(
                 results=results  # type: ignore[arg-type]

@@ -85,7 +85,6 @@ from ..sim.serialize import (
     encode_trace,
     stable_digest,
     trace_from_dict,
-    trace_to_dict,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -446,37 +445,17 @@ class TraceStore:
     def ingest(
         self, trace, schedule_signature: Optional[str] = None
     ) -> tuple[str, bool]:
-        """Add one trace (live or imported); returns ``(fp, added)``.
+        """The one ingest path: store one trace (live or imported) as its
+        canonical bytes under their fingerprint; returns ``(fp, added)``.
 
-        Dedup is content-addressed: the fingerprint is the digest of the
-        trace's canonical bytes, so re-ingesting an identical execution
-        is a no-op.  ``schedule_signature`` stamps the interleaving
-        identity (:meth:`repro.sim.schedule.Schedule.signature`) into
-        the manifest row when the producer recorded one.  Call
-        :meth:`save` after a batch to persist the manifests.
+        The trace is encoded once and never decoded.  Dedup is
+        content-addressed, so re-ingesting an identical execution is a
+        no-op.  ``schedule_signature`` stamps the interleaving identity
+        (:meth:`repro.sim.schedule.Schedule.signature`) into the
+        manifest row when the producer recorded one, also on a duplicate
+        whose row lacked it.  The trace comes back with ``fingerprint``
+        set.  Call :meth:`save` after a batch to persist the manifests.
         """
-        decoded, added = self.add(trace_to_dict(trace), schedule_signature)
-        return decoded.fingerprint, added
-
-    def ingest_payload(
-        self, payload: dict, schedule_signature: Optional[str] = None
-    ) -> tuple[str, bool]:
-        """Add one already-serialized trace payload; returns ``(fp, added)``."""
-        decoded, added = self.add(payload, schedule_signature)
-        return decoded.fingerprint, added
-
-    def add(
-        self, payload: dict, schedule_signature: Optional[str] = None
-    ) -> tuple[ImportedTrace, bool]:
-        """The one ingest path: decode (and so validate) ``payload``,
-        then store the decoded trace's canonical bytes under their
-        fingerprint.  Payloads that decode alike (say, one with an extra
-        key) are one entry.  Returns the decoded trace, fingerprint set
-        (what :meth:`load` reads back), and whether it was new."""
-        try:
-            trace = trace_from_dict(payload)
-        except TraceFormatError as exc:
-            raise CorpusError(f"cannot ingest: {exc}") from exc
         if self._program is None:
             self._program = trace.program_name
         elif trace.program_name != self._program:
@@ -485,32 +464,44 @@ class TraceStore:
                 f"corpus holds {self._program!r}"
             )
         body, fp = encode_trace(trace)
-        trace.fingerprint = fp
         existing = self.entries.get(fp)
-        if existing is not None:
-            if schedule_signature is not None and existing.schedule is None:
-                # Enrich a duplicate with the provenance it lacked.
-                self._set_entry(
-                    dataclasses.replace(existing, schedule=schedule_signature)
+        if existing is None:
+            path = self.trace_path(fp)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(body)
+            self._set_entry(
+                TraceEntry(
+                    fingerprint=fp,
+                    label="fail" if trace.failed else "pass",
+                    seed=trace.seed,
+                    signature=(
+                        trace.failure.signature
+                        if trace.failure is not None
+                        else None
+                    ),
+                    schedule=schedule_signature,
                 )
-            return trace, False
-        path = self.trace_path(fp)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(body)
-        self._set_entry(
-            TraceEntry(
-                fingerprint=fp,
-                label="fail" if trace.failed else "pass",
-                seed=trace.seed,
-                signature=(
-                    trace.failure.signature
-                    if trace.failure is not None
-                    else None
-                ),
-                schedule=schedule_signature,
             )
-        )
-        return trace, True
+        elif schedule_signature is not None and existing.schedule is None:
+            # Enrich a duplicate with the provenance it lacked.
+            self._set_entry(
+                dataclasses.replace(existing, schedule=schedule_signature)
+            )
+        trace.fingerprint = fp
+        return fp, existing is None
+
+    def ingest_payload(
+        self, payload: dict, schedule_signature: Optional[str] = None
+    ) -> tuple[str, bool]:
+        """The door for a trace from outside the program: decode (and so
+        validate) ``payload``, then :meth:`ingest` the decoded trace.
+        Payloads that decode alike (say, one with an extra key) are one
+        entry.  Returns ``(fp, added)``."""
+        try:
+            trace = trace_from_dict(payload)
+        except TraceFormatError as exc:
+            raise CorpusError(f"cannot ingest: {exc}") from exc
+        return self.ingest(trace, schedule_signature)
 
     def evict(self, fingerprint: str) -> bool:
         """Drop one trace from the manifest and delete its body.

@@ -195,6 +195,8 @@ class TraceReader:
     """
 
     failure: Optional[FailureInfo]
+    #: content address, stamped by the corpus store on ingest or load
+    fingerprint: Optional[str] = None
     _index: Optional[_TraceIndex]
     _completed: list[MethodExecution]
 

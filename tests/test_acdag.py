@@ -111,6 +111,18 @@ class TestBuild:
         with pytest.raises(GraphInvariantError):
             ACDag(graph=Digraph([("A", "B")]), failure=F)
 
+    def test_update_without_failure_changes_nothing(self):
+        """A failed log that does not observe F is refused before the
+        DAG is touched: no node is marked discarded on the way."""
+        dag = ACDag.build(_defs(["A"]), [_log({"A": 1}, 9)], F)
+        before = dag.copy()
+        empty = PredicateLog(observations={}, failed=True, seed=1)
+        with pytest.raises(GraphInvariantError):
+            dag.update_failed_log(empty)
+        assert dag.structure() == before.structure()
+        assert dag.discarded == before.discarded == {}
+        assert dag.n_failed_logs == before.n_failed_logs == 1
+
 
 def _chain_dag(*chains, merge=None):
     """Transitively-closed DAG of parallel chains merging into F."""

@@ -188,7 +188,7 @@ def test_each_trace_is_encoded_once(monkeypatch, tmp_path):
     encoded = []
     replays = []
     offered = []
-    add = TraceStore.add
+    ingest = TraceStore.ingest
     encode = serialize_module.encode_trace
     run = driver_module.Simulator.run
     record_failure = ExplorationDriver._record_failure
@@ -197,10 +197,10 @@ def test_each_trace_is_encoded_once(monkeypatch, tmp_path):
         encoded.append(trace)
         return encode(trace)
 
-    def counting_add(self, payload, *args, **kwargs):
-        decoded, added = add(self, payload, *args, **kwargs)
+    def counting_ingest(self, trace, *args, **kwargs):
+        fp, added = ingest(self, trace, *args, **kwargs)
         offered.append(added)
-        return decoded, added
+        return fp, added
 
     def recording_run(self, *args, **kwargs):
         execution = run(self, *args, **kwargs)
@@ -218,7 +218,7 @@ def test_each_trace_is_encoded_once(monkeypatch, tmp_path):
     monkeypatch.setattr(serialize_module, "encode_trace", counting)
     monkeypatch.setattr(store_module, "encode_trace", counting)
     monkeypatch.setattr(ExplorationDriver, "_record_failure", replaying)
-    monkeypatch.setattr(TraceStore, "add", counting_add)
+    monkeypatch.setattr(TraceStore, "ingest", counting_ingest)
     program = REGISTRY.build("kafka").program
     root = tmp_path / "c"
     store = TraceStore.init(root, program=program.name)
@@ -239,17 +239,29 @@ def test_each_trace_is_encoded_once(monkeypatch, tmp_path):
 
 
 def test_ingest_batch_never_reads_back_live_traces(monkeypatch, tmp_path):
-    """The pipeline evaluates the trace the store decoded on ingest; it
-    does not load the file it just wrote."""
-    inside = False
-    loads_inside = batched = 0
+    """The pipeline evaluates the trace it was handed; it does not load
+    the file it just wrote, and nothing decodes a trace outside
+    ``TraceStore.load`` (the pipeline bootstrap's reads)."""
+    inside = loading = False
+    loads_inside = batched = decodes_in_load = stray_decodes = 0
     load = TraceStore.load
     ingest_batch = IncrementalPipeline.ingest_batch
+    decode = serialize_module.trace_from_dict
 
     def counting_load(self, fingerprint):
-        nonlocal loads_inside
+        nonlocal loads_inside, loading
         loads_inside += inside
-        return load(self, fingerprint)
+        loading = True
+        try:
+            return load(self, fingerprint)
+        finally:
+            loading = False
+
+    def counting_decode(payload, *args, **kwargs):
+        nonlocal decodes_in_load, stray_decodes
+        decodes_in_load += loading
+        stray_decodes += not loading
+        return decode(payload, *args, **kwargs)
 
     def flagged_ingest_batch(self, traces, *args, **kwargs):
         nonlocal inside, batched
@@ -261,6 +273,8 @@ def test_ingest_batch_never_reads_back_live_traces(monkeypatch, tmp_path):
             inside = False
 
     monkeypatch.setattr(TraceStore, "load", counting_load)
+    monkeypatch.setattr(serialize_module, "trace_from_dict", counting_decode)
+    monkeypatch.setattr(store_module, "trace_from_dict", counting_decode)
     monkeypatch.setattr(
         IncrementalPipeline, "ingest_batch", flagged_ingest_batch
     )
@@ -273,3 +287,5 @@ def test_ingest_batch_never_reads_back_live_traces(monkeypatch, tmp_path):
     assert driver.pipeline is not None
     assert batched > 0
     assert loads_inside == 0
+    assert decodes_in_load > 0
+    assert stray_decodes == 0

@@ -28,6 +28,13 @@ runs it once from masks read off the current edges and deletes the
 edges whose bits were cleared.  No pair of predicates is compared
 directly.
 
+Anchors come from one policy call per predicate:
+:meth:`~repro.core.precedence.PrecedencePolicy.anchors` over the
+predicate's observations in every failed log (``build``), or over its
+one observation in the new log (``update_failed_log``).  The DAG keeps
+the policy it was built under, and ``update_failed_log`` and ``copy``
+use it, so a patched DAG never mixes two policies' anchors.
+
 The class also provides the structural queries the intervention
 algorithms need: topological levels, minimal elements ("lowest
 topological level"), branch decomposition at junctions (Algorithm 2
@@ -130,6 +137,7 @@ class ACDag:
         defs: Optional[dict[str, PredicateDef]] = None,
         discarded: Optional[dict[str, str]] = None,
         n_failed_logs: int = 0,
+        policy: Optional[PrecedencePolicy] = None,
     ) -> None:
         if failure not in graph:
             raise GraphInvariantError(f"failure predicate {failure!r} not in graph")
@@ -145,6 +153,9 @@ class ACDag:
         #: how many failed logs support this DAG (an edge precedes in
         #: *every* one of them)
         self.n_failed_logs = n_failed_logs
+        #: the precedence policy the edges were built under; every
+        #: later ``update_failed_log`` anchors with it too
+        self.policy = policy or default_policy()
 
     # -- construction ------------------------------------------------------
 
@@ -190,8 +201,7 @@ class ACDag:
             if None in observed:
                 discarded[pid] = "not observed in every failed log"
                 continue
-            pred = defs[pid]
-            columns[pid] = [policy.anchor(pred, obs) for obs in observed]
+            columns[pid] = policy.anchors(defs[pid], observed)
         if failure not in columns:
             raise GraphInvariantError(
                 f"failure predicate {failure!r} unobserved in some failed log"
@@ -224,6 +234,7 @@ class ACDag:
             defs=dict(defs),
             discarded=discarded,
             n_failed_logs=len(failed_logs),
+            policy=policy,
         )
         dag._prune_non_ancestors()  # only predicates that may cause F
         return dag
@@ -239,21 +250,20 @@ class ACDag:
     # started from the current edges.  Tests assert the patched graph
     # equals `ACDag.build` over the whole log history.
 
-    def update_failed_log(
-        self, log: PredicateLog, policy: Optional[PrecedencePolicy] = None
-    ) -> set[str]:
+    def update_failed_log(self, log: PredicateLog) -> set[str]:
         """Patch the DAG under one newly-ingested failed log.
 
         Drops nodes the log does not observe (their recall just fell
-        below 1), drops edges whose precedence the log contradicts, and
-        re-applies the ancestors-of-F filter.  Returns every pid removed.
+        below 1), drops edges whose precedence the log contradicts under
+        the DAG's own policy, and re-applies the ancestors-of-F filter.
+        Returns every pid removed.
         """
         if log.time_of(self.failure) is None:
             raise GraphInvariantError(
                 f"failure predicate {self.failure!r} unobserved in "
                 "an ingested failed log (wrong failure signature?)"
             )
-        policy = policy or default_policy()
+        policy = self.policy
         removed: set[str] = set()
         anchors: dict[str, float] = {}
         for pid in sorted(self.graph.nodes):
@@ -262,7 +272,7 @@ class ACDag:
                 removed.add(pid)
                 self.discarded[pid] = "not observed in every failed log"
             else:
-                anchors[pid] = policy.anchor(self.defs[pid], obs)
+                (anchors[pid],) = policy.anchors(self.defs[pid], (obs,))
         graph = self.graph
         graph.remove_nodes_from(removed)
 
@@ -409,6 +419,7 @@ class ACDag:
             defs=dict(self.defs),
             discarded=dict(self.discarded),
             n_failed_logs=self.n_failed_logs,
+            policy=self.policy,
         )
 
     # -- presentation --------------------------------------------------------

@@ -18,12 +18,21 @@ relation is guaranteed acyclic (any cycle would need τ1 < τ2 < … < τ1
 inside a single log).  This realizes the paper's requirement that *any*
 conservative precedence heuristic is admissible as long as it cannot
 create cycles — false edges are pruned later by interventions.
+
+A policy implements one method, :meth:`PrecedencePolicy.anchors`,
+which anchors one predicate on a sequence of observations, elementwise:
+anchor *i* depends only on the predicate and observation *i*.
+``ACDag.build`` calls it once per predicate over all the failed logs
+and ``ACDag.update_failed_log`` once per node with a one-element list,
+so build and update read the same anchors, and a kind-anchored policy
+resolves the predicate's anchor mode once per call, not once per
+observation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .predicates import Observation, PredicateDef, PredicateKind
 
@@ -51,9 +60,30 @@ _START_ANCHORED = {
 
 
 class PrecedencePolicy:
-    """Maps (predicate, observation) to a scalar anchor timestamp."""
+    """Maps a predicate's observations to scalar anchor timestamps.
 
-    def anchor(self, pred: PredicateDef, obs: Observation) -> float:
+    :meth:`anchors` is the only method a policy implements; its contract
+    is elementwise (anchor *i* depends only on ``pred`` and
+    ``observations[i]``), so one call over every failed log equals the
+    one-element calls joined together.  A subclass that defines the
+    per-observation ``anchor`` of older releases is rejected when the
+    class is created: build and update read only ``anchors``, so such a
+    method would be silently ignored.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if hasattr(cls, "anchor"):
+            raise TypeError(
+                f"{cls.__qualname__} defines anchor(pred, obs), which is no "
+                "longer read; override anchors(pred, observations) -> "
+                "list[float] instead (anchor i from observations[i] alone)"
+            )
+
+    def anchors(
+        self, pred: PredicateDef, observations: Sequence[Observation]
+    ) -> list[float]:
+        """The anchor of ``pred`` on each of ``observations``, in order."""
         raise NotImplementedError
 
     def precedes(
@@ -64,7 +94,9 @@ class PrecedencePolicy:
         o2: Observation,
     ) -> bool:
         """Strict precedence of P1 before P2 on one log."""
-        return self.anchor(p1, o1) < self.anchor(p2, o2)
+        (a1,) = self.anchors(p1, (o1,))
+        (a2,) = self.anchors(p2, (o2,))
+        return a1 < a2
 
 
 @dataclass
@@ -72,10 +104,31 @@ class KindAnchorPolicy(PrecedencePolicy):
     """The default policy: anchor per predicate kind (paper's Case 1/2).
 
     ``overrides`` lets a workload pin specific kinds to "start" or
-    "end" anchoring without subclassing.
+    "end" anchoring without subclassing.  Keys are
+    :class:`~repro.core.predicates.PredicateKind` members or their
+    string values; an unknown kind or mode raises ``ValueError`` here,
+    not mid-build.
     """
 
     overrides: Mapping[PredicateKind, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        overrides = {}
+        for kind, mode in self.overrides.items():
+            try:
+                kind = PredicateKind(kind)
+            except ValueError:
+                valid = ", ".join(repr(k.value) for k in PredicateKind)
+                raise ValueError(
+                    f"overrides: unknown predicate kind {kind!r} (valid: {valid})"
+                ) from None
+            if mode not in ("start", "end"):
+                raise ValueError(
+                    f"overrides[{kind.value!r}]: unknown anchor mode {mode!r} "
+                    "(valid: 'start', 'end')"
+                )
+            overrides[kind] = mode
+        self.overrides = overrides
 
     def _mode(self, pred: PredicateDef) -> str:
         mode = self.overrides.get(pred.kind)
@@ -83,13 +136,12 @@ class KindAnchorPolicy(PrecedencePolicy):
             mode = "end" if pred.kind in _END_ANCHORED else "start"
         return mode
 
-    def anchor(self, pred: PredicateDef, obs: Observation) -> float:
-        mode = self._mode(pred)
-        if mode == "end":
-            return float(obs.end)
-        if mode == "start":
-            return float(obs.start)
-        raise ValueError(f"unknown anchor mode {mode!r}")
+    def anchors(
+        self, pred: PredicateDef, observations: Sequence[Observation]
+    ) -> list[float]:
+        if self._mode(pred) == "end":
+            return [float(obs.end) for obs in observations]
+        return [float(obs.start) for obs in observations]
 
 
 @dataclass
@@ -99,37 +151,44 @@ class LamportAnchorPolicy(KindAnchorPolicy):
     The paper notes that physical clocks may be too coarse, or skewed
     across cores/machines, and suggests logical clocks.  This policy
     anchors on the Lamport timestamps attached to observations when
-    available, falling back to virtual time otherwise.  Lamport order is
-    consistent with happens-before, so true causal edges are preserved;
-    like any scalar anchor it may add non-causal edges, which the
-    interventions prune.
+    available, falling back to virtual time otherwise (per
+    observation).  Lamport order is consistent with happens-before, so
+    true causal edges are preserved; like any scalar anchor it may add
+    non-causal edges, which the interventions prune.
     """
 
-    def anchor(self, pred: PredicateDef, obs: Observation) -> float:
-        mode = self._mode(pred)
-        if mode == "end":
-            if obs.end_lamport is not None:
-                return float(obs.end_lamport)
-            return float(obs.end)
-        if obs.start_lamport is not None:
-            return float(obs.start_lamport)
-        return float(obs.start)
+    def anchors(
+        self, pred: PredicateDef, observations: Sequence[Observation]
+    ) -> list[float]:
+        if self._mode(pred) == "end":
+            return [
+                float(obs.end if obs.end_lamport is None else obs.end_lamport)
+                for obs in observations
+            ]
+        return [
+            float(obs.start if obs.start_lamport is None else obs.start_lamport)
+            for obs in observations
+        ]
 
 
 @dataclass
 class StartTimePolicy(PrecedencePolicy):
     """Anchor everything at the window start (most aggressive)."""
 
-    def anchor(self, pred: PredicateDef, obs: Observation) -> float:
-        return float(obs.start)
+    def anchors(
+        self, pred: PredicateDef, observations: Sequence[Observation]
+    ) -> list[float]:
+        return [float(obs.start) for obs in observations]
 
 
 @dataclass
 class EndTimePolicy(PrecedencePolicy):
     """Anchor everything at the window end (most conservative)."""
 
-    def anchor(self, pred: PredicateDef, obs: Observation) -> float:
-        return float(obs.end)
+    def anchors(
+        self, pred: PredicateDef, observations: Sequence[Observation]
+    ) -> list[float]:
+        return [float(obs.end) for obs in observations]
 
 
 def default_policy() -> PrecedencePolicy:

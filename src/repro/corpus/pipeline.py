@@ -60,10 +60,10 @@ per-shard matrix files (plus its index); nothing else is persisted.
 The next bootstrap rebuilds the counters and the DAG from the matrix
 without loading or evaluating a trace, but not for free: on a
 1000-trace kafka corpus (500 failed logs) a warm analyze spends
-~0.08 s in ``ACDag.build``, one bitset narrowing step per failed log,
-and most of the rest rebuilding the failed logs from the bitsets
-(validating each stored observation window) and parsing the shard
-matrix files.
+~0.03 s in ``ACDag.build`` (one ``anchors`` call per predicate, then
+one bitset narrowing step per failed log), and most of the rest
+rebuilding the failed logs from the bitsets (validating each stored
+observation window) and parsing the shard matrix files.
 """
 
 from __future__ import annotations
@@ -434,7 +434,7 @@ class IncrementalPipeline:
         per_slot: dict[int, frozenset[str]] = {}
         for (slot, fp, trace, failed), log in zip(analyzable, batch_logs):
             if failed:
-                dropped = self.dag.update_failed_log(log, policy=self.policy)
+                dropped = self.dag.update_failed_log(log)
                 per_slot[slot] = frozenset(dropped)
                 removed |= dropped
         # ...and one restriction to the batch-final FD set.

@@ -20,6 +20,7 @@ from repro.core.precedence import (
 from repro.core.predicates import (
     ExecutedPredicate,
     FailurePredicate,
+    MethodFailsPredicate,
     Observation,
 )
 from repro.core.statistical import PredicateLog
@@ -110,6 +111,27 @@ class TestBuild:
     def test_failure_must_be_present(self):
         with pytest.raises(GraphInvariantError):
             ACDag(graph=Digraph([("A", "B")]), failure=F)
+
+    def test_update_uses_the_policy_the_dag_was_built_under(self):
+        """Re-folding a log the DAG was built on changes nothing: the
+        update anchors with the build's policy, not the default."""
+        a = ExecutedPredicate(key=MethodKey("A", "t", 0))
+        b = MethodFailsPredicate(key=MethodKey("B", "t", 0), exc_kind="E")
+        defs = {a.pid: a, b.pid: b, F: FailurePredicate(signature="f")}
+        observations = {
+            a.pid: Observation(1, 10),
+            b.pid: Observation(2, 8),
+            F: Observation(12, 12),
+        }
+        log = PredicateLog(observations=observations, failed=True, seed=0)
+        # end anchors: B (8) before A (10); kind anchors would put A
+        # (start 1) before B (end 8)
+        dag = ACDag.build(defs, [log], F, policy=EndTimePolicy())
+        assert dag.reaches(b.pid, a.pid)
+        before = dag.structure()
+        assert dag.copy().update_failed_log(log) == set()
+        assert dag.update_failed_log(log) == set()
+        assert dag.structure() == before
 
     def test_update_without_failure_changes_nothing(self):
         """A failed log that does not observe F is refused before the
@@ -227,7 +249,7 @@ def _pairwise_build(defs, failed_logs, failure, policy=None, candidate_pids=None
             obs = log.time_of(pid)
             if obs is None:
                 break
-            series.append(policy.anchor(defs[pid], obs))
+            series.extend(policy.anchors(defs[pid], [obs]))
         if len(series) == len(failed_logs):
             anchors[pid] = series
         else:
@@ -258,15 +280,16 @@ def _pairwise_build(defs, failed_logs, failure, policy=None, candidate_pids=None
         defs=dict(defs),
         discarded=discarded,
         n_failed_logs=len(failed_logs),
+        policy=policy,
     )
     dag._prune_non_ancestors()
     return dag
 
 
-def _pairwise_update(dag, log, policy=None):
+def _pairwise_update(dag, log):
     """The oracle: ``update_failed_log`` as one anchor comparison per
-    edge."""
-    policy = policy or default_policy()
+    edge, under the DAG's own policy."""
+    policy = dag.policy
     removed = set()
     anchors = {}
     for pid in sorted(dag.graph.nodes):
@@ -275,7 +298,7 @@ def _pairwise_update(dag, log, policy=None):
             removed.add(pid)
             dag.discarded[pid] = "not observed in every failed log"
         else:
-            anchors[pid] = policy.anchor(dag.defs[pid], obs)
+            (anchors[pid],) = policy.anchors(dag.defs[pid], [obs])
     dag.graph.remove_nodes_from(removed)
     for a, b in dag.graph.edges:
         holds = (
@@ -304,12 +327,11 @@ def _assert_same_build(defs, logs, failure, **kwargs):
 def _assert_fold_equals_build(defs, logs, failure, **kwargs):
     """Build on log 1, patch with logs 2..n (checking each patch
     against the per-edge oracle), and land on ``build`` over all n."""
-    policy = kwargs.get("policy")
     dag = ACDag.build(defs, logs[:1], failure, **kwargs)
     for log in logs[1:]:
         oracle = dag.copy()
-        removed = dag.update_failed_log(log, policy=policy)
-        assert removed == _pairwise_update(oracle, log, policy=policy)
+        removed = dag.update_failed_log(log)
+        assert removed == _pairwise_update(oracle, log)
         assert dag.structure() == oracle.structure()
         assert dag.discarded == oracle.discarded
     full = ACDag.build(defs, logs, failure, **kwargs)
@@ -319,11 +341,11 @@ def _assert_fold_equals_build(defs, logs, failure, **kwargs):
 
 
 class _SpanPolicy(KindAnchorPolicy):
-    """A subclass that overrides only ``anchor``: build and update must
+    """A subclass that overrides only ``anchors``: build and update must
     both see its anchors, not the kind-anchored ones."""
 
-    def anchor(self, pred, obs):
-        return float(obs.start + obs.end)
+    def anchors(self, pred, observations):
+        return [float(obs.start + obs.end) for obs in observations]
 
 
 POLICIES = [

@@ -27,6 +27,9 @@ every layer:
   :class:`~repro.core.extraction.OrderViolationExtractor` and
   :class:`~repro.core.extraction.DataRaceExtractor` discovery, each
   output-sensitive where the all-pairs walk it replaced was quadratic.
+  The race sweep pairs only calls that access a common object: calls
+  are indexed by object first, so a call with no accesses costs one
+  look and a pair that shares nothing is never formed.
 
 Invariants
 ----------
@@ -157,21 +160,41 @@ def race_candidates(trace) -> set[tuple[MethodKey, MethodKey, str]]:
     :class:`~repro.core.extraction.DataRaceExtractor`: every overlapping
     cross-thread invocation pair sharing an object where
     :func:`~repro.core.predicates.racy_window` fires.
+
+    Pairs are formed per object, as Eraser groups accesses by shared
+    location: one pass indexes each call under every object it
+    accesses (a call with no accesses is never visited again), then
+    each object's calls are swept in start order.  Once a later call
+    starts at or after ``ma`` ends, no call after it can overlap ``ma``
+    either.  A pair is handed to ``racy_window`` only if at least one
+    side touches the object twice, since the window needs an outer
+    call's first and last touch around the intrusion.  Each triple is
+    ``(a, b, obj)`` with ``a <= b``.
     """
+    # obj -> [(call, touches of obj)], calls in start order
+    by_obj: dict[str, list[tuple[MethodExecution, int]]] = {}
+    for m in trace.method_executions():
+        if not m.accesses:
+            continue
+        touches: dict[str, int] = {}
+        for a in m.accesses:
+            touches[a.obj] = touches.get(a.obj, 0) + 1
+        for obj, n in touches.items():
+            by_obj.setdefault(obj, []).append((m, n))
     candidates: set[tuple[MethodKey, MethodKey, str]] = set()
-    # Start-sorted sweep: once a later call starts at or after ``ma``
-    # ends, no call after it can overlap ``ma`` either.
-    execs = trace.method_executions()
-    objs = [{a.obj for a in m.accesses} for m in execs]
-    for i, ma in enumerate(execs):
-        for j in range(i + 1, len(execs)):
-            mb = execs[j]
-            if mb.start_time >= ma.end_time:
-                break
-            if ma.thread == mb.thread or not ma.overlaps(mb):
-                continue
-            for obj in objs[i] & objs[j]:
+    for obj, calls in by_obj.items():
+        for i, (ma, na) in enumerate(calls):
+            end, start, thread = ma.end_time, ma.start_time, ma.thread
+            for mb, nb in calls[i + 1:]:
+                if mb.start_time >= end:
+                    break
+                # ``mb`` starts at or after ``ma`` and before ``ma`` ends;
+                # it overlaps unless it is a zero-width call at ``start``
+                if mb.thread == thread or mb.end_time <= start:
+                    continue
+                if na < 2 and nb < 2:
+                    continue
                 if racy_window(ma, mb, obj) is not None:
-                    pair = tuple(sorted([ma.key, mb.key]))
-                    candidates.add((pair[0], pair[1], obj))
+                    a, b = ma.key, mb.key
+                    candidates.add((a, b, obj) if a <= b else (b, a, obj))
     return candidates

@@ -160,7 +160,12 @@ class WrongReturnExtractor(Extractor):
 
 
 class DataRaceExtractor(Extractor):
-    """Lockset-based race candidates from any trace where they fire."""
+    """Lockset-based race candidates from any trace where they fire.
+
+    Per trace, :func:`~repro.core.evalkernel.race_candidates` pairs only
+    overlapping cross-thread calls that access a common object, so the
+    cost follows the traces' accesses, not their call count.
+    """
 
     def discover(self, successes, failures):
         candidates: set[tuple[MethodKey, MethodKey, str]] = set()
@@ -446,6 +451,8 @@ class PredicateSuite:
         """Rebuild a suite serialized by :meth:`to_dict`."""
         from .predicates import PREDICATE_FORMAT_VERSION, predicate_from_dict
 
+        if not isinstance(raw, dict):
+            raise ValueError(f"malformed predicate suite {raw!r}")
         version = raw.get("version")
         if version != PREDICATE_FORMAT_VERSION:
             raise ValueError(

@@ -20,6 +20,7 @@ and the failure-indicating predicate F.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -676,6 +677,14 @@ _PREDICATE_TYPES: dict[str, type] = {
     )
 }
 
+#: Per serializable class, the names of its :class:`MethodKey` fields.
+_METHOD_KEY_FIELDS: dict[str, frozenset[str]] = {
+    name: frozenset(
+        f.name for f in dataclasses.fields(cls) if f.type == "MethodKey"
+    )
+    for name, cls in _PREDICATE_TYPES.items()
+}
+
 
 def _encode_value(value: object) -> object:
     """JSON-able encoding with type tags for the non-JSON field types.
@@ -701,11 +710,29 @@ def _encode_value(value: object) -> object:
     )
 
 
+def _decode_key(raw: object) -> MethodKey:
+    """A ``$key`` payload back as a :class:`MethodKey`: exactly
+    ``[method: str, thread: str, occurrence: int >= 0]``.  A key of the
+    wrong shape would name a call no trace holds, and the predicate
+    would silently stop firing."""
+    if isinstance(raw, list) and len(raw) == 3:
+        method, thread, occurrence = raw
+        if (
+            isinstance(method, str)
+            and isinstance(thread, str)
+            and type(occurrence) is int
+            and occurrence >= 0
+        ):
+            return MethodKey(method=method, thread=thread, occurrence=occurrence)
+    raise ValueError(
+        f"malformed method key {raw!r}: expected [method, thread, occurrence]"
+    )
+
+
 def _decode_value(value: object) -> object:
     if isinstance(value, dict):
         if "$key" in value:
-            method, thread, occurrence = value["$key"]
-            return MethodKey(method=method, thread=thread, occurrence=occurrence)
+            return _decode_key(value["$key"])
         if "$pred" in value:
             return predicate_from_dict(value["$pred"])
         if "$tuple" in value:
@@ -720,8 +747,6 @@ def predicate_to_dict(pred: PredicateDef) -> dict:
     """One predicate as a JSON-able dict (inverse:
     :func:`predicate_from_dict`).  Round-tripping preserves the pid and
     the full :meth:`~PredicateDef.definition_digest`."""
-    import dataclasses
-
     if not dataclasses.is_dataclass(pred):
         raise ValueError(
             f"cannot serialize non-dataclass predicate {type(pred).__name__}"
@@ -737,6 +762,8 @@ def predicate_to_dict(pred: PredicateDef) -> dict:
 
 def predicate_from_dict(raw: dict) -> PredicateDef:
     """Rebuild a predicate serialized by :func:`predicate_to_dict`."""
+    if not isinstance(raw, dict) or not isinstance(raw.get("fields", {}), dict):
+        raise ValueError(f"malformed predicate {raw!r}: expected type and fields")
     type_name = raw.get("type")
     cls = _PREDICATE_TYPES.get(type_name)
     if cls is None:
@@ -748,4 +775,9 @@ def predicate_from_dict(raw: dict) -> PredicateDef:
         name: _decode_value(value)
         for name, value in raw.get("fields", {}).items()
     }
+    for name in _METHOD_KEY_FIELDS[type_name]:
+        if name in fields and not isinstance(fields[name], MethodKey):
+            raise ValueError(
+                f"{type_name}.{name} must be a method key, got {raw['fields'][name]!r}"
+            )
     return cls(**fields)

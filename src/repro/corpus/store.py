@@ -418,8 +418,9 @@ class TraceStore:
         rediscovery: a missing, unreadable or non-object file, an
         unknown version, a corpus whose content changed since the suite
         froze (extractor thresholds are calibrated on the whole corpus),
-        or a different attached program (the Section 3.3 safety filter
-        depends on it)."""
+        a different attached program (the Section 3.3 safety filter
+        depends on it), or a predicate that does not decode, such as
+        one with a malformed method key."""
         path = self.suite_path
         if not path.exists():
             return None

@@ -270,6 +270,47 @@ class TestSuitePersistence:
         _, log = analyze(corpus_dir)
         assert log.first("suite-frozen").source == "discovered"
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["string-occurrence", "bare-int", "fields-list", "predicate-string"],
+    )
+    def test_malformed_predicate_invalidates_the_suite(
+        self, analyzed_corpus, bad
+    ):
+        corpus_dir, baseline, _ = analyzed_corpus
+        store = TraceStore.open(corpus_dir)
+        payload = json.loads(store.suite_path.read_text())
+        predicates = payload["suite"]["predicates"]
+        i, pred = next(
+            (i, p) for i, p in enumerate(predicates)
+            if isinstance(p["fields"].get("key"), dict)
+        )
+        method, thread, occurrence = pred["fields"]["key"]["$key"]
+        if bad == "string-occurrence":
+            pred["fields"]["key"] = {"$key": [method, thread, str(occurrence)]}
+        elif bad == "bare-int":
+            pred["fields"]["key"] = 1
+        elif bad == "fields-list":
+            pred["fields"] = []
+        else:
+            predicates[i] = "x"
+        store.suite_path.write_text(json.dumps(payload))
+        assert store.load_suite(program="network-controlplane") is None
+        report, log = analyze(corpus_dir)
+        assert log.first("suite-frozen").source == "discovered"
+        assert canonical(report) == baseline
+
+    @pytest.mark.parametrize("suite", [[], "x", 5])
+    def test_non_object_suite_invalidates_the_suite(
+        self, analyzed_corpus, suite
+    ):
+        corpus_dir, _, _ = analyzed_corpus
+        store = TraceStore.open(corpus_dir)
+        payload = json.loads(store.suite_path.read_text())
+        payload["suite"] = suite
+        store.suite_path.write_text(json.dumps(payload))
+        assert store.load_suite(program="network-controlplane") is None
+
     def test_warm_debug_still_pays_zero_evaluations(
         self, analyzed_corpus, capsys
     ):

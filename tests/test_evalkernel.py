@@ -362,6 +362,99 @@ class TestTwoPhaseDiscovery:
                 found += len(reference)
             assert found  # the comparison is not vacuous
 
+    @pytest.mark.parametrize("name", ["healthtelemetry", "npgsql"])
+    def test_race_sweep_equals_all_pairs_walk_at_benchmark_size(self, name):
+        # the two case studies whose traces hold race candidates, at the
+        # live-debug benchmark's collection size and seed
+        corpus = collect(
+            REGISTRY.build(name).program, n_success=200, n_fail=200, start_seed=1
+        )
+        with_candidates = 0
+        for trace in corpus.successes + corpus.failures:
+            reference = _all_pairs_race_candidates(trace)
+            assert race_candidates(trace) == reference
+            with_candidates += bool(reference)
+        assert with_candidates == 200
+
+    def test_pair_sharing_two_objects_yields_both_triples(self):
+        def touch(obj, kind, time):
+            return {"obj": obj, "type": kind, "time": time, "lamport": time,
+                    "locks": []}
+
+        # ``write`` starts first, but ``read`` sorts first: the triple
+        # is canonicalized, not emitted in sweep order
+        trace = _hand_built_trace([
+            ("write", "T0", 0, 10, [touch("x", "W", 1), touch("y", "W", 2),
+                                    touch("x", "W", 7), touch("y", "W", 8)]),
+            ("read", "T1", 3, 6, [touch("x", "R", 4), touch("y", "R", 5)]),
+        ])
+        a, b = MethodKey("read", "T1", 0), MethodKey("write", "T0", 0)
+        expected = {(a, b, "x"), (a, b, "y")}
+        assert race_candidates(trace) == expected
+        assert _all_pairs_race_candidates(trace) == expected
+
+    def test_calls_sharing_no_object_are_never_paired(self, monkeypatch):
+        from repro.core import evalkernel
+
+        calls = {"racy_window": 0, "overlaps": 0}
+
+        def count(name, real):
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+            return spy
+
+        monkeypatch.setattr(
+            evalkernel, "racy_window", count("racy_window", racy_window)
+        )
+        monkeypatch.setattr(
+            tracing.MethodExecution, "overlaps",
+            count("overlaps", tracing.MethodExecution.overlaps),
+        )
+        # 300 nested calls on alternating threads: every cross-thread
+        # pair overlaps, and none shares an object
+        n = 300
+        bare = [(f"m{i}", f"T{i % 2}", i, 2 * n - i, []) for i in range(n)]
+        private = [
+            (method, thread, start, end,
+             [{"obj": f"o{start}", "type": "W", "time": start + k,
+               "lamport": 0, "locks": []} for k in range(2)])
+            for method, thread, start, end, _ in bare
+        ]
+        for spec in (bare, private):
+            assert race_candidates(_hand_built_trace(spec)) == set()
+        assert calls == {"racy_window": 0, "overlaps": 0}
+
+
+def _hand_built_trace(calls):
+    """A passing trace of ``(method, thread, start, end, accesses)``
+    calls, each the first occurrence of its key."""
+    return trace_from_dict({
+        "schema": 1,
+        "program": "hand-built",
+        "seed": 0,
+        "end_time": max(end for _, _, _, end, _ in calls),
+        "failure": None,
+        "calls": [
+            {
+                "call_id": i,
+                "method": method,
+                "thread": thread,
+                "occurrence": 0,
+                "start_time": start,
+                "end_time": end,
+                "start_lamport": start,
+                "end_lamport": end,
+                "parent_call_id": None,
+                "return_value": None,
+                "exception": None,
+                "body_skipped": False,
+                "accesses": accesses,
+            }
+            for i, (method, thread, start, end, accesses) in enumerate(calls)
+        ],
+    })
+
 
 def _single_phase_suite(
     successes, failures, extractors=None, program=None
@@ -383,8 +476,8 @@ def _single_phase_suite(
 
 
 def _all_pairs_race_candidates(trace) -> set:
-    """Every cross-thread pair of calls, overlapping or not: the walk
-    :func:`race_candidates` replaced with a start-sorted sweep."""
+    """Every overlapping cross-thread pair of calls, whatever it shares:
+    the oracle :func:`race_candidates`'s per-object sweep must equal."""
     candidates = set()
     execs = trace.method_executions()
     for i, ma in enumerate(execs):

@@ -18,6 +18,8 @@ from repro.core.predicates import (
     TooFastPredicate,
     TooSlowPredicate,
     WrongReturnPredicate,
+    predicate_from_dict,
+    predicate_to_dict,
     racy_window,
 )
 from repro.sim import Program, run_program
@@ -351,3 +353,74 @@ class TestDefinitionDigestPins:
             )
         )
         assert both.definition_digest() == "bf68bf9b547513ab"
+
+
+class TestPredicateDecoding:
+    """A persisted suite names calls by ``{"$key": [method, thread,
+    occurrence]}``.  A key of any other shape would name a call no trace
+    holds, so decoding refuses it instead of building a predicate that
+    never fires; a predicate that is not an object is refused too."""
+
+    A = MethodKey("GetOrAdd", "main", 0)
+    B = MethodKey("TryGetValue", "opener", 0)
+
+    def _race_payload(self):
+        return predicate_to_dict(DataRacePredicate(self.A, self.B, "_nextSlot"))
+
+    def test_well_formed_keys_round_trip(self):
+        race = predicate_from_dict(self._race_payload())
+        assert (race.a, race.b, race.obj) == (self.A, self.B, "_nextSlot")
+        assert type(race.a) is MethodKey
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            ["GetOrAdd", "main", "0"],
+            ["GetOrAdd", "main", True],
+            ["GetOrAdd", "main", False],
+            ["GetOrAdd", "main", -1],
+            ["GetOrAdd", "main", 0.0],
+            ["GetOrAdd", 0, 0],
+            [None, "main", 0],
+            ["GetOrAdd", "main"],
+            ["GetOrAdd", "main", 0, 0],
+            "GetOrAdd",
+            {"method": "GetOrAdd", "thread": "main", "occurrence": 0},
+        ],
+    )
+    def test_malformed_key_is_refused(self, raw):
+        payload = self._race_payload()
+        payload["fields"]["a"] = {"$key": raw}
+        with pytest.raises(ValueError, match="method key"):
+            predicate_from_dict(payload)
+
+    @pytest.mark.parametrize("value", [1, "GetOrAdd", None, ["GetOrAdd", "main", 0]])
+    def test_key_field_must_decode_to_a_key(self, value):
+        payload = self._race_payload()
+        payload["fields"]["a"] = value
+        with pytest.raises(ValueError, match="must be a method key"):
+            predicate_from_dict(payload)
+
+    @pytest.mark.parametrize("raw", ["x", ["DataRacePredicate"], None])
+    def test_non_object_predicate_is_refused(self, raw):
+        with pytest.raises(ValueError, match="malformed predicate"):
+            predicate_from_dict(raw)
+
+    @pytest.mark.parametrize("fields", [[], "a", 1])
+    def test_non_object_fields_are_refused(self, fields):
+        payload = self._race_payload()
+        payload["fields"] = fields
+        with pytest.raises(ValueError, match="malformed predicate"):
+            predicate_from_dict(payload)
+
+    def test_every_key_field_is_checked(self):
+        order = predicate_to_dict(OrderViolationPredicate(first=self.A, second=self.B))
+        order["fields"]["second"] = 0
+        with pytest.raises(ValueError, match="OrderViolationPredicate.second"):
+            predicate_from_dict(order)
+        fails = predicate_to_dict(
+            MethodFailsPredicate(key=self.A, exc_kind="IndexOutOfRange")
+        )
+        fails["fields"]["key"] = {"$key": ["GetOrAdd", "main", "0"]}
+        with pytest.raises(ValueError, match="method key"):
+            predicate_from_dict(fails)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..sim.faults import (
     CatchException,
@@ -677,10 +677,29 @@ _PREDICATE_TYPES: dict[str, type] = {
     )
 }
 
-#: Per serializable class, the names of its :class:`MethodKey` fields.
-_METHOD_KEY_FIELDS: dict[str, frozenset[str]] = {
-    name: frozenset(
-        f.name for f in dataclasses.fields(cls) if f.type == "MethodKey"
+#: Per field annotation, what a decoded value must be: a description
+#: for the error, and the check.  ``int`` refuses ``bool``.  A
+#: predicate class with a field annotation missing here fails at
+#: import, not at its first load.
+_ANNOTATION_CHECKS: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "MethodKey": ("a method key", lambda v: isinstance(v, MethodKey)),
+    "str": ("a string", lambda v: type(v) is str),
+    "int": ("an int", lambda v: type(v) is int),
+    "tuple[PredicateDef, ...]": (
+        "a tuple of predicates",
+        lambda v: type(v) is tuple
+        and all(isinstance(p, PredicateDef) for p in v),
+    ),
+}
+
+#: Per serializable class, ``(field, description, check)`` for each
+#: field, from the dataclass annotations.  Fields annotated ``object``
+#: (return values) take any value.
+_FIELD_CHECKS: dict[str, tuple[tuple[str, str, Callable[[object], bool]], ...]] = {
+    name: tuple(
+        (f.name, *_ANNOTATION_CHECKS[f.type])
+        for f in dataclasses.fields(cls)
+        if f.type != "object"
     )
     for name, cls in _PREDICATE_TYPES.items()
 }
@@ -775,9 +794,9 @@ def predicate_from_dict(raw: dict) -> PredicateDef:
         name: _decode_value(value)
         for name, value in raw.get("fields", {}).items()
     }
-    for name in _METHOD_KEY_FIELDS[type_name]:
-        if name in fields and not isinstance(fields[name], MethodKey):
+    for name, expected, check in _FIELD_CHECKS[type_name]:
+        if name in fields and not check(fields[name]):
             raise ValueError(
-                f"{type_name}.{name} must be a method key, got {raw['fields'][name]!r}"
+                f"{type_name}.{name} must be {expected}, got {raw['fields'][name]!r}"
             )
     return cls(**fields)

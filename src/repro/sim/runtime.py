@@ -3,7 +3,8 @@
 The :class:`Runtime` owns everything threads share: the variable store,
 locks (both program locks and injected intervention locks), the virtual
 clock, Lamport bookkeeping, the execution trace, and the registry of
-completed method invocations (used by order-forcing interventions).
+completed method invocations (kept only when an order-forcing
+intervention can wait on one).
 
 The scheduler (:mod:`repro.sim.scheduler`) drives threads; each primitive
 action a thread yields, except a sleep (which touches nothing shared and
@@ -18,7 +19,7 @@ from typing import Any, Optional
 
 from .clock import LamportClock, LamportRegistry, VirtualClock
 from .errors import LockProtocolError
-from .faults import InterventionSet, MethodSelector
+from .faults import ForceOrder, InterventionSet, MethodSelector
 from .program import (
     AcquireAction,
     Action,
@@ -66,12 +67,19 @@ class Runtime:
         self.locks_held: dict[str, list[str]] = {}  # thread -> lock names
         self.lamport: dict[str, LamportClock] = {}
         self.registry = LamportRegistry()
-        #: completed calls by method name (what ``ForceOrder`` waits on)
+        #: whether some ``ForceOrder`` can wait on a call; only then do
+        #: call ends fill :attr:`completed` and raise :attr:`wake`
+        self.index_completed = any(
+            isinstance(item, ForceOrder) for item in interventions
+        )
+        #: completed calls by method name (what ``ForceOrder`` waits on);
+        #: stays empty in a run with no ``ForceOrder``, where nothing
+        #: can wait on a call
         self.completed: dict[str, list[MethodExecution]] = {}
         self.finished_threads: set[str] = set()
         #: raised when a wait may have cleared (a lock freed, a thread
-        #: finished, a call completed); the scheduler re-checks its
-        #: blocked threads only then
+        #: finished, or, under a ``ForceOrder``, a call completed); the
+        #: scheduler re-checks its blocked threads only then
         self.wake = False
         self._stacks: dict[str, list[tuple[int, str]]] = {}  # thread -> frames
 
@@ -151,8 +159,9 @@ class Runtime:
         frames = self._stacks[thread]
         if frames and frames[-1][0] == call_id:
             frames.pop()
-        self.completed.setdefault(record.method, []).append(record)
-        self.wake = True
+        if self.index_completed:
+            self.completed.setdefault(record.method, []).append(record)
+            self.wake = True
 
     def is_completed(self, selector: MethodSelector) -> bool:
         return any(

@@ -3,11 +3,14 @@
 Role
 ----
 The simulator's *only* nondeterminism is which ready thread runs next.
-This module names that choice: every decision flows through a
-:class:`SchedulerStrategy` (ready-set in, chosen thread out), and every
-execution records its full decision list as a :class:`Schedule` — a
-serializable, content-addressed artifact that replays deterministically
-via :class:`ReplayStrategy`.
+This module names that choice: every decision is a
+:class:`SchedulerStrategy`'s (ready-set in, chosen thread out), and
+every execution records its full decision list as a :class:`Schedule`
+— a serializable, content-addressed artifact that replays
+deterministically via :class:`ReplayStrategy`.  The default
+:class:`RandomStrategy` is the one strategy the simulator's step does
+not call through ``choose``: it takes :meth:`RandomStrategy.draw` over
+the ready list directly, the same draw ``choose`` makes.
 
 That seam is what makes schedule-space exploration possible
 (:mod:`repro.explore`): systematic strategies (PCT, delay bounding)
@@ -18,11 +21,13 @@ schedule alone.
 Invariants
 ----------
 * :class:`RandomStrategy` consumes its RNG exactly like the historical
-  in-line ``rng.choice`` did, so every existing
+  in-line ``rng.choice`` did, whether the step calls ``choose`` or
+  ``draw``, so every existing
   ``(program, interventions, seed)`` triple produces a byte-identical
   trace (asserted against golden fixtures);
 * a strategy must return a member of ``point.candidates`` — the
-  simulator rejects anything else with a :class:`ScheduleError`;
+  simulator rejects anything else with a :class:`ScheduleError` (the
+  default step's draw is in range by construction);
 * ``Schedule.from_dict(s.to_dict()) == s`` and replaying a schedule
   under the same ``(program, interventions, seed)`` reproduces the
   recording's trace byte-for-byte (asserted in tests);
@@ -173,7 +178,14 @@ class SchedulePoint(NamedTuple):
 
 @runtime_checkable
 class SchedulerStrategy(Protocol):
-    """Ready-set in, chosen thread out — the simulator's one seam."""
+    """Ready-set in, chosen thread out — the simulator's one seam.
+
+    Every strategy but an exact :class:`RandomStrategy` is asked here
+    once per decision.  The default strategy's step skips the seam (no
+    :class:`SchedulePoint` is built) and calls
+    :meth:`RandomStrategy.draw`; a subclass of it is asked like any
+    other strategy.
+    """
 
     def choose(self, point: SchedulePoint) -> str:
         ...  # pragma: no cover - protocol
@@ -186,9 +198,10 @@ class RandomStrategy:
     Draws exactly what one ``Random.choice`` per decision draws —
     including singleton ready sets — which is precisely what the
     historical in-line scheduler RNG did, so the default path stays
-    byte-identical.  The draw is ``Random._randbelow`` spelled out over
-    ``getrandbits`` (``k`` from ``n.bit_length()``, reject ``r >= n``):
-    the simulator asks for one per step.
+    byte-identical.  The rule is :meth:`draw`; ``choose`` is that draw
+    indexed into ``point.candidates``.  The simulator's step calls
+    :meth:`draw` directly for an exact ``RandomStrategy``, once per
+    step, so a subclass that overrides ``choose`` is still asked.
     """
 
     seed: int
@@ -197,9 +210,10 @@ class RandomStrategy:
     def __post_init__(self) -> None:
         self.rng = Random(self.seed)
 
-    def choose(self, point: SchedulePoint) -> str:
-        candidates = point.candidates
-        n = len(candidates)
+    def draw(self, n: int) -> int:
+        """A uniform index in ``range(n)``: ``Random._randbelow``
+        spelled out over ``getrandbits`` (``k`` from ``n.bit_length()``,
+        draw again while ``r >= n``).  The one place the rule lives."""
         if not n:
             raise IndexError("cannot choose from an empty ready set")
         k = n.bit_length()
@@ -207,7 +221,11 @@ class RandomStrategy:
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
-        return candidates[r]
+        return r
+
+    def choose(self, point: SchedulePoint) -> str:
+        candidates = point.candidates
+        return candidates[self.draw(len(candidates))]
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,17 @@ A step costs what it changes, not what exists.  The whole step lives in
 :meth:`Simulator.run`'s loop:
 
 * waiting threads are re-checked only after the runtime raises its wake
-  flag (a lock freed, a thread finished, a call completed — nothing
-  else can clear a wait), and only the threads that are waiting;
+  flag (a lock freed, a thread finished, or — only in a run holding a
+  ``ForceOrder``, the one wait a call end can clear — a call
+  completed), and only the threads that are waiting;
 * one pass over the spawn-ordered thread table yields the candidates,
   already in canonical order, and the earliest ready instant in case
   none is ready; the clock is then set to the step's instant once;
+* under the default :class:`~repro.sim.schedule.RandomStrategy` the
+  pick is one :meth:`~repro.sim.schedule.RandomStrategy.draw` over the
+  ready list, which consumes the RNG exactly as its ``choose`` would;
+  any other strategy gets a :class:`~repro.sim.schedule.SchedulePoint`
+  and its answer is checked against the ready set;
 * the chosen thread's generator runs to its next action.  A sleep —
   three quarters of all actions — is handled right there: one Lamport
   tick, and the thread stays busy for its ticks.  Every other action
@@ -172,6 +178,10 @@ class Simulator:
         start_thread("main", self.program.main, (), parent=None)
 
         RUNNABLE = ThreadStatus.RUNNABLE
+        # The default strategy's pick is one seeded draw over the ready
+        # list: no SchedulePoint to build, and no range check to make.
+        # Every other strategy (a subclass too) gets the full point.
+        draw = strategy.draw if type(strategy) is RandomStrategy else None
         choose = strategy.choose
         perform = runtime.perform
         record_decision = decisions.append
@@ -179,8 +189,9 @@ class Simulator:
         max_steps = self.max_steps
         steps = 0
         while True:
-            # Only a freed lock, a finished thread or a completed call
-            # can clear a wait, and each of those raises the flag.
+            # Only a freed lock, a finished thread or (under a
+            # ForceOrder) a completed call can clear a wait, and each of
+            # those raises the flag.
             if runtime.wake:
                 runtime.wake = False
                 if waiting:
@@ -231,15 +242,18 @@ class Simulator:
                     if t.status is RUNNABLE and t.ready_at == soonest
                 ]
             clock.now = execute_at
-            candidates = tuple(eligible)
-            chosen = choose(
-                _tuple_new(SchedulePoint, (steps, execute_at, candidates))
-            )
-            if chosen not in candidates:
-                raise ScheduleError(
-                    f"strategy chose {chosen!r}, not in the ready set "
-                    f"{candidates} at decision {steps}"
+            if draw is not None:
+                chosen = eligible[draw(len(eligible))]
+            else:
+                candidates = tuple(eligible)
+                chosen = choose(
+                    _tuple_new(SchedulePoint, (steps, execute_at, candidates))
                 )
+                if chosen not in candidates:
+                    raise ScheduleError(
+                        f"strategy chose {chosen!r}, not in the ready set "
+                        f"{candidates} at decision {steps}"
+                    )
             steps += 1
             record_decision(chosen)
 

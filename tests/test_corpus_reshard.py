@@ -30,9 +30,12 @@ def analyze(corpus_dir: str):
 
 
 @pytest.fixture()
-def corpus_dir(tmp_path):
+def corpus_dir(tmp_path, request):
+    """A five-run corpus of ``network``, or of the workload a test
+    names by indirect parametrization."""
+    workload = getattr(request, "param", "network")
     d = str(tmp_path / "corpus")
-    assert main(["corpus", "init", d, "--workload", "network"]) == 0
+    assert main(["corpus", "init", d, "--workload", workload]) == 0
     assert main(["corpus", "ingest", d, "--runs", "5"]) == 0
     return d
 
@@ -270,9 +273,28 @@ class TestSuitePersistence:
         _, log = analyze(corpus_dir)
         assert log.first("suite-frozen").source == "discovered"
 
+    #: wrong-typed field rewrites: (predicate type, field, new value);
+    #: ``None`` turns the stored value into its string
+    MISTYPED = {
+        "obj-int": ("DataRacePredicate", "obj", 5),
+        "threshold-bool": ("TooSlowPredicate", "threshold", True),
+        "threshold-str": ("TooSlowPredicate", "threshold", None),
+        "signature-int": ("FailurePredicate", "signature", 5),
+    }
+
     @pytest.mark.parametrize(
-        "bad",
-        ["string-occurrence", "bare-int", "fields-list", "predicate-string"],
+        ("corpus_dir", "bad"),
+        [
+            pytest.param("network", bad, id=bad)
+            for bad in (
+                "string-occurrence", "bare-int", "fields-list",
+                "predicate-string",
+            )
+        ]
+        # the network corpus holds no race predicate; npgsql's holds
+        # one of every type the rewrites name
+        + [pytest.param("npgsql", bad, id=bad) for bad in MISTYPED],
+        indirect=["corpus_dir"],
     )
     def test_malformed_predicate_invalidates_the_suite(
         self, analyzed_corpus, bad
@@ -281,21 +303,30 @@ class TestSuitePersistence:
         store = TraceStore.open(corpus_dir)
         payload = json.loads(store.suite_path.read_text())
         predicates = payload["suite"]["predicates"]
-        i, pred = next(
-            (i, p) for i, p in enumerate(predicates)
-            if isinstance(p["fields"].get("key"), dict)
-        )
-        method, thread, occurrence = pred["fields"]["key"]["$key"]
-        if bad == "string-occurrence":
-            pred["fields"]["key"] = {"$key": [method, thread, str(occurrence)]}
-        elif bad == "bare-int":
-            pred["fields"]["key"] = 1
-        elif bad == "fields-list":
-            pred["fields"] = []
+        if bad in self.MISTYPED:
+            type_name, field, value = self.MISTYPED[bad]
+            pred = next(p for p in predicates if p["type"] == type_name)
+            if value is None:
+                value = str(pred["fields"][field])
+            pred["fields"][field] = value
         else:
-            predicates[i] = "x"
+            i, pred = next(
+                (i, p) for i, p in enumerate(predicates)
+                if isinstance(p["fields"].get("key"), dict)
+            )
+            method, thread, occurrence = pred["fields"]["key"]["$key"]
+            if bad == "string-occurrence":
+                pred["fields"]["key"] = {
+                    "$key": [method, thread, str(occurrence)]
+                }
+            elif bad == "bare-int":
+                pred["fields"]["key"] = 1
+            elif bad == "fields-list":
+                pred["fields"] = []
+            else:
+                predicates[i] = "x"
         store.suite_path.write_text(json.dumps(payload))
-        assert store.load_suite(program="network-controlplane") is None
+        assert store.load_suite(program=payload["program"]) is None
         report, log = analyze(corpus_dir)
         assert log.first("suite-frozen").source == "discovered"
         assert canonical(report) == baseline

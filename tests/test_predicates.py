@@ -418,6 +418,54 @@ class TestPredicateDecoding:
         order["fields"]["second"] = 0
         with pytest.raises(ValueError, match="OrderViolationPredicate.second"):
             predicate_from_dict(order)
+
+    @pytest.mark.parametrize(
+        ("pred", "field", "value", "expected"),
+        [
+            pytest.param(
+                DataRacePredicate(A, B, "_nextSlot"), "obj", 5, "a string",
+                id="obj-int",
+            ),
+            pytest.param(
+                TooSlowPredicate(key=A, threshold=1), "threshold", True,
+                "an int", id="threshold-bool",
+            ),
+            pytest.param(
+                TooSlowPredicate(key=A, threshold=11), "threshold", "11",
+                "an int", id="threshold-str",
+            ),
+            pytest.param(
+                FailurePredicate(signature="crash/X/Y"), "signature", 5,
+                "a string", id="signature-int",
+            ),
+            pytest.param(
+                CompoundAndPredicate(
+                    parts=(FailurePredicate(signature="crash/X/Y"),)
+                ),
+                "parts",
+                [{"$pred": predicate_to_dict(FailurePredicate(signature="s"))}],
+                "a tuple of predicates",
+                id="parts-list",
+            ),
+        ],
+    )
+    def test_mistyped_field_is_refused(self, pred, field, value, expected):
+        """Every field is checked against its annotation: a wrong-typed
+        value would build a predicate that silently stops firing."""
+        payload = predicate_to_dict(pred)
+        payload["fields"][field] = value
+        with pytest.raises(
+            ValueError, match=f"{type(pred).__name__}.{field} must be {expected}"
+        ):
+            predicate_from_dict(payload)
+
+    def test_untyped_fields_take_any_value(self):
+        payload = predicate_to_dict(
+            WrongReturnPredicate(key=self.A, correct_value=None)
+        )
+        for value in (5, True, "x", [1, 2], {"$tuple": [1]}):
+            payload["fields"]["correct_value"] = value
+            predicate_from_dict(payload)
         fails = predicate_to_dict(
             MethodFailsPredicate(key=self.A, exc_kind="IndexOutOfRange")
         )

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
+from repro.harness.experiments import CASE_STUDY_ORDER
 from repro.sim import (
     DEFAULT_MAX_STEPS,
     DelayBefore,
+    ForceOrder,
     InterventionSet,
     MethodKey,
     MethodSelector,
@@ -22,9 +26,18 @@ from repro.sim import (
 from repro.sim.faults import NO_ENTRY_PLAN, NO_EXIT_PLAN
 from repro.sim.program import action_footprint
 from repro.sim.runtime import Runtime
-from repro.sim.serialize import trace_fingerprint, trace_from_dict, trace_to_dict
+from repro.sim.serialize import (
+    encode_trace,
+    trace_fingerprint,
+    trace_from_dict,
+    trace_to_dict,
+)
 from repro.sim.tracing import ExecutionTrace
 from repro.workloads.common import REGISTRY
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+import golden_sim  # noqa: E402
 
 
 def _linear_program(body):
@@ -356,9 +369,18 @@ class TestRandomStrategy:
                 assert strategy.choose(point) == reference.choice(candidates)
             assert strategy.rng.getstate() == reference.getstate()
 
+    def test_draw_equals_randbelow(self):
+        for seed in range(50):
+            strategy, reference = RandomStrategy(seed), random.Random(seed)
+            for n in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17):
+                assert strategy.draw(n) == reference._randbelow(n)
+            assert strategy.rng.getstate() == reference.getstate()
+
     def test_empty_ready_set_is_refused(self):
         with pytest.raises(IndexError):
             RandomStrategy(0).choose(SchedulePoint(0, 0, ()))
+        with pytest.raises(IndexError):
+            RandomStrategy(0).draw(0)
 
 
 class TestInterventionLookups:
@@ -381,11 +403,84 @@ class TestInterventionLookups:
         assert asked == expected and len(expected) < len(calls)
 
 
+class _Forwarding:
+    """A plain strategy that forwards to ``RandomStrategy.choose``: the
+    simulator asks it through the full seam at every step."""
+
+    def __init__(self, seed: int) -> None:
+        self.inner = RandomStrategy(seed)
+
+    def choose(self, point):
+        return self.inner.choose(point)
+
+
+class TestDefaultStep:
+    """The default strategy's step draws an index without building a
+    ``SchedulePoint``; it must pick exactly what the seam picks."""
+
+    @pytest.mark.parametrize("name", CASE_STUDY_ORDER)
+    def test_default_step_matches_the_seam(self, name):
+        program = REGISTRY.build(name).program
+        sets = golden_sim.intervention_sets(program)
+        simulator = Simulator(program)
+        for label in ("none", "ForceOrder"):
+            for seed in range(50):
+                default = simulator.run(seed, sets[label])
+                seam = simulator.run(seed, sets[label], strategy=_Forwarding(seed))
+                assert default.schedule.decisions == seam.schedule.decisions
+                assert default.steps == seam.steps
+                assert encode_trace(default.trace)[0] == encode_trace(seam.trace)[0]
+
+    def test_default_run_never_asks_choose(self, monkeypatch):
+        asked = []
+        choose = RandomStrategy.choose
+
+        def spy(self, point):
+            asked.append(point)
+            return choose(self, point)
+
+        monkeypatch.setattr(RandomStrategy, "choose", spy)
+        program = REGISTRY.build("npgsql").program
+        assert run_program(program, 0).steps > 0
+        assert asked == []
+
+        class Subclass(RandomStrategy):
+            pass
+
+        # A subclass may override choose, so it is asked at every step.
+        result = Simulator(program).run(0, strategy=Subclass(0))
+        assert len(asked) == result.steps
+
+
+def _runtime(interventions: InterventionSet) -> Runtime:
+    program = _linear_program(lambda ctx: iter(()))
+    runtime = Runtime(program, interventions, 0, ExecutionTrace("p", 0))
+    runtime.register_thread("main", spawned_by=None)
+    return runtime
+
+
 class TestCompletedIndex:
+    @pytest.mark.parametrize(
+        "interventions",
+        [(), (DelayBefore(MethodSelector("A"), ticks=3),)],
+        ids=["none", "DelayBefore"],
+    )
+    def test_call_ends_are_not_indexed_without_force_order(self, interventions):
+        """Only a ``ForceOrder`` waits on a completed call, so without
+        one a call end neither indexes the call nor wakes waiters."""
+        runtime = _runtime(InterventionSet(interventions))
+        for method in ("A", "B"):
+            call_id = runtime.begin_method("main", method)
+            runtime.end_method("main", call_id, None, None)
+            assert not runtime.wake
+        assert runtime.completed == {}
+
     def test_is_completed_checks_only_that_methods_calls(self):
-        program = _linear_program(lambda ctx: iter(()))
-        runtime = Runtime(program, InterventionSet(), 0, ExecutionTrace("p", 0))
-        runtime.register_thread("main", spawned_by=None)
+        runtime = _runtime(
+            InterventionSet(
+                (ForceOrder(first=MethodSelector("A"), then=MethodSelector("Z")),)
+            )
+        )
         for method in ("A", "A", "A", "B"):
             call_id = runtime.begin_method("main", method)
             runtime.wake = False

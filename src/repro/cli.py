@@ -14,16 +14,19 @@ Commands
     Regenerate the paper's evaluation artifacts as text tables.
 ``trace <workload> --seed N [-o FILE]``
     Run one execution and dump its trace as JSON (Figure 9(b) schema).
-``corpus init|ingest|stats|shard-stats|analyze|compact|reshard``
+``corpus init|ingest|stats|shard-stats|analyze|compact|reshard|upgrade``
     Manage a persistent trace-corpus store: content-addressed ingestion
     (dedup by trace fingerprint), corpus and per-shard statistics, the
     offline analysis phase with memoized predicate evaluation (one
     serial pass over the shards; a warm corpus also reuses its persisted
     predicate suite and skips extractor rediscovery), compaction of
     shadowed matrix rows, and in-place resharding
-    (``reshard DIR --width W``) preserving every memoized pair.  ``debug --corpus DIR`` then debugs from the stored logs
-    instead of re-running the collection sweep.  ``stats --json``
-    emits a versioned machine-readable payload.
+    (``reshard DIR --width W``) preserving every memoized pair.
+    ``debug --corpus DIR`` then debugs from the stored logs instead of
+    re-running the collection sweep.  ``stats --json`` emits a versioned
+    machine-readable payload.  Every command but ``upgrade DIR`` reads
+    only the current corpus version and refuses an older one with a hint
+    to run ``upgrade``, which rewrites it in place.
 ``obs summary|compare|spans|index|tail``
     Inspect durable run telemetry: the schema-versioned JSONL run logs
     that ``run``/``debug``/``corpus analyze`` write under ``--log-dir``
@@ -70,6 +73,7 @@ from .api.spec import (
 )
 from .core.variants import Approach
 from .corpus import CorpusError, IncrementalPipeline, TraceStore
+from .corpus.store import STORE_VERSION, upgrade
 from .harness.experiments import (
     example3_report,
     figure6_report,
@@ -178,7 +182,9 @@ def _run_spec(
     except SpecError as exc:
         raise _spec_exit(exc) from exc
     except CorpusError as exc:
-        _print_engine_summary(log)
+        # an incremental run executes no intervention: no engine block
+        if spec.mode != "incremental":
+            _print_engine_summary(log)
         flag = "--corpus" if corpus_flag else "corpus"
         raise SystemExit(f"repro: {flag}: {exc}") from exc
 
@@ -558,6 +564,9 @@ def _cmd_corpus_stats(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(store.stats_dict(), indent=2, sort_keys=True))
         return 0
+    # read the matrix first: a corpus error then prints no partial stats
+    matrix = store.eval_matrix()
+    matrix.load_all()
     print(f"corpus   : {args.dir}")
     print(f"program  : {store.program or '(unpinned)'}")
     print(f"traces   : {len(store)} ({store.n_pass} pass / {store.n_fail} fail)")
@@ -577,7 +586,6 @@ def _cmd_corpus_stats(args: argparse.Namespace) -> int:
             store.schedule_counts_by_signature().items()
         ):
             print(f"  failure signature {signature}: {count} schedules")
-    matrix = store.eval_matrix()
     if matrix.n_traces:
         print(
             f"eval matrix: {matrix.n_pids} predicates x "
@@ -707,6 +715,15 @@ def _cmd_corpus_reshard(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_corpus_upgrade(args: argparse.Namespace) -> int:
+    found, deleted = upgrade(args.dir)
+    print(
+        f"upgraded {args.dir}: found version {found}, now version "
+        f"{STORE_VERSION}; deleted {deleted} legacy sidecar files"
+    )
+    return 0
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ReproServer
 
@@ -750,6 +767,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         "analyze": _cmd_corpus_analyze,
         "compact": _cmd_corpus_compact,
         "reshard": _cmd_corpus_reshard,
+        "upgrade": _cmd_corpus_upgrade,
     }
     try:
         return handlers[args.corpus_command](args)
@@ -989,10 +1007,16 @@ def build_parser() -> argparse.ArgumentParser:
     ccompact = csub.add_parser(
         "compact",
         help="reclaim eval-matrix rows shadowed by predicate drift and "
-        "columns of evicted traces; delete legacy per-shard columnar.bin "
-        "files",
+        "columns of evicted traces",
     )
     ccompact.add_argument("dir")
+
+    cupgrade = csub.add_parser(
+        "upgrade",
+        help="rewrite an older corpus to the current version in place, "
+        "keeping every memoized pair; delete legacy columnar.bin files",
+    )
+    cupgrade.add_argument("dir")
 
     creshard = csub.add_parser(
         "reshard",

@@ -5,8 +5,9 @@ into a durable service:
 
 * :mod:`~repro.corpus.store` — a content-addressed, deduplicating
   on-disk :class:`TraceStore`, sharded by fingerprint prefix
-  (``shards/<hex>/``) with per-shard manifests and transparent in-place
-  migration from the v1 flat layout;
+  (``shards/<hex>/``) with per-shard manifests; it reads only the
+  current version, and :func:`~repro.corpus.store.upgrade` is the one
+  reader of older layouts;
 * :mod:`~repro.corpus.matrix` — the :class:`EvalMatrix` (one bitset
   file per shard) behind a :class:`ShardedEvalMatrix`, a predicates ×
   traces memo guaranteeing each pair is evaluated at most once
@@ -20,7 +21,7 @@ into a durable service:
 * :mod:`~repro.corpus.session` — :class:`CorpusSession`, an AID session
   that debugs from stored logs instead of re-running the workload.
 
-CLI: ``repro corpus init|ingest|stats|shard-stats|analyze|compact|reshard`` and
+CLI: ``repro corpus init|ingest|stats|shard-stats|analyze|compact|reshard|upgrade`` and
 ``repro debug <workload> --corpus DIR``.  See ``docs/corpus.md`` for the
 workflow and the on-disk format spec.
 """

@@ -43,12 +43,12 @@ Persistence format
 ------------------
 One :class:`EvalMatrix` serializes to a single JSON file (format
 version 1): column fingerprints + labels, hex-encoded bitsets per pid,
-definition digests, and observation windows.  A v2 corpus keeps **one
+definition digests, and observation windows.  A corpus keeps **one
 such file per shard** (``shards/<sid>/evalmatrix.json``) behind a
 :class:`ShardedEvalMatrix`, with a top-level index
 (``DIR/evalmatrix.json``, format version 2) listing the shards that
-hold bitset files.  :func:`migrate_matrix_v1` splits a v1 single-file
-matrix into per-shard files preserving every memoized pair.
+hold bitset files.  An index of any other version is an error:
+:func:`repro.corpus.store.upgrade` is the one reader of older layouts.
 """
 
 from __future__ import annotations
@@ -592,18 +592,23 @@ class ShardedEvalMatrix:
         sids: set[str] = set()
         if index_path.exists():
             payload = _read_json(index_path)
-            if payload.get("version") == MATRIX_INDEX_VERSION:
-                listed = payload.get("shards", [])
-                if not isinstance(listed, list) or not all(
-                    isinstance(sid, str) for sid in listed
-                ):
-                    raise CorpusError(
-                        f"{index_path} is malformed: shards must be a "
-                        "list of shard ids"
-                    )
-                sids.update(
-                    sid for sid in listed if self.store.is_valid_shard_id(sid)
+            version = payload.get("version")
+            if version != MATRIX_INDEX_VERSION:
+                raise CorpusError(
+                    f"unsupported eval-matrix index version {version!r} "
+                    f"in {index_path}"
                 )
+            listed = payload.get("shards", [])
+            if not isinstance(listed, list) or not all(
+                isinstance(sid, str) for sid in listed
+            ):
+                raise CorpusError(
+                    f"{index_path} is malformed: shards must be a "
+                    "list of shard ids"
+                )
+            sids.update(
+                sid for sid in listed if self.store.is_valid_shard_id(sid)
+            )
         for sid in self.store.shard_ids:
             if self.store.shard_matrix_path(sid).exists():
                 sids.add(sid)
@@ -814,7 +819,7 @@ class ShardedEvalMatrix:
         )
 
 
-# -- resharding and migration helpers ------------------------------------
+# -- resharding helpers --------------------------------------------------
 
 
 def split_matrix(
@@ -865,25 +870,3 @@ def merge_matrices(matrices: Iterable[EvalMatrix]) -> EvalMatrix:
             }
     return merged
 
-
-def migrate_matrix_v1(
-    path: Path,
-    shard_id: Callable[[str], str],
-    shard_path: Callable[[str], Path],
-) -> None:
-    """Split a v1 single-file matrix into per-shard files plus the v2
-    index at ``path``.  Skips silently if ``path`` already holds a v2
-    index (a resumed migration)."""
-    payload = _read_json(path)
-    if payload.get("version") == MATRIX_INDEX_VERSION:
-        return
-    matrix = EvalMatrix()
-    matrix.load(path)
-    shards = split_matrix(matrix, shard_id)
-    for sid, shard in sorted(shards.items()):
-        shard.save(shard_path(sid))
-    _write_json(
-        path,
-        {"version": MATRIX_INDEX_VERSION, "shards": sorted(shards)},
-        indent=None,
-    )

@@ -481,17 +481,14 @@ class IncrementalPipeline:
 
     def compact(self) -> CompactionStats:
         """Reclaim matrix rows shadowed by predicate drift and columns of
-        evicted traces (the bootstrapped suite defines what is live),
-        and delete the store's legacy per-shard sidecar files."""
+        evicted traces (the bootstrapped suite defines what is live)."""
         if not self.bootstrapped:
             raise CorpusError("bootstrap() the pipeline before compacting")
         keep_digests = {
             pid: pred.definition_digest()
             for pid, pred in self.suite.defs.items()
         }
-        stats = self.matrix.compact(keep_digests)
-        self.store.drop_legacy_files()
-        return stats
+        return self.matrix.compact(keep_digests)
 
     # -- persistence -----------------------------------------------------
 

@@ -32,8 +32,7 @@ files::
 
 Older v3 stores may also hold a per-shard ``columnar.bin`` (a derived
 trace table earlier builds wrote on analyze) or its ``columnar.bin.tmp``.
-Nothing reads them; ``repro corpus compact`` deletes them
-(:meth:`TraceStore.drop_legacy_files`).
+Nothing reads them; ``repro corpus upgrade`` deletes them.
 
 ``shard_width`` is the number of hex characters of the fingerprint used
 as the shard id (default 2 → up to 256 shards); width 0 disables
@@ -53,19 +52,13 @@ Invariants
   top-level manifest, when any shard was), each atomically (temp file
   + rename) — so a read-only session never writes.
 
-Migration
+Upgrading
 ---------
-Version-1 corpora (flat ``traces/`` + one ``manifest.json`` + one
-``evalmatrix.json``) are migrated **in place and transparently** on
-:meth:`TraceStore.open`: trace bodies are renamed into their shards, the
-manifest is split, and the single eval matrix is split into per-shard
-bitset files — preserving every memoized (predicate, trace) pair, so the
-first post-migration analysis performs zero re-evaluations.  The
-migration is idempotent: a crash mid-way leaves a state a later ``open``
-finishes from.
-
-Version-2 corpora have the v3 layout byte for byte, so the v2→v3
-migration is just the manifest version bump (the commit point).
+:meth:`TraceStore.open` reads only :data:`STORE_VERSION` and never
+writes; a version-1 or version-2 corpus is refused with a hint to run
+``repro corpus upgrade DIR``.  :func:`upgrade` is the one reader of
+older layouts (see its docstring): a format change adds its old-format
+reader there, never to ``open``.
 """
 
 from __future__ import annotations
@@ -79,6 +72,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..harness.runner import LabeledCorpus
 from ..sim.serialize import (
+    DIGEST_CHARS,
     ImportedTrace,
     TraceFormatError,
     bytes_digest,
@@ -102,8 +96,9 @@ STATS_SCHEMA_VERSION = 1
 DEFAULT_SHARD_WIDTH = 2
 #: shard id used when sharding is disabled (width 0)
 SINGLE_SHARD_ID = "all"
+HEX_DIGITS = "0123456789abcdef"
 #: per-shard sidecars older v3 builds wrote (a derived trace table and
-#: its temp file): ignored on read, deleted by ``compact``
+#: its temp file): ignored on read, deleted by :func:`upgrade`
 LEGACY_SHARD_FILES = ("columnar.bin", "columnar.bin.tmp")
 
 
@@ -141,9 +136,15 @@ class TraceEntry:
 
     @classmethod
     def from_dict(cls, fingerprint: str, raw: dict) -> "TraceEntry":
-        """Rebuild a manifest row, checking every field's type: a row
-        that would read back as the wrong label or seed is a
-        :class:`ValueError` naming the fingerprint."""
+        """Rebuild a manifest row, checking its key and every field's
+        type: a key that is not a fingerprint (every body path is built
+        from it) or a row that would read back as the wrong label or
+        seed is a :class:`ValueError` naming the key."""
+        if len(fingerprint) != DIGEST_CHARS or fingerprint.strip(HEX_DIGITS):
+            raise ValueError(
+                f"row {fingerprint!r}: key is not a fingerprint "
+                f"({DIGEST_CHARS} lowercase hex characters)"
+            )
         if not isinstance(raw, dict):
             raise ValueError(
                 f"row {fingerprint} is a {type(raw).__name__}, not an object"
@@ -238,19 +239,14 @@ class TraceStore:
 
     @classmethod
     def open(cls, root: str | os.PathLike) -> "TraceStore":
+        """Read a corpus at :data:`STORE_VERSION`; writes nothing."""
         root = Path(root)
-        path = root / MANIFEST_NAME
-        if not path.exists():
-            raise CorpusError(f"{root} is not a corpus (no {MANIFEST_NAME})")
-        manifest = _read_json(path)
-        version = manifest.get("version")
-        if version == 1:
-            manifest = _migrate_v1(root, manifest)
-        elif version == 2:
-            manifest = _migrate_v2(root, manifest)
-        elif version != STORE_VERSION:
+        manifest = _read_manifest(root)
+        version = manifest["version"]
+        if version != STORE_VERSION:
             raise CorpusError(
-                f"unsupported corpus version {version!r} in {path}"
+                f"{root} holds a version {version} corpus: run "
+                f"`repro corpus upgrade {root}`"
             )
         shard_width = manifest.get("shard_width", DEFAULT_SHARD_WIDTH)
         entries: dict[str, TraceEntry] = {}
@@ -281,8 +277,12 @@ class TraceStore:
         atomically (temp file + rename).  A store with no dirty shard
         writes nothing (the top-level index only changes with a shard);
         a fresh ``init`` writes just the index."""
-        if not self._dirty and (self.root / MANIFEST_NAME).exists():
-            return
+        if self._dirty or not (self.root / MANIFEST_NAME).exists():
+            self._write()
+
+    def _write(self) -> None:
+        """Write the dirty shard manifests, then the top-level one: the
+        commit point of every save, reshard and upgrade."""
         for sid in sorted(self._dirty):
             rows = self._by_shard.get(sid, {})
             _write_json(
@@ -326,7 +326,7 @@ class TraceStore:
         if self.shard_width == 0:
             return shard_id == SINGLE_SHARD_ID
         return len(shard_id) == self.shard_width and all(
-            c in "0123456789abcdef" for c in shard_id
+            c in HEX_DIGITS for c in shard_id
         )
 
     @property
@@ -619,9 +619,7 @@ class TraceStore:
 
         # 2. Copy trace bodies into their new shards (old bodies stay
         #    until the commit point).
-        by_new_shard: dict[str, dict[str, TraceEntry]] = {}
-        for fp, entry in self.entries.items():
-            by_new_shard.setdefault(new_shard_id(fp), {})[fp] = entry
+        for fp in self.entries:
             src = self.trace_path(fp)
             dst = (
                 self.root / SHARDS_DIR / new_shard_id(fp)
@@ -637,12 +635,7 @@ class TraceStore:
             dst.parent.mkdir(parents=True, exist_ok=True)
             dst.write_bytes(src.read_bytes())
 
-        # 3. New shard manifests and matrix files, plus the matrix index.
-        for sid, rows in by_new_shard.items():
-            _write_json(
-                self.root / SHARDS_DIR / sid / MANIFEST_NAME,
-                {"traces": {fp: e.to_dict() for fp, e in sorted(rows.items())}},
-            )
+        # 3. New matrix files, plus the matrix index.
         matrix_sids = []
         for sid, shard_matrix in sorted(new_matrices.items()):
             shard_matrix.save(self.root / SHARDS_DIR / sid / MATRIX_NAME)
@@ -653,19 +646,12 @@ class TraceStore:
             indent=None,
         )
 
-        # 4. Commit: the top-level manifest now names the new layout.
+        # 4. New shard manifests, then the commit: the top-level
+        #    manifest now names the new layout.
         self.shard_width = width
         self._index_shards()
-        self._dirty.clear()
-        _write_json(
-            self.root / MANIFEST_NAME,
-            {
-                "version": STORE_VERSION,
-                "program": self._program,
-                "shard_width": width,
-                "shards": sorted(by_new_shard),
-            },
-        )
+        self._dirty = set(self.shard_ids)
+        self._write()
 
         # 5. Cleanup: old and new shard ids never collide (different
         #    widths name different-shaped directories), so every
@@ -677,7 +663,7 @@ class TraceStore:
         return {
             "n_traces": len(self.entries),
             "shards_before": len(old_sids),
-            "shards_after": len(by_new_shard),
+            "shards_after": len(self.shard_ids),
             "pairs_preserved": merged.n_pairs,
         }
 
@@ -692,12 +678,6 @@ class TraceStore:
         for path in shards_root.iterdir():
             if path.is_dir() and not self.is_valid_shard_id(path.name):
                 shutil.rmtree(path, ignore_errors=True)
-
-    def drop_legacy_files(self) -> None:
-        """Delete every legacy per-shard sidecar (:data:`LEGACY_SHARD_FILES`)."""
-        for name in LEGACY_SHARD_FILES:
-            for path in (self.root / SHARDS_DIR).glob(f"*/{name}"):
-                path.unlink()
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -788,73 +768,95 @@ class TraceStore:
         }
 
 
-def _migrate_v2(root: Path, manifest: dict) -> dict:
-    """Migrate a v2 (sharded) corpus to v3.
+def _read_manifest(root: Path) -> dict:
+    """The top-level manifest, refusing a version no code here reads."""
+    path = root / MANIFEST_NAME
+    if not path.exists():
+        raise CorpusError(f"{root} is not a corpus (no {MANIFEST_NAME})")
+    manifest = _read_json(path)
+    version = manifest.get("version")
+    # 1 and 2 only upgrade() reads; a bool or float is no version at all
+    if type(version) is not int or version not in (1, 2, STORE_VERSION):
+        raise CorpusError(f"unsupported corpus version {version!r} in {path}")
+    return manifest
 
-    v3 keeps the v2 layout byte-for-byte, so migration is just the
-    manifest version bump; the atomic manifest write is the commit
-    point and re-running is a no-op.
+
+def upgrade(root: str | os.PathLike) -> tuple[int, int]:
+    """Rewrite the corpus at ``root`` to :data:`STORE_VERSION` in place
+    (``repro corpus upgrade DIR``), the only code that reads an older
+    layout; returns the version found and the sidecars deleted.
+
+    A v1 corpus (a flat ``traces/``, one manifest, one single-file eval
+    matrix) is checked whole before anything moves, then its bodies move
+    into their shards, its matrix splits into per-shard files keeping
+    every memoized pair, and its manifest splits.  A v2 corpus is the v3
+    layout under an older number.  The top-level manifest write is the
+    commit point, so running ``upgrade`` again finishes an interrupted
+    upgrade; a current corpus without :data:`LEGACY_SHARD_FILES` is not
+    written at all.
     """
-    migrated = dict(manifest)
-    migrated["version"] = STORE_VERSION
-    _write_json(root / MANIFEST_NAME, migrated)
-    return migrated
+    from .matrix import MATRIX_INDEX_VERSION, EvalMatrix, split_matrix
 
-
-def _migrate_v1(root: Path, manifest: dict) -> dict:
-    """Migrate a v1 (flat) corpus directory to the sharded layout
-    (landing directly on the current store version).
-
-    Idempotent and crash-tolerant: trace bodies are renamed one by one
-    (skipping ones already in place), shard manifests and matrix files
-    are written before the top-level manifest, and the versioned
-    top-level manifest write is the commit point — until then a
-    re-``open`` sees version 1 and resumes the migration.
-    """
-    width = DEFAULT_SHARD_WIDTH
-    rows = manifest.get("traces", {})
-    by_shard: dict[str, dict[str, dict]] = {}
-    for fp, row in rows.items():
-        sid = fp[:width] if width else SINGLE_SHARD_ID
-        by_shard.setdefault(sid, {})[fp] = row
-        src = root / TRACES_DIR / f"{fp}.json"
-        dst = root / SHARDS_DIR / sid / TRACES_DIR / f"{fp}.json"
-        if src.exists():
-            dst.parent.mkdir(parents=True, exist_ok=True)
-            src.replace(dst)
-        elif not dst.exists():
-            raise CorpusError(
-                f"cannot migrate {root}: manifest lists {fp} but "
-                f"{src} is gone"
+    root = Path(root)
+    manifest = _read_manifest(root)
+    version = manifest["version"]
+    if version == 1:
+        path = root / MANIFEST_NAME
+        rows = manifest.get("traces", {})
+        if not isinstance(rows, dict):
+            raise CorpusError(f"{path} is malformed: traces is not an object")
+        try:
+            entries = {
+                fp: TraceEntry.from_dict(fp, row) for fp, row in rows.items()
+            }
+        except ValueError as exc:
+            raise CorpusError(f"{path} is malformed: {exc}") from exc
+        store = TraceStore(root, manifest.get("program"), entries=entries)
+        moves = [
+            (root / TRACES_DIR / f"{fp}.json", store.trace_path(fp))
+            for fp in sorted(entries)
+        ]
+        for src, dst in moves:
+            if not src.exists() and not dst.exists():
+                raise CorpusError(
+                    f"cannot upgrade {root}: manifest lists {src.stem} "
+                    f"but {src} is gone"
+                )
+        # A resumed upgrade finds the matrix already split: the index.
+        matrix_path = root / MATRIX_NAME
+        shards = None
+        if (
+            matrix_path.exists()
+            and _read_json(matrix_path).get("version") != MATRIX_INDEX_VERSION
+        ):
+            single = EvalMatrix()
+            single.load(matrix_path)
+            shards = split_matrix(single, store.shard_id)
+            if not all(map(store.is_valid_shard_id, shards)):
+                raise CorpusError(
+                    f"{matrix_path} is malformed: a column is not a fingerprint"
+                )
+        for src, dst in moves:
+            if src.exists():
+                dst.parent.mkdir(parents=True, exist_ok=True)
+                src.replace(dst)
+        if shards is not None:
+            for sid, shard in sorted(shards.items()):
+                shard.save(store.shard_matrix_path(sid))
+            _write_json(
+                matrix_path,
+                {"version": MATRIX_INDEX_VERSION, "shards": sorted(shards)},
+                indent=None,
             )
-    for sid, shard_rows in by_shard.items():
-        _write_json(
-            root / SHARDS_DIR / sid / MANIFEST_NAME,
-            {"traces": dict(sorted(shard_rows.items()))},
-        )
-
-    # Split the single v1 eval matrix into per-shard bitset files,
-    # preserving every memoized pair (zero re-evaluations afterwards).
-    matrix_path = root / MATRIX_NAME
-    if matrix_path.exists():
-        from .matrix import migrate_matrix_v1
-
-        migrate_matrix_v1(
-            matrix_path,
-            shard_id=lambda fp: fp[:width] if width else SINGLE_SHARD_ID,
-            shard_path=lambda sid: root / SHARDS_DIR / sid / MATRIX_NAME,
-        )
-
-    migrated = {
-        "version": STORE_VERSION,
-        "program": manifest.get("program"),
-        "shard_width": width,
-        "shards": sorted(by_shard),
-    }
-    _write_json(root / MANIFEST_NAME, migrated)
-
-    # Best-effort cleanup of the now-empty v1 trace directory.
-    old_traces = root / TRACES_DIR
-    if old_traces.is_dir() and not any(old_traces.iterdir()):
-        old_traces.rmdir()
-    return migrated
+        store._dirty = set(store.shard_ids)
+        store._write()
+        old_traces = root / TRACES_DIR
+        if old_traces.is_dir() and not any(old_traces.iterdir()):
+            old_traces.rmdir()
+    elif version == 2:
+        _write_json(root / MANIFEST_NAME, {**manifest, "version": STORE_VERSION})
+    shards_dir = root / SHARDS_DIR
+    sidecars = [p for n in LEGACY_SHARD_FILES for p in shards_dir.glob(f"*/{n}")]
+    for path in sidecars:
+        path.unlink()
+    return version, len(sidecars)

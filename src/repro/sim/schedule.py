@@ -321,11 +321,15 @@ class Schedule:
         ):
             raise ScheduleError("schedule decisions must be a list of "
                                 "thread names")
-        return cls(
-            program=payload["program"],
-            seed=payload["seed"],
-            decisions=tuple(decisions),
-        )
+        for key in ("program", "seed"):
+            if key not in payload:
+                raise ScheduleError(f"schedule lacks the {key!r} field")
+        program, seed = payload["program"], payload["seed"]
+        if not isinstance(program, str):
+            raise ScheduleError(f"schedule program {program!r} is not a string")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ScheduleError(f"schedule seed {seed!r} is not an integer")
+        return cls(program=program, seed=seed, decisions=tuple(decisions))
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

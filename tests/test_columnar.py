@@ -299,7 +299,7 @@ class TestPipelineParity:
         """An analyzed store still carrying legacy ``columnar.bin``
         sidecars (junk here) behaves as if they were absent: a warm
         analyze is all memo hits, the report bytes match a copy without
-        them, and ``compact`` deletes them."""
+        them, and ``corpus upgrade`` deletes them."""
         from repro.cli import main
 
         seed_root = tmp_path / "seed"
@@ -318,7 +318,7 @@ class TestPipelineParity:
         assert _corpus_report(
             tmp_path / "plain", seed_root, network
         ) == _corpus_report(legacy, workload=network)
-        assert main(["corpus", "compact", str(legacy)]) == 0
+        assert main(["corpus", "upgrade", str(legacy)]) == 0
         assert not list(legacy.rglob("columnar.bin*"))
 
     @pytest.mark.parametrize("name", REGISTRY.names())

@@ -1,4 +1,4 @@
-"""The sharded corpus layout: v1/v2→v3 migration, analysis independent
+"""The sharded corpus layout: the v1/v2→v3 upgrade, analysis independent
 of the shard layout, SD-counter merging, and compaction."""
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ from repro.corpus import (
     merge_matrices,
     split_matrix,
 )
+from repro.corpus.store import LEGACY_SHARD_FILES, upgrade
 from repro.harness.runner import collect
 
 from conftest import rescan_stats, stats_tuples
+from test_warm_analyze import _snapshot, analyzed_network_corpus  # noqa: F401
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +132,9 @@ class TestMigration:
 
         v1 = tmp_path / "v1"
         _downgrade_to_v1(tmp_path / "ref", v1)
+        with pytest.raises(CorpusError, match="repro corpus upgrade"):
+            TraceStore.open(v1)
+        assert upgrade(v1) == (1, 0)
         migrated = TraceStore.open(v1)
 
         manifest = json.loads((v1 / "manifest.json").read_text())
@@ -151,6 +156,7 @@ class TestMigration:
 
         v1 = tmp_path / "v1"
         _downgrade_to_v1(tmp_path / "ref", v1)
+        upgrade(v1)
         pipeline = IncrementalPipeline(
             TraceStore.open(v1), program=racy_program
         )
@@ -188,6 +194,188 @@ class TestMigration:
         (root / "manifest.json").write_text(json.dumps({"version": 99}))
         with pytest.raises(CorpusError, match="unsupported corpus version"):
             TraceStore.open(root)
+
+
+def _older_copy(current: Path, root: Path, version: int) -> Path:
+    """A copy of ``current`` in the layout of an older store version."""
+    if version == 1:
+        _downgrade_to_v1(current, root)
+    else:
+        shutil.copytree(current, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["version"] = version
+        (root / "manifest.json").write_text(json.dumps(manifest))
+    return root
+
+
+class _Crash(Exception):
+    pass
+
+
+class TestUpgradeDoor:
+    # Every read-only command refuses an older corpus with the upgrade
+    # hint and leaves every file as it was.
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize(
+        "command", ["stats", "shard-stats", "analyze", "debug"]
+    )
+    def test_read_only_commands_refuse_an_older_corpus_untouched(
+        self, tmp_path, analyzed_network_corpus, version, command
+    ):
+        root = _older_copy(analyzed_network_corpus, tmp_path / "old", version)
+        before = _snapshot(root)
+        argv = (
+            ["debug", "network", "--corpus", str(root)]
+            if command == "debug"
+            else ["corpus", command, str(root)]
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value.code)
+        assert f"version {version} corpus" in message
+        assert f"repro corpus upgrade {root}" in message
+        assert _snapshot(root) == before
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_upgrade_restores_a_warm_corpus(
+        self, tmp_path, capsys, analyzed_network_corpus, version
+    ):
+        root = _older_copy(analyzed_network_corpus, tmp_path / "old", version)
+        capsys.readouterr()
+        assert main(["corpus", "upgrade", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert f"found version {version}, now version 3" in out
+        assert main(["corpus", "analyze", str(root)]) == 0
+        assert "evaluation: 0 fresh" in capsys.readouterr().out
+        before = _snapshot(root)
+        assert upgrade(root) == (3, 0)
+        assert _snapshot(root) == before
+
+    def test_v2_upgrade_changes_only_the_version(
+        self, tmp_path, analyzed_network_corpus
+    ):
+        root = _older_copy(analyzed_network_corpus, tmp_path / "v2", 2)
+        upgrade(root)
+        for path in sorted(analyzed_network_corpus.rglob("*")):
+            if path.is_file():
+                copy = root / path.relative_to(analyzed_network_corpus)
+                assert copy.read_bytes() == path.read_bytes(), path
+
+    def test_sidecars_are_deleted_once(self, tmp_path, analyzed_network_corpus):
+        root = tmp_path / "c"
+        shutil.copytree(analyzed_network_corpus, root)
+        for shard in (root / "shards").iterdir():
+            for name in LEGACY_SHARD_FILES:
+                (shard / name).write_bytes(b"junk")
+        n_shards = len(list((root / "shards").iterdir()))
+        assert upgrade(root) == (3, n_shards * len(LEGACY_SHARD_FILES))
+        assert not list(root.rglob("columnar.bin*"))
+        before = _snapshot(root)
+        assert upgrade(root) == (3, 0)
+        assert _snapshot(root) == before
+
+    @pytest.mark.parametrize(
+        "key, row",
+        [
+            (None, {"label": "FAIL", "seed": 0, "signature": None}),
+            (None, {"label": "pass", "seed": "7", "signature": None}),
+            ("../../victim", None),
+        ],
+        ids=["label", "seed", "key"],
+    )
+    def test_malformed_v1_is_refused_untouched(
+        self, tmp_path, analyzed_network_corpus, key, row
+    ):
+        root = _older_copy(analyzed_network_corpus, tmp_path / "v1", 1)
+        path = root / "manifest.json"
+        manifest = json.loads(path.read_text())
+        fp = sorted(manifest["traces"])[-1]
+        if key is None:
+            manifest["traces"][fp] = row
+        else:
+            fp = key
+            manifest["traces"][key] = next(iter(manifest["traces"].values()))
+        path.write_text(json.dumps(manifest))
+        before = _snapshot(root)
+        with pytest.raises(CorpusError, match="is malformed") as excinfo:
+            upgrade(root)
+        assert fp in str(excinfo.value)
+        assert _snapshot(root) == before
+
+    @pytest.mark.parametrize("version", [99, True, 3.0])
+    def test_no_reader_takes_an_unknown_version(self, tmp_path, version):
+        root = tmp_path / "c"
+        root.mkdir()
+        (root / "manifest.json").write_text(json.dumps({"version": version}))
+        for read in (TraceStore.open, upgrade):
+            with pytest.raises(CorpusError, match="unsupported corpus version"):
+                read(root)
+
+    def test_an_older_matrix_index_is_an_error(
+        self, tmp_path, analyzed_network_corpus
+    ):
+        root = tmp_path / "c"
+        shutil.copytree(analyzed_network_corpus, root)
+        index = root / "evalmatrix.json"
+        payload = json.loads(index.read_text())
+        payload["version"] = 1
+        index.write_text(json.dumps(payload))
+        with pytest.raises(CorpusError, match="eval-matrix index version"):
+            TraceStore.open(root).eval_matrix().n_pairs
+        with pytest.raises(SystemExit, match=str(index)):
+            main(["corpus", "stats", str(root)])
+
+    # A crash at any write of a v1 upgrade, then a second upgrade, leaves
+    # the corpus the reference analyzes to, with every pair memoized.
+    def test_crash_at_every_write_is_finished_by_a_rerun(
+        self, tmp_path, racy_program, monkeypatch
+    ):
+        small = collect(racy_program, n_success=4, n_fail=4)
+        reference = IncrementalPipeline(
+            _build_store(tmp_path / "ref", racy_program, small),
+            program=racy_program,
+        )
+        reference.bootstrap()
+        reference.save()
+        v1 = tmp_path / "v1"
+        _downgrade_to_v1(tmp_path / "ref", v1)
+
+        writes = []
+        real = {name: getattr(Path, name) for name in ("replace", "write_text")}
+
+        def counting(name, fail_at):
+            def write(self, *args, **kwargs):
+                writes.append(name)
+                if len(writes) == fail_at:
+                    raise _Crash(f"{name} #{fail_at}")
+                return real[name](self, *args, **kwargs)
+
+            return write
+
+        def upgrade_failing_at(root, fail_at):
+            writes.clear()
+            for name in real:
+                monkeypatch.setattr(Path, name, counting(name, fail_at))
+            try:
+                upgrade(root)
+            finally:
+                monkeypatch.undo()
+
+        upgrade_failing_at(shutil.copytree(v1, tmp_path / "count"), 0)
+        n_writes = len(writes)
+        assert n_writes > len(small.successes + small.failures)
+        for k in range(1, n_writes + 1):
+            root = shutil.copytree(v1, tmp_path / f"crash{k}")
+            with pytest.raises(_Crash):
+                upgrade_failing_at(root, k)
+            assert upgrade(root)[0] in (1, 3)
+            pipeline = IncrementalPipeline(
+                TraceStore.open(root), program=racy_program
+            )
+            pipeline.bootstrap()
+            assert pipeline.matrix.pair_evaluations == 0, k
+            assert pipeline.fully == reference.fully, k
+            assert pipeline.dag.structure() == reference.dag.structure(), k
 
 
 class TestShardParallelDeterminism:

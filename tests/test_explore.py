@@ -153,6 +153,21 @@ class TestSchedule:
             Schedule.from_dict(
                 {"schema": 1, "program": "p", "seed": 0, "decisions": [1]}
             )
+        valid = {"schema": 1, "program": "p", "seed": 7, "decisions": []}
+        for field, value in (
+            ("program", None),
+            ("seed", None),
+            ("seed", "7"),
+            ("seed", True),
+            ("program", 5),
+        ):
+            payload = dict(valid)
+            if value is None:
+                del payload[field]
+            else:
+                payload[field] = value
+            with pytest.raises(ScheduleError, match=field):
+                Schedule.from_dict(payload)
 
     def test_replay_reproduces_recording(self, npgsql):
         sim = Simulator(npgsql)

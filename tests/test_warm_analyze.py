@@ -439,10 +439,13 @@ class TestCorruptCorpusFiles:
         assert message.startswith("repro: corpus: ")
         assert str(path) in message
         assert "malformed" in message
+        assert capsys.readouterr().out == ""
 
     # A manifest row of the wrong shape or type would read back as the
-    # wrong label or seed: it is a structured error naming the shard
-    # manifest and the row's fingerprint.
+    # wrong label or seed, and a key that is not a fingerprint would
+    # name a body path outside its shard: each is a structured error
+    # naming the shard manifest and the row's key.  (``"key"`` adds a
+    # copy of the row under ``value``.)
     @pytest.mark.parametrize(
         "field, value, command",
         [
@@ -452,6 +455,8 @@ class TestCorruptCorpusFiles:
             ("seed", True, "analyze"),
             ("signature", 5, "stats"),
             ("schedule", ["s"], "stats"),
+            ("key", "../../victim", "stats"),
+            ("key", "0123456789ABCDEF", "analyze"),
         ],
         ids=[
             "row-not-an-object",
@@ -460,6 +465,8 @@ class TestCorruptCorpusFiles:
             "seed-a-bool",
             "signature-not-a-string",
             "schedule-not-a-string",
+            "key-a-path",
+            "key-upper-case",
         ],
     )
     def test_malformed_manifest_row_is_a_corpus_error(
@@ -472,8 +479,12 @@ class TestCorruptCorpusFiles:
         fp = next(fp for fp, e in sorted(store.entries.items()) if e.failed)
         path = root / "shards" / store.shard_id(fp) / "manifest.json"
         payload = json.loads(path.read_text())
+        key = fp
         if field is None:
             payload["traces"][fp] = value
+        elif field == "key":
+            key = value
+            payload["traces"][key] = payload["traces"][fp]
         else:
             payload["traces"][fp][field] = value
         path.write_text(json.dumps(payload))
@@ -489,7 +500,7 @@ class TestCorruptCorpusFiles:
         flag = "--corpus" if command == "debug" else "corpus"
         assert message.startswith(f"repro: {flag}: ")
         assert str(path) in message
-        assert fp in message
+        assert key in message
 
     def test_non_object_suite_is_rediscovered(
         self, tmp_path, capsys, analyzed_network_corpus

@@ -27,9 +27,10 @@ Invariants
 ----------
 * ``RunSpec.from_dict(spec.to_dict()) == spec`` for every valid spec,
   and the same through TOML and JSON text (asserted in tests);
-* unknown keys and unknown registry names fail **with actionable
-  errors** (:class:`SpecError` carries the dotted path and lists the
-  valid alternatives) — never silently ignored;
+* unknown keys, wrong-typed values (checked by :mod:`repro.decode`)
+  and unknown registry names fail **with actionable errors**
+  (:class:`SpecError` carries the dotted path and lists the valid
+  alternatives) — never silently ignored;
 * a spec is inert data: building sessions/engines from it happens in
   :func:`repro.api.runner.run`, so specs can be validated, diffed, and
   stored without side effects.
@@ -44,6 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
+from ..decode import DecodeError, decode
 from ..sim.scheduler import DEFAULT_MAX_STEPS
 from . import registry as registries
 
@@ -73,22 +75,6 @@ class SpecError(ValueError):
             "path": self.path,
             "detail": self.detail,
         }
-
-
-def _from_section(cls, raw: object, path: str):
-    """Build a section dataclass from a dict, rejecting unknown keys."""
-    if raw is None:
-        return cls()
-    if not isinstance(raw, dict):
-        raise SpecError(path, f"expected a table/object, got {type(raw).__name__}")
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - fields)
-    if unknown:
-        raise SpecError(
-            path,
-            f"unknown key {unknown[0]!r} (valid: {', '.join(sorted(fields))})",
-        )
-    return cls(**raw)
 
 
 def _section_dict(section) -> dict:
@@ -357,7 +343,10 @@ class RunSpec:
         return problems
 
     def validate(self) -> "RunSpec":
-        """Raise :class:`SpecError` on the first problem; returns self."""
+        """Raise :class:`SpecError` on the first problem; returns self.
+        A spec built in Python has its values type-checked as a spec
+        file's are, by decoding its dict."""
+        RunSpec.from_dict(self.to_dict())
         problems = self.problems()
         if problems:
             raise SpecError("", "; ".join(problems))
@@ -381,29 +370,17 @@ class RunSpec:
         if not isinstance(raw, dict):
             raise SpecError("", f"expected an object, got {type(raw).__name__}")
         version = raw.get("version", SPEC_VERSION)
-        if version != SPEC_VERSION:
+        if type(version) is not int or version != SPEC_VERSION:
             raise SpecError(
                 "version",
                 f"unsupported spec version {version!r} "
                 f"(this build reads version {SPEC_VERSION})",
             )
-        known = {"version", "workload", *_SECTIONS}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise SpecError(
-                "", f"unknown section {unknown[0]!r} "
-                f"(valid: {', '.join(sorted(known))})"
-            )
-        workload = (
-            _from_section(WorkloadSpec, raw["workload"], "workload")
-            if "workload" in raw
-            else None
-        )
-        sections = {
-            name: _from_section(section_cls, raw.get(name), name)
-            for name, section_cls in _SECTIONS.items()
-        }
-        return cls(workload=workload, **sections)
+        sections = {k: v for k, v in raw.items() if k != "version"}
+        try:
+            return decode(cls, sections)
+        except DecodeError as exc:
+            raise SpecError(exc.path, exc.reason) from exc
 
     def digest(self) -> str:
         """sha256 of the spec's canonical JSON — the stable identity two

@@ -182,8 +182,9 @@ def _run_spec(
     except SpecError as exc:
         raise _spec_exit(exc) from exc
     except CorpusError as exc:
-        # an incremental run executes no intervention: no engine block
-        if spec.mode != "incremental":
+        # the engine block only when the engine ran before the error
+        finished = log.first("engine-finished")
+        if finished is not None and finished.executed + finished.cached:
             _print_engine_summary(log)
         flag = "--corpus" if corpus_flag else "corpus"
         raise SystemExit(f"repro: {flag}: {exc}") from exc

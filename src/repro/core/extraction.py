@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Literal, Optional, Sequence
 
+from ..decode import decode
 from ..sim.program import Program
 from ..sim.tracing import ExecutionTrace, MethodExecution, MethodKey
 from .evalkernel import ordered_cross_thread_pairs, race_candidates
 from .predicates import (
+    PREDICATE_FORMAT_VERSION,
     DataRacePredicate,
     ExecutedPredicate,
     FailurePredicate,
@@ -34,6 +36,7 @@ from .predicates import (
     TooFastPredicate,
     TooSlowPredicate,
     WrongReturnPredicate,
+    predicate_to_dict,
 )
 from .statistical import PredicateLog
 
@@ -368,6 +371,14 @@ def default_extractors() -> list[Extractor]:
     ]
 
 
+@dataclass(frozen=True)
+class _SuitePayload:
+    """A suite as :meth:`PredicateSuite.to_dict` writes it."""
+
+    version: Literal[PREDICATE_FORMAT_VERSION]
+    predicates: list[PredicateDef]
+
+
 @dataclass
 class PredicateSuite:
     """A frozen set of predicate definitions, evaluable on any trace."""
@@ -439,8 +450,6 @@ class PredicateSuite:
         the definition order, and the suite :attr:`fingerprint` — which
         is what lets a persisted suite stand in for rediscovery (see
         ``repro corpus analyze`` warm starts)."""
-        from .predicates import PREDICATE_FORMAT_VERSION, predicate_to_dict
-
         return {
             "version": PREDICATE_FORMAT_VERSION,
             "predicates": [predicate_to_dict(p) for p in self.defs.values()],
@@ -448,21 +457,12 @@ class PredicateSuite:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PredicateSuite":
-        """Rebuild a suite serialized by :meth:`to_dict`."""
-        from .predicates import PREDICATE_FORMAT_VERSION, predicate_from_dict
-
-        if not isinstance(raw, dict):
-            raise ValueError(f"malformed predicate suite {raw!r}")
-        version = raw.get("version")
-        if version != PREDICATE_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported predicate-suite version {version!r} "
-                f"(this build reads version {PREDICATE_FORMAT_VERSION})"
-            )
-        defs: dict[str, PredicateDef] = {}
-        for payload in raw.get("predicates", []):
-            pred = predicate_from_dict(payload)
-            defs[pred.pid] = pred
+        """Rebuild a suite serialized by :meth:`to_dict`; a malformed
+        payload is a :class:`ValueError` naming the field."""
+        predicates = decode(_SuitePayload, raw, "suite").predicates
+        defs = {p.pid: p for p in predicates}
+        if len(defs) != len(predicates):
+            raise ValueError("suite.predicates: a pid appears twice")
         return cls(defs=defs)
 
     def kernel(self) -> "SuiteKernel":

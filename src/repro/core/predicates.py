@@ -23,8 +23,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
+from ..decode import decode, register_union
 from ..sim.faults import (
     CatchException,
     DelayReturn,
@@ -676,33 +677,7 @@ _PREDICATE_TYPES: dict[str, type] = {
         FailurePredicate,
     )
 }
-
-#: Per field annotation, what a decoded value must be: a description
-#: for the error, and the check.  ``int`` refuses ``bool``.  A
-#: predicate class with a field annotation missing here fails at
-#: import, not at its first load.
-_ANNOTATION_CHECKS: dict[str, tuple[str, Callable[[object], bool]]] = {
-    "MethodKey": ("a method key", lambda v: isinstance(v, MethodKey)),
-    "str": ("a string", lambda v: type(v) is str),
-    "int": ("an int", lambda v: type(v) is int),
-    "tuple[PredicateDef, ...]": (
-        "a tuple of predicates",
-        lambda v: type(v) is tuple
-        and all(isinstance(p, PredicateDef) for p in v),
-    ),
-}
-
-#: Per serializable class, ``(field, description, check)`` for each
-#: field, from the dataclass annotations.  Fields annotated ``object``
-#: (return values) take any value.
-_FIELD_CHECKS: dict[str, tuple[tuple[str, str, Callable[[object], bool]], ...]] = {
-    name: tuple(
-        (f.name, *_ANNOTATION_CHECKS[f.type])
-        for f in dataclasses.fields(cls)
-        if f.type != "object"
-    )
-    for name, cls in _PREDICATE_TYPES.items()
-}
+register_union(PredicateDef, "$pred", _PREDICATE_TYPES)
 
 
 def _encode_value(value: object) -> object:
@@ -729,39 +704,6 @@ def _encode_value(value: object) -> object:
     )
 
 
-def _decode_key(raw: object) -> MethodKey:
-    """A ``$key`` payload back as a :class:`MethodKey`: exactly
-    ``[method: str, thread: str, occurrence: int >= 0]``.  A key of the
-    wrong shape would name a call no trace holds, and the predicate
-    would silently stop firing."""
-    if isinstance(raw, list) and len(raw) == 3:
-        method, thread, occurrence = raw
-        if (
-            isinstance(method, str)
-            and isinstance(thread, str)
-            and type(occurrence) is int
-            and occurrence >= 0
-        ):
-            return MethodKey(method=method, thread=thread, occurrence=occurrence)
-    raise ValueError(
-        f"malformed method key {raw!r}: expected [method, thread, occurrence]"
-    )
-
-
-def _decode_value(value: object) -> object:
-    if isinstance(value, dict):
-        if "$key" in value:
-            return _decode_key(value["$key"])
-        if "$pred" in value:
-            return predicate_from_dict(value["$pred"])
-        if "$tuple" in value:
-            return tuple(_decode_value(v) for v in value["$tuple"])
-        raise ValueError(f"unknown predicate value tag in {value!r}")
-    if isinstance(value, list):
-        return [_decode_value(v) for v in value]
-    return value
-
-
 def predicate_to_dict(pred: PredicateDef) -> dict:
     """One predicate as a JSON-able dict (inverse:
     :func:`predicate_from_dict`).  Round-tripping preserves the pid and
@@ -780,23 +722,7 @@ def predicate_to_dict(pred: PredicateDef) -> dict:
 
 
 def predicate_from_dict(raw: dict) -> PredicateDef:
-    """Rebuild a predicate serialized by :func:`predicate_to_dict`."""
-    if not isinstance(raw, dict) or not isinstance(raw.get("fields", {}), dict):
-        raise ValueError(f"malformed predicate {raw!r}: expected type and fields")
-    type_name = raw.get("type")
-    cls = _PREDICATE_TYPES.get(type_name)
-    if cls is None:
-        known = ", ".join(sorted(_PREDICATE_TYPES))
-        raise ValueError(
-            f"unknown predicate type {type_name!r} (known: {known})"
-        )
-    fields = {
-        name: _decode_value(value)
-        for name, value in raw.get("fields", {}).items()
-    }
-    for name, expected, check in _FIELD_CHECKS[type_name]:
-        if name in fields and not check(fields[name]):
-            raise ValueError(
-                f"{type_name}.{name} must be {expected}, got {raw['fields'][name]!r}"
-            )
-    return cls(**fields)
+    """Rebuild a predicate serialized by :func:`predicate_to_dict`; a
+    payload whose fields do not match their annotations is a
+    :class:`ValueError` naming the field (``DataRacePredicate.obj``)."""
+    return decode(PredicateDef, raw)

@@ -68,7 +68,9 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Literal, Optional
+
+from ..decode import DecodeError, decode
 
 from ..harness.runner import LabeledCorpus
 from ..sim.serialize import (
@@ -108,10 +110,10 @@ class CorpusError(RuntimeError):
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """Manifest row: everything known about one stored trace."""
+    """Manifest row: everything known about one stored trace (its
+    fingerprint is the row's key)."""
 
-    fingerprint: str
-    label: str  # "pass" | "fail"
+    label: Literal["pass", "fail"]
     seed: int
     signature: Optional[str]  # failure signature, None for passes
     #: schedule (interleaving) signature when the producer recorded one
@@ -134,40 +136,35 @@ class TraceEntry:
             payload["schedule"] = self.schedule
         return payload
 
-    @classmethod
-    def from_dict(cls, fingerprint: str, raw: dict) -> "TraceEntry":
-        """Rebuild a manifest row, checking its key and every field's
-        type: a key that is not a fingerprint (every body path is built
-        from it) or a row that would read back as the wrong label or
-        seed is a :class:`ValueError` naming the key."""
-        if len(fingerprint) != DIGEST_CHARS or fingerprint.strip(HEX_DIGITS):
-            raise ValueError(
-                f"row {fingerprint!r}: key is not a fingerprint "
-                f"({DIGEST_CHARS} lowercase hex characters)"
-            )
-        if not isinstance(raw, dict):
-            raise ValueError(
-                f"row {fingerprint} is a {type(raw).__name__}, not an object"
-            )
-        label, seed = raw.get("label"), raw.get("seed")
-        signature, schedule = raw.get("signature"), raw.get("schedule")
-        if label not in ("pass", "fail"):
-            problem = f"label {label!r} is not 'pass' or 'fail'"
-        elif not isinstance(seed, int) or isinstance(seed, bool):
-            problem = f"seed {seed!r} is not an integer"
-        elif not isinstance(signature, (str, type(None))):
-            problem = f"signature {signature!r} is not a string or null"
-        elif not isinstance(schedule, (str, type(None))):
-            problem = f"schedule {schedule!r} is not a string or null"
-        else:
-            return cls(
-                fingerprint=fingerprint,
-                label=label,
-                seed=seed,
-                signature=signature,
-                schedule=schedule,
-            )
-        raise ValueError(f"row {fingerprint}: {problem}")
+
+@dataclass(frozen=True)
+class _ShardManifest:
+    """A shard's ``manifest.json``: its rows by fingerprint."""
+
+    traces: dict[str, TraceEntry]
+
+    def __post_init__(self) -> None:
+        # every body path is built from the key
+        for fp in self.traces:
+            if len(fp) != DIGEST_CHARS or fp.strip(HEX_DIGITS):
+                raise ValueError(
+                    f"row {fp!r}: key is not a fingerprint "
+                    f"({DIGEST_CHARS} lowercase hex characters)"
+                )
+
+
+@dataclass(frozen=True)
+class _Manifest:
+    """The top-level ``manifest.json``."""
+
+    version: int
+    program: Optional[str]
+    shard_width: int
+    shards: list[str]
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.shard_width <= 4:  # as init enforces
+            raise ValueError(f"shard_width {self.shard_width} is not in 0..4")
 
 
 def _write_json(path: Path, payload: dict, indent: Optional[int] = 2) -> None:
@@ -178,20 +175,24 @@ def _write_json(path: Path, payload: dict, indent: Optional[int] = 2) -> None:
     tmp.replace(path)
 
 
-def _read_json(path: Path, raw: Optional[bytes] = None) -> dict:
-    """Parse one corpus JSON file (or its ``raw`` bytes, already read),
-    which must hold an object; a truncated or corrupt file is a
+def _read_json(path: Path, raw: Optional[bytes] = None, tp: type = dict):
+    """Parse one corpus file (or its ``raw`` bytes, already read) as
+    ``tp``, an object by default; a truncated or corrupt file is a
     :class:`CorpusError` naming it, never a bare decoder traceback."""
     try:
         payload = json.loads(path.read_bytes() if raw is None else raw)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorpusError(f"{path} is unreadable: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CorpusError(
-            f"{path} is malformed: expected a JSON object, got "
-            f"{type(payload).__name__}"
-        )
-    return payload
+    return _decode_file(tp, path, payload)
+
+
+def _decode_file(tp: type, path: Path, payload: object):
+    """``payload``, parsed from ``path``, as ``tp``; a mismatch is a
+    :class:`CorpusError` naming the file and the field."""
+    try:
+        return decode(tp, payload)
+    except DecodeError as exc:
+        raise CorpusError(f"{path} is malformed: {exc}") from exc
 
 
 class TraceStore:
@@ -248,29 +249,23 @@ class TraceStore:
                 f"{root} holds a version {version} corpus: run "
                 f"`repro corpus upgrade {root}`"
             )
-        shard_width = manifest.get("shard_width", DEFAULT_SHARD_WIDTH)
-        entries: dict[str, TraceEntry] = {}
-        for sid in manifest.get("shards", []):
-            shard_manifest = root / SHARDS_DIR / sid / MANIFEST_NAME
-            if not shard_manifest.exists():
+        top = _decode_file(_Manifest, root / MANIFEST_NAME, manifest)
+        store = cls(root, program=top.program, shard_width=top.shard_width)
+        for sid in top.shards:
+            if not store.is_valid_shard_id(sid):
+                raise CorpusError(
+                    f"{root / MANIFEST_NAME} is malformed: shards: {sid!r} "
+                    f"does not fit shard_width {top.shard_width}"
+                )
+            path = store.shard_dir(sid) / MANIFEST_NAME
+            if not path.exists():
                 raise CorpusError(
                     f"top-level manifest lists shard {sid!r} but "
-                    f"{shard_manifest} is gone"
+                    f"{path} is gone"
                 )
-            raw = _read_json(shard_manifest)
-            for fp, row in raw.get("traces", {}).items():
-                try:
-                    entries[fp] = TraceEntry.from_dict(fp, row)
-                except ValueError as exc:
-                    raise CorpusError(
-                        f"{shard_manifest} is malformed: {exc}"
-                    ) from exc
-        return cls(
-            root,
-            program=manifest.get("program"),
-            shard_width=shard_width,
-            entries=entries,
-        )
+            store.entries.update(_read_json(path, tp=_ShardManifest).traces)
+        store._index_shards()
+        return store
 
     def save(self) -> None:
         """Write dirty shard manifests plus the top-level index, each
@@ -341,8 +336,7 @@ class TraceStore:
         for fp, entry in self.entries.items():
             self._by_shard.setdefault(self.shard_id(fp), {})[fp] = entry
 
-    def _set_entry(self, entry: TraceEntry) -> None:
-        fp = entry.fingerprint
+    def _set_entry(self, fp: str, entry: TraceEntry) -> None:
         sid = self.shard_id(fp)
         self.entries[fp] = entry
         self._by_shard.setdefault(sid, {})[fp] = entry
@@ -471,8 +465,8 @@ class TraceStore:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(body)
             self._set_entry(
+                fp,
                 TraceEntry(
-                    fingerprint=fp,
                     label="fail" if trace.failed else "pass",
                     seed=trace.seed,
                     signature=(
@@ -486,7 +480,7 @@ class TraceStore:
         elif schedule_signature is not None and existing.schedule is None:
             # Enrich a duplicate with the provenance it lacked.
             self._set_entry(
-                dataclasses.replace(existing, schedule=schedule_signature)
+                fp, dataclasses.replace(existing, schedule=schedule_signature)
             )
         trace.fingerprint = fp
         return fp, existing is None
@@ -801,20 +795,13 @@ def upgrade(root: str | os.PathLike) -> tuple[int, int]:
     manifest = _read_manifest(root)
     version = manifest["version"]
     if version == 1:
-        path = root / MANIFEST_NAME
-        rows = manifest.get("traces", {})
-        if not isinstance(rows, dict):
-            raise CorpusError(f"{path} is malformed: traces is not an object")
-        try:
-            entries = {
-                fp: TraceEntry.from_dict(fp, row) for fp, row in rows.items()
-            }
-        except ValueError as exc:
-            raise CorpusError(f"{path} is malformed: {exc}") from exc
-        store = TraceStore(root, manifest.get("program"), entries=entries)
+        rows = _decode_file(
+            _ShardManifest, root / MANIFEST_NAME, {"traces": manifest.get("traces")}
+        ).traces
+        store = TraceStore(root, manifest.get("program"), entries=rows)
         moves = [
             (root / TRACES_DIR / f"{fp}.json", store.trace_path(fp))
-            for fp in sorted(entries)
+            for fp in sorted(rows)
         ]
         for src, dst in moves:
             if not src.exists() and not dst.exists():

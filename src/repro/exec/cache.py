@@ -25,7 +25,8 @@ Persistence format: one JSON file —
 ``{"version": 1, "entries": [{"workload", "seed", "pids": [...],
 "outcome": {"observed": [...], "failed", "seed"}}, ...]}`` — entries
 sorted by key for reproducible diffs; unknown versions are rejected,
-every field's type is checked exactly (nothing is coerced), and
+every field is checked against its type by :mod:`repro.decode`
+(nothing is coerced), and
 loading merges into (never clobbers) the in-memory table.  ``save``
 writes a sibling file and renames it over the target, so a failed
 write leaves the previous cache loadable.
@@ -36,9 +37,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Literal, Optional
 
 from ..core.intervention import RunOutcome
+from ..decode import DecodeError, decode
 from ..sim.serialize import stable_digest
 
 CACHE_FORMAT_VERSION = 1
@@ -177,76 +179,35 @@ class OutcomeCache:
                 raise ValueError(
                     f"{path} is not an outcome-cache file: {exc}"
                 ) from exc
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path} is not an outcome-cache file")
-        version = payload.get("version")
-        if version != CACHE_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported cache format version {version!r} in {path}"
+        try:
+            entries = decode(_CacheFile, payload).entries
+        except DecodeError as exc:
+            raise ValueError(f"{path}: malformed cache: {exc}") from exc
+        for e in entries:
+            self._data[(e.workload, e.seed, e.pids)] = RunOutcome(
+                e.outcome.observed, e.outcome.failed, e.outcome.seed
             )
-        entries = payload.get("entries", [])
-        if not isinstance(entries, list):
-            raise ValueError(
-                f"{path}: malformed cache: 'entries' must be a list, got "
-                f"{type(entries).__name__}"
-            )
-        decoded: dict[CacheKey, RunOutcome] = {}
-        for index, entry in enumerate(entries):
-            try:
-                key, outcome = _decode_entry(entry)
-            except KeyError as exc:
-                raise ValueError(
-                    f"{path}: malformed cache entry #{index}: "
-                    f"missing key {exc}"
-                ) from exc
-            except TypeError as exc:
-                raise ValueError(
-                    f"{path}: malformed cache entry #{index}: {exc}"
-                ) from exc
-            decoded[key] = outcome
-        self._data.update(decoded)
         return len(entries)
 
 
-def _decode_entry(entry: object) -> tuple[CacheKey, RunOutcome]:
-    """One persisted entry, type-checked exactly: nothing is coerced,
-    so ``"false"`` is never a failure and ``"P1"`` never a pid set."""
-    if not isinstance(entry, dict):
-        raise TypeError(f"expected an object, got {type(entry).__name__}")
-    raw = entry["outcome"]
-    if not isinstance(raw, dict):
-        raise TypeError(
-            f"'outcome' must be an object, got {type(raw).__name__}"
-        )
-    key = (
-        _typed(entry, "workload", str),
-        _typed(entry, "seed", int),
-        _pid_set(entry, "pids"),
-    )
-    outcome = RunOutcome(
-        observed=_pid_set(raw, "observed"),
-        failed=_typed(raw, "failed", bool),
-        seed=_typed(raw, "seed", int),
-    )
-    return key, outcome
+@dataclass(frozen=True)
+class _StoredOutcome:
+    observed: frozenset[str]
+    failed: bool
+    seed: int
 
 
-def _typed(raw: dict, name: str, kind: type):
-    # exact type: bool is an int subclass, and a seed of True is wrong
-    value = raw[name]
-    if type(value) is not kind:
-        raise TypeError(
-            f"{name!r} must be {kind.__name__}, got {value!r}"
-        )
-    return value
+@dataclass(frozen=True)
+class _StoredEntry:
+    """One persisted entry, as :meth:`OutcomeCache.save` writes it."""
+
+    workload: str
+    seed: int
+    pids: frozenset[str]
+    outcome: _StoredOutcome
 
 
-def _pid_set(raw: dict, name: str) -> frozenset[str]:
-    value = raw[name]
-    if not isinstance(value, list) or not all(
-        isinstance(pid, str) for pid in value
-    ):
-        raise TypeError(
-            f"{name!r} must be a list of strings, got {value!r}"
-        )
-    return frozenset(value)
+@dataclass(frozen=True)
+class _CacheFile:
+    version: Literal[CACHE_FORMAT_VERSION]
+    entries: list[_StoredEntry]

@@ -42,6 +42,7 @@ from typing import Optional
 
 from ..api import events as _events
 from ..api.events import Envelope, Event, EventLog
+from ..decode import DecodeError, decode
 
 #: bump on any backwards-incompatible change to the line shapes above
 RUN_LOG_SCHEMA_VERSION = 1
@@ -81,13 +82,10 @@ def _event_from(kind: str, data: dict) -> Event:
     cls = EVENT_TYPES.get(kind)
     if cls is None:
         raise RunLogError(f"unknown event kind {kind!r}")
-    kwargs = dict(data)
-    for field in dataclasses.fields(cls):
-        if "frozenset" in str(field.type) and isinstance(
-            kwargs.get(field.name), list
-        ):
-            kwargs[field.name] = frozenset(kwargs[field.name])
-    return cls(**kwargs)
+    try:
+        return decode(cls, data, kind)
+    except DecodeError as exc:
+        raise RunLogError(f"malformed {kind!r} event: {exc}") from exc
 
 
 class JsonlRunLog:

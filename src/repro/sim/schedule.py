@@ -241,7 +241,7 @@ class Schedule:
 
     program: str
     seed: int
-    decisions: tuple[str, ...] = ()
+    decisions: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not isinstance(self.decisions, tuple):
@@ -310,26 +310,20 @@ class Schedule:
             raise ScheduleError(
                 f"expected a schedule object, got {type(payload).__name__}"
             )
-        if payload.get("schema") != SCHEDULE_SCHEMA_VERSION:
+        schema = payload.get("schema")
+        if type(schema) is not int or schema != SCHEDULE_SCHEMA_VERSION:
             raise ScheduleError(
-                f"unsupported schedule schema {payload.get('schema')!r} "
+                f"unsupported schedule schema {schema!r} "
                 f"(this build reads version {SCHEDULE_SCHEMA_VERSION})"
             )
-        decisions = payload.get("decisions")
-        if not isinstance(decisions, list) or not all(
-            isinstance(d, str) for d in decisions
-        ):
-            raise ScheduleError("schedule decisions must be a list of "
-                                "thread names")
-        for key in ("program", "seed"):
-            if key not in payload:
-                raise ScheduleError(f"schedule lacks the {key!r} field")
-        program, seed = payload["program"], payload["seed"]
-        if not isinstance(program, str):
-            raise ScheduleError(f"schedule program {program!r} is not a string")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ScheduleError(f"schedule seed {seed!r} is not an integer")
-        return cls(program=program, seed=seed, decisions=tuple(decisions))
+        # imported here: repro.decode imports this package
+        from ..decode import DecodeError, decode
+
+        fields = {k: v for k, v in payload.items() if k != "schema"}
+        try:
+            return decode(cls, fields, "schedule")
+        except DecodeError as exc:
+            raise ScheduleError(str(exc)) from exc
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

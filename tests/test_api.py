@@ -114,7 +114,7 @@ class TestSpecRoundTrip:
         assert spec.analysis.rng_seed == config.rng_seed
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(SpecError, match="unknown section 'wrokload'"):
+        with pytest.raises(SpecError, match="unknown key 'wrokload'"):
             RunSpec.from_dict({"wrokload": {"name": "network"}})
 
     def test_unknown_key_rejected_with_valid_alternatives(self):
@@ -146,7 +146,7 @@ class TestSpecRoundTrip:
         the validation problem, not a TOML parse error."""
         path = tmp_path / "spec"
         path.write_text('{"wrokload": {"name": "network"}}')
-        with pytest.raises(SpecError, match="unknown section 'wrokload'"):
+        with pytest.raises(SpecError, match="unknown key 'wrokload'"):
             RunSpec.load(path)
 
 
@@ -186,6 +186,31 @@ class TestSpecValidation:
         spec = small_spec(corpus=CorpusSpec(dir="/tmp/c", mode="async"))
         with pytest.raises(SpecError, match="'session' or 'incremental'"):
             spec.validate()
+
+    # A spec built in Python is type-checked as a spec file is, so a
+    # bool count or a string seed never runs.
+    @pytest.mark.parametrize(
+        "spec, path",
+        [
+            (
+                small_spec(collection=CollectionSpec(n_success=True)),
+                "collection.n_success",
+            ),
+            (
+                small_spec(collection=CollectionSpec(start_seed="x")),
+                "collection.start_seed",
+            ),
+            (
+                small_spec(analysis=AnalysisSpec(rng_seed="x")),
+                "analysis.rng_seed",
+            ),
+        ],
+        ids=["bool-count", "string-start-seed", "string-rng-seed"],
+    )
+    def test_values_built_in_python_are_type_checked(self, spec, path):
+        with pytest.raises(SpecError) as excinfo:
+            run(spec)
+        assert excinfo.value.path == path
 
     def test_mode_property(self, seeded_corpus):
         assert small_spec().mode == "live"

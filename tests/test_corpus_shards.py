@@ -302,6 +302,62 @@ class TestUpgradeDoor:
         assert fp in str(excinfo.value)
         assert _snapshot(root) == before
 
+    # A top-level or shard manifest field of the wrong type or range is
+    # a structured error naming the file and the field, from every
+    # command, and never a traceback or a shard read from outside
+    # ``shards/``.
+    @pytest.mark.parametrize(
+        "relpath, field, value, named",
+        [
+            ("manifest.json", "shard_width", "2", "shard_width"),
+            ("manifest.json", "shard_width", 7, "shard_width"),
+            ("manifest.json", "shards", [".."], "'..'"),
+            ("manifest.json", "shards", "ab", "shards"),
+            ("manifest.json", "program", 5, "program"),
+            ("manifest.json", "extra", 1, "'extra'"),
+            ("shards/{sid}/manifest.json", "traces", [], "traces"),
+        ],
+        ids=[
+            "width-a-string",
+            "width-out-of-range",
+            "shard-id-a-path",
+            "shards-a-string",
+            "program-an-int",
+            "unknown-key",
+            "traces-a-list",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["stats", "analyze"])
+    def test_malformed_manifest_is_a_corpus_error(
+        self, tmp_path, capsys, analyzed_network_corpus, relpath, field,
+        value, named, command,
+    ):
+        root = tmp_path / "c"
+        shutil.copytree(analyzed_network_corpus, root)
+        sid = TraceStore.open(root).shard_ids[0]
+        path = root / relpath.format(sid=sid)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["corpus", command, str(root)])
+        message = str(excinfo.value.code)
+        assert message.startswith(f"repro: corpus: {path} is malformed: ")
+        assert named in message
+        assert capsys.readouterr().out == ""
+
+    # A session-mode run that fails on the corpus before the engine ran
+    # prints no empty engine block.
+    def test_debug_on_an_older_corpus_prints_nothing(
+        self, tmp_path, capsys, analyzed_network_corpus
+    ):
+        root = _older_copy(analyzed_network_corpus, tmp_path / "old", 2)
+        capsys.readouterr()
+        with pytest.raises(SystemExit, match="repro corpus upgrade"):
+            main(["debug", "network", "--corpus", str(root)])
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("version", [99, True, 3.0])
     def test_no_reader_takes_an_unknown_version(self, tmp_path, version):
         root = tmp_path / "c"

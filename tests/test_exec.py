@@ -50,23 +50,35 @@ def _entry(**changes):
 #: (file contents, expected error): each refused by OutcomeCache.load
 MALFORMED_CACHES = [
     ("not json {{{", "not an outcome-cache"),
-    ({"version": 1, "entries": [{}]}, "malformed cache entry #0"),
-    ({"version": 1, "entries": 5}, "'entries' must be a list"),
+    (
+        {"version": 1, "entries": [{}]},
+        r"malformed cache: entries\[0\]: missing key",
+    ),
+    ({"version": 1, "entries": 5}, "entries: expected a list"),
     (
         {"version": 1, "entries": [_entry(), _entry(outcome={"failed": "false"})]},
-        "entry #1: 'failed' must be bool",
+        r"entries\[1\]\.outcome\.failed: expected a bool",
     ),
-    ({"version": 1, "entries": [_entry(pids="P1")]}, "'pids' must be a list"),
+    (
+        {"version": 1, "entries": [_entry(pids="P1")]},
+        r"entries\[0\]\.pids: expected a list",
+    ),
     (
         {"version": 1, "entries": [_entry(outcome={"observed": "P1"})]},
-        "'observed' must be a list",
+        r"entries\[0\]\.outcome\.observed: expected a list",
     ),
-    ({"version": 1, "entries": [_entry(seed=1.7)]}, "'seed' must be int"),
+    (
+        {"version": 1, "entries": [_entry(seed=1.7)]},
+        r"entries\[0\]\.seed: expected an int",
+    ),
     (
         {"version": 1, "entries": [_entry(outcome={"seed": True})]},
-        "'seed' must be int",
+        r"entries\[0\]\.outcome\.seed: expected an int",
     ),
-    ({"version": 1, "entries": [_entry(pids=[1])]}, "'pids' must be a list"),
+    (
+        {"version": 1, "entries": [_entry(pids=[1])]},
+        r"entries\[0\]\.pids\[0\]: expected a string",
+    ),
 ]
 
 

@@ -414,6 +414,31 @@ class TestRunLog:
         with pytest.raises(RunLogError, match="warp-drive"):
             read_run_log(path)
 
+    # An event line whose data does not match its event type is refused
+    # naming the field, not replayed as a wrong event or a TypeError.
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ({"n_predicates": "2"}, "n_predicates"),
+            ({"n_predicates": 2, "x": 1}, "'x'"),
+        ],
+        ids=["mistyped", "unknown-key"],
+    )
+    def test_malformed_event_is_rejected(self, tmp_path, data, named):
+        path = tmp_path / "odd.jsonl"
+        path.write_text(
+            json.dumps({"schema": RUN_LOG_SCHEMA_VERSION, "run_id": "x"})
+            + "\n"
+            + json.dumps(
+                {"seq": 1, "t": 0.0, "wall": 0.0, "kind": "suite-frozen",
+                 "data": data}
+            )
+            + "\n"
+        )
+        with pytest.raises(RunLogError, match="suite-frozen") as excinfo:
+            read_run_log(path)
+        assert named in str(excinfo.value)
+
     def test_crashed_run_leaves_a_valid_prefix(self, tmp_path):
         log = JsonlRunLog(tmp_path / "runs")
         bus = EventBus([log])

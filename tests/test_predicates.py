@@ -398,19 +398,23 @@ class TestPredicateDecoding:
     def test_key_field_must_decode_to_a_key(self, value):
         payload = self._race_payload()
         payload["fields"]["a"] = value
-        with pytest.raises(ValueError, match="must be a method key"):
+        with pytest.raises(
+            ValueError, match="DataRacePredicate.a: expected a method key"
+        ):
             predicate_from_dict(payload)
 
     @pytest.mark.parametrize("raw", ["x", ["DataRacePredicate"], None])
     def test_non_object_predicate_is_refused(self, raw):
-        with pytest.raises(ValueError, match="malformed predicate"):
+        with pytest.raises(ValueError, match="expected a PredicateDef"):
             predicate_from_dict(raw)
 
     @pytest.mark.parametrize("fields", [[], "a", 1])
     def test_non_object_fields_are_refused(self, fields):
         payload = self._race_payload()
         payload["fields"] = fields
-        with pytest.raises(ValueError, match="malformed predicate"):
+        with pytest.raises(
+            ValueError, match="DataRacePredicate: expected an object"
+        ):
             predicate_from_dict(payload)
 
     def test_every_key_field_is_checked(self):
@@ -444,7 +448,7 @@ class TestPredicateDecoding:
                 ),
                 "parts",
                 [{"$pred": predicate_to_dict(FailurePredicate(signature="s"))}],
-                "a tuple of predicates",
+                "a tuple",
                 id="parts-list",
             ),
         ],
@@ -455,7 +459,7 @@ class TestPredicateDecoding:
         payload = predicate_to_dict(pred)
         payload["fields"][field] = value
         with pytest.raises(
-            ValueError, match=f"{type(pred).__name__}.{field} must be {expected}"
+            ValueError, match=f"{type(pred).__name__}.{field}: expected {expected}"
         ):
             predicate_from_dict(payload)
 

@@ -30,6 +30,7 @@ import pytest
 
 from repro.api import RunSpec, run as api_run
 from repro.api.spec import CollectionSpec, SpecError, WorkloadSpec
+from repro.cli import main
 from repro.obs import RunIndex, read_run_log
 from repro.obs.cli import tail_run_log
 from repro.serve import ReproServer, submit
@@ -117,6 +118,39 @@ class TestSubmission:
             http_post(f"{server.url}/v1/runs", {"bogus": {}})
         assert excinfo.value.code == 400
         assert json.loads(excinfo.value.read())["error"] == "invalid-spec"
+
+    # A spec field of the wrong type is refused with its dotted path by
+    # both doors: `repro run` exits with a message (no traceback) and the
+    # daemon answers a structured 400.
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("collection", "start_seed", "x"),
+            ("analysis", "rng_seed", "x"),
+            ("collection", "n_success", True),
+            ("corpus", "dir", 5),
+            ("engine", "cache", 5),
+            ("analysis", "extractors", "ab"),
+        ],
+    )
+    def test_mistyped_field_is_refused_with_its_path(
+        self, server, tmp_path, capsys, section, field, value
+    ):
+        payload = small_spec().to_dict()
+        payload[section][field] = value
+        path = f"{section}.{field}"
+        spec_file = tmp_path / "bad.json"
+        spec_file.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(spec_file)])
+        assert str(excinfo.value.code).startswith(f"repro: run: {path}: ")
+        assert capsys.readouterr().out == ""
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            http_post(f"{server.url}/v1/runs", payload)
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read())
+        assert body["error"] == "invalid-spec"
+        assert body["path"] == path
 
     def test_non_json_body_is_a_structured_400(self, server):
         request = urllib.request.Request(

@@ -21,8 +21,9 @@ including every substrate the paper depends on:
 * ``repro.corpus`` — the persistent trace-corpus store:
   content-addressed dedup, a bitset-backed predicate-evaluation memo,
   and incremental SD + AC-DAG maintenance under log ingestion;
-* ``repro.harness`` — corpus collection, end-to-end sessions, and the
-  drivers that regenerate every table and figure of the evaluation;
+* ``repro.harness`` — corpus collection, end-to-end sessions (live and
+  corpus-backed), and the drivers that regenerate every table and
+  figure of the evaluation;
 * ``repro.api`` — the declarative front door: serializable
   :class:`RunSpec` configs, plugin registries, the observer/event
   protocol, and ``repro.run(spec)`` returning a report with a
@@ -37,116 +38,100 @@ Quickstart::
 
     # or, imperatively:
     report = repro.debug(repro.load_workload("npgsql").program)
+
+The names below load lazily (PEP 562), each from its own module on
+first use, so ``import repro.sim`` loads the simulator and nothing
+above it; ``docs/architecture.md`` has the layer table.
 """
 
-from .exec import ExecStats, ExecutionEngine, OutcomeCache
-from .core import (
-    ACDag,
-    Approach,
-    DiscoveryResult,
-    Explanation,
-    GIWP,
-    PredicateSuite,
-    StatisticalDebugger,
-    all_approaches,
-    causal_path_discovery,
-    discover,
-    explain,
-)
-from .corpus import (
-    CorpusSession,
-    EvalMatrix,
-    IncrementalPipeline,
-    TraceStore,
-)
-from .harness import (
-    AIDSession,
-    SessionConfig,
-    SessionReport,
-    collect,
-    debug,
-    figure7,
-    figure8,
-)
-from .sim import Program, SimContext, Simulator, run_program
-from .workloads import REGISTRY, Workload, generate_app
-from .api import (  # noqa: E402 — must follow the subsystem imports
-    AnalysisSpec,
-    CollectionSpec,
-    CorpusSpec,
-    EngineSpec,
-    EventBus,
-    EventLog,
-    Observer,
-    REPORT_SCHEMA_VERSION,
-    Registry,
-    RegistryError,
-    RunSpec,
-    SpecError,
-    WorkloadSpec,
-    run,
-    validate_report_dict,
-)
+from __future__ import annotations
+
+from .api.registry import workloads as _workloads
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "ACDag",
-    "AIDSession",
-    "AnalysisSpec",
-    "Approach",
-    "CollectionSpec",
-    "CorpusSpec",
-    "EngineSpec",
-    "EventBus",
-    "EventLog",
-    "Observer",
-    "REPORT_SCHEMA_VERSION",
-    "Registry",
-    "RegistryError",
-    "RunSpec",
-    "SpecError",
-    "WorkloadSpec",
-    "run",
-    "validate_report_dict",
-    "CorpusSession",
-    "DiscoveryResult",
-    "EvalMatrix",
-    "ExecStats",
-    "IncrementalPipeline",
-    "TraceStore",
-    "ExecutionEngine",
-    "Explanation",
-    "GIWP",
-    "OutcomeCache",
-    "PredicateSuite",
-    "Program",
-    "REGISTRY",
-    "SessionConfig",
-    "SessionReport",
-    "SimContext",
-    "Simulator",
-    "StatisticalDebugger",
-    "Workload",
-    "all_approaches",
-    "causal_path_discovery",
-    "collect",
-    "debug",
-    "discover",
-    "explain",
-    "figure7",
-    "figure8",
-    "generate_app",
-    "load_workload",
-    "run_program",
-    "__version__",
-]
+_EXPORTS = {
+    # simulator
+    "Program": ("repro.sim.program", "Program"),
+    "SimContext": ("repro.sim.program", "SimContext"),
+    "Simulator": ("repro.sim.scheduler", "Simulator"),
+    "run_program": ("repro.sim.scheduler", "run_program"),
+    # the AID pipeline
+    "ACDag": ("repro.core.acdag", "ACDag"),
+    "Approach": ("repro.core.variants", "Approach"),
+    "DiscoveryResult": ("repro.core.discovery", "DiscoveryResult"),
+    "Explanation": ("repro.core.report", "Explanation"),
+    "GIWP": ("repro.core.giwp", "GIWP"),
+    "PredicateSuite": ("repro.core.extraction", "PredicateSuite"),
+    "StatisticalDebugger": ("repro.core.statistical", "StatisticalDebugger"),
+    "all_approaches": ("repro.core.variants", "all_approaches"),
+    "causal_path_discovery": ("repro.core.discovery", "causal_path_discovery"),
+    "discover": ("repro.core.variants", "discover"),
+    "explain": ("repro.core.report", "explain"),
+    # execution engine
+    "ExecStats": ("repro.exec.stats", "ExecStats"),
+    "ExecutionEngine": ("repro.exec.engine", "ExecutionEngine"),
+    "OutcomeCache": ("repro.exec.cache", "OutcomeCache"),
+    # corpus
+    "EvalMatrix": ("repro.corpus.matrix", "EvalMatrix"),
+    "IncrementalPipeline": ("repro.corpus.pipeline", "IncrementalPipeline"),
+    "TraceStore": ("repro.corpus.store", "TraceStore"),
+    # workloads
+    "REGISTRY": ("repro.workloads.common", "REGISTRY"),
+    "Workload": ("repro.workloads.common", "Workload"),
+    "generate_app": ("repro.workloads.synthetic", "generate_app"),
+    # sessions and experiments
+    "AIDSession": ("repro.harness.session", "AIDSession"),
+    "CorpusSession": ("repro.harness.session", "CorpusSession"),
+    "SessionConfig": ("repro.harness.session", "SessionConfig"),
+    "SessionReport": ("repro.harness.session", "SessionReport"),
+    "collect": ("repro.harness.runner", "collect"),
+    "debug": ("repro.harness.session", "debug"),
+    "figure7": ("repro.harness.experiments", "figure7"),
+    "figure8": ("repro.harness.experiments", "figure8"),
+    # the declarative API
+    "AnalysisSpec": ("repro.api.spec", "AnalysisSpec"),
+    "CollectionSpec": ("repro.api.spec", "CollectionSpec"),
+    "CorpusSpec": ("repro.api.spec", "CorpusSpec"),
+    "EngineSpec": ("repro.api.spec", "EngineSpec"),
+    "RunSpec": ("repro.api.spec", "RunSpec"),
+    "SpecError": ("repro.api.spec", "SpecError"),
+    "WorkloadSpec": ("repro.api.spec", "WorkloadSpec"),
+    "run": ("repro.api.runner", "run"),
+    "Registry": ("repro.api.registry", "Registry"),
+    "RegistryError": ("repro.api.registry", "RegistryError"),
+    "EventBus": ("repro.api.events", "EventBus"),
+    "EventLog": ("repro.api.events", "EventLog"),
+    "Observer": ("repro.api.events", "Observer"),
+    "REPORT_SCHEMA_VERSION": ("repro.core.report", "REPORT_SCHEMA_VERSION"),
+    "validate_report_dict": ("repro.core.report", "validate_report_dict"),
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__", "load_workload"]
 
 
-def load_workload(name: str) -> Workload:
+def __getattr__(name: str):
+    try:
+        module_name, attr = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), attr)
+    globals()[name] = value  # cache for the next lookup
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+def load_workload(name: str):
     """Build one of the bundled case-study workloads by name.
 
     Names: ``npgsql``, ``kafka``, ``cosmosdb``, ``network``,
     ``buildandtest``, ``healthtelemetry``.
     """
-    return REGISTRY.build(name)
+    return _workloads.build(name)

@@ -23,14 +23,23 @@ Invariants
   accidental shadowing of a bundled name is an error;
 * :data:`workloads` *is* :data:`repro.workloads.common.REGISTRY` (one
   object, two import paths), so the bundled case studies and
-  third-party registrations can never drift apart.
+  third-party registrations can never drift apart;
+* this module imports nothing of ``repro`` when it loads: each table
+  imports its built-in catalogue on first use (a lookup, a listing or a
+  registration), so every layer may import the tables.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Generic, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
+
+#: held while a table loads its built-ins: other threads wait for the
+#: whole catalogue; re-entrant, since a catalogue registers into the
+#: table it fills
+_LOADING = threading.RLock()
 
 
 class RegistryError(KeyError):
@@ -47,10 +56,27 @@ class RegistryError(KeyError):
 class Registry(Generic[T]):
     """A named string → factory mapping with decorator registration."""
 
-    def __init__(self, kind: str) -> None:
+    def __init__(
+        self, kind: str, builtins: Optional[Callable[[], None]] = None
+    ) -> None:
         #: what this registry holds, for error messages ("workload", …)
         self.kind = kind
         self._factories: dict[str, T] = {}
+        #: registers the built-in catalogue; run once, on first use
+        self._builtins = builtins
+        self._loading = False
+
+    def _table(self) -> dict[str, T]:
+        if self._builtins is not None:
+            with _LOADING:
+                if self._builtins is not None and not self._loading:
+                    self._loading = True
+                    try:
+                        self._builtins()
+                        self._builtins = None
+                    finally:
+                        self._loading = False
+        return self._factories
 
     def register(
         self, name: str, factory: Optional[T] = None, replace: bool = False
@@ -58,12 +84,13 @@ class Registry(Generic[T]):
         """Register ``factory`` under ``name``; usable as a decorator."""
 
         def _register(fn: T) -> T:
-            if not replace and name in self._factories:
+            table = self._table()
+            if not replace and name in table:
                 raise RegistryError(
                     f"{self.kind} {name!r} is already registered "
                     "(pass replace=True to override)"
                 )
-            self._factories[name] = fn
+            table[name] = fn
             return fn
 
         if factory is not None:
@@ -74,7 +101,7 @@ class Registry(Generic[T]):
         """The registered factory, or a :class:`RegistryError` naming
         every valid key."""
         try:
-            return self._factories[name]
+            return self._table()[name]
         except KeyError:
             known = ", ".join(sorted(self._factories)) or "(none)"
             raise RegistryError(
@@ -86,60 +113,56 @@ class Registry(Generic[T]):
         return self.get(name)(*args, **kwargs)
 
     def names(self) -> list[str]:
-        return sorted(self._factories)
+        return sorted(self._table())
 
     def __contains__(self, name: str) -> bool:
-        return name in self._factories
+        return name in self._table()
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names())
 
     def __len__(self) -> int:
-        return len(self._factories)
+        return len(self._table())
 
 
 # ---------------------------------------------------------------------------
 # The four bundled registries
 # ---------------------------------------------------------------------------
 
-#: name → zero-arg builder returning a :class:`repro.workloads.Workload`.
-#: This is the *same object* as ``repro.workloads.common.REGISTRY``; the
-#: bundled case studies register themselves into it at import time.
-workloads: Registry[Callable] = Registry("workload")
 
-#: name → zero-arg factory returning a :class:`repro.core.Extractor`.
-extractors: Registry[Callable] = Registry("extractor")
-
-#: name → zero-arg factory returning a
-#: :class:`repro.core.precedence.PrecedencePolicy`.
-policies: Registry[Callable] = Registry("precedence policy")
-
-#: name → factory(seed=…, **params) returning a
-#: :class:`repro.sim.schedule.SchedulerStrategy`.
-strategies: Registry[Callable] = Registry("scheduler strategy")
+def _bundled_workloads() -> None:
+    from .. import workloads  # noqa: F401 - the case studies register as they load
 
 
-def _register_builtins() -> None:
-    """Populate the strategy/extractor/policy registries.
+def _bundled_extractors() -> None:
+    from ..core import extraction as x
 
-    Imported lazily so this module stays import-cycle-free (workloads
-    self-register on ``repro.workloads`` import instead)."""
-    from ..core.extraction import (
-        CompoundConjunctionExtractor,
-        DataRaceExtractor,
-        DurationExtractor,
-        FailureExtractor,
-        MethodExecutedExtractor,
-        MethodFailsExtractor,
-        OrderViolationExtractor,
-        WrongReturnExtractor,
-    )
-    from ..core.precedence import (
-        EndTimePolicy,
-        KindAnchorPolicy,
-        LamportAnchorPolicy,
-        StartTimePolicy,
-    )
+    for name, cls in (
+        ("data-race", x.DataRaceExtractor),
+        ("method-fails", x.MethodFailsExtractor),
+        ("duration", x.DurationExtractor),
+        ("wrong-return", x.WrongReturnExtractor),
+        ("order-violation", x.OrderViolationExtractor),
+        ("method-executed", x.MethodExecutedExtractor),
+        ("compound", x.CompoundConjunctionExtractor),
+        ("failure", x.FailureExtractor),
+    ):
+        extractors.register(name, cls)
+
+
+def _bundled_policies() -> None:
+    from ..core import precedence as p
+
+    for name, cls in (
+        ("kind-anchor", p.KindAnchorPolicy),
+        ("start-time", p.StartTimePolicy),
+        ("end-time", p.EndTimePolicy),
+        ("lamport", p.LamportAnchorPolicy),
+    ):
+        policies.register(name, cls)
+
+
+def _bundled_strategies() -> None:
     from ..explore.strategies import DelayStrategy, PCTStrategy
     from ..sim.schedule import RandomStrategy
 
@@ -151,25 +174,25 @@ def _register_builtins() -> None:
         strategies.register(name, cls)
     strategies.register("replay", _replay_strategy)
 
-    for name, cls in (
-        ("data-race", DataRaceExtractor),
-        ("method-fails", MethodFailsExtractor),
-        ("duration", DurationExtractor),
-        ("wrong-return", WrongReturnExtractor),
-        ("order-violation", OrderViolationExtractor),
-        ("method-executed", MethodExecutedExtractor),
-        ("compound", CompoundConjunctionExtractor),
-        ("failure", FailureExtractor),
-    ):
-        extractors.register(name, cls)
 
-    for name, cls in (
-        ("kind-anchor", KindAnchorPolicy),
-        ("start-time", StartTimePolicy),
-        ("end-time", EndTimePolicy),
-        ("lamport", LamportAnchorPolicy),
-    ):
-        policies.register(name, cls)
+#: name → zero-arg builder returning a :class:`repro.workloads.Workload`.
+#: This is the *same object* as ``repro.workloads.common.REGISTRY``; the
+#: bundled case studies register themselves into it when
+#: :mod:`repro.workloads` loads.
+workloads: Registry[Callable] = Registry("workload", _bundled_workloads)
+
+#: name → zero-arg factory returning a :class:`repro.core.Extractor`.
+extractors: Registry[Callable] = Registry("extractor", _bundled_extractors)
+
+#: name → zero-arg factory returning a
+#: :class:`repro.core.precedence.PrecedencePolicy`.
+policies: Registry[Callable] = Registry("precedence policy", _bundled_policies)
+
+#: name → factory(seed=…, **params) returning a
+#: :class:`repro.sim.schedule.SchedulerStrategy`.
+strategies: Registry[Callable] = Registry(
+    "scheduler strategy", _bundled_strategies
+)
 
 
 def _replay_strategy(seed: int = 0, schedule=None, **params):
@@ -231,5 +254,3 @@ def workload_for_program(program_name: Optional[str]):
             return workload
     return None
 
-
-_register_builtins()

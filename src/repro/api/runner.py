@@ -11,7 +11,7 @@ spec, it:
 2. dispatches by mode — **live** (collect + debug via
    :class:`~repro.harness.session.AIDSession`), **corpus** (debug from
    a stored :class:`~repro.corpus.store.TraceStore` via
-   :class:`~repro.corpus.session.CorpusSession`, which analyzes through
+   :class:`~repro.harness.session.CorpusSession`, which analyzes through
    the same pipeline bootstrap), or **incremental** (analyze-only
    :class:`~repro.corpus.pipeline.IncrementalPipeline` bootstrap over
    the store);
@@ -32,22 +32,28 @@ Invariants
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
+from ..core.variants import Approach
+from ..corpus.pipeline import IncrementalPipeline
+from ..corpus.store import TraceStore
+from ..harness.session import (
+    AIDSession,
+    CorpusSession,
+    SessionConfig,
+    SessionReport,
+)
+from . import registry as registries
 from .events import EventBus, Observer, RunFinished, RunStarted
 from .spec import RunSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..harness.session import SessionReport
-    from ..obs import ObsContext
 
 
 def run(
     spec: RunSpec,
     observers: Iterable[Union[Observer, "callable"]] = (),
     bus: Optional[EventBus] = None,
-    obs: Optional["ObsContext"] = None,
-) -> "SessionReport":
+    obs=None,
+) -> SessionReport:
     """Execute one declarative run and return its report.
 
     ``observers`` (or a pre-built ``bus``) receive the run's events in
@@ -57,10 +63,6 @@ def run(
     key with the run id and metrics snapshot — everything else about
     the report stays byte-identical.
     """
-    from ..core.variants import Approach
-    from ..corpus import CorpusSession, TraceStore
-    from ..harness.session import AIDSession, SessionConfig
-
     spec.validate()
     if bus is None:
         bus = EventBus(list(observers))
@@ -75,8 +77,6 @@ def run(
         if mode == "incremental":
             report = _run_incremental(spec, bus)
         else:
-            from . import registry as registries
-
             workload = registries.workloads.build(spec.workload.name)
             config = SessionConfig(
                 n_success=spec.collection.n_success,
@@ -126,14 +126,10 @@ def run(
     return report
 
 
-def _run_incremental(spec: RunSpec, bus: EventBus) -> "SessionReport":
+def _run_incremental(spec: RunSpec, bus: EventBus) -> SessionReport:
     """Analyze-only: bootstrap the incremental pipeline over the store
     and report its views.  No intervention runs, so the engine is
     idle."""
-    from ..corpus import IncrementalPipeline, TraceStore
-    from ..harness.session import SessionReport
-    from . import registry as registries
-
     store = TraceStore.open(spec.corpus.dir)
     workload = registries.workload_for_program(store.program)
     program = workload.program if workload is not None else None

@@ -38,22 +38,21 @@ Invariants
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
+from ..core.variants import Approach
 from ..decode import DecodeError, decode
+from ..exec.cache import OutcomeCache
+from ..exec.engine import ExecutionEngine
 from ..sim.scheduler import DEFAULT_MAX_STEPS
 from . import registry as registries
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import argparse
-
-    from ..exec.engine import ExecutionEngine
-    from .events import EventBus
+from .events import EventBus
 
 SPEC_VERSION = 1
 
@@ -183,7 +182,7 @@ class EngineSpec:
     # -- CLI plumbing (one code path for every subcommand) ---------------
 
     @classmethod
-    def add_flags(cls, parser: "argparse.ArgumentParser") -> None:
+    def add_flags(cls, parser: argparse.ArgumentParser) -> None:
         """Register ``--cache`` on a subparser."""
         parser.add_argument(
             "--cache",
@@ -193,15 +192,12 @@ class EngineSpec:
         )
 
     @classmethod
-    def from_args(cls, args: "argparse.Namespace") -> "EngineSpec":
+    def from_args(cls, args: argparse.Namespace) -> "EngineSpec":
         return cls(cache=getattr(args, "cache", None))
 
-    def build(self, bus: Optional["EventBus"] = None) -> "ExecutionEngine":
+    def build(self, bus: Optional[EventBus] = None) -> ExecutionEngine:
         """Construct the engine, its cache loaded (the cache's parent
         directory checked *before* any work is spent)."""
-        from ..exec.cache import OutcomeCache
-        from ..exec.engine import ExecutionEngine
-
         if self.cache is not None:
             parent = os.path.dirname(os.path.abspath(self.cache))
             if not os.path.isdir(parent):
@@ -258,8 +254,6 @@ class AnalysisSpec:
             object.__setattr__(self, "extractors", tuple(self.extractors))
 
     def problems(self) -> list[str]:
-        from ..core.variants import Approach
-
         problems = []
         valid = [a.value for a in Approach]
         if self.approach not in valid:

@@ -57,10 +57,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .api import registry as registries
-from .api.events import EventLog
+from .api.events import EventBus, EventLog
 from .api.runner import run as api_run
 from .api.spec import (
     AnalysisSpec,
@@ -74,6 +74,7 @@ from .api.spec import (
 from .core.variants import Approach
 from .corpus import CorpusError, IncrementalPipeline, TraceStore
 from .corpus.store import STORE_VERSION, upgrade
+from .exec import ExecutionEngine
 from .harness.experiments import (
     example3_report,
     figure6_report,
@@ -82,6 +83,7 @@ from .harness.experiments import (
     figure8,
     figure8_report,
 )
+from .harness.runner import collect
 from .harness.tables import render_table
 from .obs.cli import add_obs_flags, add_obs_subcommand, cmd_obs, obs_from_args
 from .obs.metrics import render_snapshot
@@ -89,9 +91,6 @@ from .sim.schedule import ReplayStrategy, Schedule, ScheduleError
 from .sim.scheduler import Simulator
 from .sim.serialize import trace_to_json
 from .workloads.common import REGISTRY
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .exec import ExecutionEngine
 
 
 def _spec_exit(exc: SpecError, context: str = "") -> "SystemExit":
@@ -401,8 +400,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             raise SystemExit(f"repro: --corpus: {exc}") from exc
 
     log = EventLog()
-    from .api.events import EventBus
-
     bus = EventBus([log])
     obs = obs_from_args(args)
     if obs is not None:
@@ -519,8 +516,6 @@ def _cmd_corpus_ingest(args: argparse.Namespace) -> int:
             added += was_added
             duplicates += not was_added
         if args.runs:
-            from .harness.runner import collect
-
             if store.program is None:
                 raise SystemExit(
                     "repro: corpus ingest --runs needs a program: ingest a "

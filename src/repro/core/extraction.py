@@ -18,14 +18,16 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Literal, Optional, Sequence
+from typing import Iterable, Literal, Optional, Sequence
 
 from ..decode import decode
 from ..sim.program import Program
+from ..sim.serialize import stable_digest
 from ..sim.tracing import ExecutionTrace, MethodExecution, MethodKey
-from .evalkernel import ordered_cross_thread_pairs, race_candidates
+from .evalkernel import SuiteKernel, ordered_cross_thread_pairs, race_candidates
 from .predicates import (
     PREDICATE_FORMAT_VERSION,
+    CompoundAndPredicate,
     DataRacePredicate,
     ExecutedPredicate,
     FailurePredicate,
@@ -39,9 +41,6 @@ from .predicates import (
     predicate_to_dict,
 )
 from .statistical import PredicateLog
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .evalkernel import SuiteKernel
 
 #: Exception kinds that mark harness artifacts, not program behaviour.
 IGNORED_EXCEPTIONS = frozenset({"Unfinished"})
@@ -330,8 +329,6 @@ class CompoundConjunctionExtractor(Extractor):
         candidates = [p for p in perfect_recall if p not in already_perfect]
 
         compounds: list[PredicateDef] = []
-        from .predicates import CompoundAndPredicate
-
         for i, pid_a in enumerate(candidates):
             for pid_b in candidates[i + 1 :]:
                 together_in_success = any(
@@ -423,8 +420,6 @@ class PredicateSuite:
         predicate's full definition digest (see
         :meth:`~repro.core.predicates.PredicateDef.definition_digest`).
         Persistent evaluation memos use this to notice suite drift."""
-        from ..sim.serialize import stable_digest
-
         return stable_digest(
             {pid: p.definition_digest() for pid, p in self.defs.items()}
         )
@@ -465,7 +460,7 @@ class PredicateSuite:
             raise ValueError("suite.predicates: a pid appears twice")
         return cls(defs=defs)
 
-    def kernel(self) -> "SuiteKernel":
+    def kernel(self) -> SuiteKernel:
         """The suite's batch evaluator, built once per frozen pid set.
 
         Rebuilt automatically when ``defs`` gains or loses pids (e.g. a
@@ -473,8 +468,6 @@ class PredicateSuite:
         in-place under an unchanged pid is not supported — freeze a new
         suite instead.
         """
-        from .evalkernel import SuiteKernel
-
         cached = getattr(self, "_kernel", None)
         if cached is None or cached.pids != tuple(self.defs):
             cached = SuiteKernel(self.defs)
@@ -495,7 +488,7 @@ class PredicateSuite:
         return [self._log(kernel, t, t.seed) for t in traces]
 
     @staticmethod
-    def _log(kernel: "SuiteKernel", trace: ExecutionTrace, seed: int) -> PredicateLog:
+    def _log(kernel: SuiteKernel, trace: ExecutionTrace, seed: int) -> PredicateLog:
         return PredicateLog(
             observations=kernel.observations(trace),
             failed=trace.failed,

@@ -20,30 +20,13 @@ nondeterministic — footnote 1 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence
+from typing import Iterable, Optional, Protocol, Sequence
 
+from ..exec.cache import RunOutcome, RunRequest
+from ..exec.engine import ExecutionEngine
 from ..sim.faults import Intervention, InterventionSet
 from ..sim.scheduler import Simulator
 from .extraction import PredicateSuite
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.cache import RunRequest
-    from ..exec.engine import ExecutionEngine
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    """What one intervened execution showed.
-
-    ``observed`` holds the pids of all predicates that evaluated true on
-    the intervened run; ``failed`` tells whether the failure (same
-    signature) still occurred.  Both feed the pruning rule
-    (Definition 2).
-    """
-
-    observed: frozenset[str]
-    failed: bool
-    seed: int = 0
 
 
 class InterventionRunner(Protocol):
@@ -93,7 +76,7 @@ class CountingRunner:
         return outcomes
 
     @property
-    def engine(self) -> Optional["ExecutionEngine"]:
+    def engine(self) -> Optional[ExecutionEngine]:
         return getattr(self.inner, "engine", None)
 
 
@@ -135,7 +118,7 @@ class SimulationRunner:
         suite: PredicateSuite,
         failure_pid: str,
         seeds: Sequence[int],
-        engine: "ExecutionEngine",
+        engine: ExecutionEngine,
         workload: Optional[str] = None,
     ) -> None:
         if not seeds:
@@ -168,7 +151,7 @@ class SimulationRunner:
             self._injections[pids] = cached
         return cached
 
-    def execute_request(self, request: "RunRequest") -> RunOutcome:
+    def execute_request(self, request: RunRequest) -> RunOutcome:
         """One intervened execution — the engine's ``run_fn``."""
         injections = self._injection_set(request.pids)
         result = self.simulator.run(request.seed, injections)
@@ -179,9 +162,7 @@ class SimulationRunner:
             seed=request.seed,
         )
 
-    def _requests(self, pids: frozenset[str]) -> list["RunRequest"]:
-        from ..exec.cache import RunRequest
-
+    def _requests(self, pids: frozenset[str]) -> list[RunRequest]:
         return [RunRequest(self.workload, seed, pids) for seed in self.seeds]
 
     def run_group(self, pids: frozenset[str]) -> list[RunOutcome]:

@@ -36,6 +36,7 @@ from ..sim.faults import (
     SerializeMethods,
 )
 from ..sim.program import Program
+from ..sim.serialize import stable_digest
 from ..sim.tracing import ExecutionTrace, MethodExecution, MethodKey
 
 
@@ -151,9 +152,6 @@ class PredicateDef:
         cached = getattr(self, "_definition_digest", None)
         if cached is not None:
             return cached
-        import dataclasses
-
-        from ..sim.serialize import stable_digest
 
         def value_of(value: object) -> object:
             if isinstance(value, MethodKey):

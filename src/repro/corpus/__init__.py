@@ -18,8 +18,12 @@ into a durable service:
   under log insertions, built by one serial ``bootstrap`` pass (and a
   :meth:`~IncrementalPipeline.rebuild` fallback the maintained state is
   asserted equal to);
-* :mod:`~repro.corpus.session` — :class:`CorpusSession`, an AID session
-  that debugs from stored logs instead of re-running the workload.
+* :mod:`~repro.corpus.files` — the atomic JSON writes and checked reads
+  every corpus file goes through, and :class:`CorpusError`.
+
+:class:`~repro.harness.session.CorpusSession`, the AID session that
+debugs from stored logs instead of re-running the workload, sits one
+layer up, in :mod:`repro.harness`.
 
 CLI: ``repro corpus init|ingest|stats|shard-stats|analyze|compact|reshard|upgrade`` and
 ``repro debug <workload> --corpus DIR``.  See ``docs/corpus.md`` for the
@@ -34,13 +38,11 @@ from .matrix import (
     split_matrix,
 )
 from .pipeline import BatchIngestResult, IncrementalPipeline, IngestResult
-from .session import CorpusSession
 from .store import CorpusError, TraceEntry, TraceStore
 
 __all__ = [
     "CompactionStats",
     "CorpusError",
-    "CorpusSession",
     "EvalMatrix",
     "IncrementalPipeline",
     "BatchIngestResult",

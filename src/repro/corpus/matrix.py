@@ -56,18 +56,25 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+from ..core.evalkernel import popcount_split
 from ..core.extraction import PredicateSuite
 from ..core.predicates import Observation
 from ..core.statistical import PredicateLog, StatisticalDebugger
-from .store import CorpusError, _read_json, _write_json
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .store import TraceStore
+from .files import CorpusError, _read_json, _write_json
 
 MATRIX_VERSION = 1
 MATRIX_INDEX_VERSION = 2
+
+
+@dataclass(frozen=True)
+class _MatrixIndex:
+    """The top-level ``evalmatrix.json``: the shards holding a bitset
+    file."""
+
+    version: int
+    shards: list[str]
 
 
 def _obs_to_list(obs: Observation) -> list:
@@ -408,8 +415,6 @@ class EvalMatrix:
 
     def counts(self, pid: str) -> tuple[int, int]:
         """(true_in_failed, true_in_success) for one pid, by popcount."""
-        from ..core.evalkernel import popcount_split
-
         return popcount_split(self.observed.get(pid, 0), self.failed_mask)
 
     def sd_counters(
@@ -420,8 +425,6 @@ class EvalMatrix:
         traces' logs one by one would hold, derived straight from the
         bitsets.  Every fingerprint must already be fully decided for
         ``suite`` (i.e. have gone through :meth:`log_for`)."""
-        from ..core.evalkernel import popcount_split
-
         mask = 0
         for fp in fingerprints:
             mask |= 1 << self._column[fp]
@@ -555,10 +558,11 @@ class ShardedEvalMatrix:
     exactly one shard file.  Shard matrices load lazily; ``save`` writes
     each dirty shard next to its traces plus a top-level index
     (``DIR/evalmatrix.json``, format version 2) naming every shard that
-    holds a bitset file.
+    holds a bitset file.  ``store`` is the
+    :class:`~repro.corpus.store.TraceStore` it memoizes over.
     """
 
-    def __init__(self, store: "TraceStore") -> None:
+    def __init__(self, store) -> None:
         self.store = store
         self._shards: dict[str, EvalMatrix] = {}
 
@@ -591,24 +595,13 @@ class ShardedEvalMatrix:
         index_path = self.store.matrix_index_path
         sids: set[str] = set()
         if index_path.exists():
-            payload = _read_json(index_path)
-            version = payload.get("version")
-            if version != MATRIX_INDEX_VERSION:
+            index = _read_json(index_path, tp=_MatrixIndex)
+            if index.version != MATRIX_INDEX_VERSION:
                 raise CorpusError(
-                    f"unsupported eval-matrix index version {version!r} "
+                    f"unsupported eval-matrix index version {index.version!r} "
                     f"in {index_path}"
                 )
-            listed = payload.get("shards", [])
-            if not isinstance(listed, list) or not all(
-                isinstance(sid, str) for sid in listed
-            ):
-                raise CorpusError(
-                    f"{index_path} is malformed: shards must be a "
-                    "list of shard ids"
-                )
-            sids.update(
-                sid for sid in listed if self.store.is_valid_shard_id(sid)
-            )
+            sids.update(filter(self.store.is_valid_shard_id, index.shards))
         for sid in self.store.shard_ids:
             if self.store.shard_matrix_path(sid).exists():
                 sids.add(sid)

@@ -70,8 +70,18 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import Optional, Sequence
 
+from ..api.events import (
+    CollectionFinished,
+    CorpusLoaded,
+    DagBuilt,
+    DagPatched,
+    Event,
+    EventBus,
+    LogsEvaluated,
+    SuiteFrozen,
+)
 from ..core.acdag import ACDag, learn_dag
 from ..core.extraction import Extractor, PredicateSuite
 from ..core.precedence import PrecedencePolicy, default_policy
@@ -83,9 +93,6 @@ from ..core.statistical import (
 from ..sim.program import Program
 from .matrix import CompactionStats, ShardedEvalMatrix
 from .store import CorpusError, TraceStore
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.events import Event, EventBus
 
 
 @dataclass
@@ -134,7 +141,7 @@ class IncrementalPipeline:
         extractors: Optional[Sequence[Extractor]] = None,
         policy: Optional[PrecedencePolicy] = None,
         suite: Optional[PredicateSuite] = None,
-        bus: Optional["EventBus"] = None,
+        bus: Optional[EventBus] = None,
     ) -> None:
         self.store = store
         self.program = program
@@ -163,7 +170,7 @@ class IncrementalPipeline:
     def bootstrapped(self) -> bool:
         return self._bootstrapped
 
-    def _emit(self, event: "Event") -> None:
+    def _emit(self, event: Event) -> None:
         if self.bus is not None:
             self.bus.emit(event)
 
@@ -184,9 +191,9 @@ class IncrementalPipeline:
         return [self._log(fp) for fp in successes + failures]
 
     def analyzed(self) -> tuple[list[str], list[str]]:
-        """The analyzed traces in canonical corpus order (a
-        ``labeled_corpus`` walk restricted to the signature): successes,
-        then on-signature failures, each fingerprint-sorted."""
+        """The analyzed traces in canonical corpus order: successes,
+        then on-signature failures, each fingerprint-sorted (the order
+        ``store.traces`` loads them in)."""
         ordered = sorted(self.store.entries.items())
         successes = [fp for fp, e in ordered if not e.failed]
         failures = [
@@ -217,14 +224,6 @@ class IncrementalPipeline:
         restart performs zero fresh evaluations; the summed per-shard
         counters feed one global AC-DAG build.
         """
-        from ..api.events import (
-            CollectionFinished,
-            CorpusLoaded,
-            DagBuilt,
-            LogsEvaluated,
-            SuiteFrozen,
-        )
-
         if not any(e.failed for e in self.store.entries.values()):
             raise CorpusError("corpus has no failed traces to analyze")
         if all(e.failed for e in self.store.entries.values()):
@@ -263,13 +262,16 @@ class IncrementalPipeline:
             # Discovery calibration is global by construction (duration
             # envelopes and order baselines span the whole corpus), so
             # the parent loads every trace and discovers serially.
-            corpus = self.store.labeled_corpus().restrict_failures(
-                self.signature
-            )
+            passed = list(self.store.traces("pass"))
+            failed = [
+                trace
+                for trace in self.store.traces("fail")
+                if trace.failure.signature == self.signature
+            ]
             with self._span("discovery"):
                 self.suite = PredicateSuite.discover(
-                    corpus.successes,
-                    corpus.failures,
+                    passed,
+                    failed,
                     extractors=self.extractors,
                     program=self.program,
                 )
@@ -287,7 +289,7 @@ class IncrementalPipeline:
             )
             with self._span("evaluate"):
                 counters = self.matrix.evaluate_shards(
-                    self.suite, corpus.successes + corpus.failures
+                    self.suite, passed + failed
                 )
         else:
             # Pre-frozen suite: nothing global needs the trace bodies,
@@ -337,9 +339,7 @@ class IncrementalPipeline:
 
         Duplicates (same content fingerprint) change nothing.  Failed
         traces with a different failure signature are stored but excluded
-        from this pipeline's views, exactly as
-        :meth:`~repro.harness.runner.LabeledCorpus.restrict_failures`
-        excludes them from a batch session.  ``schedule_signature``
+        from this pipeline's views, as a live session excludes them.  ``schedule_signature``
         stamps interleaving provenance into the manifest row (see
         :meth:`~repro.corpus.store.TraceStore.ingest`).
 
@@ -447,8 +447,6 @@ class IncrementalPipeline:
                 removed_pids=per_slot.get(slot, frozenset()),
             )
         if self.bus is not None:
-            from ..api.events import DagPatched
-
             for slot, fp, trace, failed in analyzable:
                 self._emit(
                     DagPatched(

@@ -64,15 +64,13 @@ reader there, never to ``open``.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Literal, Optional
+from typing import Iterator, Literal, Optional
 
-from ..decode import DecodeError, decode
-
-from ..harness.runner import LabeledCorpus
+from ..core.extraction import PredicateSuite
 from ..sim.serialize import (
     DIGEST_CHARS,
     ImportedTrace,
@@ -82,9 +80,14 @@ from ..sim.serialize import (
     stable_digest,
     trace_from_dict,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .matrix import ShardedEvalMatrix
+from .files import CorpusError, _decode_file, _read_json, _write_json
+from .matrix import (
+    MATRIX_INDEX_VERSION,
+    EvalMatrix,
+    ShardedEvalMatrix,
+    merge_matrices,
+    split_matrix,
+)
 
 MANIFEST_NAME = "manifest.json"
 MATRIX_NAME = "evalmatrix.json"
@@ -102,10 +105,6 @@ HEX_DIGITS = "0123456789abcdef"
 #: per-shard sidecars older v3 builds wrote (a derived trace table and
 #: its temp file): ignored on read, deleted by :func:`upgrade`
 LEGACY_SHARD_FILES = ("columnar.bin", "columnar.bin.tmp")
-
-
-class CorpusError(RuntimeError):
-    """The corpus directory is missing, malformed, or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -165,34 +164,6 @@ class _Manifest:
     def __post_init__(self) -> None:
         if not 0 <= self.shard_width <= 4:  # as init enforces
             raise ValueError(f"shard_width {self.shard_width} is not in 0..4")
-
-
-def _write_json(path: Path, payload: dict, indent: Optional[int] = 2) -> None:
-    """Atomic JSON write: temp file in the same directory + rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(payload, indent=indent, sort_keys=True))
-    tmp.replace(path)
-
-
-def _read_json(path: Path, raw: Optional[bytes] = None, tp: type = dict):
-    """Parse one corpus file (or its ``raw`` bytes, already read) as
-    ``tp``, an object by default; a truncated or corrupt file is a
-    :class:`CorpusError` naming it, never a bare decoder traceback."""
-    try:
-        payload = json.loads(path.read_bytes() if raw is None else raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorpusError(f"{path} is unreadable: {exc}") from exc
-    return _decode_file(tp, path, payload)
-
-
-def _decode_file(tp: type, path: Path, payload: object):
-    """``payload``, parsed from ``path``, as ``tp``; a mismatch is a
-    :class:`CorpusError` naming the file and the field."""
-    try:
-        return decode(tp, payload)
-    except DecodeError as exc:
-        raise CorpusError(f"{path} is malformed: {exc}") from exc
 
 
 class TraceStore:
@@ -365,10 +336,8 @@ class TraceStore:
             / f"{fingerprint}.json"
         )
 
-    def eval_matrix(self) -> "ShardedEvalMatrix":
+    def eval_matrix(self) -> ShardedEvalMatrix:
         """The persistent predicate-evaluation memo over this store."""
-        from .matrix import ShardedEvalMatrix
-
         return ShardedEvalMatrix(self)
 
     @property
@@ -428,8 +397,6 @@ class TraceStore:
             return None
         if payload.get("program") != program:
             return None
-        from ..core.extraction import PredicateSuite
-
         try:
             return PredicateSuite.from_dict(payload["suite"])
         except (KeyError, TypeError, ValueError):
@@ -547,14 +514,6 @@ class TraceStore:
             if label is None or entry.label == label:
                 yield self.load(fp)
 
-    def labeled_corpus(self) -> LabeledCorpus:
-        """The stored traces as a :class:`LabeledCorpus` (every loaded
-        trace carries its ``fingerprint``)."""
-        corpus = LabeledCorpus()
-        for trace in self.traces():
-            (corpus.failures if trace.failed else corpus.successes).append(trace)
-        return corpus
-
     # -- resharding ------------------------------------------------------
 
     def reshard(self, width: int) -> dict:
@@ -579,8 +538,6 @@ class TraceStore:
         Returns a stats dict: ``n_traces``, ``shards_before``,
         ``shards_after``, ``pairs_preserved``.
         """
-        from .matrix import MATRIX_INDEX_VERSION, merge_matrices, split_matrix
-
         if not 0 <= width <= 4:
             raise CorpusError(
                 f"shard width must be between 0 and 4, got {width}"
@@ -664,8 +621,6 @@ class TraceStore:
     def _drop_stale_shard_dirs(self) -> None:
         """Remove shard directories whose id cannot belong to the
         current width — leftovers of an interrupted :meth:`reshard`."""
-        import shutil
-
         shards_root = self.root / SHARDS_DIR
         if not shards_root.is_dir():
             return
@@ -789,8 +744,6 @@ def upgrade(root: str | os.PathLike) -> tuple[int, int]:
     upgrade; a current corpus without :data:`LEGACY_SHARD_FILES` is not
     written at all.
     """
-    from .matrix import MATRIX_INDEX_VERSION, EvalMatrix, split_matrix
-
     root = Path(root)
     manifest = _read_manifest(root)
     version = manifest["version"]

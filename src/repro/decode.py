@@ -9,8 +9,9 @@ annotation states) is a :class:`DecodeError` naming its path, such as
 predicate leaves keep their tagged forms: ``{"$key": [method, thread,
 occurrence]}`` for a :class:`MethodKey`, ``{"type": name, "fields":
 {...}}`` for a :func:`register_union` base, and inside those fields
-``{"$pred": ...}`` and ``{"$tuple": [...]}``.  Nothing above
-:mod:`repro.sim` is imported here.
+``{"$pred": ...}`` and ``{"$tuple": [...]}``.  Nothing of ``repro``
+is imported here: the simulator registers :class:`MethodKey` as a leaf
+and the predicate model registers its union base.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 from typing import Callable, Literal, Union, get_args, get_origin, get_type_hints
-
-from .sim.tracing import MethodKey
 
 Check = Callable[[object], object]
 
@@ -40,12 +39,22 @@ class DecodeError(ValueError):
 
 #: base -> (the tag of a nested member, member dataclasses by name)
 _UNIONS: dict[type, tuple[str, dict[str, type]]] = {}
+#: leaf type -> (its tag, what it is, its payload's shape, the builder)
+_LEAVES: dict[type, tuple[str, str, str, Callable]] = {}
 
 
 def register_union(base: type, tag: str, members: dict[str, type]) -> None:
     """Decode ``base`` as ``{"type": name, "fields": {...}}`` (the
     predicate model registers its base: this module cannot import it)."""
     _UNIONS[base] = (tag, members)
+
+
+def register_leaf(
+    tp: type, tag: str, what: str, shape: str, build: Callable
+) -> None:
+    """Decode ``tp`` as ``{tag: payload}``: ``build(payload)`` returns
+    the value, or ``None`` when the payload is not ``shape``."""
+    _LEAVES[tp] = (tag, what, shape, build)
 
 
 def decode(tp: object, raw: object, path: str = "") -> object:
@@ -89,8 +98,8 @@ def _plan(tp: object, tagged: bool) -> Check:
         return _tagged_value
     if tp in _SCALARS:
         return _SCALARS[tp]
-    if tp is MethodKey:
-        return _method_key
+    if tp in _LEAVES:
+        return functools.partial(_leaf, *_LEAVES[tp])
     if tp in _UNIONS:
         return functools.partial(_member, tp, tagged)
     if dataclasses.is_dataclass(tp):
@@ -169,12 +178,12 @@ def _untag(value: object, tag: str, what: str) -> object:
     return value[tag]
 
 
-def _method_key(value: object) -> MethodKey:
-    raw = _untag(value, "$key", "a method key")
-    if type(raw) is list and list(map(type, raw)) == [str, str, int]:
-        if raw[2] >= 0:  # occurrences count from 0
-            return MethodKey(*raw)
-    raise _mismatch("a method key [method, thread, occurrence >= 0]", raw)
+def _leaf(tag: str, what: str, shape: str, build: Callable, value: object):
+    raw = _untag(value, tag, what)
+    built = build(raw)
+    if built is None:
+        raise _mismatch(f"{what} {shape}", raw)
+    return built
 
 
 def _member(base: type, tagged: bool, value: object) -> object:
@@ -200,7 +209,8 @@ def _tagged_value(value: object) -> object:
         return [_tagged_value(v) for v in value]
     if type(value) is not dict:
         return value
-    tags = {"$key": MethodKey, "$tuple": tuple[object, ...]}
+    tags = {spec[0]: leaf for leaf, spec in _LEAVES.items()}
+    tags["$tuple"] = tuple[object, ...]
     tags.update((tag, base) for base, (tag, _) in _UNIONS.items())
     if len(value) != 1 or next(iter(value)) not in tags:
         raise _mismatch(f"a tagged value {' or '.join(tags)}", value)

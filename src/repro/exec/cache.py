@@ -4,7 +4,8 @@ The simulator is deterministic per ``(program, interventions, seed)``
 and the fault injections for a pid set are a pure function of the frozen
 predicate suite, so one intervened execution is fully identified by the
 triple ``(workload, seed, pids)`` — :class:`RunRequest`.  The cache maps
-that triple to its :class:`~repro.core.intervention.RunOutcome`.
+that triple to its :class:`RunOutcome`; both types live here, and the
+intervention runners (:mod:`repro.core.intervention`) build on them.
 
 Memoization pays on three levels:
 
@@ -39,7 +40,6 @@ import os
 from dataclasses import dataclass
 from typing import Iterator, Literal, Optional
 
-from ..core.intervention import RunOutcome
 from ..decode import DecodeError, decode
 from ..sim.serialize import stable_digest
 
@@ -47,6 +47,21 @@ CACHE_FORMAT_VERSION = 1
 
 #: Internal cache key: (workload, seed, pids).
 CacheKey = tuple[str, int, frozenset]
+
+
+@dataclass(frozen=True)
+class RunOutcome:
+    """What one intervened execution showed.
+
+    ``observed`` holds the pids of all predicates that evaluated true on
+    the intervened run; ``failed`` tells whether the failure (same
+    signature) still occurred.  Both feed the pruning rule
+    (Definition 2).
+    """
+
+    observed: frozenset[str]
+    failed: bool
+    seed: int = 0
 
 
 @dataclass(frozen=True)

@@ -28,18 +28,15 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Iterator, Optional, Sequence
 
-from .cache import OutcomeCache, RunRequest
+from ..api.events import EngineFinished, EventBus, InterventionRound
+from .cache import OutcomeCache, RunOutcome, RunRequest
 from .stats import ExecStats
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.events import EventBus
-    from ..core.intervention import RunOutcome
 
 #: Executes one request; must be a pure function of the request for
 #: memoization to be sound.
-RunFn = Callable[[RunRequest], "RunOutcome"]
+RunFn = Callable[[RunRequest], RunOutcome]
 
 
 class ExecutionEngine:
@@ -48,7 +45,7 @@ class ExecutionEngine:
     def __init__(
         self,
         cache: Optional[OutcomeCache] = None,
-        bus: Optional["EventBus"] = None,
+        bus: Optional[EventBus] = None,
     ) -> None:
         self.cache = cache if cache is not None else OutcomeCache()
         self.stats = ExecStats()
@@ -63,14 +60,14 @@ class ExecutionEngine:
         requests: Sequence[RunRequest],
         run_fn: RunFn,
         early_stop: bool = True,
-    ) -> list["RunOutcome"]:
+    ) -> list[RunOutcome]:
         """One group: seeds in order, each answered from the cache or
         run and stored; stops after the first failure when
         ``early_stop``."""
         cache = self.cache
         stats = self.stats
         stats.groups += 1
-        results: list["RunOutcome"] = []
+        results: list[RunOutcome] = []
         for request in requests:
             outcome = cache.peek(request)
             if outcome is None:
@@ -100,8 +97,6 @@ class ExecutionEngine:
         if bus is None:
             yield
             return
-        from ..api.events import InterventionRound
-
         index = self.stats.rounds[phase]
         bus.emit(InterventionRound(phase=phase, index=index))
         with bus.span(f"round:{phase}#{index}"):
@@ -131,8 +126,6 @@ class ExecutionEngine:
             lines.append(f"outcome cache: {len(self.cache)} entries -> {saved}")
         summary = "\n".join(lines)
         if self.bus is not None:
-            from ..api.events import EngineFinished
-
             self.bus.emit(
                 EngineFinished(
                     summary=summary,

@@ -81,16 +81,26 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
+from ..api.events import (
+    EquivalentPruned,
+    EventBus,
+    ExecutionExplored,
+    ExplorationFinished,
+    ExplorationStarted,
+    FailureFound,
+    FrontierStats,
+    NovelCoverage,
+)
+from ..api.registry import strategy_factory
+from ..corpus.pipeline import IncrementalPipeline
+from ..corpus.store import CorpusError, TraceStore
+from ..sim.program import Program
 from ..sim.schedule import RandomStrategy, ReplayStrategy, Schedule
 from ..sim.scheduler import DEFAULT_MAX_STEPS, Simulator
 from ..sim.serialize import trace_fingerprint
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.events import EventBus
-    from ..corpus.store import TraceStore
-    from ..sim.program import Program
+from .strategies import SwapTail
 
 #: version of the ``repro explore --json`` payload
 EXPLORE_SCHEMA_VERSION = 2
@@ -350,10 +360,10 @@ class ExplorationDriver:
 
     def __init__(
         self,
-        program: "Program",
+        program: Program,
         config: Optional[ExploreConfig] = None,
-        store: Optional["TraceStore"] = None,
-        bus: Optional["EventBus"] = None,
+        store: Optional[TraceStore] = None,
+        bus: Optional[EventBus] = None,
     ) -> None:
         self.program = program
         self.config = config or ExploreConfig()
@@ -362,8 +372,6 @@ class ExplorationDriver:
                 f"budget must be >= 0, got {self.config.budget}"
             )
         if store is not None and store.program not in (None, program.name):
-            from ..corpus.store import CorpusError
-
             # Fail before the first wave, not at its first ingestion.
             raise CorpusError(
                 f"this corpus holds {store.program!r}, not "
@@ -421,9 +429,6 @@ class ExplorationDriver:
     # -- the loop --------------------------------------------------------
 
     def run(self) -> ExplorationResult:
-        from ..api.events import ExplorationFinished, ExplorationStarted
-        from ..api.registry import strategy_factory
-
         cfg = self.config
         self._factory = strategy_factory(cfg.strategy, cfg.strategy_params)
         result = ExplorationResult(
@@ -551,8 +556,6 @@ class ExplorationDriver:
     def _run_plan(self, plan: WavePlan) -> WaveObservation:
         """Execute one plan.  Reads only the plan and state fixed
         before the first wave (program, simulator, strategy factory)."""
-        from .strategies import SwapTail
-
         if plan.parent is not None:
             if plan.force is not None:
                 # Desired order past the branch: the forced candidate,
@@ -598,12 +601,6 @@ class ExplorationDriver:
     # -- observation (submission order) ----------------------------------
 
     def _observe(self, observation: WaveObservation, result) -> None:
-        from ..api.events import (
-            EquivalentPruned,
-            ExecutionExplored,
-            NovelCoverage,
-        )
-
         cfg = self.config
         schedule = observation.schedule
         signature = schedule.signature()
@@ -687,8 +684,6 @@ class ExplorationDriver:
             self._pending_pass += 1
 
     def _record_failure(self, observation, schedule, signature, result):
-        from ..api.events import FailureFound
-
         trace = observation.trace
         fingerprint = trace_fingerprint(trace)
         if fingerprint in self._failure_fingerprints:
@@ -772,9 +767,6 @@ class ExplorationDriver:
         traces are never lost, analysis just starts on the next
         ``repro corpus analyze``.
         """
-        from ..corpus.pipeline import IncrementalPipeline
-        from ..corpus.store import CorpusError
-
         if self.pipeline is not None or self.store is None:
             return
         if self.store.n_pass < 1 or self.store.n_fail < 1:
@@ -795,8 +787,6 @@ class ExplorationDriver:
             self.store.save()
 
     def _emit_stats(self, result) -> None:
-        from ..api.events import FrontierStats
-
         self._emit(
             FrontierStats(
                 executions=result.executions,
@@ -820,10 +810,10 @@ def _records(trace) -> tuple:
 
 
 def explore(
-    program: "Program",
+    program: Program,
     config: Optional[ExploreConfig] = None,
-    store: Optional["TraceStore"] = None,
-    bus: Optional["EventBus"] = None,
+    store: Optional[TraceStore] = None,
+    bus: Optional[EventBus] = None,
 ) -> ExplorationResult:
     """One-call exploration: run the driver and return its result."""
     return ExplorationDriver(

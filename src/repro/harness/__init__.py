@@ -14,7 +14,13 @@ from .experiments import (
 )
 from .multi import MultiSignatureReport, debug_all
 from .runner import CollectionError, LabeledCorpus, collect, sweep
-from .session import AIDSession, SessionConfig, SessionReport, debug
+from .session import (
+    AIDSession,
+    CorpusSession,
+    SessionConfig,
+    SessionReport,
+    debug,
+)
 from .tables import render_table
 
 __all__ = [
@@ -31,6 +37,7 @@ __all__ = [
     "figure8_report",
     "render_table",
     "CollectionError",
+    "CorpusSession",
     "LabeledCorpus",
     "MultiSignatureReport",
     "SessionConfig",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.digraph import Digraph
 from ..core.theory import (
@@ -28,13 +28,11 @@ from ..core.theory import (
     tagt_worst_case_rounds,
 )
 from ..core.variants import Approach, all_approaches, discover
+from ..exec.engine import ExecutionEngine
 from ..workloads.common import REGISTRY, Workload
 from ..workloads.synthetic import generate_app, spec_for_maxt
 from .session import AIDSession, SessionConfig, SessionReport
 from .tables import render_table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.engine import ExecutionEngine
 
 CASE_STUDY_ORDER = (
     "npgsql",
@@ -110,7 +108,7 @@ class CaseStudyResult:
 def figure7_row(
     name: str,
     config: Optional[SessionConfig] = None,
-    engine: Optional["ExecutionEngine"] = None,
+    engine: Optional[ExecutionEngine] = None,
 ) -> CaseStudyResult:
     """Run AID and TAGT on one case study.
 
@@ -130,7 +128,7 @@ def figure7_row(
 def figure7(
     names: Sequence[str] = CASE_STUDY_ORDER,
     config: Optional[SessionConfig] = None,
-    engine: Optional["ExecutionEngine"] = None,
+    engine: Optional[ExecutionEngine] = None,
 ) -> list[CaseStudyResult]:
     """All Figure 7 rows."""
     return [figure7_row(name, config, engine) for name in names]
@@ -192,7 +190,7 @@ def figure8(
     maxt_values: Sequence[int] = FIGURE8_MAXT,
     apps_per_setting: int = 100,
     seed: int = 7,
-    engine: Optional["ExecutionEngine"] = None,
+    engine: Optional[ExecutionEngine] = None,
 ) -> Figure8Result:
     """The Section 7.2 synthetic experiment.
 

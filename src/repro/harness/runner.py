@@ -13,8 +13,8 @@ from typing import Callable, Iterator, Optional
 
 from ..sim.program import Program
 from ..sim.schedule import SchedulerStrategy
-from ..sim.scheduler import DEFAULT_MAX_STEPS, Simulator
-from ..sim.tracing import ExecutionResult, ExecutionTrace
+from ..sim.scheduler import DEFAULT_MAX_STEPS, ExecutionResult, Simulator
+from ..sim.tracing import ExecutionTrace
 
 
 class CollectionError(RuntimeError):

@@ -8,6 +8,25 @@
 
 ``repro.debug(program)`` (see the package root) is a one-call wrapper
 around this class.
+
+:class:`CorpusSession` is an :class:`AIDSession` whose learning phase
+reads from a :class:`~repro.corpus.store.TraceStore` instead of
+re-running the workload: ``analyze`` bootstraps an
+:class:`~repro.corpus.pipeline.IncrementalPipeline` over the store — the
+same single analysis step ``repro corpus analyze`` takes — and adopts
+its suite, failure predicate, fully-discriminative set, SD counters and
+AC-DAG.  The intervention phase is unchanged — interventions are
+re-executions and need the live program.  A corpus session:
+
+* never sweeps the simulator for traces: the intervention seeds come
+  from the store manifest (on-signature failures, fingerprint-sorted);
+* re-evaluates **zero** already-seen (predicate, trace) pairs on a warm
+  corpus and reuses the persisted suite freeze, so it loads no trace;
+* memoizes intervention outcomes under a corpus-content key, so two
+  sessions over the same stored traces share outcomes no matter how
+  the corpus was assembled;
+* persists, on ``save``, the dirty store manifests and per-shard matrix
+  files (plus the top-level matrix index).
 """
 
 from __future__ import annotations
@@ -15,8 +34,18 @@ from __future__ import annotations
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
+from ..api.events import (
+    CollectionFinished,
+    CollectionStarted,
+    DagBuilt,
+    Event,
+    EventBus,
+    LogsEvaluated,
+    SuiteFrozen,
+)
+from ..api.registry import strategy_factory
 from ..core.acdag import ACDag, learn_dag
 from ..core.discovery import DiscoveryResult
 from ..core.extraction import Extractor, PredicateSuite
@@ -25,13 +54,14 @@ from ..core.precedence import PrecedencePolicy
 from ..core.report import Explanation, explain, report_to_dict
 from ..core.statistical import PredicateLog, StatisticalDebugger
 from ..core.variants import Approach, discover
+from ..corpus.matrix import ShardedEvalMatrix
+from ..corpus.pipeline import IncrementalPipeline
+from ..corpus.store import CorpusError, TraceStore
+from ..exec.engine import ExecutionEngine
 from ..sim.program import Program
 from ..sim.scheduler import DEFAULT_MAX_STEPS, Simulator
+from ..sim.serialize import stable_digest
 from .runner import LabeledCorpus, collect
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.events import Event, EventBus
-    from ..exec.engine import ExecutionEngine
 
 
 @dataclass
@@ -51,10 +81,10 @@ class SessionConfig:
     #: Intervention-execution engine (outcome cache + stats), shareable
     #: across sessions so sweeps pool their memoization.  ``None`` gives
     #: each runner a private engine on the session's bus.
-    engine: Optional["ExecutionEngine"] = None
+    engine: Optional[ExecutionEngine] = None
     #: Observer seam (see :mod:`repro.api.events`): the session emits
     #: phase events onto this bus.  Observers never affect results.
-    bus: Optional["EventBus"] = None
+    bus: Optional[EventBus] = None
     #: Registered scheduler-strategy name for collection *and*
     #: intervention re-execution (``None`` = the historical
     #: seeded-uniform picker, byte-identical traces), plus its
@@ -141,7 +171,7 @@ class AIDSession:
         self._fully: Optional[list[str]] = None
         self._signature: Optional[str] = None
 
-    def _emit(self, event: "Event") -> None:
+    def _emit(self, event: Event) -> None:
         """Observer seam: no-op without a bus; never affects results."""
         if self.config.bus is not None:
             self.config.bus.emit(event)
@@ -154,12 +184,9 @@ class AIDSession:
 
     def _strategy_factory(self):
         """The per-seed scheduler-strategy constructor this session's
-        config names, or ``None`` for the default picker.  Lazy registry
-        import: the harness must stay importable without ``repro.api``."""
+        config names, or ``None`` for the default picker."""
         if self.config.strategy is None:
             return None
-        from ..api.registry import strategy_factory
-
         return strategy_factory(
             self.config.strategy, self.config.strategy_params
         )
@@ -169,8 +196,6 @@ class AIDSession:
     def collect(self) -> LabeledCorpus:
         """Stage 1: gather labeled traces (one failure signature)."""
         if self._corpus is None:
-            from ..api.events import CollectionFinished, CollectionStarted
-
             cfg = self.config
             self._emit(
                 CollectionStarted(
@@ -205,8 +230,6 @@ class AIDSession:
     def analyze(self) -> StatisticalDebugger:
         """Stages 2-3: predicate extraction + statistical debugging."""
         if self._debugger is None:
-            from ..api.events import LogsEvaluated, SuiteFrozen
-
             corpus = self.collect()
             with self._span("discovery"):
                 self._suite = PredicateSuite.discover(
@@ -240,8 +263,6 @@ class AIDSession:
         AC-DAG."""
         self.analyze()
         if self._dag is None:
-            from ..api.events import DagBuilt
-
             with self._span("dag-build"):
                 self._failure_pid, self._fully, self._dag = learn_dag(
                     self._suite,
@@ -271,8 +292,6 @@ class AIDSession:
         if engine is None:
             # A private engine still carries the session's bus, so its
             # rounds reach the session's observers.
-            from ..exec.engine import ExecutionEngine
-
             engine = ExecutionEngine(bus=self.config.bus)
         return SimulationRunner(
             # The simulator carries the strategy factory so intervention
@@ -340,6 +359,99 @@ class AIDSession:
             n_success=self._debugger.n_success,
             n_fail=self._debugger.n_failed,
         )
+
+
+class CorpusSession(AIDSession):
+    """A full debugging session whose corpus lives on disk."""
+
+    def __init__(
+        self,
+        program: Program,
+        store: TraceStore,
+        config: Optional[SessionConfig] = None,
+        matrix: Optional[ShardedEvalMatrix] = None,
+    ) -> None:
+        if store.program is not None and store.program != program.name:
+            raise CorpusError(
+                f"corpus holds traces of {store.program!r}, "
+                f"not {program.name!r}"
+            )
+        super().__init__(program, config=config)
+        self.store = store
+        self.matrix = matrix if matrix is not None else store.eval_matrix()
+        self._pipeline: Optional[IncrementalPipeline] = None
+
+    def collect(self) -> LabeledCorpus:
+        """The stored traces, restricted to the dominant failure
+        signature — loaded on request only; the analysis never needs
+        them all in memory."""
+        if self._corpus is None:
+            corpus = LabeledCorpus(
+                successes=list(self.store.traces("pass")),
+                failures=list(self.store.traces("fail")),
+            )
+            if not corpus.failures:
+                raise CorpusError("corpus has no failed traces to debug from")
+            if not corpus.successes:
+                raise CorpusError(
+                    "corpus has no successful traces to debug from"
+                )
+            self._corpus = corpus.restrict_failures(
+                corpus.dominant_failure_signature()
+            )
+        return self._corpus
+
+    def analyze(self) -> StatisticalDebugger:
+        """Stages 2-4 from the store: one pipeline bootstrap (persisted
+        suite and matrix reused)."""
+        if self._debugger is None:
+            cfg = self.config
+            pipeline = IncrementalPipeline(
+                self.store,
+                program=self.program,
+                matrix=self.matrix,
+                extractors=cfg.extractors,
+                policy=cfg.policy,
+                bus=cfg.bus,
+            )
+            pipeline.bootstrap()
+            self._pipeline = pipeline
+            self._signature = pipeline.signature
+            self._suite = pipeline.suite
+            self._failure_pid = pipeline.failure_pid
+            self._fully = pipeline.fully
+            self._dag = pipeline.dag
+            self._debugger = pipeline.debugger
+        return self._debugger
+
+    def _failing_seeds(self) -> list[int]:
+        """The analyzed failures' seeds, straight from the manifest."""
+        _, failures = self._pipeline.analyzed()
+        return [self.store.entries[fp].seed for fp in failures]
+
+    def _workload_key(self) -> str:
+        """Outcome-cache namespace for corpus-backed runs.
+
+        Uses the corpus contents (sorted fingerprints) rather than
+        collection quotas: two sessions over the same stored traces share
+        memoized intervention outcomes no matter how the corpus was
+        assembled.
+        """
+        key = (
+            f"{self.program.name}#corpus-{stable_digest(sorted(self.store.entries))}"
+            f"@{self.config.max_steps}"
+        )
+        if self.config.extractors is not None:
+            names = ",".join(
+                sorted(type(e).__name__ for e in self.config.extractors)
+            )
+            key += f"!x[{names}]"
+        return key
+
+    def save(self) -> None:
+        """Persist the sharded evaluation matrix and the store manifests."""
+        self.store.save()
+        self.matrix.save()
 
 
 def debug(

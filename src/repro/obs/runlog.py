@@ -22,6 +22,9 @@ watch a live run.
 :class:`~repro.api.events.EventLog` replays offline exactly as the live
 observers saw the run — and **rejects** logs written by a future schema
 (:class:`RunLogError`), mirroring the report-schema versioning policy.
+The header's own keys and every later line are decoded by
+:mod:`repro.decode`, so whatever is wrong with a line is a
+:class:`RunLogError` naming ``file:line``.
 
 Invariants
 ----------
@@ -60,7 +63,29 @@ EVENT_TYPES: dict[str, type] = {
 
 
 class RunLogError(RuntimeError):
-    """A run log that cannot be read (not a log, or a future schema)."""
+    """A run log that cannot be read (not a log, a malformed line, or a
+    future schema)."""
+
+
+@dataclasses.dataclass(frozen=True)
+class _Header:
+    """The header line's own keys (a writer may add others, such as
+    the serve daemon's ``spec_digest``)."""
+
+    schema: int
+    run_id: Optional[str] = None
+    created: Optional[float] = None
+
+
+@dataclasses.dataclass(frozen=True)
+class _Line:
+    """An event line, or the trailing metrics line (no ``seq``)."""
+
+    kind: str
+    data: dict
+    seq: Optional[int] = None
+    t: Optional[float] = None
+    wall: Optional[float] = None
 
 
 def _event_payload(event: Event) -> dict:
@@ -178,7 +203,8 @@ def read_run_log(path) -> RunLogReplay:
     """Parse a JSONL run log back into typed events.
 
     Raises :class:`RunLogError` on a missing/garbled header, a schema
-    newer than :data:`RUN_LOG_SCHEMA_VERSION`, or an unknown event kind.
+    newer than :data:`RUN_LOG_SCHEMA_VERSION`, or a line that is not an
+    event (or the metrics line) of a known kind, naming ``file:line``.
     """
     path = Path(path)
     try:
@@ -186,36 +212,45 @@ def read_run_log(path) -> RunLogReplay:
     except OSError as exc:
         raise RunLogError(f"cannot read {path}: {exc}") from exc
     rows = []
-    for i, line in enumerate(lines):
+    for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
-            rows.append(json.loads(line))
+            rows.append((number, json.loads(line)))
         except json.JSONDecodeError as exc:
-            raise RunLogError(f"{path}:{i + 1}: not JSON: {exc}") from exc
-    if not rows or not isinstance(rows[0], dict) or "schema" not in rows[0]:
+            raise RunLogError(f"{path}:{number}: not JSON: {exc}") from exc
+    if not rows or not isinstance(rows[0][1], dict) or "schema" not in rows[0][1]:
         raise RunLogError(f"{path}: not a run log (missing schema header)")
-    header = rows[0]
-    schema = header["schema"]
-    if not isinstance(schema, int) or schema > RUN_LOG_SCHEMA_VERSION:
+    (number, header), body = rows[0], rows[1:]
+    own = {name: header[name] for name in ("schema", "run_id", "created")
+           if name in header}
+    try:
+        head = decode(_Header, own)
+    except DecodeError as exc:
+        raise RunLogError(f"{path}:{number}: {exc}") from exc
+    if head.schema > RUN_LOG_SCHEMA_VERSION:
         raise RunLogError(
-            f"{path}: written by run-log schema {schema!r}; this build "
+            f"{path}: written by run-log schema {head.schema!r}; this build "
             f"reads versions <= {RUN_LOG_SCHEMA_VERSION}"
         )
     events = EventLog()
     records: list[dict] = []
     metrics: Optional[dict] = None
-    for row in rows[1:]:
-        if row.get("kind") == "metrics" and "seq" not in row:
-            metrics = row.get("data")
-            continue
-        events.on_event(_event_from(row["kind"], row["data"]))
+    for number, row in body:
+        try:
+            entry = decode(_Line, row)
+            if entry.kind == "metrics" and entry.seq is None:
+                metrics = entry.data
+                continue
+            events.on_event(_event_from(entry.kind, entry.data))
+        except (DecodeError, RunLogError) as exc:
+            raise RunLogError(f"{path}:{number}: {exc}") from exc
         records.append(row)
     return RunLogReplay(
         path=path,
-        run_id=header.get("run_id", path.stem),
-        schema=schema,
-        created=header.get("created"),
+        run_id=head.run_id if head.run_id is not None else path.stem,
+        schema=head.schema,
+        created=head.created,
         records=records,
         events=events,
         metrics=metrics,

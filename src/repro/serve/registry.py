@@ -51,6 +51,11 @@ from ..obs import (
     MetricsObserver,
     MetricsRegistry,
     RunIndex,
+    RunLogError,
+    read_run_log,
+    render_span_tree,
+    summarize,
+    summary_dict,
 )
 
 
@@ -211,14 +216,6 @@ class RunRegistry:
         ``None`` means the run id is unknown to both the registry and
         the log directory.
         """
-        from ..obs import (
-            RunLogError,
-            read_run_log,
-            render_span_tree,
-            summarize,
-            summary_dict,
-        )
-
         record = self.get(run_id)
         row: dict = {}
         try:
@@ -241,8 +238,6 @@ class RunRegistry:
         record = self.get(run_id)
         if record is not None and record.report is not None:
             return record.report
-        from ..obs import RunLogError, read_run_log
-
         try:
             replay = read_run_log(self.log_dir / f"{run_id}.jsonl")
         except (RunLogError, OSError):

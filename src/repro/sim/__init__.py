@@ -42,7 +42,7 @@ from .schedule import (
     SchedulePoint,
     SchedulerStrategy,
 )
-from .scheduler import DEFAULT_MAX_STEPS, Simulator, run_program
+from .scheduler import DEFAULT_MAX_STEPS, ExecutionResult, Simulator, run_program
 from .serialize import (
     ImportedTrace,
     TraceFormatError,
@@ -54,7 +54,6 @@ from .serialize import (
 from .tracing import (
     Access,
     AccessType,
-    ExecutionResult,
     ExecutionTrace,
     FailureInfo,
     MethodExecution,

@@ -44,13 +44,10 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Generator, Mapping, Optional, TYPE_CHECKING
+from typing import Any, Callable, Generator, Mapping, Optional
 
 from .errors import SimulatedError, UnknownMethodError
 from .faults import NO_ENTRY_PLAN, NO_EXIT_PLAN, MethodSelector
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from .runtime import Runtime
 
 MethodFn = Callable[..., Generator]
 
@@ -218,10 +215,12 @@ class SimContext:
     All operations are generators and must be invoked as
     ``yield from ctx.<op>(...)`` so the primitive actions reach the
     scheduler.  The few exceptions (``rand``, ``now``, ``param``,
-    ``throw``) are pure/local and documented as such.
+    ``throw``) are pure/local and documented as such.  ``runtime`` is
+    the run's :class:`~repro.sim.runtime.Runtime`, which builds one
+    context per thread.
     """
 
-    def __init__(self, runtime: "Runtime", thread: str) -> None:
+    def __init__(self, runtime, thread: str) -> None:
         self.runtime = runtime
         self.thread = thread
         self.program = runtime.program

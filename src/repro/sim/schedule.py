@@ -50,6 +50,7 @@ from pathlib import Path
 from random import Random
 from typing import NamedTuple, Optional, Protocol, Sequence, runtime_checkable
 
+from ..decode import DecodeError, decode
 from .serialize import stable_digest
 
 SCHEDULE_SCHEMA_VERSION = 1
@@ -316,9 +317,6 @@ class Schedule:
                 f"unsupported schedule schema {schema!r} "
                 f"(this build reads version {SCHEDULE_SCHEMA_VERSION})"
             )
-        # imported here: repro.decode imports this package
-        from ..decode import DecodeError, decode
-
         fields = {k: v for k, v in payload.items() if k != "schema"}
         try:
             return decode(cls, fields, "schedule")

@@ -67,7 +67,14 @@ from typing import Callable, Optional
 from .clock import LamportClock
 from .errors import SimulatedError
 from .faults import Intervention, InterventionSet
-from .program import Action, Program, SimContext, SleepAction, SpawnAction
+from .program import (
+    Action,
+    Program,
+    SimContext,
+    SleepAction,
+    SpawnAction,
+    action_footprint,
+)
 from .runtime import Blocked, Runtime
 from .schedule import (
     RandomStrategy,
@@ -76,9 +83,46 @@ from .schedule import (
     SchedulePoint,
     SchedulerStrategy,
 )
-from .tracing import ExecutionResult, ExecutionTrace, FailureInfo
+from .tracing import ExecutionTrace, FailureInfo
 
 DEFAULT_MAX_STEPS = 50_000
+
+
+@dataclass
+class ExecutionResult:
+    """Outcome of one simulated execution.
+
+    ``schedule`` is the recorded decision list
+    (:class:`repro.sim.schedule.Schedule`): replaying it under the same
+    ``(program, interventions, seed)`` reproduces ``trace`` exactly.
+    """
+
+    trace: ExecutionTrace
+    steps: int
+    schedule: Optional[object] = None
+    #: the action each decision executed, parallel to
+    #: ``schedule.decisions`` (``None`` where the chosen thread finished
+    #: or crashed instead)
+    actions: tuple = ()
+
+    @property
+    def failed(self) -> bool:
+        return self.trace.failed
+
+    @property
+    def failure(self) -> Optional[FailureInfo]:
+        return self.trace.failure
+
+    @property
+    def footprints(self) -> tuple:
+        """Per-decision resource footprints, parallel to
+        ``schedule.decisions`` — the independence information
+        :meth:`~repro.sim.schedule.Schedule.canonical_signature`
+        consumes.  Derived from ``actions`` on each read, so the
+        simulator's step loop never builds them."""
+        if self.schedule is None:
+            return ()
+        return tuple(map(action_footprint, self.actions, self.schedule.decisions))
 
 
 class ThreadStatus(Enum):

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, NamedTuple, Optional
 
+from ..decode import register_leaf
+
 
 class AccessType(str, Enum):
     READ = "R"
@@ -63,6 +65,18 @@ class MethodKey(NamedTuple):
     def __str__(self) -> str:
         return f"{self.thread}:{self.method}#{self.occurrence}"
 
+
+def _method_key(raw: object) -> Optional[MethodKey]:
+    if type(raw) is list and list(map(type, raw)) == [str, str, int]:
+        if raw[2] >= 0:  # occurrences count from 0
+            return MethodKey(*raw)
+    return None
+
+
+register_leaf(
+    MethodKey, "$key", "a method key", "[method, thread, occurrence >= 0]",
+    _method_key,
+)
 
 class MethodExecution(NamedTuple):
     """One completed (or crashed) invocation of a simulated method.
@@ -310,42 +324,3 @@ class ExecutionTrace(TraceReader):
             f"<ExecutionTrace {self.program_name} seed={self.seed} "
             f"{len(self._completed)} calls {status}>"
         )
-
-
-@dataclass
-class ExecutionResult:
-    """Outcome of one simulated execution.
-
-    ``schedule`` is the recorded decision list
-    (:class:`repro.sim.schedule.Schedule`): replaying it under the same
-    ``(program, interventions, seed)`` reproduces ``trace`` exactly.
-    """
-
-    trace: ExecutionTrace
-    steps: int
-    schedule: Optional[object] = None
-    #: the action each decision executed, parallel to
-    #: ``schedule.decisions`` (``None`` where the chosen thread finished
-    #: or crashed instead)
-    actions: tuple = ()
-
-    @property
-    def failed(self) -> bool:
-        return self.trace.failed
-
-    @property
-    def failure(self) -> Optional[FailureInfo]:
-        return self.trace.failure
-
-    @property
-    def footprints(self) -> tuple:
-        """Per-decision resource footprints, parallel to
-        ``schedule.decisions`` — the independence information
-        :meth:`~repro.sim.schedule.Schedule.canonical_signature`
-        consumes.  Derived from ``actions`` on each read, so the
-        simulator's step loop never builds them."""
-        from .program import action_footprint  # program imports tracing
-
-        if self.schedule is None:
-            return ()
-        return tuple(map(action_footprint, self.actions, self.schedule.decisions))

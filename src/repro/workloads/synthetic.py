@@ -31,15 +31,12 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..core.acdag import ACDag
 from ..core.digraph import Digraph
-from ..core.intervention import RunOutcome
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.cache import RunRequest
-    from ..exec.engine import ExecutionEngine
+from ..exec.cache import RunOutcome, RunRequest
+from ..exec.engine import ExecutionEngine
 
 FAILURE_PID = "F"
 
@@ -82,7 +79,7 @@ class SyntheticApp:
     def n_causal(self) -> int:
         return len(self.causal_path)
 
-    def runner(self, engine: Optional["ExecutionEngine"] = None) -> "OracleRunner":
+    def runner(self, engine: Optional[ExecutionEngine] = None) -> "OracleRunner":
         return OracleRunner(self, engine=engine)
 
 
@@ -99,16 +96,12 @@ class OracleRunner:
     def __init__(
         self,
         app: SyntheticApp,
-        engine: Optional["ExecutionEngine"] = None,
+        engine: Optional[ExecutionEngine] = None,
     ) -> None:
         self.app = app
         self._topo = self.app.dag.topological_order()
         self._causal_index = {pid: i for i, pid in enumerate(app.causal_path)}
-        if engine is None:
-            from ..exec.engine import ExecutionEngine
-
-            engine = ExecutionEngine()
-        self.engine = engine
+        self.engine = engine if engine is not None else ExecutionEngine()
         # The generation seed alone is ambiguous (the same seed under a
         # different SyntheticSpec yields a different model), so the key
         # fingerprints the ground truth the outcomes actually depend on.
@@ -118,12 +111,10 @@ class OracleRunner:
         fingerprint = hashlib.md5(model).hexdigest()[:12]
         self.workload = f"synthetic/{app.seed}/{fingerprint}"
 
-    def execute_request(self, request: "RunRequest") -> RunOutcome:
+    def execute_request(self, request: RunRequest) -> RunOutcome:
         return self._model_outcome(request.pids)
 
-    def _request(self, pids: frozenset[str]) -> "RunRequest":
-        from ..exec.cache import RunRequest
-
+    def _request(self, pids: frozenset[str]) -> RunRequest:
         return RunRequest(self.workload, 0, pids)
 
     def run_group(self, pids: frozenset[str]) -> list[RunOutcome]:

@@ -31,9 +31,9 @@ from repro.api.registry import (
     workloads,
 )
 from repro.cli import main
-from repro.corpus import CorpusSession, TraceStore
+from repro.corpus import TraceStore
 from repro.exec.engine import ExecutionEngine
-from repro.harness.session import AIDSession, SessionConfig
+from repro.harness.session import AIDSession, CorpusSession, SessionConfig
 from repro.sim.scheduler import DEFAULT_MAX_STEPS
 
 

@@ -342,7 +342,7 @@ class TestPipelineParity:
 def _corpus_report(root, seed_root=None, workload=None, engine=None):
     """Canonical JSON of a seeded :class:`CorpusSession` report over the
     store at ``root`` (copied from ``seed_root`` first, when given)."""
-    from repro.corpus.session import CorpusSession
+    from repro.harness.session import CorpusSession
 
     if seed_root is not None:
         shutil.copytree(seed_root, root)
@@ -368,7 +368,7 @@ class TestGoldenReport:
     def test_report_matches_committed_bytes(self, tmp_path, prior_runs):
         """Cold (``prior_runs=0``) and warm, answered from the eval
         matrix an earlier, saved session left behind (``prior_runs=1``)."""
-        from repro.corpus.session import CorpusSession
+        from repro.harness.session import CorpusSession
 
         root = tmp_path / "c"
         shutil.copytree(FIXTURES / "golden_corpus", root)

@@ -17,14 +17,13 @@ from repro.core.predicates import ExecutedPredicate, FailurePredicate, Observati
 from repro.core.statistical import PredicateLog, StatisticalDebugger
 from repro.corpus import (
     CorpusError,
-    CorpusSession,
     EvalMatrix,
     IncrementalPipeline,
     TraceStore,
 )
 from repro.exec.cache import RunRequest
-from repro.harness.runner import collect
-from repro.harness.session import AIDSession, SessionConfig
+from repro.harness.runner import LabeledCorpus, collect
+from repro.harness.session import AIDSession, CorpusSession, SessionConfig
 from repro.sim.serialize import (
     TraceFormatError,
     canonical_json,
@@ -38,6 +37,15 @@ from repro.sim.tracing import MethodKey
 
 from conftest import rescan_stats, stats_tuples
 from gen import make_payload
+
+
+def _stored_corpus(store) -> LabeledCorpus:
+    """The stored traces split by label, each fingerprint-sorted."""
+    return LabeledCorpus(
+        successes=list(store.traces("pass")),
+        failures=list(store.traces("fail")),
+    )
+
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -122,7 +130,7 @@ class TestTraceStore:
             assert trace_fingerprint(trace) == trace.fingerprint
 
     def test_labeled_corpus_round_trips(self, store, corpus):
-        loaded = store.labeled_corpus()
+        loaded = _stored_corpus(store)
         assert len(loaded.successes) == 15
         assert len(loaded.failures) == 15
         original = {trace_fingerprint(t) for t in corpus.failures[:15]}
@@ -292,7 +300,7 @@ class TestEvalMatrix:
     def _suite(self, racy_program, store):
         from repro.core.extraction import PredicateSuite
 
-        loaded = store.labeled_corpus()
+        loaded = _stored_corpus(store)
         return PredicateSuite.discover(
             loaded.successes, loaded.failures, program=racy_program
         )
@@ -367,7 +375,7 @@ class TestIncrementalDebugger:
     def test_matches_batch_debugger(self, racy_program, store):
         from repro.core.extraction import PredicateSuite
 
-        loaded = store.labeled_corpus()
+        loaded = _stored_corpus(store)
         suite = PredicateSuite.discover(
             loaded.successes, loaded.failures, program=racy_program
         )

@@ -13,7 +13,7 @@ from repro.api.registry import (
     strategy_factory,
 )
 from repro.api.spec import CollectionSpec, RunSpec, WorkloadSpec
-from repro.corpus import CorpusSession, TraceStore
+from repro.corpus import TraceStore
 from repro.explore import (
     DelayStrategy,
     ExplorationDriver,
@@ -21,7 +21,7 @@ from repro.explore import (
     PCTStrategy,
     explore,
 )
-from repro.harness.session import SessionConfig
+from repro.harness.session import CorpusSession, SessionConfig
 from repro.sim import (
     RandomStrategy,
     ReplayStrategy,

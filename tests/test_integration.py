@@ -3,6 +3,11 @@ experiment drivers that regenerate the paper's artifacts."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import SessionConfig, debug, load_workload
@@ -143,8 +148,37 @@ class TestPublicAPI:
         assert workload.program.main == "PoolMain"
 
     def test_version_and_exports(self):
+        """Every ``__all__`` name of ``repro``, ``repro.api`` and each
+        subpackage resolves in a fresh interpreter (the lazy ``_EXPORTS``
+        tables hold no typo), and ``from repro import *`` works."""
         import repro
 
         assert repro.__version__
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        script = """
+import importlib, pkgutil, repro
+star = {}
+exec("from repro import *", star)
+missing = set(repro.__all__) - set(star)
+exec("from repro.api import *", star)
+packages = ["repro", "repro.api"] + [
+    "repro." + info.name
+    for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg
+]
+for name in packages:
+    module = importlib.import_module(name)
+    missing |= {f"{name}.{n}" for n in module.__all__ if not hasattr(module, n)}
+assert not missing, sorted(missing)
+print(len(packages))
+"""
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert int(result.stdout) >= 10

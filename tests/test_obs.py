@@ -47,6 +47,7 @@ from repro.obs import (
     MetricsRegistry,
     ObsContext,
     ObsOptions,
+    RunIndex,
     RunLogError,
     latest_run_log,
     read_run_log,
@@ -438,6 +439,42 @@ class TestRunLog:
         with pytest.raises(RunLogError, match="suite-frozen") as excinfo:
             read_run_log(path)
         assert named in str(excinfo.value)
+
+    # A line that is not an event object, or a header whose own keys are
+    # mistyped, is refused naming file:line: ``repro obs summary`` exits
+    # with that message, and the run index skips the file.
+    @pytest.mark.parametrize(
+        "header, line, where",
+        [
+            ({"schema": 1, "run_id": "x"}, [1, 2], 2),
+            ({"schema": 1, "run_id": "x"}, "x", 2),
+            ({"schema": 1, "run_id": "x"},
+             {"seq": 1, "t": 0.0, "wall": 0.0, "data": {}}, 2),
+            ({"schema": 1, "run_id": "x"},
+             {"seq": 1, "t": 0.0, "wall": 0.0, "kind": "suite-frozen"}, 2),
+            ({"schema": True, "run_id": "x"}, None, 1),
+        ],
+        ids=["list", "string", "no-kind", "no-data", "bool-schema"],
+    )
+    def test_hostile_line_is_rejected(self, tmp_path, header, line, where):
+        runs = tmp_path / "runs"
+        good = JsonlRunLog(runs)
+        EventBus([good]).emit(SuiteFrozen(n_predicates=2))
+        good.close()
+        path = runs / "hostile.jsonl"
+        rows = [header] + ([] if line is None else [line])
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(RunLogError) as excinfo:
+            read_run_log(path)
+        assert str(excinfo.value).startswith(f"{path}:{where}: ")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "summary", str(path)])
+        assert str(excinfo.value.code).startswith(f"repro: obs: {path}:{where}: ")
+        index = RunIndex(runs)
+        index.refresh(save=False)
+        outcomes = {e["file"]: e["outcome"] for e in index.entries.values()}
+        assert outcomes[path.name] == "unreadable"
+        assert outcomes[good.path.name] != "unreadable"
 
     def test_crashed_run_leaves_a_valid_prefix(self, tmp_path):
         log = JsonlRunLog(tmp_path / "runs")

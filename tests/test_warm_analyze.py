@@ -12,15 +12,10 @@ import pytest
 
 from conftest import run_side_by_side
 from repro.cli import main
-from repro.corpus import (
-    CorpusSession,
-    EvalMatrix,
-    IncrementalPipeline,
-    TraceStore,
-)
+from repro.corpus import EvalMatrix, IncrementalPipeline, TraceStore
 from repro.exec import ExecutionEngine
 from repro.harness.runner import collect
-from repro.harness.session import AIDSession, SessionConfig
+from repro.harness.session import AIDSession, CorpusSession, SessionConfig
 from repro.sim.serialize import trace_fingerprint
 
 N_PER_LABEL = 12
@@ -396,8 +391,9 @@ class TestCorruptCorpusFiles:
         assert message.startswith("repro: corpus: ")
         assert str(path) in message
 
-    # JSON that parses but is not an object (or an index whose shard
-    # list is not a list of ids) is a structured error naming the file.
+    # JSON that parses but is not an object (or an index that is not
+    # exactly a version and a list of shard ids) is a structured error
+    # naming the file.
     @pytest.mark.parametrize(
         "relpath, text, command",
         [
@@ -410,6 +406,8 @@ class TestCorruptCorpusFiles:
             ("evalmatrix.json", "[]", "compact"),
             ("evalmatrix.json", '{"version": 2, "shards": 5}', "stats"),
             ("evalmatrix.json", '{"version": 2, "shards": [5]}', "stats"),
+            ("evalmatrix.json", '{"version": 2, "shardz": ["00"]}', "stats"),
+            ("evalmatrix.json", '{"version": 2}', "stats"),
         ],
         ids=[
             "manifest-analyze",
@@ -421,6 +419,8 @@ class TestCorruptCorpusFiles:
             "index-compact",
             "index-shards-not-a-list",
             "index-shard-id-not-a-string",
+            "index-unknown-key",
+            "index-missing-shards",
         ],
     )
     def test_non_object_file_is_a_corpus_error(

@@ -39,7 +39,6 @@ Invariants
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
@@ -47,7 +46,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..core.variants import Approach
-from ..decode import DecodeError, decode
+from ..decode import DecodeError, decode, encode
 from ..exec.cache import OutcomeCache
 from ..exec.engine import ExecutionEngine
 from ..sim.scheduler import DEFAULT_MAX_STEPS
@@ -74,15 +73,6 @@ class SpecError(ValueError):
             "path": self.path,
             "detail": self.detail,
         }
-
-
-def _section_dict(section) -> dict:
-    """A section as a plain dict, ``None`` values omitted."""
-    return {
-        f.name: getattr(section, f.name)
-        for f in dataclasses.fields(section)
-        if getattr(section, f.name) is not None
-    }
 
 
 @dataclass(frozen=True)
@@ -290,14 +280,6 @@ class AnalysisSpec:
         return registries.policies.build(self.policy)
 
 
-_SECTIONS = {
-    "collection": CollectionSpec,
-    "engine": EngineSpec,
-    "corpus": CorpusSpec,
-    "analysis": AnalysisSpec,
-}
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """One declarative debugging run (see the module docstring)."""
@@ -349,15 +331,11 @@ class RunSpec:
     # -- dict round-trip -------------------------------------------------
 
     def to_dict(self) -> dict:
-        payload: dict = {"version": SPEC_VERSION}
-        if self.workload is not None:
-            payload["workload"] = _section_dict(self.workload)
-        for name in sorted(_SECTIONS):
-            section_dict = _section_dict(getattr(self, name))
-            if name == "analysis" and "extractors" in section_dict:
-                section_dict["extractors"] = list(section_dict["extractors"])
-            payload[name] = section_dict
-        return payload
+        """``version``, then ``workload``, then the sections by name (the
+        order :meth:`to_toml` writes)."""
+        sections = encode(self).items()
+        order = sorted(sections, key=lambda item: (item[0] != "workload", item[0]))
+        return {"version": SPEC_VERSION, **dict(order)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunSpec":

@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Optional, Sequence
 
-from ..decode import decode
+from ..decode import decode, encode
 from ..sim.program import Program
 from ..sim.serialize import stable_digest
 from ..sim.tracing import ExecutionTrace, MethodExecution, MethodKey
@@ -38,7 +38,6 @@ from .predicates import (
     TooFastPredicate,
     TooSlowPredicate,
     WrongReturnPredicate,
-    predicate_to_dict,
 )
 from .statistical import PredicateLog
 
@@ -375,6 +374,17 @@ class _SuitePayload:
     version: Literal[PREDICATE_FORMAT_VERSION]
     predicates: list[PredicateDef]
 
+    def __post_init__(self) -> None:
+        if len({p.pid for p in self.predicates}) != len(self.predicates):
+            raise ValueError("predicates: a pid appears twice")
+
+    @classmethod
+    def of(cls, suite: "PredicateSuite") -> "_SuitePayload":
+        return cls(PREDICATE_FORMAT_VERSION, list(suite.defs.values()))
+
+    def to_suite(self) -> "PredicateSuite":
+        return PredicateSuite(defs={p.pid: p for p in self.predicates})
+
 
 @dataclass
 class PredicateSuite:
@@ -445,20 +455,13 @@ class PredicateSuite:
         the definition order, and the suite :attr:`fingerprint` — which
         is what lets a persisted suite stand in for rediscovery (see
         ``repro corpus analyze`` warm starts)."""
-        return {
-            "version": PREDICATE_FORMAT_VERSION,
-            "predicates": [predicate_to_dict(p) for p in self.defs.values()],
-        }
+        return encode(_SuitePayload.of(self))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PredicateSuite":
         """Rebuild a suite serialized by :meth:`to_dict`; a malformed
         payload is a :class:`ValueError` naming the field."""
-        predicates = decode(_SuitePayload, raw, "suite").predicates
-        defs = {p.pid: p for p in predicates}
-        if len(defs) != len(predicates):
-            raise ValueError("suite.predicates: a pid appears twice")
-        return cls(defs=defs)
+        return decode(_SuitePayload, raw, "suite").to_suite()
 
     def kernel(self) -> SuiteKernel:
         """The suite's batch evaluator, built once per frozen pid set.

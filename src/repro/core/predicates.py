@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from ..decode import decode, register_union
+from ..decode import decode, encode, register_union
 from ..sim.faults import (
     CatchException,
     DelayReturn,
@@ -678,45 +678,11 @@ _PREDICATE_TYPES: dict[str, type] = {
 register_union(PredicateDef, "$pred", _PREDICATE_TYPES)
 
 
-def _encode_value(value: object) -> object:
-    """JSON-able encoding with type tags for the non-JSON field types.
-
-    Tags: ``{"$key": [...]}`` for :class:`MethodKey`, ``{"$pred": ...}``
-    for nested predicates (compound parts), ``{"$tuple": [...]}`` for
-    tuples (lists stay lists so the distinction survives the trip —
-    ``definition_digest`` hashes ``repr`` and must not drift).
-    """
-    if isinstance(value, MethodKey):
-        return {"$key": [value.method, value.thread, value.occurrence]}
-    if isinstance(value, PredicateDef):
-        return {"$pred": predicate_to_dict(value)}
-    if isinstance(value, tuple):
-        return {"$tuple": [_encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return [_encode_value(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise ValueError(
-        f"cannot serialize predicate field value {value!r} "
-        f"of type {type(value).__name__}"
-    )
-
-
 def predicate_to_dict(pred: PredicateDef) -> dict:
     """One predicate as a JSON-able dict (inverse:
     :func:`predicate_from_dict`).  Round-tripping preserves the pid and
     the full :meth:`~PredicateDef.definition_digest`."""
-    if not dataclasses.is_dataclass(pred):
-        raise ValueError(
-            f"cannot serialize non-dataclass predicate {type(pred).__name__}"
-        )
-    return {
-        "type": type(pred).__name__,
-        "fields": {
-            f.name: _encode_value(getattr(pred, f.name))
-            for f in dataclasses.fields(pred)
-        },
-    }
+    return encode(pred, PredicateDef)
 
 
 def predicate_from_dict(raw: dict) -> PredicateDef:

@@ -8,11 +8,12 @@ This module turns a :class:`~repro.core.discovery.DiscoveryResult` plus
 the predicate definitions into exactly that kind of numbered narrative.
 
 It is also the home of the **versioned report JSON schema**
-(:data:`REPORT_SCHEMA_VERSION`): :func:`report_to_dict` renders a
+(:data:`REPORT_SCHEMA_VERSION`): :class:`ReportPayload` declares it,
+``encode(ReportPayload.of(report))`` renders a
 :class:`~repro.harness.session.SessionReport` as a deterministic,
 JSON-able dict — the one payload shape shared by ``repro run --json``,
 the benchmarks, and the test suite — and :func:`validate_report_dict`
-checks a payload against the schema, returning actionable problems.
+decodes a payload as that type, returning the first problem.
 The dict is a pure function of the analysis results (no wall-clock
 times, no machine state), so two runs that computed the same thing
 serialize byte-identically.  The one deliberate exception is the
@@ -25,8 +26,9 @@ snapshot — and only they differ between two otherwise-identical runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Literal, Mapping, Optional
 
+from ..decode import DecodeError, decode
 from .discovery import DiscoveryResult
 from .predicates import PredicateDef
 
@@ -108,187 +110,149 @@ def render_sd_ranking(
 # ---------------------------------------------------------------------------
 
 
-def explanation_to_dict(explanation: Explanation) -> dict:
-    return {
-        "steps": [
-            {
-                "index": step.index,
-                "pid": step.pid,
-                "role": step.role,
-                "description": step.description,
-            }
-            for step in explanation.steps
-        ],
-        "text": explanation.render(),
-    }
+@dataclass(frozen=True)
+class _ReportMeta:
+    """Observability metadata: ``run_id`` and ``metrics`` stay ``None``
+    unless a :class:`repro.obs.ObsContext` was attached — the rest of
+    the payload is byte-identical with observability on or off (metrics
+    carry wall-clock, so stamping them unconditionally would break the
+    "pure function of the analysis results" invariant above)."""
+
+    schema_version: int
+    run_id: Optional[str]
+    metrics: Optional[dict]
 
 
-def report_to_dict(report) -> dict:
-    """Render a session report as the versioned JSON payload.
-
-    ``report`` is duck-typed (any object with the
-    :class:`~repro.harness.session.SessionReport` attributes), so this
-    module stays independent of the harness.  ``kind`` is ``"session"``
-    when interventions ran (discovery + explanation present) and
-    ``"analysis"`` for analyze-only runs (both sections ``None``).
-    """
-    discovery = report.discovery
-    collection = None
-    if report.corpus is not None:
-        collection = {
-            "n_success": len(report.corpus.successes),
-            "n_fail": len(report.corpus.failures),
-        }
-    elif report.n_success is not None or report.n_fail is not None:
-        collection = {
-            "n_success": report.n_success or 0,
-            "n_fail": report.n_fail or 0,
-        }
-    program = report.program.name if report.program is not None else None
-    if program is None:
-        program = getattr(report, "program_name", None)
-    graph = report.dag.graph
-    payload: dict = {
-        "schema": REPORT_SCHEMA_VERSION,
-        # Observability metadata: run_id and metrics stay None unless a
-        # repro.obs.ObsContext was attached — the rest of the payload is
-        # byte-identical with observability on or off (metrics carry
-        # wall-clock, so stamping them unconditionally would break the
-        # "pure function of the analysis results" invariant above).
-        "meta": {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "run_id": getattr(report, "run_id", None),
-            "metrics": getattr(report, "metrics", None),
-        },
-        "kind": "session" if discovery is not None else "analysis",
-        "program": program,
-        "approach": report.approach.value if report.approach else None,
-        "signature": report.signature,
-        "collection": collection,
-        "predicates": {
-            "n_extracted": len(report.suite),
-            "n_fully_discriminative": len(report.fully_discriminative),
-            "fully_discriminative": list(report.fully_discriminative),
-        },
-        "dag": {
-            "n_nodes": graph.number_of_nodes(),
-            "n_edges": graph.number_of_edges(),
-            "nodes": sorted(graph.nodes),
-            "edges": sorted([u, v] for u, v in graph.edges),
-        },
-        "discovery": None,
-        "explanation": None,
-    }
-    if discovery is not None:
-        payload["discovery"] = {
-            "causal_path": list(discovery.causal_path),
-            "failure": discovery.failure,
-            "root_cause": discovery.root_cause,
-            "spurious": list(discovery.spurious),
-            "n_rounds": discovery.n_rounds,
-            "n_executions": discovery.n_executions,
-        }
-    if report.explanation is not None:
-        payload["explanation"] = explanation_to_dict(report.explanation)
-    return payload
+@dataclass(frozen=True)
+class _ReportCollection:
+    n_success: int
+    n_fail: int
 
 
-#: schema key → (required, type-or-None-allowed) — the shape checked by
-#: :func:`validate_report_dict`
-_TOP_LEVEL_KEYS = {
-    "schema": (int, False),
-    "meta": (dict, False),
-    "kind": (str, False),
-    "program": (str, True),
-    "approach": (str, True),
-    "signature": (str, True),
-    "collection": (dict, True),
-    "predicates": (dict, False),
-    "dag": (dict, False),
-    "discovery": (dict, True),
-    "explanation": (dict, True),
-}
+@dataclass(frozen=True)
+class _ReportPredicates:
+    n_extracted: int
+    n_fully_discriminative: int
+    fully_discriminative: list[str]
+
+
+@dataclass(frozen=True)
+class _ReportDag:
+    n_nodes: int
+    n_edges: int
+    nodes: list[str]
+    edges: list[list[str]]
+
+
+@dataclass(frozen=True)
+class _ReportDiscovery:
+    causal_path: list[str]
+    failure: str
+    root_cause: Optional[str]
+    spurious: list[str]
+    n_rounds: int
+    n_executions: int
+
+
+@dataclass(frozen=True)
+class _ReportExplanation:
+    steps: list[ExplanationStep]
+    text: str
+
+
+@dataclass(frozen=True)
+class ReportPayload:
+    """The versioned report, as :meth:`of` builds it and
+    :func:`validate_report_dict` reads it.
+
+    ``kind`` is ``"session"`` when interventions ran (discovery and
+    explanation present) and ``"analysis"`` for analyze-only runs (both
+    ``None``).  ``meta`` arrived in-version as an additive key: a
+    payload written before it reads as the inert default."""
+
+    schema: Literal[REPORT_SCHEMA_VERSION]
+    kind: Literal["session", "analysis"]
+    program: Optional[str]
+    approach: Optional[str]
+    signature: Optional[str]
+    collection: Optional[_ReportCollection]
+    predicates: _ReportPredicates
+    dag: _ReportDag
+    discovery: Optional[_ReportDiscovery]
+    explanation: Optional[_ReportExplanation]
+    meta: _ReportMeta = _ReportMeta(REPORT_SCHEMA_VERSION, None, None)
+
+    def __post_init__(self) -> None:
+        if self.meta.schema_version != self.schema:
+            raise ValueError(
+                f"meta.schema_version: expected {self.schema}, "
+                f"got {self.meta.schema_version!r}"
+            )
+        if self.kind == "session":
+            for name in ("discovery", "explanation"):
+                if getattr(self, name) is None:
+                    raise ValueError(f"{name}: required for kind 'session'")
+
+    @classmethod
+    def of(cls, report) -> "ReportPayload":
+        """The payload of a session report.  ``report`` is duck-typed
+        (any object with the :class:`~repro.harness.session.SessionReport`
+        attributes), so this module stays independent of the harness."""
+        collection = None
+        if report.corpus is not None:
+            collection = _ReportCollection(
+                len(report.corpus.successes), len(report.corpus.failures)
+            )
+        elif report.n_success is not None or report.n_fail is not None:
+            collection = _ReportCollection(
+                report.n_success or 0, report.n_fail or 0
+            )
+        program = report.program.name if report.program is not None else None
+        graph, d, e = report.dag.graph, report.discovery, report.explanation
+        return cls(
+            schema=REPORT_SCHEMA_VERSION,
+            kind="session" if d is not None else "analysis",
+            program=program or getattr(report, "program_name", None),
+            approach=report.approach.value if report.approach else None,
+            signature=report.signature,
+            collection=collection,
+            predicates=_ReportPredicates(
+                len(report.suite),
+                len(report.fully_discriminative),
+                list(report.fully_discriminative),
+            ),
+            dag=_ReportDag(
+                graph.number_of_nodes(),
+                graph.number_of_edges(),
+                sorted(graph.nodes),
+                sorted([u, v] for u, v in graph.edges),
+            ),
+            discovery=d and _ReportDiscovery(
+                list(d.causal_path), d.failure, d.root_cause,
+                list(d.spurious), d.n_rounds, d.n_executions,
+            ),
+            explanation=e and _ReportExplanation(e.steps, e.render()),
+            meta=_ReportMeta(
+                REPORT_SCHEMA_VERSION,
+                getattr(report, "run_id", None),
+                getattr(report, "metrics", None),
+            ),
+        )
 
 
 def validate_report_dict(payload: object) -> list[str]:
-    """Check a payload against the report schema; returns problems.
+    """Check a payload against the report schema: every key, every
+    leaf's type, and the rules across fields.
 
-    An empty list means the payload is a valid version-
-    |REPORT_SCHEMA_VERSION| report.  Problems are dotted-path-prefixed
-    and actionable (what was expected, what was found).
+    Returns ``[]`` for a valid version-|REPORT_SCHEMA_VERSION| report,
+    else the first problem, prefixed with its dotted path and saying
+    what was expected and what was found.
     """
-    if not isinstance(payload, dict):
-        return [f"expected an object, got {type(payload).__name__}"]
-    problems: list[str] = []
-    if payload.get("schema") != REPORT_SCHEMA_VERSION:
-        problems.append(
-            f"schema: expected {REPORT_SCHEMA_VERSION}, "
-            f"got {payload.get('schema')!r}"
-        )
-    for key, (expected, nullable) in _TOP_LEVEL_KEYS.items():
-        if key not in payload:
-            # "meta" arrived in-version as an additive key: payloads
-            # written before it are still valid version-1 reports.
-            if key != "meta":
-                problems.append(f"{key}: missing")
-            continue
-        value = payload[key]
-        if value is None:
-            if not nullable:
-                problems.append(f"{key}: must not be null")
-            continue
-        if not isinstance(value, expected):
-            problems.append(
-                f"{key}: expected {expected.__name__}, "
-                f"got {type(value).__name__}"
-            )
-    unknown = sorted(set(payload) - set(_TOP_LEVEL_KEYS))
-    if unknown:
-        problems.append(
-            f"unknown key {unknown[0]!r} "
-            f"(valid: {', '.join(sorted(_TOP_LEVEL_KEYS))})"
-        )
-    if problems:
-        return problems
-
-    meta = payload.get("meta")
-    if isinstance(meta, dict):
-        for subkey in ("schema_version", "run_id", "metrics"):
-            if subkey not in meta:
-                problems.append(f"meta.{subkey}: missing")
-        if meta.get("schema_version") != payload["schema"]:
-            problems.append(
-                f"meta.schema_version: expected {payload['schema']}, "
-                f"got {meta.get('schema_version')!r}"
-            )
-    kind = payload["kind"]
-    if kind not in ("session", "analysis"):
-        problems.append(
-            f"kind: expected 'session' or 'analysis', got {kind!r}"
-        )
-    if kind == "session":
-        for key in ("discovery", "explanation"):
-            if payload[key] is None:
-                problems.append(f"{key}: required for kind 'session'")
-    for key, subkeys in (
-        ("predicates", ("n_extracted", "n_fully_discriminative",
-                        "fully_discriminative")),
-        ("dag", ("n_nodes", "n_edges", "nodes", "edges")),
-    ):
-        for subkey in subkeys:
-            if subkey not in payload[key]:
-                problems.append(f"{key}.{subkey}: missing")
-    discovery = payload.get("discovery")
-    if isinstance(discovery, dict):
-        for subkey in ("causal_path", "failure", "n_rounds", "n_executions"):
-            if subkey not in discovery:
-                problems.append(f"discovery.{subkey}: missing")
-    explanation = payload.get("explanation")
-    if isinstance(explanation, dict):
-        for subkey in ("steps", "text"):
-            if subkey not in explanation:
-                problems.append(f"explanation.{subkey}: missing")
-    return problems
+    try:
+        decode(ReportPayload, payload)
+    except DecodeError as exc:
+        return [str(exc)]
+    return []
 
 
 def explain(

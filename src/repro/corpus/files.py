@@ -1,9 +1,10 @@
 """The corpus's JSON files: atomic writes, checked reads, one error.
 
 Every corpus file (manifests, eval-matrix shards and index, the frozen
-suite) is written by :func:`_write_json` and read by :func:`_read_json`,
-which decodes it as its :mod:`repro.decode` type; whatever is wrong
-with a file is a :class:`CorpusError` naming it.
+suite) is written by :func:`_write_json`, which encodes a value of its
+:mod:`repro.decode` type, and read by :func:`_read_json`, which decodes
+it as that type; whatever is wrong with a file is a
+:class:`CorpusError` naming it.
 """
 
 from __future__ import annotations
@@ -12,18 +13,19 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from ..decode import DecodeError, decode
+from ..decode import DecodeError, decode, encode
 
 
 class CorpusError(RuntimeError):
     """The corpus directory is missing, malformed, or inconsistent."""
 
 
-def _write_json(path: Path, payload: dict, indent: Optional[int] = 2) -> None:
-    """Atomic JSON write: temp file in the same directory + rename."""
+def _write_json(path: Path, value: object, indent: Optional[int] = 2) -> None:
+    """Atomic JSON write of ``value``, encoded: temp file in the same
+    directory + rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(payload, indent=indent, sort_keys=True))
+    tmp.write_text(json.dumps(encode(value), indent=indent, sort_keys=True))
     tmp.replace(path)
 
 

@@ -77,6 +77,12 @@ class _MatrixIndex:
     shards: list[str]
 
 
+def write_matrix_index(path: Path, shard_ids: Iterable[str]) -> None:
+    """Write the top-level eval-matrix index listing ``shard_ids``."""
+    index = _MatrixIndex(MATRIX_INDEX_VERSION, sorted(shard_ids))
+    _write_json(path, index, indent=None)
+
+
 def _obs_to_list(obs: Observation) -> list:
     return [obs.start, obs.end, obs.start_lamport, obs.end_lamport]
 
@@ -771,11 +777,7 @@ class ShardedEvalMatrix:
             else:
                 self.store.shard_matrix_path(sid).unlink(missing_ok=True)
                 saved.discard(sid)
-        _write_json(
-            self.store.matrix_index_path,
-            {"version": MATRIX_INDEX_VERSION, "shards": sorted(saved)},
-            indent=None,
-        )
+        write_matrix_index(self.store.matrix_index_path, saved)
 
     # -- compaction ------------------------------------------------------
 

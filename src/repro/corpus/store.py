@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Literal, Optional
 
-from ..core.extraction import PredicateSuite
+from ..core.extraction import _SuitePayload
 from ..sim.serialize import (
     DIGEST_CHARS,
     ImportedTrace,
@@ -87,6 +87,7 @@ from .matrix import (
     ShardedEvalMatrix,
     merge_matrices,
     split_matrix,
+    write_matrix_index,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -123,18 +124,6 @@ class TraceEntry:
     def failed(self) -> bool:
         return self.label == "fail"
 
-    def to_dict(self) -> dict:
-        payload = {
-            "label": self.label,
-            "seed": self.seed,
-            "signature": self.signature,
-        }
-        # Written only when present, so manifests without schedule
-        # provenance stay byte-identical to what older builds wrote.
-        if self.schedule is not None:
-            payload["schedule"] = self.schedule
-        return payload
-
 
 @dataclass(frozen=True)
 class _ShardManifest:
@@ -164,6 +153,17 @@ class _Manifest:
     def __post_init__(self) -> None:
         if not 0 <= self.shard_width <= 4:  # as init enforces
             raise ValueError(f"shard_width {self.shard_width} is not in 0..4")
+
+
+@dataclass(frozen=True)
+class _SuiteFile:
+    """``suite.json``: the frozen suite and what it was frozen over."""
+
+    version: Literal[SUITE_FILE_VERSION]
+    corpus_digest: str
+    program: Optional[str]
+    signature: Optional[str]
+    suite: _SuitePayload
 
 
 class TraceStore:
@@ -220,7 +220,15 @@ class TraceStore:
                 f"{root} holds a version {version} corpus: run "
                 f"`repro corpus upgrade {root}`"
             )
-        top = _decode_file(_Manifest, root / MANIFEST_NAME, manifest)
+        return cls._read_shards(
+            root, _decode_file(_Manifest, root / MANIFEST_NAME, manifest)
+        )
+
+    @classmethod
+    def _read_shards(cls, root: Path, top: _Manifest) -> "TraceStore":
+        """The store ``top`` describes, each listed shard id checked
+        against the width and each shard manifest read; writes
+        nothing."""
         store = cls(root, program=top.program, shard_width=top.shard_width)
         for sid in top.shards:
             if not store.is_valid_shard_id(sid):
@@ -250,20 +258,12 @@ class TraceStore:
         """Write the dirty shard manifests, then the top-level one: the
         commit point of every save, reshard and upgrade."""
         for sid in sorted(self._dirty):
-            rows = self._by_shard.get(sid, {})
-            _write_json(
-                self.shard_dir(sid) / MANIFEST_NAME,
-                {"traces": {fp: e.to_dict() for fp, e in sorted(rows.items())}},
-            )
-        _write_json(
-            self.root / MANIFEST_NAME,
-            {
-                "version": STORE_VERSION,
-                "program": self._program,
-                "shard_width": self.shard_width,
-                "shards": self.shard_ids,
-            },
+            rows = _ShardManifest(self._by_shard.get(sid, {}))
+            _write_json(self.shard_dir(sid) / MANIFEST_NAME, rows)
+        top = _Manifest(
+            STORE_VERSION, self._program, self.shard_width, self.shard_ids
         )
+        _write_json(self.root / MANIFEST_NAME, top)
         self._dirty.clear()
 
     # -- identity and layout ---------------------------------------------
@@ -366,13 +366,13 @@ class TraceStore:
         over the *same* corpus content skips extractor rediscovery
         entirely.  ``program`` records which live program's safety
         filter shaped the suite (``None`` for an unattached analysis)."""
-        payload = {
-            "version": SUITE_FILE_VERSION,
-            "corpus_digest": self.content_digest,
-            "program": program,
-            "signature": signature,
-            "suite": suite.to_dict(),
-        }
+        payload = _SuiteFile(
+            SUITE_FILE_VERSION,
+            self.content_digest,
+            program,
+            signature,
+            _SuitePayload.of(suite),
+        )
         _write_json(self.suite_path, payload, indent=None)
         return self.suite_path
 
@@ -384,23 +384,15 @@ class TraceStore:
         a different attached program (the Section 3.3 safety filter
         depends on it), or a predicate that does not decode, such as
         one with a malformed method key."""
-        path = self.suite_path
-        if not path.exists():
-            return None
         try:
-            payload = _read_json(path)
-        except CorpusError:
+            stored = _read_json(self.suite_path, tp=_SuiteFile)
+        except (CorpusError, OSError):
             return None
-        if payload.get("version") != SUITE_FILE_VERSION:
+        if (stored.corpus_digest, stored.program) != (
+            self.content_digest, program
+        ):
             return None
-        if payload.get("corpus_digest") != self.content_digest:
-            return None
-        if payload.get("program") != program:
-            return None
-        try:
-            return PredicateSuite.from_dict(payload["suite"])
-        except (KeyError, TypeError, ValueError):
-            return None
+        return stored.suite.to_suite()
 
     # -- ingestion -------------------------------------------------------
 
@@ -587,15 +579,9 @@ class TraceStore:
             dst.write_bytes(src.read_bytes())
 
         # 3. New matrix files, plus the matrix index.
-        matrix_sids = []
         for sid, shard_matrix in sorted(new_matrices.items()):
             shard_matrix.save(self.root / SHARDS_DIR / sid / MATRIX_NAME)
-            matrix_sids.append(sid)
-        _write_json(
-            self.matrix_index_path,
-            {"version": MATRIX_INDEX_VERSION, "shards": matrix_sids},
-            indent=None,
-        )
+        write_matrix_index(self.matrix_index_path, new_matrices)
 
         # 4. New shard manifests, then the commit: the top-level
         #    manifest now names the new layout.
@@ -739,7 +725,9 @@ def upgrade(root: str | os.PathLike) -> tuple[int, int]:
     matrix) is checked whole before anything moves, then its bodies move
     into their shards, its matrix splits into per-shard files keeping
     every memoized pair, and its manifest splits.  A v2 corpus is the v3
-    layout under an older number.  The top-level manifest write is the
+    layout under an older number: it is checked as :meth:`TraceStore.open`
+    checks a v3 one (manifest, shard ids, shard manifests) before its
+    manifest is rewritten.  The top-level manifest write is the
     commit point, so running ``upgrade`` again finishes an interrupted
     upgrade; a current corpus without :data:`LEGACY_SHARD_FILES` is not
     written at all.
@@ -783,18 +771,17 @@ def upgrade(root: str | os.PathLike) -> tuple[int, int]:
         if shards is not None:
             for sid, shard in sorted(shards.items()):
                 shard.save(store.shard_matrix_path(sid))
-            _write_json(
-                matrix_path,
-                {"version": MATRIX_INDEX_VERSION, "shards": sorted(shards)},
-                indent=None,
-            )
+            write_matrix_index(matrix_path, shards)
         store._dirty = set(store.shard_ids)
         store._write()
         old_traces = root / TRACES_DIR
         if old_traces.is_dir() and not any(old_traces.iterdir()):
             old_traces.rmdir()
     elif version == 2:
-        _write_json(root / MANIFEST_NAME, {**manifest, "version": STORE_VERSION})
+        top = _decode_file(_Manifest, root / MANIFEST_NAME, manifest)
+        TraceStore._read_shards(root, top)
+        current = dataclasses.replace(top, version=STORE_VERSION)
+        _write_json(root / MANIFEST_NAME, current)
     shards_dir = root / SHARDS_DIR
     sidecars = [p for n in LEGACY_SHARD_FILES for p in shards_dir.glob(f"*/{n}")]
     for path in sidecars:

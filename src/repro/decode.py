@@ -1,17 +1,23 @@
-"""One typed decoder for everything persisted.
+"""One typed codec for everything persisted.
 
 A JSON value is checked against the dataclass it becomes, each type's
-check plan built once from its annotations.  A wrong type (``int``
-refuses ``bool``), a missing key (of a field without a default), an
-extra key, or a ``ValueError`` from the constructor (a value rule no
-annotation states) is a :class:`DecodeError` naming its path, such as
-``collection.start_seed``; each door wraps it in its own error.  The
-predicate leaves keep their tagged forms: ``{"$key": [method, thread,
-occurrence]}`` for a :class:`MethodKey`, ``{"type": name, "fields":
-{...}}`` for a :func:`register_union` base, and inside those fields
-``{"$pred": ...}`` and ``{"$tuple": [...]}``.  Nothing of ``repro``
-is imported here: the simulator registers :class:`MethodKey` as a leaf
-and the predicate model registers its union base.
+plan built once from its annotations: a reader and its inverse writer.
+A wrong type (``int`` refuses ``bool``), a missing key (of a field
+without a default), an extra key, or a ``ValueError`` from the
+constructor (a value rule no annotation states) is a
+:class:`DecodeError` naming its path, such as ``collection.start_seed``;
+each door wraps it in its own error.  :func:`encode` writes what
+:func:`decode` reads: a ``None``-default field holding ``None`` is left
+out (except inside a union member's fields, which are all written), a
+frozenset is written as a sorted list, fields keep their declared
+order, and a value that is not of its type is passed on unwritten, so
+decoding the result names it.  The predicate leaves keep their tagged
+forms: ``{"$key": [method, thread, occurrence]}`` for a
+:class:`MethodKey`, ``{"type": name, "fields": {...}}`` for a
+:func:`register_union` base, and inside those fields ``{"$pred": ...}``
+and ``{"$tuple": [...]}``.  Nothing of ``repro`` is imported here: the
+simulator registers :class:`MethodKey` as a leaf and the predicate
+model registers its union base.
 """
 
 from __future__ import annotations
@@ -39,8 +45,9 @@ class DecodeError(ValueError):
 
 #: base -> (the tag of a nested member, member dataclasses by name)
 _UNIONS: dict[type, tuple[str, dict[str, type]]] = {}
-#: leaf type -> (its tag, what it is, its payload's shape, the builder)
-_LEAVES: dict[type, tuple[str, str, str, Callable]] = {}
+#: leaf type -> (its tag, what it is, its payload's shape, the builder,
+#: its inverse)
+_LEAVES: dict[type, tuple[str, str, str, Callable, Callable]] = {}
 
 
 def register_union(base: type, tag: str, members: dict[str, type]) -> None:
@@ -50,19 +57,27 @@ def register_union(base: type, tag: str, members: dict[str, type]) -> None:
 
 
 def register_leaf(
-    tp: type, tag: str, what: str, shape: str, build: Callable
+    tp: type, tag: str, what: str, shape: str, build: Callable,
+    unbuild: Callable,
 ) -> None:
     """Decode ``tp`` as ``{tag: payload}``: ``build(payload)`` returns
-    the value, or ``None`` when the payload is not ``shape``."""
-    _LEAVES[tp] = (tag, what, shape, build)
+    the value, or ``None`` when the payload is not ``shape``;
+    ``unbuild(value)`` returns the payload."""
+    _LEAVES[tp] = (tag, what, shape, build, unbuild)
 
 
 def decode(tp: object, raw: object, path: str = "") -> object:
     """``raw`` (parsed JSON) checked against ``tp`` and built."""
     try:
-        return _plan(tp, False)(raw)
+        return _plan(tp, False)[0](raw)
     except DecodeError as exc:
         raise (exc.under(path) if path else exc) from None
+
+
+def encode(value: object, tp: object = None) -> object:
+    """The JSON value :func:`decode` reads back as ``value``, written by
+    the plan of ``tp`` (by default ``value``'s own type)."""
+    return _plan(type(value) if tp is None else tp, False)[1](value)
 
 
 def _mismatch(expected: str, value: object) -> DecodeError:
@@ -80,43 +95,71 @@ def _exact(expected: str, *kinds: type, values: frozenset = None) -> Check:
     return check
 
 
+def _same(value: object) -> object:
+    return value
+
+
 _SCALARS = {
     str: _exact("a string", str),
     int: _exact("an int", int),
     float: _exact("a number", int, float),
     bool: _exact("a bool", bool),
-    object: lambda value: value,
+    object: _same,
 }
 
 
 @functools.cache
-def _plan(tp: object, tagged: bool) -> Check:
-    """The check for annotation ``tp`` (``tagged`` inside a union
-    member's fields)."""
+def _plan(tp: object, tagged: bool) -> tuple[Check, Check]:
+    """The reader of annotation ``tp`` (a JSON value checked and built)
+    and its writer (``tagged`` inside a union member's fields)."""
     origin, args = get_origin(tp), get_args(tp)
     if tp is object and tagged:
-        return _tagged_value
+        return _tagged_value, _tagged_write
     if tp in _SCALARS:
-        return _SCALARS[tp]
+        return _SCALARS[tp], _same
     if tp in _LEAVES:
-        return functools.partial(_leaf, *_LEAVES[tp])
+        tag, what, shape, build, unbuild = _LEAVES[tp]
+        read = functools.partial(_leaf, tag, what, shape, build)
+        return read, lambda value: {tag: unbuild(value)}
     if tp in _UNIONS:
-        return functools.partial(_member, tp, tagged)
+        pair = (_member, _write_member)
+        return tuple(functools.partial(f, tp, tagged) for f in pair)
     if dataclasses.is_dataclass(tp):
         return _dataclass(tp, tagged)
     if origin is Literal:
         expected = "one of " + ", ".join(map(repr, args))
-        return _exact(expected, *{type(a) for a in args}, values=frozenset(args))
+        kinds = {type(a) for a in args}
+        return _exact(expected, *kinds, values=frozenset(args)), _same
     if origin is Union and len(args) == 2 and type(None) in args:
         inner = _plan(next(a for a in args if a is not type(None)), tagged)
-        return lambda value: None if value is None else inner(value)
+        return tuple(
+            lambda value, f=f: None if value is None else f(value) for f in inner
+        )
     if tp is dict or origin is dict and args[0] is str:
-        return _each(_plan(args[1] if args else object, tagged), dict)
+        read, write = _plan(args[1] if args else object, tagged)
+
+        def write_dict(value: object) -> object:
+            if type(value) is not dict:
+                return value  # passed on for decode to name
+            return {k: write(v) for k, v in value.items()}
+
+        return _each(read, dict), write_dict
     if origin in (list, frozenset) or origin is tuple and args[1:] == (...,):
-        items = _each(_plan(args[0], tagged), list)
+        read, write = _plan(args[0], tagged)
+        items = _each(read, list)
+        order = sorted if origin is frozenset else list
+
+        def write_items(value: object) -> object:
+            if not isinstance(value, (list, tuple, set, frozenset)):
+                return value  # passed on for decode to name
+            return order(map(write, value))
+
         if origin is tuple and tagged:
-            return lambda value: tuple(items(_untag(value, "$tuple", "a tuple")))
-        return lambda value: origin(items(value))
+            return (
+                lambda value: tuple(items(_untag(value, "$tuple", "a tuple"))),
+                lambda value: {"$tuple": write_items(value)},
+            )
+        return lambda value: origin(items(value)), write_items
     raise TypeError(f"no decoder for the annotation {tp!r}")
 
 
@@ -140,35 +183,50 @@ def _each(item: Check, kind: type) -> Check:
     return check
 
 
-def _dataclass(cls: type, tagged: bool) -> Check:
+def _dataclass(cls: type, tagged: bool) -> tuple[Check, Check]:
     hints = get_type_hints(cls)
     fields = [f for f in dataclasses.fields(cls) if f.init]
-    checks = {f.name: _plan(hints[f.name], tagged) for f in fields}
+    plans = {f.name: _plan(hints[f.name], tagged) for f in fields}
     required = frozenset(
         f.name for f in fields
         if f.default is f.default_factory is dataclasses.MISSING
     )
-    valid = ", ".join(sorted(checks))
+    # Outside a union member's fields, a None-default field holding
+    # None is left out.
+    omitted = frozenset() if tagged else frozenset(
+        f.name for f in fields if f.default is None
+    )
+    valid = ", ".join(sorted(plans))
 
     def check(value: object) -> object:
         if type(value) is not dict:
             raise _mismatch("an object", value)
         built = {}
         for name, element in value.items():
-            if name not in checks:
+            if name not in plans:
                 raise DecodeError("", f"unknown key {name!r} (valid: {valid})")
             try:
-                built[name] = checks[name](element)
+                built[name] = plans[name][0](element)
             except DecodeError as exc:
                 raise exc.under(name) from None
-        if len(built) < len(checks) and not required <= built.keys():
+        if len(built) < len(plans) and not required <= built.keys():
             raise DecodeError("", f"missing key {min(required - built.keys())!r}")
         try:
             return cls(**built)
         except ValueError as exc:
             raise DecodeError("", str(exc)) from None
 
-    return check
+    def write(value: object) -> object:
+        if not isinstance(value, cls):
+            return value  # passed on for decode to name
+        out = {}
+        for name, (_, write_field) in plans.items():
+            element = getattr(value, name)
+            if element is not None or name not in omitted:
+                out[name] = write_field(element)
+        return out
+
+    return check, write
 
 
 def _untag(value: object, tag: str, what: str) -> object:
@@ -197,9 +255,18 @@ def _member(base: type, tagged: bool, value: object) -> object:
     if type(name) is not str or name not in members:
         raise _mismatch(f"one of {', '.join(sorted(members))}", name).under("type")
     try:
-        return _plan(members[name], True)(value["fields"])
+        return _plan(members[name], True)[0](value["fields"])
     except DecodeError as exc:
         raise exc.under(name) from None
+
+
+def _write_member(base: type, tagged: bool, value: object) -> dict:
+    tag, members = _UNIONS[base]
+    name = type(value).__name__
+    if members.get(name) is not type(value):
+        raise ValueError(f"cannot encode a {name} as a {base.__name__}")
+    written = {"type": name, "fields": _plan(type(value), True)[1](value)}
+    return {tag: written} if tagged else written
 
 
 def _tagged_value(value: object) -> object:
@@ -214,4 +281,23 @@ def _tagged_value(value: object) -> object:
     tags.update((tag, base) for base, (tag, _) in _UNIONS.items())
     if len(value) != 1 or next(iter(value)) not in tags:
         raise _mismatch(f"a tagged value {' or '.join(tags)}", value)
-    return _plan(tags[next(iter(value))], True)(value)
+    return _plan(tags[next(iter(value))], True)[0](value)
+
+
+def _tagged_write(value: object) -> object:
+    """The inverse of :func:`_tagged_value`: leaves, union members and
+    tuples tagged, lists and JSON scalars as they are."""
+    if type(value) in _LEAVES:
+        return _plan(type(value), True)[1](value)
+    base = next((b for b in _UNIONS if isinstance(value, b)), None)
+    if base is not None:
+        return _plan(base, True)[1](value)
+    if isinstance(value, tuple):
+        return _plan(tuple[object, ...], True)[1](value)
+    if isinstance(value, list):
+        return [_tagged_write(v) for v in value]
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise ValueError(
+        f"cannot encode {value!r} of type {type(value).__name__}"
+    )

@@ -40,7 +40,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator, Literal, Optional
 
-from ..decode import DecodeError, decode
+from ..decode import DecodeError, decode, encode
 from ..sim.serialize import stable_digest
 
 CACHE_FORMAT_VERSION = 1
@@ -152,24 +152,17 @@ class OutcomeCache:
         path = path or self.path
         if path is None:
             raise ValueError("OutcomeCache has no path to save to")
-        entries = []
-        for (workload, seed, pids), outcome in sorted(
-            self._data.items(),
-            key=lambda kv: (kv[0][0], kv[0][1], tuple(sorted(kv[0][2]))),
-        ):
-            entries.append(
-                {
-                    "workload": workload,
-                    "seed": seed,
-                    "pids": sorted(pids),
-                    "outcome": {
-                        "observed": sorted(outcome.observed),
-                        "failed": outcome.failed,
-                        "seed": outcome.seed,
-                    },
-                }
+        entries = [
+            _StoredEntry(
+                workload, seed, pids,
+                _StoredOutcome(outcome.observed, outcome.failed, outcome.seed),
             )
-        payload = {"version": CACHE_FORMAT_VERSION, "entries": entries}
+            for (workload, seed, pids), outcome in sorted(
+                self._data.items(),
+                key=lambda kv: (kv[0][0], kv[0][1], tuple(sorted(kv[0][2]))),
+            )
+        ]
+        payload = encode(_CacheFile(CACHE_FORMAT_VERSION, entries))
         # Write a sibling and rename it over the target, so a write that
         # fails partway leaves the previous cache intact.
         tmp = f"{path}.tmp"

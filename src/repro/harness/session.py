@@ -51,12 +51,13 @@ from ..core.discovery import DiscoveryResult
 from ..core.extraction import Extractor, PredicateSuite
 from ..core.intervention import SimulationRunner
 from ..core.precedence import PrecedencePolicy
-from ..core.report import Explanation, explain, report_to_dict
+from ..core.report import Explanation, ReportPayload, explain
 from ..core.statistical import PredicateLog, StatisticalDebugger
 from ..core.variants import Approach, discover
 from ..corpus.matrix import ShardedEvalMatrix
 from ..corpus.pipeline import IncrementalPipeline
 from ..corpus.store import CorpusError, TraceStore
+from ..decode import encode
 from ..exec.engine import ExecutionEngine
 from ..sim.program import Program
 from ..sim.scheduler import DEFAULT_MAX_STEPS, Simulator
@@ -152,8 +153,8 @@ class SessionReport:
     def to_dict(self) -> dict:
         """The versioned, deterministic JSON payload of this report —
         one schema shared by ``repro run --json``, the benchmarks, and
-        the tests (see :func:`repro.core.report.report_to_dict`)."""
-        return report_to_dict(self)
+        the tests (see :class:`repro.core.report.ReportPayload`)."""
+        return encode(ReportPayload.of(self))
 
 
 class AIDSession:

@@ -97,14 +97,15 @@ def resolve_run_log(target: str) -> Path:
 
 
 def render_log_row(row: dict) -> str:
-    """One parsed run-log row as the human progress line.
+    """One run-log row, as :func:`~repro.obs.runlog.check_row` passed
+    it, as the human progress line.
 
     The single rendering shared by ``repro obs tail`` (local file) and
     ``repro submit --follow`` (the daemon's NDJSON event stream) — both
     feeds carry the same rows, so they read identically.
     """
-    if "seq" not in row:
-        kind = "header" if "schema" in row else row.get("kind")
+    if row.get("seq") is None:
+        kind = "header" if "schema" in row else row["kind"]
         return f"[{kind}] {json.dumps(row, sort_keys=True)}"
     return (
         f"[{row['t']:8.3f}s] #{row['seq']:<3} {row['kind']:<18} "

@@ -22,8 +22,10 @@ watch a live run.
 :class:`~repro.api.events.EventLog` replays offline exactly as the live
 observers saw the run — and **rejects** logs written by a future schema
 (:class:`RunLogError`), mirroring the report-schema versioning policy.
-The header's own keys and every later line are decoded by
-:mod:`repro.decode`, so whatever is wrong with a line is a
+Every reader (:func:`read_run_log`, ``repro obs tail``, the serve event
+stream, ``repro submit --follow``) checks each line once with
+:func:`check_row`, which decodes the header's own keys and every later
+line with :mod:`repro.decode`, so whatever is wrong with a line is a
 :class:`RunLogError` naming ``file:line``.
 
 Invariants
@@ -41,11 +43,11 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..api import events as _events
 from ..api.events import Envelope, Event, EventLog
-from ..decode import DecodeError, decode
+from ..decode import DecodeError, decode, encode
 
 #: bump on any backwards-incompatible change to the line shapes above
 RUN_LOG_SCHEMA_VERSION = 1
@@ -86,6 +88,10 @@ class _Line:
     seq: Optional[int] = None
     t: Optional[float] = None
     wall: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.seq is not None and (self.t is None or self.wall is None):
+            raise ValueError("an event line (one with a seq) needs t and wall")
 
 
 def _event_payload(event: Event) -> dict:
@@ -146,32 +152,20 @@ class JsonlRunLog:
         if self._handle is None:
             self.path = self.dir / f"{envelope.run_id}.jsonl"
             self._handle = self.path.open("w")
-            self._write(
-                {
-                    **self._header_extra,
-                    "schema": RUN_LOG_SCHEMA_VERSION,
-                    "run_id": envelope.run_id,
-                    "created": envelope.wall,
-                }
-            )
-        self._write(
-            {
-                "seq": envelope.seq,
-                "t": round(envelope.t, 6),
-                "wall": envelope.wall,
-                "kind": envelope.event.kind,
-                "data": _event_payload(envelope.event),
-            }
-        )
-        if envelope.event.kind == "run-finished":
+            own = _Header(RUN_LOG_SCHEMA_VERSION, envelope.run_id, envelope.wall)
+            self._write({**self._header_extra, **encode(own)})
+        event, t = envelope.event, round(envelope.t, 6)
+        data = _event_payload(event)
+        self._write(_Line(event.kind, data, envelope.seq, t, envelope.wall))
+        if event.kind == "run-finished":
             if self._metrics is not None:
                 snapshot = self._metrics()
                 if snapshot is not None:
-                    self._write({"kind": "metrics", "data": snapshot})
+                    self._write(_Line("metrics", snapshot))
             self.close()
 
-    def _write(self, obj: dict) -> None:
-        json.dump(obj, self._handle, sort_keys=True, default=str)
+    def _write(self, line: object) -> None:
+        json.dump(encode(line), self._handle, sort_keys=True, default=str)
         self._handle.write("\n")
         self._handle.flush()
 
@@ -199,58 +193,66 @@ class RunLogReplay:
     header: dict = dataclasses.field(default_factory=dict)
 
 
-def read_run_log(path) -> RunLogReplay:
-    """Parse a JSONL run log back into typed events.
+def check_row(line: bytes, where: str, header: bool) -> dict:
+    """One run-log line parsed and checked: the ``header`` line's own
+    keys as :class:`_Header` (a schema newer than
+    :data:`RUN_LOG_SCHEMA_VERSION` refused), any later line as a
+    :class:`_Line`.  Whatever is wrong is a :class:`RunLogError` naming
+    ``where`` (``file:line``)."""
+    try:
+        row = json.loads(line.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise RunLogError(f"{where}: not JSON: {exc}") from exc
+    if header and (type(row) is not dict or "schema" not in row):
+        raise RunLogError(f"{where}: not a run log (missing schema header)")
+    try:
+        if not header:
+            decode(_Line, row)
+            return row
+        own = {k: row[k] for k in ("schema", "run_id", "created") if k in row}
+        schema = decode(_Header, own).schema
+    except DecodeError as exc:
+        raise RunLogError(f"{where}: {exc}") from exc
+    if schema > RUN_LOG_SCHEMA_VERSION:
+        raise RunLogError(
+            f"{where}: written by run-log schema {schema!r}; this build "
+            f"reads versions <= {RUN_LOG_SCHEMA_VERSION}"
+        )
+    return row
 
-    Raises :class:`RunLogError` on a missing/garbled header, a schema
+
+def read_run_log(path) -> RunLogReplay:
+    """Parse a JSONL run log's complete lines back into typed events.
+
+    Raises :class:`RunLogError` on a missing file or header, a schema
     newer than :data:`RUN_LOG_SCHEMA_VERSION`, or a line that is not an
     event (or the metrics line) of a known kind, naming ``file:line``.
     """
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise RunLogError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    for number, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            rows.append((number, json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise RunLogError(f"{path}:{number}: not JSON: {exc}") from exc
-    if not rows or not isinstance(rows[0][1], dict) or "schema" not in rows[0][1]:
+    if not path.is_file():
+        raise RunLogError(f"cannot read {path}: not a file")
+    cursor = JsonlCursor(path)
+    rows = cursor.poll()
+    if next(rows, None) is None:
         raise RunLogError(f"{path}: not a run log (missing schema header)")
-    (number, header), body = rows[0], rows[1:]
-    own = {name: header[name] for name in ("schema", "run_id", "created")
-           if name in header}
-    try:
-        head = decode(_Header, own)
-    except DecodeError as exc:
-        raise RunLogError(f"{path}:{number}: {exc}") from exc
-    if head.schema > RUN_LOG_SCHEMA_VERSION:
-        raise RunLogError(
-            f"{path}: written by run-log schema {head.schema!r}; this build "
-            f"reads versions <= {RUN_LOG_SCHEMA_VERSION}"
-        )
+    header = cursor.header
     events = EventLog()
     records: list[dict] = []
     metrics: Optional[dict] = None
-    for number, row in body:
+    for _, row in rows:
+        if row["kind"] == "metrics" and row.get("seq") is None:
+            metrics = row["data"]
+            continue
         try:
-            entry = decode(_Line, row)
-            if entry.kind == "metrics" and entry.seq is None:
-                metrics = entry.data
-                continue
-            events.on_event(_event_from(entry.kind, entry.data))
-        except (DecodeError, RunLogError) as exc:
-            raise RunLogError(f"{path}:{number}: {exc}") from exc
+            events.on_event(_event_from(row["kind"], row["data"]))
+        except RunLogError as exc:
+            raise RunLogError(f"{path}:{cursor.line}: {exc}") from exc
         records.append(row)
     return RunLogReplay(
         path=path,
-        run_id=head.run_id if head.run_id is not None else path.stem,
-        schema=head.schema,
-        created=head.created,
+        run_id=header.get("run_id") or path.stem,
+        schema=header["schema"],
+        created=header.get("created"),
         records=records,
         events=events,
         metrics=metrics,
@@ -259,14 +261,15 @@ def read_run_log(path) -> RunLogReplay:
 
 
 class JsonlCursor:
-    """Incremental reader over a live, line-flushed JSONL file.
+    """Incremental reader over a live, line-flushed JSONL run log.
 
     Every pipeline writer flushes whole lines (:class:`JsonlRunLog`
     invariant), so polling the file and splitting on newlines yields
     only complete JSON objects — a writer caught mid-line stays
-    buffered until its newline lands.  One cursor backs every follower:
-    ``repro obs tail --follow``, the serve daemon's SSE/NDJSON event
-    stream, and replay-from-seq reconnects.
+    buffered until its newline lands.  One cursor backs every reader:
+    :func:`read_run_log`, ``repro obs tail --follow``, the serve
+    daemon's SSE/NDJSON event stream, and replay-from-seq reconnects.
+    Each line is checked once, by :func:`check_row`.
 
     ``from_seq`` skips rows whose envelope ``seq`` is ≤ the given value
     *and* the header line (a reconnecting client already holds both);
@@ -279,37 +282,44 @@ class JsonlCursor:
         self.path = Path(path)
         self.from_seq = from_seq
         self._position = 0
-        self._buffer = ""
+        self._buffer = b""
+        #: the number of the last line read (1-based)
+        self.line = 0
+        #: the header row, once read
+        self.header: Optional[dict] = None
         #: True once a ``run-finished`` row has been returned
         self.finished = False
 
-    def poll(self) -> list[tuple[str, dict]]:
+    def poll(self) -> Iterator[tuple[str, dict]]:
         """Every complete ``(raw_line, parsed_row)`` appended since the
         last poll, filtered by ``from_seq``.  A missing file is simply
-        "no new lines yet" — the writer may not have started."""
+        "no new lines yet" — the writer may not have started.  A line
+        that is not a run-log row raises :class:`RunLogError` once the
+        rows before it are out."""
         try:
-            with self.path.open() as handle:
+            with self.path.open("rb") as handle:
                 handle.seek(self._position)
                 chunk = handle.read()
                 self._position = handle.tell()
         except FileNotFoundError:
-            return []
-        self._buffer += chunk
-        rows: list[tuple[str, dict]] = []
-        while "\n" in self._buffer:
-            line, self._buffer = self._buffer.split("\n", 1)
+            return
+        *lines, self._buffer = (self._buffer + chunk).split(b"\n")
+        for line in lines:
+            self.line += 1
             if not line.strip():
                 continue
-            row = json.loads(line)
-            if "seq" in row:
+            header = self.header is None
+            row = check_row(line, f"{self.path}:{self.line}", header)
+            if header:
+                self.header = row
+                if self.from_seq > 0:
+                    continue  # the reconnecting client has it
+            elif row.get("seq") is not None:
                 if row["seq"] <= self.from_seq:
                     continue
-                if row.get("kind") == "run-finished":
+                if row["kind"] == "run-finished":
                     self.finished = True
-            elif "schema" in row and self.from_seq > 0:
-                continue  # header: the reconnecting client has it
-            rows.append((line, row))
-        return rows
+            yield line.decode(), row
 
 
 def latest_run_log(log_dir) -> Path:

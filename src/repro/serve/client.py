@@ -12,8 +12,10 @@ serve-smoke CI job diffs exactly that).
 run's NDJSON event feed to *stderr* — each row rendered by the same
 :func:`repro.obs.cli.render_log_row` that ``repro obs tail`` uses, so a
 remote run reads like a local tail — and finally fetches the report to
-stdout.  Structured service errors (the JSON bodies described in
-:mod:`repro.serve.handlers`) surface as ``repro: submit:`` messages.
+stdout.  Each streamed line is checked as ``repro obs tail`` checks a
+log line (:func:`repro.obs.runlog.check_row`).  Structured service
+errors (the JSON bodies described in :mod:`repro.serve.handlers`) and a
+bad streamed line surface as ``repro: submit:`` messages.
 
 Only :mod:`urllib.request` is used; no new dependencies.
 """
@@ -28,6 +30,7 @@ from typing import Optional, TextIO
 
 from ..api.spec import RunSpec, SpecError
 from ..obs.cli import render_log_row
+from ..obs.runlog import RunLogError, check_row
 
 
 class SubmitError(RuntimeError):
@@ -95,16 +98,14 @@ def submit(
         accepted = json.loads(response.read().decode())
         run_id = accepted["run_id"]
         print(f"submitted {run_id} -> {server}", file=err)
-        stream = _request(
-            f"{server}/v1/runs/{run_id}/events?format=ndjson"
-        )
-        for raw in stream:
-            line = raw.decode().strip()
-            if not line:
-                continue
-            print(render_log_row(json.loads(line)), file=err)
+        url = f"{server}/v1/runs/{run_id}/events?format=ndjson"
+        for number, raw in enumerate(_request(url), 1):
+            line = raw.strip()
+            if line:
+                row = check_row(line, f"{url}:{number}", header=number == 1)
+                print(render_log_row(row), file=err)
         report = _request(f"{server}/v1/runs/{run_id}/report")
         out.write(report.read().decode())
         return 0
-    except SubmitError as exc:
+    except (SubmitError, RunLogError) as exc:
         raise SystemExit(f"repro: submit: {exc}") from exc

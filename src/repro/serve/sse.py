@@ -24,7 +24,9 @@ Two framings over the same rows:
 The follow loop ends when the run is no longer active *and* the cursor
 has drained — which covers finished runs (``run-finished`` + metrics
 line), failed runs (valid prefix, no ``run-finished``), and historical
-logs (never active).
+logs (never active).  It also ends at a line that is not a run-log row
+(:func:`~repro.obs.runlog.check_row`): the rows before it are streamed,
+the bad line and anything after it are not.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-from ..obs import JsonlCursor
+from ..obs import JsonlCursor, RunLogError
 
 #: seconds between polls of a live run's log
 POLL_INTERVAL = 0.05
@@ -40,7 +42,7 @@ POLL_INTERVAL = 0.05
 
 def sse_frame(line: str, row: dict) -> bytes:
     """One parsed log line as an SSE message."""
-    if "seq" in row:
+    if row.get("seq") is not None:
         return f"id: {row['seq']}\ndata: {line}\n\n".encode()
     event = "header" if "schema" in row else (row.get("kind") or "message")
     return f"event: {event}\ndata: {line}\n\n".encode()
@@ -72,24 +74,30 @@ def stream_run_log(
     cursor = JsonlCursor(path, from_seq=from_seq)
     deadline = time.monotonic() + timeout if timeout is not None else None
     frames = 0
-    while True:
-        rows = cursor.poll()
-        for line, row in rows:
+
+    def drain() -> bool:
+        nonlocal frames
+        before = frames
+        for line, row in cursor.poll():
             write(frame(line, row))
             frames += 1
-        if not rows:
+        return frames > before
+
+    try:
+        while True:
+            if drain():
+                continue
             # Drain-then-check avoids the shutdown race: a run that
             # finished between our poll and the activity check gets one
             # more poll before the loop can exit.
             if not is_active():
-                rows = cursor.poll()
-                for line, row in rows:
-                    write(frame(line, row))
-                    frames += 1
+                drain()
                 break
             if deadline is not None and time.monotonic() >= deadline:
                 break
             time.sleep(poll_interval)
+    except RunLogError:
+        pass  # the stream ends at the bad line
     if sse:
         write(b"event: end\ndata: {}\n\n")
     return frames

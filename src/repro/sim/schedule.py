@@ -50,7 +50,7 @@ from pathlib import Path
 from random import Random
 from typing import NamedTuple, Optional, Protocol, Sequence, runtime_checkable
 
-from ..decode import DecodeError, decode
+from ..decode import DecodeError, decode, encode
 from .serialize import stable_digest
 
 SCHEDULE_SCHEMA_VERSION = 1
@@ -298,12 +298,7 @@ class Schedule:
     # -- (de)serialization ------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEDULE_SCHEMA_VERSION,
-            "program": self.program,
-            "seed": self.seed,
-            "decisions": list(self.decisions),
-        }
+        return {"schema": SCHEDULE_SCHEMA_VERSION, **encode(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Schedule":

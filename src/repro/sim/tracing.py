@@ -75,7 +75,7 @@ def _method_key(raw: object) -> Optional[MethodKey]:
 
 register_leaf(
     MethodKey, "$key", "a method key", "[method, thread, occurrence >= 0]",
-    _method_key,
+    _method_key, list,
 )
 
 class MethodExecution(NamedTuple):

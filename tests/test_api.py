@@ -5,6 +5,7 @@ entry points."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -204,8 +205,23 @@ class TestSpecValidation:
                 small_spec(analysis=AnalysisSpec(rng_seed="x")),
                 "analysis.rng_seed",
             ),
+            (
+                small_spec(
+                    collection=CollectionSpec(strategy="pct", strategy_params=[1])
+                ),
+                "collection.strategy_params",
+            ),
+            (small_spec(analysis=AnalysisSpec(extractors=5)), "analysis.extractors"),
+            (small_spec(collection=None), "collection"),
         ],
-        ids=["bool-count", "string-start-seed", "string-rng-seed"],
+        ids=[
+            "bool-count",
+            "string-start-seed",
+            "string-rng-seed",
+            "list-strategy-params",
+            "int-extractors",
+            "none-section",
+        ],
     )
     def test_values_built_in_python_are_type_checked(self, spec, path):
         with pytest.raises(SpecError) as excinfo:
@@ -413,7 +429,7 @@ class TestReportSchema:
         broken = dict(payload, schema=99)
         assert any("schema" in p for p in validate_report_dict(broken))
         broken = {k: v for k, v in payload.items() if k != "dag"}
-        assert any(p.startswith("dag") for p in validate_report_dict(broken))
+        assert validate_report_dict(broken) == ["missing key 'dag'"]
         broken = dict(payload, discovery=None)
         assert any(
             "required for kind 'session'" in p
@@ -422,6 +438,38 @@ class TestReportSchema:
         broken = dict(payload, extra=1)
         assert any("unknown key 'extra'" in p for p in validate_report_dict(broken))
         assert validate_report_dict([]) != []
+
+
+GOLDEN_REPORT = Path(__file__).resolve().parent / "fixtures" / "golden_report.json"
+
+
+class TestHostileReport:
+    # Every key present, one leaf of the wrong type: the validator names
+    # it (a presence-only check passed all five).
+    @pytest.mark.parametrize(
+        "section, key, value, expected",
+        [
+            ("dag", "n_nodes", "x", "an int"),
+            ("dag", "nodes", 5, "a list"),
+            ("discovery", "causal_path", 7, "a list"),
+            ("discovery", "n_rounds", "many", "an int"),
+            ("explanation", "steps", "none", "a list"),
+        ],
+    )
+    def test_wrong_typed_leaf_is_refused(self, section, key, value, expected):
+        payload = json.loads(GOLDEN_REPORT.read_text())
+        assert validate_report_dict(payload) == []
+        payload[section][key] = value
+        assert validate_report_dict(payload) == [
+            f"{section}.{key}: expected {expected}, got {value!r}"
+        ]
+
+    def test_all_five_at_once_are_refused(self):
+        payload = json.loads(GOLDEN_REPORT.read_text())
+        payload["dag"].update(n_nodes="x", nodes=5)
+        payload["discovery"].update(causal_path=7, n_rounds="many")
+        payload["explanation"]["steps"] = "none"
+        assert len(validate_report_dict(payload)) == 1
 
 
 class TestRunCLI:

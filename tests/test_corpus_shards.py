@@ -302,6 +302,43 @@ class TestUpgradeDoor:
         assert fp in str(excinfo.value)
         assert _snapshot(root) == before
 
+    # A v2 corpus is checked as open checks a v3 one before its manifest
+    # is rewritten: a malformed one is refused naming the file, every
+    # byte and mtime left as they were.
+    @pytest.mark.parametrize(
+        "relpath, field, value, named",
+        [
+            ("manifest.json", "shard_width", "2", "shard_width"),
+            ("manifest.json", "shards", [".."], "'..'"),
+            ("manifest.json", "extra", 1, "'extra'"),
+            ("manifest.json", "program", 5, "program"),
+            ("shards/{sid}/manifest.json", "traces", [], "traces"),
+        ],
+        ids=[
+            "width-a-string",
+            "shard-id-a-path",
+            "unknown-key",
+            "program-an-int",
+            "traces-a-list",
+        ],
+    )
+    def test_malformed_v2_is_refused_untouched(
+        self, tmp_path, analyzed_network_corpus, relpath, field, value, named
+    ):
+        root = _older_copy(analyzed_network_corpus, tmp_path / "v2", 2)
+        sid = TraceStore.open(analyzed_network_corpus).shard_ids[0]
+        path = root / relpath.format(sid=sid)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        before = _snapshot(root)
+        with pytest.raises(CorpusError) as excinfo:
+            upgrade(root)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path} is malformed: ")
+        assert named in message
+        assert _snapshot(root) == before
+
     # A top-level or shard manifest field of the wrong type or range is
     # a structured error naming the file and the field, from every
     # command, and never a traceback or a shard read from outside

@@ -1,12 +1,12 @@
-"""The typed decoder (`repro.decode`) and every door that reads a
+"""The typed codec (`repro.decode`) and every door that reads a
 persisted type through it: the checks each annotation makes, the error
-paths, and a property over every persisted type: a valid payload with
-one leaf mutated decodes to exactly what it says or raises the door's
-structured error, never anything else."""
+paths, and properties over every persisted type: ``encode`` inverts
+``decode``, and a valid payload with one leaf mutated decodes to exactly
+what it says or raises the door's structured error, never anything
+else."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import tempfile
 from dataclasses import dataclass, field
@@ -26,7 +26,7 @@ from repro.api.spec import (
     SpecError,
     WorkloadSpec,
 )
-from repro.core.extraction import PredicateSuite
+from repro.core.extraction import PredicateSuite, _SuitePayload
 from repro.core.intervention import RunOutcome
 from repro.core.predicates import (
     CompoundAndPredicate,
@@ -35,16 +35,28 @@ from repro.core.predicates import (
     FailurePredicate,
     MethodFailsPredicate,
     OrderViolationPredicate,
+    PredicateDef,
     TooFastPredicate,
     TooSlowPredicate,
     WrongReturnPredicate,
     predicate_from_dict,
     predicate_to_dict,
 )
+from repro.core.report import (
+    ExplanationStep,
+    ReportPayload,
+    _ReportCollection,
+    _ReportDag,
+    _ReportDiscovery,
+    _ReportExplanation,
+    _ReportMeta,
+    _ReportPredicates,
+)
 from repro.corpus import store as corpus_store
+from repro.corpus.matrix import _MatrixIndex
 from repro.corpus.store import CorpusError, TraceEntry
-from repro.decode import DecodeError, decode
-from repro.exec.cache import OutcomeCache, RunRequest
+from repro.decode import DecodeError, decode, encode
+from repro.exec.cache import OutcomeCache, RunRequest, _CacheFile
 from repro.sim.schedule import Schedule, ScheduleError
 from repro.sim.tracing import MethodKey
 
@@ -186,7 +198,7 @@ entries = st.builds(
 )
 shard_manifests = st.dictionaries(
     st.integers(0, 2**64 - 1).map(_fingerprint), entries, max_size=3
-).map(lambda rows: {"traces": {fp: e.to_dict() for fp, e in rows.items()}})
+).map(lambda rows: encode(corpus_store._ShardManifest(rows)))
 top_manifests = st.builds(
     lambda program, width, shards: {
         "version": 3,
@@ -198,6 +210,65 @@ top_manifests = st.builds(
     st.integers(0, 4),
     st.lists(st.sampled_from(["00", "0a", "ff", "all"]), max_size=3),
 )
+
+
+suite_files = st.builds(
+    corpus_store._SuiteFile,
+    st.just(corpus_store.SUITE_FILE_VERSION),
+    names,
+    st.one_of(st.none(), names),
+    st.one_of(st.none(), names),
+    st.lists(predicates, max_size=3).map(
+        lambda preds: _SuitePayload.of(
+            PredicateSuite(defs={p.pid: p for p in preds})
+        )
+    ),
+).map(encode)
+matrix_indexes = st.builds(
+    _MatrixIndex, ints, st.lists(st.sampled_from(["00", "0a", "ff"]), max_size=3)
+).map(encode)
+
+
+@st.composite
+def reports(draw) -> dict:
+    """A report payload; a session report has discovery and explanation."""
+    pid_list = st.lists(names, max_size=3)
+    session = draw(st.booleans())
+    discovery = explanation = None
+    if session:
+        discovery = _ReportDiscovery(
+            draw(pid_list), draw(names), draw(st.one_of(st.none(), names)),
+            draw(pid_list), draw(ints), draw(ints),
+        )
+        steps = st.builds(ExplanationStep, ints, names, names, names)
+        explanation = _ReportExplanation(
+            draw(st.lists(steps, max_size=2)), draw(names)
+        )
+    optional = st.one_of(st.none(), names)
+    return encode(
+        ReportPayload(
+            schema=1,
+            kind="session" if session else "analysis",
+            program=draw(optional),
+            approach=draw(optional),
+            signature=draw(optional),
+            collection=draw(
+                st.one_of(st.none(), st.builds(_ReportCollection, ints, ints))
+            ),
+            predicates=_ReportPredicates(draw(ints), draw(ints), draw(pid_list)),
+            dag=_ReportDag(
+                draw(ints), draw(ints), draw(pid_list),
+                draw(st.lists(st.lists(names, min_size=2, max_size=2), max_size=2)),
+            ),
+            discovery=discovery,
+            explanation=explanation,
+            meta=_ReportMeta(
+                1,
+                draw(optional),
+                draw(st.one_of(st.none(), st.dictionaries(names, ints, max_size=2))),
+            ),
+        )
+    )
 
 
 def _cache_payload(items) -> dict:
@@ -297,19 +368,13 @@ def _normal_spec(payload: dict) -> dict:
     return {k: v for k, v in payload.items() if v is not None}
 
 
-def _manifest_door(tp):
+def _file_door(tp):
+    """A corpus file read as ``tp`` and written back as the store does."""
+
     def door(payload):
-        decoded = corpus_store._decode_file(tp, Path("manifest.json"), payload)
-        return dataclasses.asdict(decoded)
+        return encode(corpus_store._decode_file(tp, Path("file.json"), payload))
 
     return door
-
-
-def _shard_rows(payload: dict) -> dict:
-    decoded = corpus_store._decode_file(
-        corpus_store._ShardManifest, Path("manifest.json"), payload
-    )
-    return {"traces": {fp: e.to_dict() for fp, e in decoded.traces.items()}}
 
 
 #: name -> (valid payloads, door: payload -> what it writes back,
@@ -327,12 +392,32 @@ DOORS = {
         _normal_predicate,
         ValueError,
     ),
-    "manifest-row": (shard_manifests, _shard_rows, lambda p: p, CorpusError),
-    "manifest": (
-        top_manifests,
-        _manifest_door(corpus_store._Manifest),
+    "manifest-row": (
+        shard_manifests,
+        _file_door(corpus_store._ShardManifest),
         lambda p: p,
         CorpusError,
+    ),
+    "manifest": (
+        top_manifests,
+        _file_door(corpus_store._Manifest),
+        lambda p: p,
+        CorpusError,
+    ),
+    "suite-file": (
+        suite_files,
+        _file_door(corpus_store._SuiteFile),
+        _normal_predicate,
+        CorpusError,
+    ),
+    "matrix-index": (
+        matrix_indexes, _file_door(_MatrixIndex), lambda p: p, CorpusError
+    ),
+    "report": (
+        reports(),
+        lambda p: encode(decode(ReportPayload, p)),
+        lambda p: p,
+        DecodeError,
     ),
     "cache": (caches, _load_cache, _normal_cache, ValueError),
     "schedule": (
@@ -347,6 +432,25 @@ DOORS = {
         _normal_spec,
         SpecError,
     ),
+}
+
+
+def _without(key: str):
+    return lambda payload: {k: v for k, v in payload.items() if k != key}
+
+
+#: name -> (the type a door decodes, the payload it is decoded from)
+DOOR_TYPES = {
+    "predicate": (PredicateDef, lambda p: p),
+    "suite": (_SuitePayload, lambda p: p),
+    "manifest-row": (corpus_store._ShardManifest, lambda p: p),
+    "manifest": (corpus_store._Manifest, lambda p: p),
+    "suite-file": (corpus_store._SuiteFile, lambda p: p),
+    "matrix-index": (_MatrixIndex, lambda p: p),
+    "report": (ReportPayload, lambda p: p),
+    "cache": (_CacheFile, lambda p: p),
+    "schedule": (Schedule, _without("schema")),
+    "spec": (RunSpec, _without("version")),
 }
 
 
@@ -432,6 +536,21 @@ def test_every_valid_payload_round_trips(name):
     @given(payloads)
     def check(payload):
         assert door(payload) == normal(payload)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(DOORS))
+def test_encode_inverts_decode(name):
+    payloads, _, normal, _ = DOORS[name]
+    tp, unwrap = DOOR_TYPES[name]
+
+    @settings(max_examples=40, deadline=None)
+    @given(payloads)
+    def check(raw):
+        value = decode(tp, unwrap(raw))
+        assert decode(tp, encode(value, tp)) == value
+        assert encode(value, tp) == unwrap(normal(raw))
 
     check()
 

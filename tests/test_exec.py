@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +118,24 @@ class TestOutcomeCache:
         reloaded = OutcomeCache(path=path)
         assert len(reloaded) == 1
         assert reloaded.peek(request) == outcome
+
+    # The file is dumped without sort_keys, so field order is part of
+    # its bytes; entries are sorted by key, pid sets as sorted lists.
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        cache = OutcomeCache()
+        cache.store(_request({"b", "a"}, seed=2), _outcome({"z", "y"}, True, 3))
+        cache.store(_request((), seed=1), _outcome())
+        cache.store(_request({"c"}, seed=9, workload="v"), _outcome({"c"}, seed=9))
+        path = cache.save(str(tmp_path / "c.json"))
+        assert Path(path).read_text() == (
+            '{"version": 1, "entries": ['
+            '{"workload": "v", "seed": 9, "pids": ["c"], "outcome": '
+            '{"observed": ["c"], "failed": false, "seed": 9}}, '
+            '{"workload": "w", "seed": 1, "pids": [], "outcome": '
+            '{"observed": [], "failed": false, "seed": 0}}, '
+            '{"workload": "w", "seed": 2, "pids": ["a", "b"], "outcome": '
+            '{"observed": ["y", "z"], "failed": true, "seed": 3}}]}'
+        )
 
     def test_load_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.json"

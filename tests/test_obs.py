@@ -56,6 +56,7 @@ from repro.obs import (
     summarize,
 )
 from repro.obs.runlog import RUN_LOG_SCHEMA_VERSION
+from repro.serve.sse import stream_run_log
 from repro.sim import Simulator
 from repro.workloads.common import REGISTRY
 from repro.workloads.synthetic import generate_app
@@ -476,6 +477,32 @@ class TestRunLog:
         assert outcomes[path.name] == "unreadable"
         assert outcomes[good.path.name] != "unreadable"
 
+    # Every follower checks each line once: ``repro obs tail`` prints the
+    # rows before a bad line, then exits 1 naming file:line (no
+    # traceback), and the serve event stream ends at the bad line.
+    @pytest.mark.parametrize(
+        "line",
+        ["[1, 2]", "not json", '{"seq": 1, "kind": "x", "data": {}}', "\xff\xfe"],
+        ids=["list", "not-json", "seq-without-t", "not-utf8"],
+    )
+    def test_followers_stop_at_a_hostile_line(self, tmp_path, capsys, line):
+        path = tmp_path / "hostile.jsonl"
+        header = json.dumps({"schema": 1, "run_id": "x"})
+        path.write_bytes(f"{header}\n{line}\n{header}\n".encode("latin-1"))
+        with pytest.raises(RunLogError) as excinfo:
+            read_run_log(path)
+        assert str(excinfo.value).startswith(f"{path}:2: ")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "tail", str(path)])
+        assert str(excinfo.value.code).startswith(f"repro: obs: {path}:2: ")
+        assert capsys.readouterr().out.splitlines() == [
+            '[header] {"run_id": "x", "schema": 1}'
+        ]
+        frames = []
+        assert stream_run_log(path, frames.append, lambda: False) == 1
+        assert frames == [f"{header}\n".encode()]
+
     def test_crashed_run_leaves_a_valid_prefix(self, tmp_path):
         log = JsonlRunLog(tmp_path / "runs")
         bus = EventBus([log])
@@ -576,9 +603,11 @@ class TestReportMeta:
     def test_meta_problems_are_caught(self):
         payload = run(small_spec()).to_dict()
         payload["meta"] = {"schema_version": 99}
-        problems = validate_report_dict(payload)
-        assert any("meta.run_id" in p for p in problems)
-        assert any("meta.schema_version" in p for p in problems)
+        assert validate_report_dict(payload) == ["meta: missing key 'metrics'"]
+        payload["meta"] = {"schema_version": 99, "run_id": None, "metrics": None}
+        assert validate_report_dict(payload) == [
+            "meta.schema_version: expected 1, got 99"
+        ]
 
 
 # ---------------------------------------------------------------------------

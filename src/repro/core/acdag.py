@@ -30,8 +30,12 @@ directly.
 
 Anchors come from one policy call per predicate:
 :meth:`~repro.core.precedence.PrecedencePolicy.anchors` over the
-predicate's observations in every failed log (``build``), or over its
-one observation in the new log (``update_failed_log``).  The DAG keeps
+predicate's *anchor column*, its window in every failed log
+(``build``), or over its one observation in the new log
+(``update_failed_log``).  ``build`` reads columns, not logs: a live
+session cuts them from its logs (:func:`log_columns`), and the corpus
+pipeline reads them straight from the eval matrix's stored windows
+without assembling a log.  The DAG keeps
 the policy it was built under, and ``update_failed_log`` and ``copy``
 use it, so a patched DAG never mixes two policies' anchors.
 
@@ -44,11 +48,11 @@ line 10), and destructive node removal as pruning proceeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .digraph import Digraph
 from .precedence import PrecedencePolicy, default_policy
-from .predicates import PredicateDef
+from .predicates import Observation, PredicateDef
 from .statistical import PredicateLog, StatisticalDebugger, failure_and_fd
 
 
@@ -163,62 +167,70 @@ class ACDag:
     def build(
         cls,
         defs: dict[str, PredicateDef],
-        failed_logs: Sequence[PredicateLog],
+        columns: Mapping[str, Sequence[Optional[Observation]]],
         failure: str,
         policy: Optional[PrecedencePolicy] = None,
-        candidate_pids: Optional[Iterable[str]] = None,
     ) -> "ACDag":
         """Build the AC-DAG from fully-discriminative predicates.
 
         Parameters
         ----------
         defs:
-            Predicate definitions (must cover every candidate pid).
-        failed_logs:
-            Logs of failed executions; temporal precedence must hold in
-            all of them for an edge to exist.
+            Predicate definitions (must cover every pid of ``columns``).
+        columns:
+            The anchor columns: each candidate pid (the
+            fully-discriminative set, and F) mapped to its window in
+            every failed log, in one log order, ``None`` where that log
+            does not observe it.  Temporal precedence must hold in all
+            of the logs for an edge to exist.
         failure:
             The pid of the failure-indicating predicate F.
         policy:
             Precedence policy; defaults to the kind-anchored policy.
-        candidate_pids:
-            The fully-discriminative predicate ids (defaults to all of
-            ``defs``).  F is always included.
         """
-        if not failed_logs:
+        f_column = columns.get(failure)
+        if f_column is None:
+            raise GraphInvariantError(
+                f"failure predicate {failure!r} has no anchor column"
+            )
+        n_logs = len(f_column)
+        if not n_logs:
             raise GraphInvariantError("cannot build an AC-DAG without failed logs")
         policy = policy or default_policy()
-        pids = set(candidate_pids) if candidate_pids is not None else set(defs)
-        pids.add(failure)
         discarded: dict[str, str] = {}
 
         # Anchor timestamps per (pid, log).  A fully-discriminative
         # predicate must be observed in every failed log; drop violators
         # defensively (can happen when callers pass a lax candidate set).
-        columns: dict[str, list[float]] = {}
-        for pid in sorted(pids):
-            observed = [log.observations.get(pid) for log in failed_logs]
-            if None in observed:
+        anchors: dict[str, list[float]] = {}
+        for pid in sorted(columns):
+            windows = columns[pid]
+            if len(windows) != n_logs:
+                raise GraphInvariantError(
+                    f"anchor column of {pid!r} covers {len(windows)} "
+                    f"failed logs, not {n_logs}"
+                )
+            if None in windows:
                 discarded[pid] = "not observed in every failed log"
                 continue
-            columns[pid] = policy.anchors(defs[pid], observed)
-        if failure not in columns:
+            anchors[pid] = policy.anchors(defs[pid], windows)
+        if failure not in anchors:
             raise GraphInvariantError(
                 f"failure predicate {failure!r} unobserved in some failed log"
             )
 
         # Fold the narrowing step over the logs, from "every node is
         # later than every node, on both sides of F".
-        nodes = [pid for pid in columns if pid != failure]
+        nodes = [pid for pid in anchors if pid != failure]
         full = (1 << len(nodes)) - 1
         later = [full] * len(nodes)
         to_f = from_f = full
-        rows = zip(*(columns[pid] for pid in nodes))
-        for row, f_anchor in zip(rows, columns[failure]):
+        rows = zip(*(anchors[pid] for pid in nodes))
+        for row, f_anchor in zip(rows, anchors[failure]):
             to_f, from_f = _narrow(later, to_f, from_f, row, f_anchor)
 
         graph = Digraph()
-        for pid in columns:
+        for pid in anchors:
             graph.add_node(pid)
         for pid, mask in zip(nodes, later):
             for j in _bits(mask):
@@ -233,7 +245,7 @@ class ACDag:
             failure=failure,
             defs=dict(defs),
             discarded=discarded,
-            n_failed_logs=len(failed_logs),
+            n_failed_logs=n_logs,
             policy=policy,
         )
         dag._prune_non_ancestors()  # only predicates that may cause F
@@ -445,29 +457,41 @@ class ACDag:
         return pred.description if pred is not None else pid
 
 
+def log_columns(
+    failed_logs: Sequence[PredicateLog], pids: Iterable[str]
+) -> dict[str, list[Optional[Observation]]]:
+    """The anchor columns of ``pids`` cut from ``failed_logs``: each
+    pid's window in every log, in log order (``None`` where a log does
+    not observe it) — what :meth:`ACDag.build` reads."""
+    return {
+        pid: [log.observations.get(pid) for log in failed_logs] for pid in pids
+    }
+
+
 def learn_dag(
     suite,
     debugger: StatisticalDebugger,
-    failed_logs: Iterable[PredicateLog],
+    columns: Callable[[list[str]], Mapping[str, Sequence[Optional[Observation]]]],
     policy: Optional[PrecedencePolicy] = None,
 ) -> tuple[Optional[str], list[str], Optional[ACDag]]:
     """AID's learning step after evaluation: SD counters → the failure
     predicate F and the fully-discriminative set → one AC-DAG build.
 
     ``suite`` is the frozen :class:`~repro.core.extraction.PredicateSuite`
-    (its ``defs`` and ``failure_pids()``).  ``failed_logs`` is consumed
-    only when F exists, so callers may pass a lazy generator.  Returns
-    ``(F, FD pids, dag)`` — ``(None, FD pids, None)`` when no failed log
-    observes a failure predicate.
+    (its ``defs`` and ``failure_pids()``).  ``columns(pids)`` returns the
+    anchor columns of ``pids`` over the failed logs (see
+    :meth:`ACDag.build`); it is called once, with the FD pids and F,
+    and only when F exists.  Returns ``(F, FD pids, dag)`` —
+    ``(None, FD pids, None)`` when no failed log observes a failure
+    predicate.
     """
     failure, fully = failure_and_fd(debugger, suite.failure_pids())
     if failure is None:
         return None, fully, None
     dag = ACDag.build(
         defs=dict(suite.defs),
-        failed_logs=list(failed_logs),
+        columns=columns([*fully, failure]),
         failure=failure,
         policy=policy,
-        candidate_pids=fully,
     )
     return failure, fully, dag

@@ -8,11 +8,12 @@ into a durable service:
   (``shards/<hex>/``) with per-shard manifests; it reads only the
   current version, and :func:`~repro.corpus.store.upgrade` is the one
   reader of older layouts;
-* :mod:`~repro.corpus.matrix` — the :class:`EvalMatrix` (one bitset
-  file per shard) behind a :class:`ShardedEvalMatrix`, a predicates ×
-  traces memo guaranteeing each pair is evaluated at most once
-  corpus-wide, evaluated shard by shard (only traces with an undecided
-  pair are loaded), with compaction;
+* :mod:`~repro.corpus.matrix` — the :class:`EvalMatrix` (one
+  positional file per shard, its rows numbered by one corpus-wide
+  predicate row table) behind a :class:`ShardedEvalMatrix`, a
+  predicates × traces memo guaranteeing each pair is evaluated at most
+  once corpus-wide, evaluated shard by shard (only traces with an
+  undecided pair are loaded), with compaction;
 * :mod:`~repro.corpus.pipeline` — the :class:`IncrementalPipeline`
   maintaining SD counts, the fully-discriminative set, and the AC-DAG
   under log insertions, built by one serial ``bootstrap`` pass (and a

@@ -22,10 +22,15 @@ class CorpusError(RuntimeError):
 
 def _write_json(path: Path, value: object, indent: Optional[int] = 2) -> None:
     """Atomic JSON write of ``value``, encoded: temp file in the same
-    directory + rename."""
+    directory + rename.  Without ``indent`` the file has no whitespace."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(encode(value), indent=indent, sort_keys=True))
+    separators = None if indent is not None else (",", ":")
+    tmp.write_text(
+        json.dumps(
+            encode(value), indent=indent, separators=separators, sort_keys=True
+        )
+    )
     tmp.replace(path)
 
 

@@ -9,24 +9,27 @@ re-propose largely the same predicates run after run.  The matrix
 guarantees each (predicate, trace) pair is evaluated **at most once
 corpus-wide**:
 
-* columns are traces (keyed by content fingerprint), rows are predicates
-  (keyed by pid);
-* per pid, two Python-int bitsets over the columns — ``evaluated`` (the
+* columns are traces (keyed by content fingerprint), rows are predicate
+  *definitions*: one row per (pid, definition digest) pair, numbered in
+  one corpus-wide, append-only :class:`RowTable`;
+* per row, two Python-int bitsets over the columns — ``evaluated`` (the
   pair has been decided) and ``observed`` (the predicate held) — give
   O(1) memo checks and popcount-cheap precision/recall counting;
-* observation windows (what the AC-DAG anchors on) are kept in a side
-  table only for observed pairs.
+* observation windows (what the AC-DAG anchors on) are kept per column,
+  by row, only for observed pairs.
 
 Invariants
 ----------
 * a (predicate, trace) pair is evaluated at most once corpus-wide: a
   decided pair is always answered from the bitsets;
 * pids do not encode every predicate parameter (a ``slow[...]``
-  threshold moves as the corpus grows), so each row also records the
+  threshold moves as the corpus grows), so a row is keyed by the
   predicate's full
-  :meth:`~repro.core.predicates.PredicateDef.definition_digest`; a row
-  whose definition drifted is dropped and re-evaluated rather than
-  served stale;
+  :meth:`~repro.core.predicates.PredicateDef.definition_digest` too: a
+  predicate whose definition drifted gets a new row (evaluated afresh),
+  and its old row is dead in every shard until ``compact`` drops it;
+* the digests of a suite are computed once per suite, by the row table
+  every shard shares;
 * the shard holding a pair is a pure function of the trace fingerprint
   (the store's ``shard_id``), so shards are disjoint and their SD
   counters sum to the whole corpus's;
@@ -34,87 +37,333 @@ Invariants
   from popcounts alone: no trace is loaded and no per-trace log is
   assembled; in any other shard only the traces with an undecided pair
   are loaded;
+* the AC-DAG's anchor columns are read straight from the stored windows
+  (:meth:`ShardedEvalMatrix.anchor_columns`), with no per-trace log;
 * reads never write: every mutator sets the matrix's ``dirty`` flag,
-  and :meth:`ShardedEvalMatrix.save` skips clean shards (and the index
-  when no shard changed), so a warm analysis leaves the corpus
-  untouched.
+  and :meth:`ShardedEvalMatrix.save` skips clean shards, and rewrites
+  the index only when its rows or its shard list changed, so a warm
+  analysis leaves the corpus untouched.
 
-Persistence format
-------------------
-One :class:`EvalMatrix` serializes to a single JSON file (format
-version 1): column fingerprints + labels, hex-encoded bitsets per pid,
-definition digests, and observation windows.  A corpus keeps **one
-such file per shard** (``shards/<sid>/evalmatrix.json``) behind a
-:class:`ShardedEvalMatrix`, with a top-level index
-(``DIR/evalmatrix.json``, format version 2) listing the shards that
-hold bitset files.  An index of any other version is an error:
-:func:`repro.corpus.store.upgrade` is the one reader of older layouts.
+Persistence format (format 2)
+-----------------------------
+The index ``DIR/evalmatrix.json`` (version 3) holds the row table and
+the shards that hold a matrix file::
+
+    {"version": 3, "epoch": 0, "rows": [[pid, digest], ...],
+     "shards": [sid, ...]}
+
+Each shard's ``shards/<sid>/evalmatrix.json`` (format 2) is positional:
+rows are named by their index in ``rows``::
+
+    {"version": 2, "epoch": 0,
+     "traces": [fp, ...], "labels": [0 | 1, ...],
+     "evaluated": "<hex>" | ["<hex>", ...],
+     "observed": ["<hex>", ...],
+     "windows": [[row, start, end, start_lamport, end_lamport, ...], ...]}
+
+``evaluated`` is one mask when every row the file covers has the same
+one (a fully decided shard), else one mask per row; ``observed`` has one
+mask per row the file covers; ``windows`` has one flat list per column,
+five ints per observed pair (a Lamport stamp may be null), rows
+ascending.  Every value rule (masks are hex and fit the columns, every
+observed pair has exactly one window, windows have ``start <= end``) is
+checked once, when the file is decoded (:class:`_ShardFile`).
+
+Rows are appended, never rewritten, except by ``compact``, which drops
+dead rows, renumbers the rest and bumps ``epoch``.  A shard file of
+another epoch names rows by an old numbering (a compaction was cut
+short), so it is read as empty and re-evaluated, never misread.  A save
+writes the index first whenever its rows grew, so a shard file never
+names a row the index lacks.  An index of version 2 or a shard file of
+format 1 is an error with a hint: :func:`repro.corpus.store.upgrade` is
+the one reader of older layouts.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import and_, invert, le, lt
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Literal, Mapping, Optional, Sequence
 
 from ..core.evalkernel import popcount_split
 from ..core.extraction import PredicateSuite
 from ..core.predicates import Observation
 from ..core.statistical import PredicateLog, StatisticalDebugger
-from .files import CorpusError, _read_json, _write_json
+from .files import CorpusError, _decode_file, _read_json, _write_json
 
-MATRIX_VERSION = 1
-MATRIX_INDEX_VERSION = 2
+MATRIX_FORMAT = 2
+MATRIX_INDEX_VERSION = 3
+_HEX_DIGITS = "0123456789abcdef"
+_INT_OR_NONE = frozenset({int, type(None)})
+#: a checked window's fields as an Observation, without re-checking
+_observation = functools.partial(tuple.__new__, Observation)
+
+
+def _upgrade_hint(path: Path, what: str, version: object, current: int) -> str:
+    """The error for a matrix file that is not at the current version:
+    older ones name the upgrade command (a shard file sits at
+    ``DIR/shards/<sid>/evalmatrix.json``, the index at ``DIR/``)."""
+    if type(version) is int and 0 < version < current:
+        root = path.parent if what == "index" else path.parents[2]
+        return (
+            f"{path} holds eval-matrix {what} version {version}: run "
+            f"`repro corpus upgrade {root}`"
+        )
+    return f"unsupported eval-matrix {what} version {version!r} in {path}"
 
 
 @dataclass(frozen=True)
 class _MatrixIndex:
-    """The top-level ``evalmatrix.json``: the shards holding a bitset
-    file."""
+    """The top-level ``evalmatrix.json``: the row table and the shards
+    holding a matrix file."""
 
-    version: int
+    version: Literal[3]
+    epoch: int
+    rows: list[tuple[str, str]]
     shards: list[str]
 
+    def __post_init__(self) -> None:
+        if self.epoch < 0:
+            raise ValueError(f"epoch {self.epoch} is negative")
+        if len(set(self.rows)) != len(self.rows):
+            raise ValueError("rows: a (pid, digest) pair is listed twice")
 
-def write_matrix_index(path: Path, shard_ids: Iterable[str]) -> None:
-    """Write the top-level eval-matrix index listing ``shard_ids``."""
-    index = _MatrixIndex(MATRIX_INDEX_VERSION, sorted(shard_ids))
-    _write_json(path, index, indent=None)
+    @classmethod
+    def of(cls, rows: "RowTable", shard_ids: Iterable[str]) -> "_MatrixIndex":
+        """The index of ``rows`` and the shards ``shard_ids``."""
+        return cls(
+            MATRIX_INDEX_VERSION, rows.epoch, list(rows.rows), sorted(shard_ids)
+        )
 
 
-def _obs_to_list(obs: Observation) -> list:
-    return [obs.start, obs.end, obs.start_lamport, obs.end_lamport]
+class RowTable:
+    """The corpus-wide predicate rows: one per (pid, definition digest)
+    pair, numbered in order of first use, shared by every shard."""
+
+    def __init__(
+        self, rows: Iterable[tuple[str, str]] = (), epoch: int = 0
+    ) -> None:
+        self.rows: list[tuple[str, str]] = list(rows)
+        #: bumped by every renumbering (see :meth:`keep`)
+        self.epoch = epoch
+        self._number = {pair: i for i, pair in enumerate(self.rows)}
+        #: (suite, {pid: row}) for the last suite asked about
+        self._suite: Optional[tuple] = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def row(self, pid: str, digest: str) -> int:
+        """The row of one predicate definition, appended if new."""
+        number = self._number.get((pid, digest))
+        if number is None:
+            number = len(self.rows)
+            self.rows.append((pid, digest))
+            self._number[(pid, digest)] = number
+        return number
+
+    def suite_rows(self, suite: PredicateSuite) -> dict[str, int]:
+        """``{pid: row}`` for a frozen suite, in suite order.  Computing a
+        definition digest per (pid, trace) pair, or per shard, would
+        dominate warm evaluation, so each suite's are computed once."""
+        cached = self._suite
+        if cached is None or cached[0] is not suite:
+            cached = (
+                suite,
+                {
+                    pid: self.row(pid, pred.definition_digest())
+                    for pid, pred in suite.defs.items()
+                },
+            )
+            self._suite = cached
+        return cached[1]
+
+    def keep(self, live: Sequence[int]) -> dict[int, int]:
+        """Keep only the rows ``live`` (ascending), renumbered in that
+        order, and start a new epoch; returns ``{old: new}``."""
+        renumber = {old: new for new, old in enumerate(live)}
+        self.rows = [self.rows[old] for old in live]
+        self._number = {pair: i for i, pair in enumerate(self.rows)}
+        self._suite = None
+        self.epoch += 1
+        return renumber
+
+
+def write_matrix_index(
+    path: Path, rows: RowTable, shard_ids: Iterable[str]
+) -> None:
+    """Write the top-level eval-matrix index: ``rows`` and the shards
+    listed in ``shard_ids``."""
+    _write_json(path, _MatrixIndex.of(rows, shard_ids), indent=None)
+
+
+def _masks(value: object, name: str) -> list[int]:
+    """A JSON list of hex masks as ints."""
+    if type(value) is not list or set(map(type, value)) - {str}:
+        raise ValueError(f"{name}: expected a list of hex masks")
+    if not all(value) or "".join(value).strip(_HEX_DIGITS):
+        raise ValueError(f"{name}: a mask is not lowercase hex")
+    return [int(mask, 16) for mask in value]
+
+
+def _windows(
+    columns: object, n_rows: int
+) -> tuple[list[dict[int, Observation]], list[int]]:
+    """A shard's flat window lists, checked, as one ``{row: Observation}``
+    per column, and per row the mask of the columns holding one of its
+    windows.  The checks run over all columns at once: this is most of
+    what reading a warm corpus costs."""
+    if type(columns) is not list or set(map(type, columns)) - {list}:
+        raise ValueError("windows: expected a list of flat window lists")
+    sizes = []
+    for col, flat in enumerate(columns):
+        if len(flat) % 5:
+            raise ValueError(
+                f"windows[{col}]: {len(flat)} values, not 5 per window"
+            )
+        sizes.append(len(flat) // 5)
+    flat = list(chain.from_iterable(columns))
+    if set(map(type, flat)) - _INT_OR_NONE:
+        raise ValueError("windows: a value is not an int")
+    rows, starts, ends = flat[0::5], flat[1::5], flat[2::5]
+    if None in rows or None in starts or None in ends:
+        raise ValueError("windows: a row, start or end is null")
+    if rows and not (0 <= min(rows) and max(rows) < n_rows):
+        raise ValueError(
+            f"windows: a row is outside the {n_rows} rows the file covers"
+        )
+    if not all(map(le, starts, ends)):
+        raise ValueError("windows: a window ends before it starts")
+    observations = list(
+        map(_observation, zip(starts, ends, flat[3::5], flat[4::5]))
+    )
+    parsed, seen, at = [], [0] * n_rows, 0
+    for col, size in enumerate(sizes):
+        col_rows = rows[at : at + size]
+        if not all(map(lt, col_rows, islice(col_rows, 1, None))):
+            raise ValueError(f"windows[{col}]: rows are not strictly ascending")
+        bit = 1 << col
+        for row in col_rows:
+            seen[row] |= bit
+        parsed.append(dict(zip(col_rows, observations[at : at + size])))
+        at += size
+    return parsed, seen
+
+
+@dataclass(frozen=True)
+class _ShardFile:
+    """A shard's ``evalmatrix.json`` (format 2); see the module
+    docstring.  Decoding checks every value rule and keeps the parsed
+    masks and windows in :attr:`parts`."""
+
+    version: Literal[2]
+    epoch: int
+    traces: list[str]
+    labels: list[Literal[0, 1]]
+    #: one hex mask every row shares, or one per row
+    evaluated: object
+    #: one hex mask per row
+    observed: object
+    #: per column, a flat ``[row, start, end, start_lamport,
+    #: end_lamport, ...]`` int list
+    windows: object
+    #: (evaluated, observed, windows): the masks by row and the
+    #: ``{row: Observation}`` of each column
+    parts: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n_cols = len(self.traces)
+        if self.epoch < 0:
+            raise ValueError(f"epoch {self.epoch} is negative")
+        if len(set(self.traces)) != n_cols:
+            raise ValueError("traces: a fingerprint is listed twice")
+        if len(self.labels) != n_cols:
+            raise ValueError(
+                f"labels: {len(self.labels)} labels for {n_cols} traces"
+            )
+        observed = _masks(self.observed, "observed")
+        n_rows = len(observed)
+        if type(self.evaluated) is str:
+            evaluated = _masks([self.evaluated], "evaluated") * n_rows
+        else:
+            evaluated = _masks(self.evaluated, "evaluated")
+            if len(evaluated) != n_rows:
+                raise ValueError(
+                    f"evaluated: {len(evaluated)} masks for {n_rows} rows"
+                )
+        if evaluated and max(evaluated) >> n_cols:
+            raise ValueError(f"evaluated: a bit beyond the {n_cols} columns")
+        if any(map(and_, observed, map(invert, evaluated))):
+            raise ValueError("observed: a pair is not evaluated")
+        windows, seen = _windows(self.windows, n_rows)
+        if len(windows) != n_cols:
+            raise ValueError(
+                f"windows: {len(windows)} columns for {n_cols} traces"
+            )
+        if seen != observed:
+            row = next(r for r in range(n_rows) if seen[r] != observed[r])
+            raise ValueError(
+                f"windows: row {row}'s windows do not match observed[{row}] "
+                "(one window per observed pair)"
+            )
+        object.__setattr__(self, "parts", (evaluated, observed, windows))
+
+    @classmethod
+    def of(cls, matrix: "EvalMatrix") -> "_ShardFile":
+        """What ``matrix`` persists: rows up to the last one holding a
+        decided pair."""
+        n_rows = max(matrix.evaluated, default=-1) + 1
+        evaluated = [
+            format(matrix.evaluated.get(row, 0), "x") for row in range(n_rows)
+        ]
+        return cls(
+            MATRIX_FORMAT,
+            matrix.rows.epoch,
+            list(matrix.traces),
+            [1 if failed else 0 for failed in matrix.labels],
+            evaluated[0] if len(set(evaluated)) == 1 else evaluated,
+            [format(matrix.observed.get(row, 0), "x") for row in range(n_rows)],
+            [
+                list(chain.from_iterable((row, *w[row]) for row in sorted(w)))
+                for w in matrix.windows
+            ],
+        )
 
 
 class EvalMatrix:
-    """Memoized boolean matrix of predicate evaluations over a corpus."""
+    """Memoized boolean matrix of predicate evaluations over a shard's
+    traces; its rows are numbered by ``rows``, the corpus's
+    :class:`RowTable` (a matrix of its own by default)."""
 
-    def __init__(self, path: Optional[str | os.PathLike] = None) -> None:
-        self.path = Path(path) if path is not None else None
+    def __init__(
+        self,
+        path: Optional[str | os.PathLike] = None,
+        rows: Optional[RowTable] = None,
+    ) -> None:
+        self.path = None if path is None else Path(path)
+        self.rows = rows if rows is not None else RowTable()
         #: column order: trace fingerprints
         self.traces: list[str] = []
         self._column: dict[str, int] = {}
         #: aligned with ``traces``: did that execution fail?
         self.labels: list[bool] = []
-        #: pid -> bitset over columns (bit set = pair decided)
-        self.evaluated: dict[str, int] = {}
-        #: pid -> bitset over columns (bit set = predicate observed)
-        self.observed: dict[str, int] = {}
-        #: pid -> definition digest the row was evaluated under
-        self.digests: dict[str, str] = {}
-        #: fp -> {pid: [start, end, start_lamport, end_lamport]}
-        self.observations: dict[str, dict[str, list]] = {}
+        #: row -> bitset over columns (bit set = pair decided); rows
+        #: without a decided pair are absent
+        self.evaluated: dict[int, int] = {}
+        #: row -> bitset over columns (bit set = predicate observed)
+        self.observed: dict[int, int] = {}
+        #: aligned with ``traces``: {row: window} of each observed pair
+        self.windows: list[dict[int, Observation]] = []
         #: fresh predicate evaluations / memo hits, this instance
         self.pair_evaluations = 0
         self.pair_hits = 0
         #: single-pass kernel batches the fresh pairs rode in on —
         #: ``pair_evaluations / kernel_calls`` is the mean batch size
         self.kernel_calls = 0
-        #: (suite, {pid: digest}) — definition digests are a pure
-        #: function of the frozen suite, so computing them per (pid,
-        #: trace) pair would dominate warm evaluation
-        self._digest_cache: Optional[tuple] = None
         #: cached failed-column mask, invalidated on column allocation
         self._failed_mask: Optional[int] = None
         #: set by every mutation since the last load or save; a clean
@@ -122,48 +371,6 @@ class EvalMatrix:
         self.dirty = False
         if self.path is not None and self.path.exists():
             self.load(self.path)
-
-    def _stored_window(
-        self, row: Optional[dict], fingerprint: str, pid: str
-    ) -> Observation:
-        """The window stored for an observed (pid, trace) pair.
-
-        It must be ``[start, end, start_lamport, end_lamport]`` with
-        integer ``start <= end`` and each Lamport stamp an integer or
-        null (failure predicates carry none).  A missing or malformed
-        window is a :class:`CorpusError` naming the matrix file, never a
-        wrong anchor or a traceback."""
-        raw = row.get(pid) if row is not None else None
-        if type(raw) is list and len(raw) == 4:
-            start, end, start_lamport, end_lamport = raw
-            if (
-                type(start) is int
-                and type(end) is int
-                and start <= end
-                and (start_lamport is None or type(start_lamport) is int)
-                and (end_lamport is None or type(end_lamport) is int)
-            ):
-                return Observation(start, end, start_lamport, end_lamport)
-        where = self.path if self.path is not None else "eval matrix"
-        raise CorpusError(
-            f"{where}: observation window of {pid} on trace {fingerprint} "
-            f"is {raw!r}, not [start, end, start_lamport, end_lamport] "
-            "with integer start <= end"
-        )
-
-    def _digests_for(self, suite: PredicateSuite) -> dict[str, str]:
-        """Per-suite digest table, computed once (the suite is frozen)."""
-        cache = self._digest_cache
-        if cache is None or cache[0] is not suite:
-            cache = (
-                suite,
-                {
-                    pid: pred.definition_digest()
-                    for pid, pred in suite.defs.items()
-                },
-            )
-            self._digest_cache = cache
-        return cache[1]
 
     # -- columns ---------------------------------------------------------
 
@@ -175,6 +382,7 @@ class EvalMatrix:
             idx = len(self.traces)
             self.traces.append(fingerprint)
             self.labels.append(bool(failed))
+            self.windows.append({})
             self._column[fingerprint] = idx
             self._failed_mask = None
             self.dirty = True
@@ -223,23 +431,15 @@ class EvalMatrix:
             )
         col = self.column(fp, trace.failed)
         mask = 1 << col
+        windows = self.windows[col]
+        suite_rows = self.rows.suite_rows(suite)
         observations: dict[str, Observation] = {}
-        row_obs = self.observations.get(fp)
-        suite_digests = self._digests_for(suite)
         undecided: list[str] = []
-        for pid in suite.defs:
-            digest = suite_digests[pid]
-            if self.digests.get(pid) != digest:
-                # New predicate, or a same-pid predicate whose parameters
-                # drifted: invalidate the whole row.
-                self._drop_row(pid)
-                self.digests[pid] = digest
-                undecided.append(pid)
-                continue
-            if self.evaluated.get(pid, 0) & mask:
+        for pid, row in suite_rows.items():
+            if self.evaluated.get(row, 0) & mask:
                 self.pair_hits += 1
-                if self.observed.get(pid, 0) & mask:
-                    observations[pid] = self._stored_window(row_obs, fp, pid)
+                if row in windows:
+                    observations[pid] = windows[row]
             else:
                 undecided.append(pid)
         if undecided:
@@ -257,13 +457,12 @@ class EvalMatrix:
             self.kernel_calls += 1
             self.dirty = True
             for pid in undecided:
-                self.evaluated[pid] = self.evaluated.get(pid, 0) | mask
+                row = suite_rows[pid]
+                self.evaluated[row] = self.evaluated.get(row, 0) | mask
                 obs = fresh.get(pid)
                 if obs is not None:
-                    self.observed[pid] = self.observed.get(pid, 0) | mask
-                    if row_obs is None:
-                        row_obs = self.observations.setdefault(fp, {})
-                    row_obs[pid] = _obs_to_list(obs)
+                    self.observed[row] = self.observed.get(row, 0) | mask
+                    windows[row] = obs
                     observations[pid] = obs
             if len(undecided) < len(suite.defs):
                 # Memo hits and fresh results interleave; restore the
@@ -300,19 +499,12 @@ class EvalMatrix:
         decided traces count as memo hits.  Bitsets and counters equal
         calling :meth:`log_for` on every entry in order.
         """
-        suite_digests = self._digests_for(suite)
-        for pid in suite.defs:
-            if self.digests.get(pid) != suite_digests[pid]:
-                # A drifted row is undecided for every trace; dropping it
-                # up front is what the first per-trace call would do.
-                self._drop_row(pid)
-                self.digests[pid] = suite_digests[pid]
         group_mask = 0
         for fp, failed in entries:
             group_mask |= 1 << self.column(fp, failed)
         undecided = 0
-        for pid in suite.defs:
-            undecided |= group_mask & ~self.evaluated.get(pid, 0)
+        for row in self.rows.suite_rows(suite).values():
+            undecided |= group_mask & ~self.evaluated.get(row, 0)
         for fp, _ in entries:
             if undecided >> self._column[fp] & 1:
                 self.log_for(suite, load_trace(fp))
@@ -328,17 +520,16 @@ class EvalMatrix:
         signature: Optional[str],
     ) -> PredicateLog:
         """The log :meth:`log_for` would return for a fully-decided
-        trace, rebuilt from the bitsets without touching the trace or
-        the hit/evaluation counters."""
+        trace, rebuilt from the stored windows without touching the
+        trace or the hit/evaluation counters."""
         col = self._column.get(fingerprint)
         if col is None:
             raise ValueError(f"trace {fingerprint!r} has no matrix column")
-        mask = 1 << col
-        row = self.observations.get(fingerprint)
+        windows = self.windows[col]
         observations = {
-            pid: self._stored_window(row, fingerprint, pid)
-            for pid in suite.defs
-            if self.observed.get(pid, 0) & mask
+            pid: windows[row]
+            for pid, row in self.rows.suite_rows(suite).items()
+            if row in windows
         }
         return PredicateLog(
             observations=observations,
@@ -347,115 +538,97 @@ class EvalMatrix:
             failure_signature=signature,
         )
 
-    def _drop_row(self, pid: str) -> None:
-        self.dirty = True
-        self.evaluated.pop(pid, None)
-        self.observed.pop(pid, None)
-        self.digests.pop(pid, None)
-        for row in self.observations.values():
-            row.pop(pid, None)
-
     # -- compaction ------------------------------------------------------
 
     def compact(
         self,
         keep_fingerprints: Iterable[str],
-        keep_digests: Mapping[str, str],
-    ) -> tuple[int, int]:
-        """Reclaim rows and columns the corpus no longer needs.
-
-        Drops every row whose pid is absent from ``keep_digests`` or
-        whose recorded definition digest differs (a predicate that
-        drifted and is now shadowed by its re-evaluated successor), and
-        every column whose fingerprint is not in ``keep_fingerprints``
-        (a trace evicted from the manifest).  Returns
-        ``(dropped_rows, dropped_columns)``.  Always marks the matrix
-        dirty: compaction is an explicit rewrite.
-        """
+        renumber: Mapping[int, int],
+    ) -> int:
+        """Keep the rows ``renumber`` maps (to their new numbers) and the
+        columns whose fingerprint is in ``keep_fingerprints`` (traces
+        still in the manifest); returns how many columns were dropped.
+        Always marks the matrix dirty: compaction is an explicit
+        rewrite."""
         self.dirty = True
-        dead_rows = [
-            pid
-            for pid in sorted(set(self.evaluated) | set(self.digests))
-            if keep_digests.get(pid) != self.digests.get(pid)
-        ]
-        for pid in dead_rows:
-            self._drop_row(pid)
-        # Digest entries without a surviving row are dead weight too
-        # (split_matrix copies the full digest table to every shard).
-        self.digests = {
-            pid: digest
-            for pid, digest in self.digests.items()
-            if pid in self.evaluated
-        }
-
         keep = set(keep_fingerprints)
-        dead_cols = [fp for fp in self.traces if fp not in keep]
-        if dead_cols:
-            kept = [
-                (fp, failed)
-                for fp, failed in zip(self.traces, self.labels)
-                if fp in keep
-            ]
-            remap = {
-                self._column[fp]: new for new, (fp, _) in enumerate(kept)
+        kept = [col for col, fp in enumerate(self.traces) if fp in keep]
+        packed_cols = {old: new for new, old in enumerate(kept)}
+
+        def pack(bits: int) -> int:
+            packed = 0
+            for old, new in packed_cols.items():
+                if bits >> old & 1:
+                    packed |= 1 << new
+            return packed
+
+        for name in ("evaluated", "observed"):
+            bitsets = {
+                renumber[row]: pack(bits)
+                for row, bits in getattr(self, name).items()
+                if row in renumber
             }
-            for bitsets in (self.evaluated, self.observed):
-                for pid, bits in list(bitsets.items()):
-                    packed = 0
-                    for old, new in remap.items():
-                        if bits >> old & 1:
-                            packed |= 1 << new
-                    bitsets[pid] = packed
-            self.traces = [fp for fp, _ in kept]
-            self.labels = [failed for _, failed in kept]
-            self._column = {fp: i for i, fp in enumerate(self.traces)}
-            self._failed_mask = None
-            for fp in dead_cols:
-                self.observations.pop(fp, None)
-        self.observations = {
-            fp: row for fp, row in self.observations.items() if row
-        }
-        return len(dead_rows), len(dead_cols)
+            setattr(self, name, {r: b for r, b in bitsets.items() if b})
+        dropped = len(self.traces) - len(kept)
+        self.traces = [self.traces[col] for col in kept]
+        self.labels = [self.labels[col] for col in kept]
+        self.windows = [
+            {
+                renumber[row]: obs
+                for row, obs in self.windows[col].items()
+                if row in renumber
+            }
+            for col in kept
+        ]
+        self._column = {fp: i for i, fp in enumerate(self.traces)}
+        self._failed_mask = None
+        return dropped
 
     # -- bitset analytics ------------------------------------------------
 
-    def counts(self, pid: str) -> tuple[int, int]:
-        """(true_in_failed, true_in_success) for one pid, by popcount."""
-        return popcount_split(self.observed.get(pid, 0), self.failed_mask)
-
     def sd_counters(
-        self, suite: PredicateSuite, fingerprints: Sequence[str]
+        self,
+        suite: PredicateSuite,
+        fingerprints: Sequence[str],
+        into: Optional[StatisticalDebugger] = None,
     ) -> StatisticalDebugger:
         """SD counters over a (distinct-fingerprint) column subset, by
         popcount — what a :class:`StatisticalDebugger` fed those
         traces' logs one by one would hold, derived straight from the
-        bitsets.  Every fingerprint must already be fully decided for
-        ``suite`` (i.e. have gone through :meth:`log_for`)."""
+        bitsets, and added to ``into`` (a fresh debugger by default),
+        which is returned.  Every fingerprint must already be fully
+        decided for ``suite`` (i.e. have gone through :meth:`log_for`)."""
         mask = 0
         for fp in fingerprints:
             mask |= 1 << self._column[fp]
         fmask = self.failed_mask & mask
         n_failed = fmask.bit_count()
-        counts: dict[str, list[int]] = {}
+        counters = into if into is not None else StatisticalDebugger()
+        counters.n_failed += n_failed
+        counters.n_success += len(fingerprints) - n_failed
+        counts = counters.counts
         observed = self.observed
-        for pid in suite.defs:
-            bits = observed.get(pid, 0) & mask
+        for pid, row in self.rows.suite_rows(suite).items():
+            bits = observed.get(row, 0) & mask
             if bits:
                 in_failed, in_success = popcount_split(bits, fmask)
-                counts[pid] = [in_failed, in_success]
-        return StatisticalDebugger(
-            n_failed=n_failed,
-            n_success=len(fingerprints) - n_failed,
-            counts=counts,
-        )
+                summed = counts.get(pid)
+                if summed is None:
+                    counts[pid] = [in_failed, in_success]
+                else:
+                    summed[0] += in_failed
+                    summed[1] += in_success
+        return counters
 
     @property
     def n_pairs(self) -> int:
-        """How many (predicate, trace) pairs are memoized."""
+        """How many (predicate definition, trace) pairs are memoized."""
         return sum(bits.bit_count() for bits in self.evaluated.values())
 
     @property
     def n_pids(self) -> int:
+        """Rows holding a decided pair: a predicate whose definition
+        drifted counts once per definition until ``compact``."""
         return len(self.evaluated)
 
     def coverage(self) -> float:
@@ -466,79 +639,44 @@ class EvalMatrix:
     # -- persistence -----------------------------------------------------
 
     def save(self, path: Optional[str | os.PathLike] = None) -> Path:
+        """Write the shard file (format 2); see the module docstring."""
         path = Path(path) if path is not None else self.path
         if path is None:
             raise ValueError("EvalMatrix has no path to save to")
-        payload = {
-            "version": MATRIX_VERSION,
-            "traces": self.traces,
-            "labels": [1 if f else 0 for f in self.labels],
-            "evaluated": {
-                pid: format(bits, "x")
-                for pid, bits in sorted(self.evaluated.items())
-            },
-            "observed": {
-                pid: format(bits, "x")
-                for pid, bits in sorted(self.observed.items())
-            },
-            "digests": dict(sorted(self.digests.items())),
-            "observations": {
-                fp: dict(sorted(row.items()))
-                for fp, row in sorted(self.observations.items())
-                if row
-            },
-        }
-        _write_json(path, payload, indent=None)
+        _write_json(path, _ShardFile.of(self), indent=None)
         self.dirty = False
         return path
 
     def load(self, path: str | os.PathLike) -> None:
-        """Read a persisted matrix; a malformed file (wrong version,
-        missing key, non-hex bitset, labels not aligned with traces) is
-        a :class:`CorpusError` naming it."""
-        payload = _read_json(Path(path))
+        """Read a shard file; a malformed one (wrong version, missing
+        key, a value rule broken) is a :class:`CorpusError` naming it.
+        A file of another epoch than the row table's is read as empty:
+        its row numbers are not this table's."""
+        path = Path(path)
+        payload = _read_json(path)
         version = payload.get("version")
-        if version != MATRIX_VERSION:
+        if version != MATRIX_FORMAT:
+            raise CorpusError(_upgrade_hint(path, "format", version, MATRIX_FORMAT))
+        stored = _decode_file(_ShardFile, path, payload)
+        if stored.epoch != self.rows.epoch:
+            return
+        if len(stored.parts[1]) > len(self.rows):
             raise CorpusError(
-                f"unsupported eval-matrix version {version!r} in {path}"
+                f"{path} covers {len(stored.parts[1])} predicate rows but "
+                f"the index lists {len(self.rows)}"
             )
-        try:
-            traces = list(payload["traces"])
-            labels = [bool(v) for v in payload["labels"]]
-            evaluated = {
-                pid: int(bits, 16)
-                for pid, bits in payload["evaluated"].items()
-            }
-            observed = {
-                pid: int(bits, 16)
-                for pid, bits in payload["observed"].items()
-            }
-            digests = dict(payload["digests"])
-            observations = {
-                fp: dict(row) for fp, row in payload["observations"].items()
-            }
-        except KeyError as exc:
-            raise CorpusError(f"{path} lacks the {exc} key") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise CorpusError(f"{path} is malformed: {exc}") from exc
-        if len(labels) != len(traces):
-            raise CorpusError(
-                f"{path} has {len(labels)} labels for {len(traces)} traces"
-            )
-        # int(..., 16) rejects non-hex text but accepts a sign, and a
-        # negative bitset has infinitely many bits set
-        if min(evaluated.values(), default=0) < 0 or min(
-            observed.values(), default=0
-        ) < 0:
-            raise CorpusError(f"{path} holds a negative bitset")
-        self.traces = traces
-        self.labels = labels
-        self._column = {fp: i for i, fp in enumerate(traces)}
+        self.adopt(stored)
+
+    def adopt(self, stored: _ShardFile) -> None:
+        """Take a decoded shard file's columns, bitsets and windows."""
+        evaluated, observed, windows = stored.parts
+        self.traces = stored.traces
+        self.labels = [bool(label) for label in stored.labels]
+        self._column = {fp: i for i, fp in enumerate(self.traces)}
         self._failed_mask = None
-        self.evaluated = evaluated
-        self.observed = observed
-        self.digests = digests
-        self.observations = observations
+        self.evaluated = {row: bits for row, bits in enumerate(evaluated) if bits}
+        self.observed = {row: bits for row, bits in enumerate(observed) if bits}
+        self.windows = windows
         self.dirty = False
 
 
@@ -557,20 +695,50 @@ class CompactionStats:
 
 
 class ShardedEvalMatrix:
-    """The corpus-wide evaluation memo: one :class:`EvalMatrix` per shard.
+    """The corpus-wide evaluation memo: one :class:`EvalMatrix` per shard,
+    all numbering their rows by one :class:`RowTable`.
 
     Routing is by trace fingerprint — the shard holding a pair is
     ``store.shard_id(fingerprint)`` — so every memo lookup touches
-    exactly one shard file.  Shard matrices load lazily; ``save`` writes
-    each dirty shard next to its traces plus a top-level index
-    (``DIR/evalmatrix.json``, format version 2) naming every shard that
-    holds a bitset file.  ``store`` is the
-    :class:`~repro.corpus.store.TraceStore` it memoizes over.
+    exactly one shard file.  The index (``DIR/evalmatrix.json``) is read
+    on first use; shard matrices load lazily; ``save`` writes each dirty
+    shard next to its traces, after the index when that changed.
+    ``store`` is the :class:`~repro.corpus.store.TraceStore` it memoizes
+    over.
     """
 
     def __init__(self, store) -> None:
         self.store = store
         self._shards: dict[str, EvalMatrix] = {}
+        self._rows: Optional[RowTable] = None
+        #: the shard ids the index on disk lists
+        self._listed: list[str] = []
+        #: (epoch, row count, shard ids) as the index on disk holds them
+        #: (no index file holds none)
+        self._indexed: tuple = (0, 0, ())
+
+    @property
+    def rows(self) -> RowTable:
+        """The corpus's row table, read from the index on first use."""
+        if self._rows is None:
+            self._read_index()
+        return self._rows
+
+    def _read_index(self) -> None:
+        path = self.store.matrix_index_path
+        if not path.exists():
+            self._rows = RowTable()
+            return
+        payload = _read_json(path)
+        version = payload.get("version")
+        if version != MATRIX_INDEX_VERSION:
+            raise CorpusError(
+                _upgrade_hint(path, "index", version, MATRIX_INDEX_VERSION)
+            )
+        index = _decode_file(_MatrixIndex, path, payload)
+        self._rows = RowTable(index.rows, index.epoch)
+        self._listed = index.shards
+        self._indexed = (index.epoch, len(index.rows), tuple(index.shards))
 
     # -- routing ---------------------------------------------------------
 
@@ -578,7 +746,9 @@ class ShardedEvalMatrix:
         """The per-shard matrix, loading its file on first touch."""
         matrix = self._shards.get(shard_id)
         if matrix is None:
-            matrix = EvalMatrix(self.store.shard_matrix_path(shard_id))
+            matrix = EvalMatrix(
+                self.store.shard_matrix_path(shard_id), rows=self.rows
+            )
             self._shards[shard_id] = matrix
         return matrix
 
@@ -591,25 +761,18 @@ class ShardedEvalMatrix:
             self.shard(sid)
 
     def persisted_shard_ids(self) -> list[str]:
-        """Shards with a bitset file on disk, per the top-level index
-        (falling back to probing the store's populated shards).
+        """Shards with a matrix file on disk: those the index lists,
+        plus any populated shard it does not list that has one.
 
         Index entries whose shard id does not fit the store's current
         width are skipped: they are leftovers of an interrupted
         ``reshard`` (the other layout's ids), and counting both layouts
         would double every memoized pair."""
-        index_path = self.store.matrix_index_path
-        sids: set[str] = set()
-        if index_path.exists():
-            index = _read_json(index_path, tp=_MatrixIndex)
-            if index.version != MATRIX_INDEX_VERSION:
-                raise CorpusError(
-                    f"unsupported eval-matrix index version {index.version!r} "
-                    f"in {index_path}"
-                )
-            sids.update(filter(self.store.is_valid_shard_id, index.shards))
+        if self._rows is None:
+            self._read_index()
+        sids = set(filter(self.store.is_valid_shard_id, self._listed))
         for sid in self.store.shard_ids:
-            if self.store.shard_matrix_path(sid).exists():
+            if sid not in sids and self.store.shard_matrix_path(sid).exists():
                 sids.add(sid)
         return sorted(sids)
 
@@ -637,12 +800,10 @@ class ShardedEvalMatrix:
         :class:`~repro.core.statistical.StatisticalDebugger`.  No
         per-trace log is built: the matrix carries the same information,
         and :meth:`reconstruct_log` rebuilds any log from it without a
-        trace load (it still walks the suite and decodes the stored
-        observations, so it is not free).
-        Within a shard only the traces with an undecided pair are loaded
-        and evaluated (:meth:`EvalMatrix.evaluate_group`), so a shard
-        whose every pair is already decided loads no trace and builds
-        no per-trace log.
+        trace load.  Within a shard only the traces with an undecided
+        pair are loaded and evaluated (:meth:`EvalMatrix.evaluate_group`),
+        so a shard whose every pair is already decided loads no trace
+        and builds no per-trace log.
         """
         by_fp: dict = {}
         entries = []
@@ -685,7 +846,7 @@ class ShardedEvalMatrix:
             matrix.evaluate_group(suite, group, load_trace)
             # SD counters by popcount over the group's decided columns
             # instead of a per-log observation walk.
-            counters.merge(matrix.sd_counters(suite, [fp for fp, _ in group]))
+            matrix.sd_counters(suite, [fp for fp, _ in group], into=counters)
         return counters
 
     def reconstruct_log(
@@ -697,12 +858,32 @@ class ShardedEvalMatrix:
         signature: Optional[str],
     ) -> PredicateLog:
         """Rebuild the :class:`PredicateLog` of a decided trace straight
-        from the bitsets — no trace load, no evaluation, no counter
-        churn.  Only valid once every (suite pid, trace) pair is decided
-        (i.e. after the trace went through :meth:`log_for`)."""
+        from the stored windows — no trace load, no evaluation, no
+        counter churn.  Only valid once every (suite pid, trace) pair is
+        decided (i.e. after the trace went through :meth:`log_for`)."""
         return self.shard_for(fingerprint).reconstruct_log(
             suite, fingerprint, failed, seed, signature
         )
+
+    def anchor_columns(
+        self,
+        suite: PredicateSuite,
+        fingerprints: Sequence[str],
+        pids: Sequence[str],
+    ) -> dict[str, list[Optional[Observation]]]:
+        """The AC-DAG's anchor columns of ``pids`` over the (decided)
+        traces ``fingerprints``, in that order: each pid's stored window
+        on each trace, ``None`` where it was not observed.  Read straight
+        from the windows; no per-trace log is assembled."""
+        suite_rows = self.rows.suite_rows(suite)
+        rows = [suite_rows[pid] for pid in pids]
+        # one row of windows per trace, then transposed into columns
+        table = []
+        for fp in fingerprints:
+            shard = self.shard_for(fp)
+            table.append(list(map(shard.windows[shard._column[fp]].get, rows)))
+        columns = zip(*table) if table else [()] * len(pids)
+        return {pid: list(column) for pid, column in zip(pids, columns)}
 
     # -- aggregate analytics ---------------------------------------------
 
@@ -728,11 +909,13 @@ class ShardedEvalMatrix:
 
     @property
     def n_pids(self) -> int:
+        """Rows holding a decided pair in some shard (see
+        :attr:`EvalMatrix.n_pids`)."""
         self.load_all()
-        pids: set[str] = set()
+        rows: set[int] = set()
         for m in self._shards.values():
-            pids.update(m.evaluated)
-        return len(pids)
+            rows.update(m.evaluated)
+        return len(rows)
 
     @property
     def n_traces(self) -> int:
@@ -740,74 +923,79 @@ class ShardedEvalMatrix:
         return sum(len(m.traces) for m in self._shards.values())
 
     def coverage(self) -> float:
-        """Fraction of the full (pids × traces) matrix already decided."""
+        """Fraction of the full (rows × traces) matrix already decided."""
         total = self.n_traces * self.n_pids
         return self.n_pairs / total if total else 0.0
-
-    def counts(self, pid: str) -> tuple[int, int]:
-        """(true_in_failed, true_in_success) summed over all shards."""
-        self.load_all()
-        in_failed = in_success = 0
-        for m in self._shards.values():
-            f, s = m.counts(pid)
-            in_failed += f
-            in_success += s
-        return in_failed, in_success
 
     # -- persistence -----------------------------------------------------
 
     def save(self) -> None:
-        """Write every dirty, non-empty shard matrix plus the top-level
-        index (the union of previously-indexed and just-saved shards).
-        A dirty shard whose every column was reclaimed loses its file
-        and its index entry — evicted traces must not resurrect.  With
-        no dirty shard nothing is written at all."""
+        """Write every dirty shard matrix, after the index when its rows
+        or shard list changed (so a shard file never names a row the
+        index lacks).  A dirty shard whose every column was reclaimed
+        loses its file and its index entry — evicted traces must not
+        resurrect.  With no dirty shard and no new row nothing is
+        written at all."""
+        rows = self.rows
         dirty = {
             sid: matrix
             for sid, matrix in self._shards.items()
             if matrix.dirty
         }
-        if not dirty:
+        if not dirty and (rows.epoch, len(rows)) == self._indexed[:2]:
             return
-        saved = set(self.persisted_shard_ids())
+        listed = set(self.persisted_shard_ids())
+        for sid, matrix in dirty.items():
+            if matrix.traces:
+                listed.add(sid)
+            else:
+                listed.discard(sid)
+        state = (rows.epoch, len(rows), tuple(sorted(listed)))
+        if state != self._indexed:
+            write_matrix_index(self.store.matrix_index_path, rows, listed)
+            self._listed, self._indexed = sorted(listed), state
         for sid, matrix in sorted(dirty.items()):
             if matrix.traces:
                 matrix.save()
-                saved.add(sid)
             else:
                 self.store.shard_matrix_path(sid).unlink(missing_ok=True)
-                saved.discard(sid)
-        write_matrix_index(self.store.matrix_index_path, saved)
 
     # -- compaction ------------------------------------------------------
 
     def compact(self, keep_digests: Mapping[str, str]) -> CompactionStats:
-        """Reclaim shadowed rows and evicted columns, shard by shard.
+        """Reclaim shadowed rows and evicted columns.
 
         ``keep_digests`` maps each live pid to its current definition
-        digest (from the frozen suite); live columns are the store's
-        manifest entries.  Per-shard files are rewritten in place and
-        the index refreshed; returns byte-level before/after totals.
+        digest (from the frozen suite): every other row is dead, and is
+        dropped from the row table, which renumbers the rest (a new
+        epoch).  Live columns are the store's manifest entries.  Every
+        shard file is rewritten, after the index; returns byte-level
+        before/after totals.
         """
         self.load_all()
-        rows = cols = before = after = 0
+        rows = self.rows
+        live = [
+            row
+            for row, (pid, digest) in enumerate(rows.rows)
+            if keep_digests.get(pid) == digest
+        ]
+        dropped_rows = len(rows) - len(live)
+        renumber = rows.keep(live) if dropped_rows else {r: r for r in live}
+        cols = before = after = 0
         for sid in sorted(self._shards):
-            matrix = self._shards[sid]
             path = self.store.shard_matrix_path(sid)
             if path.exists():
                 before += path.stat().st_size
-            r, c = matrix.compact(
-                set(self.store.shard_entries(sid)), keep_digests
+            cols += self._shards[sid].compact(
+                self.store.shard_entries(sid), renumber
             )
-            rows += r
-            cols += c
         self.save()
         for sid in sorted(self._shards):
             path = self.store.shard_matrix_path(sid)
             if path.exists():
                 after += path.stat().st_size
         return CompactionStats(
-            dropped_rows=rows,
+            dropped_rows=dropped_rows,
             dropped_columns=cols,
             bytes_before=before,
             bytes_after=after,
@@ -820,48 +1008,43 @@ class ShardedEvalMatrix:
 def split_matrix(
     matrix: EvalMatrix, shard_id: Callable[[str], str]
 ) -> dict[str, EvalMatrix]:
-    """Split one matrix into per-shard matrices, preserving every
-    memoized pair (columns keep their relative order)."""
+    """Split one matrix into per-shard matrices over the same row table,
+    preserving every memoized pair (columns keep their relative
+    order)."""
     shards: dict[str, EvalMatrix] = {}
-    columns: dict[str, tuple[EvalMatrix, int]] = {}
+    columns: list[tuple[EvalMatrix, int]] = []
     for idx, fp in enumerate(matrix.traces):
-        shard = shards.setdefault(shard_id(fp), EvalMatrix())
-        columns[fp] = (shard, shard.column(fp, matrix.labels[idx]))
-    for source, target in (("evaluated", "evaluated"), ("observed", "observed")):
-        for pid, bits in getattr(matrix, source).items():
-            for idx, fp in enumerate(matrix.traces):
+        shard = shards.setdefault(shard_id(fp), EvalMatrix(rows=matrix.rows))
+        col = shard.column(fp, matrix.labels[idx])
+        shard.windows[col] = dict(matrix.windows[idx])
+        columns.append((shard, col))
+    for name in ("evaluated", "observed"):
+        for row, bits in getattr(matrix, name).items():
+            for idx, (shard, col) in enumerate(columns):
                 if bits >> idx & 1:
-                    shard, col = columns[fp]
-                    bitsets = getattr(shard, target)
-                    bitsets[pid] = bitsets.get(pid, 0) | 1 << col
-    for shard in shards.values():
-        shard.digests = dict(matrix.digests)
-    for fp, row in matrix.observations.items():
-        shard, _ = columns[fp]
-        shard.observations[fp] = {pid: list(obs) for pid, obs in row.items()}
+                    bitsets = getattr(shard, name)
+                    bitsets[row] = bitsets.get(row, 0) | 1 << col
     return shards
 
 
 def merge_matrices(matrices: Iterable[EvalMatrix]) -> EvalMatrix:
-    """The inverse of :func:`split_matrix`: fold per-shard matrices into
-    one (columns concatenated in the given order)."""
-    merged = EvalMatrix()
+    """The inverse of :func:`split_matrix`: fold per-shard matrices over
+    one row table into one (columns concatenated in the given order)."""
+    matrices = list(matrices)
+    merged = EvalMatrix(rows=matrices[0].rows if matrices else None)
     for matrix in matrices:
-        offset: dict[int, int] = {}
-        for idx, fp in enumerate(matrix.traces):
-            offset[idx] = merged.column(fp, matrix.labels[idx])
-        for source in ("evaluated", "observed"):
-            merged_bits = getattr(merged, source)
-            for pid, bits in getattr(matrix, source).items():
-                packed = merged_bits.get(pid, 0)
-                for idx, col in offset.items():
+        offset = [
+            merged.column(fp, failed)
+            for fp, failed in zip(matrix.traces, matrix.labels)
+        ]
+        for name in ("evaluated", "observed"):
+            merged_bits = getattr(merged, name)
+            for row, bits in getattr(matrix, name).items():
+                packed = merged_bits.get(row, 0)
+                for idx, col in enumerate(offset):
                     if bits >> idx & 1:
                         packed |= 1 << col
-                merged_bits[pid] = packed
-        merged.digests.update(matrix.digests)
-        for fp, row in matrix.observations.items():
-            merged.observations[fp] = {
-                pid: list(obs) for pid, obs in row.items()
-            }
+                merged_bits[row] = packed
+        for idx, col in enumerate(offset):
+            merged.windows[col] = dict(matrix.windows[idx])
     return merged
-

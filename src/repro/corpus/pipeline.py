@@ -27,11 +27,12 @@ follows — counters → global FD set → one ``ACDag.build``:
   sum into the corpus-wide counters, in sorted shard order;
 * :func:`~repro.core.acdag.learn_dag` derives the failure predicate and
   the global fully-discriminative set from the merged counters and
-  builds one AC-DAG over the failed logs, rebuilt from the matrix
-  bitsets (:meth:`~repro.corpus.matrix.ShardedEvalMatrix.reconstruct_log`)
-  in the canonical corpus order (successes then failures,
+  builds one AC-DAG over the failed traces, whose anchor columns it
+  reads straight from the matrix's stored windows
+  (:meth:`~repro.corpus.matrix.ShardedEvalMatrix.anchor_columns`) in
+  the canonical corpus order (successes then failures,
   fingerprint-sorted) — the AC-DAG needs nothing but the global FD set
-  and those logs' anchor times.
+  and those traces' windows, so no per-trace log is assembled.
 
 A warm bootstrap (every pair already decided) therefore loads no
 trace and — through the matrix's dirty flags — ``save`` afterwards
@@ -56,18 +57,20 @@ The pipeline keeps no per-log list: :attr:`IncrementalPipeline.logs`
 is a view rebuilt from the store manifest and the matrix on access.
 
 Persistence: ``save`` writes the dirty store manifests and the dirty
-per-shard matrix files (plus its index); nothing else is persisted.
-The next bootstrap rebuilds the counters and the DAG from the matrix
-without loading or evaluating a trace, but not for free: on a
-1000-trace kafka corpus (500 failed logs) a warm analyze spends
-~0.03 s in ``ACDag.build`` (one ``anchors`` call per predicate, then
-one bitset narrowing step per failed log), and most of the rest
-rebuilding the failed logs from the bitsets (validating each stored
-observation window) and parsing the shard matrix files.
+per-shard matrix files (after the index, when its rows or shard list
+changed); nothing else is persisted.  The next bootstrap rebuilds the
+counters and the DAG from the matrix without loading or evaluating a
+trace, but not for free: on a 1000-trace kafka corpus (251 shards, 500
+failed traces, 75 predicates) a warm analyze spends most of its time
+parsing and checking the positional shard files (every stored window is
+checked once, as the file is decoded), then ~0.02 s in ``ACDag.build``
+(one ``anchors`` call per predicate, then one bitset narrowing step per
+failed trace); the anchor columns are sliced from the decoded windows.
 """
 
 from __future__ import annotations
 
+import functools
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -82,7 +85,7 @@ from ..api.events import (
     LogsEvaluated,
     SuiteFrozen,
 )
-from ..core.acdag import ACDag, learn_dag
+from ..core.acdag import ACDag, learn_dag, log_columns
 from ..core.extraction import Extractor, PredicateSuite
 from ..core.precedence import PrecedencePolicy, default_policy
 from ..core.statistical import (
@@ -314,7 +317,9 @@ class IncrementalPipeline:
             self.failure_pid, self.fully, self.dag = learn_dag(
                 self.suite,
                 self.debugger,
-                (self._log(fp) for fp in failures),
+                functools.partial(
+                    self.matrix.anchor_columns, self.suite, failures
+                ),
                 policy=self.policy,
             )
         if self.dag is None:
@@ -470,7 +475,7 @@ class IncrementalPipeline:
         _, _, dag = learn_dag(
             self.suite,
             StatisticalDebugger().extend(logs),
-            (log for log in logs if log.failed),
+            functools.partial(log_columns, [log for log in logs if log.failed]),
             policy=self.policy,
         )
         return dag

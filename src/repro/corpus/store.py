@@ -21,14 +21,16 @@ files::
       manifest.json                 top-level index: version, program,
                                     shard_width, populated shard ids
       evalmatrix.json               eval-matrix index (written by
-                                    repro.corpus.matrix: version + the
-                                    shards holding bitset files)
+                                    repro.corpus.matrix, version 3: the
+                                    predicate row table + the shards
+                                    holding matrix files)
       shards/<sid>/
         manifest.json               label/seed/signature per fingerprint
         traces/<fp>.json            one trace each: the canonical bytes
                                     whose digest is <fp>
         evalmatrix.json             this shard's predicate-evaluation
-                                    memo (v1 single-matrix format)
+                                    memo (format 2: positional bitsets
+                                    and windows over the index's rows)
 
 Older v3 stores may also hold a per-shard ``columnar.bin`` (a derived
 trace table earlier builds wrote on analyze) or its ``columnar.bin.tmp``.
@@ -56,7 +58,8 @@ Upgrading
 ---------
 :meth:`TraceStore.open` reads only :data:`STORE_VERSION` and never
 writes; a version-1 or version-2 corpus is refused with a hint to run
-``repro corpus upgrade DIR``.  :func:`upgrade` is the one reader of
+``repro corpus upgrade DIR``; so is a version-2 eval-matrix index or a
+format-1 matrix file, when read.  :func:`upgrade` is the one reader of
 older layouts (see its docstring): a format change adds its old-format
 reader there, never to ``open``.
 """
@@ -82,9 +85,13 @@ from ..sim.serialize import (
 )
 from .files import CorpusError, _decode_file, _read_json, _write_json
 from .matrix import (
+    MATRIX_FORMAT,
     MATRIX_INDEX_VERSION,
     EvalMatrix,
+    RowTable,
     ShardedEvalMatrix,
+    _MatrixIndex,
+    _ShardFile,
     merge_matrices,
     split_matrix,
     write_matrix_index,
@@ -314,11 +321,11 @@ class TraceStore:
         self._dirty.add(sid)
 
     def shard_dir(self, shard_id: str) -> Path:
-        return self.root / SHARDS_DIR / shard_id
+        return self.root.joinpath(SHARDS_DIR, shard_id)
 
     def shard_matrix_path(self, shard_id: str) -> Path:
-        """Where this shard's eval-matrix bitset file lives."""
-        return self.shard_dir(shard_id) / MATRIX_NAME
+        """Where this shard's eval-matrix file lives."""
+        return self.root.joinpath(SHARDS_DIR, shard_id, MATRIX_NAME)
 
     # perfbench/tracer.py hook target only; goes with the next benchmark change
     def columnar_table(self, shard_id: str) -> None:
@@ -578,10 +585,10 @@ class TraceStore:
             dst.parent.mkdir(parents=True, exist_ok=True)
             dst.write_bytes(src.read_bytes())
 
-        # 3. New matrix files, plus the matrix index.
+        # 3. New matrix files, plus the matrix index (same rows).
         for sid, shard_matrix in sorted(new_matrices.items()):
             shard_matrix.save(self.root / SHARDS_DIR / sid / MATRIX_NAME)
-        write_matrix_index(self.matrix_index_path, new_matrices)
+        write_matrix_index(self.matrix_index_path, matrix.rows, new_matrices)
 
         # 4. New shard manifests, then the commit: the top-level
         #    manifest now names the new layout.
@@ -717,20 +724,23 @@ def _read_manifest(root: Path) -> dict:
 
 
 def upgrade(root: str | os.PathLike) -> tuple[int, int]:
-    """Rewrite the corpus at ``root`` to :data:`STORE_VERSION` in place
-    (``repro corpus upgrade DIR``), the only code that reads an older
-    layout; returns the version found and the sidecars deleted.
+    """Rewrite the corpus at ``root`` to :data:`STORE_VERSION` and its
+    eval matrix to format 2 in place (``repro corpus upgrade DIR``), the
+    only code that reads an older layout; returns the store version
+    found and the sidecars deleted.
 
     A v1 corpus (a flat ``traces/``, one manifest, one single-file eval
     matrix) is checked whole before anything moves, then its bodies move
-    into their shards, its matrix splits into per-shard files keeping
-    every memoized pair, and its manifest splits.  A v2 corpus is the v3
+    into their shards and its manifest splits.  A v2 corpus is the v3
     layout under an older number: it is checked as :meth:`TraceStore.open`
     checks a v3 one (manifest, shard ids, shard manifests) before its
     manifest is rewritten.  The top-level manifest write is the
-    commit point, so running ``upgrade`` again finishes an interrupted
-    upgrade; a current corpus without :data:`LEGACY_SHARD_FILES` is not
-    written at all.
+    commit point of the store.  Then every eval-matrix file older than
+    format 2 is converted, keeping every memoized pair (see
+    :func:`_matrix_writes`); every old matrix file is read and checked
+    before the first write.  Running ``upgrade`` again finishes an
+    interrupted upgrade; a current corpus without
+    :data:`LEGACY_SHARD_FILES` is not written at all.
     """
     root = Path(root)
     manifest = _read_manifest(root)
@@ -750,28 +760,11 @@ def upgrade(root: str | os.PathLike) -> tuple[int, int]:
                     f"cannot upgrade {root}: manifest lists {src.stem} "
                     f"but {src} is gone"
                 )
-        # A resumed upgrade finds the matrix already split: the index.
-        matrix_path = root / MATRIX_NAME
-        shards = None
-        if (
-            matrix_path.exists()
-            and _read_json(matrix_path).get("version") != MATRIX_INDEX_VERSION
-        ):
-            single = EvalMatrix()
-            single.load(matrix_path)
-            shards = split_matrix(single, store.shard_id)
-            if not all(map(store.is_valid_shard_id, shards)):
-                raise CorpusError(
-                    f"{matrix_path} is malformed: a column is not a fingerprint"
-                )
+        matrix_writes = _matrix_writes(store)
         for src, dst in moves:
             if src.exists():
                 dst.parent.mkdir(parents=True, exist_ok=True)
                 src.replace(dst)
-        if shards is not None:
-            for sid, shard in sorted(shards.items()):
-                shard.save(store.shard_matrix_path(sid))
-            write_matrix_index(matrix_path, shards)
         store._dirty = set(store.shard_ids)
         store._write()
         old_traces = root / TRACES_DIR
@@ -779,11 +772,154 @@ def upgrade(root: str | os.PathLike) -> tuple[int, int]:
             old_traces.rmdir()
     elif version == 2:
         top = _decode_file(_Manifest, root / MANIFEST_NAME, manifest)
-        TraceStore._read_shards(root, top)
+        store = TraceStore._read_shards(root, top)
+        matrix_writes = _matrix_writes(store)
         current = dataclasses.replace(top, version=STORE_VERSION)
         _write_json(root / MANIFEST_NAME, current)
+    else:
+        store = TraceStore.open(root)
+        matrix_writes = _matrix_writes(store)
+    for path, value in matrix_writes:
+        _write_json(path, value, indent=None)
     shards_dir = root / SHARDS_DIR
     sidecars = [p for n in LEGACY_SHARD_FILES for p in shards_dir.glob(f"*/{n}")]
     for path in sidecars:
         path.unlink()
     return version, len(sidecars)
+
+
+@dataclass(frozen=True)
+class _MatrixV1:
+    """An eval-matrix file of format 1: a v1 corpus's single matrix, or
+    a shard file older builds wrote.  Rows are keyed by pid, each with
+    its definition digest; windows by trace, then pid."""
+
+    version: Literal[1]
+    traces: list[str]
+    labels: list[Literal[0, 1]]
+    evaluated: dict[str, str]
+    observed: dict[str, str]
+    digests: dict[str, str]
+    observations: dict[str, dict[str, object]]
+
+
+@dataclass(frozen=True)
+class _MatrixIndexV2:
+    """The eval-matrix index older builds wrote over format-1 shards."""
+
+    version: Literal[2]
+    shards: list[str]
+
+
+def _matrix_writes(store: TraceStore) -> list[tuple[Path, object]]:
+    """The writes that convert ``store``'s eval matrix to format 2, in
+    order, every old file read and checked first; none when it is
+    current.
+
+    The top-level ``evalmatrix.json`` is a v1 corpus's single matrix
+    (version 1), an index over format-1 shard files (version 2), or the
+    current index, which may still list format-1 shard files when an
+    earlier upgrade was cut short.  A single matrix is split into
+    shard files, then the index replaces it: until that write it is what
+    a rerun reads.  Otherwise the index comes first, naming every row
+    the converted shards use, then the shard files.  Rows new to the
+    table are appended file by file (shards in sorted order), each
+    file's in pid order."""
+    path = store.matrix_index_path
+    top = _read_json(path) if path.exists() else None
+    version = None if top is None else top.get("version")
+    if version == 1:
+        rows = RowTable()
+        single = _matrix_v1(path, top, rows)
+        shards = split_matrix(single, store.shard_id)
+        if not all(map(store.is_valid_shard_id, shards)):
+            raise CorpusError(
+                f"{path} is malformed: a column is not a fingerprint"
+            )
+        writes: list[tuple[Path, object]] = [
+            (store.shard_matrix_path(sid), _ShardFile.of(shard))
+            for sid, shard in sorted(shards.items())
+        ]
+        return writes + [(path, _MatrixIndex.of(rows, shards))]
+    if version == MATRIX_INDEX_VERSION:
+        index = _decode_file(_MatrixIndex, path, top)
+        rows, listed = RowTable(index.rows, index.epoch), index.shards
+    elif version == 2:
+        rows, listed = RowTable(), _decode_file(_MatrixIndexV2, path, top).shards
+    elif top is None:
+        rows, listed = RowTable(), []
+    else:
+        raise CorpusError(
+            f"unsupported eval-matrix index version {version!r} in {path}"
+        )
+    sids = set(filter(store.is_valid_shard_id, listed))
+    sids.update(
+        sid for sid in store.shard_ids if store.shard_matrix_path(sid).exists()
+    )
+    old = {}
+    for sid in sorted(sids):
+        shard_path = store.shard_matrix_path(sid)
+        if shard_path.exists():
+            payload = _read_json(shard_path)
+            if payload.get("version") == 1:
+                old[sid] = payload
+    if version != 2 and not old:
+        return []
+    shards = {
+        sid: _matrix_v1(store.shard_matrix_path(sid), payload, rows)
+        for sid, payload in old.items()
+    }
+    writes = [(path, _MatrixIndex.of(rows, sids))]
+    return writes + [
+        (store.shard_matrix_path(sid), _ShardFile.of(shard))
+        for sid, shard in sorted(shards.items())
+    ]
+
+
+def _matrix_v1(path: Path, payload: dict, rows: RowTable) -> EvalMatrix:
+    """A format-1 matrix file's ``payload`` as a matrix over ``rows``,
+    every memoized pair kept; its (pid, digest) pairs not yet in
+    ``rows`` are appended in pid order.  The converted file is checked
+    as a format-2 file is, so a malformed one (a mask that is not hex
+    or does not fit the columns, an observed pair without a valid
+    window) is a :class:`CorpusError` naming it."""
+    legacy = _decode_file(_MatrixV1, path, payload)
+    missing = sorted(set(legacy.evaluated) - set(legacy.digests))
+    if missing:
+        raise CorpusError(
+            f"{path} is malformed: row {missing[0]} has no definition digest"
+        )
+    row_of = {
+        pid: rows.row(pid, legacy.digests[pid])
+        for pid in sorted(legacy.evaluated)
+    }
+    n_rows = max(row_of.values(), default=-1) + 1
+    evaluated, observed = ["0"] * n_rows, ["0"] * n_rows
+    for pid, row in row_of.items():
+        evaluated[row] = legacy.evaluated[pid]
+        observed[row] = legacy.observed.get(pid, "0")
+    by_row = sorted(row_of.items(), key=lambda item: item[1])
+    windows = []
+    for fp in legacy.traces:
+        stored = legacy.observations.get(fp, {})
+        flat = []
+        for pid, row in by_row:
+            window = stored.get(pid)
+            if window is not None:
+                # a window that is not a list stays one value, for the
+                # check to refuse
+                flat.append(row)
+                flat.extend(window if type(window) is list else [window])
+        windows.append(flat)
+    converted = {
+        "version": MATRIX_FORMAT,
+        "epoch": rows.epoch,
+        "traces": legacy.traces,
+        "labels": legacy.labels,
+        "evaluated": evaluated,
+        "observed": observed,
+        "windows": windows,
+    }
+    matrix = EvalMatrix(rows=rows)
+    matrix.adopt(_decode_file(_ShardFile, path, converted))
+    return matrix

@@ -6,7 +6,8 @@ A wrong type (``int`` refuses ``bool``), a missing key (of a field
 without a default), an extra key, or a ``ValueError`` from the
 constructor (a value rule no annotation states) is a
 :class:`DecodeError` naming its path, such as ``collection.start_seed``;
-each door wraps it in its own error.  :func:`encode` writes what
+each door wraps it in its own error.  A ``tuple[A, B]`` is a JSON list
+of exactly that many elements.  :func:`encode` writes what
 :func:`decode` reads: a ``None``-default field holding ``None`` is left
 out (except inside a union member's fields, which are all written), a
 frozenset is written as a sorted list, fields keep their declared
@@ -144,6 +145,8 @@ def _plan(tp: object, tagged: bool) -> tuple[Check, Check]:
             return {k: write(v) for k, v in value.items()}
 
         return _each(read, dict), write_dict
+    if origin is tuple and args[1:] != (...,) and not tagged:
+        return _fixed_tuple([_plan(a, tagged) for a in args])
     if origin in (list, frozenset) or origin is tuple and args[1:] == (...,):
         read, write = _plan(args[0], tagged)
         items = _each(read, list)
@@ -181,6 +184,29 @@ def _each(item: Check, kind: type) -> Check:
         return out if kind is dict else list(out.values())
 
     return check
+
+
+def _fixed_tuple(plans: list[tuple[Check, Check]]) -> tuple[Check, Check]:
+    """A ``tuple[A, B]``: a JSON list of exactly that many elements."""
+    expected = f"a list of {len(plans)}"
+
+    def check(value: object) -> object:
+        if type(value) is not list or len(value) != len(plans):
+            raise _mismatch(expected, value)
+        out = []
+        for i, ((read, _), element) in enumerate(zip(plans, value)):
+            try:
+                out.append(read(element))
+            except DecodeError as exc:
+                raise exc.under(f"[{i}]") from None
+        return tuple(out)
+
+    def write(value: object) -> object:
+        if not isinstance(value, tuple) or len(value) != len(plans):
+            return value  # passed on for decode to name
+        return [w(element) for (_, w), element in zip(plans, value)]
+
+    return check, write
 
 
 def _dataclass(cls: type, tagged: bool) -> tuple[Check, Check]:

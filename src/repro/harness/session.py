@@ -31,6 +31,7 @@ re-executions and need the live program.  A corpus session:
 
 from __future__ import annotations
 
+import functools
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -46,7 +47,7 @@ from ..api.events import (
     SuiteFrozen,
 )
 from ..api.registry import strategy_factory
-from ..core.acdag import ACDag, learn_dag
+from ..core.acdag import ACDag, learn_dag, log_columns
 from ..core.discovery import DiscoveryResult
 from ..core.extraction import Extractor, PredicateSuite
 from ..core.intervention import SimulationRunner
@@ -268,7 +269,7 @@ class AIDSession:
                 self._failure_pid, self._fully, self._dag = learn_dag(
                     self._suite,
                     self._debugger,
-                    self._failed_logs,
+                    functools.partial(log_columns, self._failed_logs),
                     policy=self.config.policy,
                 )
             if self._dag is None:

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.acdag import ACDag, GraphInvariantError
+from repro.core.acdag import ACDag, GraphInvariantError, log_columns
 from repro.core.digraph import Digraph
 from repro.core.extraction import PredicateSuite
 from repro.core.precedence import (
@@ -43,6 +43,15 @@ def _defs(pids):
     return defs
 
 
+def _build(defs, logs, failure, policy=None, candidate_pids=None):
+    """``ACDag.build`` over the anchor columns cut from ``logs``: the
+    candidates (every pid of ``defs`` by default) and F."""
+    pids = set(defs if candidate_pids is None else candidate_pids)
+    return ACDag.build(
+        defs, log_columns(logs, pids | {failure}), failure, policy=policy
+    )
+
+
 def _log(times: dict[str, int], f_time: int, seed=0) -> PredicateLog:
     observations = {pid: Observation(t, t) for pid, t in times.items()}
     observations[F] = Observation(f_time, f_time)
@@ -53,7 +62,7 @@ class TestBuild:
     def test_consistent_order_creates_edge(self):
         defs = _defs(["A", "B"])
         logs = [_log({"A": 1, "B": 5}, 9), _log({"A": 2, "B": 7}, 9)]
-        dag = ACDag.build(defs, logs, F)
+        dag = _build(defs, logs, F)
         assert dag.reaches("A", "B")
         assert not dag.reaches("B", "A")
         assert dag.reaches("A", F) and dag.reaches("B", F)
@@ -61,27 +70,27 @@ class TestBuild:
     def test_inconsistent_order_creates_no_edge(self):
         defs = _defs(["A", "B"])
         logs = [_log({"A": 1, "B": 5}, 9), _log({"A": 7, "B": 2}, 9)]
-        dag = ACDag.build(defs, logs, F)
+        dag = _build(defs, logs, F)
         assert not dag.reaches("A", "B")
         assert not dag.reaches("B", "A")
 
     def test_tie_creates_no_edge_between_predicates(self):
         defs = _defs(["A", "B"])
         logs = [_log({"A": 3, "B": 3}, 9)]
-        dag = ACDag.build(defs, logs, F)
+        dag = _build(defs, logs, F)
         assert not dag.reaches("A", "B") and not dag.reaches("B", "A")
 
     def test_failure_tie_still_precedes_failure(self):
         """F is terminal: a predicate anchored AT the failure instant
         still precedes it (the crash records both simultaneously)."""
         defs = _defs(["A"])
-        dag = ACDag.build(defs, [_log({"A": 9}, 9)], F)
+        dag = _build(defs, [_log({"A": 9}, 9)], F)
         assert dag.reaches("A", F)
 
     def test_post_failure_predicates_discarded(self):
         defs = _defs(["A", "CLEANUP"])
         logs = [_log({"A": 1, "CLEANUP": 20}, 9)]
-        dag = ACDag.build(defs, logs, F)
+        dag = _build(defs, logs, F)
         assert "CLEANUP" not in dag
         assert "no temporal path" in dag.discarded["CLEANUP"]
 
@@ -89,19 +98,19 @@ class TestBuild:
         # X is incomparable with F (before in one log, after in another).
         defs = _defs(["A", "X"])
         logs = [_log({"A": 1, "X": 5}, 9), _log({"A": 1, "X": 12}, 9)]
-        dag = ACDag.build(defs, logs, F)
+        dag = _build(defs, logs, F)
         assert "X" not in dag
 
     def test_missing_in_some_failed_log_discarded(self):
         defs = _defs(["A", "FLAKY"])
         logs = [_log({"A": 1, "FLAKY": 2}, 9), _log({"A": 1}, 9)]
-        dag = ACDag.build(defs, logs, F)
+        dag = _build(defs, logs, F)
         assert "FLAKY" not in dag
         assert "every failed log" in dag.discarded["FLAKY"]
 
     def test_requires_failed_logs(self):
         with pytest.raises(GraphInvariantError):
-            ACDag.build(_defs([]), [], F)
+            _build(_defs([]), [], F)
 
     def test_rejects_cyclic_graph(self):
         graph = Digraph([("A", "B"), ("B", "A"), ("A", F)])
@@ -126,7 +135,7 @@ class TestBuild:
         log = PredicateLog(observations=observations, failed=True, seed=0)
         # end anchors: B (8) before A (10); kind anchors would put A
         # (start 1) before B (end 8)
-        dag = ACDag.build(defs, [log], F, policy=EndTimePolicy())
+        dag = _build(defs, [log], F, policy=EndTimePolicy())
         assert dag.reaches(b.pid, a.pid)
         before = dag.structure()
         assert dag.copy().update_failed_log(log) == set()
@@ -136,7 +145,7 @@ class TestBuild:
     def test_update_without_failure_changes_nothing(self):
         """A failed log that does not observe F is refused before the
         DAG is touched: no node is marked discarded on the way."""
-        dag = ACDag.build(_defs(["A"]), [_log({"A": 1}, 9)], F)
+        dag = _build(_defs(["A"]), [_log({"A": 1}, 9)], F)
         before = dag.copy()
         empty = PredicateLog(observations={}, failed=True, seed=1)
         with pytest.raises(GraphInvariantError):
@@ -219,7 +228,7 @@ def test_property_built_dag_is_acyclic_and_transitive(log_times):
     for row in log_times:
         times = {pid: row[i] for i, pid in enumerate(pids)}
         logs.append(_log(times, f_time=100))
-    dag = ACDag.build(defs, logs, F)
+    dag = _build(defs, logs, F)
     graph = dag.graph
     assert len(graph.topological_order()) == len(graph)  # raises on a cycle
     for a, b in graph.edges:
@@ -315,7 +324,7 @@ def _pairwise_update(dag, log):
 def _assert_same_build(defs, logs, failure, **kwargs):
     """``ACDag.build`` equals the oracle, ``discarded`` order included;
     returns the built DAG."""
-    dag = ACDag.build(defs, logs, failure, **kwargs)
+    dag = _build(defs, logs, failure, **kwargs)
     oracle = _pairwise_build(defs, logs, failure, **kwargs)
     assert dag.structure() == oracle.structure()
     assert list(dag.discarded.items()) == list(oracle.discarded.items())
@@ -327,14 +336,14 @@ def _assert_same_build(defs, logs, failure, **kwargs):
 def _assert_fold_equals_build(defs, logs, failure, **kwargs):
     """Build on log 1, patch with logs 2..n (checking each patch
     against the per-edge oracle), and land on ``build`` over all n."""
-    dag = ACDag.build(defs, logs[:1], failure, **kwargs)
+    dag = _build(defs, logs[:1], failure, **kwargs)
     for log in logs[1:]:
         oracle = dag.copy()
         removed = dag.update_failed_log(log)
         assert removed == _pairwise_update(oracle, log)
         assert dag.structure() == oracle.structure()
         assert dag.discarded == oracle.discarded
-    full = ACDag.build(defs, logs, failure, **kwargs)
+    full = _build(defs, logs, failure, **kwargs)
     assert dag.structure() == full.structure()
     assert set(dag.discarded) == set(full.discarded)
     assert dag.n_failed_logs == full.n_failed_logs == len(logs)

@@ -139,8 +139,8 @@ def _matrix_state(matrix) -> tuple:
         matrix.labels,
         matrix.evaluated,
         matrix.observed,
-        matrix.digests,
-        matrix.observations,
+        matrix.rows.rows,
+        matrix.windows,
         (matrix.pair_evaluations, matrix.pair_hits, matrix.kernel_calls),
     )
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core.acdag import ACDag
+from repro.core.acdag import ACDag, log_columns
 from repro.core.predicates import ExecutedPredicate, FailurePredicate, Observation
 from repro.core.statistical import PredicateLog, StatisticalDebugger
 from repro.corpus import (
@@ -334,7 +334,7 @@ class TestEvalMatrix:
         for trace in store.traces():
             matrix.log_for(suite, trace)
         matrix.save()
-        warm = EvalMatrix(path)
+        warm = EvalMatrix(path, rows=matrix.rows)
         for trace in store.traces():
             warm.log_for(suite, trace)
         assert warm.pair_evaluations == 0
@@ -359,14 +359,11 @@ class TestEvalMatrix:
     def test_bitset_counts_match_batch_sd(self, racy_program, store):
         suite = self._suite(racy_program, store)
         matrix = EvalMatrix()
-        logs = [matrix.log_for(suite, t) for t in store.traces()]
+        traces = list(store.traces())
+        logs = [matrix.log_for(suite, t) for t in traces]
         batch = StatisticalDebugger().extend(logs).stats()
-        for pid, stats in batch.items():
-            in_failed, in_success = matrix.counts(pid)
-            assert (in_failed, in_success) == (
-                stats.true_in_failed,
-                stats.true_in_success,
-            )
+        counted = matrix.sd_counters(suite, [t.fingerprint for t in traces])
+        assert counted.stats() == batch
 
 
 class TestIncrementalDebugger:
@@ -429,7 +426,9 @@ class TestIncrementalACDag:
 
     def _build(self, logs):
         return ACDag.build(
-            defs=self._defs(), failed_logs=logs, failure=self.F
+            defs=self._defs(),
+            columns=log_columns(logs, self._defs()),
+            failure=self.F,
         )
 
     def test_update_only_removes(self):
@@ -454,9 +453,10 @@ class TestIncrementalACDag:
         assert self._pid("C") not in dag
         rebuilt = ACDag.build(
             defs=self._defs(),
-            failed_logs=logs + [new],
+            columns=log_columns(
+                logs + [new], [self._pid("A"), self._pid("B"), self.F]
+            ),
             failure=self.F,
-            candidate_pids=[self._pid("A"), self._pid("B")],
         )
         assert dag.structure() == rebuilt.structure()
 
@@ -483,9 +483,8 @@ class TestIncrementalACDag:
         assert set(dag.graph.nodes) == {self._pid("A"), self._pid("C"), self.F}
         rebuilt = ACDag.build(
             defs=self._defs(),
-            failed_logs=logs,
+            columns=log_columns(logs, [self._pid("A"), self._pid("C"), self.F]),
             failure=self.F,
-            candidate_pids=[self._pid("A"), self._pid("C")],
         )
         assert dag.structure() == rebuilt.structure()
 

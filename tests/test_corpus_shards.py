@@ -3,15 +3,19 @@ of the shard layout, SD-counter merging, and compaction."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+from repro.api import CorpusSpec, EventLog, RunSpec, run
+from repro.api.registry import workloads
 from repro.cli import main
 from repro.core.extraction import PredicateSuite
-from repro.core.predicates import Observation
+from repro.core.predicates import Observation, TooSlowPredicate
 from repro.core.statistical import PredicateLog, StatisticalDebugger
 from repro.corpus import (
     CorpusError,
@@ -43,6 +47,49 @@ def _build_store(root, racy_program, corpus, shard_width=2) -> TraceStore:
     return store
 
 
+def _format1(matrix: EvalMatrix) -> dict:
+    """The format-1 payload older builds wrote for ``matrix``: rows keyed
+    by pid, each with its definition digest, and windows by trace, then
+    pid."""
+    pairs = matrix.rows.rows
+    return {
+        "version": 1,
+        "traces": matrix.traces,
+        "labels": [1 if failed else 0 for failed in matrix.labels],
+        "evaluated": {
+            pairs[row][0]: format(bits, "x")
+            for row, bits in matrix.evaluated.items()
+        },
+        "observed": {
+            pairs[row][0]: format(bits, "x")
+            for row, bits in matrix.observed.items()
+        },
+        "digests": {pairs[row][0]: pairs[row][1] for row in matrix.evaluated},
+        "observations": {
+            fp: {pairs[row][0]: list(obs) for row, obs in windows.items()}
+            for fp, windows in zip(matrix.traces, matrix.windows)
+            if windows
+        },
+    }
+
+
+def _to_format1(root: Path) -> list[Path]:
+    """Rewrite the eval matrix of the corpus at ``root`` as older builds
+    wrote it: a version-2 index over format-1 shard files.  Returns the
+    shard files."""
+    matrix = TraceStore.open(root).eval_matrix()
+    shards = matrix.persisted_shard_ids()
+    paths = []
+    for sid in shards:
+        path = matrix.store.shard_matrix_path(sid)
+        path.write_text(json.dumps(_format1(matrix.shard(sid)), sort_keys=True))
+        paths.append(path)
+    matrix.store.matrix_index_path.write_text(
+        json.dumps({"shards": shards, "version": 2})
+    )
+    return paths
+
+
 def _downgrade_to_v1(v2_root: Path, v1_root: Path) -> None:
     """Write the v1 (flat) layout equivalent of a sharded corpus —
     manifest, trace bodies, and the single-file eval matrix."""
@@ -69,7 +116,9 @@ def _downgrade_to_v1(v2_root: Path, v1_root: Path) -> None:
         matrix.shard(sid) for sid in matrix.persisted_shard_ids()
     )
     if merged.traces:
-        merged.save(v1_root / "evalmatrix.json")
+        (v1_root / "evalmatrix.json").write_text(
+            json.dumps(_format1(merged), sort_keys=True)
+        )
 
 
 class TestShardLayout:
@@ -104,8 +153,12 @@ class TestShardLayout:
         pipeline.bootstrap()
         pipeline.save()
         index = json.loads((tmp_path / "c" / "evalmatrix.json").read_text())
-        assert index["version"] == 2
+        assert index["version"] == 3
         assert index["shards"] == store.shard_ids
+        assert [tuple(row) for row in index["rows"]] == [
+            (pid, pred.definition_digest())
+            for pid, pred in pipeline.suite.defs.items()
+        ]
         for sid in store.shard_ids:
             assert store.shard_matrix_path(sid).exists()
 
@@ -186,7 +239,7 @@ class TestMigration:
             assert shard.traces == original.traces
             assert shard.evaluated == original.evaluated
             assert shard.observed == original.observed
-            assert shard.observations == original.observations
+            assert shard.windows == original.windows
 
     def test_unsupported_version_still_rejected(self, tmp_path):
         root = tmp_path / "c"
@@ -210,6 +263,41 @@ def _older_copy(current: Path, root: Path, version: int) -> Path:
 
 class _Crash(Exception):
     pass
+
+
+@contextmanager
+def _crash_at(monkeypatch, fail_at: int):
+    """Count every file write (``Path.write_text`` and ``Path.replace``,
+    which every corpus write and move goes through) into the yielded
+    list, and make the ``fail_at``-th raise :class:`_Crash` (0: none)."""
+    writes = []
+    real = {name: getattr(Path, name) for name in ("replace", "write_text")}
+
+    def counting(name):
+        def write(self, *args, **kwargs):
+            writes.append(name)
+            if len(writes) == fail_at:
+                raise _Crash(f"{name} #{fail_at}")
+            return real[name](self, *args, **kwargs)
+
+        return write
+
+    with monkeypatch.context() as patched:
+        for name in real:
+            patched.setattr(Path, name, counting(name))
+        yield writes
+
+
+def _analyze(root: Path) -> tuple[str, int]:
+    """One ``corpus analyze`` of ``root``: its report, canonical, and its
+    fresh evaluations."""
+    log = EventLog()
+    report = run(
+        RunSpec(corpus=CorpusSpec(dir=str(root), mode="incremental")),
+        observers=[log],
+    )
+    fresh = log.first("logs-evaluated").fresh
+    return json.dumps(report.to_dict(), sort_keys=True), fresh
 
 
 class TestUpgradeDoor:
@@ -433,34 +521,14 @@ class TestUpgradeDoor:
         v1 = tmp_path / "v1"
         _downgrade_to_v1(tmp_path / "ref", v1)
 
-        writes = []
-        real = {name: getattr(Path, name) for name in ("replace", "write_text")}
-
-        def counting(name, fail_at):
-            def write(self, *args, **kwargs):
-                writes.append(name)
-                if len(writes) == fail_at:
-                    raise _Crash(f"{name} #{fail_at}")
-                return real[name](self, *args, **kwargs)
-
-            return write
-
-        def upgrade_failing_at(root, fail_at):
-            writes.clear()
-            for name in real:
-                monkeypatch.setattr(Path, name, counting(name, fail_at))
-            try:
-                upgrade(root)
-            finally:
-                monkeypatch.undo()
-
-        upgrade_failing_at(shutil.copytree(v1, tmp_path / "count"), 0)
+        with _crash_at(monkeypatch, 0) as writes:
+            upgrade(shutil.copytree(v1, tmp_path / "count"))
         n_writes = len(writes)
         assert n_writes > len(small.successes + small.failures)
         for k in range(1, n_writes + 1):
             root = shutil.copytree(v1, tmp_path / f"crash{k}")
-            with pytest.raises(_Crash):
-                upgrade_failing_at(root, k)
+            with pytest.raises(_Crash), _crash_at(monkeypatch, k):
+                upgrade(root)
             assert upgrade(root)[0] in (1, 3)
             pipeline = IncrementalPipeline(
                 TraceStore.open(root), program=racy_program
@@ -469,6 +537,224 @@ class TestUpgradeDoor:
             assert pipeline.matrix.pair_evaluations == 0, k
             assert pipeline.fully == reference.fully, k
             assert pipeline.dag.structure() == reference.dag.structure(), k
+
+
+class TestMatrixFormatDoor:
+    """Format-1 eval-matrix files (and their version-2 index) are read
+    only by ``upgrade``, which converts them keeping every pair."""
+
+    # Every command refuses them, naming the file and the upgrade
+    # command, and writes nothing.
+    @pytest.mark.parametrize(
+        "command",
+        ["stats", "shard-stats", "analyze", "compact", "reshard", "debug"],
+    )
+    def test_commands_refuse_a_format1_matrix_untouched(
+        self, tmp_path, analyzed_network_corpus, command
+    ):
+        root = tmp_path / "old"
+        shutil.copytree(analyzed_network_corpus, root)
+        _to_format1(root)
+        before = _snapshot(root)
+        argv = {
+            "debug": ["debug", "network", "--corpus", str(root)],
+            "reshard": ["corpus", "reshard", str(root), "--width", "1"],
+        }.get(command, ["corpus", command, str(root)])
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value.code)
+        assert f"{root / 'evalmatrix.json'} holds eval-matrix index version 2" in message
+        assert f"run `repro corpus upgrade {root}`" in message
+        assert "Traceback" not in message
+        assert _snapshot(root) == before
+
+    def test_a_format1_shard_under_a_current_index_is_refused(
+        self, tmp_path, capsys, analyzed_network_corpus
+    ):
+        root = tmp_path / "c"
+        shutil.copytree(analyzed_network_corpus, root)
+        matrix = TraceStore.open(root).eval_matrix()
+        sid = matrix.persisted_shard_ids()[0]
+        path = matrix.store.shard_matrix_path(sid)
+        path.write_text(json.dumps(_format1(matrix.shard(sid))))
+        before = _snapshot(root)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["corpus", "analyze", str(root)])
+        assert str(excinfo.value.code) == (
+            f"repro: corpus: {path} holds eval-matrix format version 1: "
+            f"run `repro corpus upgrade {root}`"
+        )
+        assert _snapshot(root) == before
+        assert upgrade(root) == (3, 0)
+        assert _analyze(root)[1] == 0
+
+    # A malformed format-1 file is refused naming it, before any write.
+    @pytest.mark.parametrize("damage", ["mask", "window", "digest"])
+    def test_a_malformed_format1_file_is_refused_untouched(
+        self, tmp_path, analyzed_network_corpus, damage
+    ):
+        root = tmp_path / "old"
+        shutil.copytree(analyzed_network_corpus, root)
+        paths = _to_format1(root)
+        path = next(
+            p for p in paths if json.loads(p.read_text())["observations"]
+        )
+        payload = json.loads(path.read_text())
+        pid = next(iter(payload["observed"]))
+        if damage == "mask":
+            payload["observed"][pid] = "zz"
+        elif damage == "window":
+            window = next(iter(payload["observations"].values()))[pid]
+            window[0] = window[1] + 1
+        else:
+            del payload["digests"][pid]
+        path.write_text(json.dumps(payload))
+        before = _snapshot(root)
+        with pytest.raises(CorpusError, match="is malformed") as excinfo:
+            upgrade(root)
+        assert str(path) in str(excinfo.value)
+        assert _snapshot(root) == before
+
+    # A crash at any write of the format-1 conversion, then a second
+    # upgrade, leaves a corpus that analyzes warm to the cold report.
+    def test_crash_at_every_write_is_finished_by_a_rerun(
+        self, tmp_path, monkeypatch, analyzed_network_corpus
+    ):
+        cold = tmp_path / "cold"
+        shutil.copytree(analyzed_network_corpus, cold)
+        for path in [cold / "suite.json", *cold.rglob("evalmatrix.json")]:
+            path.unlink()
+        expected, fresh = _analyze(cold)
+        assert fresh > 0
+        old = tmp_path / "old"
+        shutil.copytree(analyzed_network_corpus, old)
+        shards = _to_format1(old)
+
+        with _crash_at(monkeypatch, 0) as writes:
+            upgrade(shutil.copytree(old, tmp_path / "count"))
+        # the index, then each shard file: a temp write and a rename each
+        assert len(writes) == 2 * (1 + len(shards))
+        for k in range(1, len(writes) + 1):
+            root = shutil.copytree(old, tmp_path / f"crash{k}")
+            with pytest.raises(_Crash), _crash_at(monkeypatch, k):
+                upgrade(root)
+            assert upgrade(root) == (3, 0)
+            assert _analyze(root) == (expected, 0), k
+            before = _snapshot(root)
+            assert upgrade(root) == (3, 0)
+            assert _snapshot(root) == before, k
+
+
+class TestSaveCrashSafety:
+    # A save that adds a row (a drifted predicate definition) writes the
+    # index before any shard file: a crash at any of its writes leaves a
+    # corpus that opens, keeps every old pair, and analyzes to what a
+    # rebuild from it gives.
+    def test_crash_at_every_write_of_a_drifted_save(
+        self, tmp_path, monkeypatch
+    ):
+        program = workloads.build("network").program
+        small = collect(program, n_success=4, n_fail=4)
+        seed = tmp_path / "seed"
+        first = IncrementalPipeline(
+            _build_store(seed, program, small), program=program
+        )
+        first.bootstrap()
+        first.save()
+        slow = next(
+            pred
+            for pred in first.suite.defs.values()
+            if isinstance(pred, TooSlowPredicate)
+        )
+        drift = dataclasses.replace(slow, threshold=slow.threshold + 1)
+        assert drift.definition_digest() != slow.definition_digest()
+        drifted = PredicateSuite(defs={**first.suite.defs, slow.pid: drift})
+
+        def drifted_save(root, fail_at):
+            pipeline = IncrementalPipeline(
+                TraceStore.open(root), program=program, suite=drifted
+            )
+            pipeline.bootstrap()
+            # one new row, decided on every trace
+            assert pipeline.matrix.pair_evaluations == len(
+                small.successes + small.failures
+            )
+            with _crash_at(monkeypatch, fail_at) as writes:
+                pipeline.save()
+            return pipeline, writes
+
+        reference, writes = drifted_save(
+            shutil.copytree(seed, tmp_path / "count"), 0
+        )
+        n_shards = len(reference.store.shard_ids)
+        assert len(writes) == 2 * (1 + n_shards)
+        for k in range(1, len(writes) + 1):
+            root = shutil.copytree(seed, tmp_path / f"crash{k}")
+            with pytest.raises(_Crash):
+                drifted_save(root, k)
+            for suite in (None, drifted):
+                pipeline = IncrementalPipeline(
+                    TraceStore.open(root), program=program, suite=suite
+                )
+                pipeline.bootstrap()
+                if suite is None:  # the persisted suite: every pair kept
+                    assert pipeline.matrix.pair_evaluations == 0, k
+                    assert pipeline.fully == first.fully, k
+                else:
+                    assert pipeline.fully == reference.fully, k
+                    assert (
+                        pipeline.dag.structure()
+                        == reference.dag.structure()
+                    ), k
+                assert (
+                    pipeline.dag.structure()
+                    == pipeline.rebuild().structure()
+                ), k
+
+
+    # A compaction that drops a row renumbers the rest under a new
+    # epoch, index first: a shard file a crash left at the old epoch
+    # is read as empty (re-evaluated), never misread.
+    def test_crash_at_every_write_of_a_compaction(
+        self, tmp_path, monkeypatch, racy_program, corpus
+    ):
+        seed = tmp_path / "seed"
+        first = IncrementalPipeline(
+            _build_store(seed, racy_program, corpus), program=racy_program
+        )
+        matrix = first.matrix
+        # row 0, so the compaction renumbers every live row
+        ghost = matrix.rows.row("ghost[old:Predicate#0]", "a dropped digest")
+        first.bootstrap()
+        for sid in matrix.persisted_shard_ids():
+            shard = matrix.shard(sid)
+            shard.evaluated[ghost] = 1
+            shard.dirty = True
+        first.save()
+
+        def compact(root, fail_at):
+            pipeline = IncrementalPipeline(
+                TraceStore.open(root), program=racy_program
+            )
+            pipeline.bootstrap()
+            with _crash_at(monkeypatch, fail_at) as writes:
+                assert pipeline.compact().dropped_rows == 1
+            return writes
+
+        writes = compact(shutil.copytree(seed, tmp_path / "count"), 0)
+        assert len(writes) == 2 * (1 + len(first.store.shard_ids))
+        for k in range(1, len(writes) + 1):
+            root = shutil.copytree(seed, tmp_path / f"crash{k}")
+            with pytest.raises(_Crash):
+                compact(root, k)
+            pipeline = IncrementalPipeline(
+                TraceStore.open(root), program=racy_program
+            )
+            pipeline.bootstrap()
+            assert pipeline.fully == first.fully, k
+            assert pipeline.dag.structure() == first.dag.structure(), k
+            assert pipeline.logs == first.logs, k
 
 
 class TestShardParallelDeterminism:
@@ -546,13 +832,15 @@ class TestCompaction:
         # Shadow a row: a predicate from a long-gone suite lingers in
         # one shard's matrix file with its own digest.
         sid = store.shard_ids[0]
-        shard = EvalMatrix(store.shard_matrix_path(sid))
-        ghost = "ghost[old:Predicate#0]"
-        shard.evaluated[ghost] = (1 << len(shard.traces)) - 1
-        shard.observed[ghost] = 1
-        shard.digests[ghost] = "digest-of-a-dropped-definition"
-        shard.observations.setdefault(shard.traces[0], {})[ghost] = [0, 1, 0, 1]
-        shard.save()
+        matrix = store.eval_matrix()
+        shard = matrix.shard(sid)
+        ghost = ("ghost[old:Predicate#0]", "digest-of-a-dropped-definition")
+        row = matrix.rows.row(*ghost)
+        shard.evaluated[row] = (1 << len(shard.traces)) - 1
+        shard.observed[row] = 1
+        shard.windows[0][row] = Observation(0, 1, 0, 1)
+        shard.dirty = True
+        matrix.save()
         # Evict one trace; its matrix column survives until compaction.
         evicted = sorted(store.entries)[-1]
         assert store.evict(evicted)
@@ -568,9 +856,10 @@ class TestCompaction:
         assert stats.dropped_columns >= 1
         assert stats.bytes_reclaimed > 0
 
-        compacted = EvalMatrix(store.shard_matrix_path(sid))
-        assert ghost not in compacted.evaluated
-        assert ghost not in compacted.digests
+        compacted = TraceStore.open(store.root).eval_matrix()
+        assert ghost not in compacted.rows.rows
+        assert compacted.rows.epoch == 1
+        assert row not in compacted.shard(sid).evaluated
         # and the surviving pairs still answer from the memo
         warm = IncrementalPipeline(
             TraceStore.open(store.root), program=racy_program

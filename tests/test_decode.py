@@ -34,6 +34,7 @@ from repro.core.predicates import (
     ExecutedPredicate,
     FailurePredicate,
     MethodFailsPredicate,
+    Observation,
     OrderViolationPredicate,
     PredicateDef,
     TooFastPredicate,
@@ -53,7 +54,7 @@ from repro.core.report import (
     _ReportPredicates,
 )
 from repro.corpus import store as corpus_store
-from repro.corpus.matrix import _MatrixIndex
+from repro.corpus.matrix import EvalMatrix, RowTable, _MatrixIndex, _ShardFile
 from repro.corpus.store import CorpusError, TraceEntry
 from repro.decode import DecodeError, decode, encode
 from repro.exec.cache import OutcomeCache, RunRequest, _CacheFile
@@ -77,6 +78,7 @@ class Outer:
     note: Optional[str] = None
     ratio: float = 0.0
     flags: tuple[bool, ...] = ()
+    pair: tuple[int, str] = (0, "")
 
     def __post_init__(self) -> None:
         if self.ratio < 0:
@@ -97,10 +99,15 @@ class TestDecoder:
             "note": None,
             "ratio": 2,
             "flags": [True],
+            "pair": [1, "a"],
         }
-        assert decode(Outer, raw) == Outer(
-            "x", [Inner(1), Inner(2, "b")], {"k": Inner(3)}, None, 2, (True,)
+        value = Outer(
+            "x", [Inner(1), Inner(2, "b")], {"k": Inner(3)}, None, 2, (True,),
+            (1, "a"),
         )
+        assert decode(Outer, raw) == value
+        assert encode(value)["pair"] == [1, "a"]
+        assert decode(Outer, encode(value)) == value
 
     @pytest.mark.parametrize(
         "raw, path, reason",
@@ -116,6 +123,8 @@ class TestDecoder:
             ),
             (_outer(inners="ab"), "Outer.inners", "expected a list"),
             (_outer(flags=[1]), "Outer.flags[0]", "expected a bool"),
+            (_outer(pair=[1]), "Outer.pair", "expected a list of 2"),
+            (_outer(pair=[1, 2]), "Outer.pair[1]", "expected a string"),
             (_outer(ratio=True), "Outer.ratio", "expected a number"),
             ({"name": "x"}, "Outer", "missing key 'inners'"),
             (_outer(x=1), "Outer", "unknown key 'x'"),
@@ -225,8 +234,39 @@ suite_files = st.builds(
     ),
 ).map(encode)
 matrix_indexes = st.builds(
-    _MatrixIndex, ints, st.lists(st.sampled_from(["00", "0a", "ff"]), max_size=3)
+    _MatrixIndex,
+    st.just(3),
+    st.integers(0, 3),
+    st.lists(st.tuples(names, names), max_size=3, unique=True),
+    st.lists(st.sampled_from(["00", "0a", "ff"]), max_size=3),
 ).map(encode)
+
+
+@st.composite
+def matrix_shards(draw) -> dict:
+    """A format-2 shard file of a few columns and rows, as the store
+    writes it: every observed pair has a window."""
+    n_cols, n_rows = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    pairs = [(f"p{row}", "d") for row in range(n_rows)]
+    matrix = EvalMatrix(rows=RowTable(pairs, draw(st.integers(0, 2))))
+    for col in range(n_cols):
+        matrix.column(_fingerprint(col), draw(st.booleans()))
+    bits = st.integers(0, (1 << n_cols) - 1)
+    for row in range(n_rows):
+        done = draw(bits)
+        held = done & draw(bits)
+        if done:
+            matrix.evaluated[row] = done
+        if held:
+            matrix.observed[row] = held
+        for col in range(n_cols):
+            if held >> col & 1:
+                start = draw(ints)
+                lamport = draw(st.one_of(st.none(), ints))
+                matrix.windows[col][row] = Observation(
+                    start, start + draw(st.integers(0, 9)), lamport, lamport
+                )
+    return encode(_ShardFile.of(matrix))
 
 
 @st.composite
@@ -413,6 +453,9 @@ DOORS = {
     "matrix-index": (
         matrix_indexes, _file_door(_MatrixIndex), lambda p: p, CorpusError
     ),
+    "matrix-shard": (
+        matrix_shards(), _file_door(_ShardFile), lambda p: p, CorpusError
+    ),
     "report": (
         reports(),
         lambda p: encode(decode(ReportPayload, p)),
@@ -447,6 +490,7 @@ DOOR_TYPES = {
     "manifest": (corpus_store._Manifest, lambda p: p),
     "suite-file": (corpus_store._SuiteFile, lambda p: p),
     "matrix-index": (_MatrixIndex, lambda p: p),
+    "matrix-shard": (_ShardFile, lambda p: p),
     "report": (ReportPayload, lambda p: p),
     "cache": (_CacheFile, lambda p: p),
     "schedule": (Schedule, _without("schema")),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.acdag import ACDag
+from repro.core.acdag import ACDag, log_columns
 from repro.core.extraction import PredicateSuite
 from repro.core.statistical import StatisticalDebugger
 from repro.harness.runner import collect
@@ -204,9 +204,10 @@ class TestOfflineAnalysis:
         failure_pid = suite.failure_pids()[0]
         dag = ACDag.build(
             defs=dict(suite.defs),
-            failed_logs=[log for log in logs if log.failed],
+            columns=log_columns(
+                [log for log in logs if log.failed], [*fully, failure_pid]
+            ),
             failure=failure_pid,
-            candidate_pids=fully,
         )
         assert len(dag) == len(fully) + 1
 

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import run_side_by_side
 from repro.cli import main
-from repro.corpus import EvalMatrix, IncrementalPipeline, TraceStore
+from repro.corpus import IncrementalPipeline, TraceStore
 from repro.exec import ExecutionEngine
 from repro.harness.runner import collect
 from repro.harness.session import AIDSession, CorpusSession, SessionConfig
@@ -176,7 +176,7 @@ class TestReadsNeverWrite:
         pipeline = _analyzed(tmp_path / "c", racy_program, corpus)
         store = pipeline.store
         sid = store.shard_ids[0]
-        matrix = EvalMatrix(store.shard_matrix_path(sid))
+        matrix = store.eval_matrix().shard(sid)
         assert not matrix.dirty
         entries = sorted(store.shard_entries(sid).items())
         fps = [fp for fp, _ in entries]
@@ -278,39 +278,45 @@ def _future_version(payload: dict) -> None:
 
 
 def _non_hex_bitset(payload: dict) -> None:
-    pid = next(iter(payload["evaluated"]))
-    payload["evaluated"][pid] = "zz"
+    payload["observed"][0] = "zz"
 
 
 def _negative_bitset(payload: dict) -> None:
-    pid = next(iter(payload["observed"]))
-    payload["observed"][pid] = "-1"
+    payload["observed"][0] = "-1"
 
 
 def _short_labels(payload: dict) -> None:
     payload["labels"].pop()
 
 
-def _failed_trace_windows(payload: dict) -> dict:
-    """The stored observation windows of the shard's first failed trace."""
-    fp = payload["traces"][payload["labels"].index(1)]
-    return payload["observations"][fp]
+def _failed_trace_windows(payload: dict) -> list:
+    """The flat window list of the shard's first failed trace."""
+    return payload["windows"][payload["labels"].index(1)]
 
 
 def _window_not_a_list(payload: dict) -> None:
-    windows = _failed_trace_windows(payload)
-    windows[next(iter(windows))] = 5
+    payload["windows"][payload["labels"].index(1)] = 5
 
 
 def _window_ends_before_start(payload: dict) -> None:
     windows = _failed_trace_windows(payload)
-    window = windows[next(iter(windows))]
-    window[0] = window[1] + 1
+    windows[1] = windows[2] + 1
 
 
 def _window_missing(payload: dict) -> None:
-    windows = _failed_trace_windows(payload)
-    del windows[next(iter(windows))]
+    del _failed_trace_windows(payload)[:5]
+
+
+def _window_length_not_5k(payload: dict) -> None:
+    _failed_trace_windows(payload).pop()
+
+
+def _window_row_beyond_the_rows(payload: dict) -> None:
+    _failed_trace_windows(payload)[-5] = 10**6
+
+
+#: an eval-matrix index but for one field (``%s``)
+_INDEX = '{"version": 3, "epoch": 0, %s}'
 
 
 @pytest.fixture(scope="module")
@@ -366,6 +372,8 @@ class TestCorruptCorpusFiles:
             _window_not_a_list,
             _window_ends_before_start,
             _window_missing,
+            _window_length_not_5k,
+            _window_row_beyond_the_rows,
         ],
     )
     def test_corrupt_shard_matrix_is_a_corpus_error(
@@ -392,8 +400,8 @@ class TestCorruptCorpusFiles:
         assert str(path) in message
 
     # JSON that parses but is not an object (or an index that is not
-    # exactly a version and a list of shard ids) is a structured error
-    # naming the file.
+    # exactly a version, an epoch, rows and a list of shard ids) is a
+    # structured error naming the file.
     @pytest.mark.parametrize(
         "relpath, text, command",
         [
@@ -404,10 +412,10 @@ class TestCorruptCorpusFiles:
             ("evalmatrix.json", "[]", "stats"),
             ("evalmatrix.json", "[]", "shard-stats"),
             ("evalmatrix.json", "[]", "compact"),
-            ("evalmatrix.json", '{"version": 2, "shards": 5}', "stats"),
-            ("evalmatrix.json", '{"version": 2, "shards": [5]}', "stats"),
-            ("evalmatrix.json", '{"version": 2, "shardz": ["00"]}', "stats"),
-            ("evalmatrix.json", '{"version": 2}', "stats"),
+            ("evalmatrix.json", _INDEX % '"shards": 5', "stats"),
+            ("evalmatrix.json", _INDEX % '"shards": [5]', "stats"),
+            ("evalmatrix.json", _INDEX % '"shardz": ["00"]', "stats"),
+            ("evalmatrix.json", _INDEX % '"rows": []', "stats"),
         ],
         ids=[
             "manifest-analyze",

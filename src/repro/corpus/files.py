@@ -20,6 +20,11 @@ class CorpusError(RuntimeError):
     """The corpus directory is missing, malformed, or inconsistent."""
 
 
+class CorpusUpgradeError(CorpusError):
+    """A corpus file is in an older format, which only
+    ``repro corpus upgrade DIR`` reads; the message names both."""
+
+
 def _write_json(path: Path, value: object, indent: Optional[int] = 2) -> None:
     """Atomic JSON write of ``value``, encoded: temp file in the same
     directory + rename.  Without ``indent`` the file has no whitespace."""

@@ -84,7 +84,8 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from functools import reduce
+from itertools import chain, islice, repeat
 from operator import and_, invert, le, lt
 from pathlib import Path
 from typing import Callable, Iterable, Literal, Mapping, Optional, Sequence
@@ -93,7 +94,13 @@ from ..core.evalkernel import popcount_split
 from ..core.extraction import PredicateSuite
 from ..core.predicates import Observation
 from ..core.statistical import PredicateLog, StatisticalDebugger
-from .files import CorpusError, _decode_file, _read_json, _write_json
+from .files import (
+    CorpusError,
+    CorpusUpgradeError,
+    _decode_file,
+    _read_json,
+    _write_json,
+)
 
 MATRIX_FORMAT = 2
 MATRIX_INDEX_VERSION = 3
@@ -103,17 +110,21 @@ _INT_OR_NONE = frozenset({int, type(None)})
 _observation = functools.partial(tuple.__new__, Observation)
 
 
-def _upgrade_hint(path: Path, what: str, version: object, current: int) -> str:
+def _outdated(
+    path: Path, what: str, version: object, current: int
+) -> CorpusError:
     """The error for a matrix file that is not at the current version:
-    older ones name the upgrade command (a shard file sits at
+    an older one names the upgrade command (a shard file sits at
     ``DIR/shards/<sid>/evalmatrix.json``, the index at ``DIR/``)."""
     if type(version) is int and 0 < version < current:
         root = path.parent if what == "index" else path.parents[2]
-        return (
+        return CorpusUpgradeError(
             f"{path} holds eval-matrix {what} version {version}: run "
             f"`repro corpus upgrade {root}`"
         )
-    return f"unsupported eval-matrix {what} version {version!r} in {path}"
+    return CorpusError(
+        f"unsupported eval-matrix {what} version {version!r} in {path}"
+    )
 
 
 @dataclass(frozen=True)
@@ -502,9 +513,12 @@ class EvalMatrix:
         group_mask = 0
         for fp, failed in entries:
             group_mask |= 1 << self.column(fp, failed)
-        undecided = 0
-        for row in self.rows.suite_rows(suite).values():
-            undecided |= group_mask & ~self.evaluated.get(row, 0)
+        # a column is undecided where some suite row's mask lacks it
+        rows = self.rows.suite_rows(suite).values()
+        decided = reduce(
+            and_, map(self.evaluated.get, rows, repeat(0)), group_mask
+        )
+        undecided = group_mask & ~decided
         for fp, _ in entries:
             if undecided >> self._column[fp] & 1:
                 self.log_for(suite, load_trace(fp))
@@ -607,9 +621,13 @@ class EvalMatrix:
         counters.n_failed += n_failed
         counters.n_success += len(fingerprints) - n_failed
         counts = counters.counts
-        observed = self.observed
-        for pid, row in self.rows.suite_rows(suite).items():
-            bits = observed.get(row, 0) & mask
+        suite_rows = self.rows.suite_rows(suite)
+        held = map(
+            and_,
+            map(self.observed.get, suite_rows.values(), repeat(0)),
+            repeat(mask),
+        )
+        for pid, bits in zip(suite_rows, held):
             if bits:
                 in_failed, in_success = popcount_split(bits, fmask)
                 summed = counts.get(pid)
@@ -656,7 +674,7 @@ class EvalMatrix:
         payload = _read_json(path)
         version = payload.get("version")
         if version != MATRIX_FORMAT:
-            raise CorpusError(_upgrade_hint(path, "format", version, MATRIX_FORMAT))
+            raise _outdated(path, "format", version, MATRIX_FORMAT)
         stored = _decode_file(_ShardFile, path, payload)
         if stored.epoch != self.rows.epoch:
             return
@@ -732,9 +750,7 @@ class ShardedEvalMatrix:
         payload = _read_json(path)
         version = payload.get("version")
         if version != MATRIX_INDEX_VERSION:
-            raise CorpusError(
-                _upgrade_hint(path, "index", version, MATRIX_INDEX_VERSION)
-            )
+            raise _outdated(path, "index", version, MATRIX_INDEX_VERSION)
         index = _decode_file(_MatrixIndex, path, payload)
         self._rows = RowTable(index.rows, index.epoch)
         self._listed = index.shards

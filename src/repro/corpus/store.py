@@ -83,7 +83,13 @@ from ..sim.serialize import (
     stable_digest,
     trace_from_dict,
 )
-from .files import CorpusError, _decode_file, _read_json, _write_json
+from .files import (
+    CorpusError,
+    CorpusUpgradeError,
+    _decode_file,
+    _read_json,
+    _write_json,
+)
 from .matrix import (
     MATRIX_FORMAT,
     MATRIX_INDEX_VERSION,
@@ -223,7 +229,7 @@ class TraceStore:
         manifest = _read_manifest(root)
         version = manifest["version"]
         if version != STORE_VERSION:
-            raise CorpusError(
+            raise CorpusUpgradeError(
                 f"{root} holds a version {version} corpus: run "
                 f"`repro corpus upgrade {root}`"
             )

@@ -95,7 +95,7 @@ from ..api.events import (
 )
 from ..api.registry import strategy_factory
 from ..corpus.pipeline import IncrementalPipeline
-from ..corpus.store import CorpusError, TraceStore
+from ..corpus.store import CorpusError, CorpusUpgradeError, TraceStore
 from ..sim.program import Program
 from ..sim.schedule import RandomStrategy, ReplayStrategy, Schedule
 from ..sim.scheduler import DEFAULT_MAX_STEPS, Simulator
@@ -765,7 +765,8 @@ class ExplorationDriver:
         A store that cannot bootstrap yet (or whose content defeats
         suite discovery) falls back to plain ``store.ingest`` — the
         traces are never lost, analysis just starts on the next
-        ``repro corpus analyze``.
+        ``repro corpus analyze``.  A store holding an older format is
+        refused instead: only ``repro corpus upgrade`` reads it.
         """
         if self.pipeline is not None or self.store is None:
             return
@@ -776,6 +777,8 @@ class ExplorationDriver:
         )
         try:
             pipeline.bootstrap()
+        except CorpusUpgradeError:
+            raise
         except CorpusError:
             return
         self.pipeline = pipeline

@@ -547,7 +547,15 @@ class TestMatrixFormatDoor:
     # command, and writes nothing.
     @pytest.mark.parametrize(
         "command",
-        ["stats", "shard-stats", "analyze", "compact", "reshard", "debug"],
+        [
+            "stats",
+            "shard-stats",
+            "analyze",
+            "compact",
+            "reshard",
+            "debug",
+            "explore",
+        ],
     )
     def test_commands_refuse_a_format1_matrix_untouched(
         self, tmp_path, analyzed_network_corpus, command
@@ -558,6 +566,9 @@ class TestMatrixFormatDoor:
         before = _snapshot(root)
         argv = {
             "debug": ["debug", "network", "--corpus", str(root)],
+            "explore": [
+                "explore", "network", "--corpus", str(root), "--budget", "8",
+            ],
             "reshard": ["corpus", "reshard", str(root), "--width", "1"],
         }.get(command, ["corpus", command, str(root)])
         with pytest.raises(SystemExit) as excinfo:

@@ -729,8 +729,6 @@ class ShardedEvalMatrix:
         self.store = store
         self._shards: dict[str, EvalMatrix] = {}
         self._rows: Optional[RowTable] = None
-        #: the shard ids the index on disk lists
-        self._listed: list[str] = []
         #: (epoch, row count, shard ids) as the index on disk holds them
         #: (no index file holds none)
         self._indexed: tuple = (0, 0, ())
@@ -753,7 +751,6 @@ class ShardedEvalMatrix:
             raise _outdated(path, "index", version, MATRIX_INDEX_VERSION)
         index = _decode_file(_MatrixIndex, path, payload)
         self._rows = RowTable(index.rows, index.epoch)
-        self._listed = index.shards
         self._indexed = (index.epoch, len(index.rows), tuple(index.shards))
 
     # -- routing ---------------------------------------------------------
@@ -786,7 +783,7 @@ class ShardedEvalMatrix:
         would double every memoized pair."""
         if self._rows is None:
             self._read_index()
-        sids = set(filter(self.store.is_valid_shard_id, self._listed))
+        sids = set(filter(self.store.is_valid_shard_id, self._indexed[2]))
         for sid in self.store.shard_ids:
             if sid not in sids and self.store.shard_matrix_path(sid).exists():
                 sids.add(sid)
@@ -969,7 +966,7 @@ class ShardedEvalMatrix:
         state = (rows.epoch, len(rows), tuple(sorted(listed)))
         if state != self._indexed:
             write_matrix_index(self.store.matrix_index_path, rows, listed)
-            self._listed, self._indexed = sorted(listed), state
+            self._indexed = state
         for sid, matrix in sorted(dirty.items()):
             if matrix.traces:
                 matrix.save()

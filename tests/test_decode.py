@@ -123,13 +123,13 @@ class TestDecoder:
             ),
             (_outer(inners="ab"), "Outer.inners", "expected a list"),
             (_outer(flags=[1]), "Outer.flags[0]", "expected a bool"),
-            (_outer(pair=[1]), "Outer.pair", "expected a list of 2"),
-            (_outer(pair=[1, 2]), "Outer.pair[1]", "expected a string"),
             (_outer(ratio=True), "Outer.ratio", "expected a number"),
             ({"name": "x"}, "Outer", "missing key 'inners'"),
             (_outer(x=1), "Outer", "unknown key 'x'"),
             (_outer(ratio=-1), "Outer", "ratio must not"),
             ([], "Outer", "expected an object"),
+            (_outer(pair=[1]), "Outer.pair", "expected a list of 2"),
+            (_outer(pair=[1, 2]), "Outer.pair[1]", "expected a string"),
         ],
     )
     def test_mismatch_names_its_path(self, raw, path, reason):

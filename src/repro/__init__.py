@@ -94,6 +94,7 @@ _EXPORTS = {
     "CollectionSpec": ("repro.api.spec", "CollectionSpec"),
     "CorpusSpec": ("repro.api.spec", "CorpusSpec"),
     "EngineSpec": ("repro.api.spec", "EngineSpec"),
+    "ExploreSpec": ("repro.api.spec", "ExploreSpec"),
     "RunSpec": ("repro.api.spec", "RunSpec"),
     "SpecError": ("repro.api.spec", "SpecError"),
     "WorkloadSpec": ("repro.api.spec", "WorkloadSpec"),

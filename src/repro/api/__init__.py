@@ -23,8 +23,9 @@ The pieces:
 * :mod:`repro.api.events` — the :class:`Observer`/:class:`EventBus`
   protocol every phase emits progress through;
 * :mod:`repro.api.runner` — :func:`run`, dispatching a spec to the
-  right session (live, corpus-backed, or incremental) and returning a
-  :class:`~repro.harness.session.SessionReport`.
+  right session (live, corpus-backed, incremental, or explore) and
+  returning a :class:`~repro.harness.session.SessionReport` (an
+  explore spec's is the exploration result).
 
 Submodules load lazily (PEP 562): ``repro.api.events`` and
 ``repro.api.registry`` are dependency-light so inner subsystems can
@@ -44,6 +45,7 @@ _EXPORTS = {
     "EngineSpec": ("repro.api.spec", "EngineSpec"),
     "CorpusSpec": ("repro.api.spec", "CorpusSpec"),
     "AnalysisSpec": ("repro.api.spec", "AnalysisSpec"),
+    "ExploreSpec": ("repro.api.spec", "ExploreSpec"),
     "SpecError": ("repro.api.spec", "SpecError"),
     "SPEC_VERSION": ("repro.api.spec", "SPEC_VERSION"),
     # registries

@@ -73,7 +73,7 @@ class RunStarted(Event):
 
     kind: ClassVar[str] = "run-started"
     program: Optional[str]
-    mode: str  # "live" | "corpus" | "incremental"
+    mode: str  # "live" | "corpus" | "incremental" | "explore"
     approach: Optional[str]
 
 

@@ -12,12 +12,22 @@ spec, it:
    :class:`~repro.harness.session.AIDSession`), **corpus** (debug from
    a stored :class:`~repro.corpus.store.TraceStore` via
    :class:`~repro.harness.session.CorpusSession`, which analyzes through
-   the same pipeline bootstrap), or **incremental** (analyze-only
+   the same pipeline bootstrap), **incremental** (analyze-only
    :class:`~repro.corpus.pipeline.IncrementalPipeline` bootstrap over
-   the store);
+   the store), or **explore** (schedule-space search by
+   :class:`~repro.explore.driver.ExplorationDriver`, ingesting into the
+   corpus at ``corpus.dir``, which is initialised pinned to the
+   workload's program when it has no manifest);
 3. returns a :class:`~repro.harness.session.SessionReport` whose
    :meth:`~repro.harness.session.SessionReport.to_dict` is the
-   versioned report schema.
+   versioned report schema — for an explore spec, the
+   :class:`~repro.explore.driver.ExplorationResult`, whose ``to_dict``
+   is the versioned exploration payload.
+
+Every mode gets the same validation, ``run-started``/``run-finished``
+events, spans and observability wiring.  ``repro.explore`` is imported
+only when an explore spec runs, so ``import repro.cli`` does not load
+it.
 
 Invariants
 ----------
@@ -32,11 +42,12 @@ Invariants
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from ..core.variants import Approach
 from ..corpus.pipeline import IncrementalPipeline
-from ..corpus.store import TraceStore
+from ..corpus.store import MANIFEST_NAME, TraceStore
 from ..harness.session import (
     AIDSession,
     CorpusSession,
@@ -44,7 +55,7 @@ from ..harness.session import (
     SessionReport,
 )
 from . import registry as registries
-from .events import EventBus, Observer, RunFinished, RunStarted
+from .events import CorpusLoaded, EventBus, Observer, RunFinished, RunStarted
 from .spec import RunSpec
 
 
@@ -53,8 +64,9 @@ def run(
     observers: Iterable[Union[Observer, "callable"]] = (),
     bus: Optional[EventBus] = None,
     obs=None,
-) -> SessionReport:
-    """Execute one declarative run and return its report.
+):
+    """Execute one declarative run and return its report (an explore
+    spec's is an :class:`~repro.explore.driver.ExplorationResult`).
 
     ``observers`` (or a pre-built ``bus``) receive the run's events in
     phase order; see :mod:`repro.api.events` for the catalogue.  ``obs``
@@ -76,6 +88,8 @@ def run(
     try:
         if mode == "incremental":
             report = _run_incremental(spec, bus)
+        elif mode == "explore":
+            report = _run_explore(spec, bus)
         else:
             workload = registries.workloads.build(spec.workload.name)
             config = SessionConfig(
@@ -124,6 +138,41 @@ def run(
     if obs is not None:
         obs.close()
     return report
+
+
+def _run_explore(spec: RunSpec, bus: EventBus):
+    """Explore the workload's schedule space into the corpus at
+    ``corpus.dir``, if any (its counts as ``corpus-loaded``, before the
+    first execution).  No intervention runs, so the engine is idle."""
+    from ..explore import ExplorationDriver, ExploreConfig
+
+    program = registries.workloads.build(spec.workload.name).program
+    bus.emit(RunStarted(program=program.name, mode="explore", approach=None))
+    store = None
+    if spec.corpus.dir is not None:
+        if (Path(spec.corpus.dir) / MANIFEST_NAME).exists():
+            store = TraceStore.open(spec.corpus.dir)
+        else:
+            store = TraceStore.init(spec.corpus.dir, program=program.name)
+        bus.emit(
+            CorpusLoaded(
+                n_traces=len(store), n_pass=store.n_pass, n_fail=store.n_fail
+            )
+        )
+    collection, explore = spec.collection, spec.explore
+    config = ExploreConfig(
+        budget=explore.budget,
+        strategy=collection.strategy or "random",
+        strategy_params=dict(collection.strategy_params or {}),
+        start_seed=collection.start_seed,
+        max_steps=collection.max_steps,
+        schedule_dir=explore.schedule_dir,
+        partial_order=explore.partial_order,
+    )
+    with bus.span("explore"):
+        return ExplorationDriver(
+            program, config=config, store=store, bus=bus
+        ).run()
 
 
 def _run_incremental(spec: RunSpec, bus: EventBus) -> SessionReport:

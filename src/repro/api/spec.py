@@ -21,7 +21,9 @@ Sections
 * :class:`CorpusSpec` — debug from a stored corpus, or run the
   incremental analyze-only pipeline over it;
 * :class:`AnalysisSpec` — approach, intervention repeats, RNG seed,
-  and registry names for extractors and the precedence policy.
+  and registry names for extractors and the precedence policy;
+* :class:`ExploreSpec` — when present, the run explores the workload's
+  schedule space (``repro explore``) instead of debugging it.
 
 Invariants
 ----------
@@ -134,6 +136,15 @@ class CollectionSpec:
                 f"{self.strategy!r} "
                 f"(registered: {', '.join(registries.strategies.names())})"
             )
+        elif self.strategy is not None:
+            # Build one strategy, so a parameter it refuses (an unknown
+            # name, ``depth = 0``) is a spec problem, not a crash mid-run.
+            try:
+                registries.strategy_factory(
+                    self.strategy, self.strategy_params
+                )(0)
+            except (TypeError, ValueError) as exc:
+                problems.append(f"collection.strategy_params: {exc}")
         if self.strategy_params is not None:
             if self.strategy is None:
                 problems.append(
@@ -281,6 +292,28 @@ class AnalysisSpec:
 
 
 @dataclass(frozen=True)
+class ExploreSpec:
+    """Explore the workload's schedule space instead of debugging it
+    (:mod:`repro.explore`; ``repro explore``): ``budget`` executions,
+    fresh ones under ``collection.strategy`` from
+    ``collection.start_seed``, every novel failure's schedule saved under
+    ``schedule_dir`` and its trace ingested into ``corpus.dir``.
+    ``partial_order`` dedupes the search by Mazurkiewicz class."""
+
+    budget: int = 200
+    partial_order: bool = True
+    schedule_dir: Optional[str] = None
+
+    def problems(self) -> list[str]:
+        if not isinstance(self.budget, int) or self.budget < 0:
+            return [
+                "explore.budget: expected a non-negative integer, "
+                f"got {self.budget!r}"
+            ]
+        return []
+
+
+@dataclass(frozen=True)
 class RunSpec:
     """One declarative debugging run (see the module docstring)."""
 
@@ -289,12 +322,15 @@ class RunSpec:
     engine: EngineSpec = field(default_factory=EngineSpec)
     corpus: CorpusSpec = field(default_factory=CorpusSpec)
     analysis: AnalysisSpec = field(default_factory=AnalysisSpec)
+    explore: Optional[ExploreSpec] = None
 
     # -- validation ------------------------------------------------------
 
     @property
     def mode(self) -> str:
-        """"live", "corpus", or "incremental"."""
+        """"live", "corpus", "incremental", or "explore"."""
+        if self.explore is not None:
+            return "explore"
         if self.corpus.dir is None:
             return "live"
         return "incremental" if self.corpus.mode == "incremental" else "corpus"
@@ -314,6 +350,13 @@ class RunSpec:
             )
         else:
             problems.extend(self.workload.problems())
+        if self.explore is not None:
+            problems.extend(self.explore.problems())
+            if self.corpus.mode == "incremental":
+                problems.append(
+                    "corpus.mode: 'incremental' analyzes a stored corpus; "
+                    "an [explore] run ingests into corpus.dir instead"
+                )
         for section in (self.collection, self.corpus, self.analysis):
             problems.extend(section.problems())
         return problems

@@ -14,6 +14,10 @@ Commands
     Regenerate the paper's evaluation artifacts as text tables.
 ``trace <workload> --seed N [-o FILE]``
     Run one execution and dump its trace as JSON (Figure 9(b) schema).
+``explore <workload|SPEC> [--budget N] [--corpus DIR] [--json]``
+    Coverage-guided schedule-space search: an ``[explore]`` RunSpec
+    built from the flags, over the spec file's values when the target
+    is one (a flag given on the command line wins).
 ``corpus init|ingest|stats|shard-stats|analyze|compact|reshard|upgrade``
     Manage a persistent trace-corpus store: content-addressed ingestion
     (dedup by trace fingerprint), corpus and per-shard statistics, the
@@ -29,7 +33,8 @@ Commands
     to run ``upgrade``, which rewrites it in place.
 ``obs summary|compare|spans|index|tail``
     Inspect durable run telemetry: the schema-versioned JSONL run logs
-    that ``run``/``debug``/``corpus analyze`` write under ``--log-dir``
+    that ``run``/``debug``/``explore``/``corpus analyze`` write under
+    ``--log-dir``
     (see :mod:`repro.obs`), the ASCII span tree of one run, and the
     cross-run ``index.json`` catalog.
 ``serve [--host H] [--port P] [--log-dir DIR]``
@@ -41,9 +46,11 @@ Commands
     The client half: POST a spec file to a running daemon and print the
     report; ``--follow`` streams live progress to stderr first.
 
-Every subcommand that runs the pipeline builds a
-:class:`~repro.api.spec.RunSpec` internally and dispatches through
-:func:`repro.api.run`; the intervention-heavy commands (``debug``,
+Every subcommand that runs the pipeline (``run``, ``debug``,
+``explore``, ``corpus analyze``) builds a
+:class:`~repro.api.spec.RunSpec` internally, dispatches it through
+:func:`repro.api.run` and prints the report its mode renders; the
+intervention-heavy commands (``debug``,
 ``figure7``, ``figure8``, ``run``) share one engine-flag code path
 (``--cache``, see
 :meth:`~repro.api.spec.EngineSpec.add_flags`) and the pipeline
@@ -57,16 +64,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .api import registry as registries
-from .api.events import EventBus, EventLog
+from .api.events import EventLog
 from .api.runner import run as api_run
 from .api.spec import (
     AnalysisSpec,
     CollectionSpec,
     CorpusSpec,
     EngineSpec,
+    ExploreSpec,
     RunSpec,
     SpecError,
     WorkloadSpec,
@@ -93,13 +102,29 @@ from .sim.serialize import trace_to_json
 from .workloads.common import REGISTRY
 
 
-def _spec_exit(exc: SpecError, context: str = "") -> "SystemExit":
+def _spec_exit(exc: SpecError) -> "SystemExit":
     """A :class:`SpecError` as the CLI's flag-style error message."""
     if exc.path:
         flag = "--" + exc.path.split(".")[-1]
         return SystemExit(f"repro: {flag}: {exc.detail}")
-    prefix = f"repro: {context}: " if context else "repro: "
-    return SystemExit(f"{prefix}{exc.detail}")
+    return SystemExit(f"repro: {exc.detail}")
+
+
+def _override(section, **flags):
+    """``section`` with each flag given on the command line (not
+    ``None``) in place of the spec's value."""
+    return replace(
+        section, **{k: v for k, v in flags.items() if v is not None}
+    )
+
+
+def _check_strategy(collection: CollectionSpec) -> None:
+    """``--strategy`` checked once parsed, as the spec checks it (a
+    ``choices`` list would load the strategies for every command)."""
+    for problem in collection.problems():
+        path, _, detail = problem.partition(": ")
+        if path == "collection.strategy":
+            raise _spec_exit(SpecError(path, detail))
 
 
 def _build_engine(spec: RunSpec) -> ExecutionEngine:
@@ -189,18 +214,6 @@ def _run_spec(
         raise SystemExit(f"repro: {flag}: {exc}") from exc
 
 
-def _finish_obs(args: argparse.Namespace, obs) -> None:
-    """The post-run observability epilogue: where the log landed, and
-    the ``--metrics`` snapshot — on stderr, so ``--json`` stdout stays
-    machine-clean."""
-    if obs is None:
-        return
-    if obs.log_path is not None:
-        print(f"run log  : {obs.log_path}", file=sys.stderr)
-    if getattr(args, "metrics", False):
-        print(render_snapshot(obs.final_snapshot()), file=sys.stderr)
-
-
 def _coerce_param(raw: str):
     """A ``--strategy-param`` value as the scalar it spells."""
     if raw.lower() in ("true", "false"):
@@ -241,28 +254,30 @@ def _cmd_debug(args: argparse.Namespace) -> int:
         corpus=CorpusSpec(dir=args.corpus),
         analysis=AnalysisSpec(approach=args.approach, rng_seed=args.seed),
     )
-    log = EventLog()
-    obs = obs_from_args(args)
-    report = _run_spec(spec, log, corpus_flag=True, obs=obs)
-    _print_session_report(args, log, report, workload_name=args.workload)
-    _print_engine_summary(log)
-    _finish_obs(args, obs)
-    return 0
+    _check_strategy(spec.collection)
+    return _run_and_print(args, spec, corpus_flag=True)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _load_spec(path: str, command: str) -> RunSpec:
     try:
-        spec = RunSpec.load(args.spec)
+        return RunSpec.load(path)
     except SpecError as exc:
-        raise SystemExit(f"repro: run: {exc}") from exc
+        raise SystemExit(f"repro: {command}: {exc}") from exc
+
+
+def _run_and_print(
+    args: argparse.Namespace, spec: RunSpec, corpus_flag: bool = False
+) -> int:
+    """Run a spec and print its report as its mode's command does (or
+    the versioned payload with ``--json``)."""
     log = EventLog()
     obs = obs_from_args(args)
-    report = _run_spec(spec, log, obs=obs)
-    if args.json:
+    report = _run_spec(spec, log, corpus_flag=corpus_flag, obs=obs)
+    if getattr(args, "json", False):
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        _finish_obs(args, obs)
-        return 0
-    if report.discovery is not None:
+    elif spec.mode == "explore":
+        _print_exploration(spec, log, report)
+    elif report.discovery is not None:
         _print_session_report(
             args, log, report,
             workload_name=spec.workload.name if spec.workload else None,
@@ -270,8 +285,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _print_engine_summary(log)
     else:
         _print_analysis_report(args, log, report)
-    _finish_obs(args, obs)
+    # where the log landed, and the --metrics snapshot: on stderr, so
+    # --json stdout stays machine-clean
+    if obs is not None and obs.log_path is not None:
+        print(f"run log  : {obs.log_path}", file=sys.stderr)
+    if obs is not None and getattr(args, "metrics", False):
+        print(render_snapshot(obs.final_snapshot()), file=sys.stderr)
     return 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    return _run_and_print(args, _load_spec(args.spec, "run"))
 
 
 def _cmd_figure7(args: argparse.Namespace) -> int:
@@ -355,115 +379,47 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    from .explore import ExplorationDriver, ExploreConfig
-
-    target = args.target
-    strategy = args.strategy
-    params = _parse_strategy_params(args.strategy_param)
-    start_seed = args.seed
-    max_steps = None
-    if target in REGISTRY:
-        workload_name = target
+    """Flags over the target's spec (a workload name is a spec naming
+    only it); a flag given on the command line wins."""
+    if args.target in REGISTRY:
+        spec = RunSpec(workload=WorkloadSpec(name=args.target))
     else:
-        try:
-            spec = RunSpec.load(target)
-        except SpecError as exc:
-            raise SystemExit(f"repro: explore: {exc}") from exc
-        if spec.workload is None or not spec.workload.name:
-            raise SystemExit(
-                f"repro: explore: {target} names no workload"
-            )
-        problems = spec.workload.problems() + spec.collection.problems()
-        if problems:
-            raise SystemExit(f"repro: explore: {problems[0]}")
-        workload_name = spec.workload.name
-        max_steps = spec.collection.max_steps
-        if strategy is None and spec.collection.strategy is not None:
-            strategy = spec.collection.strategy
-            params = dict(spec.collection.strategy_params or {}) | params
-        if start_seed is None:
-            start_seed = spec.collection.start_seed
-    workload = REGISTRY.build(workload_name)
+        spec = _load_spec(args.target, "explore")
+    collection, explore = spec.collection, spec.explore or ExploreSpec()
+    strategy, params = args.strategy, _parse_strategy_params(args.strategy_param)
+    if strategy is None:
+        strategy = collection.strategy
+        params = dict(collection.strategy_params or {}) | params
+    spec = replace(
+        spec,
+        collection=replace(
+            _override(collection, start_seed=args.seed),
+            strategy=strategy,
+            strategy_params=params or None,
+        ),
+        corpus=_override(spec.corpus, dir=args.corpus),
+        explore=_override(
+            explore,
+            budget=args.budget,
+            partial_order=args.partial_order,
+            schedule_dir=args.schedule_dir,
+        ),
+    )
+    _check_strategy(spec.collection)
+    return _run_and_print(args, spec, corpus_flag=True)
 
-    store = None
-    if args.corpus is not None:
-        try:
-            from pathlib import Path as _Path
 
-            if (_Path(args.corpus) / "manifest.json").exists():
-                store = TraceStore.open(args.corpus)
-            else:
-                store = TraceStore.init(
-                    args.corpus, program=workload.program.name
-                )
-        except CorpusError as exc:
-            raise SystemExit(f"repro: --corpus: {exc}") from exc
-
-    log = EventLog()
-    bus = EventBus([log])
-    obs = obs_from_args(args)
-    if obs is not None:
-        obs.install(bus)
-    config = ExploreConfig(
-        budget=args.budget,
-        strategy=strategy or "random",
-        strategy_params=params,
-        start_seed=start_seed or 0,
-        schedule_dir=args.schedule_dir,
-        partial_order=not args.no_partial_order,
-        **({"max_steps": max_steps} if max_steps is not None else {}),
-    )
-    try:
-        result = ExplorationDriver(
-            workload.program, config=config, store=store, bus=bus
-        ).run()
-    except CorpusError as exc:
-        raise SystemExit(f"repro: --corpus: {exc}") from exc
-    except (registries.RegistryError, ScheduleError, ValueError) as exc:
-        raise SystemExit(f"repro: explore: {exc}") from exc
-    finally:
-        if obs is not None:
-            obs.close()
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-        _finish_obs(args, obs)
-        return 0
-    print(
-        f"explored {result.executions} executions of "
-        f"{workload.program.name} under {result.strategy}"
-    )
-    print(
-        f"coverage : {result.coverage_edges} handoff edges, "
-        f"{result.distinct_signatures} distinct schedules, "
-        f"frontier {result.frontier_size}"
-    )
-    print(
-        f"failures : {result.n_failed} failing executions, "
-        f"{result.distinct_failing_signatures} distinct failing schedules"
-    )
-    if result.partial_order:
+def _print_exploration(spec: RunSpec, log: EventLog, result) -> None:
+    """The ``explore``-style text rendering of an exploration result."""
+    print(result.render())
+    loaded = log.first("corpus-loaded")
+    if loaded is not None:
         print(
-            f"pruning  : {result.distinct_canonical} equivalence "
-            f"classes, {result.pruned_equivalent} equivalent "
-            f"executions pruned from the search"
-        )
-    for failure in result.failures:
-        verified = (
-            "replay ok" if failure.replay_verified else "REPLAY DIVERGED"
-        )
-        where = f"  -> {failure.path}" if failure.path else ""
-        print(
-            f"  {failure.signature}  seed {failure.seed}  "
-            f"{failure.failure_signature}  ({verified}){where}"
-        )
-    if store is not None:
-        print(
-            f"corpus   : {args.corpus} now {store.n_pass} pass / "
-            f"{store.n_fail} fail "
+            f"corpus   : {spec.corpus.dir} now "
+            f"{loaded.n_pass + result.ingested_pass} pass / "
+            f"{loaded.n_fail + result.ingested_fail} fail "
             f"(+{result.ingested_pass}/+{result.ingested_fail} this run)"
         )
-    _finish_obs(args, obs)
-    return 0
 
 
 def _build_pipeline(args: argparse.Namespace) -> IncrementalPipeline:
@@ -666,12 +622,7 @@ def _print_analysis_report(
 
 def _cmd_corpus_analyze(args: argparse.Namespace) -> int:
     spec = RunSpec(corpus=CorpusSpec(dir=args.dir, mode="incremental"))
-    log = EventLog()
-    obs = obs_from_args(args)
-    report = _run_spec(spec, log, obs=obs)
-    _print_analysis_report(args, log, report)
-    _finish_obs(args, obs)
-    return 0
+    return _run_and_print(args, spec)
 
 
 def _cmd_corpus_compact(args: argparse.Namespace) -> int:
@@ -712,10 +663,11 @@ def _cmd_corpus_reshard(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus_upgrade(args: argparse.Namespace) -> int:
-    found, deleted = upgrade(args.dir)
+    found, converted, deleted = upgrade(args.dir)
     print(
         f"upgraded {args.dir}: found version {found}, now version "
-        f"{STORE_VERSION}; deleted {deleted} legacy sidecar files"
+        f"{STORE_VERSION}; wrote {converted} eval-matrix files in format 2; "
+        f"deleted {deleted} legacy sidecar files"
     )
     return 0
 
@@ -786,6 +738,19 @@ def _at_least(minimum: int):
     return parse
 
 
+def _add_strategy_flags(parser: argparse.ArgumentParser, use: str) -> None:
+    """``--strategy`` (checked once parsed: see :func:`_check_strategy`)
+    and ``--strategy-param``."""
+    parser.add_argument(
+        "--strategy", default=None, help=f"registered scheduler strategy {use}"
+    )
+    parser.add_argument(
+        "--strategy-param", action="append", default=None, metavar="KEY=VALUE",
+        help="strategy constructor parameter (repeatable), e.g. "
+        "--strategy-param depth=3",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -829,20 +794,10 @@ def build_parser() -> argparse.ArgumentParser:
         "of re-running the collection sweep (predicate evaluation is "
         "memoized across invocations)",
     )
-    debug.add_argument(
-        "--strategy",
-        default=None,
-        choices=registries.strategies.names(),
-        help="scheduler strategy for collection and intervention "
-        "re-execution (default: the seeded-uniform picker)",
-    )
-    debug.add_argument(
-        "--strategy-param",
-        action="append",
-        default=None,
-        metavar="KEY=VALUE",
-        help="strategy constructor parameter (repeatable), e.g. "
-        "--strategy-param depth=3",
+    _add_strategy_flags(
+        debug,
+        "for collection and intervention re-execution (default: the "
+        "seeded-uniform picker)",
     )
     EngineSpec.add_flags(debug)
     add_obs_flags(debug)
@@ -890,25 +845,18 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument(
         "target", metavar="TARGET",
         help="a workload name (see `repro list`) or a RunSpec "
-        ".toml/.json file (its workload and collection.strategy apply)",
+        ".toml/.json file (its workload, collection, corpus and explore "
+        "sections apply; a flag given here wins)",
     )
     explore.add_argument(
-        "--budget", type=int, default=200, metavar="N",
-        help="executions to spend (default 200)",
+        "--budget", type=int, default=None, metavar="N",
+        help="executions to spend (default 200, or the spec's "
+        "explore.budget)",
     )
-    explore.add_argument(
-        "--strategy", default=None,
-        choices=registries.strategies.names(),
-        help="strategy for fresh (non-mutated) executions (default "
-        "random, or the spec's collection.strategy)",
-    )
-    explore.add_argument(
-        "--strategy-param",
-        action="append",
-        default=None,
-        metavar="KEY=VALUE",
-        help="strategy constructor parameter (repeatable), e.g. "
-        "--strategy-param depth=3",
+    _add_strategy_flags(
+        explore,
+        "for fresh (non-mutated) executions (default random, or the "
+        "spec's collection.strategy)",
     )
     explore.add_argument(
         "--corpus", default=None, metavar="DIR",
@@ -927,7 +875,8 @@ def build_parser() -> argparse.ArgumentParser:
         "collection.start_seed)",
     )
     explore.add_argument(
-        "--no-partial-order", action="store_true",
+        "--no-partial-order", dest="partial_order", action="store_false",
+        default=None,
         help="disable Mazurkiewicz-class pruning: dedupe frontier "
         "admission, mutation energy, and pass-ingestion by exact "
         "interleaving instead of equivalence class",

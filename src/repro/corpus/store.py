@@ -729,11 +729,12 @@ def _read_manifest(root: Path) -> dict:
     return manifest
 
 
-def upgrade(root: str | os.PathLike) -> tuple[int, int]:
+def upgrade(root: str | os.PathLike) -> tuple[int, int, int]:
     """Rewrite the corpus at ``root`` to :data:`STORE_VERSION` and its
     eval matrix to format 2 in place (``repro corpus upgrade DIR``), the
     only code that reads an older layout; returns the store version
-    found and the sidecars deleted.
+    found, the eval-matrix files written in format 2 and the sidecars
+    deleted.
 
     A v1 corpus (a flat ``traces/``, one manifest, one single-file eval
     matrix) is checked whole before anything moves, then its bodies move
@@ -791,7 +792,7 @@ def upgrade(root: str | os.PathLike) -> tuple[int, int]:
     sidecars = [p for n in LEGACY_SHARD_FILES for p in shards_dir.glob(f"*/{n}")]
     for path in sidecars:
         path.unlink()
-    return version, len(sidecars)
+    return version, len(matrix_writes), len(sidecars)
 
 
 @dataclass(frozen=True)

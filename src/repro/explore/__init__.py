@@ -9,8 +9,9 @@ novel interleavings, prefix-replay mutation, corpus ingestion of every
 novel failing schedule, and on-the-spot replay verification.
 
 Entry points: :func:`explore` / :class:`ExplorationDriver` from Python,
-``repro explore`` from the CLI, ``collection.strategy`` in a
-:class:`~repro.api.spec.RunSpec` to run a whole debugging session under
+an ``[explore]`` section in a :class:`~repro.api.spec.RunSpec` run by
+:func:`repro.api.run` (``repro explore`` builds one from its flags), and
+``collection.strategy`` in a spec to run a whole debugging session under
 a non-default strategy.
 """
 
@@ -19,6 +20,7 @@ from .driver import (
     ExplorationDriver,
     ExplorationResult,
     ExploreConfig,
+    ExplorePayload,
     FoundFailure,
     WaveObservation,
     WavePlan,
@@ -33,6 +35,7 @@ __all__ = [
     "ExplorationDriver",
     "ExplorationResult",
     "ExploreConfig",
+    "ExplorePayload",
     "FoundFailure",
     "PCTStrategy",
     "WaveObservation",

@@ -81,7 +81,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Optional
+from typing import Literal, Optional
 
 from ..api.events import (
     EquivalentPruned,
@@ -95,7 +95,8 @@ from ..api.events import (
 )
 from ..api.registry import strategy_factory
 from ..corpus.pipeline import IncrementalPipeline
-from ..corpus.store import CorpusError, CorpusUpgradeError, TraceStore
+from ..corpus.store import CorpusError, TraceStore
+from ..decode import encode
 from ..sim.program import Program
 from ..sim.schedule import RandomStrategy, ReplayStrategy, Schedule
 from ..sim.scheduler import DEFAULT_MAX_STEPS, Simulator
@@ -281,17 +282,6 @@ class FoundFailure:
     replay_verified: bool  # the replay reproduced the trace
     path: Optional[str] = None  # saved schedule file, if any
 
-    def to_dict(self) -> dict:
-        return {
-            "signature": self.signature,
-            "failure_signature": self.failure_signature,
-            "seed": self.seed,
-            "fingerprint": self.fingerprint,
-            "replay_verified": self.replay_verified,
-            "path": self.path,
-            "decisions": len(self.schedule),
-        }
-
 
 @dataclass
 class ExplorationResult:
@@ -314,6 +304,9 @@ class ExplorationResult:
     ingested_pass: int = 0
     ingested_fail: int = 0
     failures: list[FoundFailure] = field(default_factory=list)
+    #: set by an attached :class:`repro.obs.ObsContext` (``meta``)
+    run_id: Optional[str] = None
+    metrics: Optional[dict] = None
 
     @property
     def all_replays_verified(self) -> bool:
@@ -321,29 +314,115 @@ class ExplorationResult:
         return all(f.replay_verified for f in self.failures)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": EXPLORE_SCHEMA_VERSION,
-            "program": self.program,
-            "strategy": self.strategy,
-            "budget": self.budget,
-            "wave": WAVE,
-            "partial_order": self.partial_order,
-            "executions": self.executions,
-            "n_failed": self.n_failed,
-            "distinct_signatures": self.distinct_signatures,
-            "distinct_failing_signatures": self.distinct_failing_signatures,
-            "distinct_canonical": self.distinct_canonical,
-            "pruned_equivalent": self.pruned_equivalent,
-            "coverage_edges": self.coverage_edges,
-            "frontier_size": self.frontier_size,
-            "ingested": {
-                "pass": self.ingested_pass,
-                "fail": self.ingested_fail,
-            },
-            "failures_found": len(self.failures),
-            "all_replays_verified": self.all_replays_verified,
-            "failures": [f.to_dict() for f in self.failures],
-        }
+        """The versioned ``repro explore --json`` payload."""
+        return encode(ExplorePayload.of(self))
+
+    def render(self) -> str:
+        """The ``repro explore`` text summary, one line per failure."""
+        lines = [
+            f"explored {self.executions} executions of {self.program} "
+            f"under {self.strategy}",
+            f"coverage : {self.coverage_edges} handoff edges, "
+            f"{self.distinct_signatures} distinct schedules, "
+            f"frontier {self.frontier_size}",
+            f"failures : {self.n_failed} failing executions, "
+            f"{self.distinct_failing_signatures} distinct failing schedules",
+        ]
+        if self.partial_order:
+            lines.append(
+                f"pruning  : {self.distinct_canonical} equivalence classes, "
+                f"{self.pruned_equivalent} equivalent executions pruned "
+                "from the search"
+            )
+        for f in self.failures:
+            verified = "replay ok" if f.replay_verified else "REPLAY DIVERGED"
+            where = f"  -> {f.path}" if f.path else ""
+            lines.append(
+                f"  {f.signature}  seed {f.seed}  {f.failure_signature}  "
+                f"({verified}){where}"
+            )
+        return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class _FailurePayload:
+    signature: str
+    failure_signature: str
+    seed: int
+    fingerprint: str
+    replay_verified: bool
+    path: Optional[str]
+    decisions: int
+
+
+@dataclass(frozen=True)
+class _ExploreMeta:
+    run_id: str
+    metrics: dict
+
+
+@dataclass(frozen=True)
+class ExplorePayload:
+    """The versioned exploration payload, as :meth:`of` builds it from
+    an :class:`ExplorationResult`.  ``ingested`` maps ``"pass"`` and
+    ``"fail"`` to the traces this run added to the corpus.  ``meta``
+    (run id and metrics snapshot) is written only when observability
+    was attached to the run, so the payload is otherwise a pure
+    function of ``(config, program)``."""
+
+    schema: Literal[EXPLORE_SCHEMA_VERSION]
+    program: str
+    strategy: str
+    budget: int
+    wave: int
+    partial_order: bool
+    executions: int
+    n_failed: int
+    distinct_signatures: int
+    distinct_failing_signatures: int
+    distinct_canonical: int
+    pruned_equivalent: int
+    coverage_edges: int
+    frontier_size: int
+    ingested: dict[str, int]
+    failures_found: int
+    all_replays_verified: bool
+    failures: list[_FailurePayload]
+    meta: Optional[_ExploreMeta] = None
+
+    @classmethod
+    def of(cls, result: ExplorationResult) -> "ExplorePayload":
+        failures = [
+            _FailurePayload(
+                f.signature, f.failure_signature, f.seed, f.fingerprint,
+                f.replay_verified, f.path, len(f.schedule),
+            )
+            for f in result.failures
+        ]
+        return cls(
+            schema=EXPLORE_SCHEMA_VERSION,
+            program=result.program,
+            strategy=result.strategy,
+            budget=result.budget,
+            wave=WAVE,
+            partial_order=result.partial_order,
+            executions=result.executions,
+            n_failed=result.n_failed,
+            distinct_signatures=result.distinct_signatures,
+            distinct_failing_signatures=result.distinct_failing_signatures,
+            distinct_canonical=result.distinct_canonical,
+            pruned_equivalent=result.pruned_equivalent,
+            coverage_edges=result.coverage_edges,
+            frontier_size=result.frontier_size,
+            ingested={"pass": result.ingested_pass, "fail": result.ingested_fail},
+            failures_found=len(failures),
+            all_replays_verified=result.all_replays_verified,
+            failures=failures,
+            meta=(
+                None if result.run_id is None
+                else _ExploreMeta(result.run_id, result.metrics)
+            ),
+        )
 
 
 class ExplorationDriver:
@@ -762,11 +841,11 @@ class ExplorationDriver:
     def _maybe_bootstrap(self) -> None:
         """Bootstrap the incremental pipeline once both labels exist.
 
-        A store that cannot bootstrap yet (or whose content defeats
-        suite discovery) falls back to plain ``store.ingest`` — the
-        traces are never lost, analysis just starts on the next
-        ``repro corpus analyze``.  A store holding an older format is
-        refused instead: only ``repro corpus upgrade`` reads it.
+        Until then traces go in by plain ``store.ingest``.  With both
+        labels stored, the default catalogue always extracts a failure
+        predicate, so a bootstrap that fails was refused by the store
+        (a corrupt or older-format file) and the run stops with that
+        :class:`CorpusError`, as ``repro corpus analyze`` would.
         """
         if self.pipeline is not None or self.store is None:
             return
@@ -775,12 +854,7 @@ class ExplorationDriver:
         pipeline = IncrementalPipeline(
             self.store, program=self.program, bus=self.bus
         )
-        try:
-            pipeline.bootstrap()
-        except CorpusUpgradeError:
-            raise
-        except CorpusError:
-            return
+        pipeline.bootstrap()
         self.pipeline = pipeline
 
     def _persist(self) -> None:

@@ -1,7 +1,7 @@
 """CLI glue for observability: shared flags and the ``repro obs`` verbs.
 
 ``add_obs_flags`` puts the same four flags on every pipeline command
-(``run``, ``debug``, ``corpus analyze``), mirroring how
+(``run``, ``debug``, ``explore``, ``corpus analyze``), mirroring how
 :meth:`repro.api.spec.EngineSpec.add_flags` shares the engine flags;
 ``obs_from_args`` turns a parsed namespace into the
 :class:`~repro.obs.ObsContext` that :func:`repro.api.run` accepts (or

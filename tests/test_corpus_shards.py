@@ -187,7 +187,10 @@ class TestMigration:
         _downgrade_to_v1(tmp_path / "ref", v1)
         with pytest.raises(CorpusError, match="repro corpus upgrade"):
             TraceStore.open(v1)
-        assert upgrade(v1) == (1, 0)
+        found, converted, deleted = upgrade(v1)
+        assert (found, deleted) == (1, 0)
+        # the single matrix, split into shard files and their index
+        assert converted == 1 + len(list(v1.glob("shards/*/evalmatrix.json")))
         migrated = TraceStore.open(v1)
 
         manifest = json.loads((v1 / "manifest.json").read_text())
@@ -336,7 +339,7 @@ class TestUpgradeDoor:
         assert main(["corpus", "analyze", str(root)]) == 0
         assert "evaluation: 0 fresh" in capsys.readouterr().out
         before = _snapshot(root)
-        assert upgrade(root) == (3, 0)
+        assert upgrade(root) == (3, 0, 0)
         assert _snapshot(root) == before
 
     def test_v2_upgrade_changes_only_the_version(
@@ -356,10 +359,10 @@ class TestUpgradeDoor:
             for name in LEGACY_SHARD_FILES:
                 (shard / name).write_bytes(b"junk")
         n_shards = len(list((root / "shards").iterdir()))
-        assert upgrade(root) == (3, n_shards * len(LEGACY_SHARD_FILES))
+        assert upgrade(root) == (3, 0, n_shards * len(LEGACY_SHARD_FILES))
         assert not list(root.rglob("columnar.bin*"))
         before = _snapshot(root)
-        assert upgrade(root) == (3, 0)
+        assert upgrade(root) == (3, 0, 0)
         assert _snapshot(root) == before
 
     @pytest.mark.parametrize(
@@ -597,7 +600,8 @@ class TestMatrixFormatDoor:
             f"run `repro corpus upgrade {root}`"
         )
         assert _snapshot(root) == before
-        assert upgrade(root) == (3, 0)
+        # the index (its row table) and the one format-1 shard file
+        assert upgrade(root) == (3, 2, 0)
         assert _analyze(root)[1] == 0
 
     # A malformed format-1 file is refused naming it, before any write.
@@ -643,17 +647,19 @@ class TestMatrixFormatDoor:
         shards = _to_format1(old)
 
         with _crash_at(monkeypatch, 0) as writes:
-            upgrade(shutil.copytree(old, tmp_path / "count"))
+            counts = upgrade(shutil.copytree(old, tmp_path / "count"))
         # the index, then each shard file: a temp write and a rename each
         assert len(writes) == 2 * (1 + len(shards))
+        assert counts == (3, 1 + len(shards), 0)
         for k in range(1, len(writes) + 1):
             root = shutil.copytree(old, tmp_path / f"crash{k}")
             with pytest.raises(_Crash), _crash_at(monkeypatch, k):
                 upgrade(root)
-            assert upgrade(root) == (3, 0)
+            found, _, deleted = upgrade(root)
+            assert (found, deleted) == (3, 0)
             assert _analyze(root) == (expected, 0), k
             before = _snapshot(root)
-            assert upgrade(root) == (3, 0)
+            assert upgrade(root) == (3, 0, 0)
             assert _snapshot(root) == before, k
 
 

@@ -22,6 +22,7 @@ from repro.api.spec import (
     CollectionSpec,
     CorpusSpec,
     EngineSpec,
+    ExploreSpec,
     RunSpec,
     SpecError,
     WorkloadSpec,
@@ -58,6 +59,7 @@ from repro.corpus.matrix import EvalMatrix, RowTable, _MatrixIndex, _ShardFile
 from repro.corpus.store import CorpusError, TraceEntry
 from repro.decode import DecodeError, decode, encode
 from repro.exec.cache import OutcomeCache, RunRequest, _CacheFile
+from repro.explore.driver import ExplorePayload, _ExploreMeta, _FailurePayload
 from repro.sim.schedule import Schedule, ScheduleError
 from repro.sim.tracing import MethodKey
 
@@ -311,6 +313,40 @@ def reports(draw) -> dict:
     )
 
 
+@st.composite
+def explore_payloads(draw) -> dict:
+    """An exploration payload; ``meta`` only when observability ran."""
+    failures = draw(
+        st.lists(
+            st.builds(
+                _FailurePayload, names, names, ints, names, st.booleans(),
+                st.one_of(st.none(), names), ints,
+            ),
+            max_size=2,
+        )
+    )
+    counts = (
+        "budget", "wave", "executions", "n_failed", "distinct_signatures",
+        "distinct_failing_signatures", "distinct_canonical",
+        "pruned_equivalent", "coverage_edges", "frontier_size",
+    )
+    meta = st.builds(_ExploreMeta, names, st.dictionaries(names, ints, max_size=2))
+    return encode(
+        ExplorePayload(
+            schema=2,
+            program=draw(names),
+            strategy=draw(names),
+            partial_order=draw(st.booleans()),
+            ingested={"pass": draw(ints), "fail": draw(ints)},
+            failures_found=len(failures),
+            all_replays_verified=all(f.replay_verified for f in failures),
+            failures=failures,
+            meta=draw(st.one_of(st.none(), meta)),
+            **{name: draw(ints) for name in counts},
+        )
+    )
+
+
 def _cache_payload(items) -> dict:
     cache = OutcomeCache()
     for (workload, seed, pids), (observed, failed, out_seed) in items:
@@ -346,6 +382,10 @@ specs = st.builds(
     ),
     engine=st.builds(EngineSpec, st.one_of(st.none(), names)),
     corpus=st.builds(CorpusSpec, st.one_of(st.none(), names), names),
+    explore=st.one_of(
+        st.none(),
+        st.builds(ExploreSpec, ints, st.booleans(), st.one_of(st.none(), names)),
+    ),
     analysis=st.builds(
         AnalysisSpec,
         approach=names,
@@ -462,6 +502,12 @@ DOORS = {
         lambda p: p,
         DecodeError,
     ),
+    "explore": (
+        explore_payloads(),
+        lambda p: encode(decode(ExplorePayload, p)),
+        lambda p: p,
+        DecodeError,
+    ),
     "cache": (caches, _load_cache, _normal_cache, ValueError),
     "schedule": (
         schedules,
@@ -493,6 +539,7 @@ DOOR_TYPES = {
     "matrix-shard": (_ShardFile, lambda p: p),
     "report": (ReportPayload, lambda p: p),
     "cache": (_CacheFile, lambda p: p),
+    "explore": (ExplorePayload, lambda p: p),
     "schedule": (Schedule, _without("schema")),
     "spec": (RunSpec, _without("version")),
 }

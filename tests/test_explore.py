@@ -3,16 +3,26 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.api import run as api_run
 from repro.api.events import EventBus, EventLog
 from repro.api.registry import (
     RegistryError,
     strategies,
     strategy_factory,
 )
-from repro.api.spec import CollectionSpec, RunSpec, WorkloadSpec
+from repro.api.spec import (
+    AnalysisSpec,
+    CollectionSpec,
+    CorpusSpec,
+    ExploreSpec,
+    RunSpec,
+    SpecError,
+    WorkloadSpec,
+)
 from repro.corpus import TraceStore
 from repro.explore import (
     DelayStrategy,
@@ -597,3 +607,119 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schedules"]["fail"] >= 1
         assert payload["schedules"]["by_signature"]
+
+
+# ---------------------------------------------------------------------------
+# One door: an [explore] spec runs through repro.api.run
+# ---------------------------------------------------------------------------
+
+#: an explore spec and the `repro explore` flags that say the same
+EXPLORE_SPEC = RunSpec(
+    workload=WorkloadSpec("npgsql"),
+    collection=CollectionSpec(strategy="pct", strategy_params={"depth": 3}),
+    explore=ExploreSpec(budget=48, partial_order=False, schedule_dir="s"),
+)
+EXPLORE_FLAGS = [
+    "explore", "npgsql", "--budget", "48", "--strategy", "pct",
+    "--strategy-param", "depth=3", "--no-partial-order",
+    "--schedule-dir", "s",
+]
+
+
+class TestExploreSpec:
+    def test_round_trips_through_dict_toml_and_json(self):
+        spec = EXPLORE_SPEC
+        assert spec.mode == "explore"
+        assert "[explore]" in spec.to_toml()
+        assert RunSpec.from_dict(spec.to_dict()) == spec
+        assert RunSpec.from_toml(spec.to_toml()) == spec
+        assert RunSpec.from_json(spec.to_json()) == spec
+        # a spec without the section keeps its dict (and digest)
+        assert "explore" not in RunSpec(workload=WorkloadSpec("npgsql")).to_dict()
+
+    def test_run_json_is_explore_json(
+        self, tmp_path, capsys, monkeypatch, npgsql
+    ):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        replace(EXPLORE_SPEC, corpus=CorpusSpec(dir="c1")).save("spec.toml")
+        assert main(["run", "spec.toml", "--json"]) == 0
+        ran = capsys.readouterr().out
+        assert main([*EXPLORE_FLAGS, "--corpus", "c2", "--json"]) == 0
+        assert capsys.readouterr().out == ran
+        payload = json.loads(ran)
+        assert "meta" not in payload
+        assert payload["ingested"]["fail"] == payload["failures_found"] >= 1
+        # the spec's corpus.dir is honoured: initialised, pinned, filled
+        for name in ("c1", "c2"):
+            store = TraceStore.open(tmp_path / name)
+            assert store.program == npgsql.name
+            assert store.n_fail == payload["failures_found"]
+
+    def test_flags_win_over_the_spec(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        EXPLORE_SPEC.save("spec.toml")
+        assert main(["explore", "spec.toml", "--budget", "16", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["budget"], payload["executions"]) == (16, 16)
+        assert payload["strategy"] == "pct"
+        assert payload["partial_order"] is False  # the spec's value
+
+    def test_log_dir_records_a_finished_run_with_an_explore_span(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.obs import latest_run_log, read_run_log, summarize
+
+        logs = tmp_path / "logs"
+        argv = ["explore", "network", "--budget", "16", "--log-dir", str(logs)]
+        assert main([*argv, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["meta"]["run_id"]
+        summary = summarize(read_run_log(latest_run_log(logs)))
+        assert summary.finished
+        assert summary.mode == "explore"
+        assert [p.name for p in summary.phases if p.depth == 0] == ["explore"]
+        assert main(["obs", "summary", str(logs)]) == 0
+        assert "UNFINISHED" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            (
+                {"analysis": AnalysisSpec(extractors=("nope",))},
+                "analysis.extractors",
+            ),
+            (
+                {"corpus": CorpusSpec(dir="c", mode="incremental")},
+                "corpus.mode",
+            ),
+            ({"explore": ExploreSpec(budget=-3)}, "explore.budget"),
+        ],
+        ids=["unknown-extractor", "incremental-corpus", "negative-budget"],
+    )
+    def test_problems_are_spec_errors_naming_the_path(
+        self, tmp_path, overrides, path
+    ):
+        from repro.cli import main
+
+        spec = replace(EXPLORE_SPEC, **overrides)
+        with pytest.raises(SpecError, match=path):
+            api_run(spec)
+        spec.save(tmp_path / "spec.toml")
+        with pytest.raises(SystemExit, match=f"repro: {path}: "):
+            main(["explore", str(tmp_path / "spec.toml")])
+
+    @pytest.mark.parametrize("command", ["debug", "explore"])
+    def test_unknown_strategy_flag_is_checked_after_parsing(self, command):
+        from repro.cli import main
+
+        target = "network" if command == "debug" else "npgsql"
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, target, "--strategy", "x"])
+        assert str(excinfo.value.code) == (
+            "repro: --strategy: unknown scheduler strategy 'x' "
+            f"(registered: {', '.join(strategies.names())})"
+        )

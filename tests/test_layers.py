@@ -42,8 +42,8 @@ DEFERRED = {
         "built-in catalogue, loaded on the table's first use",
     ("repro.api.registry", "repro.sim.schedule"):
         "built-in catalogue and the replay factory's schedule types",
-    ("repro.cli", "repro.explore"):
-        "only `repro explore` runs the explorer",
+    ("repro.api.runner", "repro.explore"):
+        "only an explore spec runs the explorer",
     ("repro.cli", "repro.serve"):
         "only `repro serve` and `repro submit` run the service",
 }
@@ -207,6 +207,18 @@ def test_cli_loads_neither_explorer_nor_service():
     loaded = _loaded_after("import repro.cli")
     assert "repro.cli" in loaded
     assert [m for m in loaded if m.startswith(("repro.explore", "repro.serve"))] == []
+
+
+def test_parsing_and_corpus_stats_load_no_explorer(tmp_path):
+    """Building the parser lists no strategy table, so a command that
+    explores nothing loads no ``repro.explore``."""
+    loaded = _loaded_after(
+        "from repro.cli import main\n"
+        f"main(['corpus', 'init', {str(tmp_path / 'c')!r}])\n"
+        f"main(['corpus', 'stats', {str(tmp_path / 'c')!r}])"
+    )
+    assert "repro.cli" in loaded and "repro.corpus.store" in loaded
+    assert [m for m in loaded if m.startswith("repro.explore")] == []
 
 
 def test_registry_alone_finds_the_bundled_workloads():

@@ -458,6 +458,31 @@ class TestSubmitClient:
             json.dumps(local.to_dict(), indent=2, sort_keys=True) + "\n"
         )
 
+    def test_submitted_explore_spec_returns_the_explore_payload(
+        self, server, tmp_path, capsys
+    ):
+        """An [explore] spec needs no service code of its own: the
+        daemon answers with the payload `repro explore --json` prints
+        for the same values (the spec's corpus initialised, pinned)."""
+        from repro.api.spec import CorpusSpec, ExploreSpec
+
+        spec = small_spec(
+            corpus=CorpusSpec(dir=str(tmp_path / "served")),
+            explore=ExploreSpec(budget=32, schedule_dir=str(tmp_path / "s")),
+        )
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(spec.to_json() + "\n")
+        out = io.StringIO()
+        assert submit(server.url, str(spec_file), out=out) == 0
+        assert main([
+            "explore", "network", "--budget", "32",
+            "--corpus", str(tmp_path / "local"),
+            "--schedule-dir", str(tmp_path / "s"), "--json",
+        ]) == 0
+        assert out.getvalue() == capsys.readouterr().out
+        assert json.loads(out.getvalue())["executions"] == 32
+        assert (tmp_path / "served" / "manifest.json").exists()
+
     def test_submit_follow_streams_progress_to_stderr(
         self, server, tmp_path
     ):

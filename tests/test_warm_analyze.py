@@ -358,6 +358,27 @@ class TestCorruptCorpusFiles:
         assert str(path) in message
         assert "unreadable" in message
 
+    # Exploring into a corpus that holds both labels bootstraps the
+    # same pipeline, so it refuses the same file, untouched, instead of
+    # exploring on without analysis.
+    def test_truncated_shard_matrix_stops_explore(self, tmp_path, capsys):
+        root = tmp_path / "c"
+        assert main(["corpus", "init", str(root), "--workload", "network"]) == 0
+        assert main(["corpus", "ingest", str(root), "--runs", "3"]) == 0
+        assert main(["corpus", "analyze", str(root)]) == 0
+        capsys.readouterr()
+        sid = TraceStore.open(root).shard_ids[0]
+        path = root / "shards" / sid / "evalmatrix.json"
+        path.write_text(path.read_text()[:10])
+        before = (path.read_bytes(), path.stat().st_mtime_ns)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "network", "--corpus", str(root), "--budget", "8"])
+        message = str(excinfo.value.code)
+        assert message.startswith("repro: --corpus: ")
+        assert str(path) in message
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+        assert "explored" not in capsys.readouterr().out
+
     # A corrupt shard matrix must stop ``corpus analyze`` with an error
     # naming the file — never answer from it.
     @pytest.mark.parametrize(
